@@ -12,15 +12,16 @@ from .qq import (DegenerateInstance, FullQQSystem, QQInstance, QQSolution,
                  xi_factors)
 from .backlund import (BacklundStepRecord, apply_word, backlund_step,
                        full_qq_system, mu_gauge)
-from .wronskian import (LiftExponents, MinorSpec, RatMatrix, build_miura_A,
-                        build_wronskian, check_fundamental_relation,
-                        check_lewis_carroll, check_shifted_minor_relation,
+from .wronskian import (LiftExponents, MinorSpec, RatMatrix, TypeABundle,
+                        build_miura_A, build_wronskian,
+                        check_fundamental_relation, check_lewis_carroll,
+                        check_shifted_minor_relation,
                         check_wronskian_equations, d_exponents,
                         fundamental_relation_residual, gauss_decompose,
                         generalized_minor, miura_from_wronskian,
                         miura_plucker_blocks, miura_trivializer,
-                        s_lambda_inverse, twist_matrix, weyl_twist,
-                        wronskian_first_column)
+                        s_lambda_inverse, twist_matrix, type_a_bundle,
+                        weyl_twist, wronskian_first_column)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

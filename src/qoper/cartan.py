@@ -64,10 +64,6 @@ class CartanData:
         """Cartan entry a_{ij} with 1-based node labels."""
         return self.cartan[i - 1][j - 1]
 
-    def position(self, i: int) -> int:
-        """Position of node i in the ordering (0-based)."""
-        return self.ordering.index(i)
-
     def with_ordering(self, ordering: Sequence[int]) -> "CartanData":
         return CartanData(self.lie_type, self.rank, self.cartan, tuple(ordering))
 
@@ -116,9 +112,6 @@ class TwistZ:
     @property
     def rank(self) -> int:
         return len(self.zetas)
-
-    def as_complex(self) -> list[complex]:
-        return [complex(z) for z in self.zetas]
 
 
 def _cartan_entries(lie_type: str, rank: int) -> list[list[int]]:

@@ -1,9 +1,10 @@
 """Batch front door: instance files in, machine-readable reports out.
 
 Subcommands: solve, verify, backlund, wronskian, identities.  Instance
-files are strict JSON (unknown keys rejected); complex scalars are
-serialized as [re, im] pairs and polynomials lowest degree first.  Reports
-are reproducible: the digest hashes the canonical JSON without timings.
+files are strict JSON (unknown keys, NaN, Infinity, non-finite numbers
+and booleans in numeric fields rejected); complex scalars are serialized
+as [re, im] pairs and polynomials lowest degree first.  Reports are
+reproducible: the digest hashes the canonical JSON without timings.
 
 Exit codes: 0 all checks pass; 1 checks ran with failures; 2 input error;
 3 internal inconsistency.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -25,11 +27,12 @@ from .polynomials import Poly, RatFun
 from .qq import (DegenerateInstance, QQInstance, QQSolution, bethe_residual,
                  nondegenerate, qq_residual, resonance_check, solve_bethe)
 from .backlund import backlund_step, full_qq_system
-from .wronskian import (RatMatrix, build_wronskian,
-                        check_fundamental_relation, check_lewis_carroll,
-                        check_shifted_minor_relation,
+from .wronskian import (RatMatrix, check_fundamental_relation,
+                        check_lewis_carroll, check_shifted_minor_relation,
                         check_wronskian_equations, miura_from_wronskian,
-                        miura_plucker_blocks, miura_trivializer)
+                        miura_plucker_blocks, type_a_bundle)
+# re-exported: perfbench's tracer self-test wraps and restores this binding
+from .wronskian import build_wronskian  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -45,18 +48,41 @@ class InputError(ValueError):
     pass
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_scalar(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, str):
-        try:
-            return complex(float(Fraction(v)))
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{where}: cannot parse scalar {v!r}")
-    if isinstance(v, list) and len(v) == 2 and all(
-            isinstance(c, (int, float)) for c in v):
-        return complex(v[0], v[1])
-    raise InputError(f"{where}: expected number, [re, im], or decimal string")
+    pair = isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+    if not (pair or _is_number(v) or isinstance(v, str)):
+        raise InputError(f"{where}: expected number, [re, im], or decimal string")
+    try:
+        if isinstance(v, str):
+            c = complex(float(Fraction(v)))
+        else:
+            c = complex(*v) if pair else complex(v)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(f"{where}: cannot parse scalar {v!r}")
+    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise InputError(f"{where}: scalar {v!r} is not finite")
+    return c
+
+
+def _parse_number(v, where: str, kind=float):
+    """kind(v) for kind int or float; booleans and non-finite values fail."""
+    try:
+        if not isinstance(v, bool):
+            x = kind(v)
+            if math.isfinite(x):
+                return x
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    raise InputError(f"{where}: expected {what}, got {v!r}")
+
+
+def _reject_constant(name: str):
+    raise InputError(f"{name} is not valid in an instance file")
 
 
 def _emit_scalar(c: complex) -> list:
@@ -84,27 +110,29 @@ def parse_instance(doc: dict):
     unknown = set(doc) - _INSTANCE_KEYS
     if unknown:
         raise InputError(f"unknown keys in instance file: {sorted(unknown)}")
-    if doc.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise InputError(f"unsupported schema version {doc.get('version')}")
+    version = doc.get("version", SCHEMA_VERSION)
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise InputError(f"unsupported schema version {version!r}")
     for key in ("lie_type", "rank", "q", "zetas", "lambdas", "degrees"):
         if key not in doc:
             raise InputError(f"missing required key {key!r}")
 
-    cartan = cartan_matrix(doc["lie_type"], int(doc["rank"]))
+    cartan = cartan_matrix(doc["lie_type"], _parse_number(doc["rank"], "rank", int))
     if "ordering" in doc:
-        cartan = cartan.with_ordering([int(x) for x in doc["ordering"]])
+        cartan = cartan.with_ordering(
+            [_parse_number(x, "ordering", int) for x in doc["ordering"]])
     q = _parse_scalar(doc["q"], "q")
     zetas = TwistZ(tuple(_parse_scalar(z, "zetas") for z in doc["zetas"]))
     lambdas = tuple(_parse_poly(l, f"lambdas[{k}]")
                     for k, l in enumerate(doc["lambdas"]))
-    degrees = tuple(int(m) for m in doc["degrees"])
+    degrees = tuple(_parse_number(m, "degrees", int) for m in doc["degrees"])
 
     tols = doc.get("tolerances", {})
     if set(tols) - _TOL_KEYS:
         raise InputError(f"unknown tolerance keys: {sorted(set(tols) - _TOL_KEYS)}")
-    tau = float(tols.get("tau", 1e-10))
-    bethe_tol = float(tols.get("bethe_tol", 1e-10))
-    K = int(tols["K"]) if "K" in tols else None
+    tau = _parse_number(tols.get("tau", 1e-10), "tolerances.tau")
+    bethe_tol = _parse_number(tols.get("bethe_tol", 1e-10), "tolerances.bethe_tol")
+    K = _parse_number(tols["K"], "tolerances.K", int) if "K" in tols else None
 
     inst = QQInstance(cartan, q, zetas, lambdas, degrees, tau)
 
@@ -120,7 +148,8 @@ def parse_instance(doc: dict):
                        for p in sdoc["qminus"])
         solution = QQSolution(qplus, qminus)
 
-    extras = {"bethe_tol": bethe_tol, "K": K, "seed": int(doc.get("seed", 0))}
+    extras = {"bethe_tol": bethe_tol, "K": K,
+              "seed": _parse_number(doc.get("seed", 0), "seed", int)}
     return inst, solution, extras
 
 
@@ -242,7 +271,7 @@ def run_verify(inst, sol, extras, args, rep: Report):
     nd = nondegenerate(inst, sol, extras["K"])
     rep.check("nondegenerate", 0.0, nd.passed,
               witnesses=[it["label"] for it in nd.items if not it["pass"]])
-    fq = full_qq_system(inst, sol)
+    fq = full_qq_system(inst, sol, K=extras["K"])
     rep.doc["full_qq"] = {"size": len(fq.table), "generic": fq.generic,
                           "refusals": [str(r) for r in fq.refusals]}
     if not inst.cartan.is_type_a:
@@ -252,22 +281,25 @@ def run_verify(inst, sol, extras, args, rep: Report):
 
 
 def run_wronskian_suite(inst, sol, rep: Report):
+    """The type-A battery; R, (A, v) and W are built once, in one bundle."""
     try:
-        W = build_wronskian(inst, sol)
+        b = type_a_bundle(inst, sol)
     except DegenerateInstance as exc:
         rep.check("wronskian-build", float("inf"), False, witnesses=[str(exc)])
         return
+    W = b.W
     panel = 1.13 * np.exp(2j * np.pi * np.linspace(0.05, 0.95, 20))
     dres = max(abs(np.linalg.det(W.eval(x)) - 1.0) for x in panel)
     rep.check("wronskian-det", dres, dres <= 1e-8)
-    weq = check_wronskian_equations(W, inst)
+    weq = check_wronskian_equations(W, inst, bundle=b)
     for it in weq.items:
         k, i = it["label"].split()
         rep.check("wronskian-equation", it["value"], it["pass"],
                   k_or_word=k.split("=")[1], i=i.split("=")[1])
+    words = enumerate_weyl(inst.cartan)
     for i in range(1, inst.rank + 1):
-        for w in enumerate_weyl(inst.cartan):
-            r = check_shifted_minor_relation(W, inst, w, i)
+        for w in words:
+            r = check_shifted_minor_relation(W, inst, w, i, bundle=b)
             rep.check("shifted-minor", r, r <= 1e-8,
                       k_or_word=".".join(map(str, w.letters)) or "e", i=i)
     wid = WeylWord.identity()
@@ -279,12 +311,12 @@ def run_wronskian_suite(inst, sol, rep: Report):
         except ValueError as exc:
             rep.skip(f"fundamental-relation i={i}", str(exc))
     try:
-        A, mrep = miura_from_wronskian(W, inst, sol)
+        A, mrep = miura_from_wronskian(W, inst, sol, bundle=b)
         for it in mrep.items:
-            rep.check(f"miura: {it['label']}", it["value"] or 0.0, it["pass"])
-        v = miura_trivializer(inst, sol)
+            rep.check(f"miura: {it['label']}", it["value"] or 0.0, it["pass"],
+                      witnesses=[it["witness"]] if it["witness"] else None)
         for i in range(1, inst.rank + 1):
-            pb = miura_plucker_blocks(A, v, inst, i)
+            pb = miura_plucker_blocks(A, b.v, inst, i, bundle=b)
             rep.check("miura-plucker-block", pb.items[0]["value"],
                       pb.passed, i=i)
     except DegenerateInstance as exc:
@@ -303,7 +335,8 @@ def run_backlund(inst, sol, extras, args, rep: Report):
     cur_inst, cur_sol = inst, sol
     for step_no, letter in enumerate(reversed(word.letters)):
         try:
-            cur_inst, cur_sol, rec = backlund_step(cur_inst, cur_sol, letter)
+            cur_inst, cur_sol, rec = backlund_step(cur_inst, cur_sol, letter,
+                                                   extras["K"])
         except DegenerateInstance as exc:
             rep.check("backlund-step", float("inf"), False,
                       k_or_word=str(letter), witnesses=[str(exc)])
@@ -329,7 +362,7 @@ def run_backlund(inst, sol, extras, args, rep: Report):
         rep.check("involution", max(dz, dq), max(dz, dq) <= 1e-9,
                   k_or_word=args.word.replace(",", "."))
     if args.full_table:
-        fq = full_qq_system(inst, sol)
+        fq = full_qq_system(inst, sol, K=extras["K"])
         rep.doc["full_qq"] = {"size": len(fq.table), "generic": fq.generic,
                               "refusals": [str(r) for r in fq.refusals]}
         rep.check("full-qq-generic", 0.0, fq.generic)
@@ -371,7 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_instance=True):
         if needs_instance:
             p.add_argument("--instance", required=True)
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=float, default=None,
+                       help="Bethe tolerance (default: the instance's "
+                            "tolerances.bethe_tol)")
         p.add_argument("--seeds", type=int, default=40)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--exact", action="store_true",
@@ -403,12 +438,17 @@ def main(argv=None) -> int:
         else:
             with open(args.instance) as fh:
                 try:
-                    doc = json.load(fh)
+                    doc = json.load(fh, parse_constant=_reject_constant)
                 except json.JSONDecodeError as exc:
                     raise InputError(f"malformed JSON: {exc}")
-            inst, sol, extras = parse_instance(doc)
+            try:
+                inst, sol, extras = parse_instance(doc)
+            except ValueError as exc:  # also the domain checks of the types
+                raise InputError(str(exc)) from exc
             if args.seed is None:
                 args.seed = extras["seed"]
+            if args.tol is None:
+                args.tol = extras["bethe_tol"]
             rep = Report(args.command, echo_instance(inst, extras, sol))
             if args.command == "solve":
                 run_solve(inst, extras, args, rep)

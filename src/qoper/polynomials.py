@@ -75,10 +75,6 @@ class Poly:
         return Poly([1])
 
     @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
-
-    @staticmethod
     def constant(c) -> "Poly":
         return Poly([c])
 

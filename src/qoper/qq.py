@@ -61,10 +61,6 @@ class QQInstance:
     def rank(self) -> int:
         return self.cartan.rank
 
-    @property
-    def warn_unit_q(self) -> bool:
-        return abs(abs(complex(self.q)) - 1.0) <= self.tau
-
     def zetas(self) -> list:
         return list(self.twist.zetas)
 

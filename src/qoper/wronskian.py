@@ -25,7 +25,7 @@ equations, and agreement of the two Miura constructions):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -67,9 +67,6 @@ class RatMatrix:
 
     def eval(self, z) -> np.ndarray:
         return np.array([[complex(e(z)) for e in row] for row in self.entries])
-
-    def eval_exact(self, z):
-        return [[e(z) for e in row] for row in self.entries]
 
     def shift(self, q) -> "RatMatrix":
         return RatMatrix([[e.shift(q) for e in row] for row in self.entries])
@@ -162,54 +159,36 @@ def d_exponents(cartan: CartanData) -> LiftExponents:
     return LiftExponents(order, tuple(rows))
 
 
-def _lift_matrix(n: int, i: int, inverse: bool = False):
+def _lift_matrix(n: int, i: int, inverse: bool = False) -> RatMatrix:
     """Defining-representation lift of s_i: e_i -> e_{i+1}, e_{i+1} -> -e_i."""
-    m = [[Fraction(1) if a == b else Fraction(0) for b in range(n)]
-         for a in range(n)]
-    m[i - 1][i - 1] = Fraction(0)
-    m[i][i] = Fraction(0)
-    if inverse:
-        m[i - 1][i] = Fraction(1)
-        m[i][i - 1] = Fraction(-1)
-    else:
-        m[i][i - 1] = Fraction(1)
-        m[i - 1][i] = Fraction(-1)
-    return m
+    m = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+    m[i - 1][i - 1] = m[i][i] = Fraction(0)
+    sign = 1 if inverse else -1
+    m[i - 1][i], m[i][i - 1] = Fraction(sign), Fraction(-sign)
+    return RatMatrix([[RatFun.from_scalar(c) for c in row] for row in m])
 
 
 def lift_of_word(word: WeylWord, cartan: CartanData) -> RatMatrix:
     """Matrix lift of a Weyl word (type A defining representation)."""
-    n = cartan.rank + 1
-    acc = RatMatrix.identity(n)
+    acc = RatMatrix.identity(cartan.rank + 1)
     for letter in word.letters:
-        acc = acc @ RatMatrix([[RatFun.from_scalar(c) for c in row]
-                               for row in _lift_matrix(n, letter)])
+        acc = acc @ _lift_matrix(cartan.rank + 1, letter)
     return acc
 
 
 def _coroot_diag(n: int, i: int, f: RatFun) -> RatMatrix:
     """Diagonal matrix f^{alpha_i^vee} = diag(..., f, 1/f, ...)."""
-    rows = []
-    for a in range(n):
-        row = [RatFun.zero()] * n
-        if a == i - 1:
-            row[a] = f
-        elif a == i:
-            row[a] = f.inv()
-        else:
-            row[a] = RatFun.one()
-        rows.append(row)
-    return RatMatrix(rows)
+    diag = [RatFun.one()] * n
+    diag[i - 1], diag[i] = f, f.inv()
+    return RatMatrix([[diag[a] if a == b else RatFun.zero() for b in range(n)]
+                      for a in range(n)])
 
 
 def twist_matrix(inst: QQInstance) -> RatMatrix:
     """Z = prod_i zeta_i^{-alpha_i^vee} = diag(1/z1, z1/z2, ..., zr)."""
-    zs = inst.zetas()
-    n = inst.rank + 1
+    zs = [1] + inst.zetas() + [1]
     diag = []
-    for k in range(n):
-        num = zs[k - 1] if k >= 1 else 1
-        den = zs[k] if k < inst.rank else 1
+    for num, den in zip(zs, zs[1:]):
         if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
             diag.append(Fraction(num) / Fraction(den))
         else:
@@ -218,48 +197,21 @@ def twist_matrix(inst: QQInstance) -> RatMatrix:
 
 
 def s_lambda_inverse(inst: QQInstance) -> RatMatrix:
-    """The staggered Coxeter lift R(z), computed two ways and compared.
+    """The staggered Coxeter lift R(z): the interleaved product of lift
+    matrices and torus factors Lambda_{i_l}(q^{l-1}z)^{coroot}.
 
-    (a) the literal interleaved product of lift matrices and torus factors
-    Lambda_{i_l}(q^{l-1}z)^{coroot}, and (b) the collected form: the bare
-    permutation lift times prod_l Lambda_{i_l}(q^{l-1}z)^{d_l} with d from
-    d_exponents.  A mismatch means a broken sign convention and raises.
+    It equals the bare permutation lift times prod_l
+    Lambda_{i_l}(q^{l-1}z)^{d_l} with d from d_exponents; the test suite
+    checks that agreement, which pins the sign convention.
     """
     if not inst.cartan.is_type_a:
         raise DegenerateInstance("the Wronskian realization requires type A")
     n = inst.rank + 1
-    order = inst.cartan.ordering
-    qc = inst.q
-
     acc = RatMatrix.identity(n)
-    for l, node in enumerate(order):
-        lam = q_shift(inst.lambdas[node - 1], qc**l)
-        lift = RatMatrix([[RatFun.from_scalar(c) for c in row]
-                          for row in _lift_matrix(n, node, inverse=True)])
-        acc = acc @ lift @ _coroot_diag(n, node, RatFun(lam))
-
-    exps = d_exponents(inst.cartan)
-    bare = RatMatrix.identity(n)
-    for node in order:
-        bare = bare @ RatMatrix([[RatFun.from_scalar(c) for c in row]
-                                 for row in _lift_matrix(n, node, inverse=True)])
-    collected = bare
-    for l, node in enumerate(order):
-        lam = RatFun(q_shift(inst.lambdas[node - 1], qc**l))
-        for m in range(inst.rank):
-            e = exps.d[l][m]
-            if e:
-                target = order[m]
-                f = lam if e > 0 else lam.inv()
-                for _ in range(abs(e)):
-                    collected = collected @ _coroot_diag(n, target, f)
-
-    for x in _panel(3, seed=5):
-        if np.abs(acc.eval(x) - collected.eval(x)).max() > 1e-8 * (
-                1 + np.abs(acc.eval(x)).max()):
-            raise AssertionError(
-                "s_lambda_inverse: interleaved and collected forms disagree "
-                "(sign convention broken)")
+    for l, node in enumerate(inst.cartan.ordering):
+        lam = q_shift(inst.lambdas[node - 1], inst.q**l)
+        acc = acc @ _lift_matrix(n, node, inverse=True) \
+            @ _coroot_diag(n, node, RatFun(lam))
     return acc
 
 
@@ -317,16 +269,19 @@ def build_miura_A(inst: QQInstance, sol: QQSolution) -> RatMatrix:
     return acc
 
 
-def miura_trivializer(inst: QQInstance, sol: QQSolution) -> RatMatrix:
+def miura_trivializer(inst: QQInstance, sol: QQSolution,
+                      A: Optional[RatMatrix] = None) -> RatMatrix:
     """Lower-triangular v(z) with A(z) = v(qz)^{-1} Z v(z).
 
     Entries are v_ij = u_ij / Q+_{j-1}(z) with polynomial numerators; the
     diagonal is (Q+_1, Q+_2/Q+_1, ..., 1/Q+_r) and each strictly-lower
     numerator solves a scalar polynomial q-difference equation driven by
     the connection's bidiagonal entries, column by column from the inside
-    out.  Failures signal a degenerate (resonant) twist.
+    out.  Failures signal a degenerate (resonant) twist.  ``A`` is the
+    connection from build_miura_A, built here when not given.
     """
-    A = build_miura_A(inst, sol)
+    if A is None:
+        A = build_miura_A(inst, sol)
     n = inst.rank + 1
     qc = inst.q
     zs = [1] + inst.zetas() + [1]  # zeta_0 = zeta_{r+1} = 1
@@ -384,16 +339,19 @@ def miura_trivializer(inst: QQInstance, sol: QQSolution) -> RatMatrix:
     return RatMatrix(rows)
 
 
-def wronskian_first_column(inst: QQInstance, sol: QQSolution) -> list[Poly]:
+def wronskian_first_column(inst: QQInstance, sol: QQSolution,
+                           v: Optional[RatMatrix] = None) -> list[Poly]:
     """Polynomials of the Wronskian's first column (the omega_1 orbit).
 
     Row 1 is Q+_1 and row 2 is Q-_1 exactly as solved; the deeper rows are
     the iterated Backlund partners with the normalization dictated by the
-    twist equation.  For rank 1 no solves are needed.
+    twist equation, read off the trivializer ``v`` (solved when not
+    given).  For rank 1 no solves are needed.
     """
     if inst.rank == 1:
         return [sol.qplus[0], sol.qminus[0]]
-    v = miura_trivializer(inst, sol)
+    if v is None:
+        v = miura_trivializer(inst, sol)
     col = []
     for i in range(inst.rank + 1):
         e = v.entries[i][0]
@@ -403,7 +361,8 @@ def wronskian_first_column(inst: QQInstance, sol: QQSolution) -> list[Poly]:
     return col
 
 
-def build_wronskian(inst: QQInstance, source) -> RatMatrix:
+def build_wronskian(inst: QQInstance, source, R: Optional[RatMatrix] = None,
+                    v: Optional[RatMatrix] = None) -> RatMatrix:
     """Generalized q-Wronskian of a solved instance (type A).
 
     ``source`` is a QQSolution or a FullQQSystem (its base solution is
@@ -413,17 +372,19 @@ def build_wronskian(inst: QQInstance, source) -> RatMatrix:
 
         col_tgt(z) = Z^{-k} col_1(q^k z) / gamma_k(z).
 
-    For the standard ordering the result is asserted against the closed
-    form gamma_k = (-1)^k prod_{j<=k} Lambda_j(q^{j-1} z), and the matrix
-    is unimodular whenever the input actually solves the QQ-system.
+    For the standard ordering gamma_k = (-1)^k prod_{j<=k} Lambda_j(q^{k-1} z)
+    (a closed form the test suite checks).  The matrix is unimodular
+    whenever the input solves the QQ-system.  ``R`` (the staggered lift)
+    and ``v`` (the trivializer) are built here when not given.
     """
     sol = source.base if isinstance(source, FullQQSystem) else source
     if not inst.cartan.is_type_a:
         raise DegenerateInstance("build_wronskian requires type A")
     n = inst.rank + 1
     qc = inst.q
-    col1 = wronskian_first_column(inst, sol)
-    R = s_lambda_inverse(inst)
+    col1 = wronskian_first_column(inst, sol, v)
+    if R is None:
+        R = s_lambda_inverse(inst)
     transports = _transport_data(inst, R)
     zs = inst.zetas()
     zdiag = [1 / complex(zs[0])] + [complex(zs[k - 1]) / complex(zs[k])
@@ -437,21 +398,58 @@ def build_wronskian(inst: QQInstance, source) -> RatMatrix:
 
     if len(cols) != n:
         raise AssertionError("transports failed to fill every column")
-
-    if inst.cartan.ordering == tuple(range(1, inst.rank + 1)):
-        # closed form: gamma_k(z) = (-1)^k prod_{j<=k} Lambda_j(q^{k-1} z),
-        # i.e. 1/F_k evaluated at the staggered point q^{k-1} z
-        for k, (tgt, gamma) in enumerate(transports, start=1):
-            closed = Poly([(-1) ** k])
-            for j in range(1, k + 1):
-                closed = closed * q_shift(inst.lambdas[j - 1], qc ** (k - 1))
-            diff = gamma - RatFun(closed)
-            if not diff.is_zero(1e-8):
-                raise AssertionError(
-                    f"column scalar k={k} deviates from the closed form "
-                    "(argument convention mismatch)")
-
     return RatMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+@dataclass(frozen=True)
+class TypeABundle:
+    """R (staggered lift), the Miura pair (A, v), Z and W of one solved
+    type-A instance, each built once, plus a cache of per-point values.
+
+    ``v`` is None only at rank one when the trivializer has no solution:
+    W does not need it there, and miura_from_wronskian raises the refusal.
+    """
+
+    R: RatMatrix
+    A: RatMatrix
+    v: Optional[RatMatrix]
+    Z: RatMatrix
+    W: RatMatrix
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def memo(self, key, make):
+        """make() once per key; cached arrays are made read-only."""
+        if key not in self.cache:
+            val = make()
+            if isinstance(val, np.ndarray):
+                val.flags.writeable = False
+            self.cache[key] = val
+        return self.cache[key]
+
+    def at(self, M: RatMatrix, x) -> np.ndarray:
+        """M(x) as a read-only array; the key holds M, so ids stay unique."""
+        return self.memo((M, x), lambda: M.eval(x))
+
+
+def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
+    """Build R, A, v (fed by that A), Z and W (fed by v and R) once."""
+    R = s_lambda_inverse(inst)
+    A = build_miura_A(inst, sol)
+    try:
+        v = miura_trivializer(inst, sol, A=A)
+    except DegenerateInstance:
+        if inst.rank > 1:
+            raise
+        v = None
+    W = build_wronskian(inst, sol, R=R, v=v)
+    return TypeABundle(R, A, v, twist_matrix(inst), W)
+
+
+def _evaluators(bundle: Optional[TypeABundle]):
+    """(eval, memo) through the bundle's cache, or uncached without one."""
+    if bundle is not None:
+        return bundle.at, bundle.memo
+    return RatMatrix.eval, lambda key, make: make()
 
 
 # -- minors and identities ---------------------------------------------
@@ -583,49 +581,50 @@ def lewis_carroll_residual(M: RatMatrix, i: int,
 
 def check_wronskian_equations(W: RatMatrix, inst: QQInstance,
                               points: Optional[Sequence[complex]] = None,
-                              retries: int = 4) -> CheckReport:
+                              retries: int = 4,
+                              bundle: Optional[TypeABundle] = None) -> CheckReport:
     """Residuals of the transport equations for k = 0..h-1.
 
     Checks W(q^k z) nu_i = Z^k W(z) S_k(z) nu_i on a sample panel, with
     the i-th fundamental vector realized through i-th compound matrices.
     The pair (i, k) participates while the transported wedge stays inside
     the coordinate window, i + k <= h; the k = 0 equations are trivial.
-    Sample points that hit poles are replaced (bounded retries).
+    Sample points that hit poles are replaced (bounded retries).  R and Z
+    come from ``bundle`` when given.
     """
     h = coxeter_number(inst.cartan)
     n = inst.rank + 1
-    R = s_lambda_inverse(inst)
-    Zm = twist_matrix(inst)
+    R = bundle.R if bundle is not None else s_lambda_inverse(inst)
+    Zm = bundle.Z if bundle is not None else twist_matrix(inst)
+    ev, _ = _evaluators(bundle)
     rep = CheckReport("wronskian-equations", True)
     panel = list(points) if points is not None else list(_panel(5, seed=23))
     qc = complex(inst.q)
 
+    Sk = RatMatrix.identity(n)
     for k in range(h):
-        Sk = RatMatrix.identity(n)
-        for l in range(k):
-            Sk = Sk @ R.shift(qc**l)
-        for i in range(1, inst.rank + 1):
-            if i + k > h:
-                continue
-            worst = 0.0
-            for x0 in panel:
-                x = x0
-                for attempt in range(retries + 1):
-                    try:
-                        lhs_m = W.eval(qc**k * x)
-                        zmat = np.linalg.matrix_power(Zm.eval(x), k)
-                        rhs_m = zmat @ W.eval(x) @ Sk.eval(x)
-                        break
-                    except ZeroDivisionError:
-                        x = x * (1.013 + 0.007j)
-                else:
-                    raise ArithmeticError("sample panel kept hitting poles")
+        if k:
+            Sk = Sk @ R.shift(qc**(k - 1))
+        worst = {i: 0.0 for i in range(1, inst.rank + 1) if i + k <= h}
+        for x0 in panel:
+            x = x0
+            for attempt in range(retries + 1):
+                try:
+                    lhs_m = ev(W, qc**k * x)
+                    zmat = np.linalg.matrix_power(ev(Zm, x), k)
+                    rhs_m = zmat @ ev(W, x) @ Sk.eval(x)
+                    break
+                except ZeroDivisionError:
+                    x = x * (1.013 + 0.007j)
+            else:
+                raise ArithmeticError("sample panel kept hitting poles")
+            for i in worst:
                 lv = _compound_top_column(lhs_m, i)
                 rv = _compound_top_column(rhs_m, i)
                 scale = 1.0 + max(np.abs(lv).max(), np.abs(rv).max())
-                worst = max(worst, np.abs(lv - rv).max() / scale)
-            rep.add(f"k={k} i={i}", worst <= max(inst.tau, 1e-8) * 10,
-                    value=worst)
+                worst[i] = max(worst[i], np.abs(lv - rv).max() / scale)
+        for i, val in worst.items():
+            rep.add(f"k={k} i={i}", val <= max(inst.tau, 1e-8) * 10, value=val)
     return rep
 
 
@@ -637,9 +636,20 @@ def _compound_top_column(M: np.ndarray, i: int) -> np.ndarray:
     return np.array([np.linalg.det(M[np.ix_(rs, cols)]) for rs in rowsets])
 
 
+def _wedge_image(Rm: np.ndarray, i: int):
+    """(columns, scalar) of the single wedge that R's i-th compound maps
+    the top wedge e_1 ^ ... ^ e_i to."""
+    img = _compound_top_column(Rm, i)
+    nz = np.nonzero(np.abs(img) > 1e-12 * (1 + np.abs(img).max()))[0]
+    if len(nz) != 1:
+        raise AssertionError("lift compound image is not a single wedge")
+    return list(itertools.combinations(range(Rm.shape[0]), i))[nz[0]], img[nz[0]]
+
+
 def check_shifted_minor_relation(W: RatMatrix, inst: QQInstance, w: WeylWord,
                                  i: int,
-                                 points: Optional[Sequence[complex]] = None) -> float:
+                                 points: Optional[Sequence[complex]] = None,
+                                 bundle: Optional[TypeABundle] = None) -> float:
     """Residual of the one-step minor shift relation for (w, i).
 
     Delta_{w om_i, c om_i}(W(z)) =
@@ -649,18 +659,19 @@ def check_shifted_minor_relation(W: RatMatrix, inst: QQInstance, w: WeylWord,
     where the shifted column set and the factor F_i(z)^{-1} = L_i(z) are
     read off the i-th compound of the staggered lift; for the standard
     ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  Returns the
-    sup-norm residual over the sample panel.
+    sup-norm residual over the sample panel.  With ``bundle``, a sweep over
+    (w, i) computes W(x), W(qx), R(x) and R's compound once per point.
     """
-    R = s_lambda_inverse(inst)
-    n = inst.rank + 1
-    rows = sorted(column_index_set(w, i, inst.cartan))
+    R = bundle.R if bundle is not None else s_lambda_inverse(inst)
+    ev, memo = _evaluators(bundle)
+    rows = [r - 1 for r in sorted(column_index_set(w, i, inst.cartan))]
     panel = list(points) if points is not None else list(_panel(5, seed=31))
     qc = complex(inst.q)
     zs = inst.zetas()
 
     # weight of the row set: <coroot_j, w om_i> = [j in S] - [j+1 in S]
     weight = 1.0 + 0.0j
-    rowset = set(rows)
+    rowset = {r + 1 for r in rows}
     for j in range(1, inst.rank + 1):
         e = (1 if j in rowset else 0) - (1 if j + 1 in rowset else 0)
         if e:
@@ -668,22 +679,11 @@ def check_shifted_minor_relation(W: RatMatrix, inst: QQInstance, w: WeylWord,
 
     worst = 0.0
     for x in panel:
-        Rm = R.eval(x)
-        # image of the top wedge under R: single wedge component
-        colsets = list(itertools.combinations(range(n), i))
-        img = np.array([np.linalg.det(Rm[np.ix_(cs, tuple(range(i)))])
-                        for cs in colsets])
-        nz = np.nonzero(np.abs(img) > 1e-12 * (1 + np.abs(img).max()))[0]
-        if len(nz) != 1:
-            raise AssertionError("lift compound image is not a single wedge")
-        tgt_cols = colsets[nz[0]]
-        scalar = img[nz[0]]
-
-        Wm = W.eval(x)
-        Wq = W.eval(qc * x)
-        lhs = np.linalg.det(Wm[np.ix_([r - 1 for r in rows], tgt_cols)])
-        rhs = weight * np.linalg.det(
-            Wq[np.ix_([r - 1 for r in rows], tuple(range(i)))]) / scalar
+        tgt_cols, scalar = memo((R, i, x), lambda: _wedge_image(ev(R, x), i))
+        Wm = ev(W, x)
+        Wq = ev(W, qc * x)
+        lhs = np.linalg.det(Wm[np.ix_(rows, tgt_cols)])
+        rhs = weight * np.linalg.det(Wq[np.ix_(rows, tuple(range(i)))]) / scalar
         scalef = 1.0 + max(abs(lhs), abs(rhs))
         worst = max(worst, abs(lhs - rhs) / scalef)
     return worst
@@ -738,7 +738,9 @@ def _lower_inverse(v: RatMatrix) -> RatMatrix:
 
 
 def miura_from_wronskian(W: RatMatrix, inst: QQInstance, sol: QQSolution,
-                         points: Optional[Sequence[complex]] = None) -> tuple:
+                         points: Optional[Sequence[complex]] = None,
+                         retries: int = 4,
+                         bundle: Optional[TypeABundle] = None) -> tuple:
     """Reconstruct the Miura connection from Wronskian data and verify it.
 
     Requires gauss_decompose to succeed on W (the nondegeneracy gate).
@@ -746,90 +748,88 @@ def miura_from_wronskian(W: RatMatrix, inst: QQInstance, sol: QQSolution,
     trivializer determined by the Wronskian's first column; it is checked
     to (a) be lower triangular of Miura shape, (b) carry the Cartan
     connection zeta_i Q+_i(qz)/Q+_i(z) on its diagonal ratios, and (c)
-    agree entrywise with build_miura_A on the sample panel.
+    agree entrywise with build_miura_A on the sample panel.  A sample
+    point on a pole (a root of some Q+_i) is nudged, with bounded
+    retries; a point that stays on one is a failed check with a witness.
+    v, Z and build_miura_A come from ``bundle`` when given.
 
     Returns (A, report).
     """
     gauss_decompose(W)  # the iff gate; raises on vanishing principal minors
     rep = CheckReport("miura-reconstruction", True)
-    v = miura_trivializer(inst, sol)
+    if bundle is not None and bundle.v is not None:
+        target, v, Zm = bundle.A, bundle.v, bundle.Z
+    else:
+        target = build_miura_A(inst, sol)
+        v = miura_trivializer(inst, sol, A=target)
+        Zm = twist_matrix(inst)
+    A = _lower_inverse(v).shift(inst.q) @ Zm @ v
 
-    first_w = W.column(0)
-    first_v = v.column(0)
-    col_err = 0.0
+    first_w, first_v = W.column(0), v.column(0)
+    col_err = tri_err = diag_err = ent_err = 0.0
     panel = list(points) if points is not None else list(_panel(5, seed=41))
-    for x in panel:
+    for x0 in panel:
+        x = x0
+        for attempt in range(retries + 1):
+            try:
+                Am, Tm = A.eval(x), target.eval(x)
+                g = cartan_connection(inst, sol, x)
+                gext = [1.0] + list(g)
+                want = [gext[k] / (g[k] if k < inst.rank else 1.0)
+                        for k in range(inst.rank + 1)]
+                break
+            except ZeroDivisionError as exc:
+                x, err = x * (1.013 + 0.007j), exc
+        else:
+            rep.add("sample point off the poles", False,
+                    witness=f"{x0} after {retries} nudges: {err}")
+            continue
         for a, b in zip(first_w, first_v):
             col_err = max(col_err, abs(complex(a(x)) - complex(b(x))) /
                           (1 + abs(complex(b(x)))))
-    rep.add("first column matches trivializer", col_err <= 1e-7, value=col_err)
-
-    vinv = _lower_inverse(v)
-    Zm = twist_matrix(inst)
-    A = vinv.shift(inst.q) @ Zm @ v
-
-    qc = complex(inst.q)
-    tri_err = 0.0
-    for x in panel:
-        Am = A.eval(x)
         tri_err = max(tri_err, np.abs(np.triu(Am, 1)).max() /
                       (1 + np.abs(Am).max()))
+        for k, wk in enumerate(want):
+            diag_err = max(diag_err, abs(Am[k, k] - wk) / (1 + abs(wk)))
+        ent_err = max(ent_err, np.abs(Am - Tm).max() / (1 + np.abs(Tm).max()))
+    rep.add("first column matches trivializer", col_err <= 1e-7, value=col_err)
     rep.add("oper shape (lower triangular)", tri_err <= 1e-8, value=tri_err)
-
-    diag_err = 0.0
-    for x in panel:
-        Am = A.eval(x)
-        g = cartan_connection(inst, sol, x)
-        gext = [1.0] + list(g)
-        for kdx in range(inst.rank + 1):
-            want = gext[kdx] / (g[kdx] if kdx < inst.rank else 1.0)
-            diag_err = max(diag_err, abs(Am[kdx, kdx] - want) / (1 + abs(want)))
     rep.add("Cartan connection on the diagonal", diag_err <= 1e-7, value=diag_err)
-
-    target = build_miura_A(inst, sol)
-    ent_err = 0.0
-    for x in panel:
-        d = np.abs(A.eval(x) - target.eval(x)).max()
-        ent_err = max(ent_err, d / (1 + np.abs(target.eval(x)).max()))
     rep.add("matches the product construction", ent_err <= 1e-8, value=ent_err)
     return A, rep
 
 
 def miura_plucker_blocks(A: RatMatrix, v: RatMatrix, inst: QQInstance, i: int,
-                         points: Optional[Sequence[complex]] = None) -> CheckReport:
+                         points: Optional[Sequence[complex]] = None,
+                         bundle: Optional[TypeABundle] = None) -> CheckReport:
     """Rank-two block check in the i-th fundamental realization.
 
     The representation with lowest weight -omega_i is the (r+1-i)-th
     exterior power of the defining one; the invariant plane is spanned by
     the lowest wedge u1 = e_{i+1} ^ ... ^ e_{r+1} and u2 = e_i . u1.  The
     2x2 blocks of the compound matrices must satisfy
-    A_i(z) = vt_i(qz) Z_i vt_i(z)^{-1} where vt = v^{-1}.
+    A_i(z) = vt_i(qz) Z_i vt_i(z)^{-1} where vt = v^{-1}.  With
+    ``bundle``, Z is the bundle's and every evaluation is shared across i.
     """
     n = inst.rank + 1
-    kc = n - i
-    idx = list(itertools.combinations(range(n), kc))
-    u1 = tuple(range(i, n))
-    u2 = tuple(sorted([i - 1] + list(range(i + 1, n))))
-    r1, r2 = idx.index(u1), idx.index(u2)
+    plane = (tuple(range(i, n)), tuple(sorted([i - 1] + list(range(i + 1, n)))))
     qc = complex(inst.q)
-    Zm = twist_matrix(inst)
+    Zm = bundle.Z if bundle is not None else twist_matrix(inst)
+    ev, memo = _evaluators(bundle)
     panel = list(points) if points is not None else list(_panel(5, seed=57))
     rep = CheckReport(f"miura-plucker block i={i}", True)
 
-    def compound(Mv):
-        return np.array([[np.linalg.det(Mv[np.ix_(rs, cs)]) for cs in idx]
-                         for rs in idx])
-
     def blk(Mv):
-        return np.array([[Mv[r1, r1], Mv[r1, r2]], [Mv[r2, r1], Mv[r2, r2]]])
+        """The (u1, u2) block of the (n-i)-th compound of Mv."""
+        return np.array([[np.linalg.det(Mv[np.ix_(rs, cs)]) for cs in plane]
+                         for rs in plane])
 
     worst = 0.0
     for x in panel:
-        vt = np.linalg.inv(v.eval(x))
-        vtq = np.linalg.inv(v.eval(qc * x))
-        Ai = blk(compound(A.eval(x)))
-        rhs = blk(compound(vtq)) @ blk(compound(Zm.eval(x))) \
-            @ np.linalg.inv(blk(compound(vt)))
+        vt = memo(("inv", v, x), lambda: np.linalg.inv(ev(v, x)))
+        vtq = memo(("inv", v, qc * x), lambda: np.linalg.inv(ev(v, qc * x)))
+        Ai = blk(ev(A, x))
+        rhs = blk(vtq) @ blk(ev(Zm, x)) @ np.linalg.inv(blk(vt))
         scale = 1.0 + max(np.abs(Ai).max(), np.abs(rhs).max())
         worst = max(worst, np.abs(Ai - rhs).max() / scale)
     rep.add("block twist identity", worst <= 1e-8, value=worst)

@@ -52,6 +52,78 @@ class TestParsing:
         assert abs(complex(inst.lambdas[0](1.0))) < 1e-14
 
 
+def run_subprocess(args):
+    return subprocess.run([sys.executable, "-m", "qoper.cli"] + args,
+                          capture_output=True, text=True)
+
+
+class TestBadNumbers:
+    """Invalid numbers exit 2 with a message, never with a traceback."""
+
+    def check_rejected(self, tmp_path, text):
+        f = tmp_path / "bad.json"
+        f.write_text(text)
+        proc = run_subprocess(["solve", "--instance", str(f)])
+        assert proc.returncode == 2
+        assert "input error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_nan_token(self, tmp_path):
+        doc = json.loads(A1.read_text())
+        doc["q"] = "@"
+        self.check_rejected(tmp_path, json.dumps(doc).replace('"@"', "NaN"))
+
+    def test_overflowing_zeta(self, tmp_path):
+        doc = json.loads(A1.read_text())
+        doc["zetas"] = ["@"]
+        self.check_rejected(tmp_path, json.dumps(doc).replace('"@"', "1e999"))
+
+    def test_boolean_degree(self, tmp_path):
+        doc = json.loads(A2.read_text())
+        doc["degrees"] = [True, 1]
+        self.check_rejected(tmp_path, json.dumps(doc))
+
+    def test_zero_q(self, tmp_path):
+        # a domain check of the instance types is an input error too
+        doc = json.loads(A1.read_text())
+        doc["q"] = 0
+        self.check_rejected(tmp_path, json.dumps(doc))
+
+
+class TestInstanceTolerances:
+    def test_tol_defaults_to_instance_bethe_tol(self, tmp_path, monkeypatch):
+        import qoper.cli as cli
+        seen = []
+        monkeypatch.setattr(cli, "solve_bethe",
+                            lambda inst, **kw: seen.append(kw["tol"]) or [])
+        doc = json.loads(A1.read_text())
+        doc["tolerances"]["bethe_tol"] = 1e-7
+        f = tmp_path / "tol.json"
+        f.write_text(json.dumps(doc))
+        run_cli(["solve", "--instance", str(f)], tmp_path)
+        run_cli(["solve", "--instance", str(f), "--tol", "1e-9"], tmp_path)
+        assert seen == [1e-7, 1e-9]
+
+    def test_k_reaches_full_qq_system(self, tmp_path, monkeypatch):
+        import qoper.cli as cli
+        seen = []
+        real = cli.full_qq_system
+
+        def spy(inst, sol, **kw):
+            seen.append(kw.get("K"))
+            return real(inst, sol, **kw)
+
+        monkeypatch.setattr(cli, "full_qq_system", spy)
+        doc = json.loads(A2_SOLVED.read_text())
+        doc["tolerances"]["K"] = 5
+        f = tmp_path / "k.json"
+        f.write_text(json.dumps(doc))
+        run_cli(["verify", "--instance", str(f)], tmp_path)
+        run_cli(["backlund", "--instance", str(f), "--word", "1",
+                 "--full-table"], tmp_path)
+        assert seen == [5, 5]
+
+
 class TestSolve:
     def test_a1_root(self, tmp_path):
         code, text = run_cli(["solve", "--instance", str(A1)], tmp_path)
@@ -118,6 +190,43 @@ class TestVerify:
         lines = text.strip().splitlines()
         assert lines[0] == "check,k_or_word,i,sup_residual,pass"
         assert all(len(l.split(",")) == 5 for l in lines[1:])
+
+    def test_builds_each_type_a_object_once(self, tmp_path, monkeypatch):
+        import qoper.wronskian as wr
+        counts = {}
+        for name in ("s_lambda_inverse", "miura_trivializer", "build_miura_A"):
+            def counted(*args, _fn=getattr(wr, name), _name=name, **kw):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(wr, name, counted)
+        code, _ = run_cli(["verify", "--instance", str(A2_SOLVED)], tmp_path)
+        assert code == 0
+        assert counts == {"s_lambda_inverse": 1, "miura_trivializer": 1,
+                          "build_miura_A": 1}
+
+    def test_rank_one_trivializer_refusal_reported(self, tmp_path):
+        from qoper import solve_bethe
+        inst, _, extras = parse_instance(json.loads(A1.read_text()))
+        sol = solve_bethe(inst, seeds=40, seed=1)[0]
+        doc = echo_instance(inst, extras, sol)
+        doc["solution"]["qplus"][0][0][0] += 1e-2
+        f = tmp_path / "a1_bad.json"
+        f.write_text(json.dumps(doc))
+        code, text = run_cli(["verify", "--instance", str(f)], tmp_path)
+        assert code == 1
+        checks = json.loads(text)["checks"]
+        assert "shifted-minor" in {c["check"] for c in checks}
+        assert checks[-1]["check"] == "miura-reconstruction"
+        assert "trivializer" in checks[-1]["witnesses"][0]
+
+    def test_internal_inconsistency_exits_3(self, tmp_path, monkeypatch):
+        import qoper.cli as cli
+
+        def broken(*args, **kw):
+            raise AssertionError("lift compound image is not a single wedge")
+
+        monkeypatch.setattr(cli, "check_shifted_minor_relation", broken)
+        assert main(["verify", "--instance", str(A2_SOLVED)]) == 3
 
 
 class TestBacklund:

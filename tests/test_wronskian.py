@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,10 @@ from qoper import (DegenerateInstance, MinorSpec, QQInstance, QQSolution,
                    d_exponents, enumerate_weyl, full_qq_system,
                    fundamental_relation_residual, gauss_decompose,
                    generalized_minor, miura_from_wronskian,
-                   miura_plucker_blocks, miura_trivializer, s_lambda_inverse,
-                   solve_bethe, weyl_twist)
-from qoper.polynomials import Poly, RatFun
+                   miura_plucker_blocks, miura_trivializer, poly_roots,
+                   s_lambda_inverse, solve_bethe, type_a_bundle, weyl_twist)
+from qoper.polynomials import Poly, RatFun, q_shift
+from qoper.wronskian import _coroot_diag, _lift_matrix, _transport_data
 
 PANEL = [0.77 + 0.31j, -1.1 + 0.6j, 2.2 - 0.3j, 0.4 + 1.3j, -0.6 - 0.9j]
 
@@ -29,6 +32,41 @@ def a2_solved(q=0.2, zetas=(2.0, 3.0)):
                       (Poly([-1.0, 1.0]), Poly([-2.0, 1.0])), (1, 1))
     sol = solve_bethe(inst, seeds=40, tol=1e-11, seed=3)[0]
     return inst, sol
+
+
+def a3_solved():
+    cd = cartan_matrix("A", 3)
+    inst = QQInstance(cd, 0.2, TwistZ((2.0, 3.0, 5.0)),
+                      (Poly([-1.0, 1.0]), Poly([-2.0, 1.0]), Poly([-3.0, 1.0])),
+                      (1, 1, 1))
+    sol = solve_bethe(inst, seeds=8, tol=1e-11, seed=1)[0]
+    return inst, sol
+
+
+def unsolved(rank, ordering=None):
+    """A type-A instance for the lift checks, which need no solution."""
+    cd = cartan_matrix("A", rank)
+    if ordering is not None:
+        cd = cd.with_ordering(ordering)
+    lambdas = tuple(Poly([-(k + 1.0) - 0.3j * k, 1.0]) for k in range(rank))
+    return QQInstance(cd, 0.2, TwistZ((2.0, 3.0, 5.0)[:rank]), lambdas,
+                      (1,) * rank)
+
+
+def collected_lift(inst):
+    """R collected: the bare permutation lift, then the torus factors
+    Lambda_{i_l}(q^{l-1} z)^{d_l} with d from d_exponents."""
+    n = inst.rank + 1
+    order = inst.cartan.ordering
+    acc = RatMatrix.identity(n)
+    for node in order:
+        acc = acc @ _lift_matrix(n, node, inverse=True)
+    for l, row in enumerate(d_exponents(inst.cartan).d):
+        lam = RatFun(q_shift(inst.lambdas[order[l] - 1], inst.q ** l))
+        for m, e in enumerate(row):
+            for _ in range(abs(e)):
+                acc = acc @ _coroot_diag(n, order[m], lam if e > 0 else lam.inv())
+    return acc
 
 
 def random_unimodular(n, rng, exact=False):
@@ -99,13 +137,29 @@ class TestSLambdaInverse:
             nz = np.nonzero(np.abs(col) > 1e-12)[0]
             assert list(nz) == [want_i]
 
-    def test_internal_consistency_runs(self):
-        # the (a) == (b) assertion is built in; reversed ordering too
-        inst, sol = a2_solved()
-        s_lambda_inverse(inst)
-        flipped = QQInstance(inst.cartan.with_ordering((2, 1)), inst.q,
-                             inst.twist, inst.lambdas, inst.degrees)
-        s_lambda_inverse(flipped)
+    def test_matches_collected_form_every_ordering(self):
+        # the interleaved product equals the collected form; a mismatch
+        # means a broken sign convention
+        for rank in (1, 2, 3):
+            for ordering in itertools.permutations(range(1, rank + 1)):
+                inst = unsolved(rank, ordering)
+                R, C = s_lambda_inverse(inst), collected_lift(inst)
+                for x in PANEL:
+                    want = C.eval(x)
+                    assert np.abs(R.eval(x) - want).max() <= \
+                        1e-10 * (1 + np.abs(want).max()), ordering
+
+    def test_column_scalars_closed_form(self):
+        # standard ordering: gamma_k = (-1)^k prod_{j<=k} Lambda_j(q^{k-1} z)
+        for rank in (1, 2, 3):
+            inst = unsolved(rank)
+            transports = _transport_data(inst, s_lambda_inverse(inst))
+            for k, (_, gamma) in enumerate(transports, start=1):
+                closed = Poly([(-1) ** k])
+                for j in range(1, k + 1):
+                    closed = closed * q_shift(inst.lambdas[j - 1],
+                                              inst.q ** (k - 1))
+                assert (gamma - RatFun(closed)).is_zero(1e-8), (rank, k)
 
 
 class TestBuildWronskian:
@@ -464,3 +518,72 @@ class TestWeylTwist:
             assert np.abs(W2.eval(x) + W.eval(x)).max() < 1e-10
         assert all(abs(complex(a) - complex(b)) < 1e-12
                    for a, b in zip(tw.zetas, inst.twist.zetas))
+
+
+class TestTypeABundle:
+    def test_objects_match_standalone_builds(self):
+        inst, sol = a2_solved()
+        b = type_a_bundle(inst, sol)
+        v = miura_trivializer(inst, sol)
+        for x in PANEL:
+            assert np.array_equal(b.W.eval(x), build_wronskian(inst, sol).eval(x))
+            assert np.array_equal(b.v.eval(x), v.eval(x))
+            assert np.array_equal(b.A.eval(x), build_miura_A(inst, sol).eval(x))
+            assert np.array_equal(b.R.eval(x), s_lambda_inverse(inst).eval(x))
+
+    def test_a3_checks_bit_identical_with_bundle(self):
+        inst, sol = a3_solved()
+        b = type_a_bundle(inst, sol)
+        W = b.W
+        for i in (1, 2, 3):
+            for w in enumerate_weyl(inst.cartan):
+                assert check_shifted_minor_relation(W, inst, w, i, bundle=b) \
+                    == check_shifted_minor_relation(W, inst, w, i), (w.letters, i)
+        assert check_wronskian_equations(W, inst, bundle=b).items \
+            == check_wronskian_equations(W, inst).items
+        A, rep = miura_from_wronskian(W, inst, sol, bundle=b)
+        A2, rep2 = miura_from_wronskian(W, inst, sol)
+        assert rep.items == rep2.items
+        for i in (1, 2, 3):
+            assert miura_plucker_blocks(A, b.v, inst, i, bundle=b).items \
+                == miura_plucker_blocks(A2, miura_trivializer(inst, sol),
+                                        inst, i).items
+
+    def test_cached_values_are_read_only(self):
+        inst, sol = a1_solved()
+        b = type_a_bundle(inst, sol)
+        m = b.at(b.W, 0.3 + 0.1j)
+        assert m is b.at(b.W, 0.3 + 0.1j)
+        with pytest.raises(ValueError):
+            m[0, 0] = 0
+
+    def test_rank_one_trivializer_refusal_deferred(self):
+        # W needs no trivializer at rank one: the refusal surfaces in the
+        # Miura reconstruction, after the Wronskian checks
+        inst, sol = a1_solved()
+        bad = QQSolution((Poly([sol.qplus[0].coeffs[0] + 1e-2, 1.0]),), sol.qminus)
+        b = type_a_bundle(inst, bad)
+        assert b.v is None
+        with pytest.raises(DegenerateInstance, match="trivializer"):
+            miura_from_wronskian(b.W, inst, bad, bundle=b)
+
+
+class TestMiuraPoles:
+    def test_root_of_qplus_is_nudged(self):
+        inst, sol = a2_solved()
+        W = build_wronskian(inst, sol)
+        root = complex(poly_roots(sol.qplus[0])[0])
+        A, rep = miura_from_wronskian(W, inst, sol, points=[root] + PANEL[:2])
+        assert rep.passed
+        assert [it["label"] for it in rep.items][0] == \
+            "first column matches trivializer"
+
+    def test_retries_exhausted_is_a_failed_check(self):
+        inst, sol = a2_solved()
+        W = build_wronskian(inst, sol)
+        root = complex(poly_roots(sol.qplus[0])[0])
+        A, rep = miura_from_wronskian(W, inst, sol, points=[root] + PANEL[:2],
+                                      retries=0)
+        assert not rep.passed
+        bad = [it for it in rep.items if not it["pass"]]
+        assert len(bad) == 1 and str(root) in bad[0]["witness"]
