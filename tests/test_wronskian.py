@@ -137,6 +137,19 @@ class TestSLambdaInverse:
             nz = np.nonzero(np.abs(col) > 1e-12)[0]
             assert list(nz) == [want_i]
 
+    def test_internal_consistency_runs(self):
+        # the solved A2 instance, standard and reversed ordering: the
+        # interleaved product agrees with the collected form
+        inst, sol = a2_solved()
+        flipped = QQInstance(inst.cartan.with_ordering((2, 1)), inst.q,
+                             inst.twist, inst.lambdas, inst.degrees)
+        for case in (inst, flipped):
+            R, C = s_lambda_inverse(case), collected_lift(case)
+            for x in PANEL:
+                want = C.eval(x)
+                assert np.abs(R.eval(x) - want).max() <= \
+                    1e-10 * (1 + np.abs(want).max())
+
     def test_matches_collected_form_every_ordering(self):
         # the interleaved product equals the collected form; a mismatch
         # means a broken sign convention
