@@ -25,7 +25,7 @@ equations, and agreement of the two Miura constructions):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -161,34 +161,51 @@ def d_exponents(cartan: CartanData) -> LiftExponents:
 
 def _lift_matrix(n: int, i: int, inverse: bool = False) -> RatMatrix:
     """Defining-representation lift of s_i: e_i -> e_{i+1}, e_{i+1} -> -e_i."""
-    m = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
-    m[i - 1][i - 1] = m[i][i] = Fraction(0)
-    sign = 1 if inverse else -1
-    m[i - 1][i], m[i][i - 1] = Fraction(sign), Fraction(-sign)
+    m = [[Fraction(1) if a == b else Fraction(0) for b in range(n)]
+         for a in range(n)]
+    m[i - 1][i - 1] = Fraction(0)
+    m[i][i] = Fraction(0)
+    if inverse:
+        m[i - 1][i] = Fraction(1)
+        m[i][i - 1] = Fraction(-1)
+    else:
+        m[i][i - 1] = Fraction(1)
+        m[i - 1][i] = Fraction(-1)
     return RatMatrix([[RatFun.from_scalar(c) for c in row] for row in m])
 
 
 def lift_of_word(word: WeylWord, cartan: CartanData) -> RatMatrix:
     """Matrix lift of a Weyl word (type A defining representation)."""
-    acc = RatMatrix.identity(cartan.rank + 1)
+    n = cartan.rank + 1
+    acc = RatMatrix.identity(n)
     for letter in word.letters:
-        acc = acc @ _lift_matrix(cartan.rank + 1, letter)
+        acc = acc @ _lift_matrix(n, letter)
     return acc
 
 
 def _coroot_diag(n: int, i: int, f: RatFun) -> RatMatrix:
     """Diagonal matrix f^{alpha_i^vee} = diag(..., f, 1/f, ...)."""
-    diag = [RatFun.one()] * n
-    diag[i - 1], diag[i] = f, f.inv()
-    return RatMatrix([[diag[a] if a == b else RatFun.zero() for b in range(n)]
-                      for a in range(n)])
+    rows = []
+    for a in range(n):
+        row = [RatFun.zero()] * n
+        if a == i - 1:
+            row[a] = f
+        elif a == i:
+            row[a] = f.inv()
+        else:
+            row[a] = RatFun.one()
+        rows.append(row)
+    return RatMatrix(rows)
 
 
 def twist_matrix(inst: QQInstance) -> RatMatrix:
     """Z = prod_i zeta_i^{-alpha_i^vee} = diag(1/z1, z1/z2, ..., zr)."""
-    zs = [1] + inst.zetas() + [1]
+    zs = inst.zetas()
+    n = inst.rank + 1
     diag = []
-    for num, den in zip(zs, zs[1:]):
+    for k in range(n):
+        num = zs[k - 1] if k >= 1 else 1
+        den = zs[k] if k < inst.rank else 1
         if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
             diag.append(Fraction(num) / Fraction(den))
         else:
@@ -401,38 +418,36 @@ def build_wronskian(inst: QQInstance, source, R: Optional[RatMatrix] = None,
     return RatMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypeABundle:
     """R (staggered lift), the Miura pair (A, v), Z and W of one solved
-    type-A instance, each built once, plus a cache of per-point values.
+    type-A instance ``inst``, each built once.
 
     ``v`` is None only at rank one when the trivializer has no solution:
     W does not need it there, and miura_from_wronskian raises the refusal.
+    ``minor_panel`` holds, per point x of the shifted-minor sample panel,
+    W(x), W(qx) and for each node i the wedge that R(x)'s i-th compound
+    sends the top wedge to (see check_shifted_minor_relation); its arrays
+    are read-only.
     """
 
+    inst: QQInstance
     R: RatMatrix
     A: RatMatrix
     v: Optional[RatMatrix]
     Z: RatMatrix
     W: RatMatrix
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
+    minor_panel: tuple
 
-    def memo(self, key, make):
-        """make() once per key; cached arrays are made read-only."""
-        if key not in self.cache:
-            val = make()
-            if isinstance(val, np.ndarray):
-                val.flags.writeable = False
-            self.cache[key] = val
-        return self.cache[key]
-
-    def at(self, M: RatMatrix, x) -> np.ndarray:
-        """M(x) as a read-only array; the key holds M, so ids stay unique."""
-        return self.memo((M, x), lambda: M.eval(x))
+    def require(self, inst: QQInstance, W: Optional[RatMatrix] = None):
+        """Refuse a bundle built for another instance or Wronskian."""
+        if inst is not self.inst or (W is not None and W is not self.W):
+            raise ValueError("the bundle was built for a different instance")
 
 
 def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
-    """Build R, A, v (fed by that A), Z and W (fed by v and R) once."""
+    """Build R, A, v (fed by that A), Z and W (fed by v and R) once, and
+    evaluate W and R on the shifted-minor panel."""
     R = s_lambda_inverse(inst)
     A = build_miura_A(inst, sol)
     try:
@@ -442,14 +457,14 @@ def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
             raise
         v = None
     W = build_wronskian(inst, sol, R=R, v=v)
-    return TypeABundle(R, A, v, twist_matrix(inst), W)
-
-
-def _evaluators(bundle: Optional[TypeABundle]):
-    """(eval, memo) through the bundle's cache, or uncached without one."""
-    if bundle is not None:
-        return bundle.at, bundle.memo
-    return RatMatrix.eval, lambda key, make: make()
+    qc = complex(inst.q)
+    minor_panel = []
+    for x in _panel(5, seed=31):
+        Wm, Wq, Rm = W.eval(x), W.eval(qc * x), R.eval(x)
+        Wm.flags.writeable = Wq.flags.writeable = False
+        minor_panel.append((Wm, Wq, tuple(_wedge_image(Rm, i)
+                                          for i in range(1, inst.rank + 1))))
+    return TypeABundle(inst, R, A, v, twist_matrix(inst), W, tuple(minor_panel))
 
 
 # -- minors and identities ---------------------------------------------
@@ -594,9 +609,11 @@ def check_wronskian_equations(W: RatMatrix, inst: QQInstance,
     """
     h = coxeter_number(inst.cartan)
     n = inst.rank + 1
-    R = bundle.R if bundle is not None else s_lambda_inverse(inst)
-    Zm = bundle.Z if bundle is not None else twist_matrix(inst)
-    ev, _ = _evaluators(bundle)
+    if bundle is not None:
+        bundle.require(inst, W)
+        R, Zm = bundle.R, bundle.Z
+    else:
+        R, Zm = s_lambda_inverse(inst), twist_matrix(inst)
     rep = CheckReport("wronskian-equations", True)
     panel = list(points) if points is not None else list(_panel(5, seed=23))
     qc = complex(inst.q)
@@ -610,9 +627,9 @@ def check_wronskian_equations(W: RatMatrix, inst: QQInstance,
             x = x0
             for attempt in range(retries + 1):
                 try:
-                    lhs_m = ev(W, qc**k * x)
-                    zmat = np.linalg.matrix_power(ev(Zm, x), k)
-                    rhs_m = zmat @ ev(W, x) @ Sk.eval(x)
+                    lhs_m = W.eval(qc**k * x)
+                    zmat = np.linalg.matrix_power(Zm.eval(x), k)
+                    rhs_m = zmat @ W.eval(x) @ Sk.eval(x)
                     break
                 except ZeroDivisionError:
                     x = x * (1.013 + 0.007j)
@@ -659,14 +676,21 @@ def check_shifted_minor_relation(W: RatMatrix, inst: QQInstance, w: WeylWord,
     where the shifted column set and the factor F_i(z)^{-1} = L_i(z) are
     read off the i-th compound of the staggered lift; for the standard
     ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  Returns the
-    sup-norm residual over the sample panel.  With ``bundle``, a sweep over
-    (w, i) computes W(x), W(qx), R(x) and R's compound once per point.
+    sup-norm residual over the sample panel.  With ``bundle`` and the
+    default panel, W(x), W(qx) and R's compound come from the bundle's
+    minor_panel, so a sweep over (w, i) evaluates them once per point.
     """
-    R = bundle.R if bundle is not None else s_lambda_inverse(inst)
-    ev, memo = _evaluators(bundle)
-    rows = [r - 1 for r in sorted(column_index_set(w, i, inst.cartan))]
-    panel = list(points) if points is not None else list(_panel(5, seed=31))
     qc = complex(inst.q)
+    if bundle is not None:
+        bundle.require(inst, W)
+    if bundle is not None and points is None:
+        evals = [(Wm, Wq, wedges[i - 1]) for Wm, Wq, wedges in bundle.minor_panel]
+    else:
+        R = bundle.R if bundle is not None else s_lambda_inverse(inst)
+        panel = points if points is not None else _panel(5, seed=31)
+        evals = [(W.eval(x), W.eval(qc * x), _wedge_image(R.eval(x), i))
+                 for x in panel]
+    rows = [r - 1 for r in sorted(column_index_set(w, i, inst.cartan))]
     zs = inst.zetas()
 
     # weight of the row set: <coroot_j, w om_i> = [j in S] - [j+1 in S]
@@ -678,10 +702,7 @@ def check_shifted_minor_relation(W: RatMatrix, inst: QQInstance, w: WeylWord,
             weight *= complex(zs[j - 1]) ** e
 
     worst = 0.0
-    for x in panel:
-        tgt_cols, scalar = memo((R, i, x), lambda: _wedge_image(ev(R, x), i))
-        Wm = ev(W, x)
-        Wq = ev(W, qc * x)
+    for Wm, Wq, (tgt_cols, scalar) in evals:
         lhs = np.linalg.det(Wm[np.ix_(rows, tgt_cols)])
         rhs = weight * np.linalg.det(Wq[np.ix_(rows, tuple(range(i)))]) / scalar
         scalef = 1.0 + max(abs(lhs), abs(rhs))
@@ -739,7 +760,6 @@ def _lower_inverse(v: RatMatrix) -> RatMatrix:
 
 def miura_from_wronskian(W: RatMatrix, inst: QQInstance, sol: QQSolution,
                          points: Optional[Sequence[complex]] = None,
-                         retries: int = 4,
                          bundle: Optional[TypeABundle] = None) -> tuple:
     """Reconstruct the Miura connection from Wronskian data and verify it.
 
@@ -749,14 +769,16 @@ def miura_from_wronskian(W: RatMatrix, inst: QQInstance, sol: QQSolution,
     to (a) be lower triangular of Miura shape, (b) carry the Cartan
     connection zeta_i Q+_i(qz)/Q+_i(z) on its diagonal ratios, and (c)
     agree entrywise with build_miura_A on the sample panel.  A sample
-    point on a pole (a root of some Q+_i) is nudged, with bounded
-    retries; a point that stays on one is a failed check with a witness.
+    point on a pole (a root of some Q+_i) is nudged up to four times; a
+    point that stays on one is a failed check with a witness.
     v, Z and build_miura_A come from ``bundle`` when given.
 
     Returns (A, report).
     """
     gauss_decompose(W)  # the iff gate; raises on vanishing principal minors
     rep = CheckReport("miura-reconstruction", True)
+    if bundle is not None:
+        bundle.require(inst, W)
     if bundle is not None and bundle.v is not None:
         target, v, Zm = bundle.A, bundle.v, bundle.Z
     else:
@@ -770,7 +792,7 @@ def miura_from_wronskian(W: RatMatrix, inst: QQInstance, sol: QQSolution,
     panel = list(points) if points is not None else list(_panel(5, seed=41))
     for x0 in panel:
         x = x0
-        for attempt in range(retries + 1):
+        for _ in range(5):
             try:
                 Am, Tm = A.eval(x), target.eval(x)
                 g = cartan_connection(inst, sol, x)
@@ -781,8 +803,8 @@ def miura_from_wronskian(W: RatMatrix, inst: QQInstance, sol: QQSolution,
             except ZeroDivisionError as exc:
                 x, err = x * (1.013 + 0.007j), exc
         else:
-            rep.add("sample point off the poles", False,
-                    witness=f"{x0} after {retries} nudges: {err}")
+            rep.add("sample point off the poles", False, value=float("inf"),
+                    witness=f"{x0} after 4 nudges: {err}")
             continue
         for a, b in zip(first_w, first_v):
             col_err = max(col_err, abs(complex(a(x)) - complex(b(x))) /
@@ -808,14 +830,15 @@ def miura_plucker_blocks(A: RatMatrix, v: RatMatrix, inst: QQInstance, i: int,
     exterior power of the defining one; the invariant plane is spanned by
     the lowest wedge u1 = e_{i+1} ^ ... ^ e_{r+1} and u2 = e_i . u1.  The
     2x2 blocks of the compound matrices must satisfy
-    A_i(z) = vt_i(qz) Z_i vt_i(z)^{-1} where vt = v^{-1}.  With
-    ``bundle``, Z is the bundle's and every evaluation is shared across i.
+    A_i(z) = vt_i(qz) Z_i vt_i(z)^{-1} where vt = v^{-1}.  Z comes from
+    ``bundle`` when given.
     """
     n = inst.rank + 1
     plane = (tuple(range(i, n)), tuple(sorted([i - 1] + list(range(i + 1, n)))))
     qc = complex(inst.q)
+    if bundle is not None:
+        bundle.require(inst)
     Zm = bundle.Z if bundle is not None else twist_matrix(inst)
-    ev, memo = _evaluators(bundle)
     panel = list(points) if points is not None else list(_panel(5, seed=57))
     rep = CheckReport(f"miura-plucker block i={i}", True)
 
@@ -826,10 +849,10 @@ def miura_plucker_blocks(A: RatMatrix, v: RatMatrix, inst: QQInstance, i: int,
 
     worst = 0.0
     for x in panel:
-        vt = memo(("inv", v, x), lambda: np.linalg.inv(ev(v, x)))
-        vtq = memo(("inv", v, qc * x), lambda: np.linalg.inv(ev(v, qc * x)))
-        Ai = blk(ev(A, x))
-        rhs = blk(vtq) @ blk(ev(Zm, x)) @ np.linalg.inv(blk(vt))
+        vt = np.linalg.inv(v.eval(x))
+        vtq = np.linalg.inv(v.eval(qc * x))
+        Ai = blk(A.eval(x))
+        rhs = blk(vtq) @ blk(Zm.eval(x)) @ np.linalg.inv(blk(vt))
         scale = 1.0 + max(np.abs(Ai).max(), np.abs(rhs).max())
         worst = max(worst, np.abs(Ai - rhs).max() / scale)
     rep.add("block twist identity", worst <= 1e-8, value=worst)

@@ -562,13 +562,26 @@ class TestTypeABundle:
                 == miura_plucker_blocks(A2, miura_trivializer(inst, sol),
                                         inst, i).items
 
-    def test_cached_values_are_read_only(self):
-        inst, sol = a1_solved()
+    def test_minor_panel_is_read_only(self):
+        inst, sol = a2_solved()
         b = type_a_bundle(inst, sol)
-        m = b.at(b.W, 0.3 + 0.1j)
-        assert m is b.at(b.W, 0.3 + 0.1j)
-        with pytest.raises(ValueError):
-            m[0, 0] = 0
+        Wm, Wq, wedges = b.minor_panel[0]
+        assert len(b.minor_panel) == 5 and len(wedges) == inst.rank
+        for m in (Wm, Wq):
+            with pytest.raises(ValueError):
+                m[0, 0] = 0
+
+    def test_refuses_another_instance(self):
+        inst, sol = a2_solved()
+        other, other_sol = a2_solved(zetas=(2.0, 5.0))
+        b = type_a_bundle(inst, sol)
+        W = build_wronskian(other, other_sol)
+        with pytest.raises(ValueError, match="different instance"):
+            check_shifted_minor_relation(W, other, WeylWord((1,)), 1, bundle=b)
+        with pytest.raises(ValueError, match="different instance"):
+            check_wronskian_equations(W, inst, bundle=b)
+        with pytest.raises(ValueError, match="different instance"):
+            miura_plucker_blocks(b.A, b.v, other, 1, bundle=b)
 
     def test_rank_one_trivializer_refusal_deferred(self):
         # W needs no trivializer at rank one: the refusal surfaces in the
@@ -591,12 +604,19 @@ class TestMiuraPoles:
         assert [it["label"] for it in rep.items][0] == \
             "first column matches trivializer"
 
-    def test_retries_exhausted_is_a_failed_check(self):
+    def test_retries_exhausted_is_a_failed_check(self, monkeypatch):
+        import qoper.wronskian as wr
+
+        def always_on_a_pole(*args, **kw):
+            raise ZeroDivisionError("zero denominator")
+
+        monkeypatch.setattr(wr, "cartan_connection", always_on_a_pole)
         inst, sol = a2_solved()
         W = build_wronskian(inst, sol)
-        root = complex(poly_roots(sol.qplus[0])[0])
-        A, rep = miura_from_wronskian(W, inst, sol, points=[root] + PANEL[:2],
-                                      retries=0)
+        A, rep = miura_from_wronskian(W, inst, sol, points=PANEL[:2])
         assert not rep.passed
         bad = [it for it in rep.items if not it["pass"]]
-        assert len(bad) == 1 and str(root) in bad[0]["witness"]
+        assert [it["label"] for it in bad] == ["sample point off the poles"] * 2
+        for it, x in zip(bad, PANEL):
+            assert it["value"] == float("inf")
+            assert it["witness"].startswith(f"{x} after 4 nudges")
