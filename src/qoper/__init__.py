@@ -4,8 +4,7 @@ generalized q-Wronskians for twisted q-difference connections."""
 from .cartan import (CartanData, TwistZ, WeylWord, cartan_matrix,
                      column_index_set, coxeter_number, enumerate_weyl,
                      longest_element, reflect_twist, twist_along_word)
-from .polynomials import (TAU, Poly, RatFun, linear_coeff_solve, poly_roots,
-                          q_distinct, q_shift)
+from .polynomials import TAU, Poly, RatFun, poly_roots, q_distinct, q_shift
 from .qq import (DegenerateInstance, FullQQSystem, QQInstance, QQSolution,
                  bethe_residual, cartan_connection, nondegenerate,
                  qq_residual, resonance_check, solve_bethe, solve_q_minus,

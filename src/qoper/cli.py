@@ -4,7 +4,8 @@ Subcommands: solve, verify, backlund, wronskian, identities.  Instance
 files are strict JSON (unknown keys, NaN, Infinity, non-finite numbers
 and booleans in numeric fields rejected); complex scalars are serialized
 as [re, im] pairs and polynomials lowest degree first.  Reports are
-reproducible: the digest hashes the canonical JSON without timings.
+reproducible: the digest hashes the canonical JSON without timings and
+telemetry.
 
 Exit codes: 0 all checks pass; 1 checks ran with failures; 2 input error;
 3 internal inconsistency.
@@ -81,6 +82,14 @@ def _parse_number(v, where: str, kind=float):
     raise InputError(f"{where}: expected {what}, got {v!r}")
 
 
+def _expect(v, kind, where: str):
+    """v itself when it is a kind (list or dict), else an InputError."""
+    if not isinstance(v, kind):
+        what = "a list" if kind is list else "an object"
+        raise InputError(f"{where}: expected {what}, got {v!r}")
+    return v
+
+
 def _reject_constant(name: str):
     raise InputError(f"{name} is not valid in an instance file")
 
@@ -94,9 +103,10 @@ def _parse_poly(obj, where: str) -> Poly:
         raise InputError(f"{where}: polynomial must be an object")
     keys = set(obj)
     if keys == _LAMBDA_KEYS_C:
-        return Poly([_parse_scalar(c, where) for c in obj["coeffs"]])
+        return Poly([_parse_scalar(c, where)
+                     for c in _expect(obj["coeffs"], list, where)])
     if keys == _LAMBDA_KEYS_R:
-        roots = [_parse_scalar(c, where) for c in obj["roots"]]
+        roots = [_parse_scalar(c, where) for c in _expect(obj["roots"], list, where)]
         lead = _parse_scalar(obj["leading"], where)
         return Poly.from_roots(roots, lead)
     raise InputError(f"{where}: expected keys {{coeffs}} or {{roots, leading}},"
@@ -120,14 +130,17 @@ def parse_instance(doc: dict):
     cartan = cartan_matrix(doc["lie_type"], _parse_number(doc["rank"], "rank", int))
     if "ordering" in doc:
         cartan = cartan.with_ordering(
-            [_parse_number(x, "ordering", int) for x in doc["ordering"]])
+            [_parse_number(x, "ordering", int)
+             for x in _expect(doc["ordering"], list, "ordering")])
     q = _parse_scalar(doc["q"], "q")
-    zetas = TwistZ(tuple(_parse_scalar(z, "zetas") for z in doc["zetas"]))
+    zetas = TwistZ(tuple(_parse_scalar(z, "zetas")
+                         for z in _expect(doc["zetas"], list, "zetas")))
     lambdas = tuple(_parse_poly(l, f"lambdas[{k}]")
-                    for k, l in enumerate(doc["lambdas"]))
-    degrees = tuple(_parse_number(m, "degrees", int) for m in doc["degrees"])
+                    for k, l in enumerate(_expect(doc["lambdas"], list, "lambdas")))
+    degrees = tuple(_parse_number(m, "degrees", int)
+                    for m in _expect(doc["degrees"], list, "degrees"))
 
-    tols = doc.get("tolerances", {})
+    tols = _expect(doc.get("tolerances", {}), dict, "tolerances")
     if set(tols) - _TOL_KEYS:
         raise InputError(f"unknown tolerance keys: {sorted(set(tols) - _TOL_KEYS)}")
     tau = _parse_number(tols.get("tau", 1e-10), "tolerances.tau")
@@ -138,14 +151,19 @@ def parse_instance(doc: dict):
 
     solution = None
     if "solution" in doc:
-        sdoc = doc["solution"]
-        if set(sdoc) - _SOLUTION_KEYS:
-            raise InputError(
-                f"unknown solution keys: {sorted(set(sdoc) - _SOLUTION_KEYS)}")
-        qplus = tuple(Poly([_parse_scalar(c, "solution.qplus") for c in p])
-                      for p in sdoc["qplus"])
-        qminus = tuple(Poly([_parse_scalar(c, "solution.qminus") for c in p])
-                       for p in sdoc["qminus"])
+        sdoc = _expect(doc["solution"], dict, "solution")
+        if set(sdoc) != _SOLUTION_KEYS:
+            raise InputError(f"solution needs exactly the keys qplus and qminus,"
+                             f" got {sorted(sdoc)}")
+
+        def polys(key):
+            where = f"solution.{key}"
+            return tuple(
+                Poly([_parse_scalar(c, where) for c in _expect(p, list, where)])
+                for p in _expect(sdoc[key], list, where))
+        qplus, qminus = polys("qplus"), polys("qminus")
+        if not len(qplus) == len(qminus) == inst.rank:
+            raise InputError("solution: need one qplus and one qminus per node")
         solution = QQSolution(qplus, qminus)
 
     extras = {"bethe_tol": bethe_tol, "K": K,
@@ -185,6 +203,7 @@ class Report:
         self.doc = {"version": SCHEMA_VERSION, "command": command,
                     "instance": instance_echo, "checks": [],
                     "solutions": [], "full_qq": None}
+        self.telemetry = {}
         self.t0 = time.time()
         self.failed = False
 
@@ -210,6 +229,7 @@ class Report:
             json.dumps(body, sort_keys=True).encode()).hexdigest()
         body["digest"] = digest
         body["timings"] = {"seconds": round(time.time() - self.t0, 6)}
+        body["telemetry"] = self.telemetry
         return body
 
 
@@ -248,7 +268,10 @@ def run_solve(inst, extras, args, rep: Report):
     res = resonance_check(inst, extras["K"])
     rep.check("resonance", 0.0, res.passed,
               witnesses=[it["label"] for it in res.items if not it["pass"]])
-    sols = solve_bethe(inst, seeds=args.seeds, tol=args.tol, seed=args.seed)
+    stats = {}
+    sols = solve_bethe(inst, seeds=args.seeds, tol=args.tol, seed=args.seed,
+                       stats=stats)
+    rep.telemetry["solver"] = stats
     scale = 1 + max(l.norm() for l in inst.lambdas)
     for sol in sols:
         entry, qqres, bres = _solution_entry(inst, sol, args.tol)

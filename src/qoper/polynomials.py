@@ -11,6 +11,7 @@ empty coefficient tuple and degree -1 by convention.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -35,7 +36,7 @@ def close(a, b, tol: float = TAU) -> bool:
 
 def ensure_finite(x) -> complex:
     cx = complex(x)
-    if not (np.isfinite(cx.real) and np.isfinite(cx.imag)):
+    if not cmath.isfinite(cx):
         raise ValueError(f"non-finite scalar: {x!r}")
     return cx
 
@@ -250,41 +251,6 @@ def q_distinct(p1: Poly, p2: Poly, q, K: int, tol: float = TAU):
                 if abs(z1 - qc**k * z2) <= tol * (1.0 + abs(z2)):
                     return False, (z1, z2, k)
     return True, None
-
-
-def linear_coeff_solve(constraints, degree_bound: int, tol: float = TAU) -> Poly:
-    """Interpolation-style solve for a polynomial of bounded degree.
-
-    ``constraints`` is a list of (point, weight_fn, rhs) triples imposing
-    sum_k c_k * weight_fn(point, k) = rhs, or simply (point, rhs) pairs for
-    plain interpolation p(point) = rhs.
-
-    Raises ValueError("underdetermined") on rank deficiency and
-    ValueError("no polynomial solution at this degree bound") when the
-    least-squares residual exceeds tolerance.
-    """
-    rows = []
-    rhs = []
-    for con in constraints:
-        if len(con) == 2:
-            pt, b = con
-            rows.append([complex(pt) ** k for k in range(degree_bound + 1)])
-        else:
-            pt, wfn, b = con
-            rows.append([complex(wfn(pt, k)) for k in range(degree_bound + 1)])
-        rhs.append(complex(b))
-    if len(rows) < degree_bound + 1:
-        raise ValueError("underdetermined")
-    M = np.array(rows, dtype=complex)
-    b = np.array(rhs, dtype=complex)
-    sol, _, rank, _ = np.linalg.lstsq(M, b, rcond=None)
-    if rank < degree_bound + 1:
-        raise ValueError("underdetermined")
-    scale = 1.0 + max(abs(b).max(initial=0.0), abs(M).max(initial=0.0))
-    resid = np.abs(M @ sol - b).max(initial=0.0)
-    if resid > max(tol, 1e-9) * scale:
-        raise ValueError("no polynomial solution at this degree bound")
-    return Poly(list(sol))
 
 
 def solve_poly_q_difference(alpha, beta, rhs, q, max_degree: int,

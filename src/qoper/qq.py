@@ -140,6 +140,17 @@ def xi_factors(inst: QQInstance):
     return out
 
 
+def twist_product(inst: QQInstance, i: int) -> complex:
+    """prod_j zeta_j^{a_ji} for node i, accumulated in node order."""
+    zetas = inst.twist.zetas
+    val = 1.0 + 0.0j
+    for j in range(1, inst.rank + 1):
+        e = inst.cartan.a(j, i)
+        if e:
+            val *= complex(zetas[j - 1]) ** e
+    return val
+
+
 def qq_rhs(inst: QQInstance, qplus: Sequence[Poly], i: int) -> Poly:
     """Right side of the i-th equation: Lambda_i times neighbor products."""
     order = _ordered_positions(inst)
@@ -193,16 +204,10 @@ def resonance_check(inst: QQInstance, K: Optional[int] = None) -> CheckReport:
         K = inst.default_window()
     if K < 1:
         raise ValueError("window K must be >= 1")
-    zetas = inst.zetas()
-    a = inst.cartan.a
     qc = complex(inst.q)
     rep = CheckReport("resonance", True)
     for j in range(1, inst.rank + 1):
-        val = 1.0 + 0.0j
-        for i in range(1, inst.rank + 1):
-            e = a(i, j)
-            if e:
-                val *= complex(zetas[i - 1]) ** e
+        val = twist_product(inst, j)
         bad = None
         for k in range(-K, K + 1):
             if close(val, qc**k, inst.tau):
@@ -224,11 +229,7 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int,
     """
     if degree_bound is None:
         degree_bound = inst.degrees[i - 1] + max(l.degree for l in inst.lambdas) + 2
-    ratio = 1.0 + 0.0j
-    for j in range(1, inst.rank + 1):
-        e = inst.cartan.a(j, i)
-        if e:
-            ratio *= complex(inst.zetas()[j - 1]) ** e
+    ratio = twist_product(inst, i)
     qc0 = complex(inst.q)
     for k in range(-(degree_bound + 2), degree_bound + 3):
         if close(ratio, qc0**k, inst.tau):
@@ -254,6 +255,7 @@ def _bethe_sides(inst: QQInstance, qplus: Sequence[Poly], i: int, w: complex):
     """(LHS, RHS-without-minus) of the i-th Bethe equation at root w."""
     qc = complex(inst.q)
     a = inst.cartan.a
+    zetas = inst.twist.zetas
     order = _ordered_positions(inst)
     pos = order.index(i)
     qp = qplus[i - 1]
@@ -270,7 +272,7 @@ def _bethe_sides(inst: QQInstance, qplus: Sequence[Poly], i: int, w: complex):
     for j in range(1, inst.rank + 1):
         e = a(j, i)
         if e:
-            lhs *= complex(inst.zetas()[j - 1]) ** e
+            lhs *= complex(zetas[j - 1]) ** e
     num = complex(lam(w))
     den = den_lam
     for j in order[pos + 1:]:
@@ -315,120 +317,211 @@ def _roots_to_qplus(inst: QQInstance, roots: np.ndarray) -> list[Poly]:
     return out
 
 
-def _bethe_system_value(inst: QQInstance, roots: np.ndarray) -> np.ndarray:
-    """Cleared-denominator Bethe equations as a square complex system."""
-    qplus = _roots_to_qplus(inst, roots)
+def _bethe_kernel(inst: QQInstance):
+    """The cleared-denominator Bethe system as a map on stacks of points.
+
+    The returned function takes x of shape (..., n), n = sum m_i, holding
+    the roots of Q+_1, ..., Q+_r end to end, and returns F(x) of the same
+    shape.  At the t-th root w of Q+_i, with e = -a_ji,
+
+        F = prod_j zeta_j^{a_ji} Q+_i(qw) Lambda_i(w/q)
+              prod_{j after i} Q+_j(w)^e prod_{j before i} Q+_j(w/q)^e
+          + Q+_i(w/q) Lambda_i(w)
+              prod_{j after i} Q+_j(qw)^e prod_{j before i} Q+_j(w)^e,
+
+    the i-th Bethe equation times its denominators.  Each Q+_j(y) is the
+    product of (y - r) over its roots r; no polynomial is built.
+    """
     qc = complex(inst.q)
     a = inst.cartan.a
     order = _ordered_positions(inst)
-    vals = []
-    k = 0
+    ends = np.cumsum(inst.degrees)
+    blocks = [slice(e - m, e) for e, m in zip(ends, inst.degrees)]
+    nodes = []
     for i in range(1, inst.rank + 1):
+        if not inst.degrees[i - 1]:
+            continue
         pos = order.index(i)
-        m = inst.degrees[i - 1]
-        qp = qplus[i - 1]
-        lam = inst.lambdas[i - 1]
-        for t in range(m):
-            w = roots[k + t]
-            lhs = complex(qp(qc * w))
-            for j in range(1, inst.rank + 1):
-                e = a(j, i)
-                if e:
-                    lhs *= complex(inst.zetas()[j - 1]) ** e
-            lterm = lhs * complex(lam(w / qc))
-            rterm = complex(qp(w / qc)) * complex(lam(w))
-            for j in order[pos + 1:]:
-                e = -a(j, i)
-                if e:
-                    lterm *= complex(qplus[j - 1](w)) ** e
-                    rterm *= complex(qplus[j - 1](qc * w)) ** e
-            for j in order[:pos]:
-                e = -a(j, i)
-                if e:
-                    lterm *= complex(qplus[j - 1](w / qc)) ** e
-                    rterm *= complex(qplus[j - 1](w)) ** e
-            vals.append(lterm + rterm)
-        k += m
-    return np.array(vals, dtype=complex)
+        after = [(j, -a(j, i)) for j in order[pos + 1:] if a(j, i)]
+        before = [(j, -a(j, i)) for j in order[:pos] if a(j, i)]
+        lam = [complex(c) for c in reversed(inst.lambdas[i - 1].coeffs)]
+        nodes.append((i, twist_product(inst, i), lam, after, before))
+
+    def system(x: np.ndarray) -> np.ndarray:
+        def qplus(j, y):
+            r = x[..., blocks[j - 1]]
+            return np.prod(y[..., :, None] - r[..., None, :], axis=-1)
+
+        def lam_at(lam, y):
+            acc = np.zeros_like(y)
+            for c in lam:
+                acc = acc * y + c
+            return acc
+
+        out = np.empty_like(x)
+        for i, twist, lam, after, before in nodes:
+            w = x[..., blocks[i - 1]]
+            up, down = qc * w, w / qc
+            lterm = qplus(i, up) * twist * lam_at(lam, down)
+            rterm = qplus(i, down) * lam_at(lam, w)
+            for j, e in after:
+                lterm *= qplus(j, w) ** e
+                rterm *= qplus(j, up) ** e
+            for j, e in before:
+                lterm *= qplus(j, down) ** e
+                rterm *= qplus(j, w) ** e
+            out[..., blocks[i - 1]] = lterm + rterm
+        return out
+
+    return system
+
+
+def _solve_each(J: np.ndarray, b: np.ndarray):
+    """Solutions y[s] of J[s] y[s] = b[s], and a mask of the nonsingular J[s]."""
+    try:
+        return np.linalg.solve(J, b[..., None])[..., 0], np.ones(len(b), bool)
+    except np.linalg.LinAlgError:  # some J[s] is singular: solve one by one
+        y = np.zeros_like(b)
+        ok = np.ones(len(b), bool)
+        for s in range(len(b)):
+            try:
+                y[s] = np.linalg.solve(J[s], b[s])
+            except np.linalg.LinAlgError:
+                ok[s] = False
+        return y, ok
+
+
+def _newton(system, x: np.ndarray, max_iter: int, tally: dict) -> list:
+    """Run Newton's method from every row of x at once.
+
+    Each iteration evaluates ``system`` at every live iterate and at its n
+    forward-difference neighbours (step h = 1e-7 (1 + max|x|) per row) in
+    one call, and solves for every step in one batched solve.  A row
+    leaves the batch when its step falls below 1e-14 (1 + max|x|), when
+    its values stop being finite, or when its Jacobian is singular.
+    Returns the final iterates of the rows that converged or ran out of
+    iterations, in row order.
+    """
+    rows = np.arange(len(x))
+    final = {}
+    eye = np.eye(x.shape[1])
+    for it in range(1, max_iter + 1):
+        if not rows.size:
+            break
+        h = 1e-7 * (1.0 + np.abs(x).max(axis=1))[:, None, None]
+        V = system(np.concatenate([x[:, None], x[:, None] + h * eye], axis=1))
+        finite = np.isfinite(V).all(axis=(1, 2))
+        tally["nonfinite"] += int(rows.size - finite.sum())
+        rows, x, V, h = rows[finite], x[finite], V[finite], h[finite]
+        F = V[:, 0]
+        J = np.swapaxes((V[:, 1:] - F[:, None]) / h, 1, 2)
+        step, ok = _solve_each(J, -F)
+        tally["singular"] += int(rows.size - ok.sum())
+        rows, x, step = rows[ok], x[ok] + step[ok], step[ok]
+        if rows.size:
+            tally["newton_iterations"] += int(rows.size)
+            tally["max_newton_iterations"] = it
+        done = np.abs(step).max(axis=1) < 1e-14 * (1.0 + np.abs(x).max(axis=1))
+        tally["converged"] += int(done.sum())
+        final.update(zip(rows[done].tolist(), x[done]))
+        rows, x = rows[~done], x[~done]
+    tally["out_of_iterations"] += int(rows.size)
+    final.update(zip(rows.tolist(), x))
+    return [final[r] for r in sorted(final)]
 
 
 def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
-                seed: int = 0, max_iter: int = 80) -> list[QQSolution]:
+                seed: int = 0, max_iter: int = 80,
+                stats: Optional[dict] = None) -> list[QQSolution]:
     """Multi-start Newton solver for the Bethe system.
 
-    Unknowns are the roots of the Q+ polynomials.  Converged root vectors
-    are kept when every Bethe residual is below ``tol``; duplicates are
-    removed by comparing sorted root multisets.  Each surviving Q+ family
-    is completed to a QQSolution by the linear Q- solves, and solutions
-    whose QQ residual exceeds 10 tol are dropped.
+    Unknowns are the roots of the Q+ polynomials.  Seed s starts from
+    spread (g + i g'), with g then g' two standard normal draws of the
+    ``seed`` stream and spread 1 + max |root of Lambda|.  All seeds advance
+    together on the cleared-denominator system (see ``_newton``).  The
+    root vectors that converged or ran out of iterations are kept when
+    every Bethe residual is below ``tol``; duplicates are removed by
+    comparing sorted root multisets, keeping seed order.  Each surviving
+    Q+ family is completed to a QQSolution by the linear Q- solves, and
+    solutions whose QQ residual exceeds 10 tol are dropped.
+
+    When ``stats`` is given it receives the solver's counts: seeds tried,
+    converged, nonfinite, singular, out_of_iterations, rejected_residual,
+    duplicates, rejected_qq (Q- solve or QQ residual) and accepted; the
+    total and maximum Newton iterations of a seed; and the worst Bethe
+    residual of an accepted solution.
     """
-    total = sum(inst.degrees)
-    if total == 0:
+    tally = dict.fromkeys(
+        ("seeds", "converged", "nonfinite", "singular", "out_of_iterations",
+         "rejected_residual", "duplicates", "rejected_qq", "accepted",
+         "newton_iterations", "max_newton_iterations"), 0)
+    tally["worst_bethe_residual"] = 0.0
+    if sum(inst.degrees) == 0:
         qplus = [Poly.one() for _ in range(inst.rank)]
         qminus = [solve_q_minus(inst, qplus, i) for i in range(1, inst.rank + 1)]
-        return [QQSolution(tuple(qplus), tuple(qminus))]
+        solutions = [QQSolution(tuple(qplus), tuple(qminus))]
+    else:
+        solutions = _multistart(inst, seeds, tol, seed, max_iter, tally)
+    tally["accepted"] = len(solutions)
+    if stats is not None:
+        stats.update(tally)
+    return solutions
 
+
+def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
+    """The body of ``solve_bethe`` for sum m_i > 0."""
+    total = sum(inst.degrees)
     rng = np.random.default_rng(seed)
     lam_roots = []
     for lam in inst.lambdas:
         lam_roots.extend(poly_roots(lam.to_float()))
     spread = 1.0 + max(abs(r) for r in lam_roots)
+    tally["seeds"] = seeds = max(seeds, 0)
+    draws = rng.standard_normal((seeds, 2, total))
+    with np.errstate(all="ignore"):  # overflow is caught as non-finite values
+        candidates = _newton(_bethe_kernel(inst),
+                             spread * (draws[:, 0] + 1j * draws[:, 1]),
+                             max_iter, tally)
 
-    found: list[np.ndarray] = []
-    for _ in range(seeds):
-        x = spread * (rng.standard_normal(total) + 1j * rng.standard_normal(total))
-        ok = True
-        for _ in range(max_iter):
-            try:
-                F = _bethe_system_value(inst, x)
-            except (ZeroDivisionError, OverflowError):
-                ok = False
-                break
-            J = np.zeros((total, total), dtype=complex)
-            h = 1e-7 * (1.0 + np.abs(x).max())
-            for j in range(total):
-                dx = np.zeros(total, dtype=complex)
-                dx[j] = h
-                J[:, j] = (_bethe_system_value(inst, x + dx) - F) / h
-            try:
-                step = np.linalg.solve(J, -F)
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-            x = x + step
-            if np.abs(step).max() < 1e-14 * (1.0 + np.abs(x).max()):
-                break
-        if not ok:
-            continue
+    found = []
+    for x in candidates:
         try:
             qplus = _roots_to_qplus(inst, x)
             resid = bethe_residual(inst, qplus)
         except (DegenerateInstance, ValueError, ArithmeticError):
+            tally["rejected_residual"] += 1
             continue
-        if resid and max(abs(r[2]) for r in resid) > tol:
+        worst = max((abs(r[2]) for r in resid), default=0.0)
+        if worst > tol:
+            tally["rejected_residual"] += 1
             continue
         blockkey = []
         k = 0
         for m in inst.degrees:
             blockkey.append(tuple(np.sort_complex(x[k:k + m])))
             k += m
-        if any(_same_blocks(blockkey, other) for other in found):
+        if any(_same_blocks(blockkey, other) for other, _ in found):
+            tally["duplicates"] += 1
             continue
-        found.append(blockkey)
+        found.append((blockkey, worst))
 
     solutions = []
-    for blockkey in found:
+    for blockkey, worst in found:
         roots = np.array([w for block in blockkey for w in block], dtype=complex)
         qplus = _roots_to_qplus(inst, roots)
         try:
             qminus = [solve_q_minus(inst, qplus, i) for i in range(1, inst.rank + 1)]
         except DegenerateInstance:
+            tally["rejected_qq"] += 1
             continue
         sol = QQSolution(tuple(qplus), tuple(qminus))
         residuals = qq_residual(inst, sol)
         if max(r.norm() for r in residuals) <= 10 * tol * (1 + max(
                 l.norm() for l in inst.lambdas)):
             solutions.append(sol)
+            tally["worst_bethe_residual"] = max(tally["worst_bethe_residual"], worst)
+        else:
+            tally["rejected_qq"] += 1
     return solutions
 
 
@@ -484,11 +577,12 @@ def nondegenerate(inst: QQInstance, sol: QQSolution,
 def cartan_connection(inst: QQInstance, sol: QQSolution, z: complex) -> list[complex]:
     """Diagonal connection entries g_i(z) = zeta_i Q+_i(qz) / Q+_i(z)."""
     qc = complex(inst.q)
+    zetas = inst.twist.zetas
     out = []
     for i in range(inst.rank):
         qp = sol.qplus[i]
         den = complex(qp(z))
         if abs(den) <= inst.tau * (1 + qp.norm()):
             raise ZeroDivisionError(f"Q+_{i + 1} vanishes at the sample point {z}")
-        out.append(complex(inst.zetas()[i]) * complex(qp(qc * z)) / den)
+        out.append(complex(zetas[i]) * complex(qp(qc * z)) / den)
     return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -90,6 +91,25 @@ class TestBadNumbers:
         self.check_rejected(tmp_path, json.dumps(doc))
 
 
+class TestNonListFields:
+    """A scalar where a list or object belongs exits 2 with a message."""
+
+    @pytest.mark.parametrize("path, value", [
+        ("zetas", 5), ("degrees", 3), ("ordering", 1), ("lambdas", 7),
+        ("solution", 3), ("lambdas.0.coeffs", 3), ("solution.qplus", 1)])
+    def test_exit_2(self, tmp_path, capsys, path, value):
+        doc = json.loads(A2_SOLVED.read_text())
+        *keys, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+        parent = doc
+        for key in keys:
+            parent = parent[key]
+        parent[last] = value
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert main(["verify", "--instance", str(f)]) == 2
+        assert "input error" in capsys.readouterr().err
+
+
 class TestInstanceTolerances:
     def test_tol_defaults_to_instance_bethe_tol(self, tmp_path, monkeypatch):
         import qoper.cli as cli
@@ -159,6 +179,17 @@ class TestSolve:
         d1 = json.loads(t1)
         d2 = json.loads(t2)
         assert d1["digest"] == d2["digest"]
+
+    def test_digest_excludes_timings_and_telemetry(self, tmp_path):
+        code, text = run_cli(["solve", "--instance", str(A1)], tmp_path)
+        body = json.loads(text)
+        solver = body["telemetry"]["solver"]
+        assert solver["seeds"] == 40
+        assert solver["accepted"] == len(body["solutions"]) == 1
+        digest = body.pop("digest")
+        del body["timings"], body["telemetry"]
+        assert digest == hashlib.sha256(
+            json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
 class TestVerify:

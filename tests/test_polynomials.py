@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoper.polynomials import (Poly, RatFun, linear_coeff_solve, poly_roots,
-                               q_distinct, q_shift)
+from qoper.polynomials import Poly, RatFun, poly_roots, q_distinct, q_shift
 
 
 class TestQShift:
@@ -92,31 +91,6 @@ class TestQDistinct:
         p = Poly([-1.0, 1.0])
         ok, wit = q_distinct(p, p, 1.37, 3)
         assert not ok and wit[2] == 0
-
-
-class TestLinearCoeffSolve:
-    def test_constant(self):
-        p = linear_coeff_solve([(0.0, 1.0), (1.0, 1.0)], 0)
-        assert abs(p(0.5) - 1.0) < 1e-12
-
-    def test_parabola(self):
-        p = linear_coeff_solve([(0.0, 0.0), (1.0, 1.0), (2.0, 4.0)], 2)
-        assert all(abs(p(x) - x * x) < 1e-10 for x in (0.3, -1.7, 2.5))
-
-    def test_overdetermined_consistent(self):
-        target = Poly([0.0, -1.0, 0.0, 1.0])  # z^3 - z
-        pts = [0.2 * k - 1.0 for k in range(10)]
-        p = linear_coeff_solve([(x, target(x)) for x in pts], 3)
-        assert all(abs(a - b) < 1e-9 for a, b in zip(p.coeffs, target.coeffs))
-
-    def test_underdetermined(self):
-        with pytest.raises(ValueError, match="underdetermined"):
-            linear_coeff_solve([(1.0, 1.0)], 1)
-
-    def test_inconsistent(self):
-        with pytest.raises(ValueError, match="no polynomial solution"):
-            linear_coeff_solve([(0.0, 0.0), (1.0, 1.0), (2.0, 4.0),
-                                (3.0, 100.0)], 2)
 
 
 class TestExactMode:

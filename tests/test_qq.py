@@ -1,11 +1,19 @@
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from qoper import (DegenerateInstance, QQInstance, QQSolution, TwistZ,
                    bethe_residual, cartan_connection, cartan_matrix,
                    nondegenerate, qq_residual, resonance_check, solve_bethe,
                    solve_q_minus, xi_factors)
+from qoper import qq
+from qoper.cli import parse_instance
 from qoper.polynomials import Poly
-from qoper.qq import qq_rhs
+from qoper.qq import _bethe_kernel, _ordered_positions, _roots_to_qplus, qq_rhs
+
+A2_GENERIC = Path(__file__).resolve().parent.parent / "instances" / "a2_generic.json"
 
 
 def a1_instance(zeta=2.0, q=1.0 / 3.0, lam=None, m=1):
@@ -259,3 +267,142 @@ class TestInstanceValidation:
     def test_monicity_enforced(self):
         with pytest.raises(ValueError, match="monic"):
             QQSolution((Poly([1.0, 2.0]),), (Poly([1.0]),))
+
+
+def scalar_bethe_system(inst, roots):
+    """Reference: the cleared-denominator Bethe system, one point at a time.
+
+    Builds every Q+ as a Poly from its roots and evaluates it by Horner,
+    as the solver did before the batched kernel.
+    """
+    qplus = _roots_to_qplus(inst, roots)
+    qc = complex(inst.q)
+    a = inst.cartan.a
+    order = _ordered_positions(inst)
+    vals = []
+    k = 0
+    for i in range(1, inst.rank + 1):
+        pos = order.index(i)
+        m = inst.degrees[i - 1]
+        qp = qplus[i - 1]
+        lam = inst.lambdas[i - 1]
+        for t in range(m):
+            w = roots[k + t]
+            lhs = complex(qp(qc * w))
+            for j in range(1, inst.rank + 1):
+                e = a(j, i)
+                if e:
+                    lhs *= complex(inst.zetas()[j - 1]) ** e
+            lterm = lhs * complex(lam(w / qc))
+            rterm = complex(qp(w / qc)) * complex(lam(w))
+            for j in order[pos + 1:]:
+                e = -a(j, i)
+                if e:
+                    lterm *= complex(qplus[j - 1](w)) ** e
+                    rterm *= complex(qplus[j - 1](qc * w)) ** e
+            for j in order[:pos]:
+                e = -a(j, i)
+                if e:
+                    lterm *= complex(qplus[j - 1](w / qc)) ** e
+                    rterm *= complex(qplus[j - 1](w)) ** e
+            vals.append(lterm + rterm)
+        k += m
+    return np.array(vals, dtype=complex)
+
+
+def instance(lie_type, rank, degrees, lam_degrees, ordering=None, q=0.2,
+             zetas=(2.0, 3.0, 5.0), seed=0):
+    rng = np.random.default_rng(seed)
+    cd = cartan_matrix(lie_type, rank)
+    if ordering:
+        cd = cd.with_ordering(ordering)
+    lams = tuple(Poly.from_roots(list(rng.standard_normal(d)
+                                      + 1j * rng.standard_normal(d)), 1.0 + 0.5j)
+                 for d in lam_degrees)
+    return QQInstance(cd, q, TwistZ(tuple(zetas[:rank])), lams, tuple(degrees))
+
+
+KERNEL_CASES = {
+    "A1 deg Lambda 6": instance("A", 1, (3,), (6,)),
+    "A2": instance("A", 2, (2, 1), (1, 2)),
+    "A2 ordering (2,1)": instance("A", 2, (2, 1), (1, 2), ordering=(2, 1)),
+    "A3 ordering (3,2,1)": instance("A", 3, (1, 2, 1), (1, 1, 2),
+                                    ordering=(3, 2, 1)),
+    "B2": instance("B", 2, (2, 1), (1, 1)),
+    "G2": instance("G", 2, (1, 2), (2, 1)),
+}
+
+
+class TestBetheKernel:
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_matches_scalar_reference(self, name):
+        inst = KERNEL_CASES[name]
+        n = sum(inst.degrees)
+        rng = np.random.default_rng(1)
+        pts = 1.5 * (rng.standard_normal((4, 5, n))
+                     + 1j * rng.standard_normal((4, 5, n)))
+        got = _bethe_kernel(inst)(pts)
+        assert got.shape == pts.shape
+        for idx in np.ndindex(pts.shape[:-1]):
+            ref = scalar_bethe_system(inst, pts[idx])
+            assert (np.abs(got[idx] - ref) <= 1e-13 * np.abs(ref)).all()
+
+    def test_overflowing_seeds_are_dropped_and_counted(self):
+        # seeds spread like Lambda's root, 1e9: Q+(w), a product of 40
+        # such factors, overflows at every seed
+        inst = a1_instance(lam=Poly([-1e9, 1.0]), m=40)
+        stats = {}
+        assert solve_bethe(inst, seeds=4, seed=0, stats=stats) == []
+        assert stats["nonfinite"] == stats["seeds"] == 4
+        assert stats["newton_iterations"] == 0
+
+    def test_singular_jacobians_are_dropped_and_counted(self, monkeypatch):
+        # second equation constant for |x1| < 1: a zero row in J there
+        def kernel(inst):
+            def system(x):
+                return np.stack([x[..., 0] ** 2 - 1,
+                                 np.where(abs(x[..., 1]) < 1, 1, x[..., 1] - 2)], -1)
+            return system
+
+        monkeypatch.setattr(qq, "_bethe_kernel", kernel)
+        stats = {}
+        solve_bethe(a2_instance(), seeds=20, seed=0, stats=stats)
+        assert 0 < stats["singular"] < 20
+        assert stats["converged"] == 20 - stats["singular"]
+        assert stats["nonfinite"] == stats["out_of_iterations"] == 0
+
+
+class TestSolveBetheGolden:
+    """The shipped a2_generic solve, pinned to the per-seed scalar solver's output."""
+
+    QPLUS_ROOTS = [(-0.3459128490668868, 0.2567365545262281),
+                   (0.6381381296463663, 0.4428682619321466),
+                   (0.04043192023187954, -0.0011284732346378114)]
+    QMINUS = [((4.453200658237208, 5.9999999999999964),
+               (1.1548675969371047, 2.142857142857142)),
+              ((-4.164003760542274, 6.000000000000007),
+               (-1.235075047623732, 2.1428571428571432)),
+              ((0.16746272175537785, 6.000000000000002),
+               (30.710459551526995, 2.142857142857144))]
+
+    def test_solutions_in_order(self):
+        inst, _, extras = parse_instance(json.loads(A2_GENERIC.read_text()))
+        stats = {}
+        sols = solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
+                           seed=extras["seed"], stats=stats)
+        assert len(sols) == 3
+        for sol, roots, qminus in zip(sols, self.QPLUS_ROOTS, self.QMINUS):
+            for p, r in zip(sol.qplus, roots):
+                assert p.degree == 1 and abs(p.coeffs[0] + r) <= 1e-10
+            for p, cs in zip(sol.qminus, qminus):
+                assert len(p.coeffs) == len(cs)
+                assert all(abs(c - d) <= 1e-10 * (1 + abs(d))
+                           for c, d in zip(p.coeffs, cs))
+        assert stats["seeds"] == 40 and stats["accepted"] == 3
+        assert stats["seeds"] == (stats["converged"] + stats["nonfinite"]
+                                  + stats["singular"] + stats["out_of_iterations"])
+        assert stats["converged"] + stats["out_of_iterations"] == (
+            stats["rejected_residual"] + stats["duplicates"]
+            + stats["rejected_qq"] + stats["accepted"])
+        assert 0 < stats["worst_bethe_residual"] <= extras["bethe_tol"]
+        assert 0 < stats["max_newton_iterations"] <= 80
