@@ -1,9 +1,11 @@
 """Univariate polynomials and rational functions over complex scalars.
 
 Coefficients may be Python complex/float numbers (the default, double
-precision) or ``fractions.Fraction`` values (the exact-rational shadow mode
-used by identity tests).  All ring operations are generic over the scalar
-type; only root extraction and least-squares solving require floating point.
+precision) or exact rationals (the shadow mode used by identity tests):
+Python ``int`` values, kept as ints, and ``fractions.Fraction`` values,
+which appear only when given or when a division makes one.  All ring
+operations are generic over the scalar type; only root extraction and
+least-squares solving require floating point.
 
 Polynomials are stored lowest degree first.  The zero polynomial has an
 empty coefficient tuple and degree -1 by convention.
@@ -25,6 +27,12 @@ TAU = 1e-10
 def is_exact(x) -> bool:
     """True if x lives in the exact-rational domain."""
     return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
+
+
+def _divisor(c):
+    """c ready to divide by: an int becomes a Fraction, so that exact
+    coefficients never turn into floats."""
+    return Fraction(c) if type(c) is int else c
 
 
 def close(a, b, tol: float = TAU) -> bool:
@@ -53,9 +61,15 @@ class Poly:
 
     def __init__(self, coeffs: Iterable, tol: float = TAU):
         cs = list(coeffs)
-        exact = all(is_exact(c) for c in cs)
+        exact = True
+        for k, c in enumerate(cs):
+            if type(c) is int or type(c) is Fraction:
+                continue
+            if not is_exact(c):
+                exact = False
+                break
+            cs[k] = Fraction(c) if isinstance(c, Fraction) else int(c)
         if exact:
-            cs = [Fraction(c) for c in cs]
             while cs and cs[-1] == 0:
                 cs.pop()
         else:
@@ -164,7 +178,7 @@ class Poly:
 
     def monic(self) -> "Poly":
         """Rescale so the leading coefficient is 1."""
-        lc = self.leading()
+        lc = _divisor(self.leading())
         return Poly([c / lc for c in self.coeffs])
 
     def norm(self) -> float:
@@ -172,6 +186,18 @@ class Poly:
 
     def to_float(self) -> "Poly":
         return Poly([complex(c) for c in self.coeffs])
+
+
+_POLY_ONE = Poly.one()
+
+
+def _times(a: Poly, b: Poly) -> Poly:
+    """a * b, skipping a factor that is the exact constant 1."""
+    if b.exact and b.coeffs == (1,):
+        return a
+    if a.exact and a.coeffs == (1,):
+        return b
+    return a * b
 
 
 def q_shift(p: Poly, q) -> Poly:
@@ -260,8 +286,11 @@ def solve_poly_q_difference(alpha, beta, rhs, q, max_degree: int,
     alpha, beta, rhs are callables evaluating scalar functions.  The
     equation is sampled at generic points and solved for the coefficients
     of f by least squares, increasing the trial degree until the system is
-    consistent.  Returns None when no polynomial of degree <= max_degree
-    satisfies the equation, which signals resonance or degeneracy upstream.
+    consistent.  A sample point on a pole (a callable raising
+    ZeroDivisionError) is nudged up to four times; a point that stays on
+    one makes the trial degree fail.  Returns None when no polynomial of
+    degree <= max_degree satisfies the equation, which signals resonance
+    or degeneracy upstream.
     """
     qc = complex(q)
     rng = np.random.default_rng(seed)
@@ -272,9 +301,13 @@ def solve_poly_q_difference(alpha, beta, rhs, q, max_degree: int,
         b = np.zeros(npts, dtype=complex)
         ok = True
         for s, x in enumerate(pts):
-            try:
-                av, bv, rv = complex(alpha(x)), complex(beta(x)), complex(rhs(x))
-            except ZeroDivisionError:
+            for _ in range(5):
+                try:
+                    av, bv, rv = complex(alpha(x)), complex(beta(x)), complex(rhs(x))
+                    break
+                except ZeroDivisionError:
+                    x = x * (1.013 + 0.007j)
+            else:
                 ok = False
                 break
             for k in range(d + 1):
@@ -290,21 +323,29 @@ def solve_poly_q_difference(alpha, beta, rhs, q, max_degree: int,
 
 
 class RatFun:
-    """Ratio of two polynomials; denominator normalized to leading 1."""
+    """Ratio of two polynomials; denominator normalized to leading 1.
+
+    A polynomial has the exact denominator 1, and sums and products of
+    such functions skip it: they add or multiply the numerators only.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
-            den = Poly.one()
-        if den.is_zero():
+            den = _POLY_ONE
+        elif den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if not num.is_zero():
-            lc = den.leading()
-            num = Poly([c / lc for c in num.coeffs])
-            den = Poly([c / lc for c in den.coeffs])
+        elif num.is_zero():
+            den = _POLY_ONE
         else:
-            den = Poly.one()
+            lc = den.coeffs[-1]
+            # a leading 1 needs no division, unless the denominator is
+            # float and the division has to make an exact numerator float
+            if lc != 1 or (num.exact and not den.exact):
+                lc = _divisor(lc)
+                num = Poly([c / lc for c in num.coeffs])
+                den = Poly([c / lc for c in den.coeffs])
         self.num = num
         self.den = den
 
@@ -331,8 +372,8 @@ class RatFun:
         return self.num.norm() <= tol * (1.0 + self.den.norm())
 
     def __add__(self, other: "RatFun") -> "RatFun":
-        return RatFun(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        return RatFun(_times(self.num, other.den) + _times(other.num, self.den),
+                      _times(self.den, other.den))
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-other)
@@ -342,7 +383,8 @@ class RatFun:
 
     def __mul__(self, other) -> "RatFun":
         if isinstance(other, RatFun):
-            return RatFun(self.num * other.num, self.den * other.den)
+            return RatFun(_times(self.num, other.num),
+                          _times(self.den, other.den))
         return RatFun(self.num.scale(other), self.den)
 
     def __rmul__(self, other) -> "RatFun":

@@ -374,7 +374,7 @@ def wronskian_first_column(inst: QQInstance, sol: QQSolution,
         e = v.entries[i][0]
         if e.den.degree != 0:
             raise AssertionError("first-column entries must be polynomial")
-        col.append(e.num.scale(1 / e.den.coeffs[0]) if e.den.coeffs else e.num)
+        col.append(e.num.scale(Fraction(1) / e.den.coeffs[0]))
     return col
 
 
@@ -596,7 +596,6 @@ def lewis_carroll_residual(M: RatMatrix, i: int,
 
 def check_wronskian_equations(W: RatMatrix, inst: QQInstance,
                               points: Optional[Sequence[complex]] = None,
-                              retries: int = 4,
                               bundle: Optional[TypeABundle] = None) -> CheckReport:
     """Residuals of the transport equations for k = 0..h-1.
 
@@ -604,8 +603,9 @@ def check_wronskian_equations(W: RatMatrix, inst: QQInstance,
     the i-th fundamental vector realized through i-th compound matrices.
     The pair (i, k) participates while the transported wedge stays inside
     the coordinate window, i + k <= h; the k = 0 equations are trivial.
-    Sample points that hit poles are replaced (bounded retries).  R and Z
-    come from ``bundle`` when given.
+    A sample point on a pole is nudged up to four times; a point that stays
+    on one is a failed check with a witness.  R and Z come from ``bundle``
+    when given.
     """
     h = coxeter_number(inst.cartan)
     n = inst.rank + 1
@@ -625,16 +625,18 @@ def check_wronskian_equations(W: RatMatrix, inst: QQInstance,
         worst = {i: 0.0 for i in range(1, inst.rank + 1) if i + k <= h}
         for x0 in panel:
             x = x0
-            for attempt in range(retries + 1):
+            for _ in range(5):
                 try:
                     lhs_m = W.eval(qc**k * x)
                     zmat = np.linalg.matrix_power(Zm.eval(x), k)
                     rhs_m = zmat @ W.eval(x) @ Sk.eval(x)
                     break
-                except ZeroDivisionError:
-                    x = x * (1.013 + 0.007j)
+                except ZeroDivisionError as exc:
+                    x, err = x * (1.013 + 0.007j), exc
             else:
-                raise ArithmeticError("sample panel kept hitting poles")
+                rep.add("sample point off the poles", False, value=float("inf"),
+                        witness=f"{x0} after 4 nudges (k={k}): {err}")
+                continue
             for i in worst:
                 lv = _compound_top_column(lhs_m, i)
                 rv = _compound_top_column(rhs_m, i)

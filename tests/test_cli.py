@@ -290,6 +290,23 @@ class TestWronskianCommand:
         names = {c["check"] for c in rep["checks"]}
         assert "wronskian-det" in names and "shifted-minor" in names
 
+    def test_point_left_on_a_pole_is_a_failed_check(self, tmp_path,
+                                                     monkeypatch):
+        import numpy as np
+
+        def on_a_pole(*args, **kw):
+            raise ZeroDivisionError("zero denominator")
+
+        monkeypatch.setattr(np.linalg, "matrix_power", on_a_pole)
+        code, text = run_cli(
+            ["wronskian", "--instance", str(A2_SOLVED)], tmp_path)
+        assert code == 1
+        bad = [c for c in json.loads(text)["checks"] if not c["pass"]]
+        assert bad
+        assert {c["check"] for c in bad} == \
+            {"wronskian-equations: sample point off the poles"}
+        assert all(c["sup_residual"] == 1e300 and c["witnesses"] for c in bad)
+
     def test_non_type_a_rejected(self, tmp_path):
         import numpy as np
         from qoper import QQInstance, TwistZ, cartan_matrix, solve_bethe

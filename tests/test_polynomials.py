@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoper.polynomials import Poly, RatFun, poly_roots, q_distinct, q_shift
+from qoper.polynomials import (Poly, RatFun, poly_roots, q_distinct, q_shift,
+                               solve_poly_q_difference)
+from qoper.wronskian import RatMatrix
 
 
 class TestQShift:
@@ -123,3 +125,130 @@ class TestPolyHygiene:
     def test_monic(self):
         p = Poly([2.0, 4.0]).monic()
         assert p.coeffs == (0.5, 1.0)
+
+
+class TestSolvePolyQDifference:
+    def test_pole_point_is_nudged(self):
+        # alpha = Q(qz), beta = -Q(z) with Q = z - 2: f = 3 is the minimal
+        # solution, and f + t Q solves too, so a skipped degree 0 would
+        # return the least-squares 0.6 + 1.2 z of degree 1 instead
+        q = 0.5
+        Q = Poly([-2.0, 1.0])
+        calls = []
+
+        def alpha(z):
+            calls.append(z)
+            if len(calls) == 1:
+                raise ZeroDivisionError("sample point on a pole")
+            return complex(Q(q * z))
+
+        f = solve_poly_q_difference(alpha, lambda z: -complex(Q(z)),
+                                    lambda z: 3 * (q - 1) * z, q, max_degree=3)
+        assert f.degree == 0
+        assert abs(f.coeffs[0] - 3) < 1e-9
+        assert calls[1] == calls[0] * (1.013 + 0.007j)
+
+
+# -- the exact core: int coefficients stay ints until a division -----------
+
+int_coeffs = st.lists(st.integers(-9, 9), max_size=5)
+nonzero_coeffs = int_coeffs.filter(any)
+nonzero_q = st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
+                         max_denominator=7).filter(bool)
+
+
+def exact_core_ops(a, b, c, d, q):
+    """Polys a, b (b nonzero) and RatFuns c, d (d nonzero) under every
+    operation of the exact core."""
+    out = [a + b, a - b, a * b, -a, b.monic(), q_shift(a, q),
+           c + d, c - d, c * d, -c, d.inv(), c / d, c.shift(q)]
+    return [(r.num, r.den) if isinstance(r, RatFun) else r for r in out]
+
+
+def exact_types(result):
+    polys = result if isinstance(result, tuple) else (result,)
+    return all(type(x) in (int, Fraction) for p in polys for x in p.coeffs)
+
+
+class TestExactCore:
+    @given(int_coeffs, nonzero_coeffs, int_coeffs,
+           st.none() | nonzero_coeffs, nonzero_coeffs,
+           st.none() | nonzero_coeffs, nonzero_q)
+    @settings(max_examples=150, deadline=None)
+    def test_int_inputs_match_fraction_inputs(self, a, b, cn, cd, dn, dd, q):
+        def run(conv):
+            def ratfun(num, den):
+                return RatFun(conv(num), None if den is None else conv(den))
+            return exact_core_ops(conv(a), conv(b), ratfun(cn, cd),
+                                  ratfun(dn, dd), q)
+
+        ints = run(Poly)
+        fracs = run(lambda cs: Poly([Fraction(x) for x in cs]))
+        for got, want in zip(ints, fracs):
+            assert exact_types(got)
+            assert got == want
+            assert hash(got) == hash(want)
+
+    @given(int_coeffs)
+    def test_int_coefficients_stay_int(self, a):
+        p = Poly(a)
+        assert p.exact
+        assert all(type(x) is int for x in (p * p + p).coeffs)
+        assert all(type(x) is int for x in RatFun(p).num.coeffs)
+
+    def test_bool_is_not_exact(self):
+        assert not Poly([True, 2]).exact
+
+    def test_division_by_int_gives_fractions(self):
+        assert Poly([3, 6]).monic().coeffs == (Fraction(1, 2), 1)
+        f = RatFun(Poly([1, 1]), Poly([2]))
+        assert f.num.coeffs == (Fraction(1, 2), Fraction(1, 2))
+        assert all(type(x) is Fraction for x in f.num.coeffs + f.den.coeffs)
+
+
+def general_path(num, den):
+    """Reference RatFun normalization that always divides by the leading
+    coefficient of the denominator."""
+    if num.is_zero():
+        return num, Poly([Fraction(1)])
+    lc = den.leading()
+    lc = Fraction(lc) if type(lc) is int else lc
+    return Poly([c / lc for c in num.coeffs]), Poly([c / lc for c in den.coeffs])
+
+
+def general_det(m):
+    """Cofactor determinant of a matrix of (num, den) pairs that always
+    cross-multiplies denominators, whether or not they are 1."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    acc = (Poly([]), Poly([Fraction(1)]))
+    for j in range(n):
+        num, den = m[0][j]
+        if num.is_zero():
+            continue
+        sub = [[row[c] for c in range(n) if c != j] for row in m[1:]]
+        snum, sden = general_det(sub)
+        tnum, tden = general_path(num * snum, den * sden)
+        if j % 2:
+            tnum = -tnum
+        acc = general_path(acc[0] * tden + tnum * acc[1], acc[1] * tden)
+    return acc
+
+
+def bits(p):
+    return [(complex(c).real.hex(), complex(c).imag.hex()) for c in p.coeffs]
+
+
+class TestFloatDetBitIdentical:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_polynomial_matrix_det(self, seed):
+        rng = np.random.default_rng(seed)
+        polys = [[Poly(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+                  for _ in range(4)] for _ in range(4)]
+        got = RatMatrix([[RatFun(p) for p in row] for row in polys]).det()
+        num, den = general_det([[general_path(p, Poly([Fraction(1)]))
+                                 for p in row] for row in polys])
+        assert bits(got.num) == bits(num)
+        assert bits(got.den) == bits(den)

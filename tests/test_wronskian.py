@@ -294,6 +294,23 @@ class TestWronskianEquations:
         rep = check_wronskian_equations(M, inst)
         assert not rep.passed
 
+    def test_point_left_on_a_pole_is_a_failed_check(self, monkeypatch):
+        def on_a_pole(*args, **kw):
+            raise ZeroDivisionError("zero denominator")
+
+        inst, sol = a2_solved()
+        W = build_wronskian(inst, sol)
+        monkeypatch.setattr(np.linalg, "matrix_power", on_a_pole)
+        rep = check_wronskian_equations(W, inst, points=PANEL[:2])
+        assert not rep.passed
+        bad = [it for it in rep.items if not it["pass"]]
+        # h = 3 for A2: every k = 0, 1, 2 loses both points
+        assert [it["label"] for it in bad] == ["sample point off the poles"] * 6
+        for k, it in enumerate(bad):
+            assert it["value"] == float("inf")
+            assert it["witness"].startswith(
+                f"{PANEL[k % 2]} after 4 nudges (k={k // 2})")
+
 
 class TestShiftedMinorRelation:
     def test_sl2_both_rows(self):
@@ -365,6 +382,17 @@ class TestLewisCarroll:
                             for _ in range(4)] for _ in range(4)])
             for i in (2, 3, 4):
                 assert check_lewis_carroll(M, i).num.is_zero()
+
+    def test_exact_det_stays_integer(self):
+        # polynomial entries keep the denominator 1 and int coefficients
+        rng = np.random.default_rng(5)
+        M = RatMatrix([[RatFun(Poly([int(rng.integers(-5, 6))
+                                     for _ in range(3)]))
+                        for _ in range(4)] for _ in range(4)])
+        d = M.det()
+        assert d.den.coeffs == (1,) and d.den.exact
+        assert d.num.degree > 0
+        assert all(type(c) is int for c in d.num.coeffs)
 
     def test_random_float(self):
         rng = np.random.default_rng(4)
