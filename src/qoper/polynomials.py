@@ -221,7 +221,7 @@ def poly_roots(p: Poly, tol: float = TAU) -> list[complex]:
     """All roots with multiplicity, via companion-matrix eigenvalues.
 
     Eigenvalues are polished with two Newton steps; the residual of every
-    returned root satisfies |p(root)| <= tol * (1 + max|coeff|).
+    returned root r satisfies |p(r)| <= tol * max(1 + max|c_k|, sum |c_k||r|^k).
     """
     if p.degree < 1:
         raise ValueError("root extraction needs degree >= 1")
@@ -249,11 +249,15 @@ def poly_roots(p: Poly, tol: float = TAU) -> list[complex]:
             if abs(d) > 1e-14:
                 r = r - ev(cs, r) / d
         polished.append(r)
-    scale = 1.0 + max(abs(c) for c in cs)
+    # a far root is accurate when its backward error |p(r)| / sum |c_k||r|^k
+    # is small, even if |p(r)| itself exceeds the coefficient scale
+    acs = [abs(c) for c in cs]
+    base = 1.0 + max(acs)
     for r in polished:
-        if abs(ev(cs, r)) > max(tol, 1e-8) * scale:
+        res = abs(ev(cs, r))
+        if res > max(tol, 1e-8) * max(base, abs(ev(acs, abs(r)))):
             raise ArithmeticError(
-                f"root polishing failed: residual {abs(ev(cs, r)):.3e} at {r}")
+                f"root polishing failed: residual {res:.3e} at {r}")
     return sorted(polished, key=lambda w: (round(w.real, 12), round(w.imag, 12)))
 
 
@@ -279,6 +283,21 @@ def q_distinct(p1: Poly, p2: Poly, q, K: int, tol: float = TAU):
     return True, None
 
 
+def off_pole(f, x):
+    """(x', f(x')) for the first x' = x (1.013+0.007i)^k, k = 0..4, that is
+    not on a pole of f, i.e. where f raises no ZeroDivisionError.
+
+    A point that stays on a pole after four nudges re-raises the last
+    ZeroDivisionError.
+    """
+    for _ in range(4):
+        try:
+            return x, f(x)
+        except ZeroDivisionError:
+            x = x * (1.013 + 0.007j)
+    return x, f(x)
+
+
 def solve_poly_q_difference(alpha, beta, rhs, q, max_degree: int,
                             tol: float = TAU, seed: int = 7):
     """Minimal-degree polynomial f with alpha(z) f(z) + beta(z) f(qz) = rhs(z).
@@ -287,8 +306,8 @@ def solve_poly_q_difference(alpha, beta, rhs, q, max_degree: int,
     equation is sampled at generic points and solved for the coefficients
     of f by least squares, increasing the trial degree until the system is
     consistent.  A sample point on a pole (a callable raising
-    ZeroDivisionError) is nudged up to four times; a point that stays on
-    one makes the trial degree fail.  Returns None when no polynomial of
+    ZeroDivisionError) is nudged by off_pole; a point that stays on one
+    makes the trial degree fail.  Returns None when no polynomial of
     degree <= max_degree satisfies the equation, which signals resonance
     or degeneracy upstream.
     """
@@ -301,13 +320,11 @@ def solve_poly_q_difference(alpha, beta, rhs, q, max_degree: int,
         b = np.zeros(npts, dtype=complex)
         ok = True
         for s, x in enumerate(pts):
-            for _ in range(5):
-                try:
-                    av, bv, rv = complex(alpha(x)), complex(beta(x)), complex(rhs(x))
-                    break
-                except ZeroDivisionError:
-                    x = x * (1.013 + 0.007j)
-            else:
+            try:
+                x, (av, bv, rv) = off_pole(
+                    lambda y: (complex(alpha(y)), complex(beta(y)),
+                               complex(rhs(y))), x)
+            except ZeroDivisionError:
                 ok = False
                 break
             for k in range(d + 1):

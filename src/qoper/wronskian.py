@@ -33,7 +33,7 @@ import numpy as np
 
 from .cartan import (CartanData, WeylWord, column_index_set,
                      coxeter_number, twist_along_word, word_length)
-from .polynomials import Poly, RatFun, q_shift
+from .polynomials import Poly, RatFun, off_pole, q_shift
 from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
                  QQSolution, cartan_connection, solve_poly_q_difference)
 
@@ -469,15 +469,24 @@ def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
 
 # -- minors and identities ---------------------------------------------
 
+def _index_rows(w: WeylWord, i: int, data: CartanData) -> list[int]:
+    """The 0-based row set of w(omega_i), i.e. of w({1..i}), sorted."""
+    return [r - 1 for r in sorted(column_index_set(w, i, data))]
+
+
+def _minor(Mv: np.ndarray, rows, cols) -> complex:
+    """Minor of an evaluated matrix over 0-based rows and columns."""
+    return np.linalg.det(Mv[np.ix_(rows, cols)])
+
+
 def generalized_minor(M: RatMatrix, spec: MinorSpec, data: CartanData) -> RatFun:
     """Minor over rows u({1..i}) and columns v({1..i}), indices sorted.
 
     Row and column sets are taken in increasing order; signs follow from
     that convention together with the fixed lifts.
     """
-    rows = sorted(column_index_set(spec.u, spec.i, data))
-    cols = sorted(column_index_set(spec.v, spec.i, data))
-    return M.submatrix([r - 1 for r in rows], [c - 1 for c in cols]).det()
+    return M.submatrix(_index_rows(spec.u, spec.i, data),
+                       _index_rows(spec.v, spec.i, data)).det()
 
 
 def check_fundamental_relation(M: RatMatrix, u: WeylWord, v: WeylWord, i: int,
@@ -515,30 +524,22 @@ def fundamental_relation_residual(M: RatMatrix, u: WeylWord, v: WeylWord,
                                   points: Sequence[complex]) -> float:
     """Sup-norm of the minor exchange residual over sample points.
 
-    Numeric companion to check_fundamental_relation for batteries over
-    many matrices: minors are numeric determinants of the evaluated
-    matrix, so nothing symbolic is built.
+    Numeric companion to check_fundamental_relation, and the CLI's float
+    check: minors are determinants of the evaluated matrix, so nothing
+    symbolic is built.  The length condition is not checked.
     """
     si = WeylWord((i,))
-    usi, vsi = u * si, v * si
-
-    def minor_at(Mv, uu, vv, ii):
-        rows = [r - 1 for r in sorted(column_index_set(uu, ii, data))]
-        cols = [c - 1 for c in sorted(column_index_set(vv, ii, data))]
-        return np.linalg.det(Mv[np.ix_(rows, cols)])
-
+    ru, rv, rus, rvs = (_index_rows(w, i, data) for w in (u, v, u * si, v * si))
+    neighbours = [(_index_rows(u, j, data), _index_rows(v, j, data), -data.a(j, i))
+                  for j in range(1, data.rank + 1) if j != i and data.a(j, i)]
     worst = 0.0
     for x in points:
         Mv = M.eval(x)
-        t1 = minor_at(Mv, u, v, i) * minor_at(Mv, usi, vsi, i)
-        t2 = minor_at(Mv, usi, v, i) * minor_at(Mv, u, vsi, i)
+        t1 = _minor(Mv, ru, rv) * _minor(Mv, rus, rvs)
+        t2 = _minor(Mv, rus, rv) * _minor(Mv, ru, rvs)
         rhs = 1.0 + 0.0j
-        for j in range(1, data.rank + 1):
-            if j == i:
-                continue
-            e = -data.a(j, i)
-            if e:
-                rhs *= minor_at(Mv, u, v, j) ** e
+        for rows, cols, e in neighbours:
+            rhs *= _minor(Mv, rows, cols) ** e
         scale = 1.0 + max(abs(t1), abs(t2), abs(rhs))
         worst = max(worst, abs(t1 - t2 - rhs) / scale)
     return worst
@@ -570,25 +571,24 @@ def lewis_carroll_residual(M: RatMatrix, i: int,
                            points: Sequence[complex]) -> float:
     """Relative sup-norm of the Dodgson residual over sample points.
 
-    Numeric companion to check_lewis_carroll: minors are determinants of
-    the evaluated matrix, avoiding the coefficient growth of symbolic
-    rational arithmetic on matrices with nontrivial denominators.
+    Numeric companion to check_lewis_carroll, and the CLI's float check:
+    minors are determinants of the evaluated matrix, so the residual
+    measures rounding, which the float trim would empty from a symbolic
+    residual, and no symbolic coefficients grow.
     """
     n = M.n
     if n < 3 or not 2 <= i <= n:
         raise ValueError("need n >= 3 and 2 <= i <= n")
+
+    def keep(*drop):
+        return [k for k in range(n) if k not in drop]
+
     worst = 0.0
     for x in points:
         Mv = M.eval(x)
-
-        def minor(drop_rows, drop_cols):
-            rows = [r for r in range(n) if r not in drop_rows]
-            cols = [c for c in range(n) if c not in drop_cols]
-            return np.linalg.det(Mv[np.ix_(rows, cols)])
-
-        t1 = minor({0}, {0}) * minor({1}, {i - 1})
-        t2 = minor({0}, {i - 1}) * minor({1}, {0})
-        t3 = minor({0, 1}, {0, i - 1}) * np.linalg.det(Mv)
+        t1 = _minor(Mv, keep(0), keep(0)) * _minor(Mv, keep(1), keep(i - 1))
+        t2 = _minor(Mv, keep(0), keep(i - 1)) * _minor(Mv, keep(1), keep(0))
+        t3 = _minor(Mv, keep(0, 1), keep(0, i - 1)) * np.linalg.det(Mv)
         scale = 1.0 + max(abs(t1), abs(t2), abs(t3))
         worst = max(worst, abs(t1 - t2 - t3) / scale)
     return worst
@@ -603,8 +603,8 @@ def check_wronskian_equations(W: RatMatrix, inst: QQInstance,
     the i-th fundamental vector realized through i-th compound matrices.
     The pair (i, k) participates while the transported wedge stays inside
     the coordinate window, i + k <= h; the k = 0 equations are trivial.
-    A sample point on a pole is nudged up to four times; a point that stays
-    on one is a failed check with a witness.  R and Z come from ``bundle``
+    A sample point on a pole is nudged by off_pole; a point that stays on
+    one is a failed check with a witness.  R and Z come from ``bundle``
     when given.
     """
     h = coxeter_number(inst.cartan)
@@ -623,17 +623,15 @@ def check_wronskian_equations(W: RatMatrix, inst: QQInstance,
         if k:
             Sk = Sk @ R.shift(qc**(k - 1))
         worst = {i: 0.0 for i in range(1, inst.rank + 1) if i + k <= h}
+
+        def sides(x):
+            zmat = np.linalg.matrix_power(Zm.eval(x), k)
+            return W.eval(qc**k * x), zmat @ W.eval(x) @ Sk.eval(x)
+
         for x0 in panel:
-            x = x0
-            for _ in range(5):
-                try:
-                    lhs_m = W.eval(qc**k * x)
-                    zmat = np.linalg.matrix_power(Zm.eval(x), k)
-                    rhs_m = zmat @ W.eval(x) @ Sk.eval(x)
-                    break
-                except ZeroDivisionError as exc:
-                    x, err = x * (1.013 + 0.007j), exc
-            else:
+            try:
+                _, (lhs_m, rhs_m) = off_pole(sides, x0)
+            except ZeroDivisionError as err:
                 rep.add("sample point off the poles", False, value=float("inf"),
                         witness=f"{x0} after 4 nudges (k={k}): {err}")
                 continue
@@ -649,10 +647,9 @@ def check_wronskian_equations(W: RatMatrix, inst: QQInstance,
 
 def _compound_top_column(M: np.ndarray, i: int) -> np.ndarray:
     """First column of the i-th compound: wedge minors against cols 1..i."""
-    n = M.shape[0]
-    rowsets = list(itertools.combinations(range(n), i))
     cols = list(range(i))
-    return np.array([np.linalg.det(M[np.ix_(rs, cols)]) for rs in rowsets])
+    return np.array([_minor(M, rs, cols)
+                     for rs in itertools.combinations(range(M.shape[0]), i)])
 
 
 def _wedge_image(Rm: np.ndarray, i: int):
@@ -692,7 +689,7 @@ def check_shifted_minor_relation(W: RatMatrix, inst: QQInstance, w: WeylWord,
         panel = points if points is not None else _panel(5, seed=31)
         evals = [(W.eval(x), W.eval(qc * x), _wedge_image(R.eval(x), i))
                  for x in panel]
-    rows = [r - 1 for r in sorted(column_index_set(w, i, inst.cartan))]
+    rows = _index_rows(w, i, inst.cartan)
     zs = inst.zetas()
 
     # weight of the row set: <coroot_j, w om_i> = [j in S] - [j+1 in S]
@@ -705,8 +702,8 @@ def check_shifted_minor_relation(W: RatMatrix, inst: QQInstance, w: WeylWord,
 
     worst = 0.0
     for Wm, Wq, (tgt_cols, scalar) in evals:
-        lhs = np.linalg.det(Wm[np.ix_(rows, tgt_cols)])
-        rhs = weight * np.linalg.det(Wq[np.ix_(rows, tuple(range(i)))]) / scalar
+        lhs = _minor(Wm, rows, tgt_cols)
+        rhs = weight * _minor(Wq, rows, tuple(range(i))) / scalar
         scalef = 1.0 + max(abs(lhs), abs(rhs))
         worst = max(worst, abs(lhs - rhs) / scalef)
     return worst
@@ -744,38 +741,20 @@ def gauss_decompose(M: RatMatrix):
             RatMatrix(upper))
 
 
-def _lower_inverse(v: RatMatrix) -> RatMatrix:
-    """Inverse of a lower-triangular rational matrix, forward substitution."""
-    n = v.n
-    inv = [[RatFun.zero() for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        inv[j][j] = v.entries[j][j].inv()
-        for i in range(j + 1, n):
-            acc = RatFun.zero()
-            for k in range(j, i):
-                if v.entries[i][k].is_zero() or inv[k][j].is_zero():
-                    continue
-                acc = acc + v.entries[i][k] * inv[k][j]
-            inv[i][j] = -(v.entries[i][i].inv()) * acc
-    return RatMatrix(inv)
-
-
 def miura_from_wronskian(W: RatMatrix, inst: QQInstance, sol: QQSolution,
                          points: Optional[Sequence[complex]] = None,
-                         bundle: Optional[TypeABundle] = None) -> tuple:
+                         bundle: Optional[TypeABundle] = None) -> CheckReport:
     """Reconstruct the Miura connection from Wronskian data and verify it.
 
     Requires gauss_decompose to succeed on W (the nondegeneracy gate).
     The connection is A(z) = v(qz)^{-1} Z v(z) with v the lower-triangular
-    trivializer determined by the Wronskian's first column; it is checked
-    to (a) be lower triangular of Miura shape, (b) carry the Cartan
-    connection zeta_i Q+_i(qz)/Q+_i(z) on its diagonal ratios, and (c)
-    agree entrywise with build_miura_A on the sample panel.  A sample
-    point on a pole (a root of some Q+_i) is nudged up to four times; a
-    point that stays on one is a failed check with a witness.
-    v, Z and build_miura_A come from ``bundle`` when given.
-
-    Returns (A, report).
+    trivializer determined by the Wronskian's first column, solved at
+    each sample point; it is checked to (a) be lower triangular of Miura
+    shape, (b) carry the Cartan connection zeta_i Q+_i(qz)/Q+_i(z) on its
+    diagonal ratios, and (c) agree entrywise with build_miura_A on the
+    sample panel.  A sample point on a pole (a root of some Q+_i) is
+    nudged by off_pole; a point that stays on one is a failed check with
+    a witness.  v, Z and build_miura_A come from ``bundle`` when given.
     """
     gauss_decompose(W)  # the iff gate; raises on vanishing principal minors
     rep = CheckReport("miura-reconstruction", True)
@@ -787,30 +766,30 @@ def miura_from_wronskian(W: RatMatrix, inst: QQInstance, sol: QQSolution,
         target = build_miura_A(inst, sol)
         v = miura_trivializer(inst, sol, A=target)
         Zm = twist_matrix(inst)
-    A = _lower_inverse(v).shift(inst.q) @ Zm @ v
+    qc = complex(inst.q)
+    Zv = Zm.eval(0.0)  # Z is constant
 
-    first_w, first_v = W.column(0), v.column(0)
+    def at(x):
+        vx = v.eval(x)
+        g = cartan_connection(inst, sol, x)
+        gext = [1.0] + list(g)
+        want = [gext[k] / (g[k] if k < inst.rank else 1.0)
+                for k in range(inst.rank + 1)]
+        return (vx, np.linalg.solve(v.eval(qc * x), Zv @ vx), target.eval(x),
+                want)
+
+    first_w = W.column(0)
     col_err = tri_err = diag_err = ent_err = 0.0
     panel = list(points) if points is not None else list(_panel(5, seed=41))
     for x0 in panel:
-        x = x0
-        for _ in range(5):
-            try:
-                Am, Tm = A.eval(x), target.eval(x)
-                g = cartan_connection(inst, sol, x)
-                gext = [1.0] + list(g)
-                want = [gext[k] / (g[k] if k < inst.rank else 1.0)
-                        for k in range(inst.rank + 1)]
-                break
-            except ZeroDivisionError as exc:
-                x, err = x * (1.013 + 0.007j), exc
-        else:
+        try:
+            x, (vx, Am, Tm, want) = off_pole(at, x0)
+        except ZeroDivisionError as err:
             rep.add("sample point off the poles", False, value=float("inf"),
                     witness=f"{x0} after 4 nudges: {err}")
             continue
-        for a, b in zip(first_w, first_v):
-            col_err = max(col_err, abs(complex(a(x)) - complex(b(x))) /
-                          (1 + abs(complex(b(x)))))
+        for a, b in zip(first_w, vx[:, 0]):
+            col_err = max(col_err, abs(complex(a(x)) - b) / (1 + abs(b)))
         tri_err = max(tri_err, np.abs(np.triu(Am, 1)).max() /
                       (1 + np.abs(Am).max()))
         for k, wk in enumerate(want):
@@ -820,7 +799,7 @@ def miura_from_wronskian(W: RatMatrix, inst: QQInstance, sol: QQSolution,
     rep.add("oper shape (lower triangular)", tri_err <= 1e-8, value=tri_err)
     rep.add("Cartan connection on the diagonal", diag_err <= 1e-7, value=diag_err)
     rep.add("matches the product construction", ent_err <= 1e-8, value=ent_err)
-    return A, rep
+    return rep
 
 
 def miura_plucker_blocks(A: RatMatrix, v: RatMatrix, inst: QQInstance, i: int,
@@ -846,8 +825,7 @@ def miura_plucker_blocks(A: RatMatrix, v: RatMatrix, inst: QQInstance, i: int,
 
     def blk(Mv):
         """The (u1, u2) block of the (n-i)-th compound of Mv."""
-        return np.array([[np.linalg.det(Mv[np.ix_(rs, cs)]) for cs in plane]
-                         for rs in plane])
+        return np.array([[_minor(Mv, rs, cs) for cs in plane] for rs in plane])
 
     worst = 0.0
     for x in panel:

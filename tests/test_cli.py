@@ -210,6 +210,28 @@ class TestVerify:
         bad = {c["check"] for c in rep["checks"] if not c["pass"]}
         assert "qq-residual" in bad and "bethe-residual" in bad
 
+    def test_solved_a3_passes(self, tmp_path):
+        # the fundamental relation and the Miura inverse are checked on
+        # evaluated matrices, so their residuals stay at rounding level
+        from qoper import QQInstance, TwistZ, cartan_matrix, solve_bethe
+        from qoper.polynomials import Poly
+        inst = QQInstance(cartan_matrix("A", 3), 0.2, TwistZ((2.0, 3.0, 5.0)),
+                          tuple(Poly([-k, 1.0]) for k in (1.0, 2.0, 3.0)),
+                          (1, 1, 1))
+        sol = solve_bethe(inst, seeds=8, tol=1e-11, seed=1)[0]
+        f = tmp_path / "a3.json"
+        f.write_text(json.dumps(echo_instance(
+            inst, {"bethe_tol": 1e-10, "K": None, "seed": 0}, sol)))
+        code, text = run_cli(["verify", "--instance", str(f)], tmp_path)
+        assert code == 0
+        checks = json.loads(text)["checks"]
+        fund = [c["sup_residual"] for c in checks
+                if c["check"] == "fundamental-relation"]
+        assert len(fund) == 3 and max(fund) <= 1e-12
+        miura, = [c["sup_residual"] for c in checks
+                  if c["check"] == "miura: matches the product construction"]
+        assert miura <= 1e-10
+
     def test_requires_solution(self, tmp_path):
         code = main(["verify", "--instance", str(A2)])
         assert code == 2
@@ -342,6 +364,15 @@ class TestIdentities:
     def test_float_battery(self, tmp_path):
         code, text = run_cli(["identities", "--trials", "5"], tmp_path)
         assert code == 0
+
+    def test_float_residual_is_measured(self, tmp_path):
+        # rounding shows in the float residual; it is not trimmed to zero
+        code, text = run_cli(["identities", "--trials", "20", "--seed", "1"],
+                             tmp_path)
+        assert code == 0
+        check, = json.loads(text)["checks"]
+        assert check["check"] == "lewis-carroll"
+        assert 0 < check["sup_residual"] <= 1e-10
 
     def test_exact_battery(self, tmp_path):
         code, text = run_cli(["identities", "--trials", "5", "--exact"], tmp_path)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoper.polynomials import (Poly, RatFun, poly_roots, q_distinct, q_shift,
-                               solve_poly_q_difference)
+from qoper.polynomials import (Poly, RatFun, off_pole, poly_roots, q_distinct,
+                               q_shift, solve_poly_q_difference)
 from qoper.wronskian import RatMatrix
 
 
@@ -66,6 +66,30 @@ class TestRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             poly_roots(Poly([5.0]))
+
+    def test_accurate_far_root_is_kept(self):
+        # a Q- of an A4 verify run: the root near 1989.86 has |p(r)| ~ 6e-2,
+        # above 1e-8 (1 + max|c|), but a backward error near 1e-16
+        p = Poly([580111.7835209015 + 2.2676438518444763e-05j,
+                  -1081591.5146577442 - 4.229742626193911e-05j,
+                  374846.39232961833 + 1.4692428521811962e-05j,
+                  -19605.922231063596 - 7.404305506497622e-07j,
+                  -47.25764297437854 - 9.720679372549057e-09j,
+                  0.028653260204009712 - 1.0390067473053932e-08j])
+        roots = poly_roots(p)
+        assert len(roots) == 5
+        assert any(abs(r - 1989.86) < 0.01 for r in roots)
+        want = np.roots([complex(c) for c in reversed(p.coeffs)])
+        for r in roots:
+            assert np.abs(want - r).min() <= 1e-8 * (1 + abs(r))
+
+    def test_wrong_root_still_raises(self, monkeypatch):
+        # eigenvalues 1 and 50 for (z - 1)(z - 2): two Newton steps from 50
+        # leave a root that is wrong, and it must be refused
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda m: np.array([1.0 + 0j, 50.0 + 0j]))
+        with pytest.raises(ArithmeticError, match="root polishing failed"):
+            poly_roots(Poly([2.0, -3.0, 1.0]))
 
     def test_reexpansion(self):
         rng = np.random.default_rng(3)
@@ -147,6 +171,29 @@ class TestSolvePolyQDifference:
         assert f.degree == 0
         assert abs(f.coeffs[0] - 3) < 1e-9
         assert calls[1] == calls[0] * (1.013 + 0.007j)
+
+
+class TestOffPole:
+    @staticmethod
+    def on_a_pole_until(n, calls):
+        def f(z):
+            calls.append(z)
+            if len(calls) < n:
+                raise ZeroDivisionError("on a pole")
+            return 2 * z
+        return f
+
+    def test_four_nudges(self):
+        calls = []
+        x, y = off_pole(self.on_a_pole_until(5, calls), 1.0)
+        assert calls[1:] == [c * (1.013 + 0.007j) for c in calls[:-1]]
+        assert (x, y) == (calls[-1], 2 * calls[-1])
+
+    def test_reraises_after_four_nudges(self):
+        calls = []
+        with pytest.raises(ZeroDivisionError, match="on a pole"):
+            off_pole(self.on_a_pole_until(6, calls), 1.0)
+        assert len(calls) == 5
 
 
 # -- the exact core: int coefficients stay ints until a division -----------
