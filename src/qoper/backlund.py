@@ -1,8 +1,8 @@
 """Backlund transformations and the full QQ-system over the Weyl group.
 
 A single step at node i swaps Q+_i with (the monic rescaling of) Q-_i,
-reflects the twist by s_i, recomputes Q-_i for the new system, and leaves
-every other Q+_j untouched.  Iterating steps along reduced words populates
+reflects the twist by s_i, recomputes Q-_i and the Q-_j of the neighbours
+of i for the new system, and leaves every other Q+_j and Q-_j untouched.  Iterating steps along reduced words populates
 the table {Q+^{w,i}} indexed by Weyl group elements; two reduced words of
 the same element must produce the same table entry, which is the
 computable face of the consistency of the full system.
@@ -13,21 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cartan import (CartanData, TwistZ, WeylWord, canonical_form,
-                     enumerate_weyl, reflect_twist)
-from .polynomials import TAU, Poly, q_distinct
+from .cartan import (CartanData, WeylWord, canonical_form, enumerate_weyl,
+                     reflect_twist)
+from .polynomials import TAU, q_distinct
 from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
                  QQSolution, resonance_check, solve_q_minus)
 
 
 @dataclass
 class BacklundStepRecord:
+    """One step at ``node``: its nondegeneracy report, the system and
+    solution it produced, and the nodes whose Q- it solved anew (the
+    others were kept)."""
     node: int
-    twist_before: TwistZ
-    twist_after: TwistZ
-    swapped_in: Poly
-    qminus_new: Poly
     nondeg: CheckReport
+    instance: QQInstance
+    solution: QQSolution
+    solved: tuple
 
 
 def mu_gauge(sol: QQSolution, cartan: CartanData, i: int, z: complex,
@@ -71,14 +73,14 @@ def _step_nondegeneracy(inst: QQInstance, sol: QQSolution, i: int,
             continue
         lam = inst.lambdas[k - 1]
         if qm.degree >= 1 and lam.degree >= 1:
-            ok, w = q_distinct(qm.to_float(), lam.to_float(), inst.q, K, inst.tau)
+            ok, w = q_distinct(qm, lam, inst.q, K, inst.tau)
             rep.add(f"Q-_{i} vs Lambda_{k}", ok, witness=w)
     for j in range(1, inst.rank + 1):
         if j == i or a(j, i) == 0:
             continue
         qp = sol.qplus[j - 1]
         if qm.degree >= 1 and qp.degree >= 1:
-            ok, w = q_distinct(qm.to_float(), qp.to_float(), inst.q, K, inst.tau)
+            ok, w = q_distinct(qm, qp, inst.q, K, inst.tau)
             rep.add(f"Q-_{i} vs Q+_{j}", ok, witness=w)
     reflected = inst.with_twist(reflect_twist(inst.twist, i, inst.cartan))
     res = resonance_check(reflected, K)
@@ -94,53 +96,89 @@ def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
     Returns (new_instance, new_solution, record).  Refuses (raises
     DegenerateInstance) when the step's nondegeneracy conditions fail;
     the record carries the failed report in that case via the exception.
+    Only Q-_i and the Q-_j of the neighbours j of i are solved again: the
+    step changes zeta_i and Q+_i alone, and the j-th equation involves
+    them only when a_ij != 0, so every other Q-_j is kept as it is.
     """
     rep = _step_nondegeneracy(inst, sol, i, K)
     if not rep.passed:
         exc = DegenerateInstance(f"backlund step at node {i} refused")
         exc.report = rep
         raise exc
-    new_twist = reflect_twist(inst.twist, i, inst.cartan)
-    new_inst = inst.with_twist(new_twist)
     qplus = list(sol.qplus)
-    swapped = sol.qminus[i - 1].monic()
-    qplus[i - 1] = swapped
-    new_degrees = tuple(p.degree for p in qplus)
-    work_inst = QQInstance(new_inst.cartan, new_inst.q, new_inst.twist,
-                           new_inst.lambdas, new_degrees, new_inst.tau)
+    qplus[i - 1] = sol.qminus[i - 1].monic()
+    new_twist = reflect_twist(inst.twist, i, inst.cartan)
+    work_inst = QQInstance(inst.cartan, inst.q, new_twist, inst.lambdas,
+                           tuple(p.degree for p in qplus), inst.tau)
     qminus = list(sol.qminus)
-    for j in range(1, inst.rank + 1):
-        # the twist changed, so every Q- is re-solved against the new system
+    solved = tuple(j for j in range(1, inst.rank + 1)
+                   if j == i or inst.cartan.a(i, j))
+    for j in solved:
         qminus[j - 1] = solve_q_minus(work_inst, qplus, j)
     new_sol = QQSolution(tuple(qplus), tuple(qminus))
-    record = BacklundStepRecord(i, inst.twist, new_twist, swapped,
-                                qminus[i - 1], rep)
-    return work_inst, new_sol, record
+    return work_inst, new_sol, BacklundStepRecord(i, rep, work_inst, new_sol,
+                                                  solved)
+
+
+def _polys(inst: QQInstance, sol: QQSolution):
+    return (*inst.lambdas, *sol.qplus, *sol.qminus)
+
+
+def _with_roots(polys) -> set:
+    """ids of the distinct polynomials whose roots have been found."""
+    return {id(p) for p in polys if p.roots_known}
+
+
+def _walk_stats(inst, sol, records, refusals: int, rooted_before: set) -> dict:
+    """Counts of a walk from (inst, sol): steps taken, Q- solved and kept,
+    polynomials whose roots the walk found, and refused steps."""
+    polys = [p for r in records for p in _polys(r.instance, r.solution)]
+    return {"steps": len(records), "refusals": refusals,
+            "qminus_solved": sum(len(r.solved) for r in records),
+            "qminus_reused": sum(inst.rank - len(r.solved) for r in records),
+            "roots_computed": len(_with_roots([*_polys(inst, sol), *polys])
+                                  - rooted_before)}
 
 
 def apply_word(inst: QQInstance, sol: QQSolution, word: WeylWord,
-               K: Optional[int] = None):
+               K: Optional[int] = None, stats: Optional[dict] = None):
     """Iterate backlund_step along a word, rightmost letter first.
 
     The result corresponds to the element the word spells; records of the
-    individual steps are returned in application order.
+    individual steps are returned in application order.  A refusal is
+    raised with the records of the steps before it as ``exc.records``.
+    ``stats``, when given, receives the counts of the walk (see
+    full_qq_system).
     """
+    rooted = _with_roots(_polys(inst, sol))
     records = []
     cur_inst, cur_sol = inst, sol
-    for letter in reversed(word.letters):
-        cur_inst, cur_sol, rec = backlund_step(cur_inst, cur_sol, letter, K)
-        records.append(rec)
+    try:
+        for letter in reversed(word.letters):
+            cur_inst, cur_sol, rec = backlund_step(cur_inst, cur_sol, letter, K)
+            records.append(rec)
+    except DegenerateInstance as exc:
+        exc.records = records
+        if stats is not None:
+            stats.update(_walk_stats(inst, sol, records, 1, rooted))
+        raise
+    if stats is not None:
+        stats.update(_walk_stats(inst, sol, records, 0, rooted))
     return cur_inst, cur_sol, records
 
 
 def full_qq_system(inst: QQInstance, sol: QQSolution,
                    max_order: int = 10_080,
-                   K: Optional[int] = None) -> FullQQSystem:
+                   K: Optional[int] = None,
+                   stats: Optional[dict] = None) -> FullQQSystem:
     """Breadth-first exploration of the Weyl group by Backlund steps.
 
     Every element gets its (monic) Q+ family and twist; a refusal on an
     edge is recorded and the affected element is skipped, leaving a partial
-    table with ``generic = False`` instead of raising.
+    table with ``generic = False`` instead of raising.  ``stats``, when
+    given, receives the counts of the walk: steps taken, refusals, Q-
+    solved anew and kept (qminus_solved, qminus_reused), and
+    roots_computed, the polynomials whose roots the walk had to find.
     """
     cartan = inst.cartan
     words = enumerate_weyl(cartan, max_order)
@@ -150,6 +188,8 @@ def full_qq_system(inst: QQInstance, sol: QQSolution,
     out.twists[id_key] = inst.twist
     out.words[id_key] = WeylWord.identity()
     state = {id_key: (inst, sol)}
+    rooted = _with_roots(_polys(inst, sol))
+    records = []
 
     for word in sorted(words, key=lambda w: (len(w), w.letters)):
         if len(word) == 0:
@@ -167,14 +207,17 @@ def full_qq_system(inst: QQInstance, sol: QQSolution,
         pinst, psol = state[pkey]
         letter = word.letters[0]
         try:
-            ninst, nsol, _ = backlund_step(pinst, psol, letter, K)
+            ninst, nsol, rec = backlund_step(pinst, psol, letter, K)
         except DegenerateInstance as exc:
             out.refusals.append({"word": word.letters, "node": letter,
                                  "reason": str(exc)})
             out.generic = False
             continue
+        records.append(rec)
         state[key] = (ninst, nsol)
         out.table[key] = tuple(nsol.qplus)
         out.twists[key] = ninst.twist
         out.words[key] = word
+    if stats is not None:
+        stats.update(_walk_stats(inst, sol, records, len(out.refusals), rooted))
     return out

@@ -27,7 +27,7 @@ from .cartan import TwistZ, WeylWord, cartan_matrix, enumerate_weyl
 from .polynomials import Poly, RatFun
 from .qq import (DegenerateInstance, QQInstance, QQSolution, bethe_residual,
                  nondegenerate, qq_residual, resonance_check, solve_bethe)
-from .backlund import backlund_step, full_qq_system
+from .backlund import apply_word, full_qq_system
 from .wronskian import (RatMatrix, check_lewis_carroll,
                         check_shifted_minor_relation,
                         check_wronskian_equations,
@@ -296,7 +296,8 @@ def run_verify(inst, sol, extras, args, rep: Report):
     nd = nondegenerate(inst, sol, extras["K"])
     rep.check("nondegenerate", 0.0, nd.passed,
               witnesses=[it["label"] for it in nd.items if not it["pass"]])
-    fq = full_qq_system(inst, sol, K=extras["K"])
+    stats = rep.telemetry["backlund"] = {}
+    fq = full_qq_system(inst, sol, K=extras["K"], stats=stats)
     rep.doc["full_qq"] = {"size": len(fq.table), "generic": fq.generic,
                           "refusals": [str(r) for r in fq.refusals]}
     if not inst.cartan.is_type_a:
@@ -358,25 +359,27 @@ def run_backlund(inst, sol, extras, args, rep: Report):
         if not 1 <= l <= inst.rank:
             raise InputError(f"word letter {l} out of range 1..{inst.rank}")
     word = WeylWord(tuple(letters))
-    cur_inst, cur_sol = inst, sol
-    for step_no, letter in enumerate(reversed(word.letters)):
-        try:
-            cur_inst, cur_sol, rec = backlund_step(cur_inst, cur_sol, letter,
-                                                   extras["K"])
-        except DegenerateInstance as exc:
-            rep.check("backlund-step", float("inf"), False,
-                      k_or_word=str(letter), witnesses=[str(exc)])
-            return
-        resid = max(r.norm() for r in qq_residual(cur_inst, cur_sol))
-        rep.check("backlund-step", resid, resid <= 1e-8,
-                  k_or_word=str(letter))
+    stats = rep.telemetry["backlund"] = {}
+    try:
+        cur_inst, cur_sol, records = apply_word(inst, sol, word, extras["K"], stats)
+        refusal = None
+    except DegenerateInstance as exc:
+        records, refusal = exc.records, exc
+    for step_no, rec in enumerate(records, start=1):
+        resid = max(r.norm() for r in qq_residual(rec.instance, rec.solution))
+        rep.check("backlund-step", resid, resid <= 1e-8, k_or_word=str(rec.node))
         rep.doc["solutions"].append({
-            "step": step_no + 1, "node": letter,
-            "zetas": [_emit_scalar(complex(z)) for z in cur_inst.twist.zetas],
+            "step": step_no, "node": rec.node,
+            "zetas": [_emit_scalar(complex(z)) for z in rec.instance.twist.zetas],
             "qplus": [[_emit_scalar(complex(c)) for c in p.coeffs]
-                      for p in cur_sol.qplus],
+                      for p in rec.solution.qplus],
             "qminus": [[_emit_scalar(complex(c)) for c in p.coeffs]
-                       for p in cur_sol.qminus]})
+                       for p in rec.solution.qminus]})
+    if refusal is not None:
+        letter = word.letters[len(word.letters) - 1 - len(records)]
+        rep.check("backlund-step", float("inf"), False,
+                  k_or_word=str(letter), witnesses=[str(refusal)])
+        return
     # involution verdict when the word is its own inverse
     if letters and letters == letters[::-1] and len(letters) % 2 == 0:
         dz = max(abs(complex(a) - complex(b))
@@ -388,7 +391,10 @@ def run_backlund(inst, sol, extras, args, rep: Report):
         rep.check("involution", max(dz, dq), max(dz, dq) <= 1e-9,
                   k_or_word=args.word.replace(",", "."))
     if args.full_table:
-        fq = full_qq_system(inst, sol, K=extras["K"])
+        table_stats = {}
+        fq = full_qq_system(inst, sol, K=extras["K"], stats=table_stats)
+        for key, val in table_stats.items():
+            stats[key] += val
         rep.doc["full_qq"] = {"size": len(fq.table), "generic": fq.generic,
                               "refusals": [str(r) for r in fq.refusals]}
         rep.check("full-qq-generic", 0.0, fq.generic)

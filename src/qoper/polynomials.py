@@ -54,10 +54,11 @@ class Poly:
 
     Immutable.  Trailing (near-)zero coefficients are trimmed on
     construction; in floating mode "zero" means modulus below ``tol``
-    relative to the largest coefficient.
+    relative to the largest coefficient.  ``roots()`` finds the roots
+    once and keeps them.
     """
 
-    __slots__ = ("coeffs", "exact")
+    __slots__ = ("coeffs", "exact", "_roots")
 
     def __init__(self, coeffs: Iterable, tol: float = TAU):
         cs = list(coeffs)
@@ -79,6 +80,7 @@ class Poly:
                 cs.pop()
         self.coeffs = tuple(cs)
         self.exact = exact
+        self._roots = None
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -185,7 +187,19 @@ class Poly:
         return max((abs(complex(c)) for c in self.coeffs), default=0.0)
 
     def to_float(self) -> "Poly":
-        return Poly([complex(c) for c in self.coeffs])
+        """The float copy; a float polynomial is returned as it is."""
+        return Poly([complex(c) for c in self.coeffs]) if self.exact else self
+
+    def roots(self) -> tuple:
+        """poly_roots of this polynomial, found on the first call only."""
+        if self._roots is None:
+            self._roots = tuple(poly_roots(self.to_float()))
+        return self._roots
+
+    @property
+    def roots_known(self) -> bool:
+        """True once roots() has found the roots."""
+        return self._roots is not None
 
 
 _POLY_ONE = Poly.one()
@@ -272,8 +286,8 @@ def q_distinct(p1: Poly, p2: Poly, q, K: int, tol: float = TAU):
         raise ValueError("q_distinct requires nonzero polynomials")
     if K < 1:
         raise ValueError("K must be >= 1")
-    r1 = poly_roots(p1.to_float()) if p1.degree >= 1 else []
-    r2 = poly_roots(p2.to_float()) if p2.degree >= 1 else []
+    r1 = p1.roots() if p1.degree >= 1 else ()
+    r2 = p2.roots() if p2.degree >= 1 else ()
     qc = complex(q)
     for z1 in r1:
         for z2 in r2:

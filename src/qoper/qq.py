@@ -26,8 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cartan import CartanData, TwistZ, WeylWord, canonical_form
-from .polynomials import (TAU, Poly, close, poly_roots, q_shift,
-                          solve_poly_q_difference)
+from .polynomials import TAU, Poly, close, q_shift
 
 
 class DegenerateInstance(ValueError):
@@ -151,20 +150,23 @@ def twist_product(inst: QQInstance, i: int) -> complex:
     return val
 
 
-def qq_rhs(inst: QQInstance, qplus: Sequence[Poly], i: int) -> Poly:
-    """Right side of the i-th equation: Lambda_i times neighbor products."""
+def _rhs_factors(inst: QQInstance, qplus: Sequence[Poly], i: int):
+    """(Q+_j, shifted, e) for the neighbour factors of the i-th right side:
+    Q+_j(qz)^e for j after i and Q+_j(z)^e for j before i, e = -a_ji."""
     order = _ordered_positions(inst)
     pos = order.index(i)
     a = inst.cartan.a
+    for shifted, js in ((True, order[pos + 1:]), (False, order[:pos])):
+        for j in js:
+            if a(j, i):
+                yield qplus[j - 1], shifted, -a(j, i)
+
+
+def qq_rhs(inst: QQInstance, qplus: Sequence[Poly], i: int) -> Poly:
+    """Right side of the i-th equation: Lambda_i times neighbor products."""
     rhs = inst.lambdas[i - 1]
-    for j in order[pos + 1:]:
-        e = -a(j, i)
-        if e:
-            rhs = rhs * q_shift(qplus[j - 1], inst.q) ** e
-    for j in order[:pos]:
-        e = -a(j, i)
-        if e:
-            rhs = rhs * qplus[j - 1] ** e
+    for p, shifted, e in _rhs_factors(inst, qplus, i):
+        rhs = rhs * (q_shift(p, inst.q) if shifted else p) ** e
     return rhs
 
 
@@ -221,34 +223,48 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int,
                   degree_bound: Optional[int] = None) -> Poly:
     """Unique minimal-degree polynomial Q-_i solving the i-th equation.
 
-    The equation is linear in Q-_i once all Q+_j are fixed; it is sampled
-    at generic points and solved coefficient-wise, increasing the degree
-    until the system becomes consistent.  Non-resonance of the twist at
-    node i (prod_j zeta_j^{a_ji} avoiding small powers of q) guarantees
-    uniqueness of the bounded-degree solution and is checked first.
+    The equation is linear in Q-_i once all Q+_j are fixed.  Non-resonance
+    of the twist at node i (prod_j zeta_j^{a_ji} = xi~_i / xi_i avoiding
+    small powers of q) is checked first; it guarantees uniqueness, and it
+    keeps the top coefficient lc (xi~_i q^{d+} - xi_i q^d) of the left
+    side nonzero, so deg Q-_i = d = deg rhs - d+.  The coefficients c_k of
+    Q-_i then solve one linear system: with p_m those of Q+_i, the
+    coefficient of z^{m+k} is sum p_m c_k (xi~_i q^m - xi_i q^k).  It is
+    solved by least squares and accepted when consistent.
     """
     if degree_bound is None:
         degree_bound = inst.degrees[i - 1] + max(l.degree for l in inst.lambdas) + 2
     ratio = twist_product(inst, i)
-    qc0 = complex(inst.q)
+    qc = complex(inst.q)
     for k in range(-(degree_bound + 2), degree_bound + 3):
-        if close(ratio, qc0**k, inst.tau):
+        if close(ratio, qc**k, inst.tau):
             raise DegenerateInstance(
                 f"resonant twist at node {i}: prod zeta^a = q^{k}, "
                 "the Q- solve is not unique")
-    xit, xi = xi_factors(inst)[i - 1]
-    rhs_poly = qq_rhs(inst, qplus, i)
-    qp = qplus[i - 1]
-    qc = complex(inst.q)
-    sol = solve_poly_q_difference(
-        alpha=lambda z: complex(xit) * complex(qp(qc * z)),
-        beta=lambda z: -complex(xi) * complex(qp(z)),
-        rhs=lambda z: complex(rhs_poly(z)),
-        q=qc, max_degree=degree_bound, tol=inst.tau)
-    if sol is None:
+    xit, xi = (complex(x) for x in xi_factors(inst)[i - 1])
+    # the right side's coefficients, untrimmed: a small top coefficient
+    # such as q^{deg Q+_j} still fixes the degree
+    b = np.array([complex(c) for c in inst.lambdas[i - 1].coeffs])
+    for f, shifted, e in _rhs_factors(inst, qplus, i):
+        fc = np.array([complex(c) for c in f.coeffs])
+        if shifted:
+            fc = fc * qc ** np.arange(len(fc))
+        for _ in range(e):
+            b = np.convolve(b, fc)
+    p = np.array([complex(c) for c in qplus[i - 1].coeffs])
+    d = len(b) - len(p)
+    if not 0 <= d <= degree_bound:
         raise DegenerateInstance(
             f"no polynomial Q- exists at node {i} with degree <= {degree_bound}")
-    return sol
+    qpow = qc ** np.arange(max(len(p), d + 1))
+    M = np.zeros((len(b), d + 1), dtype=complex)
+    for k in range(d + 1):
+        M[k:k + len(p), k] = p * (xit * qpow[:len(p)] - xi * qpow[k])
+    sol, *_ = np.linalg.lstsq(M, b, rcond=None)
+    if np.abs(M @ sol - b).max() > max(inst.tau, 1e-9) * (1.0 + np.abs(b).max()):
+        raise DegenerateInstance(
+            f"no polynomial Q- exists at node {i} with degree <= {degree_bound}")
+    return Poly(list(sol))
 
 
 def _bethe_sides(inst: QQInstance, qplus: Sequence[Poly], i: int, w: complex):
@@ -301,7 +317,7 @@ def bethe_residual(inst: QQInstance, qplus: Sequence[Poly]) -> list:
             raise ValueError(f"Q+_{i} must have exact degree {inst.degrees[i - 1]}")
         if qp.degree == 0:
             continue
-        for w in poly_roots(qp.to_float()):
+        for w in qp.roots():
             lhs, rhs = _bethe_sides(inst, qplus, i, w)
             out.append((i, w, lhs / rhs + 1.0))
     return out
@@ -474,7 +490,7 @@ def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
     rng = np.random.default_rng(seed)
     lam_roots = []
     for lam in inst.lambdas:
-        lam_roots.extend(poly_roots(lam.to_float()))
+        lam_roots.extend(lam.roots())
     spread = 1.0 + max(abs(r) for r in lam_roots)
     tally["seeds"] = seeds = max(seeds, 0)
     draws = rng.standard_normal((seeds, 2, total))
@@ -561,7 +577,7 @@ def nondegenerate(inst: QQInstance, sol: QQSolution,
         if p1.degree < 1 or p2.degree < 1:
             rep.add(tag, True)
             return
-        ok, witness = q_distinct(p1.to_float(), p2.to_float(), inst.q, K, inst.tau)
+        ok, witness = q_distinct(p1, p2, inst.q, K, inst.tau)
         rep.add(tag, ok, witness=witness)
 
     for j in range(1, r + 1):

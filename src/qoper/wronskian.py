@@ -33,9 +33,10 @@ import numpy as np
 
 from .cartan import (CartanData, WeylWord, column_index_set,
                      coxeter_number, twist_along_word, word_length)
-from .polynomials import Poly, RatFun, off_pole, q_shift
+from .polynomials import (Poly, RatFun, off_pole, q_shift,
+                          solve_poly_q_difference)
 from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
-                 QQSolution, cartan_connection, solve_poly_q_difference)
+                 QQSolution, cartan_connection)
 
 
 class RatMatrix:
@@ -425,10 +426,10 @@ class TypeABundle:
 
     ``v`` is None only at rank one when the trivializer has no solution:
     W does not need it there, and miura_from_wronskian raises the refusal.
-    ``minor_panel`` holds, per point x of the shifted-minor sample panel,
-    W(x), W(qx) and for each node i the wedge that R(x)'s i-th compound
-    sends the top wedge to (see check_shifted_minor_relation); its arrays
-    are read-only.
+    ``minor_panel`` is (W(x), W(qx), wedges) over the points x of the
+    shifted-minor sample panel: two read-only stacks of shape (P, n, n),
+    and for each node i the wedge that R(x)'s i-th compound sends the top
+    wedge to (see check_shifted_minor_relation).
     """
 
     inst: QQInstance
@@ -457,14 +458,9 @@ def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
             raise
         v = None
     W = build_wronskian(inst, sol, R=R, v=v)
-    qc = complex(inst.q)
-    minor_panel = []
-    for x in _panel(5, seed=31):
-        Wm, Wq, Rm = W.eval(x), W.eval(qc * x), R.eval(x)
-        Wm.flags.writeable = Wq.flags.writeable = False
-        minor_panel.append((Wm, Wq, tuple(_wedge_image(Rm, i)
-                                          for i in range(1, inst.rank + 1))))
-    return TypeABundle(inst, R, A, v, twist_matrix(inst), W, tuple(minor_panel))
+    minor_panel = _minor_panel(W, R, complex(inst.q), _panel(5, seed=31),
+                               range(1, inst.rank + 1))
+    return TypeABundle(inst, R, A, v, twist_matrix(inst), W, minor_panel)
 
 
 # -- minors and identities ---------------------------------------------
@@ -474,9 +470,21 @@ def _index_rows(w: WeylWord, i: int, data: CartanData) -> list[int]:
     return [r - 1 for r in sorted(column_index_set(w, i, data))]
 
 
-def _minor(Mv: np.ndarray, rows, cols) -> complex:
-    """Minor of an evaluated matrix over 0-based rows and columns."""
-    return np.linalg.det(Mv[np.ix_(rows, cols)])
+def _evaluate(M: RatMatrix, points) -> np.ndarray:
+    """M at every point, stacked: shape (P, n, n)."""
+    return np.array([M.eval(x) for x in points]).reshape(-1, M.n, M.n)
+
+
+def _minor(Mv: np.ndarray, rows, cols):
+    """Minors of an evaluated matrix, or of every matrix of a stack
+    (..., n, n), all from one det.
+
+    ``rows`` and ``cols`` hold 0-based indices along their last axis; any
+    leading axes they have broadcast and ask for one minor each, so the
+    result has the stack's shape followed by theirs.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    return np.linalg.det(Mv[..., rows[..., :, None], cols[..., None, :]])
 
 
 def generalized_minor(M: RatMatrix, spec: MinorSpec, data: CartanData) -> RatFun:
@@ -532,14 +540,17 @@ def fundamental_relation_residual(M: RatMatrix, u: WeylWord, v: WeylWord,
     ru, rv, rus, rvs = (_index_rows(w, i, data) for w in (u, v, u * si, v * si))
     neighbours = [(_index_rows(u, j, data), _index_rows(v, j, data), -data.a(j, i))
                   for j in range(1, data.rank + 1) if j != i and data.a(j, i)]
+    Mv = _evaluate(M, points)
+    a, b, c, d = (_minor(Mv, rows, cols)
+                  for rows, cols in ((ru, rv), (rus, rvs), (rus, rv), (ru, rvs)))
+    others = [(_minor(Mv, rows, cols), e) for rows, cols, e in neighbours]
     worst = 0.0
-    for x in points:
-        Mv = M.eval(x)
-        t1 = _minor(Mv, ru, rv) * _minor(Mv, rus, rvs)
-        t2 = _minor(Mv, rus, rv) * _minor(Mv, ru, rvs)
+    for p in range(len(Mv)):
+        t1 = a[p] * b[p]
+        t2 = c[p] * d[p]
         rhs = 1.0 + 0.0j
-        for rows, cols, e in neighbours:
-            rhs *= _minor(Mv, rows, cols) ** e
+        for m, e in others:
+            rhs *= m[p] ** e
         scale = 1.0 + max(abs(t1), abs(t2), abs(rhs))
         worst = max(worst, abs(t1 - t2 - rhs) / scale)
     return worst
@@ -583,12 +594,16 @@ def lewis_carroll_residual(M: RatMatrix, i: int,
     def keep(*drop):
         return [k for k in range(n) if k not in drop]
 
+    Mv = _evaluate(M, points)
+    a, b, c, d, e = (_minor(Mv, keep(*rows), keep(*cols)) for rows, cols in
+                     (((0,), (0,)), ((1,), (i - 1,)), ((0,), (i - 1,)),
+                      ((1,), (0,)), ((0, 1), (0, i - 1))))
+    full = np.linalg.det(Mv)
     worst = 0.0
-    for x in points:
-        Mv = M.eval(x)
-        t1 = _minor(Mv, keep(0), keep(0)) * _minor(Mv, keep(1), keep(i - 1))
-        t2 = _minor(Mv, keep(0), keep(i - 1)) * _minor(Mv, keep(1), keep(0))
-        t3 = _minor(Mv, keep(0, 1), keep(0, i - 1)) * np.linalg.det(Mv)
+    for p in range(len(Mv)):
+        t1 = a[p] * b[p]
+        t2 = c[p] * d[p]
+        t3 = e[p] * full[p]
         scale = 1.0 + max(abs(t1), abs(t2), abs(t3))
         worst = max(worst, abs(t1 - t2 - t3) / scale)
     return worst
@@ -628,6 +643,7 @@ def check_wronskian_equations(W: RatMatrix, inst: QQInstance,
             zmat = np.linalg.matrix_power(Zm.eval(x), k)
             return W.eval(qc**k * x), zmat @ W.eval(x) @ Sk.eval(x)
 
+        lhs, rhs = [], []
         for x0 in panel:
             try:
                 _, (lhs_m, rhs_m) = off_pole(sides, x0)
@@ -635,9 +651,13 @@ def check_wronskian_equations(W: RatMatrix, inst: QQInstance,
                 rep.add("sample point off the poles", False, value=float("inf"),
                         witness=f"{x0} after 4 nudges (k={k}): {err}")
                 continue
-            for i in worst:
-                lv = _compound_top_column(lhs_m, i)
-                rv = _compound_top_column(rhs_m, i)
+            lhs.append(lhs_m)
+            rhs.append(rhs_m)
+        lhs = np.array(lhs).reshape(-1, n, n)
+        rhs = np.array(rhs).reshape(-1, n, n)
+        for i in worst:
+            for lv, rv in zip(_compound_top_column(lhs, i),
+                              _compound_top_column(rhs, i)):
                 scale = 1.0 + max(np.abs(lv).max(), np.abs(rv).max())
                 worst[i] = max(worst[i], np.abs(lv - rv).max() / scale)
         for i, val in worst.items():
@@ -646,20 +666,32 @@ def check_wronskian_equations(W: RatMatrix, inst: QQInstance,
 
 
 def _compound_top_column(M: np.ndarray, i: int) -> np.ndarray:
-    """First column of the i-th compound: wedge minors against cols 1..i."""
-    cols = list(range(i))
-    return np.array([_minor(M, rs, cols)
-                     for rs in itertools.combinations(range(M.shape[0]), i)])
+    """First column of the i-th compound: wedge minors against cols 1..i,
+    row sets in lexicographic order along the last axis, of M or of every
+    matrix of a stack (..., n, n)."""
+    rows = list(itertools.combinations(range(M.shape[-1]), i))
+    return _minor(M, rows, range(i))
 
 
 def _wedge_image(Rm: np.ndarray, i: int):
-    """(columns, scalar) of the single wedge that R's i-th compound maps
-    the top wedge e_1 ^ ... ^ e_i to."""
+    """(columns, scalars) of the single wedge that R's i-th compound maps
+    the top wedge e_1 ^ ... ^ e_i to, for a stack Rm of evaluations of R;
+    the scalars hold one value per matrix."""
     img = _compound_top_column(Rm, i)
-    nz = np.nonzero(np.abs(img) > 1e-12 * (1 + np.abs(img).max()))[0]
-    if len(nz) != 1:
+    big = np.abs(img) > 1e-12 * (1 + np.abs(img).max(axis=-1, keepdims=True))
+    nz = np.nonzero(big[0])[0]
+    if len(nz) != 1 or (big != big[0]).any():
         raise AssertionError("lift compound image is not a single wedge")
-    return list(itertools.combinations(range(Rm.shape[0]), i))[nz[0]], img[nz[0]]
+    return list(itertools.combinations(range(Rm.shape[-1]), i))[nz[0]], img[:, nz[0]]
+
+
+def _minor_panel(W: RatMatrix, R: RatMatrix, q: complex, panel, nodes):
+    """(W(x), W(qx), wedges) stacked over the panel; wedges holds the
+    _wedge_image of R for each node.  The stacks are read-only."""
+    Wm, Wq = _evaluate(W, panel), _evaluate(W, [q * x for x in panel])
+    Wm.flags.writeable = Wq.flags.writeable = False
+    Rm = _evaluate(R, panel)
+    return Wm, Wq, tuple(_wedge_image(Rm, i) for i in nodes)
 
 
 def check_shifted_minor_relation(W: RatMatrix, inst: QQInstance, w: WeylWord,
@@ -678,17 +710,18 @@ def check_shifted_minor_relation(W: RatMatrix, inst: QQInstance, w: WeylWord,
     sup-norm residual over the sample panel.  With ``bundle`` and the
     default panel, W(x), W(qx) and R's compound come from the bundle's
     minor_panel, so a sweep over (w, i) evaluates them once per point.
+    Each side's minors over the whole panel come from one det.
     """
-    qc = complex(inst.q)
     if bundle is not None:
         bundle.require(inst, W)
     if bundle is not None and points is None:
-        evals = [(Wm, Wq, wedges[i - 1]) for Wm, Wq, wedges in bundle.minor_panel]
+        Wm, Wq, wedges = bundle.minor_panel
+        tgt_cols, scalars = wedges[i - 1]
     else:
         R = bundle.R if bundle is not None else s_lambda_inverse(inst)
         panel = points if points is not None else _panel(5, seed=31)
-        evals = [(W.eval(x), W.eval(qc * x), _wedge_image(R.eval(x), i))
-                 for x in panel]
+        Wm, Wq, ((tgt_cols, scalars),) = _minor_panel(W, R, complex(inst.q),
+                                                      panel, [i])
     rows = _index_rows(w, i, inst.cartan)
     zs = inst.zetas()
 
@@ -701,9 +734,9 @@ def check_shifted_minor_relation(W: RatMatrix, inst: QQInstance, w: WeylWord,
             weight *= complex(zs[j - 1]) ** e
 
     worst = 0.0
-    for Wm, Wq, (tgt_cols, scalar) in evals:
-        lhs = _minor(Wm, rows, tgt_cols)
-        rhs = weight * _minor(Wq, rows, tuple(range(i))) / scalar
+    for lhs, shifted, scalar in zip(_minor(Wm, rows, tgt_cols),
+                                    _minor(Wq, rows, range(i)), scalars):
+        rhs = weight * shifted / scalar
         scalef = 1.0 + max(abs(lhs), abs(rhs))
         worst = max(worst, abs(lhs - rhs) / scalef)
     return worst
@@ -824,15 +857,17 @@ def miura_plucker_blocks(A: RatMatrix, v: RatMatrix, inst: QQInstance, i: int,
     rep = CheckReport(f"miura-plucker block i={i}", True)
 
     def blk(Mv):
-        """The (u1, u2) block of the (n-i)-th compound of Mv."""
-        return np.array([[_minor(Mv, rs, cs) for cs in plane] for rs in plane])
+        """The (u1, u2) blocks of the (n-i)-th compound of a stack Mv."""
+        idx = np.array(plane)
+        return _minor(Mv, idx[:, None], idx[None, :])
 
+    blocks = zip(blk(_evaluate(A, panel)),
+                 blk(np.linalg.inv(_evaluate(v, [qc * x for x in panel]))),
+                 blk(_evaluate(Zm, panel)),
+                 blk(np.linalg.inv(_evaluate(v, panel))))
     worst = 0.0
-    for x in panel:
-        vt = np.linalg.inv(v.eval(x))
-        vtq = np.linalg.inv(v.eval(qc * x))
-        Ai = blk(A.eval(x))
-        rhs = blk(vtq) @ blk(Zm.eval(x)) @ np.linalg.inv(blk(vt))
+    for Ai, vtq, Zi, vt in blocks:
+        rhs = vtq @ Zi @ np.linalg.inv(vt)
         scale = 1.0 + max(np.abs(Ai).max(), np.abs(rhs).max())
         worst = max(worst, np.abs(Ai - rhs).max() / scale)
     rep.add("block twist identity", worst <= 1e-8, value=worst)

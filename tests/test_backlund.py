@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
 from qoper import (DegenerateInstance, QQInstance, QQSolution, TwistZ,
                    WeylWord, apply_word, backlund_step, cartan_matrix,
-                   full_qq_system, mu_gauge, qq_residual, solve_bethe)
+                   full_qq_system, mu_gauge, qq_residual, resonance_check,
+                   solve_bethe, solve_q_minus)
+from qoper import polynomials
 from qoper.cartan import canonical_form
 from qoper.polynomials import Poly
 
@@ -20,6 +23,27 @@ def a2_solved(q=0.2, zetas=(2.0, 3.0)):
                       (Poly([-1.0, 1.0]), Poly([-2.0, 1.0])), (1, 1))
     sol = solve_bethe(inst, seeds=40, tol=1e-11, seed=3)[0]
     return inst, sol
+
+
+def a3_solved():
+    cd = cartan_matrix("A", 3)
+    inst = QQInstance(cd, 0.2, TwistZ((2.0, 3.0, 5.0)),
+                      (Poly([-1.0, 1.0]), Poly([-2.0, 1.0]), Poly([-3.0, 1.0])),
+                      (1, 1, 1))
+    sol = solve_bethe(inst, seeds=8, tol=1e-11, seed=1)[0]
+    return inst, sol
+
+
+def random_solved(rank, rng):
+    """Solutions of a seeded non-resonant type-A instance of m_i = 1."""
+    cd = cartan_matrix("A", rank)
+    zetas = TwistZ(tuple(complex(2 + 2 * rng.random(), 0.3 * rng.standard_normal())
+                         for _ in range(rank)))
+    q = complex(0.2 + 0.2 * rng.random(), 0.05 * rng.standard_normal())
+    lams = tuple(Poly([complex(*rng.standard_normal(2)), 1.0]) for _ in range(rank))
+    inst = QQInstance(cd, q, zetas, lams, (1,) * rank)
+    assert resonance_check(inst).passed
+    return inst, solve_bethe(inst, seeds=20, tol=1e-11)
 
 
 def poly_close(p1, p2, tol=1e-9):
@@ -67,6 +91,42 @@ class TestBacklundStep:
             for p1, p2 in zip(s2.qminus, sol.qminus):
                 assert poly_close(p1, p2)
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_random_involution(self, rank):
+        rng = np.random.default_rng(40 + rank)
+        steps = 0
+        for _ in range(3):
+            inst, sols = random_solved(rank, rng)
+            for sol in sols:
+                for i in range(1, rank + 1):
+                    i2, s2, _ = apply_word(inst, sol, WeylWord((i, i)))
+                    assert all(abs(complex(a) - complex(b)) < 1e-9
+                               for a, b in zip(i2.twist.zetas, inst.twist.zetas))
+                    for p1, p2 in zip(s2.qplus, sol.qplus):
+                        assert poly_close(p1, p2)
+                    steps += 2
+        assert steps >= 6
+
+    def test_keeps_the_q_minus_of_nodes_off_the_step(self):
+        inst, sol = a3_solved()
+        ninst, nsol, rec = backlund_step(inst, sol, 1)
+        assert rec.solved == (1, 2)
+        assert rec.instance is ninst and rec.solution is nsol
+        assert nsol.qminus[2] is sol.qminus[2]
+        # bit-equal to solving it again: the third equation did not change
+        assert nsol.qminus[2].coeffs == solve_q_minus(ninst, nsol.qplus, 3).coeffs
+        assert nsol.qminus[1].coeffs == solve_q_minus(ninst, nsol.qplus, 2).coeffs
+
+    def test_refusal_carries_the_steps_before_it(self):
+        cd = cartan_matrix("A", 1)
+        inst = QQInstance(cd, 0.2, TwistZ((2.0,)), (Poly([-1.0, 1.0]),), (1,))
+        sol = QQSolution((Poly([-3.0, 1.0]),), (Poly([-1.0, 1.0]),))
+        stats = {}
+        with pytest.raises(DegenerateInstance, match="refused") as info:
+            apply_word(inst, sol, WeylWord((1,)), stats=stats)
+        assert info.value.records == []
+        assert stats["steps"] == 0 and stats["refusals"] == 1
+
     def test_degenerate_refusal(self):
         # force a shared root between Q- and Lambda
         cd = cartan_matrix("A", 1)
@@ -104,6 +164,24 @@ class TestFullQQSystem:
         key = canonical_form(WeylWord((1, 2, 1)), inst.cartan)
         for i in range(2):
             assert poly_close(fq.table[key][i], sa.qplus[i], tol=1e-8)
+
+    def test_stats(self, monkeypatch):
+        inst, sol = a3_solved()
+        found = []
+        real = polynomials.poly_roots
+        monkeypatch.setattr(polynomials, "poly_roots",
+                            lambda p: found.append(p) or real(p))
+        stats = {}
+        fq = full_qq_system(inst, sol, stats=stats)
+        assert stats["steps"] == len(fq.table) - 1
+        assert stats["refusals"] == len(fq.refusals)
+        assert stats["qminus_solved"] + stats["qminus_reused"] \
+            == 3 * stats["steps"]
+        # a step at node 1 or 3 keeps the Q- of the node at the far end
+        assert stats["qminus_reused"] > 0
+        # each polynomial's roots are found once, and all are counted
+        assert stats["roots_computed"] == len(found) > 0
+        assert len({id(p) for p in found}) == len(found)
 
     def test_twist_tracking(self):
         from qoper.cartan import twist_along_word

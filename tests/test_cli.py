@@ -303,6 +303,60 @@ class TestBacklund:
         assert code == 2
 
 
+    def test_refused_step_stops_the_word(self, tmp_path):
+        # Q-_1 shares its root with Lambda_1: the first step is refused
+        doc = json.loads(A1.read_text())
+        doc["solution"] = {"qplus": [[[-3.0, 0.0], [1.0, 0.0]]],
+                           "qminus": [[[-1.0, 0.0], [1.0, 0.0]]]}
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(doc))
+        code, text = run_cli(["backlund", "--instance", str(path),
+                              "--word", "1,1"], tmp_path)
+        assert code == 1
+        rep = json.loads(text)
+        assert [(c["check"], c["k_or_word"], c["pass"]) for c in rep["checks"]] \
+            == [("backlund-step", "1", False)]
+        assert "refused" in rep["checks"][0]["witnesses"][0]
+        assert rep["telemetry"]["backlund"]["steps"] == 0
+        assert rep["telemetry"]["backlund"]["refusals"] == 1
+
+    def test_counts_the_word_and_the_table(self, tmp_path):
+        code, text = run_cli(["backlund", "--instance", str(A2_SOLVED),
+                              "--word", "1,2", "--full-table"], tmp_path)
+        assert code == 0
+        counts = json.loads(text)["telemetry"]["backlund"]
+        assert counts["steps"] == 2 + 5 and counts["refusals"] == 0
+        assert counts["qminus_solved"] + counts["qminus_reused"] == 2 * 7
+
+
+class TestBacklundTelemetry:
+    def test_verify_reports_the_walk(self, tmp_path):
+        code, text = run_cli(["verify", "--instance", str(A2_SOLVED)], tmp_path)
+        counts = json.loads(text)["telemetry"]["backlund"]
+        assert counts["steps"] == 5 and counts["refusals"] == 0
+        # every node of A2 neighbours the other: each step solves both Q-
+        assert counts["qminus_solved"] == 10 and counts["qminus_reused"] == 0
+        assert counts["roots_computed"] > 0
+
+    def test_does_not_move_the_digest(self, tmp_path, monkeypatch):
+        import qoper.cli as cli
+        _, plain = run_cli(["verify", "--instance", str(A2_SOLVED)], tmp_path,
+                           "plain.json")
+        real = cli.full_qq_system
+
+        def inflated(*args, stats=None, **kw):
+            out = real(*args, stats=stats, **kw)
+            stats.update(steps=10 ** 6, roots_computed=-1)
+            return out
+
+        monkeypatch.setattr(cli, "full_qq_system", inflated)
+        _, moved = run_cli(["verify", "--instance", str(A2_SOLVED)], tmp_path,
+                           "moved.json")
+        plain, moved = json.loads(plain), json.loads(moved)
+        assert plain["telemetry"]["backlund"] != moved["telemetry"]["backlund"]
+        assert plain["digest"] == moved["digest"]
+
+
 class TestWronskianCommand:
     def test_runs_battery(self, tmp_path):
         code, text = run_cli(

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from qoper import (DegenerateInstance, QQInstance, QQSolution, TwistZ,
-                   bethe_residual, cartan_connection, cartan_matrix,
-                   nondegenerate, qq_residual, resonance_check, solve_bethe,
-                   solve_q_minus, xi_factors)
+                   WeylWord, apply_word, bethe_residual, cartan_connection,
+                   cartan_matrix, nondegenerate, qq_residual,
+                   resonance_check, solve_bethe, solve_q_minus, xi_factors)
 from qoper import qq
 from qoper.cli import parse_instance
-from qoper.polynomials import Poly
+from qoper.polynomials import Poly, solve_poly_q_difference
 from qoper.qq import _bethe_kernel, _ordered_positions, _roots_to_qplus, qq_rhs
 
 A2_GENERIC = Path(__file__).resolve().parent.parent / "instances" / "a2_generic.json"
@@ -137,6 +137,82 @@ class TestSolveQMinus:
         b = solve_q_minus(inst, sol.qplus, 1, degree_bound=a.degree + 4)
         assert a.degree == b.degree
         assert all(abs(x - y) < 1e-8 for x, y in zip(a.coeffs, b.coeffs))
+
+
+def random_instance(lie_type, rank, degrees, rng):
+    """A seeded draw of zeta, q and Lambda; non-resonant by construction."""
+    cd = cartan_matrix(lie_type, rank)
+    zetas = TwistZ(tuple(complex(2 + 2 * rng.random(), 0.3 * rng.standard_normal())
+                         for _ in range(rank)))
+    q = complex(0.2 + 0.2 * rng.random(), 0.05 * rng.standard_normal())
+    lams = tuple(Poly.from_roots([complex(*rng.standard_normal(2))
+                                  for _ in range(2)])
+                 for _ in range(rank))
+    inst = QQInstance(cd, q, zetas, lams, degrees)
+    assert resonance_check(inst).passed
+    return inst
+
+
+def sampled_q_minus(inst, qplus, i):
+    """Q-_i by the sampled minimal-degree solver, the reference."""
+    xit, xi = (complex(x) for x in xi_factors(inst)[i - 1])
+    rhs, qp, qc = qq_rhs(inst, qplus, i), qplus[i - 1], complex(inst.q)
+    bound = inst.degrees[i - 1] + max(l.degree for l in inst.lambdas) + 2
+    return solve_poly_q_difference(
+        lambda z: xit * complex(qp(qc * z)), lambda z: -xi * complex(qp(z)),
+        lambda z: complex(rhs(z)), qc, bound, tol=inst.tau)
+
+
+class TestCoefficientSpaceQMinus:
+    @pytest.mark.parametrize("lie_type,rank,degrees", [
+        ("A", 1, (1,)), ("A", 1, (2,)), ("A", 2, (1, 1)), ("B", 2, (1, 1)),
+        ("G", 2, (1, 1))])
+    def test_matches_sampled_solver(self, lie_type, rank, degrees):
+        rng = np.random.default_rng(rank * 10 + sum(degrees))
+        checked = 0
+        for draw in range(3):
+            inst = random_instance(lie_type, rank, degrees, rng)
+            for sol in solve_bethe(inst, seeds=40, seed=draw):
+                for i in range(1, rank + 1):
+                    got = solve_q_minus(inst, sol.qplus, i)
+                    want = sampled_q_minus(inst, sol.qplus, i)
+                    assert got.degree == want.degree
+                    err = max(abs(a - b) for a, b in zip(got.coeffs, want.coeffs))
+                    assert err <= 1e-10 * want.norm()
+                    checked += 1
+        assert checked >= 3
+
+    def test_a4_far_root(self):
+        # a degree-5 Q- with a root near 1989.86: the right side's top
+        # coefficient q^3 sits below the float trim of its product, so the
+        # degree must come from the factors, not from the trimmed product
+        cd = cartan_matrix("A", 4)
+        inst = QQInstance(cd, 0.2, TwistZ((2.0, 3.0, 5.0, 7.0)),
+                          tuple(Poly([-float(i), 1.0]) for i in range(1, 5)),
+                          (1, 1, 1, 1))
+        sol = solve_bethe(inst, seeds=40)[1]
+        _, end, _ = apply_word(inst, sol, WeylWord((3, 4, 1, 2, 3)))
+        qm = end.qminus[1]
+        assert qm.degree == 5
+        assert any(abs(r - 1989.86) < 0.01 for r in qm.roots())
+
+    def test_degree_bound_too_small(self):
+        inst = a2_instance()
+        sol = solve_bethe(inst, seeds=30, tol=1e-11, seed=3)[0]
+        need = solve_q_minus(inst, sol.qplus, 1).degree
+        with pytest.raises(DegenerateInstance,
+                           match=f"no polynomial Q- exists at node 1 with "
+                                 f"degree <= {need - 1}"):
+            solve_q_minus(inst, sol.qplus, 1, degree_bound=need - 1)
+
+    def test_resonance_window_follows_degree_bound(self):
+        # zeta^2 = q^5: outside the window of bound 2, inside that of bound 3
+        z, q = 0.5 ** 2.5, 0.5
+        inst = a1_instance(zeta=z, q=q, lam=Poly([0.0, z * q - 1 / z]))
+        qm = solve_q_minus(inst, [Poly([0.0, 1.0])], 1, degree_bound=2)
+        assert qm.degree == 0 and abs(qm.coeffs[0] - 1.0) < 1e-9
+        with pytest.raises(DegenerateInstance, match="resonant twist at node 1"):
+            solve_q_minus(inst, [Poly([0.0, 1.0])], 1, degree_bound=3)
 
 
 class TestBetheResidual:

@@ -14,8 +14,9 @@ from qoper import (DegenerateInstance, MinorSpec, QQInstance, QQSolution,
                    miura_plucker_blocks, miura_trivializer, poly_roots,
                    s_lambda_inverse, solve_bethe, type_a_bundle, weyl_twist)
 from qoper.polynomials import Poly, RatFun, q_shift
-from qoper.wronskian import (_coroot_diag, _lift_matrix, _transport_data,
-                             lewis_carroll_residual)
+from qoper.wronskian import (_coroot_diag, _index_rows, _lift_matrix, _minor,
+                             _panel, _transport_data, lewis_carroll_residual,
+                             twist_matrix)
 
 PANEL = [0.77 + 0.31j, -1.1 + 0.6j, 2.2 - 0.3j, 0.4 + 1.3j, -0.6 - 0.9j]
 
@@ -592,8 +593,10 @@ class TestTypeABundle:
     def test_minor_panel_is_read_only(self):
         inst, sol = a2_solved()
         b = type_a_bundle(inst, sol)
-        Wm, Wq, wedges = b.minor_panel[0]
-        assert len(b.minor_panel) == 5 and len(wedges) == inst.rank
+        Wm, Wq, wedges = b.minor_panel
+        n = inst.rank + 1
+        assert Wm.shape == Wq.shape == (5, n, n) and len(wedges) == inst.rank
+        assert all(scalars.shape == (5,) for _, scalars in wedges)
         for m in (Wm, Wq):
             with pytest.raises(ValueError):
                 m[0, 0] = 0
@@ -619,6 +622,113 @@ class TestTypeABundle:
         assert b.v is None
         with pytest.raises(DegenerateInstance, match="trivializer"):
             miura_from_wronskian(b.W, inst, bad, bundle=b)
+
+
+def minor_at(Mv, rows, cols):
+    """One minor of one evaluated matrix: the per-point reference."""
+    return np.linalg.det(Mv[np.ix_(rows, cols)])
+
+
+def shifted_minor_per_point(W, inst, w, i, panel):
+    """check_shifted_minor_relation, one point and one minor at a time."""
+    qc, n = complex(inst.q), inst.rank + 1
+    R = s_lambda_inverse(inst)
+    rows = _index_rows(w, i, inst.cartan)
+    rowset = {r + 1 for r in rows}
+    weight = 1.0 + 0.0j
+    for j in range(1, inst.rank + 1):
+        e = (j in rowset) - (j + 1 in rowset)
+        if e:
+            weight *= complex(inst.zetas()[j - 1]) ** e
+    sets = list(itertools.combinations(range(n), i))
+    worst = 0.0
+    for x in panel:
+        Rm = R.eval(x)
+        img = np.array([minor_at(Rm, rs, list(range(i))) for rs in sets])
+        k = int(np.argmax(np.abs(img)))
+        lhs = minor_at(W.eval(x), rows, sets[k])
+        rhs = weight * minor_at(W.eval(qc * x), rows, tuple(range(i))) / img[k]
+        worst = max(worst, abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
+    return worst
+
+
+def plucker_per_point(A, v, inst, i, panel):
+    """miura_plucker_blocks' residual, one point and one minor at a time."""
+    n, qc = inst.rank + 1, complex(inst.q)
+    plane = (tuple(range(i, n)), tuple(sorted([i - 1] + list(range(i + 1, n)))))
+
+    def blk(Mv):
+        return np.array([[minor_at(Mv, rs, cs) for cs in plane] for rs in plane])
+
+    worst = 0.0
+    for x in panel:
+        Ai = blk(A.eval(x))
+        rhs = blk(np.linalg.inv(v.eval(qc * x))) @ blk(twist_matrix(inst).eval(x)) \
+            @ np.linalg.inv(blk(np.linalg.inv(v.eval(x))))
+        scale = 1.0 + max(np.abs(Ai).max(), np.abs(rhs).max())
+        worst = max(worst, np.abs(Ai - rhs).max() / scale)
+    return worst
+
+
+def fundamental_per_point(M, i, data, panel):
+    """fundamental_relation_residual at u = v = e, one point at a time."""
+    e, si = WeylWord.identity(), WeylWord((i,))
+    top, low = _index_rows(e, i, data), _index_rows(si, i, data)
+    worst = 0.0
+    for x in panel:
+        Mv = M.eval(x)
+        t1 = minor_at(Mv, top, top) * minor_at(Mv, low, low)
+        t2 = minor_at(Mv, low, top) * minor_at(Mv, top, low)
+        rhs = 1.0 + 0.0j
+        for j in range(1, data.rank + 1):
+            if j != i and data.a(j, i):
+                rows = _index_rows(e, j, data)
+                rhs *= minor_at(Mv, rows, rows) ** -data.a(j, i)
+        scale = 1.0 + max(abs(t1), abs(t2), abs(rhs))
+        worst = max(worst, abs(t1 - t2 - rhs) / scale)
+    return worst
+
+
+class TestPanelMinors:
+    """Minors of a whole panel from one det equal the per-point ones bit
+    for bit, and so do the residuals built from them."""
+
+    def test_stacked_det_is_bit_identical(self):
+        rng = np.random.default_rng(0)
+        for trial in range(1000):
+            n = 1 + trial % 5
+            size = n + int(rng.integers(0, 2))
+            M = rng.standard_normal((7, size, size)) \
+                + 1j * rng.standard_normal((7, size, size))
+            rows = sorted(rng.choice(size, n, replace=False).tolist())
+            cols = sorted(rng.choice(size, n, replace=False).tolist())
+            got = _minor(M, rows, cols)
+            assert got.tolist() == [minor_at(m, rows, cols) for m in M]
+
+    def test_shifted_minor_relation(self):
+        inst, sol = a3_solved()
+        b = type_a_bundle(inst, sol)
+        for i in (1, 2, 3):
+            for w in enumerate_weyl(inst.cartan):
+                want = shifted_minor_per_point(b.W, inst, w, i, _panel(5, seed=31))
+                assert check_shifted_minor_relation(b.W, inst, w, i, bundle=b) == want
+                assert check_shifted_minor_relation(b.W, inst, w, i, points=PANEL) \
+                    == shifted_minor_per_point(b.W, inst, w, i, PANEL)
+
+    def test_plucker_blocks(self):
+        inst, sol = a3_solved()
+        b = type_a_bundle(inst, sol)
+        for i in (1, 2, 3):
+            got = miura_plucker_blocks(b.A, b.v, inst, i, bundle=b).items[0]["value"]
+            assert got == plucker_per_point(b.A, b.v, inst, i, _panel(5, seed=57))
+
+    def test_fundamental_relation(self):
+        inst, sol = a3_solved()
+        W = type_a_bundle(inst, sol).W
+        e = WeylWord.identity()
+        for i in (1, 2, 3):
+            assert fundamental_relation_residual(W, e, e, i, inst.cartan, PANEL) \
+                == fundamental_per_point(W, i, inst.cartan, PANEL)
 
 
 class TestMiuraPoles:
