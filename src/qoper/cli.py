@@ -245,7 +245,9 @@ def _emit(report_doc: dict, fmt: str, out):
                       f"{c['sup_residual']:.3e},{int(c['pass'])}\n")
 
 
-def _solution_entry(inst, sol, bethe_tol):
+def _solution_entry(inst, sol, K):
+    """(report entry, QQ residual, Bethe residual, nondegenerate report)
+    of one solution; nondegeneracy is judged in the resonance window K."""
     resid = qq_residual(inst, sol)
     qqres = max(r.norm() for r in resid)
     try:
@@ -255,7 +257,7 @@ def _solution_entry(inst, sol, bethe_tol):
     except DegenerateInstance as exc:
         bres = float("inf")
         roots = [str(exc)]
-    nd = nondegenerate(inst, sol)
+    nd = nondegenerate(inst, sol, K)
     return {
         "qplus": [[_emit_scalar(complex(c)) for c in p.coeffs] for p in sol.qplus],
         "qminus": [[_emit_scalar(complex(c)) for c in p.coeffs] for p in sol.qminus],
@@ -263,7 +265,7 @@ def _solution_entry(inst, sol, bethe_tol):
         "max_qq_residual": float(qqres),
         "max_bethe_residual": float(bres),
         "nondegenerate": nd.passed,
-    }, qqres, bres
+    }, qqres, bres, nd
 
 
 def run_solve(inst, extras, args, rep: Report):
@@ -276,7 +278,7 @@ def run_solve(inst, extras, args, rep: Report):
     rep.telemetry["solver"] = stats
     scale = 1 + max(l.norm() for l in inst.lambdas)
     for sol in sols:
-        entry, qqres, bres = _solution_entry(inst, sol, args.tol)
+        entry, qqres, bres, _ = _solution_entry(inst, sol, extras["K"])
         rep.doc["solutions"].append(entry)
         rep.check("qq-residual", qqres, qqres <= 10 * args.tol * scale)
         rep.check("bethe-residual", bres, bres <= args.tol * 10)
@@ -288,12 +290,11 @@ def run_solve(inst, extras, args, rep: Report):
 def run_verify(inst, sol, extras, args, rep: Report):
     if sol is None:
         raise InputError("verify requires a solution block in the instance file")
-    entry, qqres, bres = _solution_entry(inst, sol, args.tol)
+    entry, qqres, bres, nd = _solution_entry(inst, sol, extras["K"])
     rep.doc["solutions"].append(entry)
     scale = 1 + max(l.norm() for l in inst.lambdas)
     rep.check("qq-residual", qqres, qqres <= 1e-8 * scale)
     rep.check("bethe-residual", bres, bres <= 1e-8 * scale)
-    nd = nondegenerate(inst, sol, extras["K"])
     rep.check("nondegenerate", 0.0, nd.passed,
               witnesses=[it["label"] for it in nd.items if not it["pass"]])
     stats = rep.telemetry["backlund"] = {}
@@ -307,7 +308,8 @@ def run_verify(inst, sol, extras, args, rep: Report):
 
 
 def run_wronskian_suite(inst, sol, rep: Report):
-    """The type-A battery; R, (A, v) and W are built once, in one bundle."""
+    """The type-A battery.  R, its transports, (A, v), Z and W are built
+    once, in one bundle, and every float check reads them from it."""
     try:
         b = type_a_bundle(inst, sol)
     except DegenerateInstance as exc:
@@ -317,7 +319,7 @@ def run_wronskian_suite(inst, sol, rep: Report):
     panel = 1.13 * np.exp(2j * np.pi * np.linspace(0.05, 0.95, 20))
     dres = max(abs(np.linalg.det(W.eval(x)) - 1.0) for x in panel)
     rep.check("wronskian-det", dres, dres <= 1e-8)
-    weq = check_wronskian_equations(W, inst, bundle=b)
+    weq = check_wronskian_equations(b)
     for it in weq.items:
         if not it["label"].startswith("k="):  # a sample point left on a pole
             rep.check(f"wronskian-equations: {it['label']}", it["value"],
@@ -328,8 +330,7 @@ def run_wronskian_suite(inst, sol, rep: Report):
                   k_or_word=k.split("=")[1], i=i.split("=")[1])
     words = enumerate_weyl(inst.cartan)
     for i in range(1, inst.rank + 1):
-        for w in words:
-            r = check_shifted_minor_relation(W, inst, w, i, bundle=b)
+        for w, r in zip(words, check_shifted_minor_relation(b, i, words)):
             rep.check("shifted-minor", r, r <= 1e-8,
                       k_or_word=".".join(map(str, w.letters)) or "e", i=i)
     wid = WeylWord.identity()
@@ -338,12 +339,12 @@ def run_wronskian_suite(inst, sol, rep: Report):
                                             panel[:5])
         rep.check("fundamental-relation", val, val <= 1e-8, i=i)
     try:
-        mrep = miura_from_wronskian(W, inst, sol, bundle=b)
+        mrep = miura_from_wronskian(b)
         for it in mrep.items:
             rep.check(f"miura: {it['label']}", it["value"] or 0.0, it["pass"],
                       witnesses=[it["witness"]] if it["witness"] else None)
         for i in range(1, inst.rank + 1):
-            pb = miura_plucker_blocks(b.A, b.v, inst, i, bundle=b)
+            pb = miura_plucker_blocks(b, i)
             rep.check("miura-plucker-block", pb.items[0]["value"],
                       pb.passed, i=i)
     except DegenerateInstance as exc:

@@ -110,9 +110,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def leading(self):
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")

@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cartan import (CartanData, WeylWord, column_index_set,
-                     coxeter_number, twist_along_word, word_length)
-from .polynomials import (Poly, RatFun, off_pole, q_shift,
+                     twist_along_word, word_length)
+from .polynomials import (Poly, RatFun, is_exact, off_pole, q_shift,
                           solve_poly_q_difference)
 from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
                  QQSolution, cartan_connection)
@@ -199,19 +199,16 @@ def _coroot_diag(n: int, i: int, f: RatFun) -> RatMatrix:
     return RatMatrix(rows)
 
 
+def _twist_diagonal(inst: QQInstance) -> list:
+    """Z's diagonal (1/z1, z1/z2, ..., zr), exact when the zetas are."""
+    zs = [1] + inst.zetas() + [1]
+    return [Fraction(num) / Fraction(den) if is_exact(num) and is_exact(den)
+            else complex(num) / complex(den) for num, den in zip(zs, zs[1:])]
+
+
 def twist_matrix(inst: QQInstance) -> RatMatrix:
     """Z = prod_i zeta_i^{-alpha_i^vee} = diag(1/z1, z1/z2, ..., zr)."""
-    zs = inst.zetas()
-    n = inst.rank + 1
-    diag = []
-    for k in range(n):
-        num = zs[k - 1] if k >= 1 else 1
-        den = zs[k] if k < inst.rank else 1
-        if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
-            diag.append(Fraction(num) / Fraction(den))
-        else:
-            diag.append(complex(num) / complex(den))
-    return RatMatrix.diagonal(diag)
+    return RatMatrix.diagonal(_twist_diagonal(inst))
 
 
 def s_lambda_inverse(inst: QQInstance) -> RatMatrix:
@@ -238,23 +235,13 @@ def _panel(count: int, seed: int = 11, radius: float = 1.17) -> np.ndarray:
     return radius * np.exp(2j * np.pi * rng.random(count))
 
 
-def _transport_data(inst: QQInstance, R: RatMatrix):
-    """Targets and scalars of S_k(z) e_1 for k = 1..r.
-
-    R is a monomial matrix, so S_k e_1 has a single nonzero entry; returns
-    a list of (target_index, scalar RatFun) in k order.
-    """
-    n = inst.rank + 1
-    out = []
-    S = RatMatrix.identity(n)
-    for k in range(1, n):
-        S = S @ R.shift(inst.q ** (k - 1)) if k > 1 else R
-        col = [S.entries[i][0] for i in range(n)]
-        nz = [i for i, e in enumerate(col) if not e.is_zero()]
-        if len(nz) != 1:
-            raise AssertionError("transport image must be a single basis vector")
-        out.append((nz[0], col[nz[0]]))
-    return out
+def lift_products(R: RatMatrix, q) -> tuple:
+    """The transports S_0, ..., S_{n-1} of the staggered lift R:
+    S_k(z) = R(z) R(qz) ... R(q^{k-1} z), with S_0 the identity."""
+    S = [RatMatrix.identity(R.n)]
+    for k in range(1, R.n):
+        S.append(S[-1] @ R.shift(q ** (k - 1)))
+    return tuple(S)
 
 
 # -- the Miura trivializer ---------------------------------------------
@@ -379,40 +366,40 @@ def wronskian_first_column(inst: QQInstance, sol: QQSolution,
     return col
 
 
-def build_wronskian(inst: QQInstance, source, R: Optional[RatMatrix] = None,
+def build_wronskian(inst: QQInstance, source, S: Optional[tuple] = None,
                     v: Optional[RatMatrix] = None) -> RatMatrix:
     """Generalized q-Wronskian of a solved instance (type A).
 
     ``source`` is a QQSolution or a FullQQSystem (its base solution is
-    used).  The first column holds the orbit polynomials; column targets
-    and scalars for the remaining columns come from the transports
-    S_k(z) e_1 of the staggered lift, column tgt(k) being
+    used).  The first column holds the orbit polynomials.  R is a
+    monomial matrix, so the first column of each transport S_k has one
+    nonzero entry gamma_k, in row tgt(k); column tgt(k) of W is
 
         col_tgt(z) = Z^{-k} col_1(q^k z) / gamma_k(z).
 
     For the standard ordering gamma_k = (-1)^k prod_{j<=k} Lambda_j(q^{k-1} z)
     (a closed form the test suite checks).  The matrix is unimodular
-    whenever the input solves the QQ-system.  ``R`` (the staggered lift)
-    and ``v`` (the trivializer) are built here when not given.
+    whenever the input solves the QQ-system.  ``S`` (lift_products of the
+    staggered lift) and ``v`` (the trivializer) are built here when not
+    given.
     """
     sol = source.base if isinstance(source, FullQQSystem) else source
     if not inst.cartan.is_type_a:
         raise DegenerateInstance("build_wronskian requires type A")
     n = inst.rank + 1
-    qc = inst.q
     col1 = wronskian_first_column(inst, sol, v)
-    if R is None:
-        R = s_lambda_inverse(inst)
-    transports = _transport_data(inst, R)
-    zs = inst.zetas()
-    zdiag = [1 / complex(zs[0])] + [complex(zs[k - 1]) / complex(zs[k])
-                                    for k in range(1, inst.rank)] + [complex(zs[-1])]
+    if S is None:
+        S = lift_products(s_lambda_inverse(inst), inst.q)
+    Z = _twist_diagonal(inst)
 
     cols: dict[int, list[RatFun]] = {0: [RatFun(p) for p in col1]}
-    for k, (tgt, gamma) in enumerate(transports, start=1):
-        shifted = [RatFun(q_shift(p, qc**k)) for p in col1]
-        ginv = gamma.inv()
-        cols[tgt] = [shifted[i] * (zdiag[i] ** (-k)) * ginv for i in range(n)]
+    for k in range(1, n):
+        nz = [i for i in range(n) if not S[k].entries[i][0].is_zero()]
+        if len(nz) != 1:
+            raise AssertionError("transport image must be a single basis vector")
+        shifted = [RatFun(q_shift(p, inst.q**k)) for p in col1]
+        ginv = S[k].entries[nz[0]][0].inv()
+        cols[nz[0]] = [shifted[i] * (Z[i] ** (-k)) * ginv for i in range(n)]
 
     if len(cols) != n:
         raise AssertionError("transports failed to fill every column")
@@ -421,35 +408,29 @@ def build_wronskian(inst: QQInstance, source, R: Optional[RatMatrix] = None,
 
 @dataclass(frozen=True, eq=False)
 class TypeABundle:
-    """R (staggered lift), the Miura pair (A, v), Z and W of one solved
-    type-A instance ``inst``, each built once.
+    """A solved type-A instance with everything the float checks read:
+    the staggered lift R, its transports S = lift_products(R, q), the
+    Miura pair (A, v), Z and W, each built once.
 
     ``v`` is None only at rank one when the trivializer has no solution:
     W does not need it there, and miura_from_wronskian raises the refusal.
-    ``minor_panel`` is (W(x), W(qx), wedges) over the points x of the
-    shifted-minor sample panel: two read-only stacks of shape (P, n, n),
-    and for each node i the wedge that R(x)'s i-th compound sends the top
-    wedge to (see check_shifted_minor_relation).
     """
 
     inst: QQInstance
+    sol: QQSolution
     R: RatMatrix
+    S: tuple
     A: RatMatrix
     v: Optional[RatMatrix]
     Z: RatMatrix
     W: RatMatrix
-    minor_panel: tuple
-
-    def require(self, inst: QQInstance, W: Optional[RatMatrix] = None):
-        """Refuse a bundle built for another instance or Wronskian."""
-        if inst is not self.inst or (W is not None and W is not self.W):
-            raise ValueError("the bundle was built for a different instance")
 
 
 def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
-    """Build R, A, v (fed by that A), Z and W (fed by v and R) once, and
-    evaluate W and R on the shifted-minor panel."""
+    """Build R, S (from R), A, v (fed by that A), Z and W (fed by v and S)
+    once."""
     R = s_lambda_inverse(inst)
+    S = lift_products(R, inst.q)
     A = build_miura_A(inst, sol)
     try:
         v = miura_trivializer(inst, sol, A=A)
@@ -457,10 +438,8 @@ def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
         if inst.rank > 1:
             raise
         v = None
-    W = build_wronskian(inst, sol, R=R, v=v)
-    minor_panel = _minor_panel(W, R, complex(inst.q), _panel(5, seed=31),
-                               range(1, inst.rank + 1))
-    return TypeABundle(inst, R, A, v, twist_matrix(inst), W, minor_panel)
+    W = build_wronskian(inst, sol, S=S, v=v)
+    return TypeABundle(inst, sol, R, S, A, v, twist_matrix(inst), W)
 
 
 # -- minors and identities ---------------------------------------------
@@ -609,34 +588,26 @@ def lewis_carroll_residual(M: RatMatrix, i: int,
     return worst
 
 
-def check_wronskian_equations(W: RatMatrix, inst: QQInstance,
-                              points: Optional[Sequence[complex]] = None,
-                              bundle: Optional[TypeABundle] = None) -> CheckReport:
+def check_wronskian_equations(b: TypeABundle,
+                              points: Optional[Sequence[complex]] = None
+                              ) -> CheckReport:
     """Residuals of the transport equations for k = 0..h-1.
 
     Checks W(q^k z) nu_i = Z^k W(z) S_k(z) nu_i on a sample panel, with
-    the i-th fundamental vector realized through i-th compound matrices.
-    The pair (i, k) participates while the transported wedge stays inside
-    the coordinate window, i + k <= h; the k = 0 equations are trivial.
-    A sample point on a pole is nudged by off_pole; a point that stays on
-    one is a failed check with a witness.  R and Z come from ``bundle``
-    when given.
+    the i-th fundamental vector realized through i-th compound matrices
+    and W, Z and the transports S_k read from the bundle.  The pair
+    (i, k) participates while the transported wedge stays inside the
+    coordinate window, i + k <= h; the k = 0 equations are trivial.  A
+    sample point on a pole is nudged by off_pole; a point that stays on
+    one is a failed check with a witness.
     """
-    h = coxeter_number(inst.cartan)
-    n = inst.rank + 1
-    if bundle is not None:
-        bundle.require(inst, W)
-        R, Zm = bundle.R, bundle.Z
-    else:
-        R, Zm = s_lambda_inverse(inst), twist_matrix(inst)
+    inst, W, Zm = b.inst, b.W, b.Z
+    h = n = len(b.S)  # the Coxeter number of A_r is r + 1
     rep = CheckReport("wronskian-equations", True)
     panel = list(points) if points is not None else list(_panel(5, seed=23))
     qc = complex(inst.q)
 
-    Sk = RatMatrix.identity(n)
-    for k in range(h):
-        if k:
-            Sk = Sk @ R.shift(qc**(k - 1))
+    for k, Sk in enumerate(b.S):
         worst = {i: 0.0 for i in range(1, inst.rank + 1) if i + k <= h}
 
         def sides(x):
@@ -685,20 +656,12 @@ def _wedge_image(Rm: np.ndarray, i: int):
     return list(itertools.combinations(range(Rm.shape[-1]), i))[nz[0]], img[:, nz[0]]
 
 
-def _minor_panel(W: RatMatrix, R: RatMatrix, q: complex, panel, nodes):
-    """(W(x), W(qx), wedges) stacked over the panel; wedges holds the
-    _wedge_image of R for each node.  The stacks are read-only."""
-    Wm, Wq = _evaluate(W, panel), _evaluate(W, [q * x for x in panel])
-    Wm.flags.writeable = Wq.flags.writeable = False
-    Rm = _evaluate(R, panel)
-    return Wm, Wq, tuple(_wedge_image(Rm, i) for i in nodes)
-
-
-def check_shifted_minor_relation(W: RatMatrix, inst: QQInstance, w: WeylWord,
-                                 i: int,
-                                 points: Optional[Sequence[complex]] = None,
-                                 bundle: Optional[TypeABundle] = None) -> float:
-    """Residual of the one-step minor shift relation for (w, i).
+def check_shifted_minor_relation(b: TypeABundle, i: int,
+                                 words: Sequence[WeylWord],
+                                 points: Optional[Sequence[complex]] = None
+                                 ) -> list[float]:
+    """Residuals of the one-step minor shift relation at node i, one per
+    word w of ``words``:
 
     Delta_{w om_i, c om_i}(W(z)) =
         (-1)^i [prod_j zeta_j^{<coroot_j, w om_i>}] F_i(z)
@@ -706,40 +669,37 @@ def check_shifted_minor_relation(W: RatMatrix, inst: QQInstance, w: WeylWord,
 
     where the shifted column set and the factor F_i(z)^{-1} = L_i(z) are
     read off the i-th compound of the staggered lift; for the standard
-    ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  Returns the
-    sup-norm residual over the sample panel.  With ``bundle`` and the
-    default panel, W(x), W(qx) and R's compound come from the bundle's
-    minor_panel, so a sweep over (w, i) evaluates them once per point.
-    Each side's minors over the whole panel come from one det.
+    ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  Each residual is
+    the sup-norm over the sample panel.  W(x), W(qx) and R's compound are
+    evaluated once per call, and each side's minors for every word and
+    point come from one det.
     """
-    if bundle is not None:
-        bundle.require(inst, W)
-    if bundle is not None and points is None:
-        Wm, Wq, wedges = bundle.minor_panel
-        tgt_cols, scalars = wedges[i - 1]
-    else:
-        R = bundle.R if bundle is not None else s_lambda_inverse(inst)
-        panel = points if points is not None else _panel(5, seed=31)
-        Wm, Wq, ((tgt_cols, scalars),) = _minor_panel(W, R, complex(inst.q),
-                                                      panel, [i])
-    rows = _index_rows(w, i, inst.cartan)
+    inst = b.inst
+    panel = points if points is not None else _panel(5, seed=31)
+    Wm = _evaluate(b.W, panel)
+    Wq = _evaluate(b.W, [complex(inst.q) * x for x in panel])
+    tgt_cols, scalars = _wedge_image(_evaluate(b.R, panel), i)
+    rows = [_index_rows(w, i, inst.cartan) for w in words]
+    lhs = _minor(Wm, rows, tgt_cols)  # (points, words)
+    shifted = _minor(Wq, rows, range(i))
     zs = inst.zetas()
 
-    # weight of the row set: <coroot_j, w om_i> = [j in S] - [j+1 in S]
-    weight = 1.0 + 0.0j
-    rowset = {r + 1 for r in rows}
-    for j in range(1, inst.rank + 1):
-        e = (1 if j in rowset else 0) - (1 if j + 1 in rowset else 0)
-        if e:
-            weight *= complex(zs[j - 1]) ** e
-
-    worst = 0.0
-    for lhs, shifted, scalar in zip(_minor(Wm, rows, tgt_cols),
-                                    _minor(Wq, rows, range(i)), scalars):
-        rhs = weight * shifted / scalar
-        scalef = 1.0 + max(abs(lhs), abs(rhs))
-        worst = max(worst, abs(lhs - rhs) / scalef)
-    return worst
+    out = []
+    for k, rs in enumerate(rows):
+        # weight of the row set: <coroot_j, w om_i> = [j in rs] - [j+1 in rs]
+        weight = 1.0 + 0.0j
+        rowset = {r + 1 for r in rs}
+        for j in range(1, inst.rank + 1):
+            e = (1 if j in rowset else 0) - (1 if j + 1 in rowset else 0)
+            if e:
+                weight *= complex(zs[j - 1]) ** e
+        worst = 0.0
+        for left, right, scalar in zip(lhs[:, k], shifted[:, k], scalars):
+            rhs = weight * right / scalar
+            scalef = 1.0 + max(abs(left), abs(rhs))
+            worst = max(worst, abs(left - rhs) / scalef)
+        out.append(float(worst))
+    return out
 
 
 def gauss_decompose(M: RatMatrix):
@@ -774,9 +734,9 @@ def gauss_decompose(M: RatMatrix):
             RatMatrix(upper))
 
 
-def miura_from_wronskian(W: RatMatrix, inst: QQInstance, sol: QQSolution,
-                         points: Optional[Sequence[complex]] = None,
-                         bundle: Optional[TypeABundle] = None) -> CheckReport:
+def miura_from_wronskian(b: TypeABundle,
+                         points: Optional[Sequence[complex]] = None
+                         ) -> CheckReport:
     """Reconstruct the Miura connection from Wronskian data and verify it.
 
     Requires gauss_decompose to succeed on W (the nondegeneracy gate).
@@ -784,21 +744,16 @@ def miura_from_wronskian(W: RatMatrix, inst: QQInstance, sol: QQSolution,
     trivializer determined by the Wronskian's first column, solved at
     each sample point; it is checked to (a) be lower triangular of Miura
     shape, (b) carry the Cartan connection zeta_i Q+_i(qz)/Q+_i(z) on its
-    diagonal ratios, and (c) agree entrywise with build_miura_A on the
-    sample panel.  A sample point on a pole (a root of some Q+_i) is
-    nudged by off_pole; a point that stays on one is a failed check with
-    a witness.  v, Z and build_miura_A come from ``bundle`` when given.
+    diagonal ratios, and (c) agree entrywise with the bundle's product
+    connection A on the sample panel.  W, v and Z come from the bundle;
+    without a trivializer (rank one) the trivializer's refusal is raised.
+    A sample point on a pole (a root of some Q+_i) is nudged by off_pole;
+    a point that stays on one is a failed check with a witness.
     """
+    inst, sol, W, target, Zm = b.inst, b.sol, b.W, b.A, b.Z
     gauss_decompose(W)  # the iff gate; raises on vanishing principal minors
     rep = CheckReport("miura-reconstruction", True)
-    if bundle is not None:
-        bundle.require(inst, W)
-    if bundle is not None and bundle.v is not None:
-        target, v, Zm = bundle.A, bundle.v, bundle.Z
-    else:
-        target = build_miura_A(inst, sol)
-        v = miura_trivializer(inst, sol, A=target)
-        Zm = twist_matrix(inst)
+    v = b.v if b.v is not None else miura_trivializer(inst, sol, A=target)
     qc = complex(inst.q)
     Zv = Zm.eval(0.0)  # Z is constant
 
@@ -821,8 +776,8 @@ def miura_from_wronskian(W: RatMatrix, inst: QQInstance, sol: QQSolution,
             rep.add("sample point off the poles", False, value=float("inf"),
                     witness=f"{x0} after 4 nudges: {err}")
             continue
-        for a, b in zip(first_w, vx[:, 0]):
-            col_err = max(col_err, abs(complex(a(x)) - b) / (1 + abs(b)))
+        for w, c in zip(first_w, vx[:, 0]):
+            col_err = max(col_err, abs(complex(w(x)) - c) / (1 + abs(c)))
         tri_err = max(tri_err, np.abs(np.triu(Am, 1)).max() /
                       (1 + np.abs(Am).max()))
         for k, wk in enumerate(want):
@@ -835,24 +790,21 @@ def miura_from_wronskian(W: RatMatrix, inst: QQInstance, sol: QQSolution,
     return rep
 
 
-def miura_plucker_blocks(A: RatMatrix, v: RatMatrix, inst: QQInstance, i: int,
-                         points: Optional[Sequence[complex]] = None,
-                         bundle: Optional[TypeABundle] = None) -> CheckReport:
+def miura_plucker_blocks(b: TypeABundle, i: int,
+                         points: Optional[Sequence[complex]] = None
+                         ) -> CheckReport:
     """Rank-two block check in the i-th fundamental realization.
 
     The representation with lowest weight -omega_i is the (r+1-i)-th
     exterior power of the defining one; the invariant plane is spanned by
     the lowest wedge u1 = e_{i+1} ^ ... ^ e_{r+1} and u2 = e_i . u1.  The
-    2x2 blocks of the compound matrices must satisfy
-    A_i(z) = vt_i(qz) Z_i vt_i(z)^{-1} where vt = v^{-1}.  Z comes from
-    ``bundle`` when given.
+    2x2 blocks of the compound matrices of the bundle's A, v and Z must
+    satisfy A_i(z) = vt_i(qz) Z_i vt_i(z)^{-1} where vt = v^{-1}.
     """
-    n = inst.rank + 1
+    A, v, Zm = b.A, b.v, b.Z
+    n = b.inst.rank + 1
     plane = (tuple(range(i, n)), tuple(sorted([i - 1] + list(range(i + 1, n)))))
-    qc = complex(inst.q)
-    if bundle is not None:
-        bundle.require(inst)
-    Zm = bundle.Z if bundle is not None else twist_matrix(inst)
+    qc = complex(b.inst.q)
     panel = list(points) if points is not None else list(_panel(5, seed=57))
     rep = CheckReport(f"miura-plucker block i={i}", True)
 

@@ -9,18 +9,19 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qoper import (QQInstance, QQSolution, RatMatrix, TwistZ, WeylWord,
-                   apply_word, backlund_step, bethe_residual, build_miura_A,
+                   apply_word, backlund_step, bethe_residual,
                    build_wronskian, cartan_matrix,
                    check_lewis_carroll, check_wronskian_equations,
                    enumerate_weyl, gauss_decompose,
                    miura_from_wronskian, miura_plucker_blocks,
-                   miura_trivializer, qq_residual, solve_bethe)
+                   qq_residual, solve_bethe, type_a_bundle)
 from qoper.cartan import column_index_set, word_length
 from qoper.polynomials import Poly, RatFun
 from qoper.qq import DegenerateInstance
@@ -120,9 +121,7 @@ def test_03_sl2_unimodular(a1_closed):
 
 def test_04_sl3_wronskian_equations(a2_solved):
     t0 = time.time()
-    inst, sol = a2_solved
-    W = build_wronskian(inst, sol)
-    rep = check_wronskian_equations(W, inst)
+    rep = check_wronskian_equations(type_a_bundle(*a2_solved))
     assert rep.passed
     ks = sorted({it["label"].split()[0] for it in rep.items})
     assert ks == ["k=0", "k=1", "k=2"]
@@ -252,8 +251,7 @@ def test_07_backlund_involution_and_w0(a2_solved):
 def test_08_miura_reconstruction(a1_closed, a2_solved):
     t0 = time.time()
     for inst, sol in (a1_closed, a2_solved):
-        W = build_wronskian(inst, sol)
-        rep = miura_from_wronskian(W, inst, sol, points=PANEL20)
+        rep = miura_from_wronskian(type_a_bundle(inst, sol), points=PANEL20)
         assert rep.passed
         value = {it["label"]: it["value"] for it in rep.items}
         assert value["matches the product construction"] <= 1e-8
@@ -288,17 +286,15 @@ def test_09_gauss_iff():
 
 def test_10_plucker_blocks(a2_solved):
     t0 = time.time()
-    inst, sol = a2_solved
-    v = miura_trivializer(inst, sol)
-    A = build_miura_A(inst, sol)
+    b = type_a_bundle(*a2_solved)
     for i in (1, 2):
-        rep = miura_plucker_blocks(A, v, inst, i)
+        rep = miura_plucker_blocks(b, i)
         assert rep.passed and rep.items[0]["value"] <= 1e-8
     rng = np.random.default_rng(31)
     bad = RatMatrix([[RatFun(Poly(rng.standard_normal(2)))
                       if i >= j else RatFun.zero()
                       for j in range(3)] for i in range(3)])
-    rep = miura_plucker_blocks(bad, v, inst, 1)
+    rep = miura_plucker_blocks(replace(b, A=bad), 1)
     assert not rep.passed and rep.items[0]["value"] > 1e-3
     report(10, "rank-two block twist identity holds, control fails",
            time.time() - t0, 5.0)

@@ -143,6 +143,33 @@ class TestInstanceTolerances:
                  "--full-table"], tmp_path)
         assert seen == [5, 5]
 
+    def test_k_judges_every_nondegenerate_verdict(self, tmp_path, monkeypatch):
+        # zeta^2 = q^7 (q = 1/3) resonates outside the default window 3 but
+        # inside K = 7: the solution entries and the check must both refuse
+        import qoper.cli as cli
+        from qoper import nondegenerate
+        doc = json.loads(A1.read_text())
+        doc["zetas"] = [[3.0 ** -3.5, 0.0]]
+        doc["tolerances"]["K"] = 7
+        f = tmp_path / "k.json"
+        f.write_text(json.dumps(doc))
+        _, text = run_cli(["solve", "--instance", str(f)], tmp_path)
+        sols = json.loads(text)["solutions"]
+        assert len(sols) == 1 and sols[0]["nondegenerate"] is False
+        doc["solution"] = {"qplus": sols[0]["qplus"], "qminus": sols[0]["qminus"]}
+        inst, sol, _ = parse_instance(doc)
+        assert nondegenerate(inst, sol).passed  # the default window misses it
+        f.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(cli, "nondegenerate",
+                            lambda *a: calls.append(a) or nondegenerate(*a))
+        _, text = run_cli(["verify", "--instance", str(f)], tmp_path)
+        rep = json.loads(text)
+        assert rep["solutions"][0]["nondegenerate"] is False
+        assert [c["pass"] for c in rep["checks"]
+                if c["check"] == "nondegenerate"] == [False]
+        assert len(calls) == 1 and calls[0][2] == 7
+
 
 class TestSolve:
     def test_a1_root(self, tmp_path):
@@ -247,15 +274,17 @@ class TestVerify:
     def test_builds_each_type_a_object_once(self, tmp_path, monkeypatch):
         import qoper.wronskian as wr
         counts = {}
-        for name in ("s_lambda_inverse", "miura_trivializer", "build_miura_A"):
+        for name in ("s_lambda_inverse", "lift_products", "miura_trivializer",
+                     "build_miura_A", "build_wronskian"):
             def counted(*args, _fn=getattr(wr, name), _name=name, **kw):
                 counts[_name] = counts.get(_name, 0) + 1
                 return _fn(*args, **kw)
             monkeypatch.setattr(wr, name, counted)
         code, _ = run_cli(["verify", "--instance", str(A2_SOLVED)], tmp_path)
         assert code == 0
-        assert counts == {"s_lambda_inverse": 1, "miura_trivializer": 1,
-                          "build_miura_A": 1}
+        assert counts == {"s_lambda_inverse": 1, "lift_products": 1,
+                          "miura_trivializer": 1, "build_miura_A": 1,
+                          "build_wronskian": 1}
 
     def test_rank_one_trivializer_refusal_reported(self, tmp_path):
         from qoper import solve_bethe

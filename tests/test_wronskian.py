@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qoper import (DegenerateInstance, MinorSpec, QQInstance, QQSolution,
                    s_lambda_inverse, solve_bethe, type_a_bundle, weyl_twist)
 from qoper.polynomials import Poly, RatFun, q_shift
 from qoper.wronskian import (_coroot_diag, _index_rows, _lift_matrix, _minor,
-                             _panel, _transport_data, lewis_carroll_residual,
+                             _panel, lewis_carroll_residual, lift_products,
                              twist_matrix)
 
 PANEL = [0.77 + 0.31j, -1.1 + 0.6j, 2.2 - 0.3j, 0.4 + 1.3j, -0.6 - 0.9j]
@@ -165,16 +166,37 @@ class TestSLambdaInverse:
                         1e-10 * (1 + np.abs(want).max()), ordering
 
     def test_column_scalars_closed_form(self):
-        # standard ordering: gamma_k = (-1)^k prod_{j<=k} Lambda_j(q^{k-1} z)
+        # standard ordering: gamma_k = (-1)^k prod_{j<=k} Lambda_j(q^{k-1} z),
+        # the one nonzero entry of S_k's first column
         for rank in (1, 2, 3):
             inst = unsolved(rank)
-            transports = _transport_data(inst, s_lambda_inverse(inst))
-            for k, (_, gamma) in enumerate(transports, start=1):
+            S = lift_products(s_lambda_inverse(inst), inst.q)
+            for k in range(1, rank + 1):
+                col = [e for e in S[k].column(0) if not e.is_zero()]
+                assert len(col) == 1, (rank, k)
+                gamma = col[0]
                 closed = Poly([(-1) ** k])
                 for j in range(1, k + 1):
                     closed = closed * q_shift(inst.lambdas[j - 1],
                                               inst.q ** (k - 1))
                 assert (gamma - RatFun(closed)).is_zero(1e-8), (rank, k)
+
+    def test_lift_products_match_numeric_products(self):
+        # S_k(x) = R(x) R(qx) ... R(q^{k-1} x) for every ordering
+        for rank in (2, 3):
+            for ordering in itertools.permutations(range(1, rank + 1)):
+                inst = unsolved(rank, ordering)
+                R = s_lambda_inverse(inst)
+                S = lift_products(R, inst.q)
+                assert len(S) == rank + 1
+                qc = complex(inst.q)
+                for x in PANEL:
+                    want = np.eye(rank + 1, dtype=complex)
+                    for k, Sk in enumerate(S):
+                        got = Sk.eval(x)
+                        assert np.abs(got - want).max() <= \
+                            1e-10 * (1 + np.abs(want).max()), (ordering, k)
+                        want = want @ R.eval(qc ** k * x)
 
 
 class TestBuildWronskian:
@@ -272,38 +294,33 @@ class TestGeneralizedMinor:
 
 class TestWronskianEquations:
     def test_sl2(self):
-        inst, sol = a1_solved()
-        W = build_wronskian(inst, sol)
-        rep = check_wronskian_equations(W, inst)
+        rep = check_wronskian_equations(type_a_bundle(*a1_solved()))
         assert rep.passed
         labels = [it["label"] for it in rep.items]
         assert "k=0 i=1" in labels and "k=1 i=1" in labels
 
     def test_sl3_all_windowed(self):
-        inst, sol = a2_solved()
-        W = build_wronskian(inst, sol)
-        rep = check_wronskian_equations(W, inst)
+        rep = check_wronskian_equations(type_a_bundle(*a2_solved()))
         assert rep.passed
         ks = {it["label"].split()[0] for it in rep.items}
         assert ks == {"k=0", "k=1", "k=2"}
         assert all(it["value"] <= 1e-8 for it in rep.items)
 
     def test_negative_control(self):
-        inst, sol = a2_solved()
+        b = type_a_bundle(*a2_solved())
         rng = np.random.default_rng(8)
         M = RatMatrix([[RatFun(Poly(rng.standard_normal(2)))
                         for _ in range(3)] for _ in range(3)])
-        rep = check_wronskian_equations(M, inst)
+        rep = check_wronskian_equations(replace(b, W=M))
         assert not rep.passed
 
     def test_point_left_on_a_pole_is_a_failed_check(self, monkeypatch):
         def on_a_pole(*args, **kw):
             raise ZeroDivisionError("zero denominator")
 
-        inst, sol = a2_solved()
-        W = build_wronskian(inst, sol)
+        b = type_a_bundle(*a2_solved())
         monkeypatch.setattr(np.linalg, "matrix_power", on_a_pole)
-        rep = check_wronskian_equations(W, inst, points=PANEL[:2])
+        rep = check_wronskian_equations(b, points=PANEL[:2])
         assert not rep.passed
         bad = [it for it in rep.items if not it["pass"]]
         # h = 3 for A2: every k = 0, 1, 2 loses both points
@@ -317,16 +334,19 @@ class TestWronskianEquations:
 class TestShiftedMinorRelation:
     def test_sl2_both_rows(self):
         inst, sol = a1_solved()
-        W = build_wronskian(inst, sol)
-        for w in enumerate_weyl(inst.cartan):
-            assert check_shifted_minor_relation(W, inst, w, 1) <= 1e-9
+        words = enumerate_weyl(inst.cartan)
+        got = check_shifted_minor_relation(type_a_bundle(inst, sol), 1, words)
+        assert len(got) == len(words) == 2
+        assert max(got) <= 1e-9
 
     def test_sl3_full_orbit(self):
         inst, sol = a2_solved()
-        W = build_wronskian(inst, sol)
-        for w in enumerate_weyl(inst.cartan):
-            for i in (1, 2):
-                assert check_shifted_minor_relation(W, inst, w, i) <= 1e-8
+        b = type_a_bundle(inst, sol)
+        words = enumerate_weyl(inst.cartan)
+        for i in (1, 2):
+            got = check_shifted_minor_relation(b, i, words)
+            assert len(got) == len(words) == 6
+            assert max(got) <= 1e-8
 
 
 class TestFundamentalRelation:
@@ -477,15 +497,11 @@ class TestMiura:
             assert np.abs(A.eval(x) - want).max() < 1e-12 * (1 + abs(x))
 
     def test_reconstruction_sl2(self):
-        inst, sol = a1_solved()
-        W = build_wronskian(inst, sol)
-        rep = miura_from_wronskian(W, inst, sol)
+        rep = miura_from_wronskian(type_a_bundle(*a1_solved()))
         assert rep.passed
 
     def test_reconstruction_sl3(self):
-        inst, sol = a2_solved()
-        W = build_wronskian(inst, sol)
-        rep = miura_from_wronskian(W, inst, sol)
+        rep = miura_from_wronskian(type_a_bundle(*a2_solved()))
         assert rep.passed
         for it in rep.items:
             assert it["value"] is None or it["value"] <= 1e-8
@@ -504,27 +520,21 @@ class TestMiura:
 
 class TestPluckerBlocks:
     def test_sl2_defining(self):
-        inst, sol = a1_solved()
-        v = miura_trivializer(inst, sol)
-        A = build_miura_A(inst, sol)
-        rep = miura_plucker_blocks(A, v, inst, 1)
+        rep = miura_plucker_blocks(type_a_bundle(*a1_solved()), 1)
         assert rep.passed
 
     def test_sl3_both(self):
-        inst, sol = a2_solved()
-        v = miura_trivializer(inst, sol)
-        A = build_miura_A(inst, sol)
+        b = type_a_bundle(*a2_solved())
         for i in (1, 2):
-            assert miura_plucker_blocks(A, v, inst, i).passed
+            assert miura_plucker_blocks(b, i).passed
 
     def test_negative_control(self):
-        inst, sol = a2_solved()
-        v = miura_trivializer(inst, sol)
+        b = type_a_bundle(*a2_solved())
         rng = np.random.default_rng(12)
         bad = RatMatrix([[RatFun(Poly(rng.standard_normal(2)))
                           if i >= j else RatFun.zero()
                           for j in range(3)] for i in range(3)])
-        rep = miura_plucker_blocks(bad, v, inst, 1)
+        rep = miura_plucker_blocks(replace(b, A=bad), 1)
         assert not rep.passed
         assert rep.items[0]["value"] > 1e-3
 
@@ -547,7 +557,8 @@ class TestWeylTwist:
             m, m2 = W.eval(x), W2.eval(x)
             assert np.abs(m2[0] + m[1]).max() < 1e-10
             assert np.abs(m2[1] - m[0]).max() < 1e-10
-        rep = check_wronskian_equations(W2, inst.with_twist(tw))
+        b = type_a_bundle(inst.with_twist(tw), sol)
+        rep = check_wronskian_equations(replace(b, W=W2))
         assert rep.passed
 
     def test_double_twist_sign(self):
@@ -571,47 +582,8 @@ class TestTypeABundle:
             assert np.array_equal(b.v.eval(x), v.eval(x))
             assert np.array_equal(b.A.eval(x), build_miura_A(inst, sol).eval(x))
             assert np.array_equal(b.R.eval(x), s_lambda_inverse(inst).eval(x))
-
-    def test_a3_checks_bit_identical_with_bundle(self):
-        inst, sol = a3_solved()
-        b = type_a_bundle(inst, sol)
-        W = b.W
-        for i in (1, 2, 3):
-            for w in enumerate_weyl(inst.cartan):
-                assert check_shifted_minor_relation(W, inst, w, i, bundle=b) \
-                    == check_shifted_minor_relation(W, inst, w, i), (w.letters, i)
-        assert check_wronskian_equations(W, inst, bundle=b).items \
-            == check_wronskian_equations(W, inst).items
-        assert miura_from_wronskian(W, inst, sol, bundle=b).items \
-            == miura_from_wronskian(W, inst, sol).items
-        for i in (1, 2, 3):
-            assert miura_plucker_blocks(b.A, b.v, inst, i, bundle=b).items \
-                == miura_plucker_blocks(build_miura_A(inst, sol),
-                                        miura_trivializer(inst, sol),
-                                        inst, i).items
-
-    def test_minor_panel_is_read_only(self):
-        inst, sol = a2_solved()
-        b = type_a_bundle(inst, sol)
-        Wm, Wq, wedges = b.minor_panel
-        n = inst.rank + 1
-        assert Wm.shape == Wq.shape == (5, n, n) and len(wedges) == inst.rank
-        assert all(scalars.shape == (5,) for _, scalars in wedges)
-        for m in (Wm, Wq):
-            with pytest.raises(ValueError):
-                m[0, 0] = 0
-
-    def test_refuses_another_instance(self):
-        inst, sol = a2_solved()
-        other, other_sol = a2_solved(zetas=(2.0, 5.0))
-        b = type_a_bundle(inst, sol)
-        W = build_wronskian(other, other_sol)
-        with pytest.raises(ValueError, match="different instance"):
-            check_shifted_minor_relation(W, other, WeylWord((1,)), 1, bundle=b)
-        with pytest.raises(ValueError, match="different instance"):
-            check_wronskian_equations(W, inst, bundle=b)
-        with pytest.raises(ValueError, match="different instance"):
-            miura_plucker_blocks(b.A, b.v, other, 1, bundle=b)
+            for Sk, want in zip(b.S, lift_products(b.R, inst.q)):
+                assert np.array_equal(Sk.eval(x), want.eval(x))
 
     def test_rank_one_trivializer_refusal_deferred(self):
         # W needs no trivializer at rank one: the refusal surfaces in the
@@ -621,7 +593,7 @@ class TestTypeABundle:
         b = type_a_bundle(inst, bad)
         assert b.v is None
         with pytest.raises(DegenerateInstance, match="trivializer"):
-            miura_from_wronskian(b.W, inst, bad, bundle=b)
+            miura_from_wronskian(b)
 
 
 def minor_at(Mv, rows, cols):
@@ -708,18 +680,20 @@ class TestPanelMinors:
     def test_shifted_minor_relation(self):
         inst, sol = a3_solved()
         b = type_a_bundle(inst, sol)
+        words = enumerate_weyl(inst.cartan)
         for i in (1, 2, 3):
-            for w in enumerate_weyl(inst.cartan):
-                want = shifted_minor_per_point(b.W, inst, w, i, _panel(5, seed=31))
-                assert check_shifted_minor_relation(b.W, inst, w, i, bundle=b) == want
-                assert check_shifted_minor_relation(b.W, inst, w, i, points=PANEL) \
-                    == shifted_minor_per_point(b.W, inst, w, i, PANEL)
+            for panel, got in ((_panel(5, seed=31),
+                                check_shifted_minor_relation(b, i, words)),
+                               (PANEL, check_shifted_minor_relation(
+                                   b, i, words, points=PANEL))):
+                assert got == [shifted_minor_per_point(b.W, inst, w, i, panel)
+                               for w in words], i
 
     def test_plucker_blocks(self):
         inst, sol = a3_solved()
         b = type_a_bundle(inst, sol)
         for i in (1, 2, 3):
-            got = miura_plucker_blocks(b.A, b.v, inst, i, bundle=b).items[0]["value"]
+            got = miura_plucker_blocks(b, i).items[0]["value"]
             assert got == plucker_per_point(b.A, b.v, inst, i, _panel(5, seed=57))
 
     def test_fundamental_relation(self):
@@ -734,9 +708,9 @@ class TestPanelMinors:
 class TestMiuraPoles:
     def test_root_of_qplus_is_nudged(self):
         inst, sol = a2_solved()
-        W = build_wronskian(inst, sol)
         root = complex(poly_roots(sol.qplus[0])[0])
-        rep = miura_from_wronskian(W, inst, sol, points=[root] + PANEL[:2])
+        rep = miura_from_wronskian(type_a_bundle(inst, sol),
+                                   points=[root] + PANEL[:2])
         assert rep.passed
         assert [it["label"] for it in rep.items][0] == \
             "first column matches trivializer"
@@ -748,9 +722,7 @@ class TestMiuraPoles:
             raise ZeroDivisionError("zero denominator")
 
         monkeypatch.setattr(wr, "cartan_connection", always_on_a_pole)
-        inst, sol = a2_solved()
-        W = build_wronskian(inst, sol)
-        rep = miura_from_wronskian(W, inst, sol, points=PANEL[:2])
+        rep = miura_from_wronskian(type_a_bundle(*a2_solved()), points=PANEL[:2])
         assert not rep.passed
         bad = [it for it in rep.items if not it["pass"]]
         assert [it["label"] for it in bad] == ["sample point off the poles"] * 2
