@@ -27,15 +27,19 @@ from .cartan import TwistZ, WeylWord, cartan_matrix, enumerate_weyl
 from .polynomials import Poly, RatFun
 from .qq import (DegenerateInstance, QQInstance, QQSolution, bethe_residual,
                  nondegenerate, qq_residual, resonance_check, solve_bethe)
-from .backlund import apply_word, full_qq_system
-from .wronskian import (RatMatrix, check_lewis_carroll,
-                        check_shifted_minor_relation,
-                        check_wronskian_equations,
-                        fundamental_relation_residual, lewis_carroll_residual,
-                        miura_from_wronskian, miura_plucker_blocks,
-                        type_a_bundle)
-# re-exported: perfbench's tracer self-test wraps and restores this binding
-from .wronskian import build_wronskian  # noqa: F401
+
+# backlund and wronskian are imported inside the subcommands that run them:
+# `solve` loads neither, `identities` no backlund, B2/G2 `verify` no wronskian.
+
+
+def __getattr__(name):
+    # perfbench/selftest.py reads qoper.cli.build_wronskian to check that its
+    # tracer restores the binding; wronskian loads only when it is asked for.
+    if name == "build_wronskian":
+        from .wronskian import build_wronskian
+        return build_wronskian
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SCHEMA_VERSION = 1
 
@@ -45,6 +49,10 @@ _TOL_KEYS = {"tau", "bethe_tol", "K"}
 _LAMBDA_KEYS_C = {"coeffs"}
 _LAMBDA_KEYS_R = {"roots", "leading"}
 _SOLUTION_KEYS = {"qplus", "qminus"}
+# |log x| below which x and 1/x are both normal floats
+_LOG_NORMAL = min(math.log(sys.float_info.max), -math.log(sys.float_info.min))
+# the largest power of q an instance may call for (see _check_scale)
+_MAX_POWER = 1000
 
 
 class InputError(ValueError):
@@ -129,7 +137,13 @@ def parse_instance(doc: dict):
         if key not in doc:
             raise InputError(f"missing required key {key!r}")
 
-    cartan = cartan_matrix(doc["lie_type"], _parse_number(doc["rank"], "rank", int))
+    # the lengths bound the rank before cartan_matrix builds a rank x rank table
+    rank = _parse_number(doc["rank"], "rank", int)
+    for key in ("zetas", "lambdas", "degrees"):
+        if len(_expect(doc[key], list, key)) != rank:
+            raise InputError(f"{key}: rank {doc['rank']!r} needs one entry "
+                             f"per node, got {len(doc[key])}")
+    cartan = cartan_matrix(doc["lie_type"], rank)
     if "ordering" in doc:
         cartan = cartan.with_ordering(
             [_parse_number(x, "ordering", int)
@@ -148,8 +162,11 @@ def parse_instance(doc: dict):
     tau = _parse_number(tols.get("tau", 1e-10), "tolerances.tau")
     bethe_tol = _parse_number(tols.get("bethe_tol", 1e-10), "tolerances.bethe_tol")
     K = _parse_number(tols["K"], "tolerances.K", int) if "K" in tols else None
+    if K is not None and K < 1:
+        raise InputError(f"tolerances.K: expected a positive integer, got {K}")
 
     inst = QQInstance(cartan, q, zetas, lambdas, degrees, tau)
+    _check_scale(inst, K)
 
     solution = None
     if "solution" in doc:
@@ -166,11 +183,36 @@ def parse_instance(doc: dict):
         qplus, qminus = polys("qplus"), polys("qminus")
         if not len(qplus) == len(qminus) == inst.rank:
             raise InputError("solution: need one qplus and one qminus per node")
+        for i, (p, m) in enumerate(zip(qplus, degrees), start=1):
+            if p.degree != m:
+                raise InputError(f"solution.qplus[{i - 1}] has degree "
+                                 f"{p.degree}, but degrees gives {m}")
         solution = QQSolution(qplus, qminus)
 
-    extras = {"bethe_tol": bethe_tol, "K": K,
-              "seed": _parse_number(doc.get("seed", 0), "seed", int)}
+    seed = _parse_number(doc.get("seed", 0), "seed", int)
+    if seed < 0:
+        raise InputError(f"seed: expected a nonnegative integer, got {seed}")
+    extras = {"bethe_tol": bethe_tol, "K": K, "seed": seed}
     return inst, solution, extras
+
+
+def _check_scale(inst: QQInstance, K):
+    """Refuse an instance whose exponents or scalars leave double range.
+
+    The run forms powers q^k and zeta^k with |k| below the resonance window
+    K and below max deg Lambda + 3 sum(degrees) + 4, which bounds the degree
+    of a right side (a_ji >= -3) and the window solve_q_minus checks.  That
+    exponent is capped, since Newton's work grows with the cube of the
+    degrees, and each power must be a normal float."""
+    top = max(K or 0, max(l.degree for l in inst.lambdas)
+              + 3 * sum(inst.degrees) + 4)
+    if top > _MAX_POWER:
+        raise InputError(f"degrees and tolerances.K call for powers up to "
+                         f"q^{top}; at most q^{_MAX_POWER} is supported")
+    for where, x in [("q", inst.q)] + [("zetas", z) for z in inst.twist.zetas]:
+        if top * abs(math.log(abs(complex(x)))) > _LOG_NORMAL:
+            raise InputError(f"{where}: {complex(x)} to the power {top} "
+                             "leaves the float range")
 
 
 def echo_instance(inst: QQInstance, extras: dict, solution=None) -> dict:
@@ -288,6 +330,7 @@ def run_solve(inst, extras, args, rep: Report):
 
 
 def run_verify(inst, sol, extras, args, rep: Report):
+    from .backlund import full_qq_system
     if sol is None:
         raise InputError("verify requires a solution block in the instance file")
     entry, qqres, bres, nd = _solution_entry(inst, sol, extras["K"])
@@ -310,6 +353,11 @@ def run_verify(inst, sol, extras, args, rep: Report):
 def run_wronskian_suite(inst, sol, rep: Report):
     """The type-A battery.  R, its transports, (A, v), Z and W are built
     once, in one bundle, and every float check reads them from it."""
+    from .wronskian import (check_shifted_minor_relation,
+                            check_wronskian_equations,
+                            fundamental_relation_residual,
+                            miura_from_wronskian, miura_plucker_blocks,
+                            type_a_bundle)
     try:
         b = type_a_bundle(inst, sol)
     except DegenerateInstance as exc:
@@ -353,6 +401,7 @@ def run_wronskian_suite(inst, sol, rep: Report):
 
 
 def run_backlund(inst, sol, extras, args, rep: Report):
+    from .backlund import apply_word, full_qq_system
     if sol is None:
         raise InputError("backlund requires a solution block in the instance file")
     letters = [int(x) for x in args.word.split(",") if x.strip()]
@@ -403,6 +452,8 @@ def run_backlund(inst, sol, extras, args, rep: Report):
 
 def run_identities(args, rep: Report):
     """Universal determinant identity battery on random matrices."""
+    from .wronskian import (RatMatrix, check_lewis_carroll,
+                            lewis_carroll_residual)
     rng = np.random.default_rng(args.seed)
     worst_lc = 0.0
     exact_ok = True
@@ -428,6 +479,13 @@ def run_identities(args, rep: Report):
         rep.check("lewis-carroll", worst_lc, worst_lc <= 1e-10)
 
 
+def _seed_arg(text: str) -> int:
+    if not text.lstrip("+").isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qoper", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -439,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Bethe tolerance (default: the instance's "
                             "tolerances.bethe_tol)")
         p.add_argument("--seeds", type=int, default=40)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed_arg, default=None)
         p.add_argument("--exact", action="store_true",
                        help="exact-rational mode (identity batteries)")
         p.add_argument("--out", default=None)

@@ -15,17 +15,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qoper import (QQInstance, QQSolution, RatMatrix, TwistZ, WeylWord,
-                   apply_word, backlund_step, bethe_residual,
-                   build_wronskian, cartan_matrix,
-                   check_lewis_carroll, check_wronskian_equations,
-                   enumerate_weyl, gauss_decompose,
-                   miura_from_wronskian, miura_plucker_blocks,
-                   qq_residual, solve_bethe, type_a_bundle)
-from qoper.cartan import column_index_set, word_length
+from qoper.cartan import (TwistZ, WeylWord, cartan_matrix, column_index_set,
+                          enumerate_weyl, word_length)
 from qoper.polynomials import Poly, RatFun
-from qoper.qq import DegenerateInstance
-from qoper.wronskian import lewis_carroll_residual
+from qoper.qq import (DegenerateInstance, QQInstance, QQSolution,
+                      bethe_residual, qq_residual, solve_bethe)
+from qoper.backlund import apply_word, backlund_step
+from qoper.wronskian import (RatMatrix, build_wronskian, check_lewis_carroll,
+                             check_wronskian_equations, gauss_decompose,
+                             lewis_carroll_residual, miura_from_wronskian,
+                             miura_plucker_blocks, type_a_bundle)
 
 ROOT = Path(__file__).resolve().parent.parent
 PANEL20 = list(1.11 * np.exp(2j * np.pi * np.linspace(0.03, 0.97, 20)))

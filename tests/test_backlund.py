@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from qoper import (DegenerateInstance, QQInstance, QQSolution, TwistZ,
-                   WeylWord, apply_word, backlund_step, cartan_matrix,
-                   full_qq_system, mu_gauge, qq_residual, resonance_check,
-                   solve_bethe, solve_q_minus)
 from qoper import polynomials
-from qoper.cartan import canonical_form
+from qoper.cartan import TwistZ, WeylWord, canonical_form, cartan_matrix
 from qoper.polynomials import Poly
+from qoper.qq import (DegenerateInstance, QQInstance, QQSolution, qq_residual,
+                      resonance_check, solve_bethe, solve_q_minus)
+from qoper.backlund import apply_word, backlund_step, full_qq_system, mu_gauge
 
 
 def a1_solved(q=0.2, zeta=2.0):
@@ -200,7 +199,7 @@ class TestFullQQSystem:
             twist = fq.twists[key]
             work = QQInstance(inst.cartan, inst.q, twist, inst.lambdas,
                               tuple(p.degree for p in qplus), inst.tau)
-            from qoper import solve_q_minus
+            from qoper.qq import solve_q_minus
             qminus = tuple(solve_q_minus(work, list(qplus), i)
                            for i in range(1, 3))
             sol_w = QQSolution(qplus, qminus)

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qoper.cli import InputError, echo_instance, main, parse_instance
 
@@ -110,6 +114,92 @@ class TestNonListFields:
         assert "input error" in capsys.readouterr().err
 
 
+class TestFuzzFindings:
+    """Inputs a fuzz of the CLI crashed on; each now exits 2 with a message."""
+
+    def test_huge_rank_is_refused_before_the_cartan_matrix(self, tmp_path):
+        # a rank x rank table of rank 1e308 would exhaust memory; the child's
+        # address space is capped so that a regression fails, not the host
+        import resource
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        doc = json.loads(A2_SOLVED.read_text())
+        doc["rank"] = 1e308
+        f = tmp_path / "rank.json"
+        f.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qoper.cli", "solve", "--instance", str(f)],
+            capture_output=True, text=True, preexec_fn=cap_memory, timeout=60)
+        assert proc.returncode == 2
+        assert "input error: zetas" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("q", -1e-300, "q:"), ("q", 1e308, "q:"),
+        ("zetas", [1e308, 1.0], "zetas:"), ("seed", -1, "seed:"),
+        ("degrees", [0, 0], "solution.qplus[0]"),
+        ("degrees", [1e308, 1], "degrees and tolerances.K"),
+        ("tolerances", {"K": 0}, "tolerances.K")])
+    def test_exit_2(self, tmp_path, capsys, command, key, value, message):
+        doc = json.loads(A2_SOLVED.read_text())
+        doc[key] = value
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert main([command, "--instance", str(f), "--seeds", "3"]) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--instance", str(A2_SOLVED)], ["identities"]])
+    def test_negative_seed_flag(self, argv):
+        proc = run_subprocess(argv + ["--seed", "-1"])
+        assert proc.returncode == 2
+        assert "--seed: expected a nonnegative integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+# values a fuzz of the instance file draws: the inputs above, wrong types
+# and empty containers, plus per field some in-range values that keep a run
+# going past the parser
+FUZZ_POOL = [-1e-300, 1e308, 10 ** 308, -1, 0, 1, 0.5, 1e-9, "x", "1/3",
+             None, True, [], {}, [0, 0], [0], [1, 2, 3], [1e308, 1],
+             [[0.2, 0.0]], {"K": 0}, {"K": 10 ** 6}, {"tau": 1e-300},
+             {"qplus": [], "qminus": []}]
+FUZZ_IN_RANGE = {"lie_type": ["B", "G"], "rank": [2], "ordering": [[2, 1]],
+                 "q": [[0.3, 0.1], 3.0], "zetas": [[2.0, 5.0], [-2.0, 3.0]],
+                 "degrees": [[1, 0], [2, 1]], "seed": [7],
+                 "tolerances": [{"K": 6}, {"bethe_tol": 1e-6}],
+                 "lambdas": [[{"coeffs": [1, 0, 1]}, {"roots": [3],
+                                                      "leading": 2}]]}
+FUZZ_FIELDS = sorted(json.loads(A2_SOLVED.read_text()))
+
+
+class TestFuzz:
+    """Mutated instance files end in a verdict or an input error, never in
+    a traceback (exit 0, 1 or 2)."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.sampled_from(FUZZ_FIELDS), min_size=1, max_size=2,
+                    unique=True).flatmap(lambda keys: st.fixed_dictionaries({
+                        k: st.sampled_from(FUZZ_IN_RANGE.get(k, []) + FUZZ_POOL)
+                        for k in keys})))
+    def test_exit_code_without_traceback(self, tmp_path, mutation):
+        doc = {**json.loads(A2_SOLVED.read_text()), **mutation}
+        f = tmp_path / "fuzz.json"
+        f.write_text(json.dumps(doc))
+        for command in (["solve"], ["verify"], ["wronskian"],
+                        ["backlund", "--word", "1"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(command + ["--instance", str(f), "--seeds", "3"])
+            assert code in (0, 1, 2), (command, mutation)
+            assert "Traceback" not in err.getvalue(), (command, mutation)
+
+
 class TestInstanceTolerances:
     def test_tol_defaults_to_instance_bethe_tol(self, tmp_path, monkeypatch):
         import qoper.cli as cli
@@ -125,15 +215,15 @@ class TestInstanceTolerances:
         assert seen == [1e-7, 1e-9]
 
     def test_k_reaches_full_qq_system(self, tmp_path, monkeypatch):
-        import qoper.cli as cli
+        import qoper.backlund as bl
         seen = []
-        real = cli.full_qq_system
+        real = bl.full_qq_system
 
         def spy(inst, sol, **kw):
             seen.append(kw.get("K"))
             return real(inst, sol, **kw)
 
-        monkeypatch.setattr(cli, "full_qq_system", spy)
+        monkeypatch.setattr(bl, "full_qq_system", spy)
         doc = json.loads(A2_SOLVED.read_text())
         doc["tolerances"]["K"] = 5
         f = tmp_path / "k.json"
@@ -147,7 +237,7 @@ class TestInstanceTolerances:
         # zeta^2 = q^7 (q = 1/3) resonates outside the default window 3 but
         # inside K = 7: the solution entries and the check must both refuse
         import qoper.cli as cli
-        from qoper import nondegenerate
+        from qoper.qq import nondegenerate
         doc = json.loads(A1.read_text())
         doc["zetas"] = [[3.0 ** -3.5, 0.0]]
         doc["tolerances"]["K"] = 7
@@ -240,7 +330,8 @@ class TestVerify:
     def test_solved_a3_passes(self, tmp_path):
         # the fundamental relation and the Miura inverse are checked on
         # evaluated matrices, so their residuals stay at rounding level
-        from qoper import QQInstance, TwistZ, cartan_matrix, solve_bethe
+        from qoper.cartan import TwistZ, cartan_matrix
+        from qoper.qq import QQInstance, solve_bethe
         from qoper.polynomials import Poly
         inst = QQInstance(cartan_matrix("A", 3), 0.2, TwistZ((2.0, 3.0, 5.0)),
                           tuple(Poly([-k, 1.0]) for k in (1.0, 2.0, 3.0)),
@@ -287,7 +378,7 @@ class TestVerify:
                           "build_wronskian": 1}
 
     def test_rank_one_trivializer_refusal_reported(self, tmp_path):
-        from qoper import solve_bethe
+        from qoper.qq import solve_bethe
         inst, _, extras = parse_instance(json.loads(A1.read_text()))
         sol = solve_bethe(inst, seeds=40, seed=1)[0]
         doc = echo_instance(inst, extras, sol)
@@ -302,12 +393,12 @@ class TestVerify:
         assert "trivializer" in checks[-1]["witnesses"][0]
 
     def test_internal_inconsistency_exits_3(self, tmp_path, monkeypatch):
-        import qoper.cli as cli
+        import qoper.wronskian as wr
 
         def broken(*args, **kw):
             raise AssertionError("lift compound image is not a single wedge")
 
-        monkeypatch.setattr(cli, "check_shifted_minor_relation", broken)
+        monkeypatch.setattr(wr, "check_shifted_minor_relation", broken)
         assert main(["verify", "--instance", str(A2_SOLVED)]) == 3
 
 
@@ -368,17 +459,17 @@ class TestBacklundTelemetry:
         assert counts["roots_computed"] > 0
 
     def test_does_not_move_the_digest(self, tmp_path, monkeypatch):
-        import qoper.cli as cli
+        import qoper.backlund as bl
         _, plain = run_cli(["verify", "--instance", str(A2_SOLVED)], tmp_path,
                            "plain.json")
-        real = cli.full_qq_system
+        real = bl.full_qq_system
 
         def inflated(*args, stats=None, **kw):
             out = real(*args, stats=stats, **kw)
             stats.update(steps=10 ** 6, roots_computed=-1)
             return out
 
-        monkeypatch.setattr(cli, "full_qq_system", inflated)
+        monkeypatch.setattr(bl, "full_qq_system", inflated)
         _, moved = run_cli(["verify", "--instance", str(A2_SOLVED)], tmp_path,
                            "moved.json")
         plain, moved = json.loads(plain), json.loads(moved)
@@ -414,7 +505,8 @@ class TestWronskianCommand:
 
     def test_non_type_a_rejected(self, tmp_path):
         import numpy as np
-        from qoper import QQInstance, TwistZ, cartan_matrix, solve_bethe
+        from qoper.cartan import TwistZ, cartan_matrix
+        from qoper.qq import QQInstance, solve_bethe
         from qoper.polynomials import Poly
         cd = cartan_matrix("B", 2)
         inst = QQInstance(cd, 0.2, TwistZ((2.0, 3.0)),
@@ -427,7 +519,8 @@ class TestWronskianCommand:
         assert main(["wronskian", "--instance", str(f)]) == 2
 
     def test_verify_skips_wronskian_for_b2(self, tmp_path):
-        from qoper import QQInstance, TwistZ, cartan_matrix, solve_bethe
+        from qoper.cartan import TwistZ, cartan_matrix
+        from qoper.qq import QQInstance, solve_bethe
         from qoper.polynomials import Poly
         cd = cartan_matrix("B", 2)
         inst = QQInstance(cd, 0.2, TwistZ((2.0, 3.0)),
@@ -470,3 +563,44 @@ class TestEntryPoint:
             [sys.executable, "-m", "qoper.cli", "identities", "--trials", "2"],
             capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+class TestModulesLoaded:
+    """Each command imports only the qoper modules it runs."""
+
+    @staticmethod
+    def loaded_after(argv):
+        """The qoper submodules a fresh interpreter holds after main(argv),
+        or after `import qoper` alone when argv is None."""
+        code = ("import sys, qoper\n" if argv is None else
+                "import io, contextlib, sys, qoper.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert qoper.cli.main({argv!r}) == 0\n")
+        code += "print(*(m for m in sys.modules if m.startswith('qoper.')))"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return {m.split(".", 1)[1] for m in proc.stdout.split()}
+
+    def test_import_qoper_loads_no_submodule(self):
+        assert self.loaded_after(None) == set()
+
+    def test_solve(self):
+        loaded = self.loaded_after(["solve", "--instance", str(A1)])
+        assert loaded == {"cli", "cartan", "polynomials", "qq"}
+
+    def test_identities(self):
+        assert "backlund" not in self.loaded_after(["identities", "--trials", "2"])
+
+    def test_verify_b2(self, tmp_path):
+        from qoper.cartan import TwistZ, cartan_matrix
+        from qoper.qq import QQInstance, solve_bethe
+        from qoper.polynomials import Poly
+        inst = QQInstance(cartan_matrix("B", 2), 0.2, TwistZ((2.0, 3.0)),
+                          (Poly([-1.0, 1.0]), Poly([-2.0, 1.0])), (1, 1))
+        sol = solve_bethe(inst, seeds=40, seed=7)[0]
+        f = tmp_path / "b2.json"
+        f.write_text(json.dumps(echo_instance(
+            inst, {"bethe_tol": 1e-10, "K": None, "seed": 7}, sol)))
+        assert "wronskian" not in self.loaded_after(["verify", "--instance",
+                                                     str(f)])

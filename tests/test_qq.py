@@ -4,14 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qoper import (DegenerateInstance, QQInstance, QQSolution, TwistZ,
-                   WeylWord, apply_word, bethe_residual, cartan_connection,
-                   cartan_matrix, nondegenerate, qq_residual,
-                   resonance_check, solve_bethe, solve_q_minus, xi_factors)
 from qoper import qq
-from qoper.cli import parse_instance
+from qoper.cartan import TwistZ, WeylWord, cartan_matrix
 from qoper.polynomials import Poly, solve_poly_q_difference
-from qoper.qq import _bethe_kernel, _ordered_positions, _roots_to_qplus, qq_rhs
+from qoper.qq import (DegenerateInstance, QQInstance, QQSolution,
+                      _bethe_kernel, _ordered_positions, _roots_to_qplus,
+                      bethe_residual, cartan_connection, nondegenerate,
+                      qq_residual, qq_rhs, resonance_check, solve_bethe,
+                      solve_q_minus, xi_factors)
+from qoper.backlund import apply_word
+from qoper.cli import parse_instance
 
 A2_GENERIC = Path(__file__).resolve().parent.parent / "instances" / "a2_generic.json"
 

@@ -4,20 +4,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qoper import (DegenerateInstance, MinorSpec, QQInstance, QQSolution,
-                   RatMatrix, TwistZ, WeylWord, build_miura_A,
-                   build_wronskian, cartan_matrix,
-                   check_fundamental_relation, check_lewis_carroll,
-                   check_shifted_minor_relation, check_wronskian_equations,
-                   d_exponents, enumerate_weyl, full_qq_system,
-                   fundamental_relation_residual, gauss_decompose,
-                   generalized_minor, miura_from_wronskian,
-                   miura_plucker_blocks, miura_trivializer, poly_roots,
-                   s_lambda_inverse, solve_bethe, type_a_bundle, weyl_twist)
-from qoper.polynomials import Poly, RatFun, q_shift
-from qoper.wronskian import (_coroot_diag, _index_rows, _lift_matrix, _minor,
-                             _panel, lewis_carroll_residual, lift_products,
-                             twist_matrix)
+from qoper.cartan import TwistZ, WeylWord, cartan_matrix, enumerate_weyl
+from qoper.polynomials import Poly, RatFun, poly_roots, q_shift
+from qoper.qq import DegenerateInstance, QQInstance, QQSolution, solve_bethe
+from qoper.backlund import full_qq_system
+from qoper.wronskian import (MinorSpec, RatMatrix, _coroot_diag, _index_rows,
+                             _lift_matrix, _minor, _panel, build_miura_A,
+                             build_wronskian, check_fundamental_relation,
+                             check_lewis_carroll, check_shifted_minor_relation,
+                             check_wronskian_equations, d_exponents,
+                             fundamental_relation_residual, gauss_decompose,
+                             generalized_minor, lewis_carroll_residual,
+                             lift_products, miura_from_wronskian,
+                             miura_plucker_blocks, miura_trivializer,
+                             s_lambda_inverse, twist_matrix, type_a_bundle,
+                             weyl_twist)
 
 PANEL = [0.77 + 0.31j, -1.1 + 0.6j, 2.2 - 0.3j, 0.4 + 1.3j, -0.6 - 0.9j]
 
@@ -477,7 +478,7 @@ class TestGaussDecompose:
     def test_big_cell_membership(self):
         # nonvanishing minors put the solved Wronskian in the big double
         # cell: decomposition succeeds on W and on its w0 flip
-        from qoper import longest_element
+        from qoper.cartan import longest_element
         inst, sol = a2_solved()
         W = build_wronskian(inst, sol)
         gauss_decompose(W)
