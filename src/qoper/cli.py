@@ -92,6 +92,14 @@ def _parse_number(v, where: str, kind=float):
     raise InputError(f"{where}: expected {what}, got {v!r}")
 
 
+def _positive(x, where: str):
+    """x itself when it is a positive number (not NaN), else an InputError:
+    a tolerance, seed count or trial count of zero or less accepts nothing."""
+    if not x > 0:
+        raise InputError(f"{where}: expected a positive number, got {x!r}")
+    return x
+
+
 def _expect(v, kind, where: str):
     """v itself when it is a kind (list or dict), else an InputError."""
     if not isinstance(v, kind):
@@ -159,11 +167,13 @@ def parse_instance(doc: dict):
     tols = _expect(doc.get("tolerances", {}), dict, "tolerances")
     if set(tols) - _TOL_KEYS:
         raise InputError(f"unknown tolerance keys: {sorted(set(tols) - _TOL_KEYS)}")
-    tau = _parse_number(tols.get("tau", 1e-10), "tolerances.tau")
-    bethe_tol = _parse_number(tols.get("bethe_tol", 1e-10), "tolerances.bethe_tol")
-    K = _parse_number(tols["K"], "tolerances.K", int) if "K" in tols else None
-    if K is not None and K < 1:
-        raise InputError(f"tolerances.K: expected a positive integer, got {K}")
+    tau = _positive(_parse_number(tols.get("tau", 1e-10), "tolerances.tau"),
+                    "tolerances.tau")
+    bethe_tol = _positive(_parse_number(tols.get("bethe_tol", 1e-10),
+                                        "tolerances.bethe_tol"),
+                          "tolerances.bethe_tol")
+    K = (_positive(_parse_number(tols["K"], "tolerances.K", int), "tolerances.K")
+         if "K" in tols else None)
 
     inst = QQInstance(cartan, q, zetas, lambdas, degrees, tau)
     _check_scale(inst, K)
@@ -351,48 +361,45 @@ def run_verify(inst, sol, extras, args, rep: Report):
 
 
 def run_wronskian_suite(inst, sol, rep: Report):
-    """The type-A battery.  R, its transports, (A, v), Z and W are built
-    once, in one bundle, and every float check reads them from it."""
+    """The type-A battery.  R, its transports, (A, v) and W are built
+    once, in one bundle, and evaluated once on one sample panel; every
+    float check is array arithmetic on those values."""
     from .wronskian import (check_shifted_minor_relation,
                             check_wronskian_equations,
                             fundamental_relation_residual,
                             miura_from_wronskian, miura_plucker_blocks,
-                            type_a_bundle)
+                            sample_bundle, type_a_bundle)
     try:
         b = type_a_bundle(inst, sol)
-    except DegenerateInstance as exc:
+    except (DegenerateInstance, ZeroDivisionError) as exc:
         rep.check("wronskian-build", float("inf"), False, witnesses=[str(exc)])
         return
-    W = b.W
-    panel = 1.13 * np.exp(2j * np.pi * np.linspace(0.05, 0.95, 20))
-    dres = max(abs(np.linalg.det(W.eval(x)) - 1.0) for x in panel)
+    s = sample_bundle(b)
+    for witness in s.stuck:
+        rep.check("sample point off the poles", float("inf"), False,
+                  witnesses=[witness])
+    if not len(s.points):
+        return
+    dres = float(np.abs(np.linalg.det(s.W[0]) - 1.0).max())
     rep.check("wronskian-det", dres, dres <= 1e-8)
-    weq = check_wronskian_equations(b)
-    for it in weq.items:
-        if not it["label"].startswith("k="):  # a sample point left on a pole
-            rep.check(f"wronskian-equations: {it['label']}", it["value"],
-                      it["pass"], witnesses=[it["witness"]])
-            continue
+    for it in check_wronskian_equations(s).items:
         k, i = it["label"].split()
         rep.check("wronskian-equation", it["value"], it["pass"],
                   k_or_word=k.split("=")[1], i=i.split("=")[1])
     words = enumerate_weyl(inst.cartan)
     for i in range(1, inst.rank + 1):
-        for w, r in zip(words, check_shifted_minor_relation(b, i, words)):
+        for w, r in zip(words, check_shifted_minor_relation(s, i, words)):
             rep.check("shifted-minor", r, r <= 1e-8,
                       k_or_word=".".join(map(str, w.letters)) or "e", i=i)
     wid = WeylWord.identity()
     for i in range(1, inst.rank + 1):
-        val = fundamental_relation_residual(W, wid, wid, i, inst.cartan,
-                                            panel[:5])
+        val = fundamental_relation_residual(s.W[0], wid, wid, i, inst.cartan)
         rep.check("fundamental-relation", val, val <= 1e-8, i=i)
     try:
-        mrep = miura_from_wronskian(b)
-        for it in mrep.items:
-            rep.check(f"miura: {it['label']}", it["value"] or 0.0, it["pass"],
-                      witnesses=[it["witness"]] if it["witness"] else None)
+        for it in miura_from_wronskian(s).items:
+            rep.check(f"miura: {it['label']}", it["value"], it["pass"])
         for i in range(1, inst.rank + 1):
-            pb = miura_plucker_blocks(b, i)
+            pb = miura_plucker_blocks(s, i)
             rep.check("miura-plucker-block", pb.items[0]["value"],
                       pb.passed, i=i)
     except DegenerateInstance as exc:
@@ -452,7 +459,7 @@ def run_backlund(inst, sol, extras, args, rep: Report):
 
 def run_identities(args, rep: Report):
     """Universal determinant identity battery on random matrices."""
-    from .wronskian import (RatMatrix, check_lewis_carroll,
+    from .wronskian import (RatMatrix, check_lewis_carroll, evaluate,
                             lewis_carroll_residual)
     rng = np.random.default_rng(args.seed)
     worst_lc = 0.0
@@ -463,16 +470,15 @@ def run_identities(args, rep: Report):
             M = RatMatrix([[RatFun(Poly([int(rng.integers(-5, 6))
                                          for _ in range(3)]))
                             for _ in range(n)] for _ in range(n)])
+            exact_ok = exact_ok and all(check_lewis_carroll(M, i).num.is_zero()
+                                        for i in range(2, n + 1))
         else:
             M = RatMatrix([[RatFun(Poly(rng.standard_normal(3)
                                         + 1j * rng.standard_normal(3)))
                             for _ in range(n)] for _ in range(n)])
-        for i in range(2, n + 1):
-            if args.exact:
-                exact_ok = exact_ok and check_lewis_carroll(M, i).num.is_zero()
-            else:
-                worst_lc = max(worst_lc, lewis_carroll_residual(
-                    M, i, (0.37 + 0.21j, -1.3 + 0.7j)))
+            Mv = evaluate(M, (0.37 + 0.21j, -1.3 + 0.7j))
+            worst_lc = max(worst_lc, *(lewis_carroll_residual(Mv, i)
+                                       for i in range(2, n + 1)))
     if args.exact:
         rep.check("lewis-carroll (exact)", 0.0, exact_ok)
     else:
@@ -519,7 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.tol is not None and not 0 < args.tol < math.inf:
+            raise InputError(f"--tol: expected a positive finite number, "
+                             f"got {args.tol!r}")
+        _positive(args.seeds, "--seeds")
         if args.command == "identities":
+            _positive(args.trials, "--trials")
             if args.seed is None:
                 args.seed = 0
             rep = Report("identities", {})

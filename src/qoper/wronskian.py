@@ -24,6 +24,7 @@ equations, and agreement of the two Miura constructions):
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,13 +54,6 @@ class RatMatrix:
     @staticmethod
     def identity(n: int) -> "RatMatrix":
         return RatMatrix([[RatFun.one() if i == j else RatFun.zero()
-                           for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def diagonal(values) -> "RatMatrix":
-        vals = list(values)
-        n = len(vals)
-        return RatMatrix([[RatFun.from_scalar(vals[i]) if i == j else RatFun.zero()
                            for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
@@ -98,7 +92,6 @@ class RatMatrix:
         if n == 1:
             return self.entries[0][0]
         acc = RatFun.zero()
-        cols = list(range(1, n))
         for j in range(n):
             a = self.entries[0][j]
             if a.is_zero():
@@ -206,11 +199,6 @@ def _twist_diagonal(inst: QQInstance) -> list:
             else complex(num) / complex(den) for num, den in zip(zs, zs[1:])]
 
 
-def twist_matrix(inst: QQInstance) -> RatMatrix:
-    """Z = prod_i zeta_i^{-alpha_i^vee} = diag(1/z1, z1/z2, ..., zr)."""
-    return RatMatrix.diagonal(_twist_diagonal(inst))
-
-
 def s_lambda_inverse(inst: QQInstance) -> RatMatrix:
     """The staggered Coxeter lift R(z): the interleaved product of lift
     matrices and torus factors Lambda_{i_l}(q^{l-1}z)^{coroot}.
@@ -228,11 +216,6 @@ def s_lambda_inverse(inst: QQInstance) -> RatMatrix:
         acc = acc @ _lift_matrix(n, node, inverse=True) \
             @ _coroot_diag(n, node, RatFun(lam))
     return acc
-
-
-def _panel(count: int, seed: int = 11, radius: float = 1.17) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return radius * np.exp(2j * np.pi * rng.random(count))
 
 
 def lift_products(R: RatMatrix, q) -> tuple:
@@ -408,9 +391,9 @@ def build_wronskian(inst: QQInstance, source, S: Optional[tuple] = None,
 
 @dataclass(frozen=True, eq=False)
 class TypeABundle:
-    """A solved type-A instance with everything the float checks read:
+    """A solved type-A instance with everything the type-A checks read:
     the staggered lift R, its transports S = lift_products(R, q), the
-    Miura pair (A, v), Z and W, each built once.
+    Miura pair (A, v) and W, each built once.
 
     ``v`` is None only at rank one when the trivializer has no solution:
     W does not need it there, and miura_from_wronskian raises the refusal.
@@ -422,12 +405,11 @@ class TypeABundle:
     S: tuple
     A: RatMatrix
     v: Optional[RatMatrix]
-    Z: RatMatrix
     W: RatMatrix
 
 
 def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
-    """Build R, S (from R), A, v (fed by that A), Z and W (fed by v and S)
+    """Build R, S (from R), A, v (fed by that A) and W (fed by v and S)
     once."""
     R = s_lambda_inverse(inst)
     S = lift_products(R, inst.q)
@@ -439,7 +421,70 @@ def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
             raise
         v = None
     W = build_wronskian(inst, sol, S=S, v=v)
-    return TypeABundle(inst, sol, R, S, A, v, twist_matrix(inst), W)
+    return TypeABundle(inst, sol, R, S, A, v, W)
+
+
+# the sample panel of every float type-A check
+PANEL = 1.13 * np.exp(2j * np.pi * np.linspace(0.05, 0.95, 20))
+
+
+@dataclass(frozen=True, eq=False)
+class TypeASample:
+    """A bundle evaluated on PANEL, each object once per point.
+
+    Axis 0 of every array runs over ``points``: the panel points, each
+    nudged off the poles of all the objects together.  ``W[k]`` holds
+    W(q^k x) for k = 0..h-1 and ``S[k]`` the transport S_k(x), so R(x) is
+    ``S[1]``; ``v`` and ``vq`` hold v(x) and v(qx) (None without a
+    trivializer), ``g`` the Cartan connection g_i(x), i = 1..r, and ``z``
+    Z's diagonal.  ``stuck`` has one witness per panel point that stayed
+    on a pole; such a point is in no array.
+    """
+
+    bundle: TypeABundle
+    points: np.ndarray
+    stuck: tuple
+    W: np.ndarray
+    S: np.ndarray
+    A: np.ndarray
+    v: Optional[np.ndarray]
+    vq: Optional[np.ndarray]
+    g: np.ndarray
+    z: np.ndarray
+
+
+def sample_bundle(b: TypeABundle) -> TypeASample:
+    """Evaluate the bundle on PANEL; see TypeASample."""
+    inst, n = b.inst, b.inst.rank + 1
+    qc = complex(inst.q)
+
+    def at(x):
+        mats = [b.W.eval(qc**k * x) for k in range(n)]
+        mats += [Sk.eval(x) for Sk in b.S] + [b.A.eval(x)]
+        if b.v is not None:
+            mats += [b.v.eval(x), b.v.eval(qc * x)]
+        return mats, cartan_connection(inst, b.sol, x)
+
+    points, stuck, values, conn = [], [], [], []
+    # Python complex points: a pole raises ZeroDivisionError, not a warning
+    for x0 in map(complex, PANEL):
+        try:
+            x, (mats, g) = off_pole(at, x0)
+        except ZeroDivisionError as err:
+            stuck.append(f"{x0} after 4 nudges: {err}")
+            continue
+        points.append(x)
+        values.append(mats)
+        conn.append(g)
+    count = 2 * n + 1 + (2 if b.v is not None else 0)
+    per_object = np.array(values, dtype=complex).reshape(
+        len(points), count, n, n).swapaxes(0, 1)
+    v, vq = per_object[2 * n + 1:] if b.v is not None else (None, None)
+    return TypeASample(
+        b, np.array(points, dtype=complex), tuple(stuck), per_object[:n],
+        per_object[n:2 * n], per_object[2 * n], v, vq,
+        np.array(conn, dtype=complex).reshape(len(points), inst.rank),
+        np.array(_twist_diagonal(inst), dtype=complex))
 
 
 # -- minors and identities ---------------------------------------------
@@ -449,7 +494,7 @@ def _index_rows(w: WeylWord, i: int, data: CartanData) -> list[int]:
     return [r - 1 for r in sorted(column_index_set(w, i, data))]
 
 
-def _evaluate(M: RatMatrix, points) -> np.ndarray:
+def evaluate(M: RatMatrix, points) -> np.ndarray:
     """M at every point, stacked: shape (P, n, n)."""
     return np.array([M.eval(x) for x in points]).reshape(-1, M.n, M.n)
 
@@ -464,6 +509,35 @@ def _minor(Mv: np.ndarray, rows, cols):
     """
     rows, cols = np.asarray(rows), np.asarray(cols)
     return np.linalg.det(Mv[..., rows[..., :, None], cols[..., None, :]])
+
+
+def _rel_gap(*terms) -> float:
+    """Relative residual of a relation t_1 + t_2 + ... = 0 sampled at
+    points: the largest |t_1 + t_2 + ...| / (1 + max_k |t_k|), so a
+    relation l = r is measured as |l - r| / (1 + max(|l|, |r|)) with
+    terms (l, -r).
+
+    Axis 0 of every term runs over the points; over any further axes (the
+    entries of a vector or a matrix) the numerator and the scale each take
+    their largest value first.  No point gives 0.
+    """
+    entries = tuple(range(1, terms[0].ndim))
+
+    def size(t):  # |t| rounded as Python's abs rounds it
+        m = np.hypot(t.real, t.imag)
+        return m.max(axis=entries) if entries else m
+
+    scale = 1.0 + functools.reduce(np.maximum, map(size, terms))
+    gap = size(sum(terms[1:], terms[0])) / scale
+    return float(gap.max()) if gap.size else 0.0
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for complex arrays, rounded as one complex product at a time
+    rounds (numpy's vector loop may fuse a multiply and an add)."""
+    out = (a.real * b.real - a.imag * b.imag).astype(complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def generalized_minor(M: RatMatrix, spec: MinorSpec, data: CartanData) -> RatFun:
@@ -506,33 +580,25 @@ def check_fundamental_relation(M: RatMatrix, u: WeylWord, v: WeylWord, i: int,
     return t1 - t2 - rhs
 
 
-def fundamental_relation_residual(M: RatMatrix, u: WeylWord, v: WeylWord,
-                                  i: int, data: CartanData,
-                                  points: Sequence[complex]) -> float:
-    """Sup-norm of the minor exchange residual over sample points.
+def fundamental_relation_residual(Mv: np.ndarray, u: WeylWord, v: WeylWord,
+                                  i: int, data: CartanData) -> float:
+    """Relative residual of the minor exchange relation on a stack Mv of
+    evaluated matrices (points, n, n).
 
     Numeric companion to check_fundamental_relation, and the CLI's float
-    check: minors are determinants of the evaluated matrix, so nothing
+    check: minors are determinants of the evaluated matrices, so nothing
     symbolic is built.  The length condition is not checked.
     """
     si = WeylWord((i,))
     ru, rv, rus, rvs = (_index_rows(w, i, data) for w in (u, v, u * si, v * si))
-    neighbours = [(_index_rows(u, j, data), _index_rows(v, j, data), -data.a(j, i))
-                  for j in range(1, data.rank + 1) if j != i and data.a(j, i)]
-    Mv = _evaluate(M, points)
     a, b, c, d = (_minor(Mv, rows, cols)
                   for rows, cols in ((ru, rv), (rus, rvs), (rus, rv), (ru, rvs)))
-    others = [(_minor(Mv, rows, cols), e) for rows, cols, e in neighbours]
-    worst = 0.0
-    for p in range(len(Mv)):
-        t1 = a[p] * b[p]
-        t2 = c[p] * d[p]
-        rhs = 1.0 + 0.0j
-        for m, e in others:
-            rhs *= m[p] ** e
-        scale = 1.0 + max(abs(t1), abs(t2), abs(rhs))
-        worst = max(worst, abs(t1 - t2 - rhs) / scale)
-    return worst
+    rhs = np.ones(len(Mv), dtype=complex)
+    for j in range(1, data.rank + 1):
+        if j != i and data.a(j, i):
+            rhs = rhs * _minor(Mv, _index_rows(u, j, data),
+                               _index_rows(v, j, data)) ** -data.a(j, i)
+    return _rel_gap(a * b, -(c * d), -rhs)
 
 
 def check_lewis_carroll(M: RatMatrix, i: int) -> RatFun:
@@ -557,81 +623,44 @@ def check_lewis_carroll(M: RatMatrix, i: int) -> RatFun:
     return lhs - minor({0, 1}, {0, i - 1}) * M.det()
 
 
-def lewis_carroll_residual(M: RatMatrix, i: int,
-                           points: Sequence[complex]) -> float:
-    """Relative sup-norm of the Dodgson residual over sample points.
+def lewis_carroll_residual(Mv: np.ndarray, i: int) -> float:
+    """Relative residual of the Dodgson identity on a stack Mv of
+    evaluated matrices (points, n, n).
 
     Numeric companion to check_lewis_carroll, and the CLI's float check:
-    minors are determinants of the evaluated matrix, so the residual
+    minors are determinants of the evaluated matrices, so the residual
     measures rounding, which the float trim would empty from a symbolic
     residual, and no symbolic coefficients grow.
     """
-    n = M.n
+    n = Mv.shape[-1]
     if n < 3 or not 2 <= i <= n:
         raise ValueError("need n >= 3 and 2 <= i <= n")
 
     def keep(*drop):
         return [k for k in range(n) if k not in drop]
 
-    Mv = _evaluate(M, points)
     a, b, c, d, e = (_minor(Mv, keep(*rows), keep(*cols)) for rows, cols in
                      (((0,), (0,)), ((1,), (i - 1,)), ((0,), (i - 1,)),
                       ((1,), (0,)), ((0, 1), (0, i - 1))))
-    full = np.linalg.det(Mv)
-    worst = 0.0
-    for p in range(len(Mv)):
-        t1 = a[p] * b[p]
-        t2 = c[p] * d[p]
-        t3 = e[p] * full[p]
-        scale = 1.0 + max(abs(t1), abs(t2), abs(t3))
-        worst = max(worst, abs(t1 - t2 - t3) / scale)
-    return worst
+    return _rel_gap(_times(a, b), -_times(c, d), -_times(e, np.linalg.det(Mv)))
 
 
-def check_wronskian_equations(b: TypeABundle,
-                              points: Optional[Sequence[complex]] = None
-                              ) -> CheckReport:
+def check_wronskian_equations(s: TypeASample) -> CheckReport:
     """Residuals of the transport equations for k = 0..h-1.
 
-    Checks W(q^k z) nu_i = Z^k W(z) S_k(z) nu_i on a sample panel, with
-    the i-th fundamental vector realized through i-th compound matrices
-    and W, Z and the transports S_k read from the bundle.  The pair
-    (i, k) participates while the transported wedge stays inside the
-    coordinate window, i + k <= h; the k = 0 equations are trivial.  A
-    sample point on a pole is nudged by off_pole; a point that stays on
-    one is a failed check with a witness.
+    Checks W(q^k z) nu_i = Z^k W(z) S_k(z) nu_i on the sample, with the
+    i-th fundamental vector realized through i-th compound matrices.  The
+    pair (i, k) participates while the transported wedge stays inside the
+    coordinate window, i + k <= h; the k = 0 equations are trivial.
     """
-    inst, W, Zm = b.inst, b.W, b.Z
-    h = n = len(b.S)  # the Coxeter number of A_r is r + 1
+    inst = s.bundle.inst
+    h = len(s.W)  # the Coxeter number of A_r is r + 1
     rep = CheckReport("wronskian-equations", True)
-    panel = list(points) if points is not None else list(_panel(5, seed=23))
-    qc = complex(inst.q)
-
-    for k, Sk in enumerate(b.S):
-        worst = {i: 0.0 for i in range(1, inst.rank + 1) if i + k <= h}
-
-        def sides(x):
-            zmat = np.linalg.matrix_power(Zm.eval(x), k)
-            return W.eval(qc**k * x), zmat @ W.eval(x) @ Sk.eval(x)
-
-        lhs, rhs = [], []
-        for x0 in panel:
-            try:
-                _, (lhs_m, rhs_m) = off_pole(sides, x0)
-            except ZeroDivisionError as err:
-                rep.add("sample point off the poles", False, value=float("inf"),
-                        witness=f"{x0} after 4 nudges (k={k}): {err}")
-                continue
-            lhs.append(lhs_m)
-            rhs.append(rhs_m)
-        lhs = np.array(lhs).reshape(-1, n, n)
-        rhs = np.array(rhs).reshape(-1, n, n)
-        for i in worst:
-            for lv, rv in zip(_compound_top_column(lhs, i),
-                              _compound_top_column(rhs, i)):
-                scale = 1.0 + max(np.abs(lv).max(), np.abs(rv).max())
-                worst[i] = max(worst[i], np.abs(lv - rv).max() / scale)
-        for i, val in worst.items():
+    for k in range(h):
+        rhs = (s.z**k)[:, None] * s.W[0] @ s.S[k]
+        for i in range(1, min(inst.rank, h - k) + 1):
+            val = _rel_gap(_compound_top_column(s.W[k], i),
+                           -_compound_top_column(rhs, i))
             rep.add(f"k={k} i={i}", val <= max(inst.tau, 1e-8) * 10, value=val)
     return rep
 
@@ -656,10 +685,8 @@ def _wedge_image(Rm: np.ndarray, i: int):
     return list(itertools.combinations(range(Rm.shape[-1]), i))[nz[0]], img[:, nz[0]]
 
 
-def check_shifted_minor_relation(b: TypeABundle, i: int,
-                                 words: Sequence[WeylWord],
-                                 points: Optional[Sequence[complex]] = None
-                                 ) -> list[float]:
+def check_shifted_minor_relation(s: TypeASample, i: int,
+                                 words: Sequence[WeylWord]) -> list[float]:
     """Residuals of the one-step minor shift relation at node i, one per
     word w of ``words``:
 
@@ -669,37 +696,17 @@ def check_shifted_minor_relation(b: TypeABundle, i: int,
 
     where the shifted column set and the factor F_i(z)^{-1} = L_i(z) are
     read off the i-th compound of the staggered lift; for the standard
-    ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  Each residual is
-    the sup-norm over the sample panel.  W(x), W(qx) and R's compound are
-    evaluated once per call, and each side's minors for every word and
-    point come from one det.
+    ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  The zeta weight is
+    1 / prod_{r in w om_i} Z_rr.  Each residual is the relative residual
+    on the sample, and each side's minors for every word and point come
+    from one det.
     """
-    inst = b.inst
-    panel = points if points is not None else _panel(5, seed=31)
-    Wm = _evaluate(b.W, panel)
-    Wq = _evaluate(b.W, [complex(inst.q) * x for x in panel])
-    tgt_cols, scalars = _wedge_image(_evaluate(b.R, panel), i)
-    rows = [_index_rows(w, i, inst.cartan) for w in words]
-    lhs = _minor(Wm, rows, tgt_cols)  # (points, words)
-    shifted = _minor(Wq, rows, range(i))
-    zs = inst.zetas()
-
-    out = []
-    for k, rs in enumerate(rows):
-        # weight of the row set: <coroot_j, w om_i> = [j in rs] - [j+1 in rs]
-        weight = 1.0 + 0.0j
-        rowset = {r + 1 for r in rs}
-        for j in range(1, inst.rank + 1):
-            e = (1 if j in rowset else 0) - (1 if j + 1 in rowset else 0)
-            if e:
-                weight *= complex(zs[j - 1]) ** e
-        worst = 0.0
-        for left, right, scalar in zip(lhs[:, k], shifted[:, k], scalars):
-            rhs = weight * right / scalar
-            scalef = 1.0 + max(abs(left), abs(rhs))
-            worst = max(worst, abs(left - rhs) / scalef)
-        out.append(float(worst))
-    return out
+    tgt_cols, scalars = _wedge_image(s.S[1], i)
+    rows = [_index_rows(w, i, s.bundle.inst.cartan) for w in words]
+    lhs = _minor(s.W[0], rows, tgt_cols)  # (points, words)
+    shifted = _minor(s.W[1], rows, range(i))
+    return [_rel_gap(lhs[:, k], -shifted[:, k] / (np.prod(s.z[rs]) * scalars))
+            for k, rs in enumerate(rows)]
 
 
 def gauss_decompose(M: RatMatrix):
@@ -734,9 +741,7 @@ def gauss_decompose(M: RatMatrix):
             RatMatrix(upper))
 
 
-def miura_from_wronskian(b: TypeABundle,
-                         points: Optional[Sequence[complex]] = None
-                         ) -> CheckReport:
+def miura_from_wronskian(s: TypeASample) -> CheckReport:
     """Reconstruct the Miura connection from Wronskian data and verify it.
 
     Requires gauss_decompose to succeed on W (the nondegeneracy gate).
@@ -745,44 +750,21 @@ def miura_from_wronskian(b: TypeABundle,
     each sample point; it is checked to (a) be lower triangular of Miura
     shape, (b) carry the Cartan connection zeta_i Q+_i(qz)/Q+_i(z) on its
     diagonal ratios, and (c) agree entrywise with the bundle's product
-    connection A on the sample panel.  W, v and Z come from the bundle;
-    without a trivializer (rank one) the trivializer's refusal is raised.
-    A sample point on a pole (a root of some Q+_i) is nudged by off_pole;
-    a point that stays on one is a failed check with a witness.
+    connection A on the sample.  Without a trivializer (rank one) the
+    trivializer's refusal is raised.
     """
-    inst, sol, W, target, Zm = b.inst, b.sol, b.W, b.A, b.Z
-    gauss_decompose(W)  # the iff gate; raises on vanishing principal minors
+    b = s.bundle
+    gauss_decompose(b.W)  # the iff gate; raises on vanishing principal minors
+    if s.v is None:
+        miura_trivializer(b.inst, b.sol, A=b.A)  # raises the refusal
+    Am = np.linalg.solve(s.vq, s.z[:, None] * s.v)
+    ones = np.ones((len(s.g), 1))
+    g = np.hstack([ones, s.g, ones])  # g_0 = g_{r+1} = 1
     rep = CheckReport("miura-reconstruction", True)
-    v = b.v if b.v is not None else miura_trivializer(inst, sol, A=target)
-    qc = complex(inst.q)
-    Zv = Zm.eval(0.0)  # Z is constant
-
-    def at(x):
-        vx = v.eval(x)
-        g = cartan_connection(inst, sol, x)
-        gext = [1.0] + list(g)
-        want = [gext[k] / (g[k] if k < inst.rank else 1.0)
-                for k in range(inst.rank + 1)]
-        return (vx, np.linalg.solve(v.eval(qc * x), Zv @ vx), target.eval(x),
-                want)
-
-    first_w = W.column(0)
-    col_err = tri_err = diag_err = ent_err = 0.0
-    panel = list(points) if points is not None else list(_panel(5, seed=41))
-    for x0 in panel:
-        try:
-            x, (vx, Am, Tm, want) = off_pole(at, x0)
-        except ZeroDivisionError as err:
-            rep.add("sample point off the poles", False, value=float("inf"),
-                    witness=f"{x0} after 4 nudges: {err}")
-            continue
-        for w, c in zip(first_w, vx[:, 0]):
-            col_err = max(col_err, abs(complex(w(x)) - c) / (1 + abs(c)))
-        tri_err = max(tri_err, np.abs(np.triu(Am, 1)).max() /
-                      (1 + np.abs(Am).max()))
-        for k, wk in enumerate(want):
-            diag_err = max(diag_err, abs(Am[k, k] - wk) / (1 + abs(wk)))
-        ent_err = max(ent_err, np.abs(Am - Tm).max() / (1 + np.abs(Tm).max()))
+    col_err = _rel_gap(s.W[0][..., 0], -s.v[..., 0])
+    tri_err = _rel_gap(Am, -np.tril(Am))
+    diag_err = _rel_gap(np.diagonal(Am, axis1=1, axis2=2), -g[:, :-1] / g[:, 1:])
+    ent_err = _rel_gap(Am, -s.A)
     rep.add("first column matches trivializer", col_err <= 1e-7, value=col_err)
     rep.add("oper shape (lower triangular)", tri_err <= 1e-8, value=tri_err)
     rep.add("Cartan connection on the diagonal", diag_err <= 1e-7, value=diag_err)
@@ -790,38 +772,27 @@ def miura_from_wronskian(b: TypeABundle,
     return rep
 
 
-def miura_plucker_blocks(b: TypeABundle, i: int,
-                         points: Optional[Sequence[complex]] = None
-                         ) -> CheckReport:
+def miura_plucker_blocks(s: TypeASample, i: int) -> CheckReport:
     """Rank-two block check in the i-th fundamental realization.
 
     The representation with lowest weight -omega_i is the (r+1-i)-th
     exterior power of the defining one; the invariant plane is spanned by
     the lowest wedge u1 = e_{i+1} ^ ... ^ e_{r+1} and u2 = e_i . u1.  The
-    2x2 blocks of the compound matrices of the bundle's A, v and Z must
-    satisfy A_i(z) = vt_i(qz) Z_i vt_i(z)^{-1} where vt = v^{-1}.
+    2x2 blocks of the compound matrices of A, v and Z must satisfy
+    A_i(z) = vt_i(qz) Z_i vt_i(z)^{-1} where vt = v^{-1}; Z_i is diagonal,
+    with Z's diagonal multiplied over u1 and over u2.
     """
-    A, v, Zm = b.A, b.v, b.Z
-    n = b.inst.rank + 1
-    plane = (tuple(range(i, n)), tuple(sorted([i - 1] + list(range(i + 1, n)))))
-    qc = complex(b.inst.q)
-    panel = list(points) if points is not None else list(_panel(5, seed=57))
-    rep = CheckReport(f"miura-plucker block i={i}", True)
+    n = len(s.z)
+    plane = np.array([list(range(i, n)), sorted([i - 1] + list(range(i + 1, n)))])
 
     def blk(Mv):
         """The (u1, u2) blocks of the (n-i)-th compound of a stack Mv."""
-        idx = np.array(plane)
-        return _minor(Mv, idx[:, None], idx[None, :])
+        return _minor(Mv, plane[:, None], plane[None, :])
 
-    blocks = zip(blk(_evaluate(A, panel)),
-                 blk(np.linalg.inv(_evaluate(v, [qc * x for x in panel]))),
-                 blk(_evaluate(Zm, panel)),
-                 blk(np.linalg.inv(_evaluate(v, panel))))
-    worst = 0.0
-    for Ai, vtq, Zi, vt in blocks:
-        rhs = vtq @ Zi @ np.linalg.inv(vt)
-        scale = 1.0 + max(np.abs(Ai).max(), np.abs(rhs).max())
-        worst = max(worst, np.abs(Ai - rhs).max() / scale)
+    zi = np.prod(s.z[plane], axis=1)
+    rhs = blk(np.linalg.inv(s.vq)) * zi @ np.linalg.inv(blk(np.linalg.inv(s.v)))
+    worst = _rel_gap(blk(s.A), -rhs)
+    rep = CheckReport(f"miura-plucker block i={i}", True)
     rep.add("block twist identity", worst <= 1e-8, value=worst)
     return rep
 

@@ -142,7 +142,11 @@ class TestFuzzFindings:
         ("zetas", [1e308, 1.0], "zetas:"), ("seed", -1, "seed:"),
         ("degrees", [0, 0], "solution.qplus[0]"),
         ("degrees", [1e308, 1], "degrees and tolerances.K"),
-        ("tolerances", {"K": 0}, "tolerances.K")])
+        ("tolerances", {"K": 0}, "tolerances.K"),
+        ("tolerances", {"tau": -1}, "tolerances.tau"),
+        ("tolerances", {"tau": 0}, "tolerances.tau"),
+        ("tolerances", {"bethe_tol": 0}, "tolerances.bethe_tol"),
+        ("tolerances", {"bethe_tol": -1e-3}, "tolerances.bethe_tol")])
     def test_exit_2(self, tmp_path, capsys, command, key, value, message):
         doc = json.loads(A2_SOLVED.read_text())
         doc[key] = value
@@ -150,6 +154,36 @@ class TestFuzzFindings:
         f.write_text(json.dumps(doc))
         assert main([command, "--instance", str(f), "--seeds", "3"]) == 2
         assert f"input error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--tol", "nan"], "--tol:"),
+        (["solve", "--tol", "-1"], "--tol:"),
+        (["solve", "--tol", "0"], "--tol:"),
+        (["solve", "--seeds", "0"], "--seeds:"),
+        (["solve", "--seeds", "-1"], "--seeds:"),
+        (["identities", "--trials", "0"], "--trials:")])
+    def test_flag_that_accepts_nothing(self, capsys, argv, message):
+        # each of these ran to exit 0 with nothing accepted: no solution on
+        # an instance with three, and a passing `solver` check
+        if argv[0] == "solve":
+            argv = argv + ["--instance", str(A2)]
+        assert main(argv) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["wronskian", "verify"])
+    @pytest.mark.parametrize("q", [1e10, 1e20])
+    def test_large_q_is_a_failed_wronskian_build(self, tmp_path, command, q):
+        # the Miura factor of a huge q divides by a polynomial that the
+        # float trim has zeroed; that was a ZeroDivisionError traceback
+        doc = json.loads(A2_SOLVED.read_text())
+        doc["q"] = q
+        f = tmp_path / "q.json"
+        f.write_text(json.dumps(doc))
+        code, text = run_cli([command, "--instance", str(f)], tmp_path)
+        assert code == 1
+        bad = [c for c in json.loads(text)["checks"] if not c["pass"]]
+        assert bad[-1]["check"] == "wronskian-build"
+        assert bad[-1]["witnesses"] == ["inverting zero rational function"]
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--instance", str(A2_SOLVED)], ["identities"]])
@@ -377,6 +411,39 @@ class TestVerify:
                           "miura_trivializer": 1, "build_miura_A": 1,
                           "build_wronskian": 1}
 
+    def test_evaluates_each_object_once_per_point(self, tmp_path,
+                                                  monkeypatch):
+        # W at x, qx and q^2 x (h = 3), every S_k, A, v(x), v(qx) and the
+        # Cartan connection once per panel point, and nothing else
+        import qoper.wronskian as wr
+        evals, bundles, connections = {}, [], []
+        ratmatrix_eval, build = wr.RatMatrix.eval, wr.type_a_bundle
+        connection = wr.cartan_connection
+
+        def counted_eval(self, z):
+            evals[id(self)] = evals.get(id(self), 0) + 1
+            return ratmatrix_eval(self, z)
+
+        def kept(*args):
+            bundles.append(build(*args))
+            return bundles[-1]
+
+        def counted_connection(*args):
+            connections.append(args[-1])
+            return connection(*args)
+
+        monkeypatch.setattr(wr.RatMatrix, "eval", counted_eval)
+        monkeypatch.setattr(wr, "type_a_bundle", kept)
+        monkeypatch.setattr(wr, "cartan_connection", counted_connection)
+        code, _ = run_cli(["verify", "--instance", str(A2_SOLVED)], tmp_path)
+        assert code == 0
+        (b,) = bundles
+        points = len(wr.PANEL)
+        want = {id(b.W): 3 * points, id(b.A): points, id(b.v): 2 * points}
+        want.update({id(Sk): points for Sk in b.S})
+        assert evals == want
+        assert len(connections) == points
+
     def test_rank_one_trivializer_refusal_reported(self, tmp_path):
         from qoper.qq import solve_bethe
         inst, _, extras = parse_instance(json.loads(A1.read_text()))
@@ -488,20 +555,28 @@ class TestWronskianCommand:
 
     def test_point_left_on_a_pole_is_a_failed_check(self, tmp_path,
                                                      monkeypatch):
-        import numpy as np
+        # two panel points stay on a pole: one failed check each, with the
+        # point as witness, and every check passes on the other points
+        import qoper.wronskian as wr
+        stuck = [complex(wr.PANEL[3]), complex(wr.PANEL[11])]
+        connection = wr.cartan_connection
 
-        def on_a_pole(*args, **kw):
-            raise ZeroDivisionError("zero denominator")
+        def near_a_pole(inst, sol, z):
+            if any(abs(z - x) < 0.1 for x in stuck):
+                raise ZeroDivisionError("zero denominator")
+            return connection(inst, sol, z)
 
-        monkeypatch.setattr(np.linalg, "matrix_power", on_a_pole)
+        monkeypatch.setattr(wr, "cartan_connection", near_a_pole)
         code, text = run_cli(
             ["wronskian", "--instance", str(A2_SOLVED)], tmp_path)
         assert code == 1
-        bad = [c for c in json.loads(text)["checks"] if not c["pass"]]
-        assert bad
-        assert {c["check"] for c in bad} == \
-            {"wronskian-equations: sample point off the poles"}
-        assert all(c["sup_residual"] == 1e300 and c["witnesses"] for c in bad)
+        checks = json.loads(text)["checks"]
+        bad = [c for c in checks if not c["pass"]]
+        assert [c["check"] for c in bad] == ["sample point off the poles"] * 2
+        assert [c["witnesses"] for c in bad] == \
+            [[f"{x} after 4 nudges: zero denominator"] for x in stuck]
+        assert all(c["sup_residual"] == 1e300 for c in bad)
+        assert len(checks) > 20 and checks[:2] == bad
 
     def test_non_type_a_rejected(self, tmp_path):
         import numpy as np
