@@ -93,10 +93,11 @@ def _parse_number(v, where: str, kind=float):
 
 
 def _positive(x, where: str):
-    """x itself when it is a positive number (not NaN), else an InputError:
-    a tolerance, seed count or trial count of zero or less accepts nothing."""
-    if not x > 0:
-        raise InputError(f"{where}: expected a positive number, got {x!r}")
+    """x when it is positive and finite (not NaN), else an InputError: a
+    tolerance, seed count or trial count of zero or less accepts nothing."""
+    if not 0 < x < math.inf:
+        raise InputError(f"{where}: expected a positive finite number, "
+                         f"got {x!r}")
     return x
 
 
@@ -525,10 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.tol is not None and not 0 < args.tol < math.inf:
-            raise InputError(f"--tol: expected a positive finite number, "
-                             f"got {args.tol!r}")
-        _positive(args.seeds, "--seeds")
+        if args.command == "solve":  # the only reader of --tol and --seeds
+            if args.tol is not None:
+                _positive(args.tol, "--tol")
+            _positive(args.seeds, "--seeds")
         if args.command == "identities":
             _positive(args.trials, "--trials")
             if args.seed is None:

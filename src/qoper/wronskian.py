@@ -101,9 +101,6 @@ class RatMatrix:
             acc = acc + (term if j % 2 == 0 else -term)
         return acc
 
-    def column(self, j: int) -> list[RatFun]:
-        return [self.entries[i][j] for i in range(self.n)]
-
 
 @dataclass(frozen=True)
 class MinorSpec:
@@ -519,7 +516,8 @@ def _rel_gap(*terms) -> float:
 
     Axis 0 of every term runs over the points; over any further axes (the
     entries of a vector or a matrix) the numerator and the scale each take
-    their largest value first.  No point gives 0.
+    their largest value first.  An empty sample gives inf, so it fails
+    every bound.
     """
     entries = tuple(range(1, terms[0].ndim))
 
@@ -529,7 +527,7 @@ def _rel_gap(*terms) -> float:
 
     scale = 1.0 + functools.reduce(np.maximum, map(size, terms))
     gap = size(sum(terms[1:], terms[0])) / scale
-    return float(gap.max()) if gap.size else 0.0
+    return float(gap.max()) if gap.size else float("inf")
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -596,9 +594,9 @@ def fundamental_relation_residual(Mv: np.ndarray, u: WeylWord, v: WeylWord,
     rhs = np.ones(len(Mv), dtype=complex)
     for j in range(1, data.rank + 1):
         if j != i and data.a(j, i):
-            rhs = rhs * _minor(Mv, _index_rows(u, j, data),
-                               _index_rows(v, j, data)) ** -data.a(j, i)
-    return _rel_gap(a * b, -(c * d), -rhs)
+            rhs = _times(rhs, _minor(Mv, _index_rows(u, j, data),
+                                     _index_rows(v, j, data)) ** -data.a(j, i))
+    return _rel_gap(_times(a, b), -_times(c, d), -rhs)
 
 
 def check_lewis_carroll(M: RatMatrix, i: int) -> RatFun:
@@ -696,17 +694,31 @@ def check_shifted_minor_relation(s: TypeASample, i: int,
 
     where the shifted column set and the factor F_i(z)^{-1} = L_i(z) are
     read off the i-th compound of the staggered lift; for the standard
-    ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  The zeta weight is
-    1 / prod_{r in w om_i} Z_rr.  Each residual is the relative residual
-    on the sample, and each side's minors for every word and point come
-    from one det.
+    ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  Each residual is
+    the relative residual on the sample, and each side's minors for every
+    word and point come from one det.
     """
+    inst = s.bundle.inst
+    if not len(s.points):
+        return [float("inf")] * len(words)
     tgt_cols, scalars = _wedge_image(s.S[1], i)
-    rows = [_index_rows(w, i, s.bundle.inst.cartan) for w in words]
+    rows = [_index_rows(w, i, inst.cartan) for w in words]
     lhs = _minor(s.W[0], rows, tgt_cols)  # (points, words)
     shifted = _minor(s.W[1], rows, range(i))
-    return [_rel_gap(lhs[:, k], -shifted[:, k] / (np.prod(s.z[rs]) * scalars))
+    return [_rel_gap(lhs[:, k],
+                     -(_times(_zeta_weight(inst, rs), shifted[:, k]) / scalars))
             for k, rs in enumerate(rows)]
+
+
+def _zeta_weight(inst: QQInstance, rows) -> complex:
+    """prod_j zeta_j^{<coroot_j, w om_i>}, where <coroot_j, w om_i> is
+    [j in w om_i] - [j+1 in w om_i]; ``rows`` holds w om_i 0-based."""
+    weight = 1.0 + 0.0j
+    for j, zeta in enumerate(inst.zetas()):  # zeta of node j + 1
+        e = (j in rows) - (j + 1 in rows)
+        if e:
+            weight *= complex(zeta) ** e
+    return weight
 
 
 def gauss_decompose(M: RatMatrix):
@@ -761,9 +773,11 @@ def miura_from_wronskian(s: TypeASample) -> CheckReport:
     ones = np.ones((len(s.g), 1))
     g = np.hstack([ones, s.g, ones])  # g_0 = g_{r+1} = 1
     rep = CheckReport("miura-reconstruction", True)
-    col_err = _rel_gap(s.W[0][..., 0], -s.v[..., 0])
+    # the vector checks take each entry at each point as its own sample
+    col_err = _rel_gap(s.W[0][..., 0].ravel(), -s.v[..., 0].ravel())
     tri_err = _rel_gap(Am, -np.tril(Am))
-    diag_err = _rel_gap(np.diagonal(Am, axis1=1, axis2=2), -g[:, :-1] / g[:, 1:])
+    diag_err = _rel_gap(np.diagonal(Am, axis1=1, axis2=2).ravel(),
+                        -(g[:, :-1] / g[:, 1:]).ravel())
     ent_err = _rel_gap(Am, -s.A)
     rep.add("first column matches trivializer", col_err <= 1e-7, value=col_err)
     rep.add("oper shape (lower triangular)", tri_err <= 1e-8, value=tri_err)
@@ -779,8 +793,8 @@ def miura_plucker_blocks(s: TypeASample, i: int) -> CheckReport:
     exterior power of the defining one; the invariant plane is spanned by
     the lowest wedge u1 = e_{i+1} ^ ... ^ e_{r+1} and u2 = e_i . u1.  The
     2x2 blocks of the compound matrices of A, v and Z must satisfy
-    A_i(z) = vt_i(qz) Z_i vt_i(z)^{-1} where vt = v^{-1}; Z_i is diagonal,
-    with Z's diagonal multiplied over u1 and over u2.
+    A_i(z) = vt_i(qz) Z_i vt_i(z)^{-1} where vt = v^{-1}; Z_i is the same
+    block of the compound of Z = diag(z).
     """
     n = len(s.z)
     plane = np.array([list(range(i, n)), sorted([i - 1] + list(range(i + 1, n)))])
@@ -789,8 +803,8 @@ def miura_plucker_blocks(s: TypeASample, i: int) -> CheckReport:
         """The (u1, u2) blocks of the (n-i)-th compound of a stack Mv."""
         return _minor(Mv, plane[:, None], plane[None, :])
 
-    zi = np.prod(s.z[plane], axis=1)
-    rhs = blk(np.linalg.inv(s.vq)) * zi @ np.linalg.inv(blk(np.linalg.inv(s.v)))
+    rhs = blk(np.linalg.inv(s.vq)) @ blk(np.diag(s.z)) \
+        @ np.linalg.inv(blk(np.linalg.inv(s.v)))
     worst = _rel_gap(blk(s.A), -rhs)
     rep = CheckReport(f"miura-plucker block i={i}", True)
     rep.add("block twist identity", worst <= 1e-8, value=worst)

@@ -170,6 +170,14 @@ class TestFuzzFindings:
         assert main(argv) == 2
         assert f"input error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "wronskian", "backlund"])
+    def test_solver_flags_are_not_read_elsewhere(self, tmp_path, command):
+        # only `solve` reads --tol and --seeds, so no other command refuses
+        # the values that `solve` does
+        argv = [command, "--instance", str(A2_SOLVED), "--tol", "0",
+                "--seeds", "0"] + (["--word", "1"] if command == "backlund" else [])
+        assert run_cli(argv, tmp_path)[0] == 0
+
     @pytest.mark.parametrize("command", ["wronskian", "verify"])
     @pytest.mark.parametrize("q", [1e10, 1e20])
     def test_large_q_is_a_failed_wronskian_build(self, tmp_path, command, q):

@@ -183,7 +183,8 @@ class TestSLambdaInverse:
             inst = unsolved(rank)
             S = lift_products(s_lambda_inverse(inst), inst.q)
             for k in range(1, rank + 1):
-                col = [e for e in S[k].column(0) if not e.is_zero()]
+                col = [e for e in (S[k][r, 0] for r in range(S[k].n))
+                       if not e.is_zero()]
                 assert len(col) == 1, (rank, k)
                 gamma = col[0]
                 closed = Poly([(-1) ** k])
@@ -524,6 +525,20 @@ class TestMiura:
         for it in rep.items:
             assert it["value"] is None or it["value"] <= 1e-8
 
+    def test_small_diagonal_ratio_is_measured_on_its_own(self):
+        # v = 1 and Z = diag(100, 0.01 + 1e-6, 1) against the Cartan ratios
+        # (100, 0.01, 1): the error of 1e-6 on the small ratio fails the
+        # 1e-7 bound, however large the other ratios are
+        s = sampled(*a2_solved())
+        eye = np.eye(3, dtype=complex)[None]
+        z = np.array([100.0, 0.01 + 1e-6, 1.0], dtype=complex)
+        s = replace(s, points=s.points[:1], W=np.stack([eye] * 3), v=eye,
+                    vq=eye, A=np.diag(z)[None], g=np.array([[0.01, 1.0]]), z=z)
+        rep = miura_from_wronskian(s)
+        bad = [it for it in rep.items if not it["pass"]]
+        assert [it["label"] for it in bad] == ["Cartan connection on the diagonal"]
+        assert bad[0]["value"] == pytest.approx(1e-6 / 1.010001, rel=1e-6)
+
     def test_trivial_instance_diagonal(self):
         # m = 0 everywhere: Cartan part is constant (1/zeta, zeta)
         cd = cartan_matrix("A", 1)
@@ -629,9 +644,12 @@ def shifted_minor_per_point(b, w, i, points):
     inst = b.inst
     qc, n = complex(inst.q), inst.rank + 1
     rows = _index_rows(w, i, inst.cartan)
+    rowset = {r + 1 for r in rows}
     weight = 1.0 + 0.0j
-    for r in rows:
-        weight /= complex(_twist_diagonal(inst)[r])
+    for j in range(1, inst.rank + 1):
+        e = (j in rowset) - (j + 1 in rowset)
+        if e:
+            weight *= complex(inst.zetas()[j - 1]) ** e
     sets = list(itertools.combinations(range(n), i))
     worst = 0.0
     for x in map(complex, points):
@@ -654,13 +672,16 @@ def plucker_per_point(b, i, points):
     def blk(Mv):
         return np.array([[minor_at(Mv, rs, cs) for cs in plane] for rs in plane])
 
+    def size(M):  # one abs per entry: numpy's vector abs rounds differently
+        return max(abs(e) for e in M.ravel())
+
     worst = 0.0
     for x in map(complex, points):
         Ai = blk(A.eval(x))
         rhs = blk(np.linalg.inv(v.eval(qc * x))) @ blk(Z) \
             @ np.linalg.inv(blk(np.linalg.inv(v.eval(x))))
-        scale = 1.0 + max(np.abs(Ai).max(), np.abs(rhs).max())
-        worst = max(worst, np.abs(Ai - rhs).max() / scale)
+        scale = 1.0 + max(size(Ai), size(rhs))
+        worst = max(worst, size(Ai - rhs) / scale)
     return worst
 
 
@@ -685,12 +706,7 @@ def fundamental_per_point(M, i, data, points):
 
 class TestPanelMinors:
     """Minors of a whole panel from one det equal the per-point ones bit
-    for bit; the residuals built from them agree with per-point residuals
-    to rounding (a few units in the last place of a residual that is
-    itself rounding, since numpy's vector loops may fuse a multiply and an
-    add where one complex product at a time does not)."""
-
-    ULPS = 8 * np.finfo(float).eps
+    for bit, and so do the residuals built from them."""
 
     def test_stacked_det_is_bit_identical(self):
         rng = np.random.default_rng(0)
@@ -711,13 +727,13 @@ class TestPanelMinors:
             got = check_shifted_minor_relation(s, i, words)
             want = [shifted_minor_per_point(s.bundle, w, i, s.points)
                     for w in words]
-            assert np.abs(np.subtract(got, want)).max() <= self.ULPS, i
+            assert got == want, i
 
     def test_plucker_blocks(self):
         s = sampled(*a3_solved())
         for i in (1, 2, 3):
             got = miura_plucker_blocks(s, i).items[0]["value"]
-            assert abs(got - plucker_per_point(s.bundle, i, s.points)) <= self.ULPS
+            assert got == plucker_per_point(s.bundle, i, s.points), i
 
     def test_fundamental_relation(self):
         inst, sol = a3_solved()
@@ -726,8 +742,7 @@ class TestPanelMinors:
         for i in (1, 2, 3):
             got = fundamental_relation_residual(evaluate(W, PANEL), e, e, i,
                                                 inst.cartan)
-            assert abs(got - fundamental_per_point(W, i, inst.cartan, PANEL)) \
-                <= self.ULPS
+            assert got == fundamental_per_point(W, i, inst.cartan, PANEL), i
 
 
 class TestMiuraPoles:
@@ -759,6 +774,15 @@ class TestMiuraPoles:
                                 for x in wr.PANEL)
         assert s.points.shape == (0,) and s.W.shape == (3, 0, 3, 3)
         assert s.v.shape == s.vq.shape == (0, 3, 3) and s.g.shape == (0, 2)
+        # with no point left, no check passes
+        for rep in (check_wronskian_equations(s), miura_from_wronskian(s),
+                    miura_plucker_blocks(s, 1)):
+            assert rep.items and not any(it["pass"] for it in rep.items)
+        assert check_shifted_minor_relation(s, 1, [WeylWord.identity()]) \
+            == [float("inf")]
+        e = WeylWord.identity()
+        assert fundamental_relation_residual(s.W[0], e, e, 1, b.inst.cartan) \
+            == float("inf")
 
 
 class TestSampleBundle:
