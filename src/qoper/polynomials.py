@@ -390,7 +390,11 @@ class RatFun:
         return RatFun(Poly.one())
 
     def __call__(self, z):
-        return self.num(z) / self.den(z)
+        den = self.den(z)
+        if den == 0:
+            # numpy scalars would give inf with a warning instead
+            raise ZeroDivisionError("rational function evaluated at a pole")
+        return self.num(z) / den
 
     def is_zero(self, tol: float = TAU) -> bool:
         if self.num.is_zero():

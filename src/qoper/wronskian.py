@@ -41,15 +41,22 @@ from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
 
 
 class RatMatrix:
-    """Square matrix of rational functions."""
+    """Square matrix of rational functions, immutable after construction.
+
+    A matrix and every submatrix cut from it share one table of minors,
+    keyed by (rows, cols) given as indices of the matrix they were all cut
+    from, so det() expands each minor once.
+    """
 
     def __init__(self, entries):
-        self.entries = [[e if isinstance(e, RatFun) else RatFun(e)
-                         for e in row] for row in entries]
+        self.entries = tuple(tuple(e if isinstance(e, RatFun) else RatFun(e)
+                                   for e in row) for row in entries)
         n = len(self.entries)
         if any(len(row) != n for row in self.entries):
             raise ValueError("RatMatrix must be square")
         self.n = n
+        self._minors = {}
+        self._rows = self._cols = tuple(range(n))
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
@@ -84,13 +91,22 @@ class RatMatrix:
         return RatMatrix(out)
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMatrix":
-        return RatMatrix([[self.entries[i][j] for j in cols] for i in rows])
+        """The submatrix on rows x cols, sharing this matrix's minor table."""
+        sub = RatMatrix([[self.entries[i][j] for j in cols] for i in rows])
+        sub._minors = self._minors
+        sub._rows = tuple(self._rows[i] for i in rows)
+        sub._cols = tuple(self._cols[j] for j in cols)
+        return sub
 
     def det(self) -> RatFun:
-        """Determinant by cofactor expansion (intended for small n)."""
+        """Determinant by cofactor expansion along the first row (intended
+        for small n); each minor is expanded once, into the shared table."""
         n = self.n
         if n == 1:
             return self.entries[0][0]
+        key = (self._rows, self._cols)
+        if key in self._minors:
+            return self._minors[key]
         acc = RatFun.zero()
         for j in range(n):
             a = self.entries[0][j]
@@ -99,6 +115,7 @@ class RatMatrix:
             sub = self.submatrix(range(1, n), [c for c in range(n) if c != j])
             term = a * sub.det()
             acc = acc + (term if j % 2 == 0 else -term)
+        self._minors[key] = acc
         return acc
 
 
@@ -248,8 +265,9 @@ def build_miura_A(inst: QQInstance, sol: QQSolution) -> RatMatrix:
         diag = _coroot_diag(n, node, g.inv())
         phi = RatFun(inst.lambdas[node - 1] * qp,
                      q_shift(qp, qc).scale(zs[node - 1]))
-        expf = RatMatrix.identity(n)
-        expf.entries[node][node - 1] = phi
+        expf = RatMatrix([[phi if (a, c) == (node, node - 1)
+                           else RatFun.one() if a == c else RatFun.zero()
+                           for c in range(n)] for a in range(n)])
         acc = acc @ diag @ expf
     return acc
 

@@ -195,6 +195,17 @@ class TestOffPole:
             off_pole(self.on_a_pole_until(6, calls), 1.0)
         assert len(calls) == 5
 
+    def test_numpy_point_on_a_pole_raises(self):
+        f = RatFun(Poly([1]), Poly([-2, 1]))
+        with pytest.raises(ZeroDivisionError):
+            f(np.complex128(2))
+
+    def test_numpy_point_on_a_pole_is_moved(self):
+        f = RatFun(Poly([1]), Poly([-2, 1]))
+        x, y = off_pole(f, np.complex128(2))
+        assert x == 2 * (1.013 + 0.007j)
+        assert y == f(x) and np.isfinite(y)
+
 
 # -- the exact core: int coefficients stay ints until a division -----------
 

@@ -456,6 +456,90 @@ class TestLewisCarroll:
             check_lewis_carroll(RatMatrix.identity(2), 2)
 
 
+def cofactor_det(rows):
+    """Plain first-row cofactor expansion of a list of RatFun rows, every
+    minor expanded anew."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = RatFun.zero()
+    for j in range(n):
+        a = rows[0][j]
+        if a.is_zero():
+            continue
+        term = a * cofactor_det([[r[c] for c in range(n) if c != j]
+                                 for r in rows[1:]])
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def bits(f):
+    """Every coefficient with its type, -0.0 told from 0.0."""
+    return repr((f.num.coeffs, f.den.coeffs))
+
+
+def random_matrix(n, rng, exact):
+    def entry():
+        if exact:
+            if rng.random() < 0.3:
+                return RatFun.zero()
+            return RatFun(Poly([int(rng.integers(-4, 5)) for _ in range(3)]))
+        return RatFun(Poly(rng.standard_normal(3)
+                           + 1j * rng.standard_normal(3)))
+    return RatMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+class TestMinorTable:
+    def test_exact_det_equals_plain_expansion(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            M = random_matrix(5, rng, exact=True)
+            assert any(e.is_zero() for row in M.entries for e in row)
+            assert bits(M.det()) == bits(cofactor_det(M.entries))
+
+    def test_float_det_is_bit_identical(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            M = random_matrix(4, rng, exact=False)
+            assert bits(M.det()) == bits(cofactor_det(M.entries))
+
+    def test_submatrix_of_submatrix(self):
+        M = random_matrix(5, np.random.default_rng(13), exact=True)
+        M.det()
+        nested = M.submatrix([0, 4, 2, 3], [1, 2, 3, 4]).submatrix(
+            [1, 2, 3], [0, 2, 3])
+        direct = M.submatrix([4, 2, 3], [1, 3, 4])
+        assert bits(nested.det()) == bits(direct.det())
+        # row order is part of the key: a swap flips the sign
+        swapped = M.submatrix([2, 4, 3], [1, 3, 4])
+        assert bits(swapped.det()) == bits(-direct.det())
+        assert bits(direct.det()) == bits(cofactor_det(direct.entries))
+
+    def test_each_minor_expanded_once(self):
+        M = random_matrix(4, np.random.default_rng(14), exact=True)
+        d = M.det()
+        assert M.det() is d
+        sub = M.submatrix([1, 2, 3], [0, 1, 3])
+        assert sub.det() is M.submatrix([1, 2, 3], [0, 1, 3]).det()
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_lewis_carroll_on_shared_matrix(self, exact):
+        rng = np.random.default_rng(15)
+        n = 5 if exact else 4
+        M = random_matrix(n, rng, exact)
+        shared = [check_lewis_carroll(M, i) for i in range(2, n + 1)]
+        fresh = [check_lewis_carroll(RatMatrix(M.entries), i)
+                 for i in range(2, n + 1)]
+        assert [bits(f) for f in shared] == [bits(f) for f in fresh]
+
+    def test_entries_are_read_only(self):
+        M = RatMatrix.identity(3)
+        with pytest.raises(TypeError):
+            M.entries[0][1] = RatFun.one()
+        with pytest.raises(TypeError):
+            M.entries[0] = (RatFun.one(),) * 3
+
+
 class TestGaussDecompose:
     def test_identity(self):
         L, D, U = gauss_decompose(RatMatrix.identity(3))
