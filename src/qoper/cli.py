@@ -17,19 +17,16 @@ import argparse
 import hashlib
 import json
 import math
+import random
 import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from .cartan import TwistZ, WeylWord, cartan_matrix, enumerate_weyl
-from .polynomials import Poly, RatFun
-from .qq import (DegenerateInstance, QQInstance, QQSolution, bethe_residual,
-                 nondegenerate, qq_residual, resonance_check, solve_bethe)
+from .polynomials import Poly, RatFun, RatMatrix, check_lewis_carroll
 
-# backlund and wronskian are imported inside the subcommands that run them:
-# `solve` loads neither, `identities` no backlund, B2/G2 `verify` no wronskian.
+# numpy, qq, backlund and wronskian load inside the functions that run them:
+# `identities --exact` loads none, `solve` no backlund or wronskian.
 
 
 def __getattr__(name):
@@ -134,6 +131,7 @@ def _parse_poly(obj, where: str) -> Poly:
 
 def parse_instance(doc: dict):
     """Strict-schema parse of an instance file into (QQInstance, extras)."""
+    from .qq import QQInstance, QQSolution
     if not isinstance(doc, dict):
         raise InputError("instance file must hold a JSON object")
     unknown = set(doc) - _INSTANCE_KEYS
@@ -301,6 +299,7 @@ def _emit(report_doc: dict, fmt: str, out):
 def _solution_entry(inst, sol, K):
     """(report entry, QQ residual, Bethe residual, nondegenerate report)
     of one solution; nondegeneracy is judged in the resonance window K."""
+    from .qq import DegenerateInstance, bethe_residual, nondegenerate, qq_residual
     resid = qq_residual(inst, sol)
     qqres = max(r.norm() for r in resid)
     try:
@@ -322,6 +321,7 @@ def _solution_entry(inst, sol, K):
 
 
 def run_solve(inst, extras, args, rep: Report):
+    from .qq import resonance_check, solve_bethe
     res = resonance_check(inst, extras["K"])
     rep.check("resonance", 0.0, res.passed,
               witnesses=[it["label"] for it in res.items if not it["pass"]])
@@ -365,6 +365,8 @@ def run_wronskian_suite(inst, sol, rep: Report):
     """The type-A battery.  R, its transports, (A, v) and W are built
     once, in one bundle, and evaluated once on one sample panel; every
     float check is array arithmetic on those values."""
+    import numpy as np
+    from .qq import DegenerateInstance
     from .wronskian import (check_shifted_minor_relation,
                             check_wronskian_equations,
                             fundamental_relation_residual,
@@ -410,6 +412,7 @@ def run_wronskian_suite(inst, sol, rep: Report):
 
 def run_backlund(inst, sol, extras, args, rep: Report):
     from .backlund import apply_word, full_qq_system
+    from .qq import DegenerateInstance, qq_residual
     if sol is None:
         raise InputError("backlund requires a solution block in the instance file")
     letters = [int(x) for x in args.word.split(",") if x.strip()]
@@ -460,30 +463,29 @@ def run_backlund(inst, sol, extras, args, rep: Report):
 
 def run_identities(args, rep: Report):
     """Universal determinant identity battery on random matrices."""
-    from .wronskian import (RatMatrix, check_lewis_carroll, evaluate,
-                            lewis_carroll_residual)
-    rng = np.random.default_rng(args.seed)
-    worst_lc = 0.0
-    exact_ok = True
-    for trial in range(args.trials):
-        n = 4
-        if args.exact:
-            M = RatMatrix([[RatFun(Poly([int(rng.integers(-5, 6))
-                                         for _ in range(3)]))
+    n = 4
+    if args.exact:
+        rng = random.Random(args.seed)
+        exact_ok = True
+        for trial in range(args.trials):
+            M = RatMatrix([[RatFun(Poly([rng.randint(-5, 5) for _ in range(3)]))
                             for _ in range(n)] for _ in range(n)])
             exact_ok = exact_ok and all(check_lewis_carroll(M, i).num.is_zero()
                                         for i in range(2, n + 1))
-        else:
-            M = RatMatrix([[RatFun(Poly(rng.standard_normal(3)
-                                        + 1j * rng.standard_normal(3)))
-                            for _ in range(n)] for _ in range(n)])
-            Mv = evaluate(M, (0.37 + 0.21j, -1.3 + 0.7j))
-            worst_lc = max(worst_lc, *(lewis_carroll_residual(Mv, i)
-                                       for i in range(2, n + 1)))
-    if args.exact:
         rep.check("lewis-carroll (exact)", 0.0, exact_ok)
-    else:
-        rep.check("lewis-carroll", worst_lc, worst_lc <= 1e-10)
+        return
+    import numpy as np
+    from .wronskian import evaluate, lewis_carroll_residual
+    rng = np.random.default_rng(args.seed)
+    worst_lc = 0.0
+    for trial in range(args.trials):
+        M = RatMatrix([[RatFun(Poly(rng.standard_normal(3)
+                                    + 1j * rng.standard_normal(3)))
+                        for _ in range(n)] for _ in range(n)])
+        Mv = evaluate(M, (0.37 + 0.21j, -1.3 + 0.7j))
+        worst_lc = max(worst_lc, *(lewis_carroll_residual(Mv, i)
+                                   for i in range(2, n + 1)))
+    rep.check("lewis-carroll", worst_lc, worst_lc <= 1e-10)
 
 
 def _seed_arg(text: str) -> int:
@@ -537,11 +539,13 @@ def main(argv=None) -> int:
             rep = Report("identities", {})
             run_identities(args, rep)
         else:
-            with open(args.instance) as fh:
-                try:
+            try:
+                with open(args.instance, encoding="utf-8") as fh:
                     doc = json.load(fh, parse_constant=_reject_constant)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"malformed JSON: {exc}")
+            except json.JSONDecodeError as exc:
+                raise InputError(f"malformed JSON: {exc}")
+            except (OSError, UnicodeDecodeError, RecursionError) as exc:
+                raise InputError(f"cannot read the instance file: {exc}")
             try:
                 inst, sol, extras = parse_instance(doc)
             except ValueError as exc:  # also the domain checks of the types
@@ -564,7 +568,7 @@ def main(argv=None) -> int:
                 if not inst.cartan.is_type_a:
                     raise InputError("wronskian requires a type A instance")
                 run_wronskian_suite(inst, sol, rep)
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
@@ -573,8 +577,12 @@ def main(argv=None) -> int:
 
     body = rep.finish()
     if args.out:
-        with open(args.out, "w") as fh:
-            _emit(body, args.format, fh)
+        try:
+            with open(args.out, "w") as fh:
+                _emit(body, args.format, fh)
+        except OSError as exc:
+            print(f"input error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         _emit(body, args.format, sys.stdout)
     return 1 if rep.failed else 0

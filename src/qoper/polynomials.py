@@ -9,6 +9,11 @@ least-squares solving require floating point.
 
 Polynomials are stored lowest degree first.  The zero polynomial has an
 empty coefficient tuple and degree -1 by convention.
+
+``RatMatrix`` and the exact Dodgson check live here too, so the exact
+battery ``qoper identities --exact``, whose entries
+``random.Random(seed).randint(-5, 5)`` draws, runs without numpy; only
+``poly_roots``, ``solve_poly_q_difference`` and ``RatMatrix.eval`` import it.
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 #: Default comparison tolerance.  Comparisons are relative with scale
 #: ``(1 + magnitude)`` throughout the package.
@@ -234,6 +237,7 @@ def poly_roots(p: Poly, tol: float = TAU) -> list[complex]:
     Eigenvalues are polished with two Newton steps; the residual of every
     returned root r satisfies |p(r)| <= tol * max(1 + max|c_k|, sum |c_k||r|^k).
     """
+    import numpy as np
     if p.degree < 1:
         raise ValueError("root extraction needs degree >= 1")
     cs = [complex(c) for c in p.coeffs]
@@ -322,6 +326,7 @@ def solve_poly_q_difference(alpha, beta, rhs, q, max_degree: int,
     degree <= max_degree satisfies the equation, which signals resonance
     or degeneracy upstream.
     """
+    import numpy as np
     qc = complex(q)
     rng = np.random.default_rng(seed)
     for d in range(max_degree + 1):
@@ -435,3 +440,105 @@ class RatFun:
 
     def __repr__(self):
         return f"RatFun({self.num!r}, {self.den!r})"
+
+
+class RatMatrix:
+    """Square matrix of rational functions, immutable after construction.
+
+    A matrix and every submatrix cut from it share one table of minors,
+    keyed by (rows, cols) given as indices of the matrix they were all cut
+    from, so det() expands each minor once.
+    """
+
+    def __init__(self, entries):
+        self.entries = tuple(tuple(e if isinstance(e, RatFun) else RatFun(e)
+                                   for e in row) for row in entries)
+        n = len(self.entries)
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("RatMatrix must be square")
+        self.n = n
+        self._minors = {}
+        self._rows = self._cols = tuple(range(n))
+
+    @staticmethod
+    def identity(n: int) -> "RatMatrix":
+        return RatMatrix([[RatFun.one() if i == j else RatFun.zero()
+                           for j in range(n)] for i in range(n)])
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i][j]
+
+    def eval(self, z) -> np.ndarray:
+        import numpy as np
+        return np.array([[complex(e(z)) for e in row] for row in self.entries])
+
+    def shift(self, q) -> "RatMatrix":
+        return RatMatrix([[e.shift(q) for e in row] for row in self.entries])
+
+    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
+        n = self.n
+        out = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = RatFun.zero()
+                for k in range(n):
+                    a = self.entries[i][k]
+                    b = other.entries[k][j]
+                    if a.is_zero() or b.is_zero():
+                        continue
+                    acc = acc + a * b
+                row.append(acc)
+            out.append(row)
+        return RatMatrix(out)
+
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMatrix":
+        """The submatrix on rows x cols, sharing this matrix's minor table."""
+        sub = RatMatrix([[self.entries[i][j] for j in cols] for i in rows])
+        sub._minors = self._minors
+        sub._rows = tuple(self._rows[i] for i in rows)
+        sub._cols = tuple(self._cols[j] for j in cols)
+        return sub
+
+    def det(self) -> RatFun:
+        """Determinant by cofactor expansion along the first row (intended
+        for small n); each minor is expanded once, into the shared table."""
+        n = self.n
+        if n == 1:
+            return self.entries[0][0]
+        key = (self._rows, self._cols)
+        if key in self._minors:
+            return self._minors[key]
+        acc = RatFun.zero()
+        for j in range(n):
+            a = self.entries[0][j]
+            if a.is_zero():
+                continue
+            sub = self.submatrix(range(1, n), [c for c in range(n) if c != j])
+            term = a * sub.det()
+            acc = acc + (term if j % 2 == 0 else -term)
+        self._minors[key] = acc
+        return acc
+
+
+def check_lewis_carroll(M: RatMatrix, i: int) -> RatFun:
+    """Dodgson condensation residual M^1_1 M^2_i - M^1_i M^2_1 - M^12_1i det M.
+
+    M^a_b removes row a and column b; M^12_1i removes rows {1,2} and
+    columns {1,i}.  The residual vanishes identically for every square
+    matrix with n >= 3 and 2 <= i <= n (exactly in rational mode).
+    """
+    n = M.n
+    if n < 3:
+        raise ValueError("needs a matrix of size at least 3")
+    if not 2 <= i <= n:
+        raise ValueError("column index out of range")
+
+    def minor(drop_rows, drop_cols):
+        rows = [r for r in range(n) if r not in drop_rows]
+        cols = [c for c in range(n) if c not in drop_cols]
+        return M.submatrix(rows, cols).det()
+
+    lhs = minor({0}, {0}) * minor({1}, {i - 1}) - minor({0}, {i - 1}) * minor({1}, {0})
+    return lhs - minor({0, 1}, {0, i - 1}) * M.det()

@@ -164,6 +164,30 @@ class TestFullQQSystem:
         for i in range(2):
             assert poly_close(fq.table[key][i], sa.qplus[i], tol=1e-8)
 
+    @pytest.mark.parametrize("rank, words", [
+        (2, [((1, 2, 1), (2, 1, 2))]),
+        (3, [((1, 2, 1), (2, 1, 2)), ((2, 3, 2), (3, 2, 3)), ((1, 3), (3, 1)),
+             ((1, 2, 1, 3, 2, 1), (3, 2, 3, 1, 2, 3))])])
+    def test_random_path_independence(self, rank, words):
+        # two reduced words of one Weyl element reach the same Q+ and twist
+        rng = np.random.default_rng(70 + rank)
+        compared = 0
+        for _ in range(2):
+            inst, sols = random_solved(rank, rng)
+            for sol in sols:
+                for letters in words:
+                    u, v = map(WeylWord, letters)
+                    assert canonical_form(u, inst.cartan) \
+                        == canonical_form(v, inst.cartan)
+                    ia, sa, _ = apply_word(inst, sol, u)
+                    ib, sb, _ = apply_word(inst, sol, v)
+                    for pa, pb in zip(sa.qplus, sb.qplus):
+                        assert poly_close(pa, pb, tol=1e-10), (u, v)
+                    assert all(abs(complex(a) - complex(b)) <= 1e-10
+                               for a, b in zip(ia.twist.zetas, ib.twist.zetas))
+                    compared += 1
+        assert compared >= 2 * len(words)
+
     def test_stats(self, monkeypatch):
         inst, sol = a3_solved()
         found = []

@@ -244,9 +244,9 @@ class TestFuzz:
 
 class TestInstanceTolerances:
     def test_tol_defaults_to_instance_bethe_tol(self, tmp_path, monkeypatch):
-        import qoper.cli as cli
+        import qoper.qq as qq
         seen = []
-        monkeypatch.setattr(cli, "solve_bethe",
+        monkeypatch.setattr(qq, "solve_bethe",
                             lambda inst, **kw: seen.append(kw["tol"]) or [])
         doc = json.loads(A1.read_text())
         doc["tolerances"]["bethe_tol"] = 1e-7
@@ -278,7 +278,7 @@ class TestInstanceTolerances:
     def test_k_judges_every_nondegenerate_verdict(self, tmp_path, monkeypatch):
         # zeta^2 = q^7 (q = 1/3) resonates outside the default window 3 but
         # inside K = 7: the solution entries and the check must both refuse
-        import qoper.cli as cli
+        import qoper.qq as qq
         from qoper.qq import nondegenerate
         doc = json.loads(A1.read_text())
         doc["zetas"] = [[3.0 ** -3.5, 0.0]]
@@ -293,7 +293,7 @@ class TestInstanceTolerances:
         assert nondegenerate(inst, sol).passed  # the default window misses it
         f.write_text(json.dumps(doc))
         calls = []
-        monkeypatch.setattr(cli, "nondegenerate",
+        monkeypatch.setattr(qq, "nondegenerate",
                             lambda *a: calls.append(a) or nondegenerate(*a))
         _, text = run_cli(["verify", "--instance", str(f)], tmp_path)
         rep = json.loads(text)
@@ -320,6 +320,26 @@ class TestSolve:
 
     def test_missing_file(self):
         assert main(["solve", "--instance", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("case", ["instance is a directory",
+                                      "instance is not UTF-8",
+                                      "instance nests too deeply",
+                                      "out in a missing directory",
+                                      "out is a directory"])
+    def test_unreadable_or_unwritable_file(self, tmp_path, capsys, case):
+        # exit 1 would mean "checks failed"; a file error is an input error
+        not_utf8 = tmp_path / "not_utf8.json"
+        not_utf8.write_bytes(b"\xff" + A1.read_bytes())
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        exact = ["identities", "--exact", "--trials", "2", "--out"]
+        argv = {"instance is a directory": ["solve", "--instance", str(tmp_path)],
+                "instance is not UTF-8": ["solve", "--instance", str(not_utf8)],
+                "instance nests too deeply": ["solve", "--instance", str(deep)],
+                "out in a missing directory": exact + [str(tmp_path / "no" / "r.json")],
+                "out is a directory": exact + [str(tmp_path)]}[case]
+        assert main(argv) == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_m_zero(self, tmp_path):
         doc = json.loads(A1.read_text())
@@ -652,28 +672,46 @@ class TestModulesLoaded:
     """Each command imports only the qoper modules it runs."""
 
     @staticmethod
-    def loaded_after(argv):
+    def loaded_after(argv, module="qoper"):
         """The qoper submodules a fresh interpreter holds after main(argv),
-        or after `import qoper` alone when argv is None."""
-        code = ("import sys, qoper\n" if argv is None else
+        or after `import module` alone when argv is None, and "numpy" when
+        it holds numpy too."""
+        code = (f"import sys, {module}\n" if argv is None else
                 "import io, contextlib, sys, qoper.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    assert qoper.cli.main({argv!r}) == 0\n")
-        code += "print(*(m for m in sys.modules if m.startswith('qoper.')))"
+        code += ("print(*(m for m in sys.modules\n"
+                 "        if m.startswith('qoper.') or m == 'numpy'))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        return {m.split(".", 1)[1] for m in proc.stdout.split()}
+        return {m.split(".", 1)[-1] for m in proc.stdout.split()}
 
     def test_import_qoper_loads_no_submodule(self):
         assert self.loaded_after(None) == set()
 
+    def test_polynomials_loads_no_numpy(self):
+        assert self.loaded_after(None, "qoper.polynomials") == {"polynomials"}
+
     def test_solve(self):
         loaded = self.loaded_after(["solve", "--instance", str(A1)])
-        assert loaded == {"cli", "cartan", "polynomials", "qq"}
+        assert loaded == {"cli", "cartan", "polynomials", "qq", "numpy"}
 
     def test_identities(self):
         assert "backlund" not in self.loaded_after(["identities", "--trials", "2"])
+
+    def test_exact_identities_load_no_numpy(self):
+        # the exact battery is int/Fraction arithmetic on RatMatrix alone
+        loaded = self.loaded_after(["identities", "--exact", "--trials", "2"])
+        assert loaded <= {"cli", "cartan", "polynomials"}
+
+    def test_wronskian_still_binds_the_exact_names(self):
+        # perfbench's tracer resolves its spans wronskian.RatMatrix.det and
+        # wronskian.check_lewis_carroll in qoper.wronskian
+        import qoper.polynomials as poly
+        import qoper.wronskian as wr
+        assert wr.RatMatrix is poly.RatMatrix
+        assert wr.check_lewis_carroll is poly.check_lewis_carroll
 
     def test_verify_b2(self, tmp_path):
         from qoper.cartan import TwistZ, cartan_matrix

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoper.polynomials import (Poly, RatFun, off_pole, poly_roots, q_distinct,
-                               q_shift, solve_poly_q_difference)
-from qoper.wronskian import RatMatrix
+from qoper.polynomials import (Poly, RatFun, RatMatrix, off_pole, poly_roots,
+                               q_distinct, q_shift, solve_poly_q_difference)
 
 
 class TestQShift:
