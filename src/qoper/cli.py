@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -528,6 +529,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:  # refused before the run, not after it
+            if os.path.isdir(args.out):
+                raise InputError(f"cannot write --out: {args.out} is a directory")
+            if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+                raise InputError(f"cannot write --out: the directory of "
+                                 f"{args.out} does not exist")
         if args.command == "solve":  # the only reader of --tol and --seeds
             if args.tol is not None:
                 _positive(args.tol, "--tol")

@@ -13,7 +13,8 @@ empty coefficient tuple and degree -1 by convention.
 ``RatMatrix`` and the exact Dodgson check live here too, so the exact
 battery ``qoper identities --exact``, whose entries
 ``random.Random(seed).randint(-5, 5)`` draws, runs without numpy; only
-``poly_roots``, ``solve_poly_q_difference`` and ``RatMatrix.eval`` import it.
+``poly_roots``, ``coefficients``, ``solve_q_difference`` and
+``RatMatrix.eval`` import it.
 """
 
 from __future__ import annotations
@@ -313,46 +314,38 @@ def off_pole(f, x):
     return x, f(x)
 
 
-def solve_poly_q_difference(alpha, beta, rhs, q, max_degree: int,
-                            tol: float = TAU, seed: int = 7):
-    """Minimal-degree polynomial f with alpha(z) f(z) + beta(z) f(qz) = rhs(z).
+def coefficients(p: Poly, q=1):
+    """Coefficients of p(qz) as an untrimmed complex array; [0] for p = 0."""
+    import numpy as np
+    c = np.array([complex(x) for x in p.coeffs] or [0j])
+    return c if q == 1 else c * complex(q) ** np.arange(len(c))
 
-    alpha, beta, rhs are callables evaluating scalar functions.  The
-    equation is sampled at generic points and solved for the coefficients
-    of f by least squares, increasing the trial degree until the system is
-    consistent.  A sample point on a pole (a callable raising
-    ZeroDivisionError) is nudged by off_pole; a point that stays on one
-    makes the trial degree fail.  Returns None when no polynomial of
-    degree <= max_degree satisfies the equation, which signals resonance
-    or degeneracy upstream.
+
+def solve_q_difference(a, b, c, q, tol: float = TAU):
+    """Polynomial f with a(z) f(z) + b(z) f(qz) = c(z), or None.
+
+    a, b and c are untrimmed coefficient sequences, lowest degree first:
+    their lengths give deg f = len(c) - max(len(a), len(b)), true unless
+    the left side's top coefficient cancels (for len(a) == len(b), unless
+    a_top + b_top q^(deg f) = 0).  Column k of the linear system holds
+    a(z) z^k + q^k b(z) z^k; its least-squares solution is accepted when
+    its residual is at most max(tol, 1e-9) (1 + max|c|).  None means no
+    polynomial solves the equation.
     """
     import numpy as np
+    a, b, c = np.asarray(a, complex), np.asarray(b, complex), np.asarray(c, complex)
+    d = len(c) - max(len(a), len(b))
+    if d < 0:
+        return None
     qc = complex(q)
-    rng = np.random.default_rng(seed)
-    for d in range(max_degree + 1):
-        npts = d + 8
-        pts = 1.1 * np.exp(2j * np.pi * rng.random(npts))
-        M = np.zeros((npts, d + 1), dtype=complex)
-        b = np.zeros(npts, dtype=complex)
-        ok = True
-        for s, x in enumerate(pts):
-            try:
-                x, (av, bv, rv) = off_pole(
-                    lambda y: (complex(alpha(y)), complex(beta(y)),
-                               complex(rhs(y))), x)
-            except ZeroDivisionError:
-                ok = False
-                break
-            for k in range(d + 1):
-                M[s, k] = av * x**k + bv * (qc * x) ** k
-            b[s] = rv
-        if not ok:
-            continue
-        sol, *_ = np.linalg.lstsq(M, b, rcond=None)
-        scale = 1.0 + np.abs(b).max(initial=0.0)
-        if np.abs(M @ sol - b).max(initial=0.0) <= max(tol, 1e-9) * scale:
-            return Poly(list(sol))
-    return None
+    M = np.zeros((len(c), d + 1), dtype=complex)
+    for k in range(d + 1):
+        M[k:k + len(a), k] = a
+        M[k:k + len(b), k] += b * qc**k
+    sol, *_ = np.linalg.lstsq(M, c, rcond=None)
+    if np.abs(M @ sol - c).max() > max(tol, 1e-9) * (1.0 + np.abs(c).max()):
+        return None
+    return Poly(list(sol))
 
 
 class RatFun:

@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cartan import CartanData, TwistZ, WeylWord, canonical_form
-from .polynomials import TAU, Poly, close, q_shift
+from .polynomials import (TAU, Poly, close, coefficients, q_shift,
+                          solve_q_difference)
 
 
 class DegenerateInstance(ValueError):
@@ -227,10 +228,9 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int,
     of the twist at node i (prod_j zeta_j^{a_ji} = xi~_i / xi_i avoiding
     small powers of q) is checked first; it guarantees uniqueness, and it
     keeps the top coefficient lc (xi~_i q^{d+} - xi_i q^d) of the left
-    side nonzero, so deg Q-_i = d = deg rhs - d+.  The coefficients c_k of
-    Q-_i then solve one linear system: with p_m those of Q+_i, the
-    coefficient of z^{m+k} is sum p_m c_k (xi~_i q^m - xi_i q^k).  It is
-    solved by least squares and accepted when consistent.
+    side nonzero, so deg Q-_i = d = deg rhs - d+.  The coefficients of
+    Q-_i then solve one linear system, by solve_q_difference with
+    a(z) = xi~_i Q+_i(qz) and b(z) = -xi_i Q+_i(z).
     """
     if degree_bound is None:
         degree_bound = inst.degrees[i - 1] + max(l.degree for l in inst.lambdas) + 2
@@ -244,27 +244,19 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int,
     xit, xi = (complex(x) for x in xi_factors(inst)[i - 1])
     # the right side's coefficients, untrimmed: a small top coefficient
     # such as q^{deg Q+_j} still fixes the degree
-    b = np.array([complex(c) for c in inst.lambdas[i - 1].coeffs])
+    b = coefficients(inst.lambdas[i - 1])
     for f, shifted, e in _rhs_factors(inst, qplus, i):
-        fc = np.array([complex(c) for c in f.coeffs])
-        if shifted:
-            fc = fc * qc ** np.arange(len(fc))
+        fc = coefficients(f, qc if shifted else 1)
         for _ in range(e):
             b = np.convolve(b, fc)
-    p = np.array([complex(c) for c in qplus[i - 1].coeffs])
-    d = len(b) - len(p)
-    if not 0 <= d <= degree_bound:
-        raise DegenerateInstance(
-            f"no polynomial Q- exists at node {i} with degree <= {degree_bound}")
-    qpow = qc ** np.arange(max(len(p), d + 1))
-    M = np.zeros((len(b), d + 1), dtype=complex)
-    for k in range(d + 1):
-        M[k:k + len(p), k] = p * (xit * qpow[:len(p)] - xi * qpow[k])
-    sol, *_ = np.linalg.lstsq(M, b, rcond=None)
-    if np.abs(M @ sol - b).max() > max(inst.tau, 1e-9) * (1.0 + np.abs(b).max()):
-        raise DegenerateInstance(
-            f"no polynomial Q- exists at node {i} with degree <= {degree_bound}")
-    return Poly(list(sol))
+    p = coefficients(qplus[i - 1])
+    if len(b) - len(p) <= degree_bound:
+        sol = solve_q_difference(xit * qc ** np.arange(len(p)) * p, -xi * p,
+                                 b, qc, tol=inst.tau)
+        if sol is not None:
+            return sol
+    raise DegenerateInstance(
+        f"no polynomial Q- exists at node {i} with degree <= {degree_bound}")
 
 
 def _bethe_sides(inst: QQInstance, qplus: Sequence[Poly], i: int, w: complex):

@@ -36,7 +36,8 @@ from .cartan import (CartanData, WeylWord, column_index_set,
                      twist_along_word, word_length)
 # perfbench's tracer finds RatMatrix and check_lewis_carroll in this module
 from .polynomials import (Poly, RatFun, RatMatrix, check_lewis_carroll,
-                          is_exact, off_pole, q_shift, solve_poly_q_difference)
+                          coefficients, is_exact, off_pole, q_shift,
+                          solve_q_difference)
 from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
                  QQSolution, cartan_connection)
 
@@ -194,26 +195,37 @@ def build_miura_A(inst: QQInstance, sol: QQSolution) -> RatMatrix:
     return acc
 
 
+def _conv(*arrays) -> np.ndarray:
+    """Coefficients of the product of coefficient arrays, untrimmed."""
+    return functools.reduce(np.convolve, arrays)
+
+
 def miura_trivializer(inst: QQInstance, sol: QQSolution,
                       A: Optional[RatMatrix] = None) -> RatMatrix:
     """Lower-triangular v(z) with A(z) = v(qz)^{-1} Z v(z).
 
     Entries are v_ij = u_ij / Q+_{j-1}(z) with polynomial numerators; the
-    diagonal is (Q+_1, Q+_2/Q+_1, ..., 1/Q+_r) and each strictly-lower
-    numerator solves a scalar polynomial q-difference equation driven by
-    the connection's bidiagonal entries, column by column from the inside
-    out.  Failures signal a degenerate (resonant) twist.  ``A`` is the
-    connection from build_miura_A, built here when not given.
+    diagonal is (Q+_1, Q+_2/Q+_1, ..., 1/Q+_r).  Entry (i, j) of
+    v(qz) A(z) = Z v(z) is v_ij(qz) A_jj(z) + sum_{k>j} v_ik(qz) A_kj(z) =
+    Z_ii v_ij(z); times Q+_{j-1}(z), A_jj's denominator, Q+_{j-1}(qz) and
+    the tail sum's denominator (the product of its terms' denominators) it
+    is a q-difference equation for u_ij, solved by solve_q_difference,
+    columns from the inside out.  Its coefficients are untrimmed
+    convolutions, since a float Poly product's trim can drop a true top
+    coefficient and with it the degree.  No solution signals a degenerate
+    (resonant) twist.  ``A`` is the connection from build_miura_A, built
+    here when not given.
     """
     if A is None:
         A = build_miura_A(inst, sol)
     n = inst.rank + 1
-    qc = inst.q
+    qc = complex(inst.q)
     zs = [1] + inst.zetas() + [1]  # zeta_0 = zeta_{r+1} = 1
     qplus = [Poly.one()] + list(sol.qplus) + [Poly.one()]  # Q+_0 = Q+_{r+1} = 1
 
-    max_deg = (max(p.degree for p in sol.qplus) + 1) * inst.rank \
-        + max(l.degree for l in inst.lambdas) * inst.rank + 4
+    def add(x, y):
+        m = max(len(x), len(y))
+        return np.pad(x, (0, m - len(x))) + np.pad(y, (0, m - len(y)))
 
     u = {}
     for i in range(1, n + 1):
@@ -221,29 +233,20 @@ def miura_trivializer(inst: QQInstance, sol: QQSolution,
     for i in range(2, n + 1):
         zii = complex(zs[i - 1]) / complex(zs[i])
         for j in range(i - 1, 0, -1):
-            # entry equation: v_ij(qz) A_jj(z) + sum_{k>j} v_ik(qz) A_kj(z)
-            #               = Z_ii v_ij(z),  with v_ik = u_ik / Q+_{k-1}
+            # the tail sum num / den of u_ik(qz) A_kj(z) / Q+_{k-1}(qz)
+            terms = [(_conv(coefficients(akj.num), coefficients(u[(i, k)], qc)),
+                      _conv(coefficients(akj.den), coefficients(qplus[k - 1], qc)))
+                     for k in range(j + 1, i + 1)
+                     for akj in [A.entries[k - 1][j - 1]] if not akj.is_zero()]
+            num, den = terms[0]
+            for tnum, tden in terms[1:]:
+                num, den = add(_conv(num, tden), _conv(tnum, den)), _conv(den, tden)
             ajj = A.entries[j - 1][j - 1]
-            tail = [(A.entries[k - 1][j - 1], u[(i, k)], qplus[k - 1])
-                    for k in range(j + 1, i + 1)
-                    if not A.entries[k - 1][j - 1].is_zero()]
-            qjm1 = qplus[j - 1]
-
-            def alpha(z, _z=zii, _q=qjm1):
-                return -_z / complex(_q(z))
-
-            def beta(z, _a=ajj, _q=qjm1, _qc=qc):
-                return complex(_a(z)) / complex(_q(_qc * z))
-
-            def rhs(z, _tail=tail, _qc=qc):
-                acc = 0j
-                for entry, unum, qden in _tail:
-                    acc -= complex(unum(_qc * z)) * complex(entry(z)) \
-                        / complex(qden(_qc * z))
-                return acc
-
-            got = solve_poly_q_difference(alpha, beta, rhs, qc, max_deg,
-                                          tol=inst.tau)
+            ajj_num, ajj_den = coefficients(ajj.num), coefficients(ajj.den)
+            qj, qjq = coefficients(qplus[j - 1]), coefficients(qplus[j - 1], qc)
+            got = solve_q_difference(-zii * _conv(ajj_den, qjq, den),
+                                     _conv(ajj_num, qj, den),
+                                     -_conv(num, ajj_den, qj, qjq), qc, tol=inst.tau)
             if got is None:
                 raise DegenerateInstance(
                     f"Miura trivializer entry ({i},{j}) has no polynomial "
@@ -333,7 +336,8 @@ class TypeABundle:
     Miura pair (A, v) and W, each built once.
 
     ``v`` is None only at rank one when the trivializer has no solution:
-    W does not need it there, and miura_from_wronskian raises the refusal.
+    W does not need it there, ``refusal`` keeps the trivializer's message,
+    and miura_from_wronskian raises it.
     """
 
     inst: QQInstance
@@ -343,6 +347,7 @@ class TypeABundle:
     A: RatMatrix
     v: Optional[RatMatrix]
     W: RatMatrix
+    refusal: Optional[str]
 
 
 def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
@@ -351,14 +356,15 @@ def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
     R = s_lambda_inverse(inst)
     S = lift_products(R, inst.q)
     A = build_miura_A(inst, sol)
+    v = refusal = None
     try:
         v = miura_trivializer(inst, sol, A=A)
-    except DegenerateInstance:
+    except DegenerateInstance as exc:
         if inst.rank > 1:
             raise
-        v = None
+        refusal = str(exc)
     W = build_wronskian(inst, sol, S=S, v=v)
-    return TypeABundle(inst, sol, R, S, A, v, W)
+    return TypeABundle(inst, sol, R, S, A, v, W, refusal)
 
 
 # the sample panel of every float type-A check
@@ -686,7 +692,7 @@ def miura_from_wronskian(s: TypeASample) -> CheckReport:
     b = s.bundle
     gauss_decompose(b.W)  # the iff gate; raises on vanishing principal minors
     if s.v is None:
-        miura_trivializer(b.inst, b.sol, A=b.A)  # raises the refusal
+        raise DegenerateInstance(b.refusal)
     Am = np.linalg.solve(s.vq, s.z[:, None] * s.v)
     ones = np.ones((len(s.g), 1))
     g = np.hstack([ones, s.g, ones])  # g_0 = g_{r+1} = 1

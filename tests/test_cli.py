@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qoper import qq
 from qoper.cli import InputError, echo_instance, main, parse_instance
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -325,9 +326,15 @@ class TestSolve:
                                       "instance is not UTF-8",
                                       "instance nests too deeply",
                                       "out in a missing directory",
-                                      "out is a directory"])
-    def test_unreadable_or_unwritable_file(self, tmp_path, capsys, case):
-        # exit 1 would mean "checks failed"; a file error is an input error
+                                      "out is a directory",
+                                      "solve out in a missing directory"])
+    def test_unreadable_or_unwritable_file(self, tmp_path, capsys, monkeypatch,
+                                           case):
+        # exit 1 would mean "checks failed"; a file error is an input error,
+        # and an --out that cannot be written is refused before any solve
+        def solver_ran(*args, **kw):
+            raise AssertionError("the solver ran")
+        monkeypatch.setattr(qq, "solve_bethe", solver_ran)
         not_utf8 = tmp_path / "not_utf8.json"
         not_utf8.write_bytes(b"\xff" + A1.read_bytes())
         deep = tmp_path / "deep.json"
@@ -337,9 +344,13 @@ class TestSolve:
                 "instance is not UTF-8": ["solve", "--instance", str(not_utf8)],
                 "instance nests too deeply": ["solve", "--instance", str(deep)],
                 "out in a missing directory": exact + [str(tmp_path / "no" / "r.json")],
-                "out is a directory": exact + [str(tmp_path)]}[case]
+                "out is a directory": exact + [str(tmp_path)],
+                "solve out in a missing directory":
+                    ["solve", "--instance", str(A1),
+                     "--out", str(tmp_path / "no" / "r.json")]}[case]
         assert main(argv) == 2
         assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "no").exists()
 
     def test_m_zero(self, tmp_path):
         doc = json.loads(A1.read_text())

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoper.polynomials import (Poly, RatFun, RatMatrix, off_pole, poly_roots,
-                               q_distinct, q_shift, solve_poly_q_difference)
+                               q_distinct, q_shift, solve_q_difference)
 
 
 class TestQShift:
@@ -150,26 +150,21 @@ class TestPolyHygiene:
         assert p.coeffs == (0.5, 1.0)
 
 
-class TestSolvePolyQDifference:
-    def test_pole_point_is_nudged(self):
-        # alpha = Q(qz), beta = -Q(z) with Q = z - 2: f = 3 is the minimal
-        # solution, and f + t Q solves too, so a skipped degree 0 would
-        # return the least-squares 0.6 + 1.2 z of degree 1 instead
+class TestSolveQDifference:
+    def test_minimal_degree(self):
+        # a = Q(qz), b = -Q(z) with Q = z - 2: f = 3 is the minimal
+        # solution, and f + t Q solves too, so the degree must come from
+        # the lengths, deg f = len(c) - max(len(a), len(b)) = 0, not from
+        # a least-squares fit over a larger trial degree
         q = 0.5
-        Q = Poly([-2.0, 1.0])
-        calls = []
-
-        def alpha(z):
-            calls.append(z)
-            if len(calls) == 1:
-                raise ZeroDivisionError("sample point on a pole")
-            return complex(Q(q * z))
-
-        f = solve_poly_q_difference(alpha, lambda z: -complex(Q(z)),
-                                    lambda z: 3 * (q - 1) * z, q, max_degree=3)
+        f = solve_q_difference([-2.0, q], [2.0, -1.0], [0.0, 3 * (q - 1)], q)
         assert f.degree == 0
-        assert abs(f.coeffs[0] - 3) < 1e-9
-        assert calls[1] == calls[0] * (1.013 + 0.007j)
+        assert abs(f.coeffs[0] - 3) < 1e-12
+
+    def test_inconsistent_or_too_short_is_none(self):
+        # with deg f = 0 forced, z f(z) - f(qz) = 1 + z has no solution
+        assert solve_q_difference([0.0, 1.0], [-1.0], [1.0, 1.0], 0.5) is None
+        assert solve_q_difference([1.0, 1.0], [1.0], [1.0], 0.5) is None
 
 
 class TestOffPole:

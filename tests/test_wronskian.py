@@ -11,6 +11,7 @@ from qoper.polynomials import Poly, RatFun, poly_roots, q_shift
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution,
                       resonance_check, solve_bethe)
 from qoper.backlund import full_qq_system
+from qoper.cli import parse_instance
 import qoper.wronskian as wr
 from qoper.wronskian import (MinorSpec, RatMatrix, _coroot_diag, _index_rows,
                              _lift_matrix, _minor, _twist_diagonal,
@@ -24,6 +25,7 @@ from qoper.wronskian import (MinorSpec, RatMatrix, _coroot_diag, _index_rows,
                              miura_plucker_blocks, miura_trivializer,
                              s_lambda_inverse, sample_bundle, type_a_bundle,
                              weyl_twist)
+from sampled_solver import sampled_trivializer_numerators
 
 PANEL = [0.77 + 0.31j, -1.1 + 0.6j, 2.2 - 0.3j, 0.4 + 1.3j, -0.6 - 0.9j]
 
@@ -635,6 +637,87 @@ class TestMiura:
             assert abs(m[1, 1] - 3.0) < 1e-12
 
 
+def numerator_gaps(inst, sol):
+    """{(i, j): relative gap} between miura_trivializer's numerators u_ij
+    and the sampled reference's; the degrees must agree."""
+    A = build_miura_A(inst, sol)
+    v = miura_trivializer(inst, sol, A=A)
+    want = sampled_trivializer_numerators(inst, sol, A)
+    qplus = [Poly.one()] + list(sol.qplus)
+    gaps = {}
+    for (i, j), u in want.items():
+        if i > j:
+            got, ref = v.entries[i - 1][j - 1].num, RatFun(u, qplus[j - 1]).num
+            assert got.degree == ref.degree, (i, j)
+            gaps[(i, j)] = max(abs(a - b) for a, b in
+                               zip(got.coeffs, ref.coeffs)) / ref.norm()
+    return gaps
+
+
+# entry (4, 2) of this A3 instance's trivializer has a degree-2 numerator;
+# the right side of its cleared equation has coefficients up to 3.2e9 and a
+# top one of 8.0e-3, which a float Poly's trim drops: read from the trimmed
+# length, the degree would be 1
+A3_M121 = {
+    "lie_type": "A", "rank": 3, "ordering": [1, 2, 3], "q": [0.2, 0.0],
+    "degrees": [1, 2, 1],
+    "zetas": [[2.0633331397038597, 0.024380529987802588],
+              [3.2556113419612447, -0.4797348356359198],
+              [4.948524183422966, -1.3435037075500929]],
+    "lambdas": [
+        {"coeffs": [[-0.9591755873612966, 0.20792421085993684], [1.0, 0.0]]},
+        {"coeffs": [[-1.8664577226491008, 0.11444087997149777], [1.0, 0.0]]},
+        {"coeffs": [[-3.1727439154831645, 0.23004286972741683], [1.0, 0.0]]}],
+    "solution": {
+        "qplus": [
+            [[-0.7784992696206934, 0.014766150041248993], [1.0, 0.0]],
+            [[-16.975703693365176, -16.743150938371116],
+             [28.722751301176135, 20.427126239900073], [1.0, 0.0]],
+            [[-0.6299959795921172, 0.029363645331233326], [1.0, 0.0]]],
+        "qminus": [
+            [[-175.8511493011051, 13.36230958454666],
+             [209.88581710676337, -11.10981283341553],
+             [0.3694049336532372, -0.07064099574397485]],
+            [[1.3299237472856116, -0.0079204236401575],
+             [-1.9764224637450254, 0.3356728472662759]],
+            [[-12.70295495014419, -23.25199268766399],
+             [23.01896069838655, 31.39175276342732],
+             [0.9607993120203702, 0.270780650879984]]]}}
+
+
+class TestTrivializerNumerators:
+    """miura_trivializer's coefficient-space solves against the sampled
+    reference solver."""
+
+    @pytest.mark.parametrize("ordering", list(itertools.permutations((1, 2)))
+                             + list(itertools.permutations((1, 2, 3))),
+                             ids=lambda o: "".join(map(str, o)))
+    def test_match_sampled_reference(self, ordering):
+        rank = len(ordering)
+        rng = np.random.default_rng(list(ordering))
+        checked = 0
+        for draw in range(2):
+            zetas = tuple(z * np.exp(0.3j * rng.standard_normal())
+                          for z in (2.0, 3.0, 5.0)[:rank])
+            lambdas = tuple(Poly([complex(*rng.standard_normal(2)), 1.0])
+                            for _ in range(rank))
+            inst = QQInstance(cartan_matrix("A", rank).with_ordering(ordering),
+                              0.2, TwistZ(zetas), lambdas, (1,) * rank)
+            assert resonance_check(inst).passed
+            for sol in solve_bethe(inst, seeds=20, seed=draw):
+                gaps = numerator_gaps(inst, sol)
+                assert len(gaps) == rank * (rank + 1) // 2
+                assert max(gaps.values()) <= 1e-10, gaps
+                checked += 1
+        assert checked >= 2
+
+    def test_a3_m121_keeps_its_top_coefficient(self):
+        inst, sol, _ = parse_instance(A3_M121)
+        v = miura_trivializer(inst, sol)
+        assert v.entries[3][1].num.degree == 2
+        assert numerator_gaps(inst, sol)[(4, 2)] <= 1e-10
+
+
 class TestPluckerBlocks:
     def test_sl2_defining(self):
         rep = miura_plucker_blocks(sampled(*a1_solved()), 1)
@@ -702,15 +785,23 @@ class TestTypeABundle:
             for Sk, want in zip(b.S, lift_products(b.R, inst.q)):
                 assert np.array_equal(Sk.eval(x), want.eval(x))
 
-    def test_rank_one_trivializer_refusal_deferred(self):
+    def test_rank_one_trivializer_refusal_deferred(self, monkeypatch):
         # W needs no trivializer at rank one: the refusal surfaces in the
-        # Miura reconstruction, after the Wronskian checks
+        # Miura reconstruction, after the Wronskian checks, from the one
+        # trivializer solve the bundle made
         inst, sol = a1_solved()
         bad = QQSolution((Poly([sol.qplus[0].coeffs[0] + 1e-2, 1.0]),), sol.qminus)
+        calls = []
+
+        def counted(*args, _fn=wr.miura_trivializer, **kw):
+            calls.append(args)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(wr, "miura_trivializer", counted)
         b = type_a_bundle(inst, bad)
         assert b.v is None
         with pytest.raises(DegenerateInstance, match="trivializer"):
             miura_from_wronskian(sample_bundle(b))
+        assert len(calls) == 1
 
 
 def minor_at(Mv, rows, cols):
