@@ -24,10 +24,10 @@ import time
 from fractions import Fraction
 
 from .cartan import TwistZ, WeylWord, cartan_matrix, enumerate_weyl
-from .polynomials import Poly, RatFun, RatMatrix, check_lewis_carroll
+from .polynomials import NonFinite, Poly, RatMatrix, check_lewis_carroll
 
 # numpy, qq, backlund and wronskian load inside the functions that run them:
-# `identities --exact` loads none, `solve` no backlund or wronskian.
+# `identities` loads none, `solve` no backlund or wronskian.
 
 
 def __getattr__(name):
@@ -463,30 +463,35 @@ def run_backlund(inst, sol, extras, args, rep: Report):
 
 
 def run_identities(args, rep: Report):
-    """Universal determinant identity battery on random matrices."""
+    """Universal determinant identity battery on random matrices: the
+    Dodgson residual for every column index, on polynomial entries in exact
+    mode and on complex values at two points in float mode."""
     n = 4
+    rng = random.Random(args.seed)
     if args.exact:
-        rng = random.Random(args.seed)
         exact_ok = True
         for trial in range(args.trials):
-            M = RatMatrix([[RatFun(Poly([rng.randint(-5, 5) for _ in range(3)]))
+            M = RatMatrix([[Poly([rng.randint(-5, 5) for _ in range(3)])
                             for _ in range(n)] for _ in range(n)])
-            exact_ok = exact_ok and all(check_lewis_carroll(M, i).num.is_zero()
-                                        for i in range(2, n + 1))
+            for i in range(2, n + 1):
+                exact_ok = check_lewis_carroll(M, i).num.is_zero() and exact_ok
         rep.check("lewis-carroll (exact)", 0.0, exact_ok)
-        return
-    import numpy as np
-    from .wronskian import evaluate, lewis_carroll_residual
-    rng = np.random.default_rng(args.seed)
-    worst_lc = 0.0
-    for trial in range(args.trials):
-        M = RatMatrix([[RatFun(Poly(rng.standard_normal(3)
-                                    + 1j * rng.standard_normal(3)))
-                        for _ in range(n)] for _ in range(n)])
-        Mv = evaluate(M, (0.37 + 0.21j, -1.3 + 0.7j))
-        worst_lc = max(worst_lc, *(lewis_carroll_residual(Mv, i)
-                                   for i in range(2, n + 1)))
-    rep.check("lewis-carroll", worst_lc, worst_lc <= 1e-10)
+    else:
+        worst_lc = 0.0
+        for trial in range(args.trials):
+            polys = [[Poly([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                            for _ in range(3)]) for _ in range(n)]
+                     for _ in range(n)]
+            values = [RatMatrix([[p(z) for p in row] for row in polys])
+                      for z in (0.37 + 0.21j, -1.3 + 0.7j)]
+            for i in range(2, n + 1):
+                worst_lc = max(worst_lc, *(check_lewis_carroll(Mz, i)
+                                           for Mz in values))
+        rep.check("lewis-carroll", worst_lc, worst_lc <= 1e-10)
+    # every column index of every matrix; float takes the worse of two points
+    rep.telemetry["identities"] = {"seed": args.seed, "trials": args.trials,
+                                   "exact": args.exact,
+                                   "residuals": args.trials * (n - 1)}
 
 
 def _seed_arg(text: str) -> int:
@@ -562,21 +567,27 @@ def main(argv=None) -> int:
             if args.tol is None:
                 args.tol = extras["bethe_tol"]
             rep = Report(args.command, echo_instance(inst, extras, sol))
-            if args.command == "solve":
-                run_solve(inst, extras, args, rep)
-            elif args.command == "verify":
-                run_verify(inst, sol, extras, args, rep)
-            elif args.command == "backlund":
-                run_backlund(inst, sol, extras, args, rep)
-            elif args.command == "wronskian":
-                if sol is None:
-                    raise InputError(
-                        "wronskian requires a solution block in the instance file")
-                if not inst.cartan.is_type_a:
-                    raise InputError("wronskian requires a type A instance")
-                run_wronskian_suite(inst, sol, rep)
+            import numpy as np  # loaded with qq by parse_instance
+            with np.errstate(over="raise", invalid="raise"):
+                if args.command == "solve":
+                    run_solve(inst, extras, args, rep)
+                elif args.command == "verify":
+                    run_verify(inst, sol, extras, args, rep)
+                elif args.command == "backlund":
+                    run_backlund(inst, sol, extras, args, rep)
+                elif args.command == "wronskian":
+                    if sol is None:
+                        raise InputError("wronskian requires a solution block "
+                                         "in the instance file")
+                    if not inst.cartan.is_type_a:
+                        raise InputError("wronskian requires a type A instance")
+                    run_wronskian_suite(inst, sol, rep)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except (NonFinite, OverflowError, FloatingPointError) as exc:
+        print(f"input error: the instance overflows double precision: {exc}",
+              file=sys.stderr)  # finite input, but the run left double range
         return 2
     except AssertionError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -10,9 +10,9 @@ least-squares solving require floating point.
 Polynomials are stored lowest degree first.  The zero polynomial has an
 empty coefficient tuple and degree -1 by convention.
 
-``RatMatrix`` and the exact Dodgson check live here too, so the exact
-battery ``qoper identities --exact``, whose entries
-``random.Random(seed).randint(-5, 5)`` draws, runs without numpy; only
+``RatMatrix`` and the Dodgson check live here too, for rational entries
+and for complex values alike, so both batteries of ``qoper identities``,
+whose entries ``random.Random(seed)`` draws, run without numpy; only
 ``poly_roots``, ``coefficients``, ``solve_q_difference`` and
 ``RatMatrix.eval`` import it.
 """
@@ -46,10 +46,14 @@ def close(a, b, tol: float = TAU) -> bool:
     return abs(a - b) <= tol * (1.0 + max(abs(a), abs(b)))
 
 
+class NonFinite(ValueError):
+    """An inf or NaN scalar: from finite input, an overflowed result."""
+
+
 def ensure_finite(x) -> complex:
     cx = complex(x)
     if not cmath.isfinite(cx):
-        raise ValueError(f"non-finite scalar: {x!r}")
+        raise NonFinite(f"non-finite scalar: {cx}")
     return cx
 
 
@@ -243,7 +247,7 @@ def poly_roots(p: Poly, tol: float = TAU) -> list[complex]:
         raise ValueError("root extraction needs degree >= 1")
     cs = [complex(c) for c in p.coeffs]
     lc = cs[-1]
-    monic = [c / lc for c in cs]
+    monic = [ensure_finite(c / lc) for c in cs]
     n = len(monic) - 1
     comp = np.zeros((n, n), dtype=complex)
     comp[1:, :-1] = np.eye(n - 1)
@@ -436,7 +440,8 @@ class RatFun:
 
 
 class RatMatrix:
-    """Square matrix of rational functions, immutable after construction.
+    """Square matrix of rational functions, or of complex numbers (the
+    values of such a matrix at a point), immutable after construction.
 
     A matrix and every submatrix cut from it share one table of minors,
     keyed by (rows, cols) given as indices of the matrix they were all cut
@@ -444,8 +449,9 @@ class RatMatrix:
     """
 
     def __init__(self, entries):
-        self.entries = tuple(tuple(e if isinstance(e, RatFun) else RatFun(e)
-                                   for e in row) for row in entries)
+        self.entries = tuple(tuple(e if isinstance(e, (RatFun, complex))
+                                   else RatFun(e) for e in row)
+                             for row in entries)
         n = len(self.entries)
         if any(len(row) != n for row in self.entries):
             raise ValueError("RatMatrix must be square")
@@ -503,10 +509,10 @@ class RatMatrix:
         key = (self._rows, self._cols)
         if key in self._minors:
             return self._minors[key]
-        acc = RatFun.zero()
+        acc = 0j if isinstance(self.entries[0][0], complex) else RatFun.zero()
         for j in range(n):
             a = self.entries[0][j]
-            if a.is_zero():
+            if (a == 0) if isinstance(a, complex) else a.is_zero():
                 continue
             sub = self.submatrix(range(1, n), [c for c in range(n) if c != j])
             term = a * sub.det()
@@ -515,12 +521,13 @@ class RatMatrix:
         return acc
 
 
-def check_lewis_carroll(M: RatMatrix, i: int) -> RatFun:
+def check_lewis_carroll(M: RatMatrix, i: int):
     """Dodgson condensation residual M^1_1 M^2_i - M^1_i M^2_1 - M^12_1i det M.
 
     M^a_b removes row a and column b; M^12_1i removes rows {1,2} and
-    columns {1,i}.  The residual vanishes identically for every square
-    matrix with n >= 3 and 2 <= i <= n (exactly in rational mode).
+    columns {1,i}.  It vanishes for every square matrix with n >= 3 and
+    2 <= i <= n, exactly in rational mode.  For complex entries the result
+    is |ab - cd - e det M| / (1 + max of the three terms' moduli).
     """
     n = M.n
     if n < 3:
@@ -533,5 +540,9 @@ def check_lewis_carroll(M: RatMatrix, i: int) -> RatFun:
         cols = [c for c in range(n) if c not in drop_cols]
         return M.submatrix(rows, cols).det()
 
-    lhs = minor({0}, {0}) * minor({1}, {i - 1}) - minor({0}, {i - 1}) * minor({1}, {0})
-    return lhs - minor({0, 1}, {0, i - 1}) * M.det()
+    terms = (minor({0}, {0}) * minor({1}, {i - 1}),
+             minor({0}, {i - 1}) * minor({1}, {0}),
+             minor({0, 1}, {0, i - 1}) * M.det())
+    resid = terms[0] - terms[1] - terms[2]
+    return resid if isinstance(resid, RatFun) else \
+        abs(resid) / (1.0 + max(map(abs, terms)))

@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cartan import CartanData, TwistZ, WeylWord, canonical_form
-from .polynomials import (TAU, Poly, close, coefficients, q_shift,
-                          solve_q_difference)
+from .polynomials import (TAU, Poly, close, coefficients, ensure_finite,
+                          q_shift, solve_q_difference)
 
 
 class DegenerateInstance(ValueError):
@@ -293,7 +293,11 @@ def _bethe_sides(inst: QQInstance, qplus: Sequence[Poly], i: int, w: complex):
         if e:
             num *= complex(qplus[j - 1](w)) ** e
             den *= complex(qplus[j - 1](w / qc)) ** e
-    return lhs, num / den
+    rhs = ensure_finite(num) / ensure_finite(den)
+    if rhs == 0:
+        raise DegenerateInstance(
+            f"degenerate root configuration: right side 0 at w = {w}")
+    return lhs, rhs
 
 
 def bethe_residual(inst: QQInstance, qplus: Sequence[Poly]) -> list:

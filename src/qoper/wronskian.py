@@ -437,11 +437,6 @@ def _index_rows(w: WeylWord, i: int, data: CartanData) -> list[int]:
     return [r - 1 for r in sorted(column_index_set(w, i, data))]
 
 
-def evaluate(M: RatMatrix, points) -> np.ndarray:
-    """M at every point, stacked: shape (P, n, n)."""
-    return np.array([M.eval(x) for x in points]).reshape(-1, M.n, M.n)
-
-
 def _minor(Mv: np.ndarray, rows, cols):
     """Minors of an evaluated matrix, or of every matrix of a stack
     (..., n, n), all from one det.
@@ -543,28 +538,6 @@ def fundamental_relation_residual(Mv: np.ndarray, u: WeylWord, v: WeylWord,
             rhs = _times(rhs, _minor(Mv, _index_rows(u, j, data),
                                      _index_rows(v, j, data)) ** -data.a(j, i))
     return _rel_gap(_times(a, b), -_times(c, d), -rhs)
-
-
-def lewis_carroll_residual(Mv: np.ndarray, i: int) -> float:
-    """Relative residual of the Dodgson identity on a stack Mv of
-    evaluated matrices (points, n, n).
-
-    Numeric companion to check_lewis_carroll, and the CLI's float check:
-    minors are determinants of the evaluated matrices, so the residual
-    measures rounding, which the float trim would empty from a symbolic
-    residual, and no symbolic coefficients grow.
-    """
-    n = Mv.shape[-1]
-    if n < 3 or not 2 <= i <= n:
-        raise ValueError("need n >= 3 and 2 <= i <= n")
-
-    def keep(*drop):
-        return [k for k in range(n) if k not in drop]
-
-    a, b, c, d, e = (_minor(Mv, keep(*rows), keep(*cols)) for rows, cols in
-                     (((0,), (0,)), ((1,), (i - 1,)), ((0,), (i - 1,)),
-                      ((1,), (0,)), ((0, 1), (0, i - 1))))
-    return _rel_gap(_times(a, b), -_times(c, d), -_times(e, np.linalg.det(Mv)))
 
 
 def check_wronskian_equations(s: TypeASample) -> CheckReport:

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qoper import qq
@@ -156,6 +156,34 @@ class TestFuzzFindings:
         assert main([command, "--instance", str(f), "--seeds", "3"]) == 2
         assert f"input error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, node, value", [
+        ("verify", 0, [1e308, 0]), ("backlund", 0, [1e308, 0]),
+        ("wronskian", 0, [1e308, 0]), ("verify", 1, [1, 1e308]),
+        ("wronskian", 1, [1, 1e308])])
+    def test_huge_lambda_coefficient(self, tmp_path, capsys, command, node,
+                                     value):
+        # finite in the file, these overflow double precision in the run
+        doc = json.loads(A2_SOLVED.read_text())
+        doc["lambdas"][node]["coeffs"][1] = value
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps(doc))
+        argv = [command, "--instance", str(f)] + \
+            (["--word", "1"] if command == "backlund" else [])
+        assert main(argv) == 2
+        assert "input error: the instance overflows double precision" \
+            in capsys.readouterr().err
+
+    def test_bethe_right_side_zero_is_degenerate(self, tmp_path):
+        # a root of Q+_1 on the root of Lambda_1 zeroes that Bethe right side
+        doc = json.loads(A2_SOLVED.read_text())
+        doc["solution"]["qplus"][0][0] = [-1, 0]
+        f = tmp_path / "zero.json"
+        f.write_text(json.dumps(doc))
+        code, text = run_cli(["verify", "--instance", str(f)], tmp_path)
+        assert code == 1
+        entry, = json.loads(text)["solutions"]
+        assert "right side 0" in entry["bethe_roots"][0]
+
     @pytest.mark.parametrize("argv, message", [
         (["solve", "--tol", "nan"], "--tol:"),
         (["solve", "--tol", "-1"], "--tol:"),
@@ -241,6 +269,57 @@ class TestFuzz:
                 code = main(command + ["--instance", str(f), "--seeds", "3"])
             assert code in (0, 1, 2), (command, mutation)
             assert "Traceback" not in err.getvalue(), (command, mutation)
+
+
+# paths into a2_solved.json: coefficients, solution entries and tolerances
+NESTED_FIELDS = ([("lambdas", k, "coeffs", j) for k in (0, 1) for j in (0, 1)]
+                 + [("solution", key, k, j) for key in ("qplus", "qminus")
+                    for k in (0, 1) for j in (0, 1)]
+                 + [("tolerances", key) for key in ("tau", "bethe_tol", "K")])
+NESTED_NUMBERS = [0, 1, -1, 0.5, 3, 1e-9, 1e-300, -1e-300, 1e154, 1e308,
+                  -1e308, 10 ** 308]
+NESTED_VALUE = st.one_of(
+    st.sampled_from(NESTED_NUMBERS),
+    st.lists(st.sampled_from(NESTED_NUMBERS), min_size=2, max_size=2),
+    st.sampled_from(["x", "1/3", None, True, [], {}, [1, 2, 3], [[1, 0]]]))
+
+
+def mutate(doc, path, value):
+    """A copy of the instance document with the field at path set to value."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestNestedFuzz:
+    """Mutated coefficients, solution entries and tolerances end in a
+    verdict or an input error, never in a traceback (exit 0, 1 or 2)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.sampled_from(NESTED_FIELDS), NESTED_VALUE),
+                    min_size=1, max_size=2, unique_by=lambda pv: pv[0]))
+    @example([(("lambdas", 0, "coeffs", 1), [1e308, 0])])
+    @example([(("lambdas", 1, "coeffs", 1), [1, 1e308])])
+    @example([(("solution", "qminus", 1, 1), [-1e308, -1e308]),
+              (("solution", "qminus", 1, 0), [-1e308, 1e308])])
+    def test_exit_code_without_traceback(self, tmp_path, mutations):
+        doc = json.loads(A2_SOLVED.read_text())
+        for path, value in mutations:
+            doc = mutate(doc, path, value)
+        f = tmp_path / "fuzz.json"
+        f.write_text(json.dumps(doc))
+        for command in (["verify"], ["solve", "--seeds", "3"],
+                        ["backlund", "--word", "1"], ["wronskian"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(command + ["--instance", str(f)])
+            assert code in (0, 1, 2), (command, mutations)
+            assert "Traceback" not in err.getvalue(), (command, mutations)
 
 
 class TestInstanceTolerances:
@@ -660,15 +739,29 @@ class TestIdentities:
         code, text = run_cli(["identities", "--trials", "20", "--seed", "1"],
                              tmp_path)
         assert code == 0
-        check, = json.loads(text)["checks"]
+        rep = json.loads(text)
+        check, = rep["checks"]
         assert check["check"] == "lewis-carroll"
         assert 0 < check["sup_residual"] <= 1e-10
+        assert rep["telemetry"]["identities"] == {
+            "seed": 1, "trials": 20, "exact": False, "residuals": 60}
 
     def test_exact_battery(self, tmp_path):
         code, text = run_cli(["identities", "--trials", "5", "--exact"], tmp_path)
         assert code == 0
         rep = json.loads(text)
         assert rep["checks"][0]["check"] == "lewis-carroll (exact)"
+
+    def test_telemetry_does_not_move_the_digest(self, tmp_path):
+        # every exact run passes with residual 0, so runs of other seeds and
+        # sizes make the same checks and differ in their telemetry only
+        reps = [json.loads(run_cli(["identities", "--exact", "--trials", trials,
+                                    "--seed", seed], tmp_path, f"{seed}.json")[1])
+                for trials, seed in (("2", "1"), ("3", "2"))]
+        assert [r["telemetry"]["identities"] for r in reps] == [
+            {"seed": 1, "trials": 2, "exact": True, "residuals": 6},
+            {"seed": 2, "trials": 3, "exact": True, "residuals": 9}]
+        assert reps[0]["digest"] == reps[1]["digest"]
 
 
 class TestEntryPoint:
@@ -709,7 +802,9 @@ class TestModulesLoaded:
         assert loaded == {"cli", "cartan", "polynomials", "qq", "numpy"}
 
     def test_identities(self):
-        assert "backlund" not in self.loaded_after(["identities", "--trials", "2"])
+        # the float battery runs the exact battery's code on complex values
+        loaded = self.loaded_after(["identities", "--trials", "2"])
+        assert loaded <= {"cli", "cartan", "polynomials"}
 
     def test_exact_identities_load_no_numpy(self):
         # the exact battery is int/Fraction arithmetic on RatMatrix alone

@@ -18,11 +18,11 @@ from qoper.wronskian import (MinorSpec, RatMatrix, _coroot_diag, _index_rows,
                              build_miura_A, build_wronskian,
                              check_fundamental_relation, check_lewis_carroll,
                              check_shifted_minor_relation,
-                             check_wronskian_equations, d_exponents, evaluate,
+                             check_wronskian_equations, d_exponents,
                              fundamental_relation_residual, gauss_decompose,
-                             generalized_minor, lewis_carroll_residual,
-                             lift_products, miura_from_wronskian,
-                             miura_plucker_blocks, miura_trivializer,
+                             generalized_minor, lift_products,
+                             miura_from_wronskian, miura_plucker_blocks,
+                             miura_trivializer,
                              s_lambda_inverse, sample_bundle, type_a_bundle,
                              weyl_twist)
 from sampled_solver import sampled_trivializer_numerators
@@ -390,8 +390,8 @@ class TestFundamentalRelation:
                             if word_length(w * si, cd) == word_length(w, cd) + 1]
                 for u in ok_words[:3]:
                     for v in ok_words[:3]:
-                        r = fundamental_relation_residual(
-                            evaluate(M, PANEL[:3]), u, v, i, cd)
+                        Mv = np.array([M.eval(x) for x in PANEL[:3]])
+                        r = fundamental_relation_residual(Mv, u, v, i, cd)
                         assert r <= 1e-9, (n, i, u.letters, v.letters)
 
     def test_solved_wronskian_is_qq(self):
@@ -399,8 +399,8 @@ class TestFundamentalRelation:
         W = build_wronskian(inst, sol)
         e = WeylWord.identity()
         for i in (1, 2):
-            r = fundamental_relation_residual(evaluate(W, PANEL), e, e, i,
-                                              inst.cartan)
+            r = fundamental_relation_residual(
+                np.array([W.eval(x) for x in PANEL]), e, e, i, inst.cartan)
             assert r <= 1e-9
 
     def test_length_precondition(self):
@@ -444,14 +444,16 @@ class TestLewisCarroll:
                                         + 1j * rng.standard_normal(3)))
                             for _ in range(4)] for _ in range(4)])
             for i in (2, 3, 4):
-                assert lewis_carroll_residual(evaluate(M, PANEL[:2]), i) < 1e-9
+                assert max(check_lewis_carroll(RatMatrix(M.eval(x).tolist()), i)
+                           for x in PANEL[:2]) < 1e-9
 
     def test_sl3_wronskian(self):
         # rational entries inflate symbolic coefficients, so the identity
         # on the Wronskian is certified by sampling
         inst, sol = a2_solved()
         W = build_wronskian(inst, sol)
-        assert lewis_carroll_residual(evaluate(W, PANEL), 2) < 1e-10
+        assert max(check_lewis_carroll(RatMatrix(W.eval(x).tolist()), 2)
+                   for x in PANEL) < 1e-10
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
@@ -533,6 +535,19 @@ class TestMinorTable:
         fresh = [check_lewis_carroll(RatMatrix(M.entries), i)
                  for i in range(2, n + 1)]
         assert [bits(f) for f in shared] == [bits(f) for f in fresh]
+
+    def test_complex_det(self):
+        # the values of a matrix at a point use the same expansion and table
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+            m[rng.random((5, 5)) < 0.3] = 0
+            M = RatMatrix(m.tolist())
+            want = np.linalg.det(m)
+            assert abs(M.det() - want) <= 1e-12 * (1 + abs(want))
+            rows, cols = [1, 2, 3, 4], [0, 2, 3, 4]
+            assert M.submatrix(rows, cols).det() is \
+                M.submatrix(rows, cols).det()
 
     def test_entries_are_read_only(self):
         M = RatMatrix.identity(3)
@@ -915,8 +930,8 @@ class TestPanelMinors:
         W = type_a_bundle(inst, sol).W
         e = WeylWord.identity()
         for i in (1, 2, 3):
-            got = fundamental_relation_residual(evaluate(W, PANEL), e, e, i,
-                                                inst.cartan)
+            got = fundamental_relation_residual(
+                np.array([W.eval(x) for x in PANEL]), e, e, i, inst.cartan)
             assert got == fundamental_per_point(W, i, inst.cartan, PANEL), i
 
 
