@@ -115,6 +115,16 @@ def _emit_scalar(c: complex) -> list:
     return [float(c.real), float(c.imag)]
 
 
+def _emit_polys(polys) -> list:
+    """Each polynomial as its list of [re, im] coefficients."""
+    return [[_emit_scalar(complex(c)) for c in p.coeffs] for p in polys]
+
+
+def _full_qq_summary(fq) -> dict:
+    return {"size": len(fq.table), "generic": fq.generic,
+            "refusals": [str(r) for r in fq.refusals]}
+
+
 def _parse_poly(obj, where: str) -> Poly:
     if not isinstance(obj, dict):
         raise InputError(f"{where}: polynomial must be an object")
@@ -169,6 +179,8 @@ def parse_instance(doc: dict):
         raise InputError(f"unknown tolerance keys: {sorted(set(tols) - _TOL_KEYS)}")
     tau = _positive(_parse_number(tols.get("tau", 1e-10), "tolerances.tau"),
                     "tolerances.tau")
+    if tau >= 1:  # every relative comparison would pass
+        raise InputError(f"tolerances.tau: expected a number below 1, got {tau!r}")
     bethe_tol = _positive(_parse_number(tols.get("bethe_tol", 1e-10),
                                         "tolerances.bethe_tol"),
                           "tolerances.bethe_tol")
@@ -233,20 +245,15 @@ def echo_instance(inst: QQInstance, extras: dict, solution=None) -> dict:
         "ordering": list(inst.cartan.ordering),
         "q": _emit_scalar(complex(inst.q)),
         "zetas": [_emit_scalar(complex(z)) for z in inst.twist.zetas],
-        "lambdas": [{"coeffs": [_emit_scalar(complex(c)) for c in l.coeffs]}
-                    for l in inst.lambdas],
+        "lambdas": [{"coeffs": cs} for cs in _emit_polys(inst.lambdas)],
         "degrees": list(inst.degrees),
         "tolerances": {"tau": inst.tau, "bethe_tol": extras["bethe_tol"],
                        **({"K": extras["K"]} if extras["K"] else {})},
         "seed": extras["seed"],
     }
     if solution is not None:
-        doc["solution"] = {
-            "qplus": [[_emit_scalar(complex(c)) for c in p.coeffs]
-                      for p in solution.qplus],
-            "qminus": [[_emit_scalar(complex(c)) for c in p.coeffs]
-                       for p in solution.qminus],
-        }
+        doc["solution"] = {"qplus": _emit_polys(solution.qplus),
+                           "qminus": _emit_polys(solution.qminus)}
     return doc
 
 
@@ -312,8 +319,8 @@ def _solution_entry(inst, sol, K):
         roots = [str(exc)]
     nd = nondegenerate(inst, sol, K)
     return {
-        "qplus": [[_emit_scalar(complex(c)) for c in p.coeffs] for p in sol.qplus],
-        "qminus": [[_emit_scalar(complex(c)) for c in p.coeffs] for p in sol.qminus],
+        "qplus": _emit_polys(sol.qplus),
+        "qminus": _emit_polys(sol.qminus),
         "bethe_roots": roots,
         "max_qq_residual": float(qqres),
         "max_bethe_residual": float(bres),
@@ -353,9 +360,8 @@ def run_verify(inst, sol, extras, args, rep: Report):
     rep.check("nondegenerate", 0.0, nd.passed,
               witnesses=[it["label"] for it in nd.items if not it["pass"]])
     stats = rep.telemetry["backlund"] = {}
-    fq = full_qq_system(inst, sol, K=extras["K"], stats=stats)
-    rep.doc["full_qq"] = {"size": len(fq.table), "generic": fq.generic,
-                          "refusals": [str(r) for r in fq.refusals]}
+    rep.doc["full_qq"] = _full_qq_summary(
+        full_qq_system(inst, sol, K=extras["K"], stats=stats))
     if not inst.cartan.is_type_a:
         rep.skip("wronskian-suite", "type A only")
         return
@@ -433,10 +439,8 @@ def run_backlund(inst, sol, extras, args, rep: Report):
         rep.doc["solutions"].append({
             "step": step_no, "node": rec.node,
             "zetas": [_emit_scalar(complex(z)) for z in rec.instance.twist.zetas],
-            "qplus": [[_emit_scalar(complex(c)) for c in p.coeffs]
-                      for p in rec.solution.qplus],
-            "qminus": [[_emit_scalar(complex(c)) for c in p.coeffs]
-                       for p in rec.solution.qminus]})
+            "qplus": _emit_polys(rec.solution.qplus),
+            "qminus": _emit_polys(rec.solution.qminus)})
     if refusal is not None:
         letter = word.letters[len(word.letters) - 1 - len(records)]
         rep.check("backlund-step", float("inf"), False,
@@ -457,8 +461,7 @@ def run_backlund(inst, sol, extras, args, rep: Report):
         fq = full_qq_system(inst, sol, K=extras["K"], stats=table_stats)
         for key, val in table_stats.items():
             stats[key] += val
-        rep.doc["full_qq"] = {"size": len(fq.table), "generic": fq.generic,
-                              "refusals": [str(r) for r in fq.refusals]}
+        rep.doc["full_qq"] = _full_qq_summary(fq)
         rep.check("full-qq-generic", 0.0, fq.generic)
 
 

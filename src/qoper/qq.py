@@ -111,31 +111,28 @@ class FullQQSystem:
         return self.table.get(canonical_form(word, cartan))
 
 
-def _ordered_positions(inst: QQInstance):
-    """Nodes listed by position in the instance ordering."""
-    return list(inst.cartan.ordering)
+def _neighbours(inst: QQInstance, i: int):
+    """(after, before): the nodes j linked to node i that follow and that
+    precede it in the instance ordering, each as a pair (j, e = -a_ji)."""
+    order = inst.cartan.ordering
+    pos = order.index(i)
+    a = inst.cartan.a
+    return ([(j, -a(j, i)) for j in order[pos + 1:] if a(j, i)],
+            [(j, -a(j, i)) for j in order[:pos] if a(j, i)])
 
 
 def xi_factors(inst: QQInstance):
     """Twist factor pairs (xi~_i, xi_i) for every node i = 1..r."""
     zetas = inst.zetas()
-    order = _ordered_positions(inst)
-    a = inst.cartan.a
     out = []
     for i in range(1, inst.rank + 1):
-        pos = order.index(i)
-        before = order[:pos]
-        after = order[pos + 1:]
+        after, before = _neighbours(inst, i)
         xit = zetas[i - 1]
-        for j in after:
-            e = a(j, i)
-            if e:
-                xit = xit * zetas[j - 1] ** e
+        for j, e in after:
+            xit = xit * zetas[j - 1] ** -e
         xi = 1 / zetas[i - 1]
-        for j in before:
-            e = -a(j, i)
-            if e:
-                xi = xi * zetas[j - 1] ** e
+        for j, e in before:
+            xi = xi * zetas[j - 1] ** e
         out.append((xit, xi))
     return out
 
@@ -154,13 +151,10 @@ def twist_product(inst: QQInstance, i: int) -> complex:
 def _rhs_factors(inst: QQInstance, qplus: Sequence[Poly], i: int):
     """(Q+_j, shifted, e) for the neighbour factors of the i-th right side:
     Q+_j(qz)^e for j after i and Q+_j(z)^e for j before i, e = -a_ji."""
-    order = _ordered_positions(inst)
-    pos = order.index(i)
-    a = inst.cartan.a
-    for shifted, js in ((True, order[pos + 1:]), (False, order[:pos])):
-        for j in js:
-            if a(j, i):
-                yield qplus[j - 1], shifted, -a(j, i)
+    after, before = _neighbours(inst, i)
+    for shifted, js in ((True, after), (False, before)):
+        for j, e in js:
+            yield qplus[j - 1], shifted, e
 
 
 def qq_rhs(inst: QQInstance, qplus: Sequence[Poly], i: int) -> Poly:
@@ -207,17 +201,19 @@ def resonance_check(inst: QQInstance, K: Optional[int] = None) -> CheckReport:
         K = inst.default_window()
     if K < 1:
         raise ValueError("window K must be >= 1")
-    qc = complex(inst.q)
     rep = CheckReport("resonance", True)
     for j in range(1, inst.rank + 1):
         val = twist_product(inst, j)
-        bad = None
-        for k in range(-K, K + 1):
-            if close(val, qc**k, inst.tau):
-                bad = k
-                break
+        bad = _resonant_power(inst, val, K)
         rep.add(f"node {j}", bad is None, witness=bad, value=val)
     return rep
+
+
+def _resonant_power(inst: QQInstance, val: complex, K: int) -> Optional[int]:
+    """The first k in -K..K with val = q^k to tau, or None."""
+    qc = complex(inst.q)
+    return next((k for k in range(-K, K + 1) if close(val, qc**k, inst.tau)),
+                None)
 
 
 def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int,
@@ -234,13 +230,11 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int,
     """
     if degree_bound is None:
         degree_bound = inst.degrees[i - 1] + max(l.degree for l in inst.lambdas) + 2
-    ratio = twist_product(inst, i)
+    k = _resonant_power(inst, twist_product(inst, i), degree_bound + 2)
+    if k is not None:
+        raise DegenerateInstance(f"resonant twist at node {i}: prod zeta^a = "
+                                 f"q^{k}, the Q- solve is not unique")
     qc = complex(inst.q)
-    for k in range(-(degree_bound + 2), degree_bound + 3):
-        if close(ratio, qc**k, inst.tau):
-            raise DegenerateInstance(
-                f"resonant twist at node {i}: prod zeta^a = q^{k}, "
-                "the Q- solve is not unique")
     xit, xi = (complex(x) for x in xi_factors(inst)[i - 1])
     # the right side's coefficients, untrimmed: a small top coefficient
     # such as q^{deg Q+_j} still fixes the degree
@@ -259,66 +253,6 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int,
         f"no polynomial Q- exists at node {i} with degree <= {degree_bound}")
 
 
-def _bethe_sides(inst: QQInstance, qplus: Sequence[Poly], i: int, w: complex):
-    """(LHS, RHS-without-minus) of the i-th Bethe equation at root w."""
-    qc = complex(inst.q)
-    a = inst.cartan.a
-    zetas = inst.twist.zetas
-    order = _ordered_positions(inst)
-    pos = order.index(i)
-    qp = qplus[i - 1]
-    lam = inst.lambdas[i - 1]
-    den_l = complex(qp(w / qc))
-    den_lam = complex(lam(w / qc))
-    if abs(den_lam) <= inst.tau * (1 + lam.norm()):
-        raise DegenerateInstance(
-            f"degenerate root configuration: Lambda_{i}(q^-1 w) = 0 at w = {w}")
-    if abs(den_l) <= inst.tau * (1 + qp.norm()):
-        raise DegenerateInstance(
-            f"degenerate root configuration: Q+_{i}(q^-1 w) = 0 at w = {w}")
-    lhs = complex(qp(qc * w)) / den_l
-    for j in range(1, inst.rank + 1):
-        e = a(j, i)
-        if e:
-            lhs *= complex(zetas[j - 1]) ** e
-    num = complex(lam(w))
-    den = den_lam
-    for j in order[pos + 1:]:
-        e = -a(j, i)
-        if e:
-            num *= complex(qplus[j - 1](qc * w)) ** e
-            den *= complex(qplus[j - 1](w)) ** e
-    for j in order[:pos]:
-        e = -a(j, i)
-        if e:
-            num *= complex(qplus[j - 1](w)) ** e
-            den *= complex(qplus[j - 1](w / qc)) ** e
-    rhs = ensure_finite(num) / ensure_finite(den)
-    if rhs == 0:
-        raise DegenerateInstance(
-            f"degenerate root configuration: right side 0 at w = {w}")
-    return lhs, rhs
-
-
-def bethe_residual(inst: QQInstance, qplus: Sequence[Poly]) -> list:
-    """Per-root residuals LHS/RHS + 1; zero at a Bethe solution.
-
-    Returns a list of (node, root, residual) triples over every root of
-    every Q+_i, roots extracted numerically.
-    """
-    out = []
-    for i in range(1, inst.rank + 1):
-        qp = qplus[i - 1]
-        if qp.degree != inst.degrees[i - 1]:
-            raise ValueError(f"Q+_{i} must have exact degree {inst.degrees[i - 1]}")
-        if qp.degree == 0:
-            continue
-        for w in qp.roots():
-            lhs, rhs = _bethe_sides(inst, qplus, i, w)
-            out.append((i, w, lhs / rhs + 1.0))
-    return out
-
-
 def _roots_to_qplus(inst: QQInstance, roots: np.ndarray) -> list[Poly]:
     out = []
     k = 0
@@ -330,36 +264,32 @@ def _roots_to_qplus(inst: QQInstance, roots: np.ndarray) -> list[Poly]:
 
 
 def _bethe_kernel(inst: QQInstance):
-    """The cleared-denominator Bethe system as a map on stacks of points.
+    """The two sides of the cleared-denominator Bethe system on stacks of points.
 
     The returned function takes x of shape (..., n), n = sum m_i, holding
-    the roots of Q+_1, ..., Q+_r end to end, and returns F(x) of the same
-    shape.  At the t-th root w of Q+_i, with e = -a_ji,
+    the roots of Q+_1, ..., Q+_r end to end, and returns (L, R), each of
+    the same shape.  At the t-th root w of Q+_i, with e = -a_ji,
 
-        F = prod_j zeta_j^{a_ji} Q+_i(qw) Lambda_i(w/q)
-              prod_{j after i} Q+_j(w)^e prod_{j before i} Q+_j(w/q)^e
-          + Q+_i(w/q) Lambda_i(w)
-              prod_{j after i} Q+_j(qw)^e prod_{j before i} Q+_j(w)^e,
+        L = prod_j zeta_j^{a_ji} Q+_i(qw) Lambda_i(w/q)
+              prod_{j after i} Q+_j(w)^e prod_{j before i} Q+_j(w/q)^e,
+        R = Q+_i(w/q) Lambda_i(w)
+              prod_{j after i} Q+_j(qw)^e prod_{j before i} Q+_j(w)^e.
 
-    the i-th Bethe equation times its denominators.  Each Q+_j(y) is the
-    product of (y - r) over its roots r; no polynomial is built.
+    The i-th Bethe equation is L/R = -1: Newton solves L + R = 0, and
+    ``bethe_residual`` reports L/R + 1.  Each Q+_j(y) is the product of
+    (y - r) over its roots r; no polynomial is built.
     """
     qc = complex(inst.q)
-    a = inst.cartan.a
-    order = _ordered_positions(inst)
     ends = np.cumsum(inst.degrees)
     blocks = [slice(e - m, e) for e, m in zip(ends, inst.degrees)]
     nodes = []
     for i in range(1, inst.rank + 1):
         if not inst.degrees[i - 1]:
             continue
-        pos = order.index(i)
-        after = [(j, -a(j, i)) for j in order[pos + 1:] if a(j, i)]
-        before = [(j, -a(j, i)) for j in order[:pos] if a(j, i)]
         lam = [complex(c) for c in reversed(inst.lambdas[i - 1].coeffs)]
-        nodes.append((i, twist_product(inst, i), lam, after, before))
+        nodes.append((i, twist_product(inst, i), lam, *_neighbours(inst, i)))
 
-    def system(x: np.ndarray) -> np.ndarray:
+    def sides(x: np.ndarray):
         def qplus(j, y):
             r = x[..., blocks[j - 1]]
             return np.prod(y[..., :, None] - r[..., None, :], axis=-1)
@@ -370,7 +300,7 @@ def _bethe_kernel(inst: QQInstance):
                 acc = acc * y + c
             return acc
 
-        out = np.empty_like(x)
+        L, R = np.empty_like(x), np.empty_like(x)
         for i, twist, lam, after, before in nodes:
             w = x[..., blocks[i - 1]]
             up, down = qc * w, w / qc
@@ -382,10 +312,50 @@ def _bethe_kernel(inst: QQInstance):
             for j, e in before:
                 lterm *= qplus(j, down) ** e
                 rterm *= qplus(j, w) ** e
-            out[..., blocks[i - 1]] = lterm + rterm
-        return out
+            L[..., blocks[i - 1]] = lterm
+            R[..., blocks[i - 1]] = rterm
+        return L, R
 
-    return system
+    return sides
+
+
+def bethe_residual(inst: QQInstance, qplus: Sequence[Poly]) -> list:
+    """Per-root residuals L/R + 1 of the kernel's two sides; zero at a
+    Bethe solution (see ``_bethe_kernel``).
+
+    Returns a list of (node, root, residual) triples over every root of
+    every Q+_i, roots extracted numerically.  A root w raises
+    DegenerateInstance when Lambda_i(w/q) or Q+_i(w/q) vanishes to tau,
+    or when a side is exactly 0; a side that is not finite raises
+    NonFinite.
+    """
+    roots = []
+    for i, (qp, m) in enumerate(zip(qplus, inst.degrees), start=1):
+        if qp.degree != m:
+            raise ValueError(f"Q+_{i} must have exact degree {m}")
+        roots.append(qp.roots() if m else ())
+    with np.errstate(all="ignore"):  # a non-finite side raises below
+        L, R = _bethe_kernel(inst)(np.array([w for rs in roots for w in rs],
+                                            dtype=complex))
+    qc = complex(inst.q)
+    out = []
+    for i, rs in enumerate(roots, start=1):
+        qp, lam = qplus[i - 1], inst.lambdas[i - 1]
+        for w in rs:
+            if abs(complex(lam(w / qc))) <= inst.tau * (1 + lam.norm()):
+                raise DegenerateInstance(f"degenerate root configuration: "
+                                         f"Lambda_{i}(q^-1 w) = 0 at w = {w}")
+            if abs(complex(qp(w / qc))) <= inst.tau * (1 + qp.norm()):
+                raise DegenerateInstance(f"degenerate root configuration: "
+                                         f"Q+_{i}(q^-1 w) = 0 at w = {w}")
+            k = len(out)
+            lhs, rhs = ensure_finite(L[k]), ensure_finite(R[k])
+            for side, val in (("right", rhs), ("left", lhs)):
+                if val == 0:
+                    raise DegenerateInstance(f"degenerate root configuration: "
+                                             f"{side} side 0 at w = {w}")
+            out.append((i, w, lhs / rhs + 1.0))
+    return out
 
 
 def _solve_each(J: np.ndarray, b: np.ndarray):
@@ -403,16 +373,16 @@ def _solve_each(J: np.ndarray, b: np.ndarray):
         return y, ok
 
 
-def _newton(system, x: np.ndarray, max_iter: int, tally: dict) -> list:
-    """Run Newton's method from every row of x at once.
+def _newton(sides, x: np.ndarray, max_iter: int, tally: dict) -> np.ndarray:
+    """Run Newton's method on L + R = 0 from every row of x at once.
 
-    Each iteration evaluates ``system`` at every live iterate and at its n
-    forward-difference neighbours (step h = 1e-7 (1 + max|x|) per row) in
-    one call, and solves for every step in one batched solve.  A row
-    leaves the batch when its step falls below 1e-14 (1 + max|x|), when
-    its values stop being finite, or when its Jacobian is singular.
+    Each iteration evaluates the two ``sides`` at every live iterate and
+    at its n forward-difference neighbours (step h = 1e-7 (1 + max|x|)
+    per row) in one call, and solves for every step in one batched solve.
+    A row leaves the batch when its step falls below 1e-14 (1 + max|x|),
+    when its values stop being finite, or when its Jacobian is singular.
     Returns the final iterates of the rows that converged or ran out of
-    iterations, in row order.
+    iterations, in row order, as the rows of one array.
     """
     rows = np.arange(len(x))
     final = {}
@@ -421,7 +391,8 @@ def _newton(system, x: np.ndarray, max_iter: int, tally: dict) -> list:
         if not rows.size:
             break
         h = 1e-7 * (1.0 + np.abs(x).max(axis=1))[:, None, None]
-        V = system(np.concatenate([x[:, None], x[:, None] + h * eye], axis=1))
+        V = np.add(*sides(np.concatenate([x[:, None], x[:, None] + h * eye],
+                                         axis=1)))
         finite = np.isfinite(V).all(axis=(1, 2))
         tally["nonfinite"] += int(rows.size - finite.sum())
         rows, x, V, h = rows[finite], x[finite], V[finite], h[finite]
@@ -439,7 +410,8 @@ def _newton(system, x: np.ndarray, max_iter: int, tally: dict) -> list:
         rows, x = rows[~done], x[~done]
     tally["out_of_iterations"] += int(rows.size)
     final.update(zip(rows.tolist(), x))
-    return [final[r] for r in sorted(final)]
+    return np.array([final[r] for r in sorted(final)],
+                    dtype=complex).reshape(-1, len(eye))
 
 
 def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
@@ -481,37 +453,39 @@ def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
 
 
 def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
-    """The body of ``solve_bethe`` for sum m_i > 0."""
+    """The body of ``solve_bethe`` for sum m_i > 0.
+
+    Every Newton result is scored in one kernel call, by the largest
+    |L/R + 1| over its roots; only those within ``tol`` are built into
+    Q+ polynomials and checked by ``bethe_residual``, whose residuals
+    are the ones kept.
+    """
     total = sum(inst.degrees)
     rng = np.random.default_rng(seed)
-    lam_roots = []
-    for lam in inst.lambdas:
-        lam_roots.extend(lam.roots())
-    spread = 1.0 + max(abs(r) for r in lam_roots)
+    spread = 1.0 + max(abs(r) for lam in inst.lambdas for r in lam.roots())
     tally["seeds"] = seeds = max(seeds, 0)
     draws = rng.standard_normal((seeds, 2, total))
+    kernel = _bethe_kernel(inst)
     with np.errstate(all="ignore"):  # overflow is caught as non-finite values
-        candidates = _newton(_bethe_kernel(inst),
-                             spread * (draws[:, 0] + 1j * draws[:, 1]),
+        candidates = _newton(kernel, spread * (draws[:, 0] + 1j * draws[:, 1]),
                              max_iter, tally)
+        L, R = kernel(candidates)
+        scores = np.abs(L / R + 1.0).max(axis=1)
 
     found = []
-    for x in candidates:
-        try:
-            qplus = _roots_to_qplus(inst, x)
-            resid = bethe_residual(inst, qplus)
-        except (DegenerateInstance, ValueError, ArithmeticError):
+    for x, score in zip(candidates, scores):
+        worst = np.inf
+        if score <= tol:
+            try:
+                worst = max(abs(r[2]) for r in
+                            bethe_residual(inst, _roots_to_qplus(inst, x)))
+            except (DegenerateInstance, ValueError, ArithmeticError):
+                pass
+        if not worst <= tol:  # NaN included
             tally["rejected_residual"] += 1
             continue
-        worst = max((abs(r[2]) for r in resid), default=0.0)
-        if worst > tol:
-            tally["rejected_residual"] += 1
-            continue
-        blockkey = []
-        k = 0
-        for m in inst.degrees:
-            blockkey.append(tuple(np.sort_complex(x[k:k + m])))
-            k += m
+        blockkey = [tuple(np.sort_complex(x[k - m:k]))
+                    for k, m in zip(np.cumsum(inst.degrees), inst.degrees)]
         if any(_same_blocks(blockkey, other) for other, _ in found):
             tally["duplicates"] += 1
             continue

@@ -147,7 +147,9 @@ class TestFuzzFindings:
         ("tolerances", {"tau": -1}, "tolerances.tau"),
         ("tolerances", {"tau": 0}, "tolerances.tau"),
         ("tolerances", {"bethe_tol": 0}, "tolerances.bethe_tol"),
-        ("tolerances", {"bethe_tol": -1e-3}, "tolerances.bethe_tol")])
+        ("tolerances", {"bethe_tol": -1e-3}, "tolerances.bethe_tol"),
+        ("tolerances", {"tau": 1}, "tolerances.tau"),
+        ("tolerances", {"tau": 1e308}, "tolerances.tau")])
     def test_exit_2(self, tmp_path, capsys, command, key, value, message):
         doc = json.loads(A2_SOLVED.read_text())
         doc[key] = value
@@ -183,6 +185,23 @@ class TestFuzzFindings:
         assert code == 1
         entry, = json.loads(text)["solutions"]
         assert "right side 0" in entry["bethe_roots"][0]
+
+    def test_neighbour_sharing_a_root_is_degenerate(self, tmp_path, capsys):
+        # Q+_2 = Q+_1 puts the root of Q+_1 on a root of its neighbour, a
+        # factor of the Bethe left side; that was a ZeroDivisionError
+        doc = json.loads(A2_SOLVED.read_text())
+        doc["solution"]["qplus"][1] = doc["solution"]["qplus"][0]
+        f = tmp_path / "shared.json"
+        f.write_text(json.dumps(doc))
+        code, text = run_cli(["verify", "--instance", str(f)], tmp_path)
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        rep = json.loads(text)
+        assert "bethe-residual" in [c["check"] for c in rep["checks"]
+                                    if not c["pass"]]
+        entry, = rep["solutions"]
+        assert "degenerate root configuration: left side 0" \
+            in entry["bethe_roots"][0]
 
     @pytest.mark.parametrize("argv, message", [
         (["solve", "--tol", "nan"], "--tol:"),
@@ -303,6 +322,8 @@ class TestNestedFuzz:
     @given(st.lists(st.tuples(st.sampled_from(NESTED_FIELDS), NESTED_VALUE),
                     min_size=1, max_size=2, unique_by=lambda pv: pv[0]))
     @example([(("lambdas", 0, "coeffs", 1), [1e308, 0])])
+    @example([(("solution", "qplus", 1, 0),  # Q+_2 = Q+_1
+               [0.3459128490668868, -7.674392627320678e-25])])
     @example([(("lambdas", 1, "coeffs", 1), [1, 1e308])])
     @example([(("solution", "qminus", 1, 1), [-1e308, -1e308]),
               (("solution", "qminus", 1, 0), [-1e308, 1e308])])

@@ -8,7 +8,7 @@ from qoper import qq
 from qoper.cartan import TwistZ, WeylWord, cartan_matrix
 from qoper.polynomials import Poly
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution,
-                      _bethe_kernel, _ordered_positions, _roots_to_qplus,
+                      _bethe_kernel, _roots_to_qplus,
                       bethe_residual, cartan_connection, nondegenerate,
                       qq_residual, qq_rhs, resonance_check, solve_bethe,
                       solve_q_minus, xi_factors)
@@ -349,7 +349,8 @@ class TestInstanceValidation:
 
 
 def scalar_bethe_system(inst, roots):
-    """Reference: the cleared-denominator Bethe system, one point at a time.
+    """Reference: the two sides of the cleared-denominator Bethe system,
+    one point at a time.
 
     Builds every Q+ as a Poly from its roots and evaluates it by Horner,
     as the solver did before the batched kernel.
@@ -357,8 +358,8 @@ def scalar_bethe_system(inst, roots):
     qplus = _roots_to_qplus(inst, roots)
     qc = complex(inst.q)
     a = inst.cartan.a
-    order = _ordered_positions(inst)
-    vals = []
+    order = list(inst.cartan.ordering)
+    lvals, rvals = [], []
     k = 0
     for i in range(1, inst.rank + 1):
         pos = order.index(i)
@@ -384,9 +385,10 @@ def scalar_bethe_system(inst, roots):
                 if e:
                     lterm *= complex(qplus[j - 1](w / qc)) ** e
                     rterm *= complex(qplus[j - 1](w)) ** e
-            vals.append(lterm + rterm)
+            lvals.append(lterm)
+            rvals.append(rterm)
         k += m
-    return np.array(vals, dtype=complex)
+    return np.array(lvals, dtype=complex), np.array(rvals, dtype=complex)
 
 
 def instance(lie_type, rank, degrees, lam_degrees, ordering=None, q=0.2,
@@ -420,11 +422,27 @@ class TestBetheKernel:
         rng = np.random.default_rng(1)
         pts = 1.5 * (rng.standard_normal((4, 5, n))
                      + 1j * rng.standard_normal((4, 5, n)))
-        got = _bethe_kernel(inst)(pts)
-        assert got.shape == pts.shape
+        sides = _bethe_kernel(inst)(pts)
+        for got in sides:
+            assert got.shape == pts.shape
         for idx in np.ndindex(pts.shape[:-1]):
-            ref = scalar_bethe_system(inst, pts[idx])
-            assert (np.abs(got[idx] - ref) <= 1e-13 * np.abs(ref)).all()
+            for got, ref in zip(sides, scalar_bethe_system(inst, pts[idx])):
+                assert (np.abs(got[idx] - ref) <= 1e-13 * np.abs(ref)).all()
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_bethe_residual_matches_scalar_reference(self, name):
+        # at random monic Q+, each residual is lterm/rterm + 1 at its root
+        inst = KERNEL_CASES[name]
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            qplus = [Poly.from_roots(list(1.5 * (rng.standard_normal(m)
+                                                 + 1j * rng.standard_normal(m))))
+                     for m in inst.degrees]
+            got = bethe_residual(inst, qplus)
+            lterm, rterm = scalar_bethe_system(
+                inst, np.array([w for _, w, _ in got]))
+            for (_, _, res), ref in zip(got, lterm / rterm + 1):
+                assert abs(res - ref) <= 1e-10 * abs(ref)
 
     def test_overflowing_seeds_are_dropped_and_counted(self):
         # seeds spread like Lambda's root, 1e9: Q+(w), a product of 40
@@ -438,10 +456,11 @@ class TestBetheKernel:
     def test_singular_jacobians_are_dropped_and_counted(self, monkeypatch):
         # second equation constant for |x1| < 1: a zero row in J there
         def kernel(inst):
-            def system(x):
-                return np.stack([x[..., 0] ** 2 - 1,
-                                 np.where(abs(x[..., 1]) < 1, 1, x[..., 1] - 2)], -1)
-            return system
+            def sides(x):
+                lhs = np.stack([x[..., 0] ** 2 - 1,
+                                np.where(abs(x[..., 1]) < 1, 1, x[..., 1] - 2)], -1)
+                return lhs, np.zeros_like(lhs)
+            return sides
 
         monkeypatch.setattr(qq, "_bethe_kernel", kernel)
         stats = {}
