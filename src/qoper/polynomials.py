@@ -13,8 +13,13 @@ empty coefficient tuple and degree -1 by convention.
 ``RatMatrix`` and the Dodgson check live here too, for rational entries
 and for complex values alike, so both batteries of ``qoper identities``,
 whose entries ``random.Random(seed)`` draws, run without numpy; only
-``poly_roots``, ``coefficients``, ``solve_q_difference`` and
-``RatMatrix.eval`` import it.
+``poly_roots``, ``solve_q_difference`` and ``RatMatrix.eval`` import it.
+
+A polynomial drops exact zero top coefficients only, so a float
+polynomial keeps every nonzero coefficient, however small: its degree is
+that of the products and shifts that made it, and a residual polynomial
+keeps its rounding noise.  Tests for "numerically zero" are explicit
+(``RatFun.is_zero(tol)``) and relative to a scale the caller knows.
 """
 
 from __future__ import annotations
@@ -60,15 +65,14 @@ def ensure_finite(x) -> complex:
 class Poly:
     """Univariate polynomial, coefficients lowest degree first.
 
-    Immutable.  Trailing (near-)zero coefficients are trimmed on
-    construction; in floating mode "zero" means modulus below ``tol``
-    relative to the largest coefficient.  ``roots()`` finds the roots
-    once and keeps them.
+    Immutable.  Trailing coefficients that are exactly zero are dropped
+    on construction, in either mode; every other coefficient stays.
+    ``roots()`` finds the roots once and keeps them.
     """
 
     __slots__ = ("coeffs", "exact", "_roots")
 
-    def __init__(self, coeffs: Iterable, tol: float = TAU):
+    def __init__(self, coeffs: Iterable):
         cs = list(coeffs)
         exact = True
         for k, c in enumerate(cs):
@@ -78,14 +82,10 @@ class Poly:
                 exact = False
                 break
             cs[k] = Fraction(c) if isinstance(c, Fraction) else int(c)
-        if exact:
-            while cs and cs[-1] == 0:
-                cs.pop()
-        else:
+        if not exact:
             cs = [ensure_finite(c) for c in cs]
-            scale = max((abs(c) for c in cs), default=0.0)
-            while cs and abs(cs[-1]) <= tol * (1.0 + scale):
-                cs.pop()
+        while cs and cs[-1] == 0:
+            cs.pop()
         self.coeffs = tuple(cs)
         self.exact = exact
         self._roots = None
@@ -98,10 +98,6 @@ class Poly:
     @staticmethod
     def one() -> "Poly":
         return Poly([1])
-
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly([c])
 
     @staticmethod
     def from_roots(roots: Sequence, leading=1.0) -> "Poly":
@@ -318,19 +314,13 @@ def off_pole(f, x):
     return x, f(x)
 
 
-def coefficients(p: Poly, q=1):
-    """Coefficients of p(qz) as an untrimmed complex array; [0] for p = 0."""
-    import numpy as np
-    c = np.array([complex(x) for x in p.coeffs] or [0j])
-    return c if q == 1 else c * complex(q) ** np.arange(len(c))
-
-
 def solve_q_difference(a, b, c, q, tol: float = TAU):
     """Polynomial f with a(z) f(z) + b(z) f(qz) = c(z), or None.
 
-    a, b and c are untrimmed coefficient sequences, lowest degree first:
-    their lengths give deg f = len(c) - max(len(a), len(b)), true unless
-    the left side's top coefficient cancels (for len(a) == len(b), unless
+    a, b and c are coefficient sequences, lowest degree first, such as
+    the ``coeffs`` of a Poly: their lengths give
+    deg f = len(c) - max(len(a), len(b)), true unless the left side's top
+    coefficient cancels (for len(a) == len(b), unless
     a_top + b_top q^(deg f) = 0).  Column k of the linear system holds
     a(z) z^k + q^k b(z) z^k; its least-squares solution is accepted when
     its residual is at most max(tol, 1e-9) (1 + max|c|).  None means no

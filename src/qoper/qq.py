@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cartan import CartanData, TwistZ, WeylWord, canonical_form
-from .polynomials import (TAU, Poly, close, coefficients, ensure_finite,
-                          q_shift, solve_q_difference)
+from .polynomials import (TAU, Poly, close, ensure_finite, q_shift,
+                          solve_q_difference)
 
 
 class DegenerateInstance(ValueError):
@@ -148,25 +148,26 @@ def twist_product(inst: QQInstance, i: int) -> complex:
     return val
 
 
-def _rhs_factors(inst: QQInstance, qplus: Sequence[Poly], i: int):
-    """(Q+_j, shifted, e) for the neighbour factors of the i-th right side:
-    Q+_j(qz)^e for j after i and Q+_j(z)^e for j before i, e = -a_ji."""
-    after, before = _neighbours(inst, i)
-    for shifted, js in ((True, after), (False, before)):
-        for j, e in js:
-            yield qplus[j - 1], shifted, e
-
-
 def qq_rhs(inst: QQInstance, qplus: Sequence[Poly], i: int) -> Poly:
-    """Right side of the i-th equation: Lambda_i times neighbor products."""
+    """Right side of the i-th equation: Lambda_i times the neighbour
+    factors Q+_j(qz)^e for j after i and Q+_j(z)^e for j before i,
+    e = -a_ji."""
+    after, before = _neighbours(inst, i)
     rhs = inst.lambdas[i - 1]
-    for p, shifted, e in _rhs_factors(inst, qplus, i):
-        rhs = rhs * (q_shift(p, inst.q) if shifted else p) ** e
+    for j, e in after:
+        rhs = rhs * q_shift(qplus[j - 1], inst.q) ** e
+    for j, e in before:
+        rhs = rhs * qplus[j - 1] ** e
     return rhs
 
 
 def qq_residual(inst: QQInstance, sol: QQSolution) -> list[Poly]:
-    """One residual polynomial per node; all zero iff the system is solved."""
+    """One residual polynomial per node, left side minus right side.
+
+    Exact input gives zero polynomials iff the system is solved; float
+    input keeps the rounding error of every coefficient, so the residual's
+    ``norm()`` is small but, in general, nonzero.
+    """
     pairs = xi_factors(inst)
     out = []
     for i in range(1, inst.rank + 1):
@@ -224,9 +225,9 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int,
     of the twist at node i (prod_j zeta_j^{a_ji} = xi~_i / xi_i avoiding
     small powers of q) is checked first; it guarantees uniqueness, and it
     keeps the top coefficient lc (xi~_i q^{d+} - xi_i q^d) of the left
-    side nonzero, so deg Q-_i = d = deg rhs - d+.  The coefficients of
-    Q-_i then solve one linear system, by solve_q_difference with
-    a(z) = xi~_i Q+_i(qz) and b(z) = -xi_i Q+_i(z).
+    side nonzero, so deg Q-_i = d = deg rhs - d+, with rhs = qq_rhs.  The
+    coefficients of Q-_i then solve one linear system, by
+    solve_q_difference with a(z) = xi~_i Q+_i(qz) and b(z) = -xi_i Q+_i(z).
     """
     if degree_bound is None:
         degree_bound = inst.degrees[i - 1] + max(l.degree for l in inst.lambdas) + 2
@@ -236,17 +237,11 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int,
                                  f"q^{k}, the Q- solve is not unique")
     qc = complex(inst.q)
     xit, xi = (complex(x) for x in xi_factors(inst)[i - 1])
-    # the right side's coefficients, untrimmed: a small top coefficient
-    # such as q^{deg Q+_j} still fixes the degree
-    b = coefficients(inst.lambdas[i - 1])
-    for f, shifted, e in _rhs_factors(inst, qplus, i):
-        fc = coefficients(f, qc if shifted else 1)
-        for _ in range(e):
-            b = np.convolve(b, fc)
-    p = coefficients(qplus[i - 1])
-    if len(b) - len(p) <= degree_bound:
-        sol = solve_q_difference(xit * qc ** np.arange(len(p)) * p, -xi * p,
-                                 b, qc, tol=inst.tau)
+    p, rhs = qplus[i - 1], qq_rhs(inst, qplus, i)
+    if rhs.degree - p.degree <= degree_bound:
+        sol = solve_q_difference(q_shift(p, qc).scale(xit).coeffs,
+                                 p.scale(-xi).coeffs, rhs.coeffs, qc,
+                                 tol=inst.tau)
         if sol is not None:
             return sol
     raise DegenerateInstance(

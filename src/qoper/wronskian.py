@@ -36,8 +36,7 @@ from .cartan import (CartanData, WeylWord, column_index_set,
                      twist_along_word, word_length)
 # perfbench's tracer finds RatMatrix and check_lewis_carroll in this module
 from .polynomials import (Poly, RatFun, RatMatrix, check_lewis_carroll,
-                          coefficients, is_exact, off_pole, q_shift,
-                          solve_q_difference)
+                          is_exact, off_pole, q_shift, solve_q_difference)
 from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
                  QQSolution, cartan_connection)
 
@@ -195,11 +194,6 @@ def build_miura_A(inst: QQInstance, sol: QQSolution) -> RatMatrix:
     return acc
 
 
-def _conv(*arrays) -> np.ndarray:
-    """Coefficients of the product of coefficient arrays, untrimmed."""
-    return functools.reduce(np.convolve, arrays)
-
-
 def miura_trivializer(inst: QQInstance, sol: QQSolution,
                       A: Optional[RatMatrix] = None) -> RatMatrix:
     """Lower-triangular v(z) with A(z) = v(qz)^{-1} Z v(z).
@@ -210,11 +204,10 @@ def miura_trivializer(inst: QQInstance, sol: QQSolution,
     Z_ii v_ij(z); times Q+_{j-1}(z), A_jj's denominator, Q+_{j-1}(qz) and
     the tail sum's denominator (the product of its terms' denominators) it
     is a q-difference equation for u_ij, solved by solve_q_difference,
-    columns from the inside out.  Its coefficients are untrimmed
-    convolutions, since a float Poly product's trim can drop a true top
-    coefficient and with it the degree.  No solution signals a degenerate
-    (resonant) twist.  ``A`` is the connection from build_miura_A, built
-    here when not given.
+    columns from the inside out.  Its coefficients are Poly products, and
+    the tail sum skips the A_kj that are exactly zero.  No solution
+    signals a degenerate (resonant) twist.  ``A`` is the connection from
+    build_miura_A, built here when not given.
     """
     if A is None:
         A = build_miura_A(inst, sol)
@@ -223,30 +216,24 @@ def miura_trivializer(inst: QQInstance, sol: QQSolution,
     zs = [1] + inst.zetas() + [1]  # zeta_0 = zeta_{r+1} = 1
     qplus = [Poly.one()] + list(sol.qplus) + [Poly.one()]  # Q+_0 = Q+_{r+1} = 1
 
-    def add(x, y):
-        m = max(len(x), len(y))
-        return np.pad(x, (0, m - len(x))) + np.pad(y, (0, m - len(y)))
-
-    u = {}
-    for i in range(1, n + 1):
-        u[(i, i)] = qplus[i]
+    u = {(i, i): qplus[i] for i in range(1, n + 1)}
     for i in range(2, n + 1):
         zii = complex(zs[i - 1]) / complex(zs[i])
         for j in range(i - 1, 0, -1):
             # the tail sum num / den of u_ik(qz) A_kj(z) / Q+_{k-1}(qz)
-            terms = [(_conv(coefficients(akj.num), coefficients(u[(i, k)], qc)),
-                      _conv(coefficients(akj.den), coefficients(qplus[k - 1], qc)))
-                     for k in range(j + 1, i + 1)
-                     for akj in [A.entries[k - 1][j - 1]] if not akj.is_zero()]
-            num, den = terms[0]
-            for tnum, tden in terms[1:]:
-                num, den = add(_conv(num, tden), _conv(tnum, den)), _conv(den, tden)
+            num, den = Poly.zero(), Poly.one()
+            for k in range(j + 1, i + 1):
+                akj = A.entries[k - 1][j - 1]
+                if not akj.num.is_zero():
+                    tnum = akj.num * q_shift(u[(i, k)], qc)
+                    tden = akj.den * q_shift(qplus[k - 1], qc)
+                    num, den = num * tden + tnum * den, den * tden
             ajj = A.entries[j - 1][j - 1]
-            ajj_num, ajj_den = coefficients(ajj.num), coefficients(ajj.den)
-            qj, qjq = coefficients(qplus[j - 1]), coefficients(qplus[j - 1], qc)
-            got = solve_q_difference(-zii * _conv(ajj_den, qjq, den),
-                                     _conv(ajj_num, qj, den),
-                                     -_conv(num, ajj_den, qj, qjq), qc, tol=inst.tau)
+            qj, qjq = qplus[j - 1], q_shift(qplus[j - 1], qc)
+            got = solve_q_difference((-zii * (ajj.den * qjq * den)).coeffs,
+                                     (ajj.num * qj * den).coeffs,
+                                     (-(num * ajj.den * qj * qjq)).coeffs,
+                                     qc, tol=inst.tau)
             if got is None:
                 raise DegenerateInstance(
                     f"Miura trivializer entry ({i},{j}) has no polynomial "
@@ -623,6 +610,8 @@ def gauss_decompose(M: RatMatrix):
 
     Exists iff every leading principal minor is a nonzero rational
     function; on failure reports the first index whose minor vanishes.
+    Meant for exact matrices: on a float one, each quotient carries the
+    rounding of its pivot, and on an A4 Wronskian the coefficients overflow.
     """
     n = M.n
     work = [[M.entries[i][j] for j in range(n)] for i in range(n)]
@@ -653,7 +642,11 @@ def gauss_decompose(M: RatMatrix):
 def miura_from_wronskian(s: TypeASample) -> CheckReport:
     """Reconstruct the Miura connection from Wronskian data and verify it.
 
-    Requires gauss_decompose to succeed on W (the nondegeneracy gate).
+    The nondegeneracy gate: W has a Gaussian decomposition iff every
+    leading principal minor Delta_k is a nonzero function, and the gate
+    raises DegenerateInstance (as gauss_decompose does) when some Delta_k
+    of W(x) vanishes at every sample point, |Delta_k(x)| <= 1e-8 times the
+    Hadamard bound of the k x k block.  A sample without points skips it.
     The connection is A(z) = v(qz)^{-1} Z v(z) with v the lower-triangular
     trivializer determined by the Wronskian's first column, solved at
     each sample point; it is checked to (a) be lower triangular of Miura
@@ -663,7 +656,13 @@ def miura_from_wronskian(s: TypeASample) -> CheckReport:
     trivializer's refusal is raised.
     """
     b = s.bundle
-    gauss_decompose(b.W)  # the iff gate; raises on vanishing principal minors
+    for k in range(1, len(s.z) + 1):
+        block = s.W[0][:, :k, :k]
+        hadamard = np.prod(np.linalg.norm(block, axis=-1), axis=-1)
+        vanishes = np.abs(np.linalg.det(block)) <= 1e-8 * hadamard
+        if len(s.points) and vanishes.all():
+            raise DegenerateInstance(
+                f"no Gaussian decomposition: principal minor {k} vanishes")
     if s.v is None:
         raise DegenerateInstance(b.refusal)
     Am = np.linalg.solve(s.vq, s.z[:, None] * s.v)

@@ -227,10 +227,11 @@ class TestFuzzFindings:
         assert run_cli(argv, tmp_path)[0] == 0
 
     @pytest.mark.parametrize("command", ["wronskian", "verify"])
-    @pytest.mark.parametrize("q", [1e10, 1e20])
+    @pytest.mark.parametrize("q", [1e10, 1e12, 1e15, 1e20])
     def test_large_q_is_a_failed_wronskian_build(self, tmp_path, command, q):
-        # the Miura factor of a huge q divides by a polynomial that the
-        # float trim has zeroed; that was a ZeroDivisionError traceback
+        # a2_solved solves the system for q = 0.2 only: with a huge q the
+        # trivializer's first q-difference equation has no polynomial
+        # solution, and the report says so instead of raising
         doc = json.loads(A2_SOLVED.read_text())
         doc["q"] = q
         f = tmp_path / "q.json"
@@ -239,7 +240,9 @@ class TestFuzzFindings:
         assert code == 1
         bad = [c for c in json.loads(text)["checks"] if not c["pass"]]
         assert bad[-1]["check"] == "wronskian-build"
-        assert bad[-1]["witnesses"] == ["inverting zero rational function"]
+        assert bad[-1]["witnesses"] == [
+            "Miura trivializer entry (2,1) has no polynomial solution "
+            "(resonant or degenerate twist)"]
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--instance", str(A2_SOLVED)], ["identities"]])
@@ -522,6 +525,44 @@ class TestVerify:
         miura, = [c["sup_residual"] for c in checks
                   if c["check"] == "miura: matches the product construction"]
         assert miura <= 1e-10
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_solved_a4_passes(self, tmp_path, k):
+        # every check at its fixed bound, on each of the three solutions of
+        # Lambda_i = z - i, zeta = (2, 3, 5, 7), q = 0.2, m = (1, 1, 1, 1):
+        # the float polynomials that build W keep every coefficient, so the
+        # minor and determinant residuals stay at rounding level
+        from test_qq import a4_solved
+        inst, sols = a4_solved()
+        assert len(sols) == 3
+        f = tmp_path / "a4.json"
+        f.write_text(json.dumps(echo_instance(
+            inst, {"bethe_tol": 1e-10, "K": None, "seed": 0}, sols[k])))
+        code, text = run_cli(["verify", "--instance", str(f)], tmp_path)
+        checks = json.loads(text)["checks"]
+        assert code == 0 and all(c["pass"] for c in checks)
+        worst = max(c["sup_residual"] for c in checks
+                    if c["check"] in ("shifted-minor", "wronskian-det"))
+        assert worst <= 1e-11
+
+    def test_qq_residual_is_measured(self, tmp_path):
+        # the residual polynomials keep their rounding, so the check reads
+        # a nonzero value and moves with a 1e-12 relative change of Q+
+        def qq_residual(doc, name):
+            f = tmp_path / name
+            f.write_text(json.dumps(doc))
+            code, text = run_cli(["verify", "--instance", str(f)], tmp_path)
+            assert code == 0
+            val, = [c["sup_residual"] for c in json.loads(text)["checks"]
+                    if c["check"] == "qq-residual"]
+            return val
+
+        doc = json.loads(A2_SOLVED.read_text())
+        base = qq_residual(doc, "base.json")
+        doc["solution"]["qplus"][0][0][0] *= 1 + 1e-12
+        moved = qq_residual(doc, "moved.json")
+        assert 0 < base <= 1e-14
+        assert moved >= 100 * base
 
     def test_requires_solution(self, tmp_path):
         code = main(["verify", "--instance", str(A2)])

@@ -142,8 +142,12 @@ class TestPolyHygiene:
             Poly([1.0, float("nan")])
 
     def test_trailing_trim(self):
-        p = Poly([1.0, 2.0, 1e-16])
-        assert p.degree == 1
+        # exact zeros are dropped, in either mode; a small nonzero float
+        # coefficient is a coefficient and keeps its degree
+        assert Poly([1.0, 2.0, 0.0, 0j]).coeffs == (1.0, 2.0)
+        assert Poly([1, Fraction(0), 0]).coeffs == (1,)
+        assert Poly([0.0, -0.0]).is_zero()
+        assert Poly([1.0, 2.0, 1e-16]).degree == 2
 
     def test_monic(self):
         p = Poly([2.0, 4.0]).monic()

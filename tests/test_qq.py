@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 
@@ -142,6 +143,16 @@ class TestSolveQMinus:
         assert all(abs(x - y) < 1e-8 for x, y in zip(a.coeffs, b.coeffs))
 
 
+@functools.lru_cache(maxsize=None)
+def a4_solved():
+    """Lambda_i = z - i, zeta = (2, 3, 5, 7), q = 0.2, m = (1, 1, 1, 1) and
+    its three Bethe solutions."""
+    inst = QQInstance(cartan_matrix("A", 4), 0.2, TwistZ((2.0, 3.0, 5.0, 7.0)),
+                      tuple(Poly([-float(i), 1.0]) for i in range(1, 5)),
+                      (1, 1, 1, 1))
+    return inst, tuple(solve_bethe(inst, seeds=40))
+
+
 def random_instance(lie_type, rank, degrees, rng):
     """A seeded draw of zeta, q and Lambda; non-resonant by construction."""
     cd = cartan_matrix(lie_type, rank)
@@ -187,14 +198,10 @@ class TestCoefficientSpaceQMinus:
 
     def test_a4_far_root(self):
         # a degree-5 Q- with a root near 1989.86: the right side's top
-        # coefficient q^3 sits below the float trim of its product, so the
-        # degree must come from the factors, not from the trimmed product
-        cd = cartan_matrix("A", 4)
-        inst = QQInstance(cd, 0.2, TwistZ((2.0, 3.0, 5.0, 7.0)),
-                          tuple(Poly([-float(i), 1.0]) for i in range(1, 5)),
-                          (1, 1, 1, 1))
-        sol = solve_bethe(inst, seeds=40)[1]
-        _, end, _ = apply_word(inst, sol, WeylWord((3, 4, 1, 2, 3)))
+        # coefficient q^3 sits next to coefficients of order 1e8, and it
+        # alone gives the right side, and so Q-, its degree
+        inst, sols = a4_solved()
+        _, end, _ = apply_word(inst, sols[1], WeylWord((3, 4, 1, 2, 3)))
         qm = end.qminus[1]
         assert qm.degree == 5
         assert any(abs(r - 1989.86) < 0.01 for r in qm.roots())
@@ -216,6 +223,45 @@ class TestCoefficientSpaceQMinus:
         assert qm.degree == 0 and abs(qm.coeffs[0] - 1.0) < 1e-9
         with pytest.raises(DegenerateInstance, match="resonant twist at node 1"):
             solve_q_minus(inst, [Poly([0.0, 1.0])], 1, degree_bound=3)
+
+
+class TestA4RightSide:
+    """The last step of the Backlund walk along (1, 2, 3, 2) from the A4
+    solutions, at node 1, leaves node 2 a right side Lambda_2 Q+_1 Q+_3(qz)
+    of degree 7: its top coefficient q^3 sits next to coefficients of
+    order 1e6 to 1e9.  The CLI's backlund-step check reads the largest
+    qq_residual norm of each step."""
+
+    @staticmethod
+    def last_step(k):
+        inst, sols = a4_solved()
+        _, _, records = apply_word(inst, sols[k], WeylWord((1, 2, 3, 2)))
+        assert [r.node for r in records] == [2, 3, 2, 1]
+        return records[-1]
+
+    def test_rhs_has_the_degree_of_its_factors(self):
+        rec = self.last_step(1)
+        qplus = rec.solution.qplus
+        rhs = qq_rhs(rec.instance, qplus, 2)
+        assert [p.degree for p in qplus] == [3, 3, 3, 1]
+        assert rhs.degree == 1 + qplus[0].degree + qplus[2].degree
+        assert abs(rhs.leading() - 0.2 ** 3) <= 1e-15
+        assert rhs.norm() > 1e8
+
+    def test_step_within_the_bound(self):
+        # with the top coefficient q^3 kept, the step's residual is rounding
+        rec = self.last_step(2)
+        resid = max(r.norm() for r in qq_residual(rec.instance, rec.solution))
+        assert 0 < resid <= 1e-8
+
+    def test_rounding_of_a_large_right_side(self):
+        # solution 1 fails the absolute 1e-8 bound by rounding alone: its
+        # node-2 residual is a few ulps of right-side coefficients of 7e8
+        rec = self.last_step(1)
+        resid = qq_residual(rec.instance, rec.solution)
+        rhs = qq_rhs(rec.instance, rec.solution.qplus, 2)
+        assert max(r.norm() for r in resid) == resid[1].norm() > 1e-8
+        assert resid[1].norm() <= 1e-14 * rhs.norm()
 
 
 class TestBetheResidual:

@@ -594,6 +594,21 @@ class TestGaussDecompose:
         for x in PANEL:
             assert abs(complex(D[0, 0](x)) - complex(sol.qplus[0](x))) < 1e-9
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_sample_gate(self, k):
+        # miura_from_wronskian's gate: Delta_k of W(x) vanishes at every
+        # sample point, here by a zero corner or by two proportional rows
+        s = sampled(*a2_solved())
+        W = s.W.copy()
+        if k == 1:
+            W[0][:, 0, 0] = 0
+        else:
+            W[0][:, 1, :2] = 3.0 * W[0][:, 0, :2]
+        with pytest.raises(DegenerateInstance,
+                           match=f"principal minor {k} vanishes"):
+            miura_from_wronskian(replace(s, W=W))
+        assert miura_from_wronskian(s).passed
+
     def test_big_cell_membership(self):
         # nonvanishing minors put the solved Wronskian in the big double
         # cell: decomposition succeeds on W and on its w0 flip
@@ -671,8 +686,7 @@ def numerator_gaps(inst, sol):
 
 # entry (4, 2) of this A3 instance's trivializer has a degree-2 numerator;
 # the right side of its cleared equation has coefficients up to 3.2e9 and a
-# top one of 8.0e-3, which a float Poly's trim drops: read from the trimmed
-# length, the degree would be 1
+# top one of 8.0e-3: without that coefficient the degree would read 1
 A3_M121 = {
     "lie_type": "A", "rank": 3, "ordering": [1, 2, 3], "q": [0.2, 0.0],
     "degrees": [1, 2, 1],
