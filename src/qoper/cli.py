@@ -26,8 +26,9 @@ from fractions import Fraction
 from .cartan import TwistZ, WeylWord, cartan_matrix, enumerate_weyl
 from .polynomials import NonFinite, Poly, RatMatrix, check_lewis_carroll
 
-# numpy, qq, backlund and wronskian load inside the functions that run them:
-# `identities` loads none, `solve` no backlund or wronskian.
+# qq, backlund and wronskian load inside the functions that run them:
+# `identities` loads none, `solve` no backlund or wronskian.  Only `solve`
+# loads numpy, inside qq's Newton.
 
 
 def __getattr__(name):
@@ -121,8 +122,12 @@ def _emit_polys(polys) -> list:
 
 
 def _full_qq_summary(fq) -> dict:
+    """Table size, genericity, and each refused element as a JSON object:
+    its word, the node of the refused step (null when the element's parent
+    is missing) and the reason."""
     return {"size": len(fq.table), "generic": fq.generic,
-            "refusals": [str(r) for r in fq.refusals]}
+            "refusals": [{"word": list(r["word"]), "node": r.get("node"),
+                          "reason": r["reason"]} for r in fq.refusals]}
 
 
 def _parse_poly(obj, where: str) -> Poly:
@@ -371,11 +376,10 @@ def run_verify(inst, sol, extras, args, rep: Report):
 def run_wronskian_suite(inst, sol, rep: Report):
     """The type-A battery.  R, its transports, (A, v) and W are built
     once, in one bundle, and evaluated once on one sample panel; every
-    float check is array arithmetic on those values."""
-    import numpy as np
+    float check is Python arithmetic on those values."""
     from .qq import DegenerateInstance
     from .wronskian import (check_shifted_minor_relation,
-                            check_wronskian_equations,
+                            check_wronskian_equations, det_residual,
                             fundamental_relation_residual,
                             miura_from_wronskian, miura_plucker_blocks,
                             sample_bundle, type_a_bundle)
@@ -388,9 +392,9 @@ def run_wronskian_suite(inst, sol, rep: Report):
     for witness in s.stuck:
         rep.check("sample point off the poles", float("inf"), False,
                   witnesses=[witness])
-    if not len(s.points):
+    if not s.points:
         return
-    dres = float(np.abs(np.linalg.det(s.W[0]) - 1.0).max())
+    dres = det_residual(s)
     rep.check("wronskian-det", dres, dres <= 1e-8)
     for it in check_wronskian_equations(s).items:
         k, i = it["label"].split()
@@ -570,25 +574,23 @@ def main(argv=None) -> int:
             if args.tol is None:
                 args.tol = extras["bethe_tol"]
             rep = Report(args.command, echo_instance(inst, extras, sol))
-            import numpy as np  # loaded with qq by parse_instance
-            with np.errstate(over="raise", invalid="raise"):
-                if args.command == "solve":
-                    run_solve(inst, extras, args, rep)
-                elif args.command == "verify":
-                    run_verify(inst, sol, extras, args, rep)
-                elif args.command == "backlund":
-                    run_backlund(inst, sol, extras, args, rep)
-                elif args.command == "wronskian":
-                    if sol is None:
-                        raise InputError("wronskian requires a solution block "
-                                         "in the instance file")
-                    if not inst.cartan.is_type_a:
-                        raise InputError("wronskian requires a type A instance")
-                    run_wronskian_suite(inst, sol, rep)
+            if args.command == "solve":
+                run_solve(inst, extras, args, rep)
+            elif args.command == "verify":
+                run_verify(inst, sol, extras, args, rep)
+            elif args.command == "backlund":
+                run_backlund(inst, sol, extras, args, rep)
+            elif args.command == "wronskian":
+                if sol is None:
+                    raise InputError("wronskian requires a solution block "
+                                     "in the instance file")
+                if not inst.cartan.is_type_a:
+                    raise InputError("wronskian requires a type A instance")
+                run_wronskian_suite(inst, sol, rep)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (NonFinite, OverflowError, FloatingPointError) as exc:
+    except (NonFinite, OverflowError) as exc:
         print(f"input error: the instance overflows double precision: {exc}",
               file=sys.stderr)  # finite input, but the run left double range
         return 2

@@ -12,8 +12,10 @@ empty coefficient tuple and degree -1 by convention.
 
 ``RatMatrix`` and the Dodgson check live here too, for rational entries
 and for complex values alike, so both batteries of ``qoper identities``,
-whose entries ``random.Random(seed)`` draws, run without numpy; only
-``poly_roots``, ``solve_q_difference`` and ``RatMatrix.eval`` import it.
+whose entries ``random.Random(seed)`` draws, run on Python numbers.  No
+part of this module uses numpy: ``poly_roots`` is the Aberth-Ehrlich
+iteration, ``solve_q_difference`` solves by Householder QR, and
+``RatMatrix.eval`` gives rows of Python complex numbers.
 
 A polynomial drops exact zero top coefficients only, so a float
 polynomial keeps every nonzero coefficient, however small: its degree is
@@ -25,6 +27,8 @@ keeps its rounding noise.  Tests for "numerically zero" are explicit
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -233,48 +237,98 @@ def q_shift(p: Poly, q) -> Poly:
 
 
 def poly_roots(p: Poly, tol: float = TAU) -> list[complex]:
-    """All roots with multiplicity, via companion-matrix eigenvalues.
+    """All roots with multiplicity, by the Aberth-Ehrlich iteration (see
+    ``_aberth``).
 
-    Eigenvalues are polished with two Newton steps; the residual of every
+    The roots are polished with two Newton steps; the residual of every
     returned root r satisfies |p(r)| <= tol * max(1 + max|c_k|, sum |c_k||r|^k).
     """
-    import numpy as np
     if p.degree < 1:
         raise ValueError("root extraction needs degree >= 1")
     cs = [complex(c) for c in p.coeffs]
     lc = cs[-1]
-    monic = [ensure_finite(c / lc) for c in cs]
-    n = len(monic) - 1
-    comp = np.zeros((n, n), dtype=complex)
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = [-monic[k] for k in range(n)]
-    roots = np.linalg.eigvals(comp)
-
+    roots = _aberth([ensure_finite(c / lc) for c in cs])
     dcs = [k * cs[k] for k in range(1, len(cs))]
-
-    def ev(coeffs, z):
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
     polished = []
     for r in roots:
         for _ in range(2):
-            d = ev(dcs, r)
+            d = _horner(dcs, r)
             if abs(d) > 1e-14:
-                r = r - ev(cs, r) / d
-        polished.append(r)
+                r = r - _horner(cs, r) / d
+        polished.append(ensure_finite(r))
     # a far root is accurate when its backward error |p(r)| / sum |c_k||r|^k
     # is small, even if |p(r)| itself exceeds the coefficient scale
     acs = [abs(c) for c in cs]
     base = 1.0 + max(acs)
     for r in polished:
-        res = abs(ev(cs, r))
-        if res > max(tol, 1e-8) * max(base, abs(ev(acs, abs(r)))):
+        res = abs(_horner(cs, r))
+        if not res <= max(tol, 1e-8) * max(base, _horner(acs, abs(r))):
             raise ArithmeticError(
                 f"root polishing failed: residual {res:.3e} at {r}")
     return sorted(polished, key=lambda w: (round(w.real, 12), round(w.imag, 12)))
+
+
+def _horner(coeffs, z):
+    acc = 0 * z
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _aberth(cs: list, max_iter: int = 200) -> list[complex]:
+    """The roots of the monic polynomial with coefficients cs, lowest
+    degree first, by the Aberth-Ehrlich iteration (Bini, "Numerical
+    computation of polynomial zeros by means of Aberth's method", Numer.
+    Algorithms 1996).
+
+    The starting points lie on one circle per edge of the Newton polygon,
+    the upper convex hull of the points (k, log|c_k|), whose radius is the
+    geometric mean root modulus that edge gives; a zero c_0, ..., c_{s-1}
+    puts s roots at 0 exactly.  Each sweep moves every root z_k in turn by
+    p/p' / (1 - p/p' sum_{j != k} 1/(z_k - z_j)) and freezes it once
+    |p(z_k)| is at the rounding level of sum |c_j||z_k|^j, or its step at
+    that of |z_k|.
+    """
+    n = len(cs) - 1
+    acs = [abs(c) for c in cs]
+    zeros = next(k for k, a in enumerate(acs) if a)
+    hull = []
+    for k in range(zeros, n + 1):
+        if not acs[k]:
+            continue
+        pt = (k, math.log(acs[k]))
+        # pop points on or below the chord from the one before to pt
+        while len(hull) >= 2 and (
+                (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])
+                <= (pt[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append(pt)
+    z = [0j] * zeros
+    for (k0, l0), (k1, l1) in zip(hull, hull[1:]):
+        radius = math.exp((l0 - l1) / (k1 - k0))
+        for j in range(k1 - k0):
+            z.append(cmath.rect(radius, 2 * math.pi * (j / (k1 - k0) + k0 / n)
+                                + 0.7))
+    dcs = [k * cs[k] for k in range(1, n + 1)]
+    eps = sys.float_info.epsilon
+    live = range(zeros, n)
+    for _ in range(max_iter):
+        still = []
+        for k in live:
+            zk = z[k]
+            pv = _horner(cs, zk)
+            if abs(pv) <= 4 * eps * _horner(acs, abs(zk)):
+                continue
+            den = _horner(dcs, zk) - pv * sum(
+                1 / (zk - zj) for zj in z if zj != zk)
+            step = pv / den if den else (1 + abs(zk)) * 1e-8
+            z[k] = zk - step
+            if abs(step) > eps * abs(z[k]):
+                still.append(k)
+        if not still:
+            break
+        live = still
+    return z
 
 
 def q_distinct(p1: Poly, p2: Poly, q, K: int, tol: float = TAU):
@@ -322,24 +376,75 @@ def solve_q_difference(a, b, c, q, tol: float = TAU):
     deg f = len(c) - max(len(a), len(b)), true unless the left side's top
     coefficient cancels (for len(a) == len(b), unless
     a_top + b_top q^(deg f) = 0).  Column k of the linear system holds
-    a(z) z^k + q^k b(z) z^k; its least-squares solution is accepted when
-    its residual is at most max(tol, 1e-9) (1 + max|c|).  None means no
-    polynomial solves the equation.
+    a(z) z^k + q^k b(z) z^k; its least-squares solution (``_least_squares``)
+    is accepted when its residual is at most max(tol, 1e-9) (1 + max|c|).
+    None means no polynomial solves the equation, or that the system's
+    columns are exactly dependent.  A solution or residual that leaves
+    double range raises NonFinite.
     """
-    import numpy as np
-    a, b, c = np.asarray(a, complex), np.asarray(b, complex), np.asarray(c, complex)
+    a, b, c = ([complex(x) for x in seq] for seq in (a, b, c))
     d = len(c) - max(len(a), len(b))
     if d < 0:
         return None
     qc = complex(q)
-    M = np.zeros((len(c), d + 1), dtype=complex)
+    cols = []
     for k in range(d + 1):
-        M[k:k + len(a), k] = a
-        M[k:k + len(b), k] += b * qc**k
-    sol, *_ = np.linalg.lstsq(M, c, rcond=None)
-    if np.abs(M @ sol - c).max() > max(tol, 1e-9) * (1.0 + np.abs(c).max()):
+        col = [0j] * len(c)
+        for t, x in enumerate(a):
+            col[k + t] = x
+        qk = qc**k
+        for t, x in enumerate(b):
+            col[k + t] += x * qk
+        cols.append(col)
+    sol = _least_squares(cols, c)
+    if sol is None:
         return None
-    return Poly(list(sol))
+    f = Poly(sol)
+    resid = max(abs(sum(col[r] * x for col, x in zip(cols, sol)) - c[r])
+                for r in range(len(c)))
+    ensure_finite(resid)
+    if resid > max(tol, 1e-9) * (1.0 + max(map(abs, c))):
+        return None
+    return f
+
+
+def _least_squares(cols: list, rhs: list):
+    """The x minimizing |sum_k x_k cols[k] - rhs| over complex vectors, by
+    Householder QR (Golub and Van Loan, *Matrix Computations*, section
+    5.3), or None when R has an exact zero on its diagonal: some column is
+    in the span of those before it.
+
+    The m x n matrix (m >= n) is given by its columns.  Reflector k is
+    I - tau u u^H with u_0 = 1 and tau = (alpha + |x_0|) / alpha, alpha
+    the norm of the column's part x from row k down; it maps x to
+    -(x_0 / |x_0|) alpha e_1.  No entry is squared, so no step leaves
+    double range before the data does.
+    """
+    cols = [list(col) for col in cols]
+    y = list(rhs)
+    m, n = len(y), len(cols)
+    diag = []
+    for k in range(n):
+        x = cols[k]
+        alpha = math.hypot(*(abs(e) for e in x[k:]))
+        if not alpha:
+            return None
+        ax0 = abs(x[k])
+        phase = x[k] / ax0 if ax0 else 1.0
+        v0 = phase * (ax0 + alpha)
+        u = [1.0] + [e / v0 for e in x[k + 1:]]
+        tau = (alpha + ax0) / alpha
+        for w in cols[k + 1:] + [y]:
+            s = tau * (w[k] + sum(ui.conjugate() * wi
+                                  for ui, wi in zip(u[1:], w[k + 1:])))
+            for i in range(k, m):
+                w[i] -= s * u[i - k]
+        diag.append(-phase * alpha)
+    x = [0j] * n
+    for k in reversed(range(n)):
+        x[k] = (y[k] - sum(cols[j][k] * x[j] for j in range(k + 1, n))) \
+            / diag[k]
+    return x
 
 
 class RatFun:
@@ -384,7 +489,8 @@ class RatFun:
     def __call__(self, z):
         den = self.den(z)
         if den == 0:
-            # numpy scalars would give inf with a warning instead
+            # one message for every scalar type; a numpy scalar point, as
+            # the tests pass, would give inf with a warning instead
             raise ZeroDivisionError("rational function evaluated at a pole")
         return self.num(z) / den
 
@@ -458,9 +564,11 @@ class RatMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def eval(self, z) -> np.ndarray:
-        import numpy as np
-        return np.array([[complex(e(z)) for e in row] for row in self.entries])
+    def eval(self, z) -> tuple:
+        """The values at z, rows of complex numbers; a value that is not
+        finite raises NonFinite."""
+        return tuple(tuple(ensure_finite(e(z)) for e in row)
+                     for row in self.entries)
 
     def shift(self, q) -> "RatMatrix":
         return RatMatrix([[e.shift(q) for e in row] for row in self.entries])

@@ -20,10 +20,9 @@ yields the Bethe equations, a square polynomial system in the roots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .cartan import CartanData, TwistZ, WeylWord, canonical_form
 from .polynomials import (TAU, Poly, close, ensure_finite, q_shift,
@@ -248,7 +247,7 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int,
         f"no polynomial Q- exists at node {i} with degree <= {degree_bound}")
 
 
-def _roots_to_qplus(inst: QQInstance, roots: np.ndarray) -> list[Poly]:
+def _roots_to_qplus(inst: QQInstance, roots: Sequence) -> list[Poly]:
     out = []
     k = 0
     for i in range(inst.rank):
@@ -258,12 +257,14 @@ def _roots_to_qplus(inst: QQInstance, roots: np.ndarray) -> list[Poly]:
     return out
 
 
-def _bethe_kernel(inst: QQInstance):
-    """The two sides of the cleared-denominator Bethe system on stacks of points.
+def _bethe_kernel(inst: QQInstance, prod=math.prod):
+    """The two sides of the cleared-denominator Bethe system.
 
-    The returned function takes x of shape (..., n), n = sum m_i, holding
-    the roots of Q+_1, ..., Q+_r end to end, and returns (L, R), each of
-    the same shape.  At the t-th root w of Q+_i, with e = -a_ji,
+    The returned function takes x, the roots of Q+_1, ..., Q+_r end to end
+    as a list of n = sum m_i columns, each a numpy array over seeds (all
+    of one shape) or one Python complex, and returns the lists (L, R) of
+    n columns of the same kind.  At the t-th root w of Q+_i, with
+    e = -a_ji,
 
         L = prod_j zeta_j^{a_ji} Q+_i(qw) Lambda_i(w/q)
               prod_{j after i} Q+_j(w)^e prod_{j before i} Q+_j(w/q)^e,
@@ -271,12 +272,16 @@ def _bethe_kernel(inst: QQInstance):
               prod_{j after i} Q+_j(qw)^e prod_{j before i} Q+_j(w)^e.
 
     The i-th Bethe equation is L/R = -1: Newton solves L + R = 0, and
-    ``bethe_residual`` reports L/R + 1.  Each Q+_j(y) is the product of
-    (y - r) over its roots r; no polynomial is built.
+    ``bethe_residual`` reports L/R + 1.  Each Q+_j(y) is ``prod`` of the
+    list of factors (y - x_k) over the columns k of its roots; no
+    polynomial is built.  The numpy callers pass a product that rounds as
+    ``math.prod`` does on Python numbers (see ``_multistart``).
     """
     qc = complex(inst.q)
-    ends = np.cumsum(inst.degrees)
-    blocks = [slice(e - m, e) for e, m in zip(ends, inst.degrees)]
+    blocks, end = [], 0
+    for m in inst.degrees:
+        blocks.append(range(end, end + m))
+        end += m
     nodes = []
     for i in range(1, inst.rank + 1):
         if not inst.degrees[i - 1]:
@@ -284,31 +289,30 @@ def _bethe_kernel(inst: QQInstance):
         lam = [complex(c) for c in reversed(inst.lambdas[i - 1].coeffs)]
         nodes.append((i, twist_product(inst, i), lam, *_neighbours(inst, i)))
 
-    def sides(x: np.ndarray):
+    def sides(x: list):
         def qplus(j, y):
-            r = x[..., blocks[j - 1]]
-            return np.prod(y[..., :, None] - r[..., None, :], axis=-1)
+            return prod([y - x[k] for k in blocks[j - 1]])
 
         def lam_at(lam, y):
-            acc = np.zeros_like(y)
-            for c in lam:
+            acc = lam[0]
+            for c in lam[1:]:
                 acc = acc * y + c
             return acc
 
-        L, R = np.empty_like(x), np.empty_like(x)
+        L, R = [None] * len(x), [None] * len(x)
         for i, twist, lam, after, before in nodes:
-            w = x[..., blocks[i - 1]]
-            up, down = qc * w, w / qc
-            lterm = qplus(i, up) * twist * lam_at(lam, down)
-            rterm = qplus(i, down) * lam_at(lam, w)
-            for j, e in after:
-                lterm *= qplus(j, w) ** e
-                rterm *= qplus(j, up) ** e
-            for j, e in before:
-                lterm *= qplus(j, down) ** e
-                rterm *= qplus(j, w) ** e
-            L[..., blocks[i - 1]] = lterm
-            R[..., blocks[i - 1]] = rterm
+            for k in blocks[i - 1]:
+                w = x[k]
+                up, down = qc * w, w / qc
+                lterm = qplus(i, up) * twist * lam_at(lam, down)
+                rterm = qplus(i, down) * lam_at(lam, w)
+                for j, e in after:
+                    lterm = lterm * qplus(j, w) ** e
+                    rterm = rterm * qplus(j, up) ** e
+                for j, e in before:
+                    lterm = lterm * qplus(j, down) ** e
+                    rterm = rterm * qplus(j, w) ** e
+                L[k], R[k] = lterm, rterm
         return L, R
 
     return sides
@@ -322,16 +326,14 @@ def bethe_residual(inst: QQInstance, qplus: Sequence[Poly]) -> list:
     every Q+_i, roots extracted numerically.  A root w raises
     DegenerateInstance when Lambda_i(w/q) or Q+_i(w/q) vanishes to tau,
     or when a side is exactly 0; a side that is not finite raises
-    NonFinite.
+    NonFinite, and a power of a factor that overflows OverflowError.
     """
     roots = []
     for i, (qp, m) in enumerate(zip(qplus, inst.degrees), start=1):
         if qp.degree != m:
             raise ValueError(f"Q+_{i} must have exact degree {m}")
         roots.append(qp.roots() if m else ())
-    with np.errstate(all="ignore"):  # a non-finite side raises below
-        L, R = _bethe_kernel(inst)(np.array([w for rs in roots for w in rs],
-                                            dtype=complex))
+    L, R = _bethe_kernel(inst)([w for rs in roots for w in rs])
     qc = complex(inst.q)
     out = []
     for i, rs in enumerate(roots, start=1):
@@ -353,8 +355,9 @@ def bethe_residual(inst: QQInstance, qplus: Sequence[Poly]) -> list:
     return out
 
 
-def _solve_each(J: np.ndarray, b: np.ndarray):
+def _solve_each(J, b):
     """Solutions y[s] of J[s] y[s] = b[s], and a mask of the nonsingular J[s]."""
+    import numpy as np
     try:
         return np.linalg.solve(J, b[..., None])[..., 0], np.ones(len(b), bool)
     except np.linalg.LinAlgError:  # some J[s] is singular: solve one by one
@@ -368,7 +371,7 @@ def _solve_each(J: np.ndarray, b: np.ndarray):
         return y, ok
 
 
-def _newton(sides, x: np.ndarray, max_iter: int, tally: dict) -> np.ndarray:
+def _newton(sides, x, max_iter: int, tally: dict):
     """Run Newton's method on L + R = 0 from every row of x at once.
 
     Each iteration evaluates the two ``sides`` at every live iterate and
@@ -379,6 +382,7 @@ def _newton(sides, x: np.ndarray, max_iter: int, tally: dict) -> np.ndarray:
     Returns the final iterates of the rows that converged or ran out of
     iterations, in row order, as the rows of one array.
     """
+    import numpy as np
     rows = np.arange(len(x))
     final = {}
     eye = np.eye(x.shape[1])
@@ -386,8 +390,9 @@ def _newton(sides, x: np.ndarray, max_iter: int, tally: dict) -> np.ndarray:
         if not rows.size:
             break
         h = 1e-7 * (1.0 + np.abs(x).max(axis=1))[:, None, None]
-        V = np.add(*sides(np.concatenate([x[:, None], x[:, None] + h * eye],
-                                         axis=1)))
+        pts = np.concatenate([x[:, None], x[:, None] + h * eye], axis=1)
+        L, R = sides([pts[..., k] for k in range(len(eye))])
+        V = np.stack([l + r for l, r in zip(L, R)], axis=-1)
         finite = np.isfinite(V).all(axis=(1, 2))
         tally["nonfinite"] += int(rows.size - finite.sum())
         rows, x, V, h = rows[finite], x[finite], V[finite], h[finite]
@@ -455,17 +460,27 @@ def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
     Q+ polynomials and checked by ``bethe_residual``, whose residuals
     are the ones kept.
     """
+    import numpy as np
     total = sum(inst.degrees)
     rng = np.random.default_rng(seed)
     spread = 1.0 + max(abs(r) for lam in inst.lambdas for r in lam.roots())
     tally["seeds"] = seeds = max(seeds, 0)
     draws = rng.standard_normal((seeds, 2, total))
-    kernel = _bethe_kernel(inst)
+
+    def prod(factors):
+        """math.prod on arrays, rounded as on Python numbers: numpy's
+        elementwise complex multiply may fuse a multiply and an add, and
+        its reduction over a stacked last axis does not."""
+        if len(factors) < 2:
+            return math.prod(factors)
+        return np.prod(np.stack(factors, -1), -1)
+
+    kernel = _bethe_kernel(inst, prod)
     with np.errstate(all="ignore"):  # overflow is caught as non-finite values
         candidates = _newton(kernel, spread * (draws[:, 0] + 1j * draws[:, 1]),
                              max_iter, tally)
-        L, R = kernel(candidates)
-        scores = np.abs(L / R + 1.0).max(axis=1)
+        L, R = kernel([candidates[:, k] for k in range(total)])
+        scores = np.abs(np.stack(L, -1) / np.stack(R, -1) + 1.0).max(axis=1)
 
     found = []
     for x, score in zip(candidates, scores):

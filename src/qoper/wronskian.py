@@ -24,19 +24,19 @@ equations, and agreement of the two Miura constructions):
 
 from __future__ import annotations
 
-import functools
+import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .cartan import (CartanData, WeylWord, column_index_set,
                      twist_along_word, word_length)
 # perfbench's tracer finds RatMatrix and check_lewis_carroll in this module
 from .polynomials import (Poly, RatFun, RatMatrix, check_lewis_carroll,
-                          is_exact, off_pole, q_shift, solve_q_difference)
+                          ensure_finite, is_exact, off_pole, q_shift,
+                          solve_q_difference)
 from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
                  QQSolution, cartan_connection)
 
@@ -354,33 +354,37 @@ def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
     return TypeABundle(inst, sol, R, S, A, v, W, refusal)
 
 
-# the sample panel of every float type-A check
-PANEL = 1.13 * np.exp(2j * np.pi * np.linspace(0.05, 0.95, 20))
+# the sample panel of every float type-A check: 20 points on |x| = 1.13
+PANEL = [1.13 * cmath.exp(2j * math.pi * t)
+         for t in [0.05 + k * (0.9 / 19) for k in range(19)] + [0.95]]
 
 
 @dataclass(frozen=True, eq=False)
 class TypeASample:
     """A bundle evaluated on PANEL, each object once per point.
 
-    Axis 0 of every array runs over ``points``: the panel points, each
-    nudged off the poles of all the objects together.  ``W[k]`` holds
-    W(q^k x) for k = 0..h-1 and ``S[k]`` the transport S_k(x), so R(x) is
-    ``S[1]``; ``v`` and ``vq`` hold v(x) and v(qx) (None without a
-    trivializer), ``g`` the Cartan connection g_i(x), i = 1..r, and ``z``
-    Z's diagonal.  ``stuck`` has one witness per panel point that stayed
-    on a pole; such a point is in no array.
+    Every field holds plain Python values, one per point of ``points``:
+    the panel points, each nudged off the poles of all the objects
+    together.  A matrix value is a tuple of rows of complex numbers, as
+    RatMatrix.eval gives it.  ``W[k]`` holds W(q^k x) for
+    k = 0..h-1 and ``S[k]`` the transport S_k(x), so R(x) is ``S[1]``;
+    ``v`` and ``vq`` hold v(x) and v(qx) (None without a trivializer),
+    ``g`` the Cartan connection g_i(x), i = 1..r, as a list, and ``z``
+    Z's diagonal.  Every value is finite: one that is not raises
+    NonFinite.  ``stuck`` has one witness per panel point that stayed on
+    a pole; such a point has no values.
     """
 
     bundle: TypeABundle
-    points: np.ndarray
+    points: list
     stuck: tuple
-    W: np.ndarray
-    S: np.ndarray
-    A: np.ndarray
-    v: Optional[np.ndarray]
-    vq: Optional[np.ndarray]
-    g: np.ndarray
-    z: np.ndarray
+    W: list
+    S: list
+    A: list
+    v: Optional[list]
+    vq: Optional[list]
+    g: list
+    z: list
 
 
 def sample_bundle(b: TypeABundle) -> TypeASample:
@@ -393,11 +397,11 @@ def sample_bundle(b: TypeABundle) -> TypeASample:
         mats += [Sk.eval(x) for Sk in b.S] + [b.A.eval(x)]
         if b.v is not None:
             mats += [b.v.eval(x), b.v.eval(qc * x)]
-        return mats, cartan_connection(inst, b.sol, x)
+        return mats, [ensure_finite(g)
+                      for g in cartan_connection(inst, b.sol, x)]
 
     points, stuck, values, conn = [], [], [], []
-    # Python complex points: a pole raises ZeroDivisionError, not a warning
-    for x0 in map(complex, PANEL):
+    for x0 in PANEL:
         try:
             x, (mats, g) = off_pole(at, x0)
         except ZeroDivisionError as err:
@@ -407,14 +411,11 @@ def sample_bundle(b: TypeABundle) -> TypeASample:
         values.append(mats)
         conn.append(g)
     count = 2 * n + 1 + (2 if b.v is not None else 0)
-    per_object = np.array(values, dtype=complex).reshape(
-        len(points), count, n, n).swapaxes(0, 1)
+    per_object = [[mats[k] for mats in values] for k in range(count)]
     v, vq = per_object[2 * n + 1:] if b.v is not None else (None, None)
-    return TypeASample(
-        b, np.array(points, dtype=complex), tuple(stuck), per_object[:n],
-        per_object[n:2 * n], per_object[2 * n], v, vq,
-        np.array(conn, dtype=complex).reshape(len(points), inst.rank),
-        np.array(_twist_diagonal(inst), dtype=complex))
+    return TypeASample(b, points, tuple(stuck), per_object[:n],
+                       per_object[n:2 * n], per_object[2 * n], v, vq, conn,
+                       [complex(e) for e in _twist_diagonal(inst)])
 
 
 # -- minors and identities ---------------------------------------------
@@ -424,46 +425,97 @@ def _index_rows(w: WeylWord, i: int, data: CartanData) -> list[int]:
     return [r - 1 for r in sorted(column_index_set(w, i, data))]
 
 
-def _minor(Mv: np.ndarray, rows, cols):
-    """Minors of an evaluated matrix, or of every matrix of a stack
-    (..., n, n), all from one det.
+def _triangularize(m: list, n: int) -> complex:
+    """Gaussian elimination with partial pivoting, in place, on the rows m
+    (lists of values) over their first n columns, applied to every column;
+    returns the determinant of the leading n x n part, and stops at a zero
+    pivot, returning 0.
 
-    ``rows`` and ``cols`` hold 0-based indices along their last axis; any
-    leading axes they have broadcast and ask for one minor each, so the
-    result has the stack's shape followed by theirs.
+    Every float check reads its minors, inverses and solves off this one
+    routine; unlike a cofactor expansion it stays at rounding level on a
+    unimodular matrix with large entries.
     """
-    rows, cols = np.asarray(rows), np.asarray(cols)
-    return np.linalg.det(Mv[..., rows[..., :, None], cols[..., None, :]])
+    width = len(m[0]) if m else 0
+    det = 1.0 + 0j
+    for k in range(n):
+        p, big = k, abs(m[k][k])
+        for r in range(k + 1, n):
+            if abs(m[r][k]) > big:
+                p, big = r, abs(m[r][k])
+        if not big:
+            return 0j
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        row = m[k]
+        det *= row[k]
+        for r in range(k + 1, n):
+            mr = m[r]
+            f = mr[k] / row[k]
+            if f:
+                for c in range(k + 1, width):
+                    mr[c] -= f * row[c]
+    return det
 
 
-def _rel_gap(*terms) -> float:
-    """Relative residual of a relation t_1 + t_2 + ... = 0 sampled at
-    points: the largest |t_1 + t_2 + ...| / (1 + max_k |t_k|), so a
-    relation l = r is measured as |l - r| / (1 + max(|l|, |r|)) with
-    terms (l, -r).
+def _minor(M, rows, cols) -> complex:
+    """The minor on rows x cols (0-based) of a matrix of values."""
+    return _triangularize([[M[r][c] for c in cols] for r in rows], len(rows))
 
-    Axis 0 of every term runs over the points; over any further axes (the
-    entries of a vector or a matrix) the numerator and the scale each take
-    their largest value first.  An empty sample gives inf, so it fails
-    every bound.
+
+def _solve(a, b) -> list:
+    """X with a X = b, a square and both matrices of values given as
+    sequences of rows; a singular a raises DegenerateInstance."""
+    n = len(a)
+    m = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    if not _triangularize(m, n):
+        raise DegenerateInstance("singular matrix at a sample point")
+    x = [row[n:] for row in m]
+    for k in reversed(range(n)):
+        for r in range(k + 1, n):
+            x[k] = [e - m[k][r] * y for e, y in zip(x[k], x[r])]
+        x[k] = [e / m[k][k] for e in x[k]]
+    return x
+
+
+def _inverse(a) -> list:
+    n = len(a)
+    return _solve(a, [[1.0 + 0j if i == j else 0j for j in range(n)]
+                      for i in range(n)])
+
+
+def _product(a, b) -> list:
+    """The product of two matrices of values, each a sequence of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _rel_gap(lhs, *rhs) -> float:
+    """Relative residual of a relation lhs = rhs_1 + rhs_2 + ... sampled at
+    points: the largest |lhs - rhs_1 - ...| / (1 + max of the terms'
+    moduli).
+
+    Each argument holds one value per point, a number or a vector (a
+    sequence of numbers); over a vector's entries the numerator and the
+    scale each take their largest value first.  An empty sample gives
+    inf, so it fails every bound, and a value that is not finite gives
+    NaN.
     """
-    entries = tuple(range(1, terms[0].ndim))
-
-    def size(t):  # |t| rounded as Python's abs rounds it
-        m = np.hypot(t.real, t.imag)
-        return m.max(axis=entries) if entries else m
-
-    scale = 1.0 + functools.reduce(np.maximum, map(size, terms))
-    gap = size(sum(terms[1:], terms[0])) / scale
-    return float(gap.max()) if gap.size else float("inf")
-
-
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for complex arrays, rounded as one complex product at a time
-    rounds (numpy's vector loop may fuse a multiply and an add)."""
-    out = (a.real * b.real - a.imag * b.imag).astype(complex)
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+    worst = float("-inf")
+    for vals in zip(lhs, *rhs):
+        if not isinstance(vals[0], (list, tuple)):
+            vals = [(v,) for v in vals]
+        gaps, sizes = [], []
+        for es in zip(*vals):
+            d = es[0]
+            for e in es[1:]:
+                d = d - e
+            gaps.append(abs(d))
+            sizes.extend(map(abs, es))
+        if not math.isfinite(sum(sizes)):
+            return float("nan")
+        worst = max(worst, max(gaps) / (1.0 + max(sizes)))
+    return worst if worst >= 0 else float("inf")
 
 
 def generalized_minor(M: RatMatrix, spec: MinorSpec, data: CartanData) -> RatFun:
@@ -506,10 +558,10 @@ def check_fundamental_relation(M: RatMatrix, u: WeylWord, v: WeylWord, i: int,
     return t1 - t2 - rhs
 
 
-def fundamental_relation_residual(Mv: np.ndarray, u: WeylWord, v: WeylWord,
+def fundamental_relation_residual(Mv: list, u: WeylWord, v: WeylWord,
                                   i: int, data: CartanData) -> float:
-    """Relative residual of the minor exchange relation on a stack Mv of
-    evaluated matrices (points, n, n).
+    """Relative residual of the minor exchange relation on a list Mv of
+    evaluated matrices, one per point.
 
     Numeric companion to check_fundamental_relation, and the CLI's float
     check: minors are determinants of the evaluated matrices, so nothing
@@ -517,14 +569,23 @@ def fundamental_relation_residual(Mv: np.ndarray, u: WeylWord, v: WeylWord,
     """
     si = WeylWord((i,))
     ru, rv, rus, rvs = (_index_rows(w, i, data) for w in (u, v, u * si, v * si))
-    a, b, c, d = (_minor(Mv, rows, cols)
+    a, b, c, d = ([_minor(M, rows, cols) for M in Mv]
                   for rows, cols in ((ru, rv), (rus, rvs), (rus, rv), (ru, rvs)))
-    rhs = np.ones(len(Mv), dtype=complex)
+    rhs = [1.0 + 0j] * len(Mv)
     for j in range(1, data.rank + 1):
         if j != i and data.a(j, i):
-            rhs = _times(rhs, _minor(Mv, _index_rows(u, j, data),
-                                     _index_rows(v, j, data)) ** -data.a(j, i))
-    return _rel_gap(_times(a, b), -_times(c, d), -rhs)
+            rows, cols = _index_rows(u, j, data), _index_rows(v, j, data)
+            rhs = [r * _minor(M, rows, cols) ** -data.a(j, i)
+                   for r, M in zip(rhs, Mv)]
+    return _rel_gap([x * y for x, y in zip(a, b)],
+                    [x * y for x, y in zip(c, d)], rhs)
+
+
+def det_residual(s: TypeASample) -> float:
+    """The largest |det W(x) - 1| over the sample: 0 for a unimodular W;
+    NaN when a determinant is not finite."""
+    gaps = [abs(_minor(M, range(len(M)), range(len(M))) - 1.0) for M in s.W[0]]
+    return float("nan") if any(g != g for g in gaps) else max(gaps)
 
 
 def check_wronskian_equations(s: TypeASample) -> CheckReport:
@@ -539,32 +600,35 @@ def check_wronskian_equations(s: TypeASample) -> CheckReport:
     h = len(s.W)  # the Coxeter number of A_r is r + 1
     rep = CheckReport("wronskian-equations", True)
     for k in range(h):
-        rhs = (s.z**k)[:, None] * s.W[0] @ s.S[k]
+        zk = [z**k for z in s.z]
+        rhs = [_product([[c * e for e in row] for c, row in zip(zk, W0)], Sk)
+               for W0, Sk in zip(s.W[0], s.S[k])]
         for i in range(1, min(inst.rank, h - k) + 1):
-            val = _rel_gap(_compound_top_column(s.W[k], i),
-                           -_compound_top_column(rhs, i))
+            val = _rel_gap([_compound_top_column(M, i) for M in s.W[k]],
+                           [_compound_top_column(M, i) for M in rhs])
             rep.add(f"k={k} i={i}", val <= max(inst.tau, 1e-8) * 10, value=val)
     return rep
 
 
-def _compound_top_column(M: np.ndarray, i: int) -> np.ndarray:
-    """First column of the i-th compound: wedge minors against cols 1..i,
-    row sets in lexicographic order along the last axis, of M or of every
-    matrix of a stack (..., n, n)."""
-    rows = list(itertools.combinations(range(M.shape[-1]), i))
-    return _minor(M, rows, range(i))
+def _compound_top_column(M, i: int) -> list:
+    """First column of the i-th compound of a matrix of values: its
+    minors against columns 1..i, row sets in lexicographic order."""
+    return [_minor(M, rows, range(i))
+            for rows in itertools.combinations(range(len(M)), i)]
 
 
-def _wedge_image(Rm: np.ndarray, i: int):
+def _wedge_image(Rm: list, i: int):
     """(columns, scalars) of the single wedge that R's i-th compound maps
-    the top wedge e_1 ^ ... ^ e_i to, for a stack Rm of evaluations of R;
+    the top wedge e_1 ^ ... ^ e_i to, for a list Rm of evaluations of R;
     the scalars hold one value per matrix."""
-    img = _compound_top_column(Rm, i)
-    big = np.abs(img) > 1e-12 * (1 + np.abs(img).max(axis=-1, keepdims=True))
-    nz = np.nonzero(big[0])[0]
-    if len(nz) != 1 or (big != big[0]).any():
+    img = [_compound_top_column(M, i) for M in Rm]
+    big = [[abs(e) > 1e-12 * (1 + max(map(abs, col))) for e in col]
+           for col in img]
+    nz = [k for k, flag in enumerate(big[0]) if flag]
+    if len(nz) != 1 or any(flags != big[0] for flags in big):
         raise AssertionError("lift compound image is not a single wedge")
-    return list(itertools.combinations(range(Rm.shape[-1]), i))[nz[0]], img[:, nz[0]]
+    return (list(itertools.combinations(range(len(Rm[0])), i))[nz[0]],
+            [col[nz[0]] for col in img])
 
 
 def check_shifted_minor_relation(s: TypeASample, i: int,
@@ -579,19 +643,22 @@ def check_shifted_minor_relation(s: TypeASample, i: int,
     where the shifted column set and the factor F_i(z)^{-1} = L_i(z) are
     read off the i-th compound of the staggered lift; for the standard
     ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  Each residual is
-    the relative residual on the sample, and each side's minors for every
-    word and point come from one det.
+    the relative residual on the sample.
     """
     inst = s.bundle.inst
-    if not len(s.points):
+    if not s.points:
         return [float("inf")] * len(words)
     tgt_cols, scalars = _wedge_image(s.S[1], i)
-    rows = [_index_rows(w, i, inst.cartan) for w in words]
-    lhs = _minor(s.W[0], rows, tgt_cols)  # (points, words)
-    shifted = _minor(s.W[1], rows, range(i))
-    return [_rel_gap(lhs[:, k],
-                     -(_times(_zeta_weight(inst, rs), shifted[:, k]) / scalars))
-            for k, rs in enumerate(rows)]
+    rows = [tuple(_index_rows(w, i, inst.cartan)) for w in words]
+    gaps = {}
+    for rs in rows:  # words with one row set w(om_i) share its residual
+        if rs not in gaps:
+            weight = _zeta_weight(inst, rs)
+            gaps[rs] = _rel_gap(
+                [_minor(M, rs, tgt_cols) for M in s.W[0]],
+                [weight * _minor(M, rs, range(i)) / c
+                 for M, c in zip(s.W[1], scalars)])
+    return [gaps[rs] for rs in rows]
 
 
 def _zeta_weight(inst: QQInstance, rows) -> complex:
@@ -639,6 +706,13 @@ def gauss_decompose(M: RatMatrix):
             RatMatrix(upper))
 
 
+def _leading_minor_vanishes(M, k: int) -> bool:
+    """|Delta_k(M)| <= 1e-8 times the Hadamard bound of M's leading k x k
+    block, the product of its rows' norms."""
+    hadamard = math.prod(math.hypot(*map(abs, row[:k])) for row in M[:k])
+    return abs(_minor(M, range(k), range(k))) <= 1e-8 * hadamard
+
+
 def miura_from_wronskian(s: TypeASample) -> CheckReport:
     """Reconstruct the Miura connection from Wronskian data and verify it.
 
@@ -656,25 +730,32 @@ def miura_from_wronskian(s: TypeASample) -> CheckReport:
     trivializer's refusal is raised.
     """
     b = s.bundle
-    for k in range(1, len(s.z) + 1):
-        block = s.W[0][:, :k, :k]
-        hadamard = np.prod(np.linalg.norm(block, axis=-1), axis=-1)
-        vanishes = np.abs(np.linalg.det(block)) <= 1e-8 * hadamard
-        if len(s.points) and vanishes.all():
+    n = len(s.z)
+    for k in range(1, n + 1):
+        if s.points and all(_leading_minor_vanishes(M, k) for M in s.W[0]):
             raise DegenerateInstance(
                 f"no Gaussian decomposition: principal minor {k} vanishes")
     if s.v is None:
         raise DegenerateInstance(b.refusal)
-    Am = np.linalg.solve(s.vq, s.z[:, None] * s.v)
-    ones = np.ones((len(s.g), 1))
-    g = np.hstack([ones, s.g, ones])  # g_0 = g_{r+1} = 1
+    Am = [_solve(vq, [[c * e for e in row] for c, row in zip(s.z, v)])
+          for v, vq in zip(s.v, s.vq)]
+    ratios = []
+    for g in s.g:
+        g = [1.0] + g + [1.0]  # g_0 = g_{r+1} = 1
+        ratios += [g[j] / g[j + 1] for j in range(n)]
+
+    def flat(rows):
+        return [e for row in rows for e in row]
+
     rep = CheckReport("miura-reconstruction", True)
     # the vector checks take each entry at each point as its own sample
-    col_err = _rel_gap(s.W[0][..., 0].ravel(), -s.v[..., 0].ravel())
-    tri_err = _rel_gap(Am, -np.tril(Am))
-    diag_err = _rel_gap(np.diagonal(Am, axis1=1, axis2=2).ravel(),
-                        -(g[:, :-1] / g[:, 1:]).ravel())
-    ent_err = _rel_gap(Am, -s.A)
+    col_err = _rel_gap([row[0] for M in s.W[0] for row in M],
+                       [row[0] for V in s.v for row in V])
+    tri_err = _rel_gap([flat(M) for M in Am],
+                       [[e if c <= r else 0j for r, row in enumerate(M)
+                         for c, e in enumerate(row)] for M in Am])
+    diag_err = _rel_gap([M[j][j] for M in Am for j in range(n)], ratios)
+    ent_err = _rel_gap([flat(M) for M in Am], [flat(M) for M in s.A])
     rep.add("first column matches trivializer", col_err <= 1e-7, value=col_err)
     rep.add("oper shape (lower triangular)", tri_err <= 1e-8, value=tri_err)
     rep.add("Cartan connection on the diagonal", diag_err <= 1e-7, value=diag_err)
@@ -690,18 +771,24 @@ def miura_plucker_blocks(s: TypeASample, i: int) -> CheckReport:
     the lowest wedge u1 = e_{i+1} ^ ... ^ e_{r+1} and u2 = e_i . u1.  The
     2x2 blocks of the compound matrices of A, v and Z must satisfy
     A_i(z) = vt_i(qz) Z_i vt_i(z)^{-1} where vt = v^{-1}; Z_i is the same
-    block of the compound of Z = diag(z).
+    block of the compound of Z = diag(z).  The inverses come from
+    Gaussian elimination at each point.
     """
     n = len(s.z)
-    plane = np.array([list(range(i, n)), sorted([i - 1] + list(range(i + 1, n)))])
+    plane = (list(range(i, n)), sorted([i - 1] + list(range(i + 1, n))))
 
-    def blk(Mv):
-        """The (u1, u2) blocks of the (n-i)-th compound of a stack Mv."""
-        return _minor(Mv, plane[:, None], plane[None, :])
+    def blk(M):
+        """The (u1, u2) block of the (n-i)-th compound of M."""
+        return [[_minor(M, rows, cols) for cols in plane] for rows in plane]
 
-    rhs = blk(np.linalg.inv(s.vq)) @ blk(np.diag(s.z)) \
-        @ np.linalg.inv(blk(np.linalg.inv(s.v)))
-    worst = _rel_gap(blk(s.A), -rhs)
+    zblk = blk([[s.z[r] if r == c else 0j for c in range(n)] for r in range(n)])
+    lhs, rhs = [], []
+    for A, v, vq in zip(s.A, s.v or (), s.vq or ()):
+        lhs.append([e for row in blk(A) for e in row])
+        right = _product(_product(blk(_inverse(vq)), zblk),
+                         _inverse(blk(_inverse(v))))
+        rhs.append([e for row in right for e in row])
+    worst = _rel_gap(lhs, rhs)
     rep = CheckReport(f"miura-plucker block i={i}", True)
     rep.add("block twist identity", worst <= 1e-8, value=worst)
     return rep

@@ -175,6 +175,22 @@ class TestFuzzFindings:
         assert "input error: the instance overflows double precision" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, node", [("backlund", 1),
+                                               ("wronskian", 0)])
+    def test_huge_qplus_coefficient(self, tmp_path, capsys, command, node):
+        # finite in the file, Q+ overflows double precision past the parser:
+        # in the roots of a Backlund step, in the Miura connection
+        doc = json.loads(A2_SOLVED.read_text())
+        doc["solution"]["qplus"][node][0] = [1e308, 0]
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps(doc))
+        argv = [command, "--instance", str(f)] + \
+            (["--word", "1"] if command == "backlund" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "input error: the instance overflows double precision" in err
+        assert "Traceback" not in err
+
     def test_bethe_right_side_zero_is_degenerate(self, tmp_path):
         # a root of Q+_1 on the root of Lambda_1 zeroes that Bethe right side
         doc = json.loads(A2_SOLVED.read_text())
@@ -724,6 +740,33 @@ class TestBacklundTelemetry:
         assert plain["digest"] == moved["digest"]
 
 
+class TestStructuredRefusals:
+    def test_g2_refusals_are_json_objects(self, tmp_path):
+        # the seed-901 G2 walk refuses two steps and misses six parents;
+        # each refusal is an object, not the repr of a Python dict
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        try:
+            import gen
+        finally:
+            sys.path.remove(str(ROOT / "perfbench"))
+        path, = gen.generate(901, str(tmp_path), ("g2_m11",), solved=True)
+        code, text = run_cli(["verify", "--instance", path], tmp_path)
+        assert code == 0
+        full = json.loads(text)["full_qq"]
+        assert full["size"] == 4 and not full["generic"]
+        refusals = full["refusals"]
+        assert len(refusals) == 8
+        for r in refusals:
+            assert set(r) == {"word", "node", "reason"}
+            assert isinstance(r["word"], list) and r["word"]
+            assert all(isinstance(letter, int) for letter in r["word"])
+            assert r["node"] is None or r["node"] == r["word"][0]
+            assert isinstance(r["reason"], str)
+        assert sum(r["node"] is None for r in refusals) == 6
+        assert all(r["reason"] == "parent missing"
+                   for r in refusals if r["node"] is None)
+
+
 class TestWronskianCommand:
     def test_runs_battery(self, tmp_path):
         code, text = run_cli(
@@ -859,9 +902,22 @@ class TestModulesLoaded:
     def test_polynomials_loads_no_numpy(self):
         assert self.loaded_after(None, "qoper.polynomials") == {"polynomials"}
 
+    def test_qq_loads_no_numpy(self):
+        assert self.loaded_after(None, "qoper.qq") == {"qq", "cartan",
+                                                       "polynomials"}
+
     def test_solve(self):
+        # the batched Newton is the one numpy user
         loaded = self.loaded_after(["solve", "--instance", str(A1)])
         assert loaded == {"cli", "cartan", "polynomials", "qq", "numpy"}
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["verify"], {"backlund", "wronskian"}),
+        (["wronskian"], {"wronskian"}),
+        (["backlund", "--word", "1"], {"backlund"})])
+    def test_instance_commands_load_no_numpy(self, argv, modules):
+        loaded = self.loaded_after(argv + ["--instance", str(A2_SOLVED)])
+        assert loaded == {"cli", "cartan", "polynomials", "qq"} | modules
 
     def test_identities(self):
         # the float battery runs the exact battery's code on complex values
@@ -891,5 +947,5 @@ class TestModulesLoaded:
         f = tmp_path / "b2.json"
         f.write_text(json.dumps(echo_instance(
             inst, {"bethe_tol": 1e-10, "K": None, "seed": 7}, sol)))
-        assert "wronskian" not in self.loaded_after(["verify", "--instance",
-                                                     str(f)])
+        loaded = self.loaded_after(["verify", "--instance", str(f)])
+        assert "wronskian" not in loaded and "numpy" not in loaded

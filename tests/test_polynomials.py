@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qoper.polynomials import (Poly, RatFun, RatMatrix, off_pole, poly_roots,
@@ -83,10 +83,10 @@ class TestRoots:
             assert np.abs(want - r).min() <= 1e-8 * (1 + abs(r))
 
     def test_wrong_root_still_raises(self, monkeypatch):
-        # eigenvalues 1 and 50 for (z - 1)(z - 2): two Newton steps from 50
+        # iterates 1 and 50 for (z - 1)(z - 2): two Newton steps from 50
         # leave a root that is wrong, and it must be refused
-        monkeypatch.setattr(np.linalg, "eigvals",
-                            lambda m: np.array([1.0 + 0j, 50.0 + 0j]))
+        import qoper.polynomials as poly
+        monkeypatch.setattr(poly, "_aberth", lambda cs: [1.0 + 0j, 50.0 + 0j])
         with pytest.raises(ArithmeticError, match="root polishing failed"):
             poly_roots(Poly([2.0, -3.0, 1.0]))
 
@@ -99,6 +99,100 @@ class TestRoots:
             back = Poly.from_roots(got, leading=1.7)
             assert all(abs(a - b) < 1e-8 * (1 + abs(b))
                        for a, b in zip(back.coeffs, p.coeffs))
+
+
+@st.composite
+def root_sets(draw):
+    """Roots of degree 1-8 polynomials: spread over |re|, |im| <= 3 at
+    least 0.1 apart, with up to three roots in a cluster of spacing 10^-3
+    or 10^-2 round one."""
+    n = draw(st.integers(1, 8))
+    coords = st.floats(-3.0, 3.0, allow_nan=False)
+    roots = [complex(draw(coords), draw(coords))
+             for _ in range(n - draw(st.integers(0, min(2, n - 1))))]
+    assume(all(abs(r - s) >= 0.1 for k, r in enumerate(roots)
+               for s in roots[:k]))
+    spacing = draw(st.sampled_from([1e-3, 1e-2]))
+    centre = roots[0]
+    for k in range(1, n - len(roots) + 1):
+        roots.append(centre + spacing * k * complex(0.6, 0.8))
+    return roots
+
+
+def companion_roots(p):
+    """The eigenvalues of the companion matrix: the reference roots."""
+    cs = [complex(c) / complex(p.coeffs[-1]) for c in p.coeffs]
+    n = len(cs) - 1
+    comp = np.zeros((n, n), dtype=complex)
+    comp[1:, :-1] = np.eye(n - 1)
+    comp[:, -1] = [-c for c in cs[:-1]]
+    return list(np.linalg.eigvals(comp))
+
+
+def root_tolerance(p, w):
+    """How far two backward-stable root finders may place the root near w:
+    1e3 eps times its condition number sum |c_k||w|^k / |p'(w)|, which is
+    large inside a cluster, plus 1e-12 (1 + |w|)."""
+    cs = [complex(c) for c in p.coeffs]
+    size = sum(abs(c) * abs(w) ** k for k, c in enumerate(cs))
+    slope = abs(sum(k * c * w ** (k - 1) for k, c in enumerate(cs) if k))
+    return 1e3 * 2.2e-16 * size / slope + 1e-12 * (1 + abs(w))
+
+
+class TestRootsAgainstEigenvalues:
+    @given(root_sets(), st.sampled_from([1.0, 0.3 - 2.0j]))
+    # the Bethe roots of A1 with Lambda = (z-1)(z-2), zeta = 2, m = 2
+    @example([-0.044, 12.64], 1.0)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_match_companion_eigenvalues(self, roots, leading):
+        p = Poly.from_roots(roots, leading=leading)
+        got = poly_roots(p)
+        want = companion_roots(p)
+        assert len(got) == len(want) == len(roots)
+        for r in got:  # match each root to its nearest unmatched reference
+            k = min(range(len(want)), key=lambda t: abs(want[t] - r))
+            w = want.pop(k)
+            assert abs(w - r) <= root_tolerance(p, w), (r, w, roots)
+
+
+def lstsq_reference(a, b, c, q, tol=1e-10):
+    """solve_q_difference by numpy's least squares, the reference."""
+    a, b, c = (np.asarray(x, complex) for x in (a, b, c))
+    d = len(c) - max(len(a), len(b))
+    if d < 0:
+        return None
+    M = np.zeros((len(c), d + 1), dtype=complex)
+    for k in range(d + 1):
+        M[k:k + len(a), k] = a
+        M[k:k + len(b), k] += b * complex(q) ** k
+    sol = np.linalg.lstsq(M, c, rcond=None)[0]
+    if np.abs(M @ sol - c).max() > max(tol, 1e-9) * (1 + np.abs(c).max()):
+        return None
+    return sol
+
+
+class TestSolveQDifferenceAgainstLstsq:
+    coeff = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                               allow_infinity=False)
+
+    @given(st.lists(coeff, min_size=1, max_size=4),
+           st.lists(coeff, min_size=1, max_size=4),
+           st.lists(coeff, min_size=1, max_size=5),
+           st.floats(0.1, 0.9), st.booleans())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_same_verdicts_and_solutions(self, a, b, f, q, consistent):
+        a, b, f = a + [1.0 + 0.5j], b + [-0.7 + 0.2j], f + [1.0]
+        c = Poly(a) * Poly(f) + Poly(b) * q_shift(Poly(f), q)
+        cs = list(c.coeffs)
+        if not consistent:  # no polynomial solves a perturbed low coefficient
+            cs[0] += 1e-3 * (1 + max(map(abs, cs)))
+        got = solve_q_difference(a, b, cs, q)
+        want = lstsq_reference(a, b, cs, q)
+        assert (got is None) == (want is None)
+        if got is not None:
+            scale = 1 + np.abs(want).max()
+            assert len(got.coeffs) == len(want)
+            assert np.abs(np.array(got.coeffs) - want).max() <= 1e-10 * scale
 
 
 class TestQDistinct:

@@ -468,7 +468,8 @@ class TestBetheKernel:
         rng = np.random.default_rng(1)
         pts = 1.5 * (rng.standard_normal((4, 5, n))
                      + 1j * rng.standard_normal((4, 5, n)))
-        sides = _bethe_kernel(inst)(pts)
+        sides = [np.stack(side, -1) for side in
+                 _bethe_kernel(inst)([pts[..., k] for k in range(n)])]
         for got in sides:
             assert got.shape == pts.shape
         for idx in np.ndindex(pts.shape[:-1]):
@@ -490,6 +491,23 @@ class TestBetheKernel:
             for (_, _, res), ref in zip(got, lterm / rterm + 1):
                 assert abs(res - ref) <= 1e-10 * abs(ref)
 
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_bethe_residual_matches_numpy_columns(self, name):
+        # bethe_residual runs the kernel on Python numbers; the solver runs
+        # it on numpy columns, whose products may round differently
+        inst = KERNEL_CASES[name]
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            qplus = [Poly.from_roots(list(1.5 * (rng.standard_normal(m)
+                                                 + 1j * rng.standard_normal(m))))
+                     for m in inst.degrees]
+            got = bethe_residual(inst, qplus)
+            cols = [np.array([w]) for _, w, _ in got]  # one seed per column
+            L, R = _bethe_kernel(inst)(cols)
+            for (_, _, res), l, r in zip(got, L, R):
+                ref = l[0] / r[0] + 1
+                assert abs(res - ref) <= 1e-13 * (1 + abs(ref))
+
     def test_overflowing_seeds_are_dropped_and_counted(self):
         # seeds spread like Lambda's root, 1e9: Q+(w), a product of 40
         # such factors, overflows at every seed
@@ -501,11 +519,10 @@ class TestBetheKernel:
 
     def test_singular_jacobians_are_dropped_and_counted(self, monkeypatch):
         # second equation constant for |x1| < 1: a zero row in J there
-        def kernel(inst):
+        def kernel(inst, prod):
             def sides(x):
-                lhs = np.stack([x[..., 0] ** 2 - 1,
-                                np.where(abs(x[..., 1]) < 1, 1, x[..., 1] - 2)], -1)
-                return lhs, np.zeros_like(lhs)
+                lhs = [x[0] ** 2 - 1, np.where(abs(x[1]) < 1, 1, x[1] - 2)]
+                return lhs, [np.zeros_like(side) for side in lhs]
             return sides
 
         monkeypatch.setattr(qq, "_bethe_kernel", kernel)
