@@ -27,8 +27,8 @@ from .cartan import TwistZ, WeylWord, cartan_matrix, enumerate_weyl
 from .polynomials import NonFinite, Poly, RatMatrix, check_lewis_carroll
 
 # qq, backlund and wronskian load inside the functions that run them:
-# `identities` loads none, `solve` no backlund or wronskian.  Only `solve`
-# loads numpy, inside qq's Newton.
+# `identities` loads none, `solve` no backlund or wronskian.  No command
+# loads numpy.
 
 
 def __getattr__(name):

@@ -14,7 +14,8 @@ empty coefficient tuple and degree -1 by convention.
 and for complex values alike, so both batteries of ``qoper identities``,
 whose entries ``random.Random(seed)`` draws, run on Python numbers.  No
 part of this module uses numpy: ``poly_roots`` is the Aberth-Ehrlich
-iteration, ``solve_q_difference`` solves by Householder QR, and
+iteration, ``solve_q_difference`` solves by Householder QR,
+``triangularize`` and ``solve_linear`` are Gaussian elimination, and
 ``RatMatrix.eval`` gives rows of Python complex numbers.
 
 A polynomial drops exact zero top coefficients only, so a float
@@ -444,6 +445,56 @@ def _least_squares(cols: list, rhs: list):
     for k in reversed(range(n)):
         x[k] = (y[k] - sum(cols[j][k] * x[j] for j in range(k + 1, n))) \
             / diag[k]
+    return x
+
+
+def triangularize(m: list, n: int) -> complex:
+    """Gaussian elimination with partial pivoting, in place, on the rows m
+    (lists of values) over their first n columns, applied to every column;
+    returns the determinant of the leading n x n part, and stops at a zero
+    pivot, returning 0.
+
+    Every float minor, inverse and linear solve of the package (the type-A
+    sample's checks and each Newton step of the Bethe solver) reads off
+    this one routine; unlike a cofactor expansion it stays at rounding
+    level on a unimodular matrix with large entries.
+    """
+    width = len(m[0]) if m else 0
+    det = 1.0 + 0j
+    for k in range(n):
+        p, big = k, abs(m[k][k])
+        for r in range(k + 1, n):
+            if abs(m[r][k]) > big:
+                p, big = r, abs(m[r][k])
+        if not big:
+            return 0j
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        row = m[k]
+        det *= row[k]
+        for r in range(k + 1, n):
+            mr = m[r]
+            f = mr[k] / row[k]
+            if f:
+                for c in range(k + 1, width):
+                    mr[c] -= f * row[c]
+    return det
+
+
+def solve_linear(a, b):
+    """X with a X = b, a square and both matrices of values given as
+    sequences of rows, or None when elimination meets a zero pivot."""
+    n = len(a)
+    m = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    triangularize(m, n)
+    if not all(m[k][k] for k in range(n)):
+        return None
+    x = [row[n:] for row in m]
+    for k in reversed(range(n)):
+        for r in range(k + 1, n):
+            x[k] = [e - m[k][r] * y for e, y in zip(x[k], x[r])]
+        x[k] = [e / m[k][k] for e in x[k]]
     return x
 
 

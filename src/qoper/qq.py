@@ -20,13 +20,15 @@ yields the Bethe equations, a square polynomial system in the roots.
 
 from __future__ import annotations
 
+import cmath
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .cartan import CartanData, TwistZ, WeylWord, canonical_form
 from .polynomials import (TAU, Poly, close, ensure_finite, q_shift,
-                          solve_q_difference)
+                          solve_linear, solve_q_difference)
 
 
 class DegenerateInstance(ValueError):
@@ -257,62 +259,73 @@ def _roots_to_qplus(inst: QQInstance, roots: Sequence) -> list[Poly]:
     return out
 
 
-def _bethe_kernel(inst: QQInstance, prod=math.prod):
-    """The two sides of the cleared-denominator Bethe system.
+def _bethe_kernel(inst: QQInstance):
+    """The two sides of the cleared-denominator Bethe system, each divided
+    by the root it is taken at.
 
     The returned function takes x, the roots of Q+_1, ..., Q+_r end to end
-    as a list of n = sum m_i columns, each a numpy array over seeds (all
-    of one shape) or one Python complex, and returns the lists (L, R) of
-    n columns of the same kind.  At the t-th root w of Q+_i, with
-    e = -a_ji,
+    as a list of n = sum m_i complex numbers, and returns the lists (L, R)
+    of n values.  At the t-th root w = x_k of Q+_i, with e = -a_ji,
 
-        L = prod_j zeta_j^{a_ji} Q+_i(qw) Lambda_i(w/q)
+        L = (q - 1) prod_j zeta_j^{a_ji} Q+_i^(k)(qw) Lambda_i(w/q)
               prod_{j after i} Q+_j(w)^e prod_{j before i} Q+_j(w/q)^e,
-        R = Q+_i(w/q) Lambda_i(w)
-              prod_{j after i} Q+_j(qw)^e prod_{j before i} Q+_j(w)^e.
+        R = (1/q - 1) Q+_i^(k)(w/q) Lambda_i(w)
+              prod_{j after i} Q+_j(qw)^e prod_{j before i} Q+_j(w)^e,
 
-    The i-th Bethe equation is L/R = -1: Newton solves L + R = 0, and
-    ``bethe_residual`` reports L/R + 1.  Each Q+_j(y) is ``prod`` of the
-    list of factors (y - x_k) over the columns k of its roots; no
-    polynomial is built.  The numpy callers pass a product that rounds as
-    ``math.prod`` does on Python numbers (see ``_multistart``).
+    where Q+_i^(k)(y) = Q+_i(y) / (y - w) leaves the own root out: the
+    factors (qw - w) of Q+_i(qw) and (w/q - w) of Q+_i(w/q) are replaced
+    by their constants q - 1 and 1/q - 1.  So L and R are the cleared
+    sides divided by w, and w = 0 is no spurious zero of both.  The i-th
+    Bethe equation is L/R = -1: Newton solves L + R = 0, and
+    ``bethe_residual`` reports L/R + 1.  Each Q+_j(y) is the product of
+    the factors (y - x_k) over the roots of its block; no polynomial is
+    built.
     """
     qc = complex(inst.q)
     blocks, end = [], 0
     for m in inst.degrees:
         blocks.append(range(end, end + m))
         end += m
-    nodes = []
+    down_c = 1 / qc - 1
+    # per root: its index, the other roots of its block, the constant of
+    # L, Lambda_i highest coefficient first, and the linked blocks with
+    # their exponents, flagged when they follow node i
+    roots = []
     for i in range(1, inst.rank + 1):
-        if not inst.degrees[i - 1]:
-            continue
         lam = [complex(c) for c in reversed(inst.lambdas[i - 1].coeffs)]
-        nodes.append((i, twist_product(inst, i), lam, *_neighbours(inst, i)))
+        up_c = (qc - 1) * twist_product(inst, i)
+        after, before = _neighbours(inst, i)
+        links = ([(blocks[j - 1], e, True) for j, e in after]
+                 + [(blocks[j - 1], e, False) for j, e in before])
+        for k in blocks[i - 1]:
+            own = [t for t in blocks[i - 1] if t != k]
+            roots.append((k, own, up_c, lam, links))
 
     def sides(x: list):
-        def qplus(j, y):
-            return prod([y - x[k] for k in blocks[j - 1]])
-
-        def lam_at(lam, y):
-            acc = lam[0]
+        L, R = [], []
+        for k, own, up_c, lam, links in roots:
+            w = x[k]
+            up, down = qc * w, w / qc
+            lterm, rterm = up_c, down_c
+            for t in own:
+                lterm *= up - x[t]
+                rterm *= down - x[t]
+            lam_down = lam_w = lam[0]
             for c in lam[1:]:
-                acc = acc * y + c
-            return acc
-
-        L, R = [None] * len(x), [None] * len(x)
-        for i, twist, lam, after, before in nodes:
-            for k in blocks[i - 1]:
-                w = x[k]
-                up, down = qc * w, w / qc
-                lterm = qplus(i, up) * twist * lam_at(lam, down)
-                rterm = qplus(i, down) * lam_at(lam, w)
-                for j, e in after:
-                    lterm = lterm * qplus(j, w) ** e
-                    rterm = rterm * qplus(j, up) ** e
-                for j, e in before:
-                    lterm = lterm * qplus(j, down) ** e
-                    rterm = rterm * qplus(j, w) ** e
-                L[k], R[k] = lterm, rterm
+                lam_down = lam_down * down + c
+                lam_w = lam_w * w + c
+            lterm *= lam_down
+            rterm *= lam_w
+            for block, e, follows in links:
+                lpt, rpt = (w, up) if follows else (down, w)
+                lq = rq = 1.0
+                for t in block:
+                    lq *= lpt - x[t]
+                    rq *= rpt - x[t]
+                lterm *= lq ** e
+                rterm *= rq ** e
+            L.append(lterm)
+            R.append(rterm)
         return L, R
 
     return sides
@@ -355,63 +368,45 @@ def bethe_residual(inst: QQInstance, qplus: Sequence[Poly]) -> list:
     return out
 
 
-def _solve_each(J, b):
-    """Solutions y[s] of J[s] y[s] = b[s], and a mask of the nonsingular J[s]."""
-    import numpy as np
-    try:
-        return np.linalg.solve(J, b[..., None])[..., 0], np.ones(len(b), bool)
-    except np.linalg.LinAlgError:  # some J[s] is singular: solve one by one
-        y = np.zeros_like(b)
-        ok = np.ones(len(b), bool)
-        for s in range(len(b)):
-            try:
-                y[s] = np.linalg.solve(J[s], b[s])
-            except np.linalg.LinAlgError:
-                ok[s] = False
-        return y, ok
+def _newton(sides, x: list, max_iter: int, tally: dict):
+    """Newton's method on L + R = 0 from the root vector x, a list of
+    complex numbers.
 
-
-def _newton(sides, x, max_iter: int, tally: dict):
-    """Run Newton's method on L + R = 0 from every row of x at once.
-
-    Each iteration evaluates the two ``sides`` at every live iterate and
-    at its n forward-difference neighbours (step h = 1e-7 (1 + max|x|)
-    per row) in one call, and solves for every step in one batched solve.
-    A row leaves the batch when its step falls below 1e-14 (1 + max|x|),
-    when its values stop being finite, or when its Jacobian is singular.
-    Returns the final iterates of the rows that converged or ran out of
-    iterations, in row order, as the rows of one array.
+    Each iteration evaluates the two ``sides`` at x and at its n
+    forward-difference neighbours x + h e_j, h = 1e-7 (1 + max|x|), and
+    takes the step from one Gaussian elimination (``solve_linear``).
+    Returns the iterate at which the step fell below 1e-14 (1 + max|x|),
+    or the last one after max_iter steps; returns None when a value stops
+    being finite or the Jacobian is singular.  Each outcome, and each
+    step, is counted in ``tally``.
     """
-    import numpy as np
-    rows = np.arange(len(x))
-    final = {}
-    eye = np.eye(x.shape[1])
+    n = len(x)
     for it in range(1, max_iter + 1):
-        if not rows.size:
-            break
-        h = 1e-7 * (1.0 + np.abs(x).max(axis=1))[:, None, None]
-        pts = np.concatenate([x[:, None], x[:, None] + h * eye], axis=1)
-        L, R = sides([pts[..., k] for k in range(len(eye))])
-        V = np.stack([l + r for l, r in zip(L, R)], axis=-1)
-        finite = np.isfinite(V).all(axis=(1, 2))
-        tally["nonfinite"] += int(rows.size - finite.sum())
-        rows, x, V, h = rows[finite], x[finite], V[finite], h[finite]
-        F = V[:, 0]
-        J = np.swapaxes((V[:, 1:] - F[:, None]) / h, 1, 2)
-        step, ok = _solve_each(J, -F)
-        tally["singular"] += int(rows.size - ok.sum())
-        rows, x, step = rows[ok], x[ok] + step[ok], step[ok]
-        if rows.size:
-            tally["newton_iterations"] += int(rows.size)
-            tally["max_newton_iterations"] = it
-        done = np.abs(step).max(axis=1) < 1e-14 * (1.0 + np.abs(x).max(axis=1))
-        tally["converged"] += int(done.sum())
-        final.update(zip(rows[done].tolist(), x[done]))
-        rows, x = rows[~done], x[~done]
-    tally["out_of_iterations"] += int(rows.size)
-    final.update(zip(rows.tolist(), x))
-    return np.array([final[r] for r in sorted(final)],
-                    dtype=complex).reshape(-1, len(eye))
+        h = 1e-7 * (1.0 + max(map(abs, x)))
+        pts = [x] + [x[:j] + [x[j] + h] + x[j + 1:] for j in range(n)]
+        try:  # a power of a factor that overflows raises
+            V = [[l + r for l, r in zip(*sides(y))] for y in pts]
+            finite = all(all(map(cmath.isfinite, col)) for col in V)
+        except OverflowError:
+            finite = False
+        if not finite:
+            tally["nonfinite"] += 1
+            return None
+        F = V[0]
+        J = [[(col[i] - F[i]) / h for col in V[1:]] for i in range(n)]
+        step = solve_linear(J, [[-f] for f in F])
+        if step is None:
+            tally["singular"] += 1
+            return None
+        x = [a + d for a, (d,) in zip(x, step)]
+        tally["newton_iterations"] += 1
+        tally["max_newton_iterations"] = max(tally["max_newton_iterations"], it)
+        small = 1e-14 * (1.0 + max(map(abs, x)))
+        if all(abs(d) < small for d, in step):  # False on a NaN step
+            tally["converged"] += 1
+            return x
+    tally["out_of_iterations"] += 1
+    return x
 
 
 def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
@@ -419,15 +414,17 @@ def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
                 stats: Optional[dict] = None) -> list[QQSolution]:
     """Multi-start Newton solver for the Bethe system.
 
-    Unknowns are the roots of the Q+ polynomials.  Seed s starts from
-    spread (g + i g'), with g then g' two standard normal draws of the
-    ``seed`` stream and spread 1 + max |root of Lambda|.  All seeds advance
-    together on the cleared-denominator system (see ``_newton``).  The
-    root vectors that converged or ran out of iterations are kept when
-    every Bethe residual is below ``tol``; duplicates are removed by
-    comparing sorted root multisets, keeping seed order.  Each surviving
-    Q+ family is completed to a QQSolution by the linear Q- solves, and
-    solutions whose QQ residual exceeds 10 tol are dropped.
+    Unknowns are the roots of the Q+ polynomials, n = sum m_i of them.
+    Seed s starts from spread (g + i g'), where g and g' are vectors of n
+    standard normal draws each, g first, from ``random.Random(seed)``,
+    and spread is 1 + max |root of Lambda|.  Each seed runs Newton on its
+    own on the kernel's divided sides (see ``_bethe_kernel`` and
+    ``_newton``).  The root vectors that converged or ran out of
+    iterations are kept when every Bethe residual is below ``tol``;
+    duplicates are removed by comparing sorted root multisets, keeping
+    seed order.  Each surviving Q+ family is completed to a QQSolution by
+    the linear Q- solves, and solutions whose QQ residual exceeds 10 tol
+    are dropped.
 
     When ``stats`` is given it receives the solver's counts: seeds tried,
     converged, nonfinite, singular, out_of_iterations, rejected_residual,
@@ -455,37 +452,33 @@ def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
 def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
     """The body of ``solve_bethe`` for sum m_i > 0.
 
-    Every Newton result is scored in one kernel call, by the largest
+    Every Newton result is scored by one kernel call, by the largest
     |L/R + 1| over its roots; only those within ``tol`` are built into
     Q+ polynomials and checked by ``bethe_residual``, whose residuals
     are the ones kept.
     """
-    import numpy as np
     total = sum(inst.degrees)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     spread = 1.0 + max(abs(r) for lam in inst.lambdas for r in lam.roots())
     tally["seeds"] = seeds = max(seeds, 0)
-    draws = rng.standard_normal((seeds, 2, total))
+    kernel = _bethe_kernel(inst)
 
-    def prod(factors):
-        """math.prod on arrays, rounded as on Python numbers: numpy's
-        elementwise complex multiply may fuse a multiply and an add, and
-        its reduction over a stacked last axis does not."""
-        if len(factors) < 2:
-            return math.prod(factors)
-        return np.prod(np.stack(factors, -1), -1)
-
-    kernel = _bethe_kernel(inst, prod)
-    with np.errstate(all="ignore"):  # overflow is caught as non-finite values
-        candidates = _newton(kernel, spread * (draws[:, 0] + 1j * draws[:, 1]),
-                             max_iter, tally)
-        L, R = kernel([candidates[:, k] for k in range(total)])
-        scores = np.abs(np.stack(L, -1) / np.stack(R, -1) + 1.0).max(axis=1)
+    def scored(x) -> bool:
+        try:
+            return all(abs(l / r + 1.0) <= tol for l, r in zip(*kernel(x)))
+        except (OverflowError, ZeroDivisionError):
+            return False
 
     found = []
-    for x, score in zip(candidates, scores):
-        worst = np.inf
-        if score <= tol:
+    for _ in range(seeds):
+        re = [rng.gauss(0.0, 1.0) for _ in range(total)]
+        im = [rng.gauss(0.0, 1.0) for _ in range(total)]
+        x = _newton(kernel, [spread * complex(a, b) for a, b in zip(re, im)],
+                    max_iter, tally)
+        if x is None:
+            continue
+        worst = math.inf
+        if scored(x):
             try:
                 worst = max(abs(r[2]) for r in
                             bethe_residual(inst, _roots_to_qplus(inst, x)))
@@ -494,8 +487,11 @@ def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
         if not worst <= tol:  # NaN included
             tally["rejected_residual"] += 1
             continue
-        blockkey = [tuple(np.sort_complex(x[k - m:k]))
-                    for k, m in zip(np.cumsum(inst.degrees), inst.degrees)]
+        blockkey, k = [], 0
+        for m in inst.degrees:
+            blockkey.append(tuple(sorted(x[k:k + m],
+                                         key=lambda w: (w.real, w.imag))))
+            k += m
         if any(_same_blocks(blockkey, other) for other, _ in found):
             tally["duplicates"] += 1
             continue
@@ -503,8 +499,7 @@ def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
 
     solutions = []
     for blockkey, worst in found:
-        roots = np.array([w for block in blockkey for w in block], dtype=complex)
-        qplus = _roots_to_qplus(inst, roots)
+        qplus = _roots_to_qplus(inst, [w for block in blockkey for w in block])
         try:
             qminus = [solve_q_minus(inst, qplus, i) for i in range(1, inst.rank + 1)]
         except DegenerateInstance:

@@ -25,6 +25,7 @@ equations, and agreement of the two Miura constructions):
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from .cartan import (CartanData, WeylWord, column_index_set,
 # perfbench's tracer finds RatMatrix and check_lewis_carroll in this module
 from .polynomials import (Poly, RatFun, RatMatrix, check_lewis_carroll,
                           ensure_finite, is_exact, off_pole, q_shift,
-                          solve_q_difference)
+                          solve_linear, solve_q_difference, triangularize)
 from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
                  QQSolution, cartan_connection)
 
@@ -372,7 +373,8 @@ class TypeASample:
     ``g`` the Cartan connection g_i(x), i = 1..r, as a list, and ``z``
     Z's diagonal.  Every value is finite: one that is not raises
     NonFinite.  ``stuck`` has one witness per panel point that stayed on
-    a pole; such a point has no values.
+    a pole; such a point has no values.  ``v_inverses`` holds the
+    inverses of v(x) and v(qx), formed on first use.
     """
 
     bundle: TypeABundle
@@ -385,6 +387,13 @@ class TypeASample:
     vq: Optional[list]
     g: list
     z: list
+
+    @functools.cached_property
+    def v_inverses(self) -> tuple:
+        """(v(x)^{-1}, v(qx)^{-1}) at each point, each matrix inverted
+        once per sample; a singular one raises DegenerateInstance."""
+        return ([_inverse(v) for v in self.v or ()],
+                [_inverse(vq) for vq in self.vq or ()])
 
 
 def sample_bundle(b: TypeABundle) -> TypeASample:
@@ -425,56 +434,17 @@ def _index_rows(w: WeylWord, i: int, data: CartanData) -> list[int]:
     return [r - 1 for r in sorted(column_index_set(w, i, data))]
 
 
-def _triangularize(m: list, n: int) -> complex:
-    """Gaussian elimination with partial pivoting, in place, on the rows m
-    (lists of values) over their first n columns, applied to every column;
-    returns the determinant of the leading n x n part, and stops at a zero
-    pivot, returning 0.
-
-    Every float check reads its minors, inverses and solves off this one
-    routine; unlike a cofactor expansion it stays at rounding level on a
-    unimodular matrix with large entries.
-    """
-    width = len(m[0]) if m else 0
-    det = 1.0 + 0j
-    for k in range(n):
-        p, big = k, abs(m[k][k])
-        for r in range(k + 1, n):
-            if abs(m[r][k]) > big:
-                p, big = r, abs(m[r][k])
-        if not big:
-            return 0j
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            det = -det
-        row = m[k]
-        det *= row[k]
-        for r in range(k + 1, n):
-            mr = m[r]
-            f = mr[k] / row[k]
-            if f:
-                for c in range(k + 1, width):
-                    mr[c] -= f * row[c]
-    return det
-
-
 def _minor(M, rows, cols) -> complex:
     """The minor on rows x cols (0-based) of a matrix of values."""
-    return _triangularize([[M[r][c] for c in cols] for r in rows], len(rows))
+    return triangularize([[M[r][c] for c in cols] for r in rows], len(rows))
 
 
 def _solve(a, b) -> list:
     """X with a X = b, a square and both matrices of values given as
     sequences of rows; a singular a raises DegenerateInstance."""
-    n = len(a)
-    m = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    if not _triangularize(m, n):
+    x = solve_linear(a, b)
+    if x is None:
         raise DegenerateInstance("singular matrix at a sample point")
-    x = [row[n:] for row in m]
-    for k in reversed(range(n)):
-        for r in range(k + 1, n):
-            x[k] = [e - m[k][r] * y for e, y in zip(x[k], x[r])]
-        x[k] = [e / m[k][k] for e in x[k]]
     return x
 
 
@@ -772,7 +742,8 @@ def miura_plucker_blocks(s: TypeASample, i: int) -> CheckReport:
     2x2 blocks of the compound matrices of A, v and Z must satisfy
     A_i(z) = vt_i(qz) Z_i vt_i(z)^{-1} where vt = v^{-1}; Z_i is the same
     block of the compound of Z = diag(z).  The inverses come from
-    Gaussian elimination at each point.
+    Gaussian elimination at each point, those of v from the sample's
+    ``v_inverses``, shared by every i.
     """
     n = len(s.z)
     plane = (list(range(i, n)), sorted([i - 1] + list(range(i + 1, n))))
@@ -783,10 +754,9 @@ def miura_plucker_blocks(s: TypeASample, i: int) -> CheckReport:
 
     zblk = blk([[s.z[r] if r == c else 0j for c in range(n)] for r in range(n)])
     lhs, rhs = [], []
-    for A, v, vq in zip(s.A, s.v or (), s.vq or ()):
+    for A, vinv, vqinv in zip(s.A, *s.v_inverses):
         lhs.append([e for row in blk(A) for e in row])
-        right = _product(_product(blk(_inverse(vq)), zblk),
-                         _inverse(blk(_inverse(v))))
+        right = _product(_product(blk(vqinv), zblk), _inverse(blk(vinv)))
         rhs.append([e for row in right for e in row])
     worst = _rel_gap(lhs, rhs)
     rep = CheckReport(f"miura-plucker block i={i}", True)

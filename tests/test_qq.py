@@ -143,14 +143,37 @@ class TestSolveQMinus:
         assert all(abs(x - y) < 1e-8 for x, y in zip(a.coeffs, b.coeffs))
 
 
+# the roots of Q+_1..Q+_4 of three Bethe solutions of a4_solved's instance,
+# as solve_bethe(inst, seeds=40) found them with its batched numpy Newton
+A4_ROOTS = [
+    (-0.6260588870760628 - 4.465977301429454e-26j,
+     0.9262359612695296 + 2.3815591243928597e-25j,
+     0.6291056971712102 + 1.0763064506440748e-25j,
+     0.06415213458745782 + 3.478484810447949e-25j),
+    (0.6708386580165205 + 2.3739341845485743e-23j,
+     0.48623965049471746 + 2.5011343158959122e-23j,
+     -0.27492203347990474 - 1.8253841160142185e-22j,
+     0.7137455319600382 - 9.53332167105098e-24j),
+    (0.768599658006127 - 0.12913500670578607j,
+     0.6140615873106122 - 0.19194146959617098j,
+     0.6005684912086193 - 0.01616158480959332j,
+     0.06144241558760075 - 0.0015416991662159688j)]
+
+
 @functools.lru_cache(maxsize=None)
 def a4_solved():
     """Lambda_i = z - i, zeta = (2, 3, 5, 7), q = 0.2, m = (1, 1, 1, 1) and
-    its three Bethe solutions."""
+    three of its Bethe solutions: Q+ from A4_ROOTS, Q- by solve_q_minus,
+    as the solver completes them."""
     inst = QQInstance(cartan_matrix("A", 4), 0.2, TwistZ((2.0, 3.0, 5.0, 7.0)),
                       tuple(Poly([-float(i), 1.0]) for i in range(1, 5)),
                       (1, 1, 1, 1))
-    return inst, tuple(solve_bethe(inst, seeds=40))
+    sols = []
+    for roots in A4_ROOTS:
+        qplus = _roots_to_qplus(inst, roots)
+        qminus = [solve_q_minus(inst, qplus, i) for i in range(1, 5)]
+        sols.append(QQSolution(tuple(qplus), tuple(qminus)))
+    return inst, tuple(sols)
 
 
 def random_instance(lie_type, rank, degrees, rng):
@@ -463,18 +486,21 @@ KERNEL_CASES = {
 class TestBetheKernel:
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_matches_scalar_reference(self, name):
+        # the kernel's sides are the cleared sides divided by the root w
+        # they are taken at, so their ratio is the cleared sides' ratio
         inst = KERNEL_CASES[name]
         n = sum(inst.degrees)
         rng = np.random.default_rng(1)
-        pts = 1.5 * (rng.standard_normal((4, 5, n))
-                     + 1j * rng.standard_normal((4, 5, n)))
-        sides = [np.stack(side, -1) for side in
-                 _bethe_kernel(inst)([pts[..., k] for k in range(n)])]
-        for got in sides:
-            assert got.shape == pts.shape
-        for idx in np.ndindex(pts.shape[:-1]):
-            for got, ref in zip(sides, scalar_bethe_system(inst, pts[idx])):
-                assert (np.abs(got[idx] - ref) <= 1e-13 * np.abs(ref)).all()
+        pts = 1.5 * (rng.standard_normal((20, n))
+                     + 1j * rng.standard_normal((20, n)))
+        for x in pts:
+            L, R = _bethe_kernel(inst)([complex(w) for w in x])
+            assert len(L) == len(R) == n
+            lref, rref = scalar_bethe_system(inst, x)
+            for l, r, lr, rr, w in zip(L, R, lref, rref, x):
+                assert abs(l / r - lr / rr) <= 1e-13 * abs(lr / rr)
+                assert abs(l - lr / w) <= 1e-13 * abs(lr / w)
+                assert abs(r - rr / w) <= 1e-13 * abs(rr / w)
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_bethe_residual_matches_scalar_reference(self, name):
@@ -493,8 +519,9 @@ class TestBetheKernel:
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_bethe_residual_matches_numpy_columns(self, name):
-        # bethe_residual runs the kernel on Python numbers; the solver runs
-        # it on numpy columns, whose products may round differently
+        # the kernel is plain arithmetic on its root columns: run on numpy
+        # columns, whose products may round differently, it agrees with
+        # bethe_residual's Python numbers
         inst = KERNEL_CASES[name]
         rng = np.random.default_rng(3)
         for _ in range(3):
@@ -518,11 +545,11 @@ class TestBetheKernel:
         assert stats["newton_iterations"] == 0
 
     def test_singular_jacobians_are_dropped_and_counted(self, monkeypatch):
-        # second equation constant for |x1| < 1: a zero row in J there
-        def kernel(inst, prod):
+        # second equation constant for |x1| < 3, where a seed of spread 3
+        # starts with probability 1 - exp(-1/2): a zero row in J there
+        def kernel(inst):
             def sides(x):
-                lhs = [x[0] ** 2 - 1, np.where(abs(x[1]) < 1, 1, x[1] - 2)]
-                return lhs, [np.zeros_like(side) for side in lhs]
+                return [x[0] ** 2 - 1, 1 if abs(x[1]) < 3 else x[1] - 4], [0j, 0j]
             return sides
 
         monkeypatch.setattr(qq, "_bethe_kernel", kernel)
@@ -534,7 +561,8 @@ class TestBetheKernel:
 
 
 class TestSolveBetheGolden:
-    """The shipped a2_generic solve, pinned to the per-seed scalar solver's output."""
+    """The shipped a2_generic solve, pinned to the per-seed scalar solver's
+    output as a set: which seed finds a solution depends on the seed stream."""
 
     QPLUS_ROOTS = [(-0.3459128490668868, 0.2567365545262281),
                    (0.6381381296463663, 0.4428682619321466),
@@ -546,15 +574,17 @@ class TestSolveBetheGolden:
               ((0.16746272175537785, 6.000000000000002),
                (30.710459551526995, 2.142857142857144))]
 
-    def test_solutions_in_order(self):
+    def test_solutions_as_a_set(self):
         inst, _, extras = parse_instance(json.loads(A2_GENERIC.read_text()))
         stats = {}
         sols = solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
                            seed=extras["seed"], stats=stats)
         assert len(sols) == 3
-        for sol, roots, qminus in zip(sols, self.QPLUS_ROOTS, self.QMINUS):
-            for p, r in zip(sol.qplus, roots):
-                assert p.degree == 1 and abs(p.coeffs[0] + r) <= 1e-10
+        for roots, qminus in zip(self.QPLUS_ROOTS, self.QMINUS):
+            sol, = [s for s in sols
+                    if all(abs(p.coeffs[0] + r) <= 1e-10
+                           for p, r in zip(s.qplus, roots))]
+            assert all(p.degree == 1 for p in sol.qplus)
             for p, cs in zip(sol.qminus, qminus):
                 assert len(p.coeffs) == len(cs)
                 assert all(abs(c - d) <= 1e-10 * (1 + abs(d))
@@ -567,3 +597,73 @@ class TestSolveBetheGolden:
             + stats["rejected_qq"] + stats["accepted"])
         assert 0 < stats["worst_bethe_residual"] <= extras["bethe_tol"]
         assert 0 < stats["max_newton_iterations"] <= 80
+
+
+# the gen.py seed-2 a2_m21 `solve` input of the benchmark, copied by hand
+A2_M21 = {
+    "version": 1, "lie_type": "A", "rank": 2, "ordering": [1, 2],
+    "q": [0.2, 0.0], "degrees": [2, 1], "seed": 1785709704,
+    "zetas": [[2.0951544030606764, 0.43705225812323295],
+              [2.9204098200037736, 0.21472112924469308]],
+    "lambdas": [{"coeffs": [[-1.0927020870312052, -0.041528910223232185],
+                            [1.0, 0.0]]},
+                {"coeffs": [[-1.8854519902488636, -0.01750256865962474],
+                            [1.0, 0.0]]}],
+    "tolerances": {"bethe_tol": 1e-10, "tau": 1e-10}}
+
+
+class TestDividedKernel:
+    """Newton on the kernel's divided sides: a lone root at w = 0 is no
+    zero of them, and no seed creeps there."""
+
+    @staticmethod
+    def solve(doc, monkeypatch):
+        """solve_bethe as the CLI runs it, and every Newton result."""
+        inst, _, extras = parse_instance(doc)
+        candidates, stats = [], {}
+        newton = qq._newton
+
+        def recording(*args):
+            x = newton(*args)
+            if x is not None:
+                candidates.append(x)
+            return x
+
+        monkeypatch.setattr(qq, "_newton", recording)
+        sols = solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
+                           seed=extras["seed"], stats=stats)
+        return inst, sols, stats, candidates
+
+    def test_no_candidate_at_zero(self, monkeypatch):
+        # at the undivided sides, 24 of these 40 seeds ended at w = 0
+        doc = json.loads((A2_GENERIC.parent / "a1_closed_form.json").read_text())
+        _, sols, _, candidates = self.solve(doc, monkeypatch)
+        assert len(sols) == 1 and len(candidates) == 40
+        assert min(abs(w) for x in candidates for w in x) > 1e-6
+
+    def test_no_seed_runs_to_the_cap(self, monkeypatch):
+        # at the undivided sides, 22 of the 40 seeds crept towards w = 0
+        # and ran all 80 iterations.  What is left at 0 is the common zero
+        # of both roots there, where Q+_2(w) and Q+_2(qw) vanish together
+        _, sols, stats, candidates = self.solve(
+            json.loads(A2_GENERIC.read_text()), monkeypatch)
+        assert len(sols) == 3
+        assert stats["out_of_iterations"] == 0
+        assert len(candidates) == stats["converged"] == 40
+        for x in candidates:
+            near = [abs(w) <= 1e-6 for w in x]
+            assert all(near) or not any(near)
+
+    def test_a2_m21_finds_its_solution(self, monkeypatch):
+        # the census of this input is 1; the undivided sides found none
+        inst, sols, _, _ = self.solve(A2_M21, monkeypatch)
+        assert len(sols) == 1
+        assert max(r.norm() for r in qq_residual(inst, sols[0])) <= 1e-8
+
+    def test_one_seed_gives_one_solution_list(self):
+        inst, _, extras = parse_instance(A2_M21)
+        runs = [[(tuple(p.coeffs for p in s.qplus),
+                  tuple(p.coeffs for p in s.qminus))
+                 for s in solve_bethe(inst, seeds=40, seed=extras["seed"])]
+                for _ in range(2)]
+        assert runs[0] and runs[0] == runs[1]
