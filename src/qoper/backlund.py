@@ -10,46 +10,25 @@ computable face of the consistency of the full system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .cartan import (CartanData, WeylWord, canonical_form, enumerate_weyl,
-                     reflect_twist)
-from .polynomials import TAU, q_distinct
+from .cartan import WeylWord, canonical_form, enumerate_weyl, reflect_twist
+from .polynomials import q_distinct
 from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
                  QQSolution, resonance_check, solve_q_minus)
 
 
-@dataclass
 class BacklundStepRecord:
     """One step at ``node``: its nondegeneracy report, the system and
     solution it produced, and the nodes whose Q- it solved anew (the
     others were kept)."""
-    node: int
-    nondeg: CheckReport
-    instance: QQInstance
-    solution: QQSolution
-    solved: tuple
 
+    __slots__ = ("node", "nondeg", "instance", "solution", "solved")
 
-def mu_gauge(sol: QQSolution, cartan: CartanData, i: int, z: complex,
-             tol: float = TAU) -> complex:
-    """Gauge parameter mu_i(z) = prod_{j!=i} Q+_j(z)^{-a_ji} / (Q+_i Q-_i)(z)."""
-    qp = sol.qplus[i - 1]
-    qm = sol.qminus[i - 1]
-    vp, vm = complex(qp(z)), complex(qm(z))
-    if abs(vp) <= tol * (1 + qp.norm()):
-        raise ZeroDivisionError(f"Q+_{i} vanishes at z = {z}")
-    if abs(vm) <= tol * (1 + qm.norm()):
-        raise ZeroDivisionError(f"Q-_{i} vanishes at z = {z}")
-    num = 1.0 + 0.0j
-    for j in range(1, len(sol.qplus) + 1):
-        if j == i:
-            continue
-        e = -cartan.a(j, i)
-        if e:
-            num *= complex(sol.qplus[j - 1](z)) ** e
-    return num / (vp * vm)
+    def __init__(self, node: int, nondeg: CheckReport, instance: QQInstance,
+                 solution: QQSolution, solved: tuple):
+        self.node, self.nondeg, self.solved = node, nondeg, solved
+        self.instance, self.solution = instance, solution
 
 
 def _step_nondegeneracy(inst: QQInstance, sol: QQSolution, i: int,

@@ -1,4 +1,4 @@
-"""Finite-type Cartan matrices, Weyl words, Coxeter data, and twists.
+"""Finite-type Cartan matrices, Weyl words, Weyl group orders, and twists.
 
 Convention: the Cartan matrix entry a[i][j] is the pairing of the j-th
 simple root against the i-th coroot, so a[i][i] = 2 and the i-th simple
@@ -15,12 +15,8 @@ finite type without Matsumoto rewriting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-#: Weyl group orders by (type, rank-dependent formula handled in weyl_order).
-_COXETER_NUMBERS = {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}
 
 DEFAULT_WEYL_GUARD = 10_080
 
@@ -29,8 +25,29 @@ class CartanError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CartanData:
+class ValueObject:
+    """Equality, hashing and repr by the fields named in ``__slots__``, in
+    order: two objects of one class with equal fields are equal."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+
+class CartanData(ValueObject):
     """Lie type, rank, Cartan matrix and the simple-root ordering.
 
     ``ordering`` is the permutation (i_1, ..., i_r) of {1..r} fixing the
@@ -39,12 +56,12 @@ class CartanData:
     positions of the nodes, not their labels.
     """
 
-    lie_type: str
-    rank: int
-    cartan: tuple
-    ordering: tuple
+    __slots__ = ("lie_type", "rank", "cartan", "ordering")
 
-    def __post_init__(self):
+    def __init__(self, lie_type: str, rank: int, cartan: tuple,
+                 ordering: tuple):
+        self.lie_type, self.rank = lie_type, rank
+        self.cartan, self.ordering = cartan, ordering
         a = self.cartan
         r = self.rank
         if len(a) != r or any(len(row) != r for row in a):
@@ -72,18 +89,17 @@ class CartanData:
         return self.lie_type == "A"
 
 
-@dataclass(frozen=True)
-class WeylWord:
+class WeylWord(ValueObject):
     """A word in simple reflections; letters in {1..rank}.
 
     The element is the product s_{letters[0]} s_{letters[1]} ... acting as
     function composition, rightmost letter applied first.
     """
 
-    letters: tuple
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(l) for l in self.letters))
+    def __init__(self, letters: tuple):
+        self.letters = tuple(int(l) for l in letters)
 
     def __len__(self):
         return len(self.letters)
@@ -96,18 +112,17 @@ class WeylWord:
         return WeylWord(self.letters + other.letters)
 
 
-@dataclass(frozen=True)
-class TwistZ:
+class TwistZ(ValueObject):
     """Twist parameters zeta_i, all nonzero; exact values allowed."""
 
-    zetas: tuple
+    __slots__ = ("zetas",)
 
-    def __post_init__(self):
-        zs = tuple(self.zetas)
+    def __init__(self, zetas: tuple):
+        zs = tuple(zetas)
         for z in zs:
             if complex(z) == 0:
                 raise ValueError("twist parameters must be nonzero")
-        object.__setattr__(self, "zetas", zs)
+        self.zetas = zs
 
     @property
     def rank(self) -> int:
@@ -177,20 +192,6 @@ def cartan_matrix(lie_type: str, rank: int) -> CartanData:
     a = _cartan_entries(lie_type, rank)
     return CartanData(lie_type, rank, tuple(tuple(row) for row in a),
                       tuple(range(1, rank + 1)))
-
-
-def coxeter_number(data: CartanData) -> int:
-    t, r = data.lie_type, data.rank
-    if t == "A":
-        return r + 1
-    if t in ("B", "C"):
-        return 2 * r
-    if t == "D":
-        return 2 * r - 2
-    key = f"{t}{r}"
-    if key in _COXETER_NUMBERS:
-        return _COXETER_NUMBERS[key]
-    raise CartanError(f"no Coxeter number for ({t}, {r})")
 
 
 def weyl_order(data: CartanData) -> int:
@@ -312,11 +313,6 @@ def _element_table(data: CartanData) -> dict:
     return table
 
 
-def longest_element(data: CartanData, max_order: int = DEFAULT_WEYL_GUARD) -> WeylWord:
-    words = enumerate_weyl(data, max_order)
-    return words[-1]
-
-
 def type_a_permutation(word: WeylWord, data: CartanData) -> tuple:
     """Permutation of {1..r+1} induced by the word (type A only).
 
@@ -352,6 +348,3 @@ def column_index_set(v: WeylWord, i: int, data: CartanData) -> frozenset:
     perm = type_a_permutation(v, data)
     return frozenset(perm[k] for k in range(i))
 
-
-def word_inverse(word: WeylWord) -> WeylWord:
-    return WeylWord(tuple(reversed(word.letters)))

@@ -426,11 +426,11 @@ def run_backlund(inst, sol, extras, args, rep: Report):
     from .qq import DegenerateInstance, qq_residual
     if sol is None:
         raise InputError("backlund requires a solution block in the instance file")
-    letters = [int(x) for x in args.word.split(",") if x.strip()]
+    letters = args.word
     for l in letters:
         if not 1 <= l <= inst.rank:
             raise InputError(f"word letter {l} out of range 1..{inst.rank}")
-    word = WeylWord(tuple(letters))
+    word = WeylWord(letters)
     stats = rep.telemetry["backlund"] = {}
     try:
         cur_inst, cur_sol, records = apply_word(inst, sol, word, extras["K"], stats)
@@ -459,7 +459,7 @@ def run_backlund(inst, sol, extras, args, rep: Report):
             dq = max(dq, max(abs(complex(a) - complex(b))
                              for a, b in zip(p1.coeffs, p2.coeffs)))
         rep.check("involution", max(dz, dq), max(dz, dq) <= 1e-9,
-                  k_or_word=args.word.replace(",", "."))
+                  k_or_word=".".join(map(str, letters)))
     if args.full_table:
         table_stats = {}
         fq = full_qq_system(inst, sol, K=extras["K"], stats=table_stats)
@@ -508,6 +508,16 @@ def _seed_arg(text: str) -> int:
     return int(text)
 
 
+def _word_arg(text: str) -> tuple:
+    """The letters of --word, each a decimal integer, comma-separated;
+    an empty or blank word is the identity."""
+    letters = text.split(",") if text.strip() else []
+    if not all(l.strip().isdecimal() for l in letters):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated node numbers, got {text!r}")
+    return tuple(int(l) for l in letters)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qoper", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -529,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("verify", help="verify a provided solution"))
     pb = sub.add_parser("backlund", help="apply Backlund steps along a word")
     common(pb)
-    pb.add_argument("--word", required=True)
+    pb.add_argument("--word", required=True, type=_word_arg)
     pb.add_argument("--full-table", action="store_true")
     common(sub.add_parser("wronskian", help="build the Wronskian and run checks"))
     pi = sub.add_parser("identities", help="determinant identity battery")

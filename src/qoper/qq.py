@@ -23,10 +23,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .cartan import CartanData, TwistZ, WeylWord, canonical_form
+from .cartan import CartanData, TwistZ, ValueObject, WeylWord, canonical_form
 from .polynomials import (TAU, Poly, close, ensure_finite, q_shift,
                           solve_linear, solve_q_difference)
 
@@ -35,16 +34,13 @@ class DegenerateInstance(ValueError):
     """Raised when an operation's nondegeneracy precondition fails."""
 
 
-@dataclass(frozen=True)
-class QQInstance:
-    cartan: CartanData
-    q: complex
-    twist: TwistZ
-    lambdas: tuple
-    degrees: tuple
-    tau: float = TAU
+class QQInstance(ValueObject):
+    __slots__ = ("cartan", "q", "twist", "lambdas", "degrees", "tau")
 
-    def __post_init__(self):
+    def __init__(self, cartan: CartanData, q: complex, twist: TwistZ,
+                 lambdas: tuple, degrees: tuple, tau: float = TAU):
+        self.cartan, self.q, self.twist = cartan, q, twist
+        self.lambdas, self.degrees, self.tau = lambdas, degrees, tau
         r = self.cartan.rank
         if len(self.lambdas) != r or len(self.degrees) != r:
             raise ValueError("need one Lambda and one degree per node")
@@ -74,12 +70,11 @@ class QQInstance:
                           self.degrees, self.tau)
 
 
-@dataclass(frozen=True)
-class QQSolution:
-    qplus: tuple
-    qminus: tuple
+class QQSolution(ValueObject):
+    __slots__ = ("qplus", "qminus")
 
-    def __post_init__(self):
+    def __init__(self, qplus: tuple, qminus: tuple):
+        self.qplus, self.qminus = qplus, qminus
         for p in self.qplus:
             if p.is_zero():
                 raise ValueError("Q+ components must be nonzero")
@@ -91,7 +86,6 @@ class QQSolution:
         return len(self.qplus)
 
 
-@dataclass
 class FullQQSystem:
     """Q+ polynomials indexed by Weyl group elements, plus their twists.
 
@@ -99,14 +93,20 @@ class FullQQSystem:
     element with canonical form ``key``; ``words`` maps the key back to a
     reduced word.  Refusals along the exploration are recorded rather than
     raised, and ``generic`` reports whether the whole group was covered.
+    The dicts and the list start empty when not given.
     """
 
-    base: QQSolution
-    table: dict = field(default_factory=dict)
-    twists: dict = field(default_factory=dict)
-    words: dict = field(default_factory=dict)
-    refusals: list = field(default_factory=list)
-    generic: bool = True
+    __slots__ = ("base", "table", "twists", "words", "refusals", "generic")
+
+    def __init__(self, base: QQSolution, table: Optional[dict] = None,
+                 twists: Optional[dict] = None, words: Optional[dict] = None,
+                 refusals: Optional[list] = None, generic: bool = True):
+        self.base = base
+        self.table = {} if table is None else table
+        self.twists = {} if twists is None else twists
+        self.words = {} if words is None else words
+        self.refusals = [] if refusals is None else refusals
+        self.generic = generic
 
     def entry(self, word: WeylWord, cartan: CartanData):
         return self.table.get(canonical_form(word, cartan))
@@ -180,11 +180,16 @@ def qq_residual(inst: QQInstance, sol: QQSolution) -> list[Poly]:
     return out
 
 
-@dataclass
 class CheckReport:
-    name: str
-    passed: bool
-    items: list = field(default_factory=list)
+    """A named verdict and its items; ``add`` records one item and clears
+    ``passed`` when the item fails.  ``items`` starts empty when not
+    given."""
+
+    __slots__ = ("name", "passed", "items")
+
+    def __init__(self, name: str, passed: bool, items: Optional[list] = None):
+        self.name, self.passed = name, passed
+        self.items = [] if items is None else items
 
     def add(self, label, ok, witness=None, value=None):
         self.items.append({"label": label, "pass": bool(ok),
@@ -259,6 +264,35 @@ def _roots_to_qplus(inst: QQInstance, roots: Sequence) -> list[Poly]:
     return out
 
 
+def _root_links(inst: QQInstance) -> list:
+    """The block and link structure of the root vector x, the roots of
+    Q+_1, ..., Q+_r end to end: per root, its index k, its node i, the
+    other roots of its block, and the blocks of the nodes j linked to i
+    as (block, e = -a_ji, whether j follows i in the ordering)."""
+    blocks, end = [], 0
+    for m in inst.degrees:
+        blocks.append(range(end, end + m))
+        end += m
+    out = []
+    for i in range(1, inst.rank + 1):
+        after, before = _neighbours(inst, i)
+        links = ([(blocks[j - 1], e, True) for j, e in after]
+                 + [(blocks[j - 1], e, False) for j, e in before])
+        for k in blocks[i - 1]:
+            out.append((k, i, [t for t in blocks[i - 1] if t != k], links))
+    return out
+
+
+def _shared_factor_pairs(inst: QQInstance) -> list:
+    """The pairs (k, t), k < t, of roots whose difference is a factor of
+    the kernel's sides at both: two roots of one block, or one root each
+    of two linked blocks.  Where both roots of a pair are 0, both sides
+    vanish (see ``_bethe_kernel``)."""
+    return [(k, t) for k, _, own, links in _root_links(inst)
+            for t in own + [t for block, _, _ in links for t in block]
+            if k < t]
+
+
 def _bethe_kernel(inst: QQInstance):
     """The two sides of the cleared-denominator Bethe system, each divided
     by the root it is taken at.
@@ -275,31 +309,22 @@ def _bethe_kernel(inst: QQInstance):
     where Q+_i^(k)(y) = Q+_i(y) / (y - w) leaves the own root out: the
     factors (qw - w) of Q+_i(qw) and (w/q - w) of Q+_i(w/q) are replaced
     by their constants q - 1 and 1/q - 1.  So L and R are the cleared
-    sides divided by w, and w = 0 is no spurious zero of both.  The i-th
-    Bethe equation is L/R = -1: Newton solves L + R = 0, and
+    sides divided by w, and a lone root at w = 0 is no spurious zero of
+    both.  Two roots of a ``_shared_factor_pairs`` pair that meet at 0
+    still are: the factor of the other root vanishes in both sides.  The
+    i-th Bethe equation is L/R = -1: Newton solves L + R = 0, and
     ``bethe_residual`` reports L/R + 1.  Each Q+_j(y) is the product of
     the factors (y - x_k) over the roots of its block; no polynomial is
     built.
     """
     qc = complex(inst.q)
-    blocks, end = [], 0
-    for m in inst.degrees:
-        blocks.append(range(end, end + m))
-        end += m
     down_c = 1 / qc - 1
-    # per root: its index, the other roots of its block, the constant of
-    # L, Lambda_i highest coefficient first, and the linked blocks with
-    # their exponents, flagged when they follow node i
-    roots = []
-    for i in range(1, inst.rank + 1):
-        lam = [complex(c) for c in reversed(inst.lambdas[i - 1].coeffs)]
-        up_c = (qc - 1) * twist_product(inst, i)
-        after, before = _neighbours(inst, i)
-        links = ([(blocks[j - 1], e, True) for j, e in after]
-                 + [(blocks[j - 1], e, False) for j, e in before])
-        for k in blocks[i - 1]:
-            own = [t for t in blocks[i - 1] if t != k]
-            roots.append((k, own, up_c, lam, links))
+    # per node: the constant of L, and Lambda_i highest coefficient first
+    consts = [((qc - 1) * twist_product(inst, i),
+               [complex(c) for c in reversed(inst.lambdas[i - 1].coeffs)])
+              for i in range(1, inst.rank + 1)]
+    roots = [(k, own, *consts[i - 1], links)
+             for k, i, own, links in _root_links(inst)]
 
     def sides(x: list):
         L, R = [], []
@@ -368,7 +393,13 @@ def bethe_residual(inst: QQInstance, qplus: Sequence[Poly]) -> list:
     return out
 
 
-def _newton(sides, x: list, max_iter: int, tally: dict):
+# A seed stops once both roots of a shared-factor pair lie within this
+# multiple of the seed scale of 0: the common zero there is no solution
+_COMMON_ZERO = 1e-6
+
+
+def _newton(sides, x: list, max_iter: int, tally: dict, pairs: list,
+            floor: float):
     """Newton's method on L + R = 0 from the root vector x, a list of
     complex numbers.
 
@@ -377,7 +408,9 @@ def _newton(sides, x: list, max_iter: int, tally: dict):
     takes the step from one Gaussian elimination (``solve_linear``).
     Returns the iterate at which the step fell below 1e-14 (1 + max|x|),
     or the last one after max_iter steps; returns None when a value stops
-    being finite or the Jacobian is singular.  Each outcome, and each
+    being finite, the Jacobian is singular, or a step ends with both
+    roots of one of the ``pairs`` within ``floor`` of 0, the common zero
+    of the sides (``_shared_factor_pairs``).  Each outcome, and each
     step, is counted in ``tally``.
     """
     n = len(x)
@@ -401,6 +434,9 @@ def _newton(sides, x: list, max_iter: int, tally: dict):
         x = [a + d for a, (d,) in zip(x, step)]
         tally["newton_iterations"] += 1
         tally["max_newton_iterations"] = max(tally["max_newton_iterations"], it)
+        if any(abs(x[k]) <= floor and abs(x[t]) <= floor for k, t in pairs):
+            tally["degenerate"] += 1
+            return None
         small = 1e-14 * (1.0 + max(map(abs, x)))
         if all(abs(d) < small for d, in step):  # False on a NaN step
             tally["converged"] += 1
@@ -419,23 +455,24 @@ def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
     standard normal draws each, g first, from ``random.Random(seed)``,
     and spread is 1 + max |root of Lambda|.  Each seed runs Newton on its
     own on the kernel's divided sides (see ``_bethe_kernel`` and
-    ``_newton``).  The root vectors that converged or ran out of
-    iterations are kept when every Bethe residual is below ``tol``;
-    duplicates are removed by comparing sorted root multisets, keeping
-    seed order.  Each surviving Q+ family is completed to a QQSolution by
+    ``_newton``), and stops early at the sides' common zero: both roots
+    of a ``_shared_factor_pairs`` pair within 1e-6 spread of 0.  The
+    root vectors that converged or ran out of iterations are kept when
+    every Bethe residual is below ``tol``; duplicates are removed by
+    comparing sorted root multisets, keeping seed order.  Each surviving Q+ family is completed to a QQSolution by
     the linear Q- solves, and solutions whose QQ residual exceeds 10 tol
     are dropped.
 
     When ``stats`` is given it receives the solver's counts: seeds tried,
-    converged, nonfinite, singular, out_of_iterations, rejected_residual,
-    duplicates, rejected_qq (Q- solve or QQ residual) and accepted; the
-    total and maximum Newton iterations of a seed; and the worst Bethe
+    converged, nonfinite, singular, out_of_iterations, degenerate (stopped
+    at the common zero), rejected_residual, duplicates, rejected_qq (Q-
+    solve or QQ residual) and accepted; the total and maximum Newton iterations of a seed; and the worst Bethe
     residual of an accepted solution.
     """
     tally = dict.fromkeys(
         ("seeds", "converged", "nonfinite", "singular", "out_of_iterations",
-         "rejected_residual", "duplicates", "rejected_qq", "accepted",
-         "newton_iterations", "max_newton_iterations"), 0)
+         "degenerate", "rejected_residual", "duplicates", "rejected_qq",
+         "accepted", "newton_iterations", "max_newton_iterations"), 0)
     tally["worst_bethe_residual"] = 0.0
     if sum(inst.degrees) == 0:
         qplus = [Poly.one() for _ in range(inst.rank)]
@@ -462,6 +499,7 @@ def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
     spread = 1.0 + max(abs(r) for lam in inst.lambdas for r in lam.roots())
     tally["seeds"] = seeds = max(seeds, 0)
     kernel = _bethe_kernel(inst)
+    pairs, floor = _shared_factor_pairs(inst), _COMMON_ZERO * spread
 
     def scored(x) -> bool:
         try:
@@ -474,7 +512,7 @@ def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
         re = [rng.gauss(0.0, 1.0) for _ in range(total)]
         im = [rng.gauss(0.0, 1.0) for _ in range(total)]
         x = _newton(kernel, [spread * complex(a, b) for a, b in zip(re, im)],
-                    max_iter, tally)
+                    max_iter, tally, pairs, floor)
         if x is None:
             continue
         worst = math.inf

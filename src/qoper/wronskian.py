@@ -28,12 +28,11 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cartan import (CartanData, WeylWord, column_index_set,
-                     twist_along_word, word_length)
+from .cartan import (CartanData, ValueObject, WeylWord, column_index_set,
+                     word_length)
 # perfbench's tracer finds RatMatrix and check_lewis_carroll in this module
 from .polynomials import (Poly, RatFun, RatMatrix, check_lewis_carroll,
                           ensure_finite, is_exact, off_pole, q_shift,
@@ -42,52 +41,11 @@ from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
                  QQSolution, cartan_connection)
 
 
-@dataclass(frozen=True)
-class MinorSpec:
-    u: WeylWord
-    v: WeylWord
-    i: int
+class MinorSpec(ValueObject):
+    __slots__ = ("u", "v", "i")
 
-
-@dataclass(frozen=True)
-class LiftExponents:
-    """Coroot exponent table d[l][j] attached to the ordering positions.
-
-    Row l (0-based) gives the coroot vector carried by Lambda_{i_{l+1}}
-    after all lifts are collected to the left; d[l][l'] is the coefficient
-    of the coroot of the node at position l'.  The diagonal is always 1.
-    """
-
-    ordering: tuple
-    d: tuple
-
-
-def d_exponents(cartan: CartanData) -> LiftExponents:
-    """Exponents from commuting torus factors past the remaining lifts.
-
-    With the lifts collected on the left, the Lambda at ordering position
-    l picks up the coweight w_{i_r} ... w_{i_{l+1}} (alpha^vee_{i_l}),
-    computed exactly by integer reflections.  For the type A ordering
-    (1, ..., r) this gives d_l = sum_{j >= l} alpha^vee_j; reading the
-    ordering backwards reproduces the mirrored table d_l = sum_{j <= l}.
-    """
-    r = cartan.rank
-    order = cartan.ordering
-    rows = []
-    for l in range(r):
-        node = order[l]
-        vec = [0] * r
-        vec[node - 1] = 1
-        # innermost reflection (position l+1) acts first
-        for m in range(l + 1, r):
-            j = order[m]
-            pairing = sum(cartan.a(k + 1, j) * vec[k] for k in range(r))
-            vec[j - 1] -= pairing
-        rows.append(tuple(vec[order[m] - 1] for m in range(r)))
-    for l in range(r):
-        if rows[l][l] != 1:
-            raise AssertionError("lift exponent diagonal must be 1")
-    return LiftExponents(order, tuple(rows))
+    def __init__(self, u: WeylWord, v: WeylWord, i: int):
+        self.u, self.v, self.i = u, v, i
 
 
 def _lift_matrix(n: int, i: int, inverse: bool = False) -> RatMatrix:
@@ -103,15 +61,6 @@ def _lift_matrix(n: int, i: int, inverse: bool = False) -> RatMatrix:
         m[i][i - 1] = Fraction(1)
         m[i - 1][i] = Fraction(-1)
     return RatMatrix([[RatFun.from_scalar(c) for c in row] for row in m])
-
-
-def lift_of_word(word: WeylWord, cartan: CartanData) -> RatMatrix:
-    """Matrix lift of a Weyl word (type A defining representation)."""
-    n = cartan.rank + 1
-    acc = RatMatrix.identity(n)
-    for letter in word.letters:
-        acc = acc @ _lift_matrix(n, letter)
-    return acc
 
 
 def _coroot_diag(n: int, i: int, f: RatFun) -> RatMatrix:
@@ -141,7 +90,8 @@ def s_lambda_inverse(inst: QQInstance) -> RatMatrix:
     matrices and torus factors Lambda_{i_l}(q^{l-1}z)^{coroot}.
 
     It equals the bare permutation lift times prod_l
-    Lambda_{i_l}(q^{l-1}z)^{d_l} with d from d_exponents; the test suite
+    Lambda_{i_l}(q^{l-1}z)^{d_l}, d_l = s_{i_r} ... s_{i_{l+1}}
+    (alpha^vee_{i_l}) (``d_exponents`` in the tests); the test suite
     checks that agreement, which pins the sign convention.
     """
     if not inst.cartan.is_type_a:
@@ -317,7 +267,6 @@ def build_wronskian(inst: QQInstance, source, S: Optional[tuple] = None,
     return RatMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
-@dataclass(frozen=True, eq=False)
 class TypeABundle:
     """A solved type-A instance with everything the type-A checks read:
     the staggered lift R, its transports S = lift_products(R, q), the
@@ -328,14 +277,13 @@ class TypeABundle:
     and miura_from_wronskian raises it.
     """
 
-    inst: QQInstance
-    sol: QQSolution
-    R: RatMatrix
-    S: tuple
-    A: RatMatrix
-    v: Optional[RatMatrix]
-    W: RatMatrix
-    refusal: Optional[str]
+    __slots__ = ("inst", "sol", "R", "S", "A", "v", "W", "refusal")
+
+    def __init__(self, inst: QQInstance, sol: QQSolution, R: RatMatrix,
+                 S: tuple, A: RatMatrix, v: Optional[RatMatrix],
+                 W: RatMatrix, refusal: Optional[str]):
+        self.inst, self.sol, self.R, self.S = inst, sol, R, S
+        self.A, self.v, self.W, self.refusal = A, v, W, refusal
 
 
 def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
@@ -360,7 +308,6 @@ PANEL = [1.13 * cmath.exp(2j * math.pi * t)
          for t in [0.05 + k * (0.9 / 19) for k in range(19)] + [0.95]]
 
 
-@dataclass(frozen=True, eq=False)
 class TypeASample:
     """A bundle evaluated on PANEL, each object once per point.
 
@@ -377,16 +324,12 @@ class TypeASample:
     inverses of v(x) and v(qx), formed on first use.
     """
 
-    bundle: TypeABundle
-    points: list
-    stuck: tuple
-    W: list
-    S: list
-    A: list
-    v: Optional[list]
-    vq: Optional[list]
-    g: list
-    z: list
+    def __init__(self, bundle: TypeABundle, points: list, stuck: tuple,
+                 W: list, S: list, A: list, v: Optional[list],
+                 vq: Optional[list], g: list, z: list):
+        self.bundle, self.points, self.stuck = bundle, points, stuck
+        self.W, self.S, self.A, self.v, self.vq = W, S, A, v, vq
+        self.g, self.z = g, z
 
     @functools.cached_property
     def v_inverses(self) -> tuple:
@@ -763,14 +706,3 @@ def miura_plucker_blocks(s: TypeASample, i: int) -> CheckReport:
     rep.add("block twist identity", worst <= 1e-8, value=worst)
     return rep
 
-
-def weyl_twist(W: RatMatrix, w: WeylWord, inst: QQInstance):
-    """Left-multiply by the lift of w; the result is twisted by w(Z).
-
-    Returns (W', new_twist); the lift is a signed permutation matrix whose
-    square on each block is -1 (tracked by the caller through the sign of
-    the lift itself).
-    """
-    lw = lift_of_word(w, inst.cartan)
-    new_twist = twist_along_word(inst.twist, w, inst.cartan)
-    return lw @ W, new_twist

@@ -1,0 +1,127 @@
+"""Constructions that only the tests use: Coxeter data, Weyl-word
+inverses and longest elements, the lift exponent table, matrix lifts of
+Weyl words, the Backlund gauge parameter, and a field-wise copy of the
+type-A bundle and sample.  The tests hold them to the paper's formulas;
+no command runs them.
+"""
+
+import inspect
+from typing import NamedTuple
+
+from qoper.cartan import (DEFAULT_WEYL_GUARD, CartanData, CartanError,
+                          WeylWord, enumerate_weyl, twist_along_word)
+from qoper.polynomials import TAU, RatMatrix
+from qoper.qq import QQInstance, QQSolution
+from qoper.wronskian import _lift_matrix
+
+_COXETER_NUMBERS = {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}
+
+
+def coxeter_number(data: CartanData) -> int:
+    t, r = data.lie_type, data.rank
+    if t == "A":
+        return r + 1
+    if t in ("B", "C"):
+        return 2 * r
+    if t == "D":
+        return 2 * r - 2
+    key = f"{t}{r}"
+    if key in _COXETER_NUMBERS:
+        return _COXETER_NUMBERS[key]
+    raise CartanError(f"no Coxeter number for ({t}, {r})")
+
+
+def longest_element(data: CartanData, max_order: int = DEFAULT_WEYL_GUARD) -> WeylWord:
+    return enumerate_weyl(data, max_order)[-1]
+
+
+def word_inverse(word: WeylWord) -> WeylWord:
+    return WeylWord(tuple(reversed(word.letters)))
+
+
+class LiftExponents(NamedTuple):
+    """Coroot exponent table d[l][j] attached to the ordering positions.
+
+    Row l (0-based) gives the coroot vector carried by Lambda_{i_{l+1}}
+    after all lifts are collected to the left; d[l][l'] is the coefficient
+    of the coroot of the node at position l'.  The diagonal is always 1.
+    """
+
+    ordering: tuple
+    d: tuple
+
+
+def d_exponents(cartan: CartanData) -> LiftExponents:
+    """Exponents from commuting torus factors past the remaining lifts.
+
+    With the lifts collected on the left, the Lambda at ordering position
+    l picks up the coweight w_{i_r} ... w_{i_{l+1}} (alpha^vee_{i_l}),
+    computed exactly by integer reflections.  For the type A ordering
+    (1, ..., r) this gives d_l = sum_{j >= l} alpha^vee_j; reading the
+    ordering backwards reproduces the mirrored table d_l = sum_{j <= l}.
+    """
+    r = cartan.rank
+    order = cartan.ordering
+    rows = []
+    for l in range(r):
+        node = order[l]
+        vec = [0] * r
+        vec[node - 1] = 1
+        # innermost reflection (position l+1) acts first
+        for m in range(l + 1, r):
+            j = order[m]
+            pairing = sum(cartan.a(k + 1, j) * vec[k] for k in range(r))
+            vec[j - 1] -= pairing
+        rows.append(tuple(vec[order[m] - 1] for m in range(r)))
+    for l in range(r):
+        if rows[l][l] != 1:
+            raise AssertionError("lift exponent diagonal must be 1")
+    return LiftExponents(order, tuple(rows))
+
+
+def lift_of_word(word: WeylWord, cartan: CartanData) -> RatMatrix:
+    """Matrix lift of a Weyl word (type A defining representation)."""
+    n = cartan.rank + 1
+    acc = RatMatrix.identity(n)
+    for letter in word.letters:
+        acc = acc @ _lift_matrix(n, letter)
+    return acc
+
+
+def weyl_twist(W: RatMatrix, w: WeylWord, inst: QQInstance):
+    """Left-multiply by the lift of w; the result is twisted by w(Z).
+
+    Returns (W', new_twist); the lift is a signed permutation matrix whose
+    square on each block is -1 (tracked by the caller through the sign of
+    the lift itself).
+    """
+    lw = lift_of_word(w, inst.cartan)
+    new_twist = twist_along_word(inst.twist, w, inst.cartan)
+    return lw @ W, new_twist
+
+
+def mu_gauge(sol: QQSolution, cartan: CartanData, i: int, z: complex,
+             tol: float = TAU) -> complex:
+    """Gauge parameter mu_i(z) = prod_{j!=i} Q+_j(z)^{-a_ji} / (Q+_i Q-_i)(z)."""
+    qp = sol.qplus[i - 1]
+    qm = sol.qminus[i - 1]
+    vp, vm = complex(qp(z)), complex(qm(z))
+    if abs(vp) <= tol * (1 + qp.norm()):
+        raise ZeroDivisionError(f"Q+_{i} vanishes at z = {z}")
+    if abs(vm) <= tol * (1 + qm.norm()):
+        raise ZeroDivisionError(f"Q-_{i} vanishes at z = {z}")
+    num = 1.0 + 0.0j
+    for j in range(1, len(sol.qplus) + 1):
+        if j == i:
+            continue
+        e = -cartan.a(j, i)
+        if e:
+            num *= complex(sol.qplus[j - 1](z)) ** e
+    return num / (vp * vm)
+
+
+def replace(obj, **changes):
+    """A new object of obj's class from its constructor arguments, read
+    off obj's attributes of the same names, with ``changes`` applied."""
+    names = inspect.signature(type(obj)).parameters
+    return type(obj)(**{n: changes.get(n, getattr(obj, n)) for n in names})

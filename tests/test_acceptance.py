@@ -9,7 +9,6 @@ import json
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ from qoper.wronskian import (RatMatrix, build_wronskian, check_lewis_carroll,
                              check_wronskian_equations, gauss_decompose,
                              miura_from_wronskian, miura_plucker_blocks,
                              sample_bundle, type_a_bundle)
+from constructions import replace
 
 ROOT = Path(__file__).resolve().parent.parent
 PANEL20 = list(1.11 * np.exp(2j * np.pi * np.linspace(0.03, 0.97, 20)))

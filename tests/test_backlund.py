@@ -6,7 +6,8 @@ from qoper.cartan import TwistZ, WeylWord, canonical_form, cartan_matrix
 from qoper.polynomials import Poly
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution, qq_residual,
                       resonance_check, solve_bethe, solve_q_minus)
-from qoper.backlund import apply_word, backlund_step, full_qq_system, mu_gauge
+from qoper.backlund import apply_word, backlund_step, full_qq_system
+from constructions import mu_gauge
 
 
 def a1_solved(q=0.2, zeta=2.0):

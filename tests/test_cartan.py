@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoper.cartan import (CartanError, TwistZ, WeylWord, cartan_matrix,
-                          canonical_form, column_index_set, coxeter_number,
-                          enumerate_weyl, longest_element, reflect_twist,
-                          twist_along_word, weyl_order, word_length)
+                          canonical_form, column_index_set, enumerate_weyl,
+                          reflect_twist, twist_along_word, weyl_order,
+                          word_length)
+from constructions import coxeter_number, longest_element
 
 
 class TestCartanMatrix:
@@ -135,3 +136,29 @@ class TestColumnIndexSet:
         cd = cartan_matrix("B", 2)
         with pytest.raises(CartanError):
             column_index_set(WeylWord((1,)), 1, cd)
+
+
+class TestValueObjects:
+    """Words, twists and Cartan data compare and hash by their fields, so
+    they serve as dict keys and in equality checks."""
+
+    def test_equal_fields_are_equal_keys(self):
+        pairs = [(WeylWord((1, 2)), WeylWord([1, 2])),
+                 (TwistZ((2.0, 3.0)), TwistZ([2.0, 3.0])),
+                 (cartan_matrix("G", 2), cartan_matrix("g", 2))]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+            assert {a: 1}[b] == 1
+
+    def test_fields_and_class_both_count(self):
+        assert WeylWord((1, 2)) != WeylWord((2, 1))
+        assert cartan_matrix("A", 2) != cartan_matrix("A", 2).with_ordering((2, 1))
+        assert WeylWord((1, 2)) != TwistZ((1, 2))
+
+    def test_validation_and_repr(self):
+        assert WeylWord(("1", 2.0)).letters == (1, 2)
+        assert repr(WeylWord((1,))) == "WeylWord(letters=(1,))"
+        with pytest.raises(ValueError):
+            TwistZ((1.0, 0.0))
+        with pytest.raises(CartanError):
+            cartan_matrix("A", 2).with_ordering((1, 1))

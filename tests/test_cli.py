@@ -685,6 +685,16 @@ class TestBacklund:
         code = main(["backlund", "--instance", str(A2_SOLVED), "--word", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize("word", ["1,x", "1.5", "1,,2", "1,2,", "x"])
+    def test_malformed_word(self, capsys, word):
+        # "1,x" and "1.5" raised ValueError from int(), and "1,,2" ran (1, 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["backlund", "--instance", str(A2_SOLVED), "--word", word])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --word: expected comma-separated node numbers" in err
+        assert "Traceback" not in err
+
 
     def test_refused_step_stops_the_word(self, tmp_path):
         # Q-_1 shares its root with Lambda_1: the first step is refused
@@ -878,19 +888,22 @@ class TestEntryPoint:
 
 
 class TestModulesLoaded:
-    """Each command imports only the qoper modules it runs."""
+    """Each command imports only the qoper modules it runs, and neither
+    numpy nor dataclasses (with inspect, ast and dis behind it)."""
 
     @staticmethod
     def loaded_after(argv, module="qoper"):
         """The qoper submodules a fresh interpreter holds after main(argv),
-        or after `import module` alone when argv is None, and "numpy" when
-        it holds numpy too."""
+        or after `import module` alone when argv is None, and "numpy" and
+        "dataclasses" when it holds those too: each set asserted below
+        leaves both out."""
         code = (f"import sys, {module}\n" if argv is None else
                 "import io, contextlib, sys, qoper.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    assert qoper.cli.main({argv!r}) == 0\n")
         code += ("print(*(m for m in sys.modules\n"
-                 "        if m.startswith('qoper.') or m == 'numpy'))")
+                 "        if m.startswith('qoper.')\n"
+                 "        or m in ('numpy', 'dataclasses')))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -591,7 +591,8 @@ class TestSolveBetheGolden:
                            for c, d in zip(p.coeffs, cs))
         assert stats["seeds"] == 40 and stats["accepted"] == 3
         assert stats["seeds"] == (stats["converged"] + stats["nonfinite"]
-                                  + stats["singular"] + stats["out_of_iterations"])
+                                  + stats["singular"] + stats["out_of_iterations"]
+                                  + stats["degenerate"])
         assert stats["converged"] + stats["out_of_iterations"] == (
             stats["rejected_residual"] + stats["duplicates"]
             + stats["rejected_qq"] + stats["accepted"])
@@ -612,9 +613,24 @@ A2_M21 = {
     "tolerances": {"bethe_tol": 1e-10, "tau": 1e-10}}
 
 
+# the gen.py seed-1 g2_m11 `solve` input of the benchmark, copied by hand
+G2_M11 = {
+    "version": 1, "lie_type": "G", "rank": 2, "ordering": [1, 2],
+    "q": [0.2, 0.0], "degrees": [1, 1], "seed": 1840849742,
+    "zetas": [[1.8004637934087688, 0.45737802120857535],
+              [3.0969063223497786, 0.7399829158202333]],
+    "lambdas": [{"coeffs": [[-1.2400784800735007, 0.23757937720503997],
+                            [1.0, 0.0]]},
+                {"coeffs": [[-1.8767134823278522, 0.12568261990497726],
+                            [1.0, 0.0]]}],
+    "tolerances": {"bethe_tol": 1e-10, "tau": 1e-10}}
+
+
 class TestDividedKernel:
     """Newton on the kernel's divided sides: a lone root at w = 0 is no
-    zero of them, and no seed creeps there."""
+    zero of them, and no seed creeps there.  Two roots that share a
+    factor and meet at 0 are a common zero of both sides: a seed that
+    reaches it is stopped and counted as degenerate."""
 
     @staticmethod
     def solve(doc, monkeypatch):
@@ -644,15 +660,43 @@ class TestDividedKernel:
     def test_no_seed_runs_to_the_cap(self, monkeypatch):
         # at the undivided sides, 22 of the 40 seeds crept towards w = 0
         # and ran all 80 iterations.  What is left at 0 is the common zero
-        # of both roots there, where Q+_2(w) and Q+_2(qw) vanish together
+        # of both roots there, where Q+_2(w) and Q+_2(qw) vanish together:
+        # the 7 seeds that converged to it are stopped on the way
         _, sols, stats, candidates = self.solve(
             json.loads(A2_GENERIC.read_text()), monkeypatch)
         assert len(sols) == 3
-        assert stats["out_of_iterations"] == 0
-        assert len(candidates) == stats["converged"] == 40
+        assert stats["out_of_iterations"] == 0 and stats["degenerate"] == 7
+        assert len(candidates) == stats["converged"] == 33
         for x in candidates:
             near = [abs(w) <= 1e-6 for w in x]
             assert all(near) or not any(near)
+
+    # the roots of Q+_1 and Q+_2 of each solution
+    G2_QPLUS_ROOTS = [
+        (-0.09581017059189635 + 0.11182825205878881j,
+         0.01753041925044561 - 0.011255149099517284j),
+        (0.3216479368055901 - 0.2924480332816578j,
+         0.0630171494687261 - 0.14776183766610912j),
+        (0.45269295358377193 + 0.09372128963345654j,
+         0.12765521642145794 + 0.11456647291684227j),
+        (0.6769487390082068 - 0.12586587805368812j,
+         0.38637030407643985 - 0.03299887100562657j),
+        (-0.5087471933359543 + 0.24278164309903957j,
+         0.3083248571477874 - 0.004846792148976405j)]
+
+    def test_g2_common_zero_is_stopped(self, monkeypatch):
+        # 23 of these 40 seeds ran all 80 iterations towards the common
+        # zero at 0 of both roots, a multiple zero through the neighbour
+        # power 3; now each stops there, and the solutions are unchanged
+        _, sols, stats, candidates = self.solve(G2_M11, monkeypatch)
+        assert stats["out_of_iterations"] == 0 and stats["degenerate"] == 23
+        assert len(candidates) == stats["converged"] == 17
+        assert len(sols) == len(self.G2_QPLUS_ROOTS) == 5
+        for roots in self.G2_QPLUS_ROOTS:
+            sol, = [s for s in sols
+                    if all(abs(p.coeffs[0] + r) <= 1e-10
+                           for p, r in zip(s.qplus, roots))]
+            assert all(p.degree == 1 for p in sol.qplus)
 
     def test_a2_m21_finds_its_solution(self, monkeypatch):
         # the census of this input is 1; the undivided sides found none

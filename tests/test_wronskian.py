@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +17,14 @@ from qoper.wronskian import (MinorSpec, RatMatrix, _coroot_diag, _index_rows,
                              build_miura_A, build_wronskian,
                              check_fundamental_relation, check_lewis_carroll,
                              check_shifted_minor_relation,
-                             check_wronskian_equations, d_exponents,
+                             check_wronskian_equations,
                              fundamental_relation_residual, gauss_decompose,
                              generalized_minor, lift_products,
                              miura_from_wronskian, miura_plucker_blocks,
                              miura_trivializer,
-                             s_lambda_inverse, sample_bundle, type_a_bundle,
-                             weyl_twist)
+                             s_lambda_inverse, sample_bundle, type_a_bundle)
+from constructions import (d_exponents, longest_element, replace, weyl_twist,
+                           word_inverse)
 from sampled_solver import sampled_trivializer_numerators
 
 PANEL = [0.77 + 0.31j, -1.1 + 0.6j, 2.2 - 0.3j, 0.4 + 1.3j, -0.6 - 0.9j]
@@ -282,7 +282,6 @@ class TestGeneralizedMinor:
         # Backlund table entry for w evaluated at q^{i-1} z (the minor-side
         # action is inverse to the word composition of the steps); for
         # i = 1 the proportionality constant is 1 on minimal-length rows
-        from qoper.cartan import word_inverse
         inst, sol = a2_solved()
         fq = full_qq_system(inst, sol)
         W = build_wronskian(inst, sol)
@@ -617,7 +616,6 @@ class TestGaussDecompose:
     def test_big_cell_membership(self):
         # nonvanishing minors put the solved Wronskian in the big double
         # cell: decomposition succeeds on W and on its w0 flip
-        from qoper.cartan import longest_element
         inst, sol = a2_solved()
         W = build_wronskian(inst, sol)
         gauss_decompose(W)
