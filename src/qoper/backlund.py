@@ -15,7 +15,7 @@ from typing import Optional
 from .cartan import WeylWord, canonical_form, enumerate_weyl, reflect_twist
 from .polynomials import q_distinct
 from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
-                 QQSolution, resonance_check, solve_q_minus)
+                 QQSolution, check_scale, resonance_check, solve_q_minus)
 
 
 class BacklundStepRecord:
@@ -77,7 +77,9 @@ def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
     the record carries the failed report in that case via the exception.
     Only Q-_i and the Q-_j of the neighbours j of i are solved again: the
     step changes zeta_i and Q+_i alone, and the j-th equation involves
-    them only when a_ij != 0, so every other Q-_j is kept as it is.
+    them only when a_ij != 0, so every other Q-_j is kept as it is.  The
+    step also refuses when the degrees and twist it moves to fail
+    ``check_scale``.
     """
     rep = _step_nondegeneracy(inst, sol, i, K)
     if not rep.passed:
@@ -89,6 +91,10 @@ def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
     new_twist = reflect_twist(inst.twist, i, inst.cartan)
     work_inst = QQInstance(inst.cartan, inst.q, new_twist, inst.lambdas,
                            tuple(p.degree for p in qplus), inst.tau)
+    try:
+        check_scale(work_inst, K)
+    except ValueError as exc:
+        raise DegenerateInstance(f"backlund step at node {i}: {exc}") from exc
     qminus = list(sol.qminus)
     solved = tuple(j for j in range(1, inst.rank + 1)
                    if j == i or inst.cartan.a(i, j))
@@ -147,7 +153,6 @@ def apply_word(inst: QQInstance, sol: QQSolution, word: WeylWord,
 
 
 def full_qq_system(inst: QQInstance, sol: QQSolution,
-                   max_order: int = 10_080,
                    K: Optional[int] = None,
                    stats: Optional[dict] = None) -> FullQQSystem:
     """Breadth-first exploration of the Weyl group by Backlund steps.
@@ -160,7 +165,7 @@ def full_qq_system(inst: QQInstance, sol: QQSolution,
     roots_computed, the polynomials whose roots the walk had to find.
     """
     cartan = inst.cartan
-    words = enumerate_weyl(cartan, max_order)
+    words = enumerate_weyl(cartan)
     out = FullQQSystem(base=sol)
     id_key = canonical_form(WeylWord.identity(), cartan)
     out.table[id_key] = tuple(sol.qplus)
@@ -170,12 +175,8 @@ def full_qq_system(inst: QQInstance, sol: QQSolution,
     rooted = _with_roots(_polys(inst, sol))
     records = []
 
-    for word in sorted(words, key=lambda w: (len(w), w.letters)):
-        if len(word) == 0:
-            continue
+    for word in words[1:]:  # by length, after the identity
         key = canonical_form(word, cartan)
-        if key in out.table:
-            continue
         # walk up from the element obtained by dropping the leftmost letter
         parent = WeylWord(word.letters[1:])
         pkey = canonical_form(parent, cartan)

@@ -273,16 +273,16 @@ def word_length(word: WeylWord, data: CartanData) -> int:
     return len(table[canonical_form(word, data)])
 
 
-def enumerate_weyl(data: CartanData, max_order: int = DEFAULT_WEYL_GUARD) -> list[WeylWord]:
+def enumerate_weyl(data: CartanData) -> list[WeylWord]:
     """One reduced word per Weyl group element, BFS by length.
 
     The identity comes first and the longest element last.  Groups larger
-    than ``max_order`` are refused outright rather than truncated.
+    than ``DEFAULT_WEYL_GUARD`` are refused outright rather than truncated.
     """
     order = weyl_order(data)
-    if order > max_order:
-        raise CartanError(
-            f"group too large: |W| = {order} exceeds the bound {max_order}")
+    if order > DEFAULT_WEYL_GUARD:
+        raise CartanError(f"group too large: |W| = {order} exceeds the "
+                          f"bound {DEFAULT_WEYL_GUARD}")
     table = _element_table(data)
     words = sorted(table.values(), key=lambda w: (len(w), w))
     return [WeylWord(w) for w in words]

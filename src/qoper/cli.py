@@ -23,7 +23,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .cartan import TwistZ, WeylWord, cartan_matrix, enumerate_weyl
+from .cartan import (CartanError, TwistZ, WeylWord, cartan_matrix,
+                     enumerate_weyl)
 from .polynomials import NonFinite, Poly, RatMatrix, check_lewis_carroll
 
 # qq, backlund and wronskian load inside the functions that run them:
@@ -48,10 +49,6 @@ _TOL_KEYS = {"tau", "bethe_tol", "K"}
 _LAMBDA_KEYS_C = {"coeffs"}
 _LAMBDA_KEYS_R = {"roots", "leading"}
 _SOLUTION_KEYS = {"qplus", "qminus"}
-# |log x| below which x and 1/x are both normal floats
-_LOG_NORMAL = min(math.log(sys.float_info.max), -math.log(sys.float_info.min))
-# the largest power of q an instance may call for (see _check_scale)
-_MAX_POWER = 1000
 
 
 class InputError(ValueError):
@@ -147,7 +144,7 @@ def _parse_poly(obj, where: str) -> Poly:
 
 def parse_instance(doc: dict):
     """Strict-schema parse of an instance file into (QQInstance, extras)."""
-    from .qq import QQInstance, QQSolution
+    from .qq import QQInstance, QQSolution, check_scale
     if not isinstance(doc, dict):
         raise InputError("instance file must hold a JSON object")
     unknown = set(doc) - _INSTANCE_KEYS
@@ -193,7 +190,7 @@ def parse_instance(doc: dict):
          if "K" in tols else None)
 
     inst = QQInstance(cartan, q, zetas, lambdas, degrees, tau)
-    _check_scale(inst, K)
+    check_scale(inst, K)
 
     solution = None
     if "solution" in doc:
@@ -221,25 +218,6 @@ def parse_instance(doc: dict):
         raise InputError(f"seed: expected a nonnegative integer, got {seed}")
     extras = {"bethe_tol": bethe_tol, "K": K, "seed": seed}
     return inst, solution, extras
-
-
-def _check_scale(inst: QQInstance, K):
-    """Refuse an instance whose exponents or scalars leave double range.
-
-    The run forms powers q^k and zeta^k with |k| below the resonance window
-    K and below max deg Lambda + 3 sum(degrees) + 4, which bounds the degree
-    of a right side (a_ji >= -3) and the window solve_q_minus checks.  That
-    exponent is capped, since Newton's work grows with the cube of the
-    degrees, and each power must be a normal float."""
-    top = max(K or 0, max(l.degree for l in inst.lambdas)
-              + 3 * sum(inst.degrees) + 4)
-    if top > _MAX_POWER:
-        raise InputError(f"degrees and tolerances.K call for powers up to "
-                         f"q^{top}; at most q^{_MAX_POWER} is supported")
-    for where, x in [("q", inst.q)] + [("zetas", z) for z in inst.twist.zetas]:
-        if top * abs(math.log(abs(complex(x)))) > _LOG_NORMAL:
-            raise InputError(f"{where}: {complex(x)} to the power {top} "
-                             "leaves the float range")
 
 
 def echo_instance(inst: QQInstance, extras: dict, solution=None) -> dict:
@@ -423,7 +401,7 @@ def run_wronskian_suite(inst, sol, rep: Report):
 
 def run_backlund(inst, sol, extras, args, rep: Report):
     from .backlund import apply_word, full_qq_system
-    from .qq import DegenerateInstance, qq_residual
+    from .qq import DegenerateInstance, qq_residual, qq_rhs
     if sol is None:
         raise InputError("backlund requires a solution block in the instance file")
     letters = args.word
@@ -438,8 +416,13 @@ def run_backlund(inst, sol, extras, args, rep: Report):
     except DegenerateInstance as exc:
         records, refusal = exc.records, exc
     for step_no, rec in enumerate(records, start=1):
+        # judged against the step's right sides, whose coefficients grow
+        # along the walk: the residual is rounding relative to them
         resid = max(r.norm() for r in qq_residual(rec.instance, rec.solution))
-        rep.check("backlund-step", resid, resid <= 1e-8, k_or_word=str(rec.node))
+        scale = 1 + max(qq_rhs(rec.instance, rec.solution.qplus, i).norm()
+                        for i in range(1, rec.instance.rank + 1))
+        rep.check("backlund-step", resid, resid <= 1e-8 * scale,
+                  k_or_word=str(rec.node))
         rep.doc["solutions"].append({
             "step": step_no, "node": rec.node,
             "zetas": [_emit_scalar(complex(z)) for z in rec.instance.twist.zetas],
@@ -597,7 +580,7 @@ def main(argv=None) -> int:
                 if not inst.cartan.is_type_a:
                     raise InputError("wronskian requires a type A instance")
                 run_wronskian_suite(inst, sol, rep)
-    except InputError as exc:
+    except (InputError, CartanError) as exc:  # CartanError: group too large
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (NonFinite, OverflowError) as exc:

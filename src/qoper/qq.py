@@ -23,11 +23,18 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from typing import Optional, Sequence
 
 from .cartan import CartanData, TwistZ, ValueObject, WeylWord, canonical_form
 from .polynomials import (TAU, Poly, close, ensure_finite, q_shift,
                           solve_linear, solve_q_difference)
+
+
+# |log x| below which x and 1/x are both normal floats
+_LOG_NORMAL = min(math.log(sys.float_info.max), -math.log(sys.float_info.min))
+# the largest power of q an instance may call for (see check_scale)
+_MAX_POWER = 1000
 
 
 class DegenerateInstance(ValueError):
@@ -93,20 +100,16 @@ class FullQQSystem:
     element with canonical form ``key``; ``words`` maps the key back to a
     reduced word.  Refusals along the exploration are recorded rather than
     raised, and ``generic`` reports whether the whole group was covered.
-    The dicts and the list start empty when not given.
+    Every field but ``base`` starts empty, and ``generic`` True.
     """
 
     __slots__ = ("base", "table", "twists", "words", "refusals", "generic")
 
-    def __init__(self, base: QQSolution, table: Optional[dict] = None,
-                 twists: Optional[dict] = None, words: Optional[dict] = None,
-                 refusals: Optional[list] = None, generic: bool = True):
+    def __init__(self, base: QQSolution):
         self.base = base
-        self.table = {} if table is None else table
-        self.twists = {} if twists is None else twists
-        self.words = {} if words is None else words
-        self.refusals = [] if refusals is None else refusals
-        self.generic = generic
+        self.table, self.twists, self.words = {}, {}, {}
+        self.refusals = []
+        self.generic = True
 
     def entry(self, word: WeylWord, cartan: CartanData):
         return self.table.get(canonical_form(word, cartan))
@@ -120,6 +123,23 @@ def _neighbours(inst: QQInstance, i: int):
     a = inst.cartan.a
     return ([(j, -a(j, i)) for j in order[pos + 1:] if a(j, i)],
             [(j, -a(j, i)) for j in order[:pos] if a(j, i)])
+
+
+def check_scale(inst: QQInstance, K: Optional[int] = None):
+    """Raise ValueError when a power of q or zeta formed at the instance's
+    degrees leaves double range: top = max(K, max deg Lambda + 3 sum m_i
+    + 4) bounds the window K, each right side's degree d (a_ji >= -3) and
+    Q- window d + 2.  top is capped, since Newton's work grows with the
+    cube of the degrees.  ``backlund_step`` checks the degrees each step
+    moves to (a G2 walk reaches windows of 21 against 12)."""
+    top = max(K or 0, max(l.degree for l in inst.lambdas) + 3 * sum(inst.degrees) + 4)
+    if top > _MAX_POWER:
+        raise ValueError(f"degrees and tolerances.K call for powers up to "
+                         f"q^{top}; at most q^{_MAX_POWER} is supported")
+    for where, x in [("q", inst.q)] + [("zetas", z) for z in inst.twist.zetas]:
+        if top * abs(math.log(abs(complex(x)))) > _LOG_NORMAL:
+            raise ValueError(f"{where}: {complex(x)} to the power {top} "
+                             "leaves the float range")
 
 
 def xi_factors(inst: QQInstance):
@@ -181,15 +201,13 @@ def qq_residual(inst: QQInstance, sol: QQSolution) -> list[Poly]:
 
 
 class CheckReport:
-    """A named verdict and its items; ``add`` records one item and clears
-    ``passed`` when the item fails.  ``items`` starts empty when not
-    given."""
+    """A named verdict and its items, which start empty; ``add`` records
+    one item and clears ``passed`` when the item fails."""
 
     __slots__ = ("name", "passed", "items")
 
-    def __init__(self, name: str, passed: bool, items: Optional[list] = None):
-        self.name, self.passed = name, passed
-        self.items = [] if items is None else items
+    def __init__(self, name: str, passed: bool):
+        self.name, self.passed, self.items = name, passed, []
 
     def add(self, label, ok, witness=None, value=None):
         self.items.append({"label": label, "pass": bool(ok),
@@ -223,35 +241,32 @@ def _resonant_power(inst: QQInstance, val: complex, K: int) -> Optional[int]:
                 None)
 
 
-def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int,
-                  degree_bound: Optional[int] = None) -> Poly:
-    """Unique minimal-degree polynomial Q-_i solving the i-th equation.
+def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int) -> Poly:
+    """The unique polynomial Q-_i solving the i-th equation.
 
-    The equation is linear in Q-_i once all Q+_j are fixed.  Non-resonance
-    of the twist at node i (prod_j zeta_j^{a_ji} = xi~_i / xi_i avoiding
-    small powers of q) is checked first; it guarantees uniqueness, and it
-    keeps the top coefficient lc (xi~_i q^{d+} - xi_i q^d) of the left
-    side nonzero, so deg Q-_i = d = deg rhs - d+, with rhs = qq_rhs.  The
-    coefficients of Q-_i then solve one linear system, by
-    solve_q_difference with a(z) = xi~_i Q+_i(qz) and b(z) = -xi_i Q+_i(z).
+    The equation is linear in Q-_i once all Q+_j are fixed, and fixes
+    deg Q-_i = d = deg rhs - deg Q+_i, rhs = qq_rhs: the left side's top
+    coefficient lc (xi~_i q^{d+} - xi_i q^d) vanishes only when
+    prod_j zeta_j^{a_ji} = xi~_i / xi_i is a power of q.  Refuses
+    (DegenerateInstance) for d < 0, for a resonance q^k with |k| <= d + 2,
+    which breaks uniqueness, or when no polynomial solves the equation, a
+    linear system for the coefficients of Q-_i: solve_q_difference with
+    a(z) = xi~_i Q+_i(qz) and b(z) = -xi_i Q+_i(z).
     """
-    if degree_bound is None:
-        degree_bound = inst.degrees[i - 1] + max(l.degree for l in inst.lambdas) + 2
-    k = _resonant_power(inst, twist_product(inst, i), degree_bound + 2)
+    p, rhs = qplus[i - 1], qq_rhs(inst, qplus, i)
+    d = rhs.degree - p.degree
+    k = _resonant_power(inst, twist_product(inst, i), d + 2) if d >= 0 else None
     if k is not None:
         raise DegenerateInstance(f"resonant twist at node {i}: prod zeta^a = "
                                  f"q^{k}, the Q- solve is not unique")
     qc = complex(inst.q)
     xit, xi = (complex(x) for x in xi_factors(inst)[i - 1])
-    p, rhs = qplus[i - 1], qq_rhs(inst, qplus, i)
-    if rhs.degree - p.degree <= degree_bound:
-        sol = solve_q_difference(q_shift(p, qc).scale(xit).coeffs,
-                                 p.scale(-xi).coeffs, rhs.coeffs, qc,
-                                 tol=inst.tau)
-        if sol is not None:
-            return sol
-    raise DegenerateInstance(
-        f"no polynomial Q- exists at node {i} with degree <= {degree_bound}")
+    sol = solve_q_difference(q_shift(p, qc).scale(xit).coeffs,
+                             p.scale(-xi).coeffs, rhs.coeffs, qc, tol=inst.tau)
+    if sol is None:  # always for d < 0
+        raise DegenerateInstance(f"no polynomial Q- exists at node {i} "
+                                 f"(deg rhs - deg Q+ = {d})")
+    return sol
 
 
 def _roots_to_qplus(inst: QQInstance, roots: Sequence) -> list[Poly]:
@@ -459,27 +474,24 @@ def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
     of a ``_shared_factor_pairs`` pair within 1e-6 spread of 0.  The
     root vectors that converged or ran out of iterations are kept when
     every Bethe residual is below ``tol``; duplicates are removed by
-    comparing sorted root multisets, keeping seed order.  Each surviving Q+ family is completed to a QQSolution by
-    the linear Q- solves, and solutions whose QQ residual exceeds 10 tol
-    are dropped.
+    comparing sorted root multisets, keeping seed order.  With sum m_i = 0
+    the one family is Q+_i = 1.  Each surviving Q+ family is completed to
+    a QQSolution by the linear Q- solves, and solutions whose Q- solve
+    refuses or whose QQ residual exceeds 10 tol are dropped.
 
     When ``stats`` is given it receives the solver's counts: seeds tried,
     converged, nonfinite, singular, out_of_iterations, degenerate (stopped
     at the common zero), rejected_residual, duplicates, rejected_qq (Q-
-    solve or QQ residual) and accepted; the total and maximum Newton iterations of a seed; and the worst Bethe
-    residual of an accepted solution.
+    solve or QQ residual) and accepted; the total and maximum Newton
+    iterations of a seed; and the worst Bethe residual of an accepted
+    solution.
     """
     tally = dict.fromkeys(
         ("seeds", "converged", "nonfinite", "singular", "out_of_iterations",
          "degenerate", "rejected_residual", "duplicates", "rejected_qq",
          "accepted", "newton_iterations", "max_newton_iterations"), 0)
     tally["worst_bethe_residual"] = 0.0
-    if sum(inst.degrees) == 0:
-        qplus = [Poly.one() for _ in range(inst.rank)]
-        qminus = [solve_q_minus(inst, qplus, i) for i in range(1, inst.rank + 1)]
-        solutions = [QQSolution(tuple(qplus), tuple(qminus))]
-    else:
-        solutions = _multistart(inst, seeds, tol, seed, max_iter, tally)
+    solutions = _multistart(inst, seeds, tol, seed, max_iter, tally)
     tally["accepted"] = len(solutions)
     if stats is not None:
         stats.update(tally)
@@ -487,17 +499,18 @@ def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
 
 
 def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
-    """The body of ``solve_bethe`` for sum m_i > 0.
+    """The body of ``solve_bethe``.
 
     Every Newton result is scored by one kernel call, by the largest
     |L/R + 1| over its roots; only those within ``tol`` are built into
     Q+ polynomials and checked by ``bethe_residual``, whose residuals
-    are the ones kept.
+    are the ones kept.  With sum m_i = 0 no seed runs, and the one family
+    Q+_i = 1 goes to the same Q- completion.
     """
     total = sum(inst.degrees)
     rng = random.Random(seed)
     spread = 1.0 + max(abs(r) for lam in inst.lambdas for r in lam.roots())
-    tally["seeds"] = seeds = max(seeds, 0)
+    tally["seeds"] = seeds = max(seeds, 0) if total else 0
     kernel = _bethe_kernel(inst)
     pairs, floor = _shared_factor_pairs(inst), _COMMON_ZERO * spread
 
@@ -507,7 +520,7 @@ def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
         except (OverflowError, ZeroDivisionError):
             return False
 
-    found = []
+    found = [] if total else [([()] * inst.rank, 0.0)]
     for _ in range(seeds):
         re = [rng.gauss(0.0, 1.0) for _ in range(total)]
         im = [rng.gauss(0.0, 1.0) for _ in range(total)]

@@ -8,8 +8,8 @@ no command runs them.
 import inspect
 from typing import NamedTuple
 
-from qoper.cartan import (DEFAULT_WEYL_GUARD, CartanData, CartanError,
-                          WeylWord, enumerate_weyl, twist_along_word)
+from qoper.cartan import (CartanData, CartanError, WeylWord, enumerate_weyl,
+                          twist_along_word)
 from qoper.polynomials import TAU, RatMatrix
 from qoper.qq import QQInstance, QQSolution
 from qoper.wronskian import _lift_matrix
@@ -31,8 +31,8 @@ def coxeter_number(data: CartanData) -> int:
     raise CartanError(f"no Coxeter number for ({t}, {r})")
 
 
-def longest_element(data: CartanData, max_order: int = DEFAULT_WEYL_GUARD) -> WeylWord:
-    return enumerate_weyl(data, max_order)[-1]
+def longest_element(data: CartanData) -> WeylWord:
+    return enumerate_weyl(data)[-1]
 
 
 def word_inverse(word: WeylWord) -> WeylWord:

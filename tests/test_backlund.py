@@ -4,8 +4,8 @@ import pytest
 from qoper import polynomials
 from qoper.cartan import TwistZ, WeylWord, canonical_form, cartan_matrix
 from qoper.polynomials import Poly
-from qoper.qq import (DegenerateInstance, QQInstance, QQSolution, qq_residual,
-                      resonance_check, solve_bethe, solve_q_minus)
+from qoper.qq import (DegenerateInstance, QQInstance, QQSolution, check_scale,
+                      qq_residual, resonance_check, solve_bethe, solve_q_minus)
 from qoper.backlund import apply_word, backlund_step, full_qq_system
 from constructions import mu_gauge
 
@@ -134,6 +134,42 @@ class TestBacklundStep:
         sol = QQSolution((Poly([-3.0, 1.0]),), (Poly([-1.0, 1.0]),))
         with pytest.raises(DegenerateInstance, match="refused"):
             backlund_step(inst, sol, 1)
+
+
+def g2_far_window():
+    """A hand-built G2 system at q = 1e25 whose own degrees (1, 1) keep
+    every power a normal float, max deg Lambda + 3 sum m + 4 = 12, but
+    whose Q-_2 has degree 10: the step at node 2 raises Q+_2 to degree 10,
+    and the node-1 solve's window d + 2 = 13 to q^13 = 1e325."""
+    inst = QQInstance(cartan_matrix("G", 2), 1e25, TwistZ((2.0, 3.0)),
+                      (Poly.from_roots([0.3, -0.7]),
+                       Poly.from_roots([1.1, 0.5 + 0.6j])), (1, 1))
+    sol = QQSolution((Poly.from_roots([0.9]), Poly.from_roots([-0.4])),
+                     (Poly.from_roots([1.7]),
+                      Poly.from_roots([2.0 + 0.3j * k for k in range(10)])))
+    return inst, sol
+
+
+class TestWindowBeyondDoubleRange:
+    def test_instance_itself_is_in_range(self):
+        inst, _ = g2_far_window()
+        check_scale(inst)
+
+    def test_step_is_refused(self):
+        inst, sol = g2_far_window()
+        with pytest.raises(OverflowError):
+            complex(inst.q) ** 13
+        with pytest.raises(DegenerateInstance,
+                           match="backlund step at node 2: q: .* to the "
+                                 "power 39 leaves the float range"):
+            backlund_step(inst, sol, 2)
+
+    def test_walk_records_the_refusal(self):
+        inst, sol = g2_far_window()
+        fq = full_qq_system(inst, sol)
+        assert not fq.generic
+        refused, = [r for r in fq.refusals if r["word"] == (2,)]
+        assert refused["node"] == 2 and "float range" in refused["reason"]
 
 
 class TestFullQQSystem:

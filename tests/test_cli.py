@@ -481,6 +481,23 @@ class TestSolve:
         rep = json.loads(text)
         assert rep["solutions"][0]["qplus"] == [[[1.0, 0.0]]]
 
+    @pytest.mark.parametrize("zeta", [1.0, 0.2 ** 0.5])
+    def test_m_zero_resonant(self, tmp_path, capsys, zeta):
+        # zeta^2 = q^0 or q^1: the Q- solve of Q+ = 1 refuses, so no
+        # solution is found and the resonance check fails
+        doc = json.loads(A1.read_text())
+        doc.update(degrees=[0], q=0.2, zetas=[zeta])
+        f = tmp_path / "m0.json"
+        f.write_text(json.dumps(doc))
+        code, text = run_cli(["solve", "--instance", str(f)], tmp_path)
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        rep = json.loads(text)
+        assert rep["solutions"] == []
+        assert [c["pass"] for c in rep["checks"]
+                if c["check"] == "resonance"] == [False]
+        assert rep["telemetry"]["solver"]["rejected_qq"] == 1
+
     def test_determinism(self, tmp_path):
         c1, t1 = run_cli(["solve", "--instance", str(A2)], tmp_path, "r1.json")
         c2, t2 = run_cli(["solve", "--instance", str(A2)], tmp_path, "r2.json")
@@ -750,17 +767,34 @@ class TestBacklundTelemetry:
         assert plain["digest"] == moved["digest"]
 
 
+def gen_g2(tmp_path):
+    """The seed-901 G2 m = (1, 1) verify input of perfbench/gen.py."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    path, = gen.generate(901, str(tmp_path), ("g2_m11",), solved=True)
+    return path
+
+
 class TestStructuredRefusals:
     def test_g2_refusals_are_json_objects(self, tmp_path):
-        # the seed-901 G2 walk refuses two steps and misses six parents;
+        # G2 with zeta = (2, 8) = (zeta_1, zeta_1^3): s_1 sends the node-2
+        # twist product zeta_2^2 / zeta_1^3 to zeta_1^3 / zeta_2 = q^0, so
+        # the walk refuses two steps at node 1 and misses six parents;
         # each refusal is an object, not the repr of a Python dict
-        sys.path.insert(0, str(ROOT / "perfbench"))
-        try:
-            import gen
-        finally:
-            sys.path.remove(str(ROOT / "perfbench"))
-        path, = gen.generate(901, str(tmp_path), ("g2_m11",), solved=True)
-        code, text = run_cli(["verify", "--instance", path], tmp_path)
+        doc = json.loads(A2_SOLVED.read_text())
+        del doc["solution"]
+        doc.update(lie_type="G", zetas=[[2.0, 0.0], [8.0, 0.0]])
+        path = tmp_path / "g2.json"
+        path.write_text(json.dumps(doc))
+        code, text = run_cli(["solve", "--instance", str(path)], tmp_path,
+                             "solved.json")
+        sol = json.loads(text)["solutions"][0]
+        doc["solution"] = {"qplus": sol["qplus"], "qminus": sol["qminus"]}
+        path.write_text(json.dumps(doc))
+        code, text = run_cli(["verify", "--instance", str(path)], tmp_path)
         assert code == 0
         full = json.loads(text)["full_qq"]
         assert full["size"] == 4 and not full["generic"]
@@ -772,9 +806,68 @@ class TestStructuredRefusals:
             assert all(isinstance(letter, int) for letter in r["word"])
             assert r["node"] is None or r["node"] == r["word"][0]
             assert isinstance(r["reason"], str)
+        assert [r["word"] for r in refusals if r["node"] is not None] \
+            == [[1], [1, 2, 1, 2]]
         assert sum(r["node"] is None for r in refusals) == 6
         assert all(r["reason"] == "parent missing"
                    for r in refusals if r["node"] is None)
+
+
+class TestG2Table:
+    """The Q- degree comes from the equation, so the G2 walk reaches all
+    12 Weyl elements; its steps are judged against their right sides."""
+
+    def test_full_table(self, tmp_path):
+        code, text = run_cli(["verify", "--instance", gen_g2(tmp_path)],
+                             tmp_path)
+        assert code == 0
+        full = json.loads(text)["full_qq"]
+        assert full == {"size": 12, "generic": True, "refusals": []}
+
+    def test_longest_word_passes_every_step(self, tmp_path):
+        code, text = run_cli(["backlund", "--instance", gen_g2(tmp_path),
+                              "--word", "2,1,2,1,2,1", "--full-table"],
+                             tmp_path)
+        assert code == 0
+        rep = json.loads(text)
+        steps = [c for c in rep["checks"] if c["check"] == "backlund-step"]
+        assert [c["k_or_word"] for c in steps] == list("121212")
+        assert all(c["pass"] for c in rep["checks"])
+        assert rep["full_qq"]["size"] == 12
+
+    def test_a4_word_with_a_large_right_side_passes(self, tmp_path):
+        # the word (1, 2, 3, 2) from the second A4 solution: its last step
+        # reads a node-2 residual above 1e-8, rounding of coefficients 7e8
+        from test_qq import a4_solved
+        inst, sols = a4_solved()
+        f = tmp_path / "a4.json"
+        f.write_text(json.dumps(echo_instance(
+            inst, {"bethe_tol": 1e-10, "K": None, "seed": 0}, sols[1])))
+        code, text = run_cli(["backlund", "--instance", str(f),
+                              "--word", "1,2,3,2"], tmp_path)
+        assert code == 0
+        steps = json.loads(text)["checks"]
+        assert [(c["check"], c["pass"]) for c in steps] \
+            == [("backlund-step", True)] * 4
+        assert steps[-1]["sup_residual"] > 1e-8
+
+
+class TestGroupTooLarge:
+    @pytest.mark.parametrize("argv", [["verify"],
+                                      ["backlund", "--word", "", "--full-table"]])
+    def test_e6_exits_2(self, tmp_path, capsys, argv):
+        # |W(E6)| = 51840 is above the Weyl group guard
+        doc = {"lie_type": "E", "rank": 6, "q": 0.2,
+               "zetas": [2, 3, 5, 7, 11, 13],
+               "lambdas": [{"coeffs": [-k, 1]} for k in range(1, 7)],
+               "degrees": [0] * 6,
+               "solution": {"qplus": [[1]] * 6, "qminus": [[1]] * 6}}
+        f = tmp_path / "e6.json"
+        f.write_text(json.dumps(doc))
+        assert main(argv[:1] + ["--instance", str(f)] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert "input error: group too large: |W| = 51840" in err
+        assert "Traceback" not in err
 
 
 class TestWronskianCommand:

@@ -133,15 +133,6 @@ class TestSolveQMinus:
                                      for j in range(2)))
             assert max(r.norm() for r in qq_residual(inst, probe)) < 1e-9
 
-    def test_uniqueness_under_higher_bound(self):
-        inst = a2_instance()
-        sols = solve_bethe(inst, seeds=30, tol=1e-11, seed=3)
-        sol = sols[0]
-        a = solve_q_minus(inst, sol.qplus, 1)
-        b = solve_q_minus(inst, sol.qplus, 1, degree_bound=a.degree + 4)
-        assert a.degree == b.degree
-        assert all(abs(x - y) < 1e-8 for x, y in zip(a.coeffs, b.coeffs))
-
 
 # the roots of Q+_1..Q+_4 of three Bethe solutions of a4_solved's instance,
 # as solve_bethe(inst, seeds=40) found them with its batched numpy Newton
@@ -229,23 +220,36 @@ class TestCoefficientSpaceQMinus:
         assert qm.degree == 5
         assert any(abs(r - 1989.86) < 0.01 for r in qm.roots())
 
-    def test_degree_bound_too_small(self):
-        inst = a2_instance()
-        sol = solve_bethe(inst, seeds=30, tol=1e-11, seed=3)[0]
-        need = solve_q_minus(inst, sol.qplus, 1).degree
-        with pytest.raises(DegenerateInstance,
-                           match=f"no polynomial Q- exists at node 1 with "
-                                 f"degree <= {need - 1}"):
-            solve_q_minus(inst, sol.qplus, 1, degree_bound=need - 1)
-
-    def test_resonance_window_follows_degree_bound(self):
-        # zeta^2 = q^5: outside the window of bound 2, inside that of bound 3
+    def test_resonance_window_follows_the_equation(self):
+        # the equation fixes d = deg rhs - deg Q+ and the window |k| <= d + 2:
+        # with Q+ = z, zeta^2 = q^5 lies outside the window of d = 0 and
+        # solves, and inside that of d = 3, where deg Lambda = 4, it refuses
         z, q = 0.5 ** 2.5, 0.5
         inst = a1_instance(zeta=z, q=q, lam=Poly([0.0, z * q - 1 / z]))
-        qm = solve_q_minus(inst, [Poly([0.0, 1.0])], 1, degree_bound=2)
+        qm = solve_q_minus(inst, [Poly([0.0, 1.0])], 1)
         assert qm.degree == 0 and abs(qm.coeffs[0] - 1.0) < 1e-9
-        with pytest.raises(DegenerateInstance, match="resonant twist at node 1"):
-            solve_q_minus(inst, [Poly([0.0, 1.0])], 1, degree_bound=3)
+        wide = a1_instance(zeta=z, q=q, lam=Poly([0.0, 0.0, 0.0, 0.0, 1.0]))
+        with pytest.raises(DegenerateInstance,
+                           match=r"resonant twist at node 1: prod zeta\^a = q\^5"):
+            solve_q_minus(wide, [Poly([0.0, 1.0])], 1)
+
+    @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+    def test_resonance_within_the_window_refuses(self, k):
+        # d = 0: every q^k with |k| <= 2 is a resonance the solve refuses
+        q = 0.5
+        z = q ** (k / 2)
+        inst = a1_instance(zeta=z, q=q, lam=Poly([0.0, z * q - 1 / z]))
+        with pytest.raises(DegenerateInstance,
+                           match=f"resonant twist at node 1: prod zeta\\^a = q\\^{k}"):
+            solve_q_minus(inst, [Poly([0.0, 1.0])], 1)
+
+    def test_right_side_below_q_plus_refuses(self):
+        # deg rhs = 1 < deg Q+ = 2: no polynomial Q- has a negative degree
+        inst = a1_instance(m=2)
+        with pytest.raises(DegenerateInstance,
+                           match=r"no polynomial Q- exists at node 1 "
+                                 r"\(deg rhs - deg Q\+ = -1\)"):
+            solve_q_minus(inst, [Poly([0.1, 0.0, 1.0])], 1)
 
 
 class TestA4RightSide:
@@ -253,7 +257,7 @@ class TestA4RightSide:
     solutions, at node 1, leaves node 2 a right side Lambda_2 Q+_1 Q+_3(qz)
     of degree 7: its top coefficient q^3 sits next to coefficients of
     order 1e6 to 1e9.  The CLI's backlund-step check reads the largest
-    qq_residual norm of each step."""
+    qq_residual norm of each step against 1 + the largest qq_rhs norm."""
 
     @staticmethod
     def last_step(k):
@@ -278,8 +282,9 @@ class TestA4RightSide:
         assert 0 < resid <= 1e-8
 
     def test_rounding_of_a_large_right_side(self):
-        # solution 1 fails the absolute 1e-8 bound by rounding alone: its
-        # node-2 residual is a few ulps of right-side coefficients of 7e8
+        # solution 1 would fail an absolute 1e-8 bound by rounding alone:
+        # its node-2 residual is a few ulps of right-side coefficients of
+        # 7e8, which is why the CLI scales the bound by the right side
         rec = self.last_step(1)
         resid = qq_residual(rec.instance, rec.solution)
         rhs = qq_rhs(rec.instance, rec.solution.qplus, 2)
