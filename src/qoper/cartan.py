@@ -231,13 +231,6 @@ def reflect_twist(Z: TwistZ, i: int, data: CartanData) -> TwistZ:
     return TwistZ(tuple(zs))
 
 
-def twist_along_word(Z: TwistZ, word: WeylWord, data: CartanData) -> TwistZ:
-    """w(Z) for w given by the word, rightmost letter applied first."""
-    for letter in reversed(word.letters):
-        Z = reflect_twist(Z, letter, data)
-    return Z
-
-
 # -- Weyl group elements via the weight action --------------------------
 
 def _reflect_vector(v: tuple, i: int, data: CartanData) -> tuple:

@@ -346,10 +346,11 @@ def q_distinct(p1: Poly, p2: Poly, q, K: int, tol: float = TAU):
     r1 = p1.roots() if p1.degree >= 1 else ()
     r2 = p2.roots() if p2.degree >= 1 else ()
     qc = complex(q)
+    powers = [(k, qc**k) for k in range(-K, K + 1)]
     for z1 in r1:
         for z2 in r2:
-            for k in range(-K, K + 1):
-                if abs(z1 - qc**k * z2) <= tol * (1.0 + abs(z2)):
+            for k, qk in powers:
+                if abs(z1 - qk * z2) <= tol * (1.0 + abs(z2)):
                     return False, (z1, z2, k)
     return True, None
 
@@ -490,12 +491,17 @@ def solve_linear(a, b):
     triangularize(m, n)
     if not all(m[k][k] for k in range(n)):
         return None
-    x = [row[n:] for row in m]
-    for k in reversed(range(n)):
-        for r in range(k + 1, n):
-            x[k] = [e - m[k][r] * y for e, y in zip(x[k], x[r])]
-        x[k] = [e / m[k][k] for e in x[k]]
-    return x
+    cols = []
+    for c in range(n, len(m[0])):  # back-substitution, one column at a time
+        col = [0] * n
+        for k in range(n - 1, -1, -1):
+            row = m[k]
+            e = row[c]
+            for r in range(k + 1, n):
+                e = e - row[r] * col[r]
+            col[k] = e / row[k]
+        cols.append(col)
+    return [list(xs) for xs in zip(*cols)]
 
 
 class RatFun:

@@ -310,7 +310,7 @@ def _shared_factor_pairs(inst: QQInstance) -> list:
 
 def _bethe_kernel(inst: QQInstance):
     """The two sides of the cleared-denominator Bethe system, each divided
-    by the root it is taken at.
+    by the root it is taken at, and on request their exact Jacobian.
 
     The returned function takes x, the roots of Q+_1, ..., Q+_r end to end
     as a list of n = sum m_i complex numbers, and returns the lists (L, R)
@@ -329,31 +329,48 @@ def _bethe_kernel(inst: QQInstance):
     still are: the factor of the other root vanishes in both sides.  The
     i-th Bethe equation is L/R = -1: Newton solves L + R = 0, and
     ``bethe_residual`` reports L/R + 1.  Each Q+_j(y) is the product of
-    the factors (y - x_k) over the roots of its block; no polynomial is
+    the factors (y - x_t) over the roots of its block; no polynomial is
     built.
+
+    Called with ``jacobian`` true, the function returns (L, R, J), J the
+    n rows of d(L_k + R_k)/dx_t, from the same loop by the product rule:
+    each factor's derivative in w and in its root x_t times the side's
+    other factors, the products before the factor (kept on the way
+    forward) times those after it (taken on the way back).  No factor is
+    divided out, so one that is exactly 0, as at a q-string x_t = q x_k,
+    leaves J finite.
     """
     qc = complex(inst.q)
-    down_c = 1 / qc - 1
+    # up_s and down_s are the derivatives of qw and w/q in w
+    up_s, down_s, down_c = qc, 1 / qc, 1 / qc - 1
     # per node: the constant of L, and Lambda_i highest coefficient first
     consts = [((qc - 1) * twist_product(inst, i),
                [complex(c) for c in reversed(inst.lambdas[i - 1].coeffs)])
               for i in range(1, inst.rank + 1)]
     roots = [(k, own, *consts[i - 1], links)
              for k, i, own, links in _root_links(inst)]
+    n = len(roots)
 
-    def sides(x: list):
-        L, R = [], []
+    def sides(x: list, jacobian: bool = False):
+        L, R, J = [], [], []
         for k, own, up_c, lam, links in roots:
             w = x[k]
             up, down = qc * w, w / qc
             lterm, rterm = up_c, down_c
+            # the sides before each factor, for the backward pass
+            pre = []
             for t in own:
+                pre.append((lterm, rterm))
                 lterm *= up - x[t]
                 rterm *= down - x[t]
             lam_down = lam_w = lam[0]
+            dlam_down = dlam_w = 0.0
             for c in lam[1:]:
+                dlam_down = dlam_down * down + lam_down
+                dlam_w = dlam_w * w + lam_w
                 lam_down = lam_down * down + c
                 lam_w = lam_w * w + c
+            pre.append((lterm, rterm))
             lterm *= lam_down
             rterm *= lam_w
             for block, e, follows in links:
@@ -362,11 +379,51 @@ def _bethe_kernel(inst: QQInstance):
                 for t in block:
                     lq *= lpt - x[t]
                     rq *= rpt - x[t]
+                pre.append((lterm, rterm, lq, rq))
                 lterm *= lq ** e
                 rterm *= rq ** e
             L.append(lterm)
             R.append(rterm)
-        return L, R
+            if not jacobian:
+                continue
+            # backward: la and ra are the products of the factors after
+            # the current one, so each side without that factor is its
+            # prefix times la (ra)
+            row = [0j] * n
+            la = ra = 1.0
+            dw = 0j
+            for block, e, follows in reversed(links):
+                lp, rp, lq, rq = pre.pop()
+                lg, rg = lp * la, rp * ra
+                if e > 1:
+                    lg *= e * lq ** (e - 1)
+                    rg *= e * rq ** (e - 1)
+                la *= lq ** e
+                ra *= rq ** e
+                lpt, rpt, ls, rs = ((w, up, 1.0, up_s) if follows
+                                    else (down, w, down_s, 1.0))
+                for t in block:  # the block's product without (y - x_t)
+                    lh, rh = lg, rg
+                    for u in block:
+                        if u != t:
+                            lh *= lpt - x[u]
+                            rh *= rpt - x[u]
+                    dw += lh * ls + rh * rs
+                    row[t] -= lh + rh
+            lp, rp = pre.pop()
+            dw += lp * la * dlam_down * down_s + rp * ra * dlam_w
+            la *= lam_down
+            ra *= lam_w
+            for t in reversed(own):
+                lp, rp = pre.pop()
+                lh, rh = lp * la, rp * ra
+                la *= up - x[t]
+                ra *= down - x[t]
+                dw += lh * up_s + rh * down_s
+                row[t] -= lh + rh
+            row[k] = dw
+            J.append(row)
+        return (L, R, J) if jacobian else (L, R)
 
     return sides
 
@@ -418,32 +475,37 @@ def _newton(sides, x: list, max_iter: int, tally: dict, pairs: list,
     """Newton's method on L + R = 0 from the root vector x, a list of
     complex numbers.
 
-    Each iteration evaluates the two ``sides`` at x and at its n
-    forward-difference neighbours x + h e_j, h = 1e-7 (1 + max|x|), and
-    takes the step from one Gaussian elimination (``solve_linear``).
-    Returns the iterate at which the step fell below 1e-14 (1 + max|x|),
-    or the last one after max_iter steps; returns None when a value stops
-    being finite, the Jacobian is singular, or a step ends with both
-    roots of one of the ``pairs`` within ``floor`` of 0, the common zero
-    of the sides (``_shared_factor_pairs``).  Each outcome, and each
-    step, is counted in ``tally``.
+    Each iteration makes one ``sides`` call at x, which also returns the
+    exact Jacobian J of L + R, and takes the step from one Gaussian
+    elimination (``solve_linear``).  Returns the iterate at which the
+    step fell below small = 1e-14 (1 + max|x|), or the last one after
+    max_iter steps.  A singular J allows no step; x is returned as
+    converged when it needs none, every |L + R|_k being at most
+    small max_t |J_kt|, as where seeds land on a family of degenerate
+    roots (A2 with m = (2, 1)).  Returns None when a value or a Jacobian
+    entry stops being finite, J is singular otherwise, or a step ends
+    with both roots of one of the ``pairs`` within ``floor`` of 0, the
+    common zero of the sides (``_shared_factor_pairs``).  Each outcome,
+    and each step, is counted in ``tally``.
     """
-    n = len(x)
     for it in range(1, max_iter + 1):
-        h = 1e-7 * (1.0 + max(map(abs, x)))
-        pts = [x] + [x[:j] + [x[j] + h] + x[j + 1:] for j in range(n)]
         try:  # a power of a factor that overflows raises
-            V = [[l + r for l, r in zip(*sides(y))] for y in pts]
-            finite = all(all(map(cmath.isfinite, col)) for col in V)
+            L, R, J = sides(x, True)
+            F = [l + r for l, r in zip(L, R)]
+            finite = (all(map(cmath.isfinite, F))
+                      and all(all(map(cmath.isfinite, row)) for row in J))
         except OverflowError:
             finite = False
         if not finite:
             tally["nonfinite"] += 1
             return None
-        F = V[0]
-        J = [[(col[i] - F[i]) / h for col in V[1:]] for i in range(n)]
         step = solve_linear(J, [[-f] for f in F])
         if step is None:
+            small = 1e-14 * (1.0 + max(map(abs, x)))
+            if all(abs(f) <= small * max(map(abs, row))
+                   for f, row in zip(F, J)):
+                tally["converged"] += 1
+                return x
             tally["singular"] += 1
             return None
         x = [a + d for a, (d,) in zip(x, step)]
@@ -469,12 +531,13 @@ def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
     Seed s starts from spread (g + i g'), where g and g' are vectors of n
     standard normal draws each, g first, from ``random.Random(seed)``,
     and spread is 1 + max |root of Lambda|.  Each seed runs Newton on its
-    own on the kernel's divided sides (see ``_bethe_kernel`` and
-    ``_newton``), and stops early at the sides' common zero: both roots
-    of a ``_shared_factor_pairs`` pair within 1e-6 spread of 0.  The
-    root vectors that converged or ran out of iterations are kept when
-    every Bethe residual is below ``tol``; duplicates are removed by
-    comparing sorted root multisets, keeping seed order.  With sum m_i = 0
+    own on the kernel's divided sides and their exact Jacobian (see
+    ``_bethe_kernel`` and ``_newton``), and stops early at the sides'
+    common zero: both roots of a ``_shared_factor_pairs`` pair within
+    1e-6 spread of 0.  The root vectors that converged or ran out of
+    iterations are kept when every Bethe residual is below ``tol``;
+    duplicates are removed by comparing sorted root multisets, keeping
+    seed order.  With sum m_i = 0
     the one family is Q+_i = 1.  Each surviving Q+ family is completed to
     a QQSolution by the linear Q- solves, and solutions whose Q- solve
     refuses or whose QQ residual exceeds 10 tol are dropped.
@@ -502,9 +565,10 @@ def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
     """The body of ``solve_bethe``.
 
     Every Newton result is scored by one kernel call, by the largest
-    |L/R + 1| over its roots; only those within ``tol`` are built into
-    Q+ polynomials and checked by ``bethe_residual``, whose residuals
-    are the ones kept.  With sum m_i = 0 no seed runs, and the one family
+    |L/R + 1| over its roots.  One within ``tol`` is compared with the
+    families found so far, and only a new one is built into Q+
+    polynomials and checked by ``bethe_residual``, whose residuals are
+    the ones kept.  With sum m_i = 0 no seed runs, and the one family
     Q+_i = 1 goes to the same Q- completion.
     """
     total = sum(inst.degrees)
@@ -528,14 +592,7 @@ def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
                     max_iter, tally, pairs, floor)
         if x is None:
             continue
-        worst = math.inf
-        if scored(x):
-            try:
-                worst = max(abs(r[2]) for r in
-                            bethe_residual(inst, _roots_to_qplus(inst, x)))
-            except (DegenerateInstance, ValueError, ArithmeticError):
-                pass
-        if not worst <= tol:  # NaN included
+        if not scored(x):
             tally["rejected_residual"] += 1
             continue
         blockkey, k = [], 0
@@ -545,6 +602,15 @@ def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
             k += m
         if any(_same_blocks(blockkey, other) for other, _ in found):
             tally["duplicates"] += 1
+            continue
+        worst = math.inf
+        try:
+            worst = max(abs(r[2]) for r in
+                        bethe_residual(inst, _roots_to_qplus(inst, x)))
+        except (DegenerateInstance, ValueError, ArithmeticError):
+            pass
+        if not worst <= tol:  # NaN included
+            tally["rejected_residual"] += 1
             continue
         found.append((blockkey, worst))
 

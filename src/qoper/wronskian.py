@@ -48,18 +48,16 @@ class MinorSpec(ValueObject):
         self.u, self.v, self.i = u, v, i
 
 
-def _lift_matrix(n: int, i: int, inverse: bool = False) -> RatMatrix:
-    """Defining-representation lift of s_i: e_i -> e_{i+1}, e_{i+1} -> -e_i."""
+def _lift_matrix(n: int, i: int) -> RatMatrix:
+    """Defining-representation lift of s_i^{-1}: e_i -> -e_{i+1},
+    e_{i+1} -> e_i, the inverse of the lift e_i -> e_{i+1},
+    e_{i+1} -> -e_i of s_i."""
     m = [[Fraction(1) if a == b else Fraction(0) for b in range(n)]
          for a in range(n)]
     m[i - 1][i - 1] = Fraction(0)
     m[i][i] = Fraction(0)
-    if inverse:
-        m[i - 1][i] = Fraction(1)
-        m[i][i - 1] = Fraction(-1)
-    else:
-        m[i][i - 1] = Fraction(1)
-        m[i - 1][i] = Fraction(-1)
+    m[i - 1][i] = Fraction(1)
+    m[i][i - 1] = Fraction(-1)
     return RatMatrix([[RatFun.from_scalar(c) for c in row] for row in m])
 
 
@@ -100,7 +98,7 @@ def s_lambda_inverse(inst: QQInstance) -> RatMatrix:
     acc = RatMatrix.identity(n)
     for l, node in enumerate(inst.cartan.ordering):
         lam = q_shift(inst.lambdas[node - 1], inst.q**l)
-        acc = acc @ _lift_matrix(n, node, inverse=True) \
+        acc = acc @ _lift_matrix(n, node) \
             @ _coroot_diag(n, node, RatFun(lam))
     return acc
 

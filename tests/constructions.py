@@ -1,18 +1,18 @@
 """Constructions that only the tests use: Coxeter data, Weyl-word
-inverses and longest elements, the lift exponent table, matrix lifts of
-Weyl words, the Backlund gauge parameter, and a field-wise copy of the
-type-A bundle and sample.  The tests hold them to the paper's formulas;
+inverses and longest elements, twists along a word, the lift exponent
+table, matrix lifts of Weyl words, the Backlund gauge parameter, and a
+field-wise copy of the type-A bundle and sample.  The tests hold them to the paper's formulas;
 no command runs them.
 """
 
 import inspect
+from fractions import Fraction
 from typing import NamedTuple
 
-from qoper.cartan import (CartanData, CartanError, WeylWord, enumerate_weyl,
-                          twist_along_word)
-from qoper.polynomials import TAU, RatMatrix
+from qoper.cartan import (CartanData, CartanError, TwistZ, WeylWord,
+                          enumerate_weyl, reflect_twist)
+from qoper.polynomials import TAU, RatFun, RatMatrix
 from qoper.qq import QQInstance, QQSolution
-from qoper.wronskian import _lift_matrix
 
 _COXETER_NUMBERS = {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}
 
@@ -37,6 +37,13 @@ def longest_element(data: CartanData) -> WeylWord:
 
 def word_inverse(word: WeylWord) -> WeylWord:
     return WeylWord(tuple(reversed(word.letters)))
+
+
+def twist_along_word(Z: TwistZ, word: WeylWord, data: CartanData) -> TwistZ:
+    """w(Z) for w given by the word, rightmost letter applied first."""
+    for letter in reversed(word.letters):
+        Z = reflect_twist(Z, letter, data)
+    return Z
 
 
 class LiftExponents(NamedTuple):
@@ -79,12 +86,23 @@ def d_exponents(cartan: CartanData) -> LiftExponents:
     return LiftExponents(order, tuple(rows))
 
 
+def lift_matrix(n: int, i: int) -> RatMatrix:
+    """Defining-representation lift of s_i: e_i -> e_{i+1}, e_{i+1} -> -e_i."""
+    m = [[Fraction(1) if a == b else Fraction(0) for b in range(n)]
+         for a in range(n)]
+    m[i - 1][i - 1] = Fraction(0)
+    m[i][i] = Fraction(0)
+    m[i][i - 1] = Fraction(1)
+    m[i - 1][i] = Fraction(-1)
+    return RatMatrix([[RatFun.from_scalar(c) for c in row] for row in m])
+
+
 def lift_of_word(word: WeylWord, cartan: CartanData) -> RatMatrix:
     """Matrix lift of a Weyl word (type A defining representation)."""
     n = cartan.rank + 1
     acc = RatMatrix.identity(n)
     for letter in word.letters:
-        acc = acc @ _lift_matrix(n, letter)
+        acc = acc @ lift_matrix(n, letter)
     return acc
 
 

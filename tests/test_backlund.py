@@ -7,7 +7,7 @@ from qoper.polynomials import Poly
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution, check_scale,
                       qq_residual, resonance_check, solve_bethe, solve_q_minus)
 from qoper.backlund import apply_word, backlund_step, full_qq_system
-from constructions import mu_gauge
+from constructions import mu_gauge, twist_along_word
 
 
 def a1_solved(q=0.2, zeta=2.0):
@@ -244,7 +244,6 @@ class TestFullQQSystem:
         assert len({id(p) for p in found}) == len(found)
 
     def test_twist_tracking(self):
-        from qoper.cartan import twist_along_word
         inst, sol = a2_solved()
         fq = full_qq_system(inst, sol)
         for key, word in fq.words.items():

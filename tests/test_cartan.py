@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from qoper.cartan import (CartanError, TwistZ, WeylWord, cartan_matrix,
                           canonical_form, column_index_set, enumerate_weyl,
-                          reflect_twist, twist_along_word, weyl_order,
-                          word_length)
-from constructions import coxeter_number, longest_element
+                          reflect_twist, weyl_order, word_length)
+from constructions import coxeter_number, longest_element, twist_along_word
 
 
 class TestCartanMatrix:

@@ -497,6 +497,10 @@ class TestSolve:
         assert [c["pass"] for c in rep["checks"]
                 if c["check"] == "resonance"] == [False]
         assert rep["telemetry"]["solver"]["rejected_qq"] == 1
+        assert rep["telemetry"]["solver"]["seeds"] == 0
+        assert [c["witnesses"] for c in rep["checks"] if c["check"] == "solver"] == [
+            ["no seed ran (every degree is 0); Q+ = 1 was rejected; "
+             "empty solution set"]]
 
     def test_determinism(self, tmp_path):
         c1, t1 = run_cli(["solve", "--instance", str(A2)], tmp_path, "r1.json")

@@ -1,3 +1,4 @@
+import cmath
 import functools
 import json
 from pathlib import Path
@@ -540,6 +541,57 @@ class TestBetheKernel:
                 ref = l[0] / r[0] + 1
                 assert abs(res - ref) <= 1e-13 * (1 + abs(ref))
 
+    @staticmethod
+    def central_jacobian(sides, x, h):
+        """Reference: the Jacobian of L + R by central differences."""
+        cols = []
+        for j in range(len(x)):
+            up, down = list(x), list(x)
+            up[j] += h
+            down[j] -= h
+            fu, fd = ([l + r for l, r in zip(*sides(y))] for y in (up, down))
+            cols.append([(a - b) / (2 * h) for a, b in zip(fu, fd)])
+        return [list(row) for row in zip(*cols)]
+
+    def assert_jacobian_matches(self, sides, x):
+        L, R, J = sides(x, True)
+        assert (L, R) == sides(x)  # the same products, bit for bit
+        ref = self.central_jacobian(sides, x, 1e-5 * (1 + max(map(abs, x))))
+        for row, rrow in zip(J, ref):
+            scale = max(map(abs, rrow))
+            assert scale > 0
+            for a, b in zip(row, rrow):
+                assert abs(a - b) <= 1e-6 * scale
+        return L, R, J
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_jacobian_matches_central_differences(self, name):
+        inst = KERNEL_CASES[name]
+        sides = _bethe_kernel(inst)
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            x = 1.5 * (rng.standard_normal(sum(inst.degrees))
+                       + 1j * rng.standard_normal(sum(inst.degrees)))
+            self.assert_jacobian_matches(sides, [complex(w) for w in x])
+
+    @pytest.mark.parametrize("name, k, t, shift", [
+        ("A1 deg Lambda 6", 0, 1, "q"),     # x_t = q x_k, own roots
+        ("A2", 0, 2, "1"),                  # x_t = x_k, node 2 after node 1
+        ("G2", 1, 0, "1/q"),                # x_t = x_k / q, node 1 before 2
+    ])
+    def test_jacobian_at_a_q_string_zero(self, name, k, t, shift):
+        # a factor of L_k is exactly 0 there, so L_k is: a derivative that
+        # divides by each factor would divide by 0
+        inst = KERNEL_CASES[name]
+        qc = complex(inst.q)
+        rng = np.random.default_rng(5)
+        x = [complex(w) for w in 1.5 * (rng.standard_normal(sum(inst.degrees))
+                                        + 1j * rng.standard_normal(sum(inst.degrees)))]
+        x[t] = {"q": qc * x[k], "1": x[k], "1/q": x[k] / qc}[shift]
+        L, _, J = self.assert_jacobian_matches(_bethe_kernel(inst), x)
+        assert L[k] == 0
+        assert all(cmath.isfinite(v) for row in J for v in row)
+
     def test_overflowing_seeds_are_dropped_and_counted(self):
         # seeds spread like Lambda's root, 1e9: Q+(w), a product of 40
         # such factors, overflows at every seed
@@ -553,8 +605,12 @@ class TestBetheKernel:
         # second equation constant for |x1| < 3, where a seed of spread 3
         # starts with probability 1 - exp(-1/2): a zero row in J there
         def kernel(inst):
-            def sides(x):
-                return [x[0] ** 2 - 1, 1 if abs(x[1]) < 3 else x[1] - 4], [0j, 0j]
+            def sides(x, jacobian=False):
+                flat = abs(x[1]) < 3
+                L, R = [x[0] ** 2 - 1, 1 if flat else x[1] - 4], [0j, 0j]
+                if not jacobian:
+                    return L, R
+                return L, R, [[2 * x[0], 0j], [0j, 0j if flat else 1 + 0j]]
             return sides
 
         monkeypatch.setattr(qq, "_bethe_kernel", kernel)
@@ -708,6 +764,29 @@ class TestDividedKernel:
         inst, sols, _, _ = self.solve(A2_M21, monkeypatch)
         assert len(sols) == 1
         assert max(r.norm() for r in qq_residual(inst, sols[0])) <= 1e-8
+
+    def test_a_zero_of_f_with_a_singular_jacobian_converges(self, monkeypatch):
+        # one of these seeds ends on the family where a root of Q+_1
+        # equals the root of Q+_2 and the other root of Q+_1 is that root
+        # over q: L + R is at rounding level there, 1e-17, and the exact
+        # Jacobian is singular.  No step is needed, so the seed counts as
+        # converged, and the scored filter refuses it, as the others there
+        inst, _, extras = parse_instance(A2_M21)
+        singular, solve_linear = [], qq.solve_linear
+
+        def spy(a, b):
+            step = solve_linear(a, b)
+            if step is None:
+                singular.append(max(abs(f) for f, in b))
+            return step
+
+        monkeypatch.setattr(qq, "solve_linear", spy)
+        stats = {}
+        sols = solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
+                           seed=extras["seed"], stats=stats)
+        assert len(singular) == 1 and singular[0] < 1e-15
+        assert stats["singular"] == stats["nonfinite"] == 0
+        assert len(sols) == 1
 
     def test_one_seed_gives_one_solution_list(self):
         inst, _, extras = parse_instance(A2_M21)

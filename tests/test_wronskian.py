@@ -76,7 +76,7 @@ def collected_lift(inst):
     order = inst.cartan.ordering
     acc = RatMatrix.identity(n)
     for node in order:
-        acc = acc @ _lift_matrix(n, node, inverse=True)
+        acc = acc @ _lift_matrix(n, node)
     for l, row in enumerate(d_exponents(inst.cartan).d):
         lam = RatFun(q_shift(inst.lambdas[order[l] - 1], inst.q ** l))
         for m, e in enumerate(row):
