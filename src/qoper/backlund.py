@@ -19,15 +19,14 @@ from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
 
 
 class BacklundStepRecord:
-    """One step at ``node``: its nondegeneracy report, the system and
-    solution it produced, and the nodes whose Q- it solved anew (the
-    others were kept)."""
+    """One step at ``node``: the system and solution it produced, and the
+    nodes whose Q- it solved anew (the others were kept)."""
 
-    __slots__ = ("node", "nondeg", "instance", "solution", "solved")
+    __slots__ = ("node", "instance", "solution", "solved")
 
-    def __init__(self, node: int, nondeg: CheckReport, instance: QQInstance,
-                 solution: QQSolution, solved: tuple):
-        self.node, self.nondeg, self.solved = node, nondeg, solved
+    def __init__(self, node: int, instance: QQInstance, solution: QQSolution,
+                 solved: tuple):
+        self.node, self.solved = node, solved
         self.instance, self.solution = instance, solution
 
 
@@ -41,7 +40,7 @@ def _step_nondegeneracy(inst: QQInstance, sol: QQSolution, i: int,
     """
     if K is None:
         K = inst.default_window()
-    rep = CheckReport(f"backlund-step node {i}", True)
+    rep = CheckReport()
     qm = sol.qminus[i - 1]
     if qm.is_zero():
         rep.add("Q- nonzero", False)
@@ -73,19 +72,15 @@ def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
     """One Backlund transformation at node i.
 
     Returns (new_instance, new_solution, record).  Refuses (raises
-    DegenerateInstance) when the step's nondegeneracy conditions fail;
-    the record carries the failed report in that case via the exception.
+    DegenerateInstance) when the step's nondegeneracy conditions fail.
     Only Q-_i and the Q-_j of the neighbours j of i are solved again: the
     step changes zeta_i and Q+_i alone, and the j-th equation involves
     them only when a_ij != 0, so every other Q-_j is kept as it is.  The
     step also refuses when the degrees and twist it moves to fail
     ``check_scale``.
     """
-    rep = _step_nondegeneracy(inst, sol, i, K)
-    if not rep.passed:
-        exc = DegenerateInstance(f"backlund step at node {i} refused")
-        exc.report = rep
-        raise exc
+    if not _step_nondegeneracy(inst, sol, i, K).passed:
+        raise DegenerateInstance(f"backlund step at node {i} refused")
     qplus = list(sol.qplus)
     qplus[i - 1] = sol.qminus[i - 1].monic()
     new_twist = reflect_twist(inst.twist, i, inst.cartan)
@@ -101,7 +96,7 @@ def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
     for j in solved:
         qminus[j - 1] = solve_q_minus(work_inst, qplus, j)
     new_sol = QQSolution(tuple(qplus), tuple(qminus))
-    return work_inst, new_sol, BacklundStepRecord(i, rep, work_inst, new_sol,
+    return work_inst, new_sol, BacklundStepRecord(i, work_inst, new_sol,
                                                   solved)
 
 

@@ -129,6 +129,23 @@ class TwistZ(ValueObject):
         return len(self.zetas)
 
 
+def twist_monomial(zetas: Sequence, exps: Sequence[int]):
+    """prod_j zeta_j^{e_j}, multiplied up from 1 in node order.
+
+    Every product of twist parameters is formed here: xi~_i, xi_i and
+    their ratio prod_j zeta_j^{a_ji}, the reflected zeta_i, and the
+    shifted-minor weights of type A.  Exact zetas stay exact: an int zeta
+    becomes a Fraction before a negative power.
+    """
+    out = 1
+    for z, e in zip(zetas, exps):
+        if e:
+            if e < 0 and isinstance(z, int):
+                z = Fraction(z)
+            out = out * z ** e
+    return out
+
+
 def _cartan_entries(lie_type: str, rank: int) -> list[list[int]]:
     r = rank
     a = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
@@ -218,16 +235,10 @@ def reflect_twist(Z: TwistZ, i: int, data: CartanData) -> TwistZ:
     """
     if not 1 <= i <= data.rank:
         raise ValueError(f"node index {i} out of range")
+    exps = [-data.a(j, i) for j in range(1, data.rank + 1)]
+    exps[i - 1] = -1
     zs = list(Z.zetas)
-    exact = all(isinstance(z, (int, Fraction)) for z in zs)
-    new = (Fraction(1) if exact else 1.0) / zs[i - 1]
-    for j in range(1, data.rank + 1):
-        if j == i:
-            continue
-        e = -data.a(j, i)
-        if e:
-            new = new * zs[j - 1] ** e
-    zs[i - 1] = new
+    zs[i - 1] = twist_monomial(Z.zetas, exps)
     return TwistZ(tuple(zs))
 
 

@@ -26,7 +26,8 @@ import random
 import sys
 from typing import Optional, Sequence
 
-from .cartan import CartanData, TwistZ, ValueObject, WeylWord, canonical_form
+from .cartan import (CartanData, TwistZ, ValueObject, WeylWord, canonical_form,
+                     twist_monomial)
 from .polynomials import (TAU, Poly, close, ensure_finite, q_shift,
                           solve_linear, solve_q_difference)
 
@@ -64,9 +65,6 @@ class QQInstance(ValueObject):
     @property
     def rank(self) -> int:
         return self.cartan.rank
-
-    def zetas(self) -> list:
-        return list(self.twist.zetas)
 
     def default_window(self) -> int:
         """Resonance window: 2 max(m_i) + max deg Lambda."""
@@ -142,31 +140,18 @@ def check_scale(inst: QQInstance, K: Optional[int] = None):
                              "leaves the float range")
 
 
-def xi_factors(inst: QQInstance):
-    """Twist factor pairs (xi~_i, xi_i) for every node i = 1..r."""
-    zetas = inst.zetas()
-    out = []
-    for i in range(1, inst.rank + 1):
-        after, before = _neighbours(inst, i)
-        xit = zetas[i - 1]
-        for j, e in after:
-            xit = xit * zetas[j - 1] ** -e
-        xi = 1 / zetas[i - 1]
-        for j, e in before:
-            xi = xi * zetas[j - 1] ** e
-        out.append((xit, xi))
-    return out
-
-
-def twist_product(inst: QQInstance, i: int) -> complex:
-    """prod_j zeta_j^{a_ji} for node i, accumulated in node order."""
-    zetas = inst.twist.zetas
-    val = 1.0 + 0.0j
-    for j in range(1, inst.rank + 1):
-        e = inst.cartan.a(j, i)
-        if e:
-            val *= complex(zetas[j - 1]) ** e
-    return val
+def xi_factors(inst: QQInstance, i: int):
+    """The twist factors (xi~_i, xi_i) of node i (see the module
+    docstring)."""
+    after, before = _neighbours(inst, i)
+    up, down = [0] * inst.rank, [0] * inst.rank
+    up[i - 1], down[i - 1] = 1, -1
+    for j, e in after:
+        up[j - 1] = -e
+    for j, e in before:
+        down[j - 1] = e
+    return (twist_monomial(inst.twist.zetas, up),
+            twist_monomial(inst.twist.zetas, down))
 
 
 def qq_rhs(inst: QQInstance, qplus: Sequence[Poly], i: int) -> Poly:
@@ -189,10 +174,9 @@ def qq_residual(inst: QQInstance, sol: QQSolution) -> list[Poly]:
     input keeps the rounding error of every coefficient, so the residual's
     ``norm()`` is small but, in general, nonzero.
     """
-    pairs = xi_factors(inst)
     out = []
     for i in range(1, inst.rank + 1):
-        xit, xi = pairs[i - 1]
+        xit, xi = xi_factors(inst, i)
         qp = sol.qplus[i - 1]
         qm = sol.qminus[i - 1]
         lhs = (qm * q_shift(qp, inst.q)).scale(xit) - (q_shift(qm, inst.q) * qp).scale(xi)
@@ -201,13 +185,13 @@ def qq_residual(inst: QQInstance, sol: QQSolution) -> list[Poly]:
 
 
 class CheckReport:
-    """A named verdict and its items, which start empty; ``add`` records
-    one item and clears ``passed`` when the item fails."""
+    """A verdict and its items, which start empty and passing; ``add``
+    records one item and clears ``passed`` when the item fails."""
 
-    __slots__ = ("name", "passed", "items")
+    __slots__ = ("passed", "items")
 
-    def __init__(self, name: str, passed: bool):
-        self.name, self.passed, self.items = name, passed, []
+    def __init__(self):
+        self.passed, self.items = True, []
 
     def add(self, label, ok, witness=None, value=None):
         self.items.append({"label": label, "pass": bool(ok),
@@ -226,9 +210,9 @@ def resonance_check(inst: QQInstance, K: Optional[int] = None) -> CheckReport:
         K = inst.default_window()
     if K < 1:
         raise ValueError("window K must be >= 1")
-    rep = CheckReport("resonance", True)
-    for j in range(1, inst.rank + 1):
-        val = twist_product(inst, j)
+    rep = CheckReport()
+    for j, col in enumerate(zip(*inst.cartan.cartan), start=1):
+        val = twist_monomial(inst.twist.zetas, col)
         bad = _resonant_power(inst, val, K)
         rep.add(f"node {j}", bad is None, witness=bad, value=val)
     return rep
@@ -255,12 +239,14 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int) -> Poly:
     """
     p, rhs = qplus[i - 1], qq_rhs(inst, qplus, i)
     d = rhs.degree - p.degree
-    k = _resonant_power(inst, twist_product(inst, i), d + 2) if d >= 0 else None
+    ratio = twist_monomial(inst.twist.zetas,
+                           [a[i - 1] for a in inst.cartan.cartan])
+    k = _resonant_power(inst, ratio, d + 2) if d >= 0 else None
     if k is not None:
         raise DegenerateInstance(f"resonant twist at node {i}: prod zeta^a = "
                                  f"q^{k}, the Q- solve is not unique")
     qc = complex(inst.q)
-    xit, xi = (complex(x) for x in xi_factors(inst)[i - 1])
+    xit, xi = (complex(x) for x in xi_factors(inst, i))
     sol = solve_q_difference(q_shift(p, qc).scale(xit).coeffs,
                              p.scale(-xi).coeffs, rhs.coeffs, qc, tol=inst.tau)
     if sol is None:  # always for d < 0
@@ -344,9 +330,9 @@ def _bethe_kernel(inst: QQInstance):
     # up_s and down_s are the derivatives of qw and w/q in w
     up_s, down_s, down_c = qc, 1 / qc, 1 / qc - 1
     # per node: the constant of L, and Lambda_i highest coefficient first
-    consts = [((qc - 1) * twist_product(inst, i),
-               [complex(c) for c in reversed(inst.lambdas[i - 1].coeffs)])
-              for i in range(1, inst.rank + 1)]
+    consts = [((qc - 1) * twist_monomial(inst.twist.zetas, col),
+               [complex(c) for c in reversed(lam.coeffs)])
+              for col, lam in zip(zip(*inst.cartan.cartan), inst.lambdas)]
     roots = [(k, own, *consts[i - 1], links)
              for k, i, own, links in _root_links(inst)]
     n = len(roots)
@@ -656,7 +642,7 @@ def nondegenerate(inst: QQInstance, sol: QQSolution,
     from .polynomials import q_distinct
     if K is None:
         K = inst.default_window()
-    rep = CheckReport("nondegenerate", True)
+    rep = CheckReport()
     res = resonance_check(inst, K)
     rep.add("resonance", res.passed, witness=[it for it in res.items if not it["pass"]])
     a = inst.cartan.a

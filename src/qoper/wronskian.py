@@ -31,21 +31,13 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cartan import (CartanData, ValueObject, WeylWord, column_index_set,
-                     word_length)
+from .cartan import CartanData, WeylWord, column_index_set, twist_monomial
 # perfbench's tracer finds RatMatrix and check_lewis_carroll in this module
 from .polynomials import (Poly, RatFun, RatMatrix, check_lewis_carroll,
                           ensure_finite, is_exact, off_pole, q_shift,
                           solve_linear, solve_q_difference, triangularize)
-from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
-                 QQSolution, cartan_connection)
-
-
-class MinorSpec(ValueObject):
-    __slots__ = ("u", "v", "i")
-
-    def __init__(self, u: WeylWord, v: WeylWord, i: int):
-        self.u, self.v, self.i = u, v, i
+from .qq import (CheckReport, DegenerateInstance, QQInstance, QQSolution,
+                 cartan_connection)
 
 
 def _lift_matrix(n: int, i: int) -> RatMatrix:
@@ -77,8 +69,12 @@ def _coroot_diag(n: int, i: int, f: RatFun) -> RatMatrix:
 
 
 def _twist_diagonal(inst: QQInstance) -> list:
-    """Z's diagonal (1/z1, z1/z2, ..., zr), exact when the zetas are."""
-    zs = [1] + inst.zetas() + [1]
+    """Z's diagonal (1/z1, z1/z2, ..., zr), exact when the zetas are.
+
+    Each entry is the quotient z_{a-1} / z_a, which rounds differently
+    from twist_monomial's product z_{a-1} z_a^{-1}.
+    """
+    zs = [1, *inst.twist.zetas, 1]
     return [Fraction(num) / Fraction(den) if is_exact(num) and is_exact(den)
             else complex(num) / complex(den) for num, den in zip(zs, zs[1:])]
 
@@ -128,7 +124,7 @@ def build_miura_A(inst: QQInstance, sol: QQSolution) -> RatMatrix:
         raise DegenerateInstance("build_miura_A requires type A")
     n = inst.rank + 1
     qc = inst.q
-    zs = inst.zetas()
+    zs = inst.twist.zetas
     acc = RatMatrix.identity(n)
     for node in inst.cartan.ordering:
         qp = sol.qplus[node - 1]
@@ -143,8 +139,8 @@ def build_miura_A(inst: QQInstance, sol: QQSolution) -> RatMatrix:
     return acc
 
 
-def miura_trivializer(inst: QQInstance, sol: QQSolution,
-                      A: Optional[RatMatrix] = None) -> RatMatrix:
+def miura_trivializer(inst: QQInstance, sol: QQSolution, A: RatMatrix,
+                      z: list) -> RatMatrix:
     """Lower-triangular v(z) with A(z) = v(qz)^{-1} Z v(z).
 
     Entries are v_ij = u_ij / Q+_{j-1}(z) with polynomial numerators; the
@@ -156,18 +152,15 @@ def miura_trivializer(inst: QQInstance, sol: QQSolution,
     columns from the inside out.  Its coefficients are Poly products, and
     the tail sum skips the A_kj that are exactly zero.  No solution
     signals a degenerate (resonant) twist.  ``A`` is the connection from
-    build_miura_A, built here when not given.
+    build_miura_A and ``z`` Z's diagonal from _twist_diagonal.
     """
-    if A is None:
-        A = build_miura_A(inst, sol)
     n = inst.rank + 1
     qc = complex(inst.q)
-    zs = [1] + inst.zetas() + [1]  # zeta_0 = zeta_{r+1} = 1
     qplus = [Poly.one()] + list(sol.qplus) + [Poly.one()]  # Q+_0 = Q+_{r+1} = 1
 
     u = {(i, i): qplus[i] for i in range(1, n + 1)}
     for i in range(2, n + 1):
-        zii = complex(zs[i - 1]) / complex(zs[i])
+        zii = complex(z[i - 1])
         for j in range(i - 1, 0, -1):
             # the tail sum num / den of u_ik(qz) A_kj(z) / Q+_{k-1}(qz)
             num, den = Poly.zero(), Poly.one()
@@ -204,18 +197,16 @@ def miura_trivializer(inst: QQInstance, sol: QQSolution,
 
 
 def wronskian_first_column(inst: QQInstance, sol: QQSolution,
-                           v: Optional[RatMatrix] = None) -> list[Poly]:
+                           v: Optional[RatMatrix]) -> list[Poly]:
     """Polynomials of the Wronskian's first column (the omega_1 orbit).
 
     Row 1 is Q+_1 and row 2 is Q-_1 exactly as solved; the deeper rows are
     the iterated Backlund partners with the normalization dictated by the
-    twist equation, read off the trivializer ``v`` (solved when not
-    given).  For rank 1 no solves are needed.
+    twist equation, read off the trivializer ``v``.  For rank 1 no
+    solves are needed, and ``v`` may be None.
     """
     if inst.rank == 1:
         return [sol.qplus[0], sol.qminus[0]]
-    if v is None:
-        v = miura_trivializer(inst, sol)
     col = []
     for i in range(inst.rank + 1):
         e = v.entries[i][0]
@@ -225,12 +216,11 @@ def wronskian_first_column(inst: QQInstance, sol: QQSolution,
     return col
 
 
-def build_wronskian(inst: QQInstance, source, S: Optional[tuple] = None,
-                    v: Optional[RatMatrix] = None) -> RatMatrix:
+def build_wronskian(inst: QQInstance, sol: QQSolution, S: tuple,
+                    v: Optional[RatMatrix], z: list) -> RatMatrix:
     """Generalized q-Wronskian of a solved instance (type A).
 
-    ``source`` is a QQSolution or a FullQQSystem (its base solution is
-    used).  The first column holds the orbit polynomials.  R is a
+    The first column holds the orbit polynomials.  R is a
     monomial matrix, so the first column of each transport S_k has one
     nonzero entry gamma_k, in row tgt(k); column tgt(k) of W is
 
@@ -238,18 +228,14 @@ def build_wronskian(inst: QQInstance, source, S: Optional[tuple] = None,
 
     For the standard ordering gamma_k = (-1)^k prod_{j<=k} Lambda_j(q^{k-1} z)
     (a closed form the test suite checks).  The matrix is unimodular
-    whenever the input solves the QQ-system.  ``S`` (lift_products of the
-    staggered lift) and ``v`` (the trivializer) are built here when not
-    given.
+    whenever the input solves the QQ-system.  ``S`` holds lift_products
+    of the staggered lift, ``v`` the trivializer (None only at rank one)
+    and ``z`` Z's diagonal.
     """
-    sol = source.base if isinstance(source, FullQQSystem) else source
     if not inst.cartan.is_type_a:
         raise DegenerateInstance("build_wronskian requires type A")
     n = inst.rank + 1
     col1 = wronskian_first_column(inst, sol, v)
-    if S is None:
-        S = lift_products(s_lambda_inverse(inst), inst.q)
-    Z = _twist_diagonal(inst)
 
     cols: dict[int, list[RatFun]] = {0: [RatFun(p) for p in col1]}
     for k in range(1, n):
@@ -258,7 +244,7 @@ def build_wronskian(inst: QQInstance, source, S: Optional[tuple] = None,
             raise AssertionError("transport image must be a single basis vector")
         shifted = [RatFun(q_shift(p, inst.q**k)) for p in col1]
         ginv = S[k].entries[nz[0]][0].inv()
-        cols[nz[0]] = [shifted[i] * (Z[i] ** (-k)) * ginv for i in range(n)]
+        cols[nz[0]] = [shifted[i] * (z[i] ** (-k)) * ginv for i in range(n)]
 
     if len(cols) != n:
         raise AssertionError("transports failed to fill every column")
@@ -267,38 +253,39 @@ def build_wronskian(inst: QQInstance, source, S: Optional[tuple] = None,
 
 class TypeABundle:
     """A solved type-A instance with everything the type-A checks read:
-    the staggered lift R, its transports S = lift_products(R, q), the
-    Miura pair (A, v) and W, each built once.
+    the staggered lift R, its transports S = lift_products(R, q), Z's
+    diagonal z, the Miura pair (A, v) and W, each built once.
 
     ``v`` is None only at rank one when the trivializer has no solution:
     W does not need it there, ``refusal`` keeps the trivializer's message,
     and miura_from_wronskian raises it.
     """
 
-    __slots__ = ("inst", "sol", "R", "S", "A", "v", "W", "refusal")
+    __slots__ = ("inst", "sol", "R", "S", "z", "A", "v", "W", "refusal")
 
     def __init__(self, inst: QQInstance, sol: QQSolution, R: RatMatrix,
-                 S: tuple, A: RatMatrix, v: Optional[RatMatrix],
+                 S: tuple, z: list, A: RatMatrix, v: Optional[RatMatrix],
                  W: RatMatrix, refusal: Optional[str]):
-        self.inst, self.sol, self.R, self.S = inst, sol, R, S
+        self.inst, self.sol, self.R, self.S, self.z = inst, sol, R, S, z
         self.A, self.v, self.W, self.refusal = A, v, W, refusal
 
 
 def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
-    """Build R, S (from R), A, v (fed by that A) and W (fed by v and S)
-    once."""
+    """Build R, S (from R), z, A, v (fed by that A and z) and W (fed by v,
+    S and z) once."""
     R = s_lambda_inverse(inst)
     S = lift_products(R, inst.q)
+    z = _twist_diagonal(inst)
     A = build_miura_A(inst, sol)
     v = refusal = None
     try:
-        v = miura_trivializer(inst, sol, A=A)
+        v = miura_trivializer(inst, sol, A, z)
     except DegenerateInstance as exc:
         if inst.rank > 1:
             raise
         refusal = str(exc)
-    W = build_wronskian(inst, sol, S=S, v=v)
-    return TypeABundle(inst, sol, R, S, A, v, W, refusal)
+    W = build_wronskian(inst, sol, S, v, z)
+    return TypeABundle(inst, sol, R, S, z, A, v, W, refusal)
 
 
 # the sample panel of every float type-A check: 20 points on |x| = 1.13
@@ -365,7 +352,7 @@ def sample_bundle(b: TypeABundle) -> TypeASample:
     v, vq = per_object[2 * n + 1:] if b.v is not None else (None, None)
     return TypeASample(b, points, tuple(stuck), per_object[:n],
                        per_object[n:2 * n], per_object[2 * n], v, vq, conn,
-                       [complex(e) for e in _twist_diagonal(inst)])
+                       [complex(e) for e in b.z])
 
 
 # -- minors and identities ---------------------------------------------
@@ -429,54 +416,14 @@ def _rel_gap(lhs, *rhs) -> float:
     return worst if worst >= 0 else float("inf")
 
 
-def generalized_minor(M: RatMatrix, spec: MinorSpec, data: CartanData) -> RatFun:
-    """Minor over rows u({1..i}) and columns v({1..i}), indices sorted.
-
-    Row and column sets are taken in increasing order; signs follow from
-    that convention together with the fixed lifts.
-    """
-    return M.submatrix(_index_rows(spec.u, spec.i, data),
-                       _index_rows(spec.v, spec.i, data)).det()
-
-
-def check_fundamental_relation(M: RatMatrix, u: WeylWord, v: WeylWord, i: int,
-                               data: CartanData) -> RatFun:
-    """Residual of the bilinear minor exchange relation at node i.
-
-    Requires the length conditions l(u s_i) = l(u) + 1 and the same for v;
-    the relation holds identically for every unimodular matrix of rational
-    functions, so a nonzero residual flags either det != 1 or broken input.
-    """
-    si = WeylWord((i,))
-    if word_length(u * si, data) != word_length(u, data) + 1:
-        raise ValueError(f"length condition fails for u = {u.letters} at node {i}")
-    if word_length(v * si, data) != word_length(v, data) + 1:
-        raise ValueError(f"length condition fails for v = {v.letters} at node {i}")
-    usi, vsi = u * si, v * si
-    t1 = generalized_minor(M, MinorSpec(u, v, i), data) \
-        * generalized_minor(M, MinorSpec(usi, vsi, i), data)
-    t2 = generalized_minor(M, MinorSpec(usi, v, i), data) \
-        * generalized_minor(M, MinorSpec(u, vsi, i), data)
-    rhs = RatFun.one()
-    for j in range(1, data.rank + 1):
-        if j == i:
-            continue
-        e = -data.a(j, i)
-        if e:
-            m = generalized_minor(M, MinorSpec(u, v, j), data)
-            for _ in range(e):
-                rhs = rhs * m
-    return t1 - t2 - rhs
-
-
 def fundamental_relation_residual(Mv: list, u: WeylWord, v: WeylWord,
                                   i: int, data: CartanData) -> float:
     """Relative residual of the minor exchange relation on a list Mv of
     evaluated matrices, one per point.
 
-    Numeric companion to check_fundamental_relation, and the CLI's float
-    check: minors are determinants of the evaluated matrices, so nothing
-    symbolic is built.  The length condition is not checked.
+    Minors are determinants of the evaluated matrices, so nothing symbolic
+    is built.  The relation needs l(u s_i) = l(u) + 1 and the same for v,
+    which is not checked.
     """
     si = WeylWord((i,))
     ru, rv, rus, rvs = (_index_rows(w, i, data) for w in (u, v, u * si, v * si))
@@ -509,7 +456,7 @@ def check_wronskian_equations(s: TypeASample) -> CheckReport:
     """
     inst = s.bundle.inst
     h = len(s.W)  # the Coxeter number of A_r is r + 1
-    rep = CheckReport("wronskian-equations", True)
+    rep = CheckReport()
     for k in range(h):
         zk = [z**k for z in s.z]
         rhs = [_product([[c * e for e in row] for c, row in zip(zk, W0)], Sk)
@@ -564,23 +511,15 @@ def check_shifted_minor_relation(s: TypeASample, i: int,
     gaps = {}
     for rs in rows:  # words with one row set w(om_i) share its residual
         if rs not in gaps:
-            weight = _zeta_weight(inst, rs)
+            # <coroot_j, w om_i> = [j in w om_i] - [j+1 in w om_i]
+            weight = twist_monomial(inst.twist.zetas,
+                                    [(j in rs) - (j + 1 in rs)
+                                     for j in range(inst.rank)])
             gaps[rs] = _rel_gap(
                 [_minor(M, rs, tgt_cols) for M in s.W[0]],
                 [weight * _minor(M, rs, range(i)) / c
                  for M, c in zip(s.W[1], scalars)])
     return [gaps[rs] for rs in rows]
-
-
-def _zeta_weight(inst: QQInstance, rows) -> complex:
-    """prod_j zeta_j^{<coroot_j, w om_i>}, where <coroot_j, w om_i> is
-    [j in w om_i] - [j+1 in w om_i]; ``rows`` holds w om_i 0-based."""
-    weight = 1.0 + 0.0j
-    for j, zeta in enumerate(inst.zetas()):  # zeta of node j + 1
-        e = (j in rows) - (j + 1 in rows)
-        if e:
-            weight *= complex(zeta) ** e
-    return weight
 
 
 def gauss_decompose(M: RatMatrix):
@@ -658,7 +597,7 @@ def miura_from_wronskian(s: TypeASample) -> CheckReport:
     def flat(rows):
         return [e for row in rows for e in row]
 
-    rep = CheckReport("miura-reconstruction", True)
+    rep = CheckReport()
     # the vector checks take each entry at each point as its own sample
     col_err = _rel_gap([row[0] for M in s.W[0] for row in M],
                        [row[0] for V in s.v for row in V])
@@ -700,7 +639,7 @@ def miura_plucker_blocks(s: TypeASample, i: int) -> CheckReport:
         right = _product(_product(blk(vqinv), zblk), _inverse(blk(vinv)))
         rhs.append([e for row in right for e in row])
     worst = _rel_gap(lhs, rhs)
-    rep = CheckReport(f"miura-plucker block i={i}", True)
+    rep = CheckReport()
     rep.add("block twist identity", worst <= 1e-8, value=worst)
     return rep
 

@@ -58,7 +58,7 @@ def sampled_trivializer_numerators(inst, sol, A) -> dict:
     connection A, each entry equation sampled and solved in turn; None for
     an entry with no polynomial solution (and the entries after it)."""
     n, qc = inst.rank + 1, complex(inst.q)
-    zs = [1] + inst.zetas() + [1]
+    zs = [1, *inst.twist.zetas, 1]
     qplus = [Poly.one()] + list(sol.qplus) + [Poly.one()]
     max_deg = (max(p.degree for p in sol.qplus) + 1) * inst.rank \
         + max(l.degree for l in inst.lambdas) * inst.rank + 4

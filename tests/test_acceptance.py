@@ -20,7 +20,7 @@ from qoper.polynomials import Poly, RatFun
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution,
                       bethe_residual, qq_residual, solve_bethe)
 from qoper.backlund import apply_word, backlund_step
-from qoper.wronskian import (RatMatrix, build_wronskian, check_lewis_carroll,
+from qoper.wronskian import (RatMatrix, check_lewis_carroll,
                              check_wronskian_equations, gauss_decompose,
                              miura_from_wronskian, miura_plucker_blocks,
                              sample_bundle, type_a_bundle)
@@ -103,7 +103,7 @@ def test_02_qq_bethe_bijection():
 def test_03_sl2_unimodular(a1_closed):
     t0 = time.time()
     inst, sol = a1_closed
-    W = build_wronskian(inst, sol)
+    W = type_a_bundle(inst, sol).W
     worst = max(abs(np.linalg.det(np.array(W.eval(x))) - 1.0) for x in PANEL20)
     assert worst <= 1e-9
 
@@ -111,7 +111,7 @@ def test_03_sl2_unimodular(a1_closed):
     cd = cartan_matrix("A", 1)
     ctrl_inst = QQInstance(cd, 1.0 / 3.0, TwistZ((2.0,)), (Poly([-1.0, 1.0]),), (0,))
     ctrl = QQSolution((Poly.one(),), (Poly.one(),))
-    Wc = build_wronskian(ctrl_inst, ctrl)
+    Wc = type_a_bundle(ctrl_inst, ctrl).W
     dets = [np.linalg.det(np.array(Wc.eval(x))) for x in PANEL20]
     assert min(abs(d - 1.0) for d in dets) > 1e-2
     report(3, "det W = 1 on solved SL(2), fails on the control",
@@ -218,7 +218,7 @@ def test_06_fundamental_relation(a2_solved):
             M = unit_tri(n, True) @ unit_tri(n, False) @ unit_tri(n, True)
             worst = max(worst, battery(M, data))
     inst, sol = a2_solved
-    W = build_wronskian(inst, sol)
+    W = type_a_bundle(inst, sol).W
     worst = max(worst, battery(W, inst.cartan))
     assert worst <= 1e-9
     report(6, f"minor exchange relation, worst residual {worst:.1e}",

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import strategies as st
 
 from qoper.cartan import (CartanError, TwistZ, WeylWord, cartan_matrix,
                           canonical_form, column_index_set, enumerate_weyl,
-                          reflect_twist, weyl_order, word_length)
+                          reflect_twist, twist_monomial, weyl_order,
+                          word_length)
+from qoper.polynomials import Poly
+from qoper.qq import QQInstance, xi_factors
+from qoper.wronskian import _twist_diagonal
 from constructions import coxeter_number, longest_element, twist_along_word
 
 
@@ -45,6 +50,64 @@ class TestCoxeterNumber:
         ("E", 6, 12), ("E", 7, 18), ("E", 8, 30), ("F", 4, 12), ("G", 2, 6)])
     def test_values(self, t, r, h):
         assert coxeter_number(cartan_matrix(t, r)) == h
+
+
+TWIST_FLOATS = (1.3, 0.7, 2.9, 1.7)
+TWIST_FRACTIONS = (Fraction(13, 10), Fraction(-7, 5), Fraction(29, 3),
+                   Fraction(5, 17))
+
+
+def twist_instance(lie_type, rank, reverse, exact):
+    """An instance carrying only a twist: its Lambdas and degrees are
+    placeholders."""
+    cd = cartan_matrix(lie_type, rank)
+    if reverse:
+        cd = cd.with_ordering(tuple(reversed(cd.ordering)))
+    zetas = (TWIST_FRACTIONS if exact else TWIST_FLOATS)[:rank]
+    return QQInstance(cd, 0.2, TwistZ(zetas), (Poly([-1, 1]),) * rank,
+                      (0,) * rank)
+
+
+class TestTwistIdentities:
+    """twist_monomial's products (xi_factors, reflect_twist and, in type
+    A, the shifted-minor weight) against identities written out here."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
+    @pytest.mark.parametrize("lie_type,rank", [
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3),
+        ("D", 4), ("G", 2)])
+    def test_identities(self, lie_type, rank, reverse, exact):
+        inst = twist_instance(lie_type, rank, reverse, exact)
+        cd, zs = inst.cartan, inst.twist.zetas
+
+        def same(got, want):
+            if exact:
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-14 * abs(want), (got, want)
+
+        for i in range(1, rank + 1):
+            ratio = 1
+            for j in range(1, rank + 1):  # prod_j zeta_j^{a_ji}
+                ratio *= zs[j - 1] ** cd.a(j, i)
+            xit, xi = xi_factors(inst, i)
+            same(xit / xi, ratio)
+            reflected = reflect_twist(inst.twist, i, cd)
+            same(reflected.zetas[i - 1] * ratio, zs[i - 1])
+            assert reflected.zetas[:i - 1] + reflected.zetas[i:] \
+                == zs[:i - 1] + zs[i:]
+            for got, want in zip(reflect_twist(reflected, i, cd).zetas, zs):
+                same(got, want)
+        if lie_type == "A":
+            z = _twist_diagonal(inst)
+            for size in range(1, rank + 1):
+                for rows in itertools.combinations(range(rank + 1), size):
+                    weight = twist_monomial(zs, [(j in rows) - (j + 1 in rows)
+                                                 for j in range(rank)])
+                    for a in rows:
+                        weight *= z[a]
+                    same(weight, 1)
 
 
 class TestReflectTwist:

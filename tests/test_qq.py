@@ -1,6 +1,7 @@
 import cmath
 import functools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +37,12 @@ def a2_instance(q=0.2, zetas=(2.0, 3.0),
 class TestXiFactors:
     def test_a1(self):
         inst = a1_instance(zeta=5.0)
-        (xit, xi), = xi_factors(inst)
+        xit, xi = xi_factors(inst, 1)
         assert abs(xit - 5.0) < 1e-14 and abs(xi - 0.2) < 1e-14
 
     def test_a2_standard(self):
         inst = a2_instance(zetas=(2.0, 3.0))
-        pairs = xi_factors(inst)
+        pairs = [xi_factors(inst, i) for i in (1, 2)]
         assert abs(pairs[0][0] - 2.0 / 3.0) < 1e-14   # z1 z2^{-1}
         assert abs(pairs[0][1] - 0.5) < 1e-14         # z1^{-1}
         assert abs(pairs[1][0] - 3.0) < 1e-14         # z2
@@ -49,7 +50,7 @@ class TestXiFactors:
 
     def test_unit_twist(self):
         inst = a2_instance(zetas=(1.0, 1.0))
-        for xit, xi in xi_factors(inst):
+        for xit, xi in (xi_factors(inst, i) for i in (1, 2)):
             assert abs(xit - 1) < 1e-14 and abs(xi - 1) < 1e-14
 
 
@@ -61,6 +62,15 @@ class TestQQResidual:
         sol = QQSolution((Poly([0.0, 1.0]),), (Poly([1.0]),))
         res = qq_residual(inst, sol)
         assert res[0].is_zero()
+
+    def test_int_zeta_exact_zero(self):
+        # int zeta with exact q: xi = zeta^{-1} must be a Fraction, not
+        # the float 0.1, or a coefficient of the residual reads 8.9e-16
+        z, q = 10, Fraction(5, 11)
+        lam = Poly([-13 * z + Fraction(13, z), z * q - Fraction(1, z)])
+        inst = a1_instance(zeta=z, q=q, lam=lam)
+        sol = QQSolution((Poly([-13, 1]),), (Poly([1]),))
+        assert qq_residual(inst, sol)[0].is_zero()
 
     def test_constructed_nonzero(self):
         z, q = 2.0, 1.0 / 3.0
@@ -82,10 +92,9 @@ class TestQQResidual:
         inst = a2_instance(zetas=(1.0, 1.0))
         qp = [Poly([-0.3, 1.0]), Poly([0.7, 1.0])]
         qm = [Poly([2.0, 5.0]), Poly([1.5])]
-        pairs = xi_factors(inst)
         from qoper.polynomials import q_shift
         for i in (1, 2):
-            xit, xi = pairs[i - 1]
+            xit, xi = xi_factors(inst, i)
             lhs = (qm[i - 1] * q_shift(qp[i - 1], inst.q)).scale(xit) \
                 - (q_shift(qm[i - 1], inst.q) * qp[i - 1]).scale(xi)
             swapped = (qp[i - 1] * q_shift(qm[i - 1], inst.q)).scale(xit) \
@@ -184,7 +193,7 @@ def random_instance(lie_type, rank, degrees, rng):
 
 def sampled_q_minus(inst, qplus, i):
     """Q-_i by the sampled minimal-degree solver, the reference."""
-    xit, xi = (complex(x) for x in xi_factors(inst)[i - 1])
+    xit, xi = (complex(x) for x in xi_factors(inst, i))
     rhs, qp, qc = qq_rhs(inst, qplus, i), qplus[i - 1], complex(inst.q)
     bound = inst.degrees[i - 1] + max(l.degree for l in inst.lambdas) + 2
     return solve_poly_q_difference(
@@ -447,7 +456,7 @@ def scalar_bethe_system(inst, roots):
             for j in range(1, inst.rank + 1):
                 e = a(j, i)
                 if e:
-                    lhs *= complex(inst.zetas()[j - 1]) ** e
+                    lhs *= complex(inst.twist.zetas[j - 1]) ** e
             lterm = lhs * complex(lam(w / qc))
             rterm = complex(qp(w / qc)) * complex(lam(w))
             for j in order[pos + 1:]:
