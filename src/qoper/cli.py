@@ -376,9 +376,8 @@ def run_wronskian_suite(inst, sol, rep: Report):
     dres = det_residual(s)
     rep.check("wronskian-det", dres, dres <= 1e-8)
     for it in check_wronskian_equations(s).items:
-        k, i = it["label"].split()
         rep.check("wronskian-equation", it["value"], it["pass"],
-                  k_or_word=k.split("=")[1], i=i.split("=")[1])
+                  k_or_word=it["k"], i=it["i"])
     words = enumerate_weyl(inst.cartan)
     for i in range(1, inst.rank + 1):
         for w, r in zip(words, check_shifted_minor_relation(s, i, words)):

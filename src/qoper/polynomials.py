@@ -21,8 +21,8 @@ iteration, ``solve_q_difference`` solves by Householder QR,
 A polynomial drops exact zero top coefficients only, so a float
 polynomial keeps every nonzero coefficient, however small: its degree is
 that of the products and shifts that made it, and a residual polynomial
-keeps its rounding noise.  Tests for "numerically zero" are explicit
-(``RatFun.is_zero(tol)``) and relative to a scale the caller knows.
+keeps its rounding noise.  ``Poly.is_zero`` and ``RatFun.is_zero`` are
+exact; "numerically zero" is the caller's verdict, on a scale it knows.
 """
 
 from __future__ import annotations
@@ -237,12 +237,12 @@ def q_shift(p: Poly, q) -> Poly:
     return Poly(out)
 
 
-def poly_roots(p: Poly, tol: float = TAU) -> list[complex]:
+def poly_roots(p: Poly) -> list[complex]:
     """All roots with multiplicity, by the Aberth-Ehrlich iteration (see
     ``_aberth``).
 
-    The roots are polished with two Newton steps; the residual of every
-    returned root r satisfies |p(r)| <= tol * max(1 + max|c_k|, sum |c_k||r|^k).
+    The roots are polished with two Newton steps; every returned root r
+    has |p(r)| <= 1e-8 max(1 + max|c_k|, sum |c_k||r|^k).
     """
     if p.degree < 1:
         raise ValueError("root extraction needs degree >= 1")
@@ -263,7 +263,7 @@ def poly_roots(p: Poly, tol: float = TAU) -> list[complex]:
     base = 1.0 + max(acs)
     for r in polished:
         res = abs(_horner(cs, r))
-        if not res <= max(tol, 1e-8) * max(base, _horner(acs, abs(r))):
+        if not res <= 1e-8 * max(base, _horner(acs, abs(r))):
             raise ArithmeticError(
                 f"root polishing failed: residual {res:.3e} at {r}")
     return sorted(polished, key=lambda w: (round(w.real, 12), round(w.imag, 12)))
@@ -276,7 +276,7 @@ def _horner(coeffs, z):
     return acc
 
 
-def _aberth(cs: list, max_iter: int = 200) -> list[complex]:
+def _aberth(cs: list) -> list[complex]:
     """The roots of the monic polynomial with coefficients cs, lowest
     degree first, by the Aberth-Ehrlich iteration (Bini, "Numerical
     computation of polynomial zeros by means of Aberth's method", Numer.
@@ -288,7 +288,7 @@ def _aberth(cs: list, max_iter: int = 200) -> list[complex]:
     puts s roots at 0 exactly.  Each sweep moves every root z_k in turn by
     p/p' / (1 - p/p' sum_{j != k} 1/(z_k - z_j)) and freezes it once
     |p(z_k)| is at the rounding level of sum |c_j||z_k|^j, or its step at
-    that of |z_k|.
+    that of |z_k|, for at most 200 sweeps.
     """
     n = len(cs) - 1
     acs = [abs(c) for c in cs]
@@ -313,7 +313,7 @@ def _aberth(cs: list, max_iter: int = 200) -> list[complex]:
     dcs = [k * cs[k] for k in range(1, n + 1)]
     eps = sys.float_info.epsilon
     live = range(zeros, n)
-    for _ in range(max_iter):
+    for _ in range(200):
         still = []
         for k in live:
             zk = z[k]
@@ -551,12 +551,9 @@ class RatFun:
             raise ZeroDivisionError("rational function evaluated at a pole")
         return self.num(z) / den
 
-    def is_zero(self, tol: float = TAU) -> bool:
-        if self.num.is_zero():
-            return True
-        if self.num.exact:
-            return False
-        return self.num.norm() <= tol * (1.0 + self.den.norm())
+    def is_zero(self) -> bool:
+        """True when the numerator has no coefficients."""
+        return not self.num.coeffs
 
     def __add__(self, other: "RatFun") -> "RatFun":
         return RatFun(_times(self.num, other.den) + _times(other.num, self.den),

@@ -186,16 +186,17 @@ def qq_residual(inst: QQInstance, sol: QQSolution) -> list[Poly]:
 
 class CheckReport:
     """A verdict and its items, which start empty and passing; ``add``
-    records one item and clears ``passed`` when the item fails."""
+    records one item, with any further ``keys`` as fields of its own, and
+    clears ``passed`` when the item fails."""
 
     __slots__ = ("passed", "items")
 
     def __init__(self):
         self.passed, self.items = True, []
 
-    def add(self, label, ok, witness=None, value=None):
+    def add(self, label, ok, witness=None, value=None, **keys):
         self.items.append({"label": label, "pass": bool(ok),
-                           "witness": witness, "value": value})
+                           "witness": witness, "value": value, **keys})
         if not ok:
             self.passed = False
 
@@ -454,10 +455,10 @@ def bethe_residual(inst: QQInstance, qplus: Sequence[Poly]) -> list:
 # A seed stops once both roots of a shared-factor pair lie within this
 # multiple of the seed scale of 0: the common zero there is no solution
 _COMMON_ZERO = 1e-6
+_NEWTON_STEPS = 80  # the most Newton steps a seed takes
 
 
-def _newton(sides, x: list, max_iter: int, tally: dict, pairs: list,
-            floor: float):
+def _newton(sides, x: list, tally: dict, pairs: list, floor: float):
     """Newton's method on L + R = 0 from the root vector x, a list of
     complex numbers.
 
@@ -465,7 +466,7 @@ def _newton(sides, x: list, max_iter: int, tally: dict, pairs: list,
     exact Jacobian J of L + R, and takes the step from one Gaussian
     elimination (``solve_linear``).  Returns the iterate at which the
     step fell below small = 1e-14 (1 + max|x|), or the last one after
-    max_iter steps.  A singular J allows no step; x is returned as
+    _NEWTON_STEPS steps.  A singular J allows no step; x is returned as
     converged when it needs none, every |L + R|_k being at most
     small max_t |J_kt|, as where seeds land on a family of degenerate
     roots (A2 with m = (2, 1)).  Returns None when a value or a Jacobian
@@ -474,7 +475,7 @@ def _newton(sides, x: list, max_iter: int, tally: dict, pairs: list,
     common zero of the sides (``_shared_factor_pairs``).  Each outcome,
     and each step, is counted in ``tally``.
     """
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_STEPS + 1):
         try:  # a power of a factor that overflows raises
             L, R, J = sides(x, True)
             F = [l + r for l, r in zip(L, R)]
@@ -509,8 +510,7 @@ def _newton(sides, x: list, max_iter: int, tally: dict, pairs: list,
 
 
 def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
-                seed: int = 0, max_iter: int = 80,
-                stats: Optional[dict] = None) -> list[QQSolution]:
+                seed: int = 0, stats: Optional[dict] = None) -> list[QQSolution]:
     """Multi-start Newton solver for the Bethe system.
 
     Unknowns are the roots of the Q+ polynomials, n = sum m_i of them.
@@ -540,14 +540,14 @@ def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
          "degenerate", "rejected_residual", "duplicates", "rejected_qq",
          "accepted", "newton_iterations", "max_newton_iterations"), 0)
     tally["worst_bethe_residual"] = 0.0
-    solutions = _multistart(inst, seeds, tol, seed, max_iter, tally)
+    solutions = _multistart(inst, seeds, tol, seed, tally)
     tally["accepted"] = len(solutions)
     if stats is not None:
         stats.update(tally)
     return solutions
 
 
-def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
+def _multistart(inst, seeds, tol, seed, tally) -> list[QQSolution]:
     """The body of ``solve_bethe``.
 
     Every Newton result is scored by one kernel call, by the largest
@@ -575,7 +575,7 @@ def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
         re = [rng.gauss(0.0, 1.0) for _ in range(total)]
         im = [rng.gauss(0.0, 1.0) for _ in range(total)]
         x = _newton(kernel, [spread * complex(a, b) for a, b in zip(re, im)],
-                    max_iter, tally, pairs, floor)
+                    tally, pairs, floor)
         if x is None:
             continue
         if not scored(x):
@@ -619,12 +619,13 @@ def _multistart(inst, seeds, tol, seed, max_iter, tally) -> list[QQSolution]:
     return solutions
 
 
-def _same_blocks(a, b, tol: float = 1e-7) -> bool:
+def _same_blocks(a, b) -> bool:
+    """Root blocks a and b agree root by root within 1e-7 (1 + |root|)."""
     for ba, bb in zip(a, b):
         if len(ba) != len(bb):
             return False
         for x, y in zip(ba, bb):
-            if abs(x - y) > tol * (1 + abs(x)):
+            if abs(x - y) > 1e-7 * (1 + abs(x)):
                 return False
     return True
 

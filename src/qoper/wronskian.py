@@ -128,10 +128,9 @@ def build_miura_A(inst: QQInstance, sol: QQSolution) -> RatMatrix:
     acc = RatMatrix.identity(n)
     for node in inst.cartan.ordering:
         qp = sol.qplus[node - 1]
-        g = RatFun(q_shift(qp, qc).scale(zs[node - 1]), qp)
-        diag = _coroot_diag(n, node, g.inv())
-        phi = RatFun(inst.lambdas[node - 1] * qp,
-                     q_shift(qp, qc).scale(zs[node - 1]))
+        zqp = q_shift(qp, qc).scale(zs[node - 1])  # zeta Q+(qz)
+        diag = _coroot_diag(n, node, RatFun(zqp, qp).inv())
+        phi = RatFun(inst.lambdas[node - 1] * qp, zqp)
         expf = RatMatrix([[phi if (a, c) == (node, node - 1)
                            else RatFun.one() if a == c else RatFun.zero()
                            for c in range(n)] for a in range(n)])
@@ -196,33 +195,20 @@ def miura_trivializer(inst: QQInstance, sol: QQSolution, A: RatMatrix,
     return RatMatrix(rows)
 
 
-def wronskian_first_column(inst: QQInstance, sol: QQSolution,
-                           v: Optional[RatMatrix]) -> list[Poly]:
-    """Polynomials of the Wronskian's first column (the omega_1 orbit).
-
-    Row 1 is Q+_1 and row 2 is Q-_1 exactly as solved; the deeper rows are
-    the iterated Backlund partners with the normalization dictated by the
-    twist equation, read off the trivializer ``v``.  For rank 1 no
-    solves are needed, and ``v`` may be None.
-    """
-    if inst.rank == 1:
-        return [sol.qplus[0], sol.qminus[0]]
-    col = []
-    for i in range(inst.rank + 1):
-        e = v.entries[i][0]
-        if e.den.degree != 0:
-            raise AssertionError("first-column entries must be polynomial")
-        col.append(e.num.scale(Fraction(1) / e.den.coeffs[0]))
-    return col
+def monomial_row(M: RatMatrix, c: int) -> int:
+    """The row of column c's one nonzero entry in a monomial matrix M, as
+    R (a signed permutation times torus factors) and its transports are."""
+    return next(r for r, row in enumerate(M.entries) if not row[c].is_zero())
 
 
 def build_wronskian(inst: QQInstance, sol: QQSolution, S: tuple,
                     v: Optional[RatMatrix], z: list) -> RatMatrix:
     """Generalized q-Wronskian of a solved instance (type A).
 
-    The first column holds the orbit polynomials.  R is a
-    monomial matrix, so the first column of each transport S_k has one
-    nonzero entry gamma_k, in row tgt(k); column tgt(k) of W is
+    The first column holds the omega_1 orbit polynomials: Q+_1 and Q-_1 at
+    rank one, above it the numerators of v's first column (denominators
+    Q+_0 = 1).  The first column of each transport S_k has one nonzero
+    entry gamma_k, in row tgt(k) (``monomial_row``); column tgt(k) of W is
 
         col_tgt(z) = Z^{-k} col_1(q^k z) / gamma_k(z).
 
@@ -235,19 +221,15 @@ def build_wronskian(inst: QQInstance, sol: QQSolution, S: tuple,
     if not inst.cartan.is_type_a:
         raise DegenerateInstance("build_wronskian requires type A")
     n = inst.rank + 1
-    col1 = wronskian_first_column(inst, sol, v)
+    col1 = ([sol.qplus[0], sol.qminus[0]] if n == 2
+            else [row[0].num for row in v.entries])
 
-    cols: dict[int, list[RatFun]] = {0: [RatFun(p) for p in col1]}
+    cols = {0: [RatFun(p) for p in col1]}
     for k in range(1, n):
-        nz = [i for i in range(n) if not S[k].entries[i][0].is_zero()]
-        if len(nz) != 1:
-            raise AssertionError("transport image must be a single basis vector")
-        shifted = [RatFun(q_shift(p, inst.q**k)) for p in col1]
-        ginv = S[k].entries[nz[0]][0].inv()
-        cols[nz[0]] = [shifted[i] * (z[i] ** (-k)) * ginv for i in range(n)]
-
-    if len(cols) != n:
-        raise AssertionError("transports failed to fill every column")
+        tgt = monomial_row(S[k], 0)
+        ginv = S[k].entries[tgt][0].inv()
+        cols[tgt] = [RatFun(q_shift(p, inst.q**k)) * (z[i] ** (-k)) * ginv
+                     for i, p in enumerate(col1)]
     return RatMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
@@ -453,6 +435,7 @@ def check_wronskian_equations(s: TypeASample) -> CheckReport:
     i-th fundamental vector realized through i-th compound matrices.  The
     pair (i, k) participates while the transported wedge stays inside the
     coordinate window, i + k <= h; the k = 0 equations are trivial.
+    Each item carries its k and i.
     """
     inst = s.bundle.inst
     h = len(s.W)  # the Coxeter number of A_r is r + 1
@@ -464,7 +447,8 @@ def check_wronskian_equations(s: TypeASample) -> CheckReport:
         for i in range(1, min(inst.rank, h - k) + 1):
             val = _rel_gap([_compound_top_column(M, i) for M in s.W[k]],
                            [_compound_top_column(M, i) for M in rhs])
-            rep.add(f"k={k} i={i}", val <= max(inst.tau, 1e-8) * 10, value=val)
+            rep.add(f"k={k} i={i}", val <= max(inst.tau, 1e-8) * 10,
+                    value=val, k=k, i=i)
     return rep
 
 
@@ -473,20 +457,6 @@ def _compound_top_column(M, i: int) -> list:
     minors against columns 1..i, row sets in lexicographic order."""
     return [_minor(M, rows, range(i))
             for rows in itertools.combinations(range(len(M)), i)]
-
-
-def _wedge_image(Rm: list, i: int):
-    """(columns, scalars) of the single wedge that R's i-th compound maps
-    the top wedge e_1 ^ ... ^ e_i to, for a list Rm of evaluations of R;
-    the scalars hold one value per matrix."""
-    img = [_compound_top_column(M, i) for M in Rm]
-    big = [[abs(e) > 1e-12 * (1 + max(map(abs, col))) for e in col]
-           for col in img]
-    nz = [k for k, flag in enumerate(big[0]) if flag]
-    if len(nz) != 1 or any(flags != big[0] for flags in big):
-        raise AssertionError("lift compound image is not a single wedge")
-    return (list(itertools.combinations(range(len(Rm[0])), i))[nz[0]],
-            [col[nz[0]] for col in img])
 
 
 def check_shifted_minor_relation(s: TypeASample, i: int,
@@ -498,15 +468,17 @@ def check_shifted_minor_relation(s: TypeASample, i: int,
         (-1)^i [prod_j zeta_j^{<coroot_j, w om_i>}] F_i(z)
         Delta_{w om_i, om_i}(W(qz)),
 
-    where the shifted column set and the factor F_i(z)^{-1} = L_i(z) are
-    read off the i-th compound of the staggered lift; for the standard
-    ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  Each residual is
-    the relative residual on the sample.
+    where the shifted column set c om_i is the sorted image of columns
+    1..i of the staggered lift R (``monomial_row``), and F_i(z)^{-1} =
+    L_i(z) is R(z)'s minor on those rows and columns 1..i; for the
+    standard ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  Each
+    residual is the relative residual on the sample.
     """
     inst = s.bundle.inst
     if not s.points:
         return [float("inf")] * len(words)
-    tgt_cols, scalars = _wedge_image(s.S[1], i)
+    tgt_cols = sorted(monomial_row(s.bundle.R, c) for c in range(i))
+    scalars = [_minor(M, tgt_cols, range(i)) for M in s.S[1]]
     rows = [tuple(_index_rows(w, i, inst.cartan)) for w in words]
     gaps = {}
     for rs in rows:  # words with one row set w(om_i) share its residual
@@ -522,40 +494,6 @@ def check_shifted_minor_relation(s: TypeASample, i: int,
     return [gaps[rs] for rs in rows]
 
 
-def gauss_decompose(M: RatMatrix):
-    """LDU factorization M = n_minus h n_plus with unipotent outer factors.
-
-    Exists iff every leading principal minor is a nonzero rational
-    function; on failure reports the first index whose minor vanishes.
-    Meant for exact matrices: on a float one, each quotient carries the
-    rounding of its pivot, and on an A4 Wronskian the coefficients overflow.
-    """
-    n = M.n
-    work = [[M.entries[i][j] for j in range(n)] for i in range(n)]
-    lower = [[RatFun.one() if i == j else RatFun.zero() for j in range(n)]
-             for i in range(n)]
-    upper = [[RatFun.one() if i == j else RatFun.zero() for j in range(n)]
-             for i in range(n)]
-    diag = [RatFun.one()] * n
-    for k in range(n):
-        piv = work[k][k]
-        if piv.is_zero():
-            raise DegenerateInstance(
-                f"no Gaussian decomposition: principal minor {k + 1} vanishes")
-        diag[k] = piv
-        for i2 in range(k + 1, n):
-            lower[i2][k] = work[i2][k] / piv
-        for j2 in range(k + 1, n):
-            upper[k][j2] = work[k][j2] / piv
-        for i2 in range(k + 1, n):
-            for j2 in range(k + 1, n):
-                work[i2][j2] = work[i2][j2] - work[i2][k] * work[k][j2] / piv
-    return (RatMatrix(lower),
-            RatMatrix([[diag[i] if i == j else RatFun.zero() for j in range(n)]
-                       for i in range(n)]),
-            RatMatrix(upper))
-
-
 def _leading_minor_vanishes(M, k: int) -> bool:
     """|Delta_k(M)| <= 1e-8 times the Hadamard bound of M's leading k x k
     block, the product of its rows' norms."""
@@ -568,9 +506,9 @@ def miura_from_wronskian(s: TypeASample) -> CheckReport:
 
     The nondegeneracy gate: W has a Gaussian decomposition iff every
     leading principal minor Delta_k is a nonzero function, and the gate
-    raises DegenerateInstance (as gauss_decompose does) when some Delta_k
-    of W(x) vanishes at every sample point, |Delta_k(x)| <= 1e-8 times the
-    Hadamard bound of the k x k block.  A sample without points skips it.
+    raises DegenerateInstance when some Delta_k of W(x) vanishes at every
+    sample point, |Delta_k(x)| <= 1e-8 times the Hadamard bound of the
+    k x k block.  A sample without points skips it.
     The connection is A(z) = v(qz)^{-1} Z v(z) with v the lower-triangular
     trivializer determined by the Wronskian's first column, solved at
     each sample point; it is checked to (a) be lower triangular of Miura

@@ -1,8 +1,9 @@
 """Constructions that only the tests use: Coxeter data, Weyl-word
 inverses and longest elements, twists along a word, the lift exponent
-table, matrix lifts of Weyl words, the Backlund gauge parameter, and a
-field-wise copy of the type-A bundle and sample.  The tests hold them to the paper's formulas;
-no command runs them.
+table, matrix lifts of Weyl words, the Backlund gauge parameter, the
+symbolic Gaussian decomposition, and a field-wise copy of the type-A
+bundle and sample.  The tests hold them to the paper's formulas; no
+command runs them.
 """
 
 import inspect
@@ -12,7 +13,7 @@ from typing import NamedTuple
 from qoper.cartan import (CartanData, CartanError, TwistZ, WeylWord,
                           enumerate_weyl, reflect_twist)
 from qoper.polynomials import TAU, RatFun, RatMatrix
-from qoper.qq import QQInstance, QQSolution
+from qoper.qq import DegenerateInstance, QQInstance, QQSolution
 
 _COXETER_NUMBERS = {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}
 
@@ -136,6 +137,48 @@ def mu_gauge(sol: QQSolution, cartan: CartanData, i: int, z: complex,
         if e:
             num *= complex(sol.qplus[j - 1](z)) ** e
     return num / (vp * vm)
+
+
+def _pivot_vanishes(f: RatFun) -> bool:
+    """f is exactly zero, or a float f whose numerator is at most TAU
+    times 1 + the norm of its denominator."""
+    return f.is_zero() or (not f.num.exact
+                           and f.num.norm() <= TAU * (1.0 + f.den.norm()))
+
+
+def gauss_decompose(M: RatMatrix):
+    """LDU factorization M = n_minus h n_plus with unipotent outer factors.
+
+    Exists iff every leading principal minor is a nonzero rational
+    function; on failure reports the first index whose minor vanishes
+    (``_pivot_vanishes``).  Meant for exact matrices: on a float one, each
+    quotient carries the rounding of its pivot, and on an A4 Wronskian the
+    coefficients overflow.
+    """
+    n = M.n
+    work = [[M.entries[i][j] for j in range(n)] for i in range(n)]
+    lower = [[RatFun.one() if i == j else RatFun.zero() for j in range(n)]
+             for i in range(n)]
+    upper = [[RatFun.one() if i == j else RatFun.zero() for j in range(n)]
+             for i in range(n)]
+    diag = [RatFun.one()] * n
+    for k in range(n):
+        piv = work[k][k]
+        if _pivot_vanishes(piv):
+            raise DegenerateInstance(
+                f"no Gaussian decomposition: principal minor {k + 1} vanishes")
+        diag[k] = piv
+        for i2 in range(k + 1, n):
+            lower[i2][k] = work[i2][k] / piv
+        for j2 in range(k + 1, n):
+            upper[k][j2] = work[k][j2] / piv
+        for i2 in range(k + 1, n):
+            for j2 in range(k + 1, n):
+                work[i2][j2] = work[i2][j2] - work[i2][k] * work[k][j2] / piv
+    return (RatMatrix(lower),
+            RatMatrix([[diag[i] if i == j else RatFun.zero() for j in range(n)]
+                       for i in range(n)]),
+            RatMatrix(upper))
 
 
 def replace(obj, **changes):

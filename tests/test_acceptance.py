@@ -21,10 +21,10 @@ from qoper.qq import (DegenerateInstance, QQInstance, QQSolution,
                       bethe_residual, qq_residual, solve_bethe)
 from qoper.backlund import apply_word, backlund_step
 from qoper.wronskian import (RatMatrix, check_lewis_carroll,
-                             check_wronskian_equations, gauss_decompose,
+                             check_wronskian_equations,
                              miura_from_wronskian, miura_plucker_blocks,
                              sample_bundle, type_a_bundle)
-from constructions import replace
+from constructions import gauss_decompose, replace
 
 ROOT = Path(__file__).resolve().parent.parent
 PANEL20 = list(1.11 * np.exp(2j * np.pi * np.linspace(0.03, 0.97, 20)))

@@ -246,7 +246,7 @@ class TestFuzzFindings:
     @pytest.mark.parametrize("q", [1e10, 1e12, 1e15, 1e20])
     def test_large_q_is_a_failed_wronskian_build(self, tmp_path, command, q):
         # a2_solved solves the system for q = 0.2 only: with a huge q the
-        # trivializer's first q-difference equation has no polynomial
+        # trivializer's q-difference equation (3,2) has no polynomial
         # solution, and the report says so instead of raising
         doc = json.loads(A2_SOLVED.read_text())
         doc["q"] = q
@@ -257,7 +257,7 @@ class TestFuzzFindings:
         bad = [c for c in json.loads(text)["checks"] if not c["pass"]]
         assert bad[-1]["check"] == "wronskian-build"
         assert bad[-1]["witnesses"] == [
-            "Miura trivializer entry (2,1) has no polynomial solution "
+            "Miura trivializer entry (3,2) has no polynomial solution "
             "(resonant or degenerate twist)"]
 
     @pytest.mark.parametrize("argv", [
@@ -539,6 +539,28 @@ class TestVerify:
         rep = json.loads(text)
         bad = {c["check"] for c in rep["checks"] if not c["pass"]}
         assert "qq-residual" in bad and "bethe-residual" in bad
+
+    @pytest.mark.parametrize("command", ["wronskian", "verify"])
+    def test_tiny_lambda_runs_the_wronskian_checks(self, tmp_path, command):
+        # Lambda = 1e-11 (z - 1), solved exactly by Q+ = z - a and Q- = c:
+        # R's one entry in row 2 is Lambda itself, so W is built and its
+        # checks pass; the run fails on other checks, with exit 1
+        q, zeta, eps = 0.3, 2.0, 1e-11
+        c = eps / (zeta * q - 1 / zeta)
+        a = (zeta * q - 1 / zeta) / (zeta - 1 / zeta)
+        f = tmp_path / "tiny.json"
+        f.write_text(json.dumps({
+            "version": 1, "lie_type": "A", "rank": 1, "q": q,
+            "zetas": [zeta], "lambdas": [{"coeffs": [-eps, eps]}],
+            "degrees": [1], "solution": {"qplus": [[-a, 1.0]],
+                                         "qminus": [[c]]}}))
+        code, text = run_cli([command, "--instance", str(f)], tmp_path)
+        assert code == 1
+        checks = json.loads(text)["checks"]
+        for name in ("wronskian-det", "wronskian-equation", "shifted-minor",
+                     "fundamental-relation"):
+            got = [ch for ch in checks if ch["check"] == name]
+            assert got and all(ch["pass"] for ch in got), name
 
     def test_solved_a3_passes(self, tmp_path):
         # the fundamental relation and the Miura inverse are checked on

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,16 +20,18 @@ from qoper.wronskian import (RatMatrix, _coroot_diag, _index_rows,
                              check_lewis_carroll,
                              check_shifted_minor_relation,
                              check_wronskian_equations,
-                             fundamental_relation_residual, gauss_decompose,
+                             fundamental_relation_residual,
                              lift_products,
                              miura_from_wronskian, miura_plucker_blocks,
-                             miura_trivializer,
+                             miura_trivializer, monomial_row,
                              s_lambda_inverse, sample_bundle, type_a_bundle)
-from constructions import (d_exponents, longest_element, replace, weyl_twist,
-                           word_inverse)
+from constructions import (d_exponents, gauss_decompose, longest_element,
+                           replace, weyl_twist, word_inverse)
 from sampled_solver import sampled_trivializer_numerators
 
 PANEL = [0.77 + 0.31j, -1.1 + 0.6j, 2.2 - 0.3j, 0.4 + 1.3j, -0.6 - 0.9j]
+A2_SOLVED = Path(__file__).resolve().parent.parent / "instances" \
+    / "a2_solved.json"
 
 
 def a1_solved(q=1.0 / 3.0, zeta=2.0):
@@ -193,7 +197,9 @@ class TestSLambdaInverse:
                 for j in range(1, k + 1):
                     closed = closed * q_shift(inst.lambdas[j - 1],
                                               inst.q ** (k - 1))
-                assert (gamma - RatFun(closed)).is_zero(1e-8), (rank, k)
+                gap = gamma - RatFun(closed)
+                assert gap.num.norm() <= 1e-8 * (1.0 + gap.den.norm()), \
+                    (rank, k)
 
     def test_lift_products_match_numeric_products(self):
         # S_k(x) = R(x) R(qx) ... R(q^{k-1} x) for every ordering
@@ -627,6 +633,19 @@ class TestMiura:
             want = np.array([[0.5, 0.0], [x, 2.0]])
             assert np.abs(np.array(A.eval(x)) - want).max() < 1e-12 * (1 + abs(x))
 
+    def test_product_keeps_small_entries_at_large_q(self):
+        # at q = 1e20 the factors' entries span many orders of magnitude,
+        # and A keeps every entry of its Miura shape
+        doc = json.loads(A2_SOLVED.read_text())
+        inst, sol, _ = parse_instance({**doc, "q": 1e20})
+        A = build_miura_A(inst, sol)
+        for r in range(3):
+            for c in range(3):
+                if c > r:
+                    assert A[r, c].is_zero(), (r, c)
+                elif r - c <= 1:
+                    assert not A[r, c].is_zero(), (r, c)
+
     def test_reconstruction_sl2(self):
         rep = miura_from_wronskian(sampled(*a1_solved()))
         assert rep.passed
@@ -797,6 +816,37 @@ class TestWeylTwist:
             assert np.abs(np.array(W2.eval(x)) + np.array(W.eval(x))).max() < 1e-10
         assert all(abs(complex(a) - complex(b)) < 1e-12
                    for a, b in zip(tw.zetas, inst.twist.zetas))
+
+
+class TestMonomialTransports:
+    """R is a signed permutation times torus factors, so R and each
+    transport S_k have one nonzero entry per column, however small the
+    scale of Lambda."""
+
+    @staticmethod
+    def lifts(rank, ordering, scale):
+        lambdas = tuple(Poly([(-(k + 1.0) - 0.3j * k) * scale, scale])
+                        for k in range(rank))
+        inst = QQInstance(cartan_matrix("A", rank).with_ordering(ordering),
+                          0.2, TwistZ((2.0, 3.0, 5.0, 7.0)[:rank]), lambdas,
+                          (1,) * rank)
+        return lift_products(s_lambda_inverse(inst), inst.q)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-11])
+    def test_one_entry_per_column_every_ordering(self, scale):
+        for rank in (1, 2, 3, 4):
+            for ordering in itertools.permutations(range(1, rank + 1)):
+                S = self.lifts(rank, ordering, scale)
+                for k, Sk in enumerate(S):
+                    for c in range(Sk.n):
+                        nonzero = [r for r in range(Sk.n)
+                                   if not Sk[r, c].is_zero()]
+                        assert nonzero == [monomial_row(Sk, c)], \
+                            (ordering, k, c)
+                # the first columns of S_0, ..., S_r land in distinct rows,
+                # so the transports fill every column of W
+                rows = sorted(monomial_row(Sk, 0) for Sk in S)
+                assert rows == list(range(rank + 1)), ordering
 
 
 class TestTypeABundle:
