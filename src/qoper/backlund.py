@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cartan import WeylWord, canonical_form, enumerate_weyl, reflect_twist
+from .cartan import canonical_form, enumerate_weyl, reflect_twist
 from .polynomials import q_distinct
-from .qq import (CheckReport, DegenerateInstance, FullQQSystem, QQInstance,
-                 QQSolution, check_scale, resonance_check, solve_q_minus)
+from .qq import (CheckReport, DegenerateInstance, QQInstance, QQSolution,
+                 check_scale, resonance_check, solve_q_minus)
 
 
 class BacklundStepRecord:
@@ -28,6 +28,25 @@ class BacklundStepRecord:
                  solved: tuple):
         self.node, self.solved = node, solved
         self.instance, self.solution = instance, solution
+
+
+class FullQQSystem:
+    """Q+ polynomials indexed by Weyl group elements, plus their twists.
+
+    ``table[key][i]`` is the monic i-th Q+ of the system twisted by the
+    element with canonical form ``key``; ``words`` maps the key back to a
+    reduced word.  Refusals along the exploration are recorded rather than
+    raised, and ``generic`` reports whether the whole group was covered.
+    Every field but ``base`` starts empty, and ``generic`` True.
+    """
+
+    __slots__ = ("base", "table", "twists", "words", "refusals", "generic")
+
+    def __init__(self, base: QQSolution):
+        self.base = base
+        self.table, self.twists, self.words = {}, {}, {}
+        self.refusals = []
+        self.generic = True
 
 
 def _step_nondegeneracy(inst: QQInstance, sol: QQSolution, i: int,
@@ -120,7 +139,7 @@ def _walk_stats(inst, sol, records, refusals: int, rooted_before: set) -> dict:
                                   - rooted_before)}
 
 
-def apply_word(inst: QQInstance, sol: QQSolution, word: WeylWord,
+def apply_word(inst: QQInstance, sol: QQSolution, word: tuple,
                K: Optional[int] = None, stats: Optional[dict] = None):
     """Iterate backlund_step along a word, rightmost letter first.
 
@@ -134,7 +153,7 @@ def apply_word(inst: QQInstance, sol: QQSolution, word: WeylWord,
     records = []
     cur_inst, cur_sol = inst, sol
     try:
-        for letter in reversed(word.letters):
+        for letter in reversed(word):
             cur_inst, cur_sol, rec = backlund_step(cur_inst, cur_sol, letter, K)
             records.append(rec)
     except DegenerateInstance as exc:
@@ -162,10 +181,10 @@ def full_qq_system(inst: QQInstance, sol: QQSolution,
     cartan = inst.cartan
     words = enumerate_weyl(cartan)
     out = FullQQSystem(base=sol)
-    id_key = canonical_form(WeylWord.identity(), cartan)
+    id_key = canonical_form((), cartan)
     out.table[id_key] = tuple(sol.qplus)
     out.twists[id_key] = inst.twist
-    out.words[id_key] = WeylWord.identity()
+    out.words[id_key] = ()
     state = {id_key: (inst, sol)}
     rooted = _with_roots(_polys(inst, sol))
     records = []
@@ -173,18 +192,17 @@ def full_qq_system(inst: QQInstance, sol: QQSolution,
     for word in words[1:]:  # by length, after the identity
         key = canonical_form(word, cartan)
         # walk up from the element obtained by dropping the leftmost letter
-        parent = WeylWord(word.letters[1:])
-        pkey = canonical_form(parent, cartan)
+        pkey = canonical_form(word[1:], cartan)
         if pkey not in state:
-            out.refusals.append({"word": word.letters, "reason": "parent missing"})
+            out.refusals.append({"word": word, "reason": "parent missing"})
             out.generic = False
             continue
         pinst, psol = state[pkey]
-        letter = word.letters[0]
+        letter = word[0]
         try:
             ninst, nsol, rec = backlund_step(pinst, psol, letter, K)
         except DegenerateInstance as exc:
-            out.refusals.append({"word": word.letters, "node": letter,
+            out.refusals.append({"word": word, "node": letter,
                                  "reason": str(exc)})
             out.generic = False
             continue

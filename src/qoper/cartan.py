@@ -1,4 +1,5 @@
-"""Finite-type Cartan matrices, Weyl words, Weyl group orders, and twists.
+"""Finite-type Cartan matrices, Weyl group elements, Weyl group orders,
+and twists.
 
 Convention: the Cartan matrix entry a[i][j] is the pairing of the j-th
 simple root against the i-th coroot, so a[i][i] = 2 and the i-th simple
@@ -7,15 +8,20 @@ reflection acts on a coweight vector v (in the coroot basis) by
     s_i : v  ->  v - <alpha_i, v> alpha_i^vee,
     <alpha_i, v> = sum_k a[k][i] v_k.
 
-Nodes are numbered in the Bourbaki order.  Weyl group elements are stored
-as reduced words; canonical forms use the (faithful) action on a strictly
-dominant integer weight vector, so comparison works uniformly in every
-finite type without Matsumoto rewriting.
+Nodes are numbered in the Bourbaki order.  A Weyl group element is a
+word, a tuple of node numbers: the word w spells the product
+s_{w[0]} s_{w[1]} ..., which acts as function composition, so its
+rightmost letter acts first.  The empty tuple is the identity and u + v
+spells the product uv.  Words act on weights in fundamental-weight
+coordinates (``word_action``); canonical forms, the element table and the
+index sets of type-A minors are all read off that action, so comparison
+works uniformly in every finite type without Matsumoto rewriting.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
 DEFAULT_WEYL_GUARD = 10_080
@@ -87,29 +93,6 @@ class CartanData(ValueObject):
     @property
     def is_type_a(self) -> bool:
         return self.lie_type == "A"
-
-
-class WeylWord(ValueObject):
-    """A word in simple reflections; letters in {1..rank}.
-
-    The element is the product s_{letters[0]} s_{letters[1]} ... acting as
-    function composition, rightmost letter applied first.
-    """
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: tuple):
-        self.letters = tuple(int(l) for l in letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    @staticmethod
-    def identity() -> "WeylWord":
-        return WeylWord(())
-
-    def __mul__(self, other: "WeylWord") -> "WeylWord":
-        return WeylWord(self.letters + other.letters)
 
 
 class TwistZ(ValueObject):
@@ -213,16 +196,12 @@ def cartan_matrix(lie_type: str, rank: int) -> CartanData:
 
 def weyl_order(data: CartanData) -> int:
     t, r = data.lie_type, data.rank
-    fact = 1
-    for k in range(2, r + 2):
-        fact *= k
     if t == "A":
-        return fact
-    rfact = fact // (r + 1)
+        return factorial(r + 1)
     if t in ("B", "C"):
-        return (2**r) * rfact
+        return 2**r * factorial(r)
     if t == "D":
-        return (2 ** (r - 1)) * rfact
+        return 2 ** (r - 1) * factorial(r)
     return {"E6": 51840, "E7": 2903040, "E8": 696729600,
             "F4": 1152, "G2": 12}[f"{t}{r}"]
 
@@ -255,13 +234,14 @@ def _reflect_vector(v: tuple, i: int, data: CartanData) -> tuple:
     return tuple(v[j] - li * data.a(j + 1, i) for j in range(data.rank))
 
 
-def word_action(word: WeylWord, v: tuple, data: CartanData) -> tuple:
-    for letter in reversed(word.letters):
+def word_action(word: tuple, v: tuple, data: CartanData) -> tuple:
+    """The image w(v) of a weight v in fundamental-weight coordinates."""
+    for letter in reversed(word):
         v = _reflect_vector(v, letter, data)
     return v
 
 
-def canonical_form(word: WeylWord, data: CartanData) -> tuple:
+def canonical_form(word: tuple, data: CartanData) -> tuple:
     """Injective normal form: the image of the strictly dominant weight rho.
 
     rho = (1, ..., 1) in fundamental-weight coordinates is regular, so
@@ -271,13 +251,7 @@ def canonical_form(word: WeylWord, data: CartanData) -> tuple:
     return word_action(word, rho, data)
 
 
-def word_length(word: WeylWord, data: CartanData) -> int:
-    """Coxeter length of the element the word represents (via BFS table)."""
-    table = _element_table(data)
-    return len(table[canonical_form(word, data)])
-
-
-def enumerate_weyl(data: CartanData) -> list[WeylWord]:
+def enumerate_weyl(data: CartanData) -> list[tuple]:
     """One reduced word per Weyl group element, BFS by length.
 
     The identity comes first and the longest element last.  Groups larger
@@ -287,9 +261,7 @@ def enumerate_weyl(data: CartanData) -> list[WeylWord]:
     if order > DEFAULT_WEYL_GUARD:
         raise CartanError(f"group too large: |W| = {order} exceeds the "
                           f"bound {DEFAULT_WEYL_GUARD}")
-    table = _element_table(data)
-    words = sorted(table.values(), key=lambda w: (len(w), w))
-    return [WeylWord(w) for w in words]
+    return sorted(_element_table(data).values(), key=lambda w: (len(w), w))
 
 
 _TABLE_CACHE: dict = {}
@@ -317,38 +289,21 @@ def _element_table(data: CartanData) -> dict:
     return table
 
 
-def type_a_permutation(word: WeylWord, data: CartanData) -> tuple:
-    """Permutation of {1..r+1} induced by the word (type A only).
+def column_index_set(w: tuple, i: int, data: CartanData) -> tuple:
+    """The weight w(omega_i), which indexes the minors Delta_{w omega_i, .},
+    and their rows in type A: the set S = w({1, ..., i}) in {1, ..., r+1},
+    sorted and 0-based.
 
-    Entry k-1 of the result is the image of k; s_i is the transposition
-    (i, i+1); rightmost letter acts first.
+    S is read off the weight: coordinate j of w(omega_i) is
+    [j in S] - [j+1 in S], so the sum of coordinates j..r is
+    [j in S] - [r+1 in S], and |S| = i fixes [r+1 in S].
     """
-    if not data.is_type_a:
-        raise CartanError("permutation realization is defined only in type A")
-    n = data.rank + 1
-
-    def transpose(i, k):
-        if k == i:
-            return i + 1
-        if k == i + 1:
-            return i
-        return k
-
-    out = []
-    for k in range(1, n + 1):
-        x = k
-        for letter in reversed(word.letters):
-            x = transpose(letter, x)
-        out.append(x)
-    return tuple(out)
-
-
-def column_index_set(v: WeylWord, i: int, data: CartanData) -> frozenset:
-    """The image v({1, ..., i}) in {1, ..., rank+1} (type A only)."""
     if not data.is_type_a:
         raise CartanError("index sets via minors are defined only in type A")
     if not 1 <= i <= data.rank:
         raise ValueError(f"fundamental index {i} out of range")
-    perm = type_a_permutation(v, data)
-    return frozenset(perm[k] for k in range(i))
-
+    n = data.rank + 1
+    weight = word_action(w, tuple(int(j == i) for j in range(1, n)), data)
+    tails = [sum(weight[j:]) for j in range(n)]
+    last = (i - sum(tails)) // n  # [r+1 in S]
+    return weight, tuple(j for j, t in enumerate(tails) if t + last)

@@ -259,14 +259,20 @@ def poly_roots(p: Poly) -> list[complex]:
         polished.append(ensure_finite(r))
     # a far root is accurate when its backward error |p(r)| / sum |c_k||r|^k
     # is small, even if |p(r)| itself exceeds the coefficient scale
-    acs = [abs(c) for c in cs]
-    base = 1.0 + max(acs)
+    base = 1.0 + max(map(abs, cs))
     for r in polished:
         res = abs(_horner(cs, r))
-        if not res <= 1e-8 * max(base, _horner(acs, abs(r))):
+        if not res <= 1e-8 * max(base, value_scale(cs, r)):
             raise ArithmeticError(
                 f"root polishing failed: residual {res:.3e} at {r}")
     return sorted(polished, key=lambda w: (round(w.real, 12), round(w.imag, 12)))
+
+
+def value_scale(coeffs, z) -> float:
+    """sum_k |c_k| |z|^k over coefficients lowest degree first: the size of
+    p(z) that rounding in its evaluation is relative to, so |p(z)| over it
+    is the backward error of z as a root."""
+    return _horner([abs(c) for c in coeffs], abs(z))
 
 
 def _horner(coeffs, z):

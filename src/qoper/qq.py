@@ -26,10 +26,9 @@ import random
 import sys
 from typing import Optional, Sequence
 
-from .cartan import (CartanData, TwistZ, ValueObject, WeylWord, canonical_form,
-                     twist_monomial)
+from .cartan import CartanData, TwistZ, ValueObject, twist_monomial
 from .polynomials import (TAU, Poly, close, ensure_finite, q_shift,
-                          solve_linear, solve_q_difference)
+                          solve_linear, solve_q_difference, value_scale)
 
 
 # |log x| below which x and 1/x are both normal floats
@@ -91,28 +90,6 @@ class QQSolution(ValueObject):
         return len(self.qplus)
 
 
-class FullQQSystem:
-    """Q+ polynomials indexed by Weyl group elements, plus their twists.
-
-    ``table[key][i]`` is the monic i-th Q+ of the system twisted by the
-    element with canonical form ``key``; ``words`` maps the key back to a
-    reduced word.  Refusals along the exploration are recorded rather than
-    raised, and ``generic`` reports whether the whole group was covered.
-    Every field but ``base`` starts empty, and ``generic`` True.
-    """
-
-    __slots__ = ("base", "table", "twists", "words", "refusals", "generic")
-
-    def __init__(self, base: QQSolution):
-        self.base = base
-        self.table, self.twists, self.words = {}, {}, {}
-        self.refusals = []
-        self.generic = True
-
-    def entry(self, word: WeylWord, cartan: CartanData):
-        return self.table.get(canonical_form(word, cartan))
-
-
 def _neighbours(inst: QQInstance, i: int):
     """(after, before): the nodes j linked to node i that follow and that
     precede it in the instance ordering, each as a pair (j, e = -a_ji)."""
@@ -138,6 +115,13 @@ def check_scale(inst: QQInstance, K: Optional[int] = None):
         if top * abs(math.log(abs(complex(x)))) > _LOG_NORMAL:
             raise ValueError(f"{where}: {complex(x)} to the power {top} "
                              "leaves the float range")
+
+
+def twist_ratio(inst: QQInstance, i: int):
+    """xi~_i / xi_i = prod_j zeta_j^{a_ji}, from column i of the Cartan
+    matrix: the value the resonance checks hold against powers of q."""
+    return twist_monomial(inst.twist.zetas,
+                          [row[i - 1] for row in inst.cartan.cartan])
 
 
 def xi_factors(inst: QQInstance, i: int):
@@ -212,8 +196,8 @@ def resonance_check(inst: QQInstance, K: Optional[int] = None) -> CheckReport:
     if K < 1:
         raise ValueError("window K must be >= 1")
     rep = CheckReport()
-    for j, col in enumerate(zip(*inst.cartan.cartan), start=1):
-        val = twist_monomial(inst.twist.zetas, col)
+    for j in range(1, inst.rank + 1):
+        val = twist_ratio(inst, j)
         bad = _resonant_power(inst, val, K)
         rep.add(f"node {j}", bad is None, witness=bad, value=val)
     return rep
@@ -240,9 +224,7 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int) -> Poly:
     """
     p, rhs = qplus[i - 1], qq_rhs(inst, qplus, i)
     d = rhs.degree - p.degree
-    ratio = twist_monomial(inst.twist.zetas,
-                           [a[i - 1] for a in inst.cartan.cartan])
-    k = _resonant_power(inst, ratio, d + 2) if d >= 0 else None
+    k = _resonant_power(inst, twist_ratio(inst, i), d + 2) if d >= 0 else None
     if k is not None:
         raise DegenerateInstance(f"resonant twist at node {i}: prod zeta^a = "
                                  f"q^{k}, the Q- solve is not unique")
@@ -331,9 +313,9 @@ def _bethe_kernel(inst: QQInstance):
     # up_s and down_s are the derivatives of qw and w/q in w
     up_s, down_s, down_c = qc, 1 / qc, 1 / qc - 1
     # per node: the constant of L, and Lambda_i highest coefficient first
-    consts = [((qc - 1) * twist_monomial(inst.twist.zetas, col),
+    consts = [((qc - 1) * twist_ratio(inst, i),
                [complex(c) for c in reversed(lam.coeffs)])
-              for col, lam in zip(zip(*inst.cartan.cartan), inst.lambdas)]
+              for i, lam in enumerate(inst.lambdas, start=1)]
     roots = [(k, own, *consts[i - 1], links)
              for k, i, own, links in _root_links(inst)]
     n = len(roots)
@@ -421,9 +403,11 @@ def bethe_residual(inst: QQInstance, qplus: Sequence[Poly]) -> list:
 
     Returns a list of (node, root, residual) triples over every root of
     every Q+_i, roots extracted numerically.  A root w raises
-    DegenerateInstance when Lambda_i(w/q) or Q+_i(w/q) vanishes to tau,
-    or when a side is exactly 0; a side that is not finite raises
-    NonFinite, and a power of a factor that overflows OverflowError.
+    DegenerateInstance when Lambda_i(w/q) or Q+_i(w/q) vanishes, its
+    modulus at most tau times its ``value_scale`` (a backward error that
+    a common factor of the coefficients leaves alone), or when a side is
+    exactly 0; a side that is not finite raises NonFinite, and a power of
+    a factor that overflows OverflowError.
     """
     roots = []
     for i, (qp, m) in enumerate(zip(qplus, inst.degrees), start=1):
@@ -436,12 +420,11 @@ def bethe_residual(inst: QQInstance, qplus: Sequence[Poly]) -> list:
     for i, rs in enumerate(roots, start=1):
         qp, lam = qplus[i - 1], inst.lambdas[i - 1]
         for w in rs:
-            if abs(complex(lam(w / qc))) <= inst.tau * (1 + lam.norm()):
-                raise DegenerateInstance(f"degenerate root configuration: "
-                                         f"Lambda_{i}(q^-1 w) = 0 at w = {w}")
-            if abs(complex(qp(w / qc))) <= inst.tau * (1 + qp.norm()):
-                raise DegenerateInstance(f"degenerate root configuration: "
-                                         f"Q+_{i}(q^-1 w) = 0 at w = {w}")
+            for name, p in ((f"Lambda_{i}", lam), (f"Q+_{i}", qp)):
+                if abs(complex(p(w / qc))) <= inst.tau * value_scale(
+                        p.coeffs, w / qc):
+                    raise DegenerateInstance(f"degenerate root configuration: "
+                                             f"{name}(q^-1 w) = 0 at w = {w}")
             k = len(out)
             lhs, rhs = ensure_finite(L[k]), ensure_finite(R[k])
             for side, val in (("right", rhs), ("left", lhs)):

@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cartan import CartanData, WeylWord, column_index_set, twist_monomial
+from .cartan import CartanData, column_index_set, twist_monomial
 # perfbench's tracer finds RatMatrix and check_lewis_carroll in this module
 from .polynomials import (Poly, RatFun, RatMatrix, check_lewis_carroll,
                           ensure_finite, is_exact, off_pole, q_shift,
@@ -339,11 +339,6 @@ def sample_bundle(b: TypeABundle) -> TypeASample:
 
 # -- minors and identities ---------------------------------------------
 
-def _index_rows(w: WeylWord, i: int, data: CartanData) -> list[int]:
-    """The 0-based row set of w(omega_i), i.e. of w({1..i}), sorted."""
-    return [r - 1 for r in sorted(column_index_set(w, i, data))]
-
-
 def _minor(M, rows, cols) -> complex:
     """The minor on rows x cols (0-based) of a matrix of values."""
     return triangularize([[M[r][c] for c in cols] for r in rows], len(rows))
@@ -398,8 +393,8 @@ def _rel_gap(lhs, *rhs) -> float:
     return worst if worst >= 0 else float("inf")
 
 
-def fundamental_relation_residual(Mv: list, u: WeylWord, v: WeylWord,
-                                  i: int, data: CartanData) -> float:
+def fundamental_relation_residual(Mv: list, u: tuple, v: tuple, i: int,
+                                  data: CartanData) -> float:
     """Relative residual of the minor exchange relation on a list Mv of
     evaluated matrices, one per point.
 
@@ -407,14 +402,14 @@ def fundamental_relation_residual(Mv: list, u: WeylWord, v: WeylWord,
     is built.  The relation needs l(u s_i) = l(u) + 1 and the same for v,
     which is not checked.
     """
-    si = WeylWord((i,))
-    ru, rv, rus, rvs = (_index_rows(w, i, data) for w in (u, v, u * si, v * si))
+    ru, rv, rus, rvs = (column_index_set(w, i, data)[1]
+                        for w in (u, v, u + (i,), v + (i,)))
     a, b, c, d = ([_minor(M, rows, cols) for M in Mv]
                   for rows, cols in ((ru, rv), (rus, rvs), (rus, rv), (ru, rvs)))
     rhs = [1.0 + 0j] * len(Mv)
     for j in range(1, data.rank + 1):
         if j != i and data.a(j, i):
-            rows, cols = _index_rows(u, j, data), _index_rows(v, j, data)
+            rows, cols = (column_index_set(w, j, data)[1] for w in (u, v))
             rhs = [r * _minor(M, rows, cols) ** -data.a(j, i)
                    for r, M in zip(rhs, Mv)]
     return _rel_gap([x * y for x, y in zip(a, b)],
@@ -460,7 +455,7 @@ def _compound_top_column(M, i: int) -> list:
 
 
 def check_shifted_minor_relation(s: TypeASample, i: int,
-                                 words: Sequence[WeylWord]) -> list[float]:
+                                 words: Sequence[tuple]) -> list[float]:
     """Residuals of the one-step minor shift relation at node i, one per
     word w of ``words``:
 
@@ -471,27 +466,27 @@ def check_shifted_minor_relation(s: TypeASample, i: int,
     where the shifted column set c om_i is the sorted image of columns
     1..i of the staggered lift R (``monomial_row``), and F_i(z)^{-1} =
     L_i(z) is R(z)'s minor on those rows and columns 1..i; for the
-    standard ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  Each
-    residual is the relative residual on the sample.
+    standard ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  The rows
+    w om_i and the exponents <coroot_j, w om_i> are both read off the
+    weight w(omega_i) (``column_index_set``).  Each residual is the
+    relative residual on the sample.
     """
     inst = s.bundle.inst
     if not s.points:
         return [float("inf")] * len(words)
     tgt_cols = sorted(monomial_row(s.bundle.R, c) for c in range(i))
     scalars = [_minor(M, tgt_cols, range(i)) for M in s.S[1]]
-    rows = [tuple(_index_rows(w, i, inst.cartan)) for w in words]
-    gaps = {}
-    for rs in rows:  # words with one row set w(om_i) share its residual
-        if rs not in gaps:
-            # <coroot_j, w om_i> = [j in w om_i] - [j+1 in w om_i]
-            weight = twist_monomial(inst.twist.zetas,
-                                    [(j in rs) - (j + 1 in rs)
-                                     for j in range(inst.rank)])
-            gaps[rs] = _rel_gap(
+    weights, gaps = [], {}
+    for w in words:  # words with one weight w(om_i) share its residual
+        weight, rs = column_index_set(w, i, inst.cartan)
+        weights.append(weight)
+        if weight not in gaps:
+            twist = twist_monomial(inst.twist.zetas, weight)
+            gaps[weight] = _rel_gap(
                 [_minor(M, rs, tgt_cols) for M in s.W[0]],
-                [weight * _minor(M, rs, range(i)) / c
+                [twist * _minor(M, rs, range(i)) / c
                  for M, c in zip(s.W[1], scalars)])
-    return [gaps[rs] for rs in rows]
+    return [gaps[weight] for weight in weights]
 
 
 def _leading_minor_vanishes(M, k: int) -> bool:

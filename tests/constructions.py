@@ -1,16 +1,16 @@
 """Constructions that only the tests use: Coxeter data, Weyl-word
-inverses and longest elements, twists along a word, the lift exponent
-table, matrix lifts of Weyl words, the Backlund gauge parameter, the
-symbolic Gaussian decomposition, and a field-wise copy of the type-A
-bundle and sample.  The tests hold them to the paper's formulas; no
-command runs them.
+inverses, lengths and longest elements, the full QQ table's entry at a
+word, twists along a word, the lift exponent table, matrix lifts of Weyl
+words, the Backlund gauge parameter, the symbolic Gaussian decomposition,
+and a field-wise copy of the type-A bundle and sample.  The tests hold
+them to the paper's formulas; no command runs them.
 """
 
 import inspect
 from fractions import Fraction
 from typing import NamedTuple
 
-from qoper.cartan import (CartanData, CartanError, TwistZ, WeylWord,
+from qoper.cartan import (CartanData, CartanError, TwistZ, canonical_form,
                           enumerate_weyl, reflect_twist)
 from qoper.polynomials import TAU, RatFun, RatMatrix
 from qoper.qq import DegenerateInstance, QQInstance, QQSolution
@@ -32,17 +32,31 @@ def coxeter_number(data: CartanData) -> int:
     raise CartanError(f"no Coxeter number for ({t}, {r})")
 
 
-def longest_element(data: CartanData) -> WeylWord:
+def longest_element(data: CartanData) -> tuple:
     return enumerate_weyl(data)[-1]
 
 
-def word_inverse(word: WeylWord) -> WeylWord:
-    return WeylWord(tuple(reversed(word.letters)))
+def word_length(word: tuple, data: CartanData) -> int:
+    """Coxeter length of the element the word spells: the length of its
+    reduced word in enumerate_weyl."""
+    form = canonical_form(word, data)
+    return next(len(w) for w in enumerate_weyl(data)
+                if canonical_form(w, data) == form)
 
 
-def twist_along_word(Z: TwistZ, word: WeylWord, data: CartanData) -> TwistZ:
+def word_inverse(word: tuple) -> tuple:
+    return tuple(reversed(word))
+
+
+def entry(fq, word: tuple, cartan: CartanData):
+    """The Q+ family of a full QQ table at the element the word spells,
+    or None when the table has no entry there."""
+    return fq.table.get(canonical_form(word, cartan))
+
+
+def twist_along_word(Z: TwistZ, word: tuple, data: CartanData) -> TwistZ:
     """w(Z) for w given by the word, rightmost letter applied first."""
-    for letter in reversed(word.letters):
+    for letter in reversed(word):
         Z = reflect_twist(Z, letter, data)
     return Z
 
@@ -98,16 +112,16 @@ def lift_matrix(n: int, i: int) -> RatMatrix:
     return RatMatrix([[RatFun.from_scalar(c) for c in row] for row in m])
 
 
-def lift_of_word(word: WeylWord, cartan: CartanData) -> RatMatrix:
+def lift_of_word(word: tuple, cartan: CartanData) -> RatMatrix:
     """Matrix lift of a Weyl word (type A defining representation)."""
     n = cartan.rank + 1
     acc = RatMatrix.identity(n)
-    for letter in word.letters:
+    for letter in word:
         acc = acc @ lift_matrix(n, letter)
     return acc
 
 
-def weyl_twist(W: RatMatrix, w: WeylWord, inst: QQInstance):
+def weyl_twist(W: RatMatrix, w: tuple, inst: QQInstance):
     """Left-multiply by the lift of w; the result is twisted by w(Z).
 
     Returns (W', new_twist); the lift is a signed permutation matrix whose

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qoper import polynomials
-from qoper.cartan import TwistZ, WeylWord, canonical_form, cartan_matrix
+from qoper.cartan import TwistZ, canonical_form, cartan_matrix
 from qoper.polynomials import Poly
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution, check_scale,
                       qq_residual, resonance_check, solve_bethe, solve_q_minus)
@@ -99,7 +99,7 @@ class TestBacklundStep:
             inst, sols = random_solved(rank, rng)
             for sol in sols:
                 for i in range(1, rank + 1):
-                    i2, s2, _ = apply_word(inst, sol, WeylWord((i, i)))
+                    i2, s2, _ = apply_word(inst, sol, (i, i))
                     assert all(abs(complex(a) - complex(b)) < 1e-9
                                for a, b in zip(i2.twist.zetas, inst.twist.zetas))
                     for p1, p2 in zip(s2.qplus, sol.qplus):
@@ -123,7 +123,7 @@ class TestBacklundStep:
         sol = QQSolution((Poly([-3.0, 1.0]),), (Poly([-1.0, 1.0]),))
         stats = {}
         with pytest.raises(DegenerateInstance, match="refused") as info:
-            apply_word(inst, sol, WeylWord((1,)), stats=stats)
+            apply_word(inst, sol, (1,), stats=stats)
         assert info.value.records == []
         assert stats["steps"] == 0 and stats["refusals"] == 1
 
@@ -176,28 +176,28 @@ class TestFullQQSystem:
     def test_identity_entry(self):
         inst, sol = a1_solved()
         fq = full_qq_system(inst, sol)
-        key = canonical_form(WeylWord.identity(), inst.cartan)
+        key = canonical_form((), inst.cartan)
         assert fq.table[key] == tuple(sol.qplus)
 
     def test_a1_two_entries(self):
         inst, sol = a1_solved()
         fq = full_qq_system(inst, sol)
         assert len(fq.table) == 2 and fq.generic
-        key = canonical_form(WeylWord((1,)), inst.cartan)
+        key = canonical_form((1,), inst.cartan)
         assert poly_close(fq.table[key][0], sol.qminus[0].monic())
 
     def test_a2_path_independence(self):
         inst, sol = a2_solved()
         fq = full_qq_system(inst, sol)
         assert len(fq.table) == 6 and fq.generic
-        ia, sa, _ = apply_word(inst, sol, WeylWord((1, 2, 1)))
-        ib, sb, _ = apply_word(inst, sol, WeylWord((2, 1, 2)))
+        ia, sa, _ = apply_word(inst, sol, (1, 2, 1))
+        ib, sb, _ = apply_word(inst, sol, (2, 1, 2))
         for i in range(2):
             assert poly_close(sa.qplus[i], sb.qplus[i], tol=1e-8)
         assert all(abs(complex(a) - complex(b)) < 1e-10
                    for a, b in zip(ia.twist.zetas, ib.twist.zetas))
         # and the table's w0 entry matches both
-        key = canonical_form(WeylWord((1, 2, 1)), inst.cartan)
+        key = canonical_form((1, 2, 1), inst.cartan)
         for i in range(2):
             assert poly_close(fq.table[key][i], sa.qplus[i], tol=1e-8)
 
@@ -212,8 +212,7 @@ class TestFullQQSystem:
         for _ in range(2):
             inst, sols = random_solved(rank, rng)
             for sol in sols:
-                for letters in words:
-                    u, v = map(WeylWord, letters)
+                for u, v in words:
                     assert canonical_form(u, inst.cartan) \
                         == canonical_form(v, inst.cartan)
                     ia, sa, _ = apply_word(inst, sol, u)

@@ -544,7 +544,8 @@ class TestVerify:
     def test_tiny_lambda_runs_the_wronskian_checks(self, tmp_path, command):
         # Lambda = 1e-11 (z - 1), solved exactly by Q+ = z - a and Q- = c:
         # R's one entry in row 2 is Lambda itself, so W is built and its
-        # checks pass; the run fails on other checks, with exit 1
+        # checks pass, and the Bethe root is no degenerate configuration;
+        # only the Gaussian gate of the Miura reconstruction fails, exit 1
         q, zeta, eps = 0.3, 2.0, 1e-11
         c = eps / (zeta * q - 1 / zeta)
         a = (zeta * q - 1 / zeta) / (zeta - 1 / zeta)
@@ -561,6 +562,8 @@ class TestVerify:
                      "fundamental-relation"):
             got = [ch for ch in checks if ch["check"] == name]
             assert got and all(ch["pass"] for ch in got), name
+        bad = [ch["check"] for ch in checks if not ch["pass"]]
+        assert bad == ["miura-reconstruction"]
 
     def test_solved_a3_passes(self, tmp_path):
         # the fundamental relation and the Miura inverse are checked on

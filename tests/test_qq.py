@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qoper import qq
-from qoper.cartan import TwistZ, WeylWord, cartan_matrix
+from qoper.cartan import TwistZ, cartan_matrix
 from qoper.polynomials import Poly
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution,
                       _bethe_kernel, _roots_to_qplus,
@@ -225,7 +225,7 @@ class TestCoefficientSpaceQMinus:
         # coefficient q^3 sits next to coefficients of order 1e8, and it
         # alone gives the right side, and so Q-, its degree
         inst, sols = a4_solved()
-        _, end, _ = apply_word(inst, sols[1], WeylWord((3, 4, 1, 2, 3)))
+        _, end, _ = apply_word(inst, sols[1], (3, 4, 1, 2, 3))
         qm = end.qminus[1]
         assert qm.degree == 5
         assert any(abs(r - 1989.86) < 0.01 for r in qm.roots())
@@ -272,7 +272,7 @@ class TestA4RightSide:
     @staticmethod
     def last_step(k):
         inst, sols = a4_solved()
-        _, _, records = apply_word(inst, sols[k], WeylWord((1, 2, 3, 2)))
+        _, _, records = apply_word(inst, sols[k], (1, 2, 3, 2))
         assert [r.node for r in records] == [2, 3, 2, 1]
         return records[-1]
 
@@ -307,6 +307,16 @@ class TestBetheResidual:
         z, q, a = 2.0, 1.0 / 3.0, 1.0
         wstar = a * (z * z * q - 1) / (z * z - 1)
         inst = a1_instance(zeta=z, q=q, lam=Poly([-a, 1.0]))
+        res = bethe_residual(inst, [Poly([-wstar, 1.0])])
+        assert abs(res[0][2]) < 1e-12
+
+    def test_closed_form_root_of_a_tiny_lambda(self):
+        # Lambda = 1e-11 (z - 1): |Lambda(w/q)| is below tau, but not below
+        # tau times the size of Lambda's coefficients at w/q, so the root
+        # is no degenerate configuration
+        z, q, eps = 2.0, 0.3, 1e-11
+        wstar = (z * q - 1 / z) / (z - 1 / z)
+        inst = a1_instance(zeta=z, q=q, lam=Poly([-eps, eps]))
         res = bethe_residual(inst, [Poly([-wstar, 1.0])])
         assert abs(res[0][2]) < 1e-12
 
