@@ -536,9 +536,10 @@ def _multistart(inst, seeds, tol, seed, tally) -> list[QQSolution]:
     Every Newton result is scored by one kernel call, by the largest
     |L/R + 1| over its roots.  One within ``tol`` is compared with the
     families found so far, and only a new one is built into Q+
-    polynomials and checked by ``bethe_residual``, whose residuals are
-    the ones kept.  With sum m_i = 0 no seed runs, and the one family
-    Q+_i = 1 goes to the same Q- completion.
+    polynomials from its sorted root blocks and checked by
+    ``bethe_residual``; the QQSolution keeps those polynomials and their
+    roots.  With sum m_i = 0 no seed runs, and the one family Q+_i = 1
+    goes to the same Q- completion.
     """
     total = sum(inst.degrees)
     rng = random.Random(seed)
@@ -553,7 +554,7 @@ def _multistart(inst, seeds, tol, seed, tally) -> list[QQSolution]:
         except (OverflowError, ZeroDivisionError):
             return False
 
-    found = [] if total else [([()] * inst.rank, 0.0)]
+    found = [] if total else [([()] * inst.rank, _roots_to_qplus(inst, []), 0.0)]
     for _ in range(seeds):
         re = [rng.gauss(0.0, 1.0) for _ in range(total)]
         im = [rng.gauss(0.0, 1.0) for _ in range(total)]
@@ -569,23 +570,22 @@ def _multistart(inst, seeds, tol, seed, tally) -> list[QQSolution]:
             blockkey.append(tuple(sorted(x[k:k + m],
                                          key=lambda w: (w.real, w.imag))))
             k += m
-        if any(_same_blocks(blockkey, other) for other, _ in found):
+        if any(_same_blocks(blockkey, other) for other, _, _ in found):
             tally["duplicates"] += 1
             continue
+        qplus = _roots_to_qplus(inst, [w for block in blockkey for w in block])
         worst = math.inf
         try:
-            worst = max(abs(r[2]) for r in
-                        bethe_residual(inst, _roots_to_qplus(inst, x)))
+            worst = max(abs(r[2]) for r in bethe_residual(inst, qplus))
         except (DegenerateInstance, ValueError, ArithmeticError):
             pass
         if not worst <= tol:  # NaN included
             tally["rejected_residual"] += 1
             continue
-        found.append((blockkey, worst))
+        found.append((blockkey, qplus, worst))
 
     solutions = []
-    for blockkey, worst in found:
-        qplus = _roots_to_qplus(inst, [w for block in blockkey for w in block])
+    for _, qplus, worst in found:
         try:
             qminus = [solve_q_minus(inst, qplus, i) for i in range(1, inst.rank + 1)]
         except DegenerateInstance:

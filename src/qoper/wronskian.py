@@ -16,17 +16,17 @@ equations, and agreement of the two Miura constructions):
   (positions l in the instance ordering, left to right).  The q-shifted
   arguments inside R resolve the column-argument ambiguity of the closed
   Wronskian form: they are forced by unimodularity of the Wronskian.
-* The Wronskian columns obey W(q^k z) nu = Z^k W(z) R(z) R(qz) ... R(q^{k-1}z) nu
-  for k = 0..h-1, realized on the i-th fundamental vector through i-th
-  compound matrices whenever the transported wedge window i + k <= h does
-  not wrap around.
+* The Wronskian columns obey W(q^k z) nu = Z^k W(z) S_k(z) nu with the
+  transport S_k(z) = R(z) R(qz) ... R(q^{k-1}z).  On the i-th fundamental
+  vector they are minor identities, one per row set w(omega_i)
+  (check_shifted_minor_relation), checked for k = 1..h-1 while the
+  transported wedge window i + k <= h does not wrap around.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -235,28 +235,28 @@ def build_wronskian(inst: QQInstance, sol: QQSolution, S: tuple,
 
 class TypeABundle:
     """A solved type-A instance with everything the type-A checks read:
-    the staggered lift R, its transports S = lift_products(R, q), Z's
-    diagonal z, the Miura pair (A, v) and W, each built once.
+    the transports S = lift_products(R, q) of the staggered lift R (so R
+    is S[1]), Z's diagonal z, the Miura pair (A, v) and W, each built
+    once.
 
     ``v`` is None only at rank one when the trivializer has no solution:
     W does not need it there, ``refusal`` keeps the trivializer's message,
     and miura_from_wronskian raises it.
     """
 
-    __slots__ = ("inst", "sol", "R", "S", "z", "A", "v", "W", "refusal")
+    __slots__ = ("inst", "sol", "S", "z", "A", "v", "W", "refusal")
 
-    def __init__(self, inst: QQInstance, sol: QQSolution, R: RatMatrix,
-                 S: tuple, z: list, A: RatMatrix, v: Optional[RatMatrix],
-                 W: RatMatrix, refusal: Optional[str]):
-        self.inst, self.sol, self.R, self.S, self.z = inst, sol, R, S, z
+    def __init__(self, inst: QQInstance, sol: QQSolution, S: tuple, z: list,
+                 A: RatMatrix, v: Optional[RatMatrix], W: RatMatrix,
+                 refusal: Optional[str]):
+        self.inst, self.sol, self.S, self.z = inst, sol, S, z
         self.A, self.v, self.W, self.refusal = A, v, W, refusal
 
 
 def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
-    """Build R, S (from R), z, A, v (fed by that A and z) and W (fed by v,
-    S and z) once."""
-    R = s_lambda_inverse(inst)
-    S = lift_products(R, inst.q)
+    """Build S (from R), z, A, v (fed by that A and z) and W (fed by v, S
+    and z) once."""
+    S = lift_products(s_lambda_inverse(inst), inst.q)
     z = _twist_diagonal(inst)
     A = build_miura_A(inst, sol)
     v = refusal = None
@@ -267,7 +267,7 @@ def type_a_bundle(inst: QQInstance, sol: QQSolution) -> TypeABundle:
             raise
         refusal = str(exc)
     W = build_wronskian(inst, sol, S, v, z)
-    return TypeABundle(inst, sol, R, S, z, A, v, W, refusal)
+    return TypeABundle(inst, sol, S, z, A, v, W, refusal)
 
 
 # the sample panel of every float type-A check: 20 points on |x| = 1.13
@@ -423,69 +423,38 @@ def det_residual(s: TypeASample) -> float:
     return float("nan") if any(g != g for g in gaps) else max(gaps)
 
 
-def check_wronskian_equations(s: TypeASample) -> CheckReport:
-    """Residuals of the transport equations for k = 0..h-1.
-
-    Checks W(q^k z) nu_i = Z^k W(z) S_k(z) nu_i on the sample, with the
-    i-th fundamental vector realized through i-th compound matrices.  The
-    pair (i, k) participates while the transported wedge stays inside the
-    coordinate window, i + k <= h; the k = 0 equations are trivial.
-    Each item carries its k and i.
-    """
-    inst = s.bundle.inst
-    h = len(s.W)  # the Coxeter number of A_r is r + 1
-    rep = CheckReport()
-    for k in range(h):
-        zk = [z**k for z in s.z]
-        rhs = [_product([[c * e for e in row] for c, row in zip(zk, W0)], Sk)
-               for W0, Sk in zip(s.W[0], s.S[k])]
-        for i in range(1, min(inst.rank, h - k) + 1):
-            val = _rel_gap([_compound_top_column(M, i) for M in s.W[k]],
-                           [_compound_top_column(M, i) for M in rhs])
-            rep.add(f"k={k} i={i}", val <= max(inst.tau, 1e-8) * 10,
-                    value=val, k=k, i=i)
-    return rep
-
-
-def _compound_top_column(M, i: int) -> list:
-    """First column of the i-th compound of a matrix of values: its
-    minors against columns 1..i, row sets in lexicographic order."""
-    return [_minor(M, rows, range(i))
-            for rows in itertools.combinations(range(len(M)), i)]
-
-
-def check_shifted_minor_relation(s: TypeASample, i: int,
+def check_shifted_minor_relation(s: TypeASample, k: int, i: int,
                                  words: Sequence[tuple]) -> list[float]:
-    """Residuals of the one-step minor shift relation at node i, one per
-    word w of ``words``:
+    """Residuals of the transport equation W(q^k z) nu_i = Z^k W(z) S_k(z)
+    nu_i at node i, one per word w of ``words``, read on the minor with
+    rows w om_i:
 
-    Delta_{w om_i, c om_i}(W(z)) =
-        (-1)^i [prod_j zeta_j^{<coroot_j, w om_i>}] F_i(z)
-        Delta_{w om_i, om_i}(W(qz)),
+    Delta_{w om_i, T}(W(z)) =
+        [prod_j zeta_j^{k <coroot_j, w om_i>}] Delta_{w om_i, om_i}(W(q^k z))
+        / Delta_{T, om_i}(S_k(z)),
 
-    where the shifted column set c om_i is the sorted image of columns
-    1..i of the staggered lift R (``monomial_row``), and F_i(z)^{-1} =
-    L_i(z) is R(z)'s minor on those rows and columns 1..i; for the
-    standard ordering L_i(z) = prod_{j<=i} Lambda_j(q^{j-1} z).  The rows
-    w om_i and the exponents <coroot_j, w om_i> are both read off the
-    weight w(omega_i) (``column_index_set``).  Each residual is the
-    relative residual on the sample.
+    with T the sorted rows of columns 1..i of S_k (``monomial_row``).  S_k
+    is monomial, so by Cauchy-Binet the minor of W(z) S_k(z) on rows
+    w om_i and columns 1..i is the product of the two minors through T;
+    and prod_{a in w om_i} Z_a = prod_j zeta_j^{-<coroot_j, w om_i>}.  The
+    rows and the exponents are read off the weight w(omega_i)
+    (``column_index_set``).  Each residual is relative, on the sample.
     """
     inst = s.bundle.inst
     if not s.points:
         return [float("inf")] * len(words)
-    tgt_cols = sorted(monomial_row(s.bundle.R, c) for c in range(i))
-    scalars = [_minor(M, tgt_cols, range(i)) for M in s.S[1]]
+    tgt_cols = sorted(monomial_row(s.bundle.S[k], c) for c in range(i))
+    scalars = [_minor(M, tgt_cols, range(i)) for M in s.S[k]]
     weights, gaps = [], {}
     for w in words:  # words with one weight w(om_i) share its residual
         weight, rs = column_index_set(w, i, inst.cartan)
         weights.append(weight)
         if weight not in gaps:
-            twist = twist_monomial(inst.twist.zetas, weight)
+            twist = twist_monomial(inst.twist.zetas, [k * e for e in weight])
             gaps[weight] = _rel_gap(
                 [_minor(M, rs, tgt_cols) for M in s.W[0]],
                 [twist * _minor(M, rs, range(i)) / c
-                 for M, c in zip(s.W[1], scalars)])
+                 for M, c in zip(s.W[k], scalars)])
     return [gaps[weight] for weight in weights]
 
 

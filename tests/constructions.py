@@ -1,12 +1,15 @@
 """Constructions that only the tests use: Coxeter data, Weyl-word
-inverses, lengths and longest elements, the full QQ table's entry at a
-word, twists along a word, the lift exponent table, matrix lifts of Weyl
-words, the Backlund gauge parameter, the symbolic Gaussian decomposition,
-and a field-wise copy of the type-A bundle and sample.  The tests hold
-them to the paper's formulas; no command runs them.
+inverses, positive roots, lengths and longest elements, the full QQ
+table's entry at a word, twists along a word, the lift exponent table,
+matrix lifts of Weyl words, the Backlund gauge parameter, the symbolic
+Gaussian decomposition, the Wronskian's difference equations in their
+compound-matrix form and as the report reads them, and a field-wise copy
+of the type-A bundle and sample.  The tests hold them to the paper's
+formulas; no command runs them.
 """
 
 import inspect
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -14,6 +17,8 @@ from qoper.cartan import (CartanData, CartanError, TwistZ, canonical_form,
                           enumerate_weyl, reflect_twist)
 from qoper.polynomials import TAU, RatFun, RatMatrix
 from qoper.qq import DegenerateInstance, QQInstance, QQSolution
+from qoper.wronskian import (_minor, _product, _rel_gap,
+                             check_shifted_minor_relation)
 
 _COXETER_NUMBERS = {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}
 
@@ -36,12 +41,39 @@ def longest_element(data: CartanData) -> tuple:
     return enumerate_weyl(data)[-1]
 
 
+def _reflect_root(beta: tuple, i: int, data: CartanData) -> tuple:
+    """s_i(beta) = beta - <beta, alpha_i^vee> alpha_i in simple-root
+    coordinates, with <alpha_j, alpha_i^vee> = a_ij."""
+    pair = sum(b * data.a(i, j) for j, b in enumerate(beta, start=1))
+    return tuple(b - pair * (j == i) for j, b in enumerate(beta, start=1))
+
+
+def positive_roots(data: CartanData) -> list:
+    """The positive roots in simple-root coordinates, from the Cartan
+    matrix alone: the simple roots closed under the simple reflections,
+    keeping the roots without a negative coordinate."""
+    r = data.rank
+    roots = {tuple(int(j == i) for j in range(r)) for i in range(r)}
+    frontier = list(roots)
+    while frontier:
+        beta = frontier.pop()
+        for i in range(1, r + 1):
+            image = _reflect_root(beta, i, data)
+            if image not in roots:
+                roots.add(image)
+                frontier.append(image)
+    return sorted(beta for beta in roots if min(beta) >= 0)
+
+
 def word_length(word: tuple, data: CartanData) -> int:
-    """Coxeter length of the element the word spells: the length of its
-    reduced word in enumerate_weyl."""
-    form = canonical_form(word, data)
-    return next(len(w) for w in enumerate_weyl(data)
-                if canonical_form(w, data) == form)
+    """Coxeter length of the element the word spells: the number of
+    positive roots it sends to negative ones, rightmost letter first."""
+    count = 0
+    for beta in positive_roots(data):
+        for letter in reversed(word):
+            beta = _reflect_root(beta, letter, data)
+        count += min(beta) < 0
+    return count
 
 
 def word_inverse(word: tuple) -> tuple:
@@ -193,6 +225,39 @@ def gauss_decompose(M: RatMatrix):
             RatMatrix([[diag[i] if i == j else RatFun.zero() for j in range(n)]
                        for i in range(n)]),
             RatMatrix(upper))
+
+
+def equation_residuals(s) -> dict:
+    """{(k, i): the wronskian-equation residual of a report}, the largest
+    check_shifted_minor_relation residual over the Weyl group, for k >= 1
+    and i + k <= h = r + 1."""
+    words, h = enumerate_weyl(s.bundle.inst.cartan), len(s.W)
+    return {(k, i): max(check_shifted_minor_relation(s, k, i, words))
+            for k in range(1, h) for i in range(1, h - k + 1)}
+
+
+def _compound_top_column(M, i: int) -> list:
+    """First column of the i-th compound of a matrix of values: its
+    minors against columns 1..i, row sets in lexicographic order."""
+    return [_minor(M, rows, range(i))
+            for rows in itertools.combinations(range(len(M)), i)]
+
+
+def compound_equation_residuals(s) -> dict:
+    """The same (k, i) as equation_residuals, each the relative residual
+    of W(q^k x) nu_i = Z^k W(x) S_k(x) nu_i with nu_i realized through
+    i-th compound matrices: the first compound columns of W(q^k x) and of
+    the product Z^k W(x) S_k(x), formed at each point."""
+    h, out = len(s.W), {}
+    for k in range(1, h):
+        rhs = [_product([[c * e for e in row]
+                         for c, row in zip([z**k for z in s.z], W0)], Sk)
+               for W0, Sk in zip(s.W[0], s.S[k])]
+        for i in range(1, h - k + 1):
+            out[k, i] = _rel_gap(
+                [_compound_top_column(M, i) for M in s.W[k]],
+                [_compound_top_column(M, i) for M in rhs])
+    return out
 
 
 def replace(obj, **changes):

@@ -11,8 +11,8 @@ from qoper.cartan import (CartanError, TwistZ, cartan_matrix, canonical_form,
 from qoper.polynomials import Poly
 from qoper.qq import QQInstance, xi_factors
 from qoper.wronskian import _twist_diagonal
-from constructions import (coxeter_number, longest_element, twist_along_word,
-                           word_length)
+from constructions import (coxeter_number, longest_element, positive_roots,
+                           twist_along_word, word_length)
 
 
 class TestCartanMatrix:
@@ -165,9 +165,18 @@ class TestEnumerateWeyl:
             enumerate_weyl(cartan_matrix("E", 8))
 
     def test_words_reduce(self):
+        # the length counts the positive roots a word sends to negative
+        # ones, so it does not read enumerate_weyl's words
+        for t, r, roots in (("A", 3, 6), ("B", 3, 9), ("G", 2, 6)):
+            cd = cartan_matrix(t, r)
+            assert len(positive_roots(cd)) == roots
+            for w in enumerate_weyl(cd):
+                assert word_length(w, cd) == len(w), (t, w)
+
+    def test_non_reduced_word_is_shorter(self):
         cd = cartan_matrix("A", 3)
-        for w in enumerate_weyl(cd):
-            assert word_length(w, cd) == len(w)
+        assert word_length((1, 1), cd) == 0
+        assert word_length((1, 2, 1, 2), cd) == 2
 
     def test_distinct_elements(self):
         cd = cartan_matrix("B", 3)

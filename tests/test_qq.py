@@ -358,6 +358,23 @@ class TestSolveBethe:
             assert max(r.norm() for r in qq_residual(inst, sol)) <= 1e-8
             assert max(abs(b[2]) for b in bethe_residual(inst, sol.qplus)) <= 1e-8
 
+    def test_solutions_keep_the_judged_polynomials(self, monkeypatch):
+        # each Q+ is built once, from the sorted roots, and judged by
+        # bethe_residual; the solution keeps those polynomials, whose
+        # roots are then known
+        judged = []
+
+        def recording(inst, qplus, _fn=qq.bethe_residual):
+            judged.append(qplus)
+            return _fn(inst, qplus)
+        monkeypatch.setattr(qq, "bethe_residual", recording)
+        sols = solve_bethe(a2_instance(), seeds=25, seed=9)
+        assert sols
+        for sol in sols:
+            assert any(all(p is c for p, c in zip(sol.qplus, qplus))
+                       for qplus in judged)
+            assert all(p.roots_known for p in sol.qplus)
+
     def test_determinism(self):
         inst = a2_instance()
         s1 = solve_bethe(inst, seeds=25, seed=9)
