@@ -326,7 +326,7 @@ def run_solve(inst, extras, args, rep: Report):
         rep.check("qq-residual", qqres, qqres <= 10 * args.tol * scale)
         rep.check("bethe-residual", bres, bres <= args.tol * 10)
     if not sols:
-        why = ("no seed converged" if sum(inst.degrees) else
+        why = ("no seed gave a solution" if sum(inst.degrees) else
                "no seed ran (every degree is 0); Q+ = 1 was rejected")
         rep.check("solver", 0.0, True, witnesses=[f"{why}; empty solution set"])
 

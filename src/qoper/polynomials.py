@@ -538,10 +538,6 @@ class RatFun:
         self.den = den
 
     @staticmethod
-    def from_scalar(c) -> "RatFun":
-        return RatFun(Poly([c]))
-
-    @staticmethod
     def zero() -> "RatFun":
         return RatFun(Poly.zero())
 
@@ -629,9 +625,6 @@ class RatMatrix:
         finite raises NonFinite."""
         return tuple(tuple(ensure_finite(e(z)) for e in row)
                      for row in self.entries)
-
-    def shift(self, q) -> "RatMatrix":
-        return RatMatrix([[e.shift(q) for e in row] for row in self.entries])
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         n = self.n

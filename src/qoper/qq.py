@@ -170,17 +170,16 @@ def qq_residual(inst: QQInstance, sol: QQSolution) -> list[Poly]:
 
 class CheckReport:
     """A verdict and its items, which start empty and passing; ``add``
-    records one item, with any further ``keys`` as fields of its own, and
-    clears ``passed`` when the item fails."""
+    records one item and clears ``passed`` when the item fails."""
 
     __slots__ = ("passed", "items")
 
     def __init__(self):
         self.passed, self.items = True, []
 
-    def add(self, label, ok, witness=None, value=None, **keys):
+    def add(self, label, ok, witness=None, value=None):
         self.items.append({"label": label, "pass": bool(ok),
-                           "witness": witness, "value": value, **keys})
+                           "witness": witness, "value": value})
         if not ok:
             self.passed = False
 

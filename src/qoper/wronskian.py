@@ -40,19 +40,6 @@ from .qq import (CheckReport, DegenerateInstance, QQInstance, QQSolution,
                  cartan_connection)
 
 
-def _lift_matrix(n: int, i: int) -> RatMatrix:
-    """Defining-representation lift of s_i^{-1}: e_i -> -e_{i+1},
-    e_{i+1} -> e_i, the inverse of the lift e_i -> e_{i+1},
-    e_{i+1} -> -e_i of s_i."""
-    m = [[Fraction(1) if a == b else Fraction(0) for b in range(n)]
-         for a in range(n)]
-    m[i - 1][i - 1] = Fraction(0)
-    m[i][i] = Fraction(0)
-    m[i - 1][i] = Fraction(1)
-    m[i][i - 1] = Fraction(-1)
-    return RatMatrix([[RatFun.from_scalar(c) for c in row] for row in m])
-
-
 def _coroot_diag(n: int, i: int, f: RatFun) -> RatMatrix:
     """Diagonal matrix f^{alpha_i^vee} = diag(..., f, 1/f, ...)."""
     rows = []
@@ -79,32 +66,41 @@ def _twist_diagonal(inst: QQInstance) -> list:
             else complex(num) / complex(den) for num, den in zip(zs, zs[1:])]
 
 
-def s_lambda_inverse(inst: QQInstance) -> RatMatrix:
-    """The staggered Coxeter lift R(z): the interleaved product of lift
-    matrices and torus factors Lambda_{i_l}(q^{l-1}z)^{coroot}.
+def _compose(M: tuple, N: tuple) -> tuple:
+    """The product M N of monomial matrices, each stored as its (row,
+    entry) pairs, one per column: (M N)[c] = (M[r] row, M[r] entry g)."""
+    return tuple((M[r][0], M[r][1] * g) for r, g in N)
 
-    It equals the bare permutation lift times prod_l
+
+def s_lambda_inverse(inst: QQInstance) -> tuple:
+    """The staggered Coxeter lift R(z), a monomial matrix stored as its n
+    (row, entry) pairs: 0-based column c sends e_c to entry e_row.  It is
+    the interleaved product of the lifts of s_{i_l}^{-1} with the torus
+    factors Lambda_{i_l}(q^{l-1}z)^{coroot}; each such pair is the
+    identity but at the columns i-1, i: (i, -Lambda), (i-1, 1/Lambda).
+    R equals the bare permutation lift times prod_l
     Lambda_{i_l}(q^{l-1}z)^{d_l}, d_l = s_{i_r} ... s_{i_{l+1}}
     (alpha^vee_{i_l}) (``d_exponents`` in the tests); the test suite
     checks that agreement, which pins the sign convention.
     """
     if not inst.cartan.is_type_a:
         raise DegenerateInstance("the Wronskian realization requires type A")
-    n = inst.rank + 1
-    acc = RatMatrix.identity(n)
+    acc = identity = tuple((c, RatFun.one()) for c in range(inst.rank + 1))
     for l, node in enumerate(inst.cartan.ordering):
-        lam = q_shift(inst.lambdas[node - 1], inst.q**l)
-        acc = acc @ _lift_matrix(n, node) \
-            @ _coroot_diag(n, node, RatFun(lam))
+        lam = RatFun(q_shift(inst.lambdas[node - 1], inst.q**l))
+        factor = list(identity)
+        factor[node - 1], factor[node] = (node, -lam), (node - 1, lam.inv())
+        acc = _compose(acc, factor)
     return acc
 
 
-def lift_products(R: RatMatrix, q) -> tuple:
+def lift_products(R: tuple, q) -> tuple:
     """The transports S_0, ..., S_{n-1} of the staggered lift R:
-    S_k(z) = R(z) R(qz) ... R(q^{k-1} z), with S_0 the identity."""
-    S = [RatMatrix.identity(R.n)]
-    for k in range(1, R.n):
-        S.append(S[-1] @ R.shift(q ** (k - 1)))
+    S_k(z) = R(z) R(qz) ... R(q^{k-1} z), with S_0 the identity, each
+    stored as R is, one (row, entry) pair per column."""
+    S = [tuple((c, RatFun.one()) for c in range(len(R)))]
+    for k in range(1, len(R)):
+        S.append(_compose(S[-1], [(r, g.shift(q ** (k - 1))) for r, g in R]))
     return tuple(S)
 
 
@@ -195,20 +191,14 @@ def miura_trivializer(inst: QQInstance, sol: QQSolution, A: RatMatrix,
     return RatMatrix(rows)
 
 
-def monomial_row(M: RatMatrix, c: int) -> int:
-    """The row of column c's one nonzero entry in a monomial matrix M, as
-    R (a signed permutation times torus factors) and its transports are."""
-    return next(r for r, row in enumerate(M.entries) if not row[c].is_zero())
-
-
 def build_wronskian(inst: QQInstance, sol: QQSolution, S: tuple,
                     v: Optional[RatMatrix], z: list) -> RatMatrix:
     """Generalized q-Wronskian of a solved instance (type A).
 
     The first column holds the omega_1 orbit polynomials: Q+_1 and Q-_1 at
     rank one, above it the numerators of v's first column (denominators
-    Q+_0 = 1).  The first column of each transport S_k has one nonzero
-    entry gamma_k, in row tgt(k) (``monomial_row``); column tgt(k) of W is
+    Q+_0 = 1).  Each transport S_k sends e_1 to gamma_k e_tgt(k), the
+    (row, entry) pair of its first column; column tgt(k) of W is
 
         col_tgt(z) = Z^{-k} col_1(q^k z) / gamma_k(z).
 
@@ -226,8 +216,8 @@ def build_wronskian(inst: QQInstance, sol: QQSolution, S: tuple,
 
     cols = {0: [RatFun(p) for p in col1]}
     for k in range(1, n):
-        tgt = monomial_row(S[k], 0)
-        ginv = S[k].entries[tgt][0].inv()
+        tgt, gamma = S[k][0]
+        ginv = gamma.inv()
         cols[tgt] = [RatFun(q_shift(p, inst.q**k)) * (z[i] ** (-k)) * ginv
                      for i, p in enumerate(col1)]
     return RatMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
@@ -236,8 +226,8 @@ def build_wronskian(inst: QQInstance, sol: QQSolution, S: tuple,
 class TypeABundle:
     """A solved type-A instance with everything the type-A checks read:
     the transports S = lift_products(R, q) of the staggered lift R (so R
-    is S[1]), Z's diagonal z, the Miura pair (A, v) and W, each built
-    once.
+    is S[1]), each a tuple of (row, entry) pairs, one per column, Z's
+    diagonal z, the Miura pair (A, v) and W, each built once.
 
     ``v`` is None only at rank one when the trivializer has no solution:
     W does not need it there, ``refusal`` keeps the trivializer's message,
@@ -278,17 +268,16 @@ PANEL = [1.13 * cmath.exp(2j * math.pi * t)
 class TypeASample:
     """A bundle evaluated on PANEL, each object once per point.
 
-    Every field holds plain Python values, one per point of ``points``:
-    the panel points, each nudged off the poles of all the objects
-    together.  A matrix value is a tuple of rows of complex numbers, as
-    RatMatrix.eval gives it.  ``W[k]`` holds W(q^k x) for
-    k = 0..h-1 and ``S[k]`` the transport S_k(x), so R(x) is ``S[1]``;
-    ``v`` and ``vq`` hold v(x) and v(qx) (None without a trivializer),
-    ``g`` the Cartan connection g_i(x), i = 1..r, as a list, and ``z``
-    Z's diagonal.  Every value is finite: one that is not raises
-    NonFinite.  ``stuck`` has one witness per panel point that stayed on
-    a pole; such a point has no values.  ``v_inverses`` holds the
-    inverses of v(x) and v(qx), formed on first use.
+    Every field holds plain Python values, one per point of ``points``: the
+    panel points, each nudged off the poles of all the objects together.  A
+    matrix value is a tuple of rows of complex numbers, as RatMatrix.eval gives
+    it.  ``W[k]`` holds W(q^k x) for k = 0..h-1, ``S[k]`` the transport S_k(x)
+    as its column entries (the rows are the bundle's), so R(x) is ``S[1]``;
+    ``v`` and ``vq`` hold v(x) and v(qx) (None without a trivializer), ``g``
+    the Cartan connection g_i(x), i = 1..r, as a list, and ``z`` Z's diagonal.
+    Every value is finite: one that is not raises NonFinite.  ``stuck`` has one
+    witness per panel point that stayed on a pole; such a point has no values.
+    ``v_inverses`` holds the inverses of v(x) and v(qx), formed on first use.
     """
 
     def __init__(self, bundle: TypeABundle, points: list, stuck: tuple,
@@ -313,7 +302,8 @@ def sample_bundle(b: TypeABundle) -> TypeASample:
 
     def at(x):
         mats = [b.W.eval(qc**k * x) for k in range(n)]
-        mats += [Sk.eval(x) for Sk in b.S] + [b.A.eval(x)]
+        mats += [tuple(ensure_finite(g(x)) for _, g in Sk) for Sk in b.S]
+        mats.append(b.A.eval(x))
         if b.v is not None:
             mats += [b.v.eval(x), b.v.eval(qc * x)]
         return mats, [ensure_finite(g)
@@ -423,6 +413,17 @@ def det_residual(s: TypeASample) -> float:
     return float("nan") if any(g != g for g in gaps) else max(gaps)
 
 
+def _monomial_minor(Sk: tuple, values: list, i: int) -> tuple:
+    """(T, Delta_{T, [1..i]} at each point) for a monomial Sk, T the sorted
+    rows of its columns 1..i: the product of those columns' ``values``
+    (one tuple per point), negated when sorting the rows is odd."""
+    rows = [r for r, _ in Sk[:i]]
+    minors = [math.prod(es[:i], start=1.0 + 0j) for es in values]
+    if sum(a > b for j, a in enumerate(rows) for b in rows[j + 1:]) % 2:
+        minors = [-m for m in minors]
+    return sorted(rows), minors
+
+
 def check_shifted_minor_relation(s: TypeASample, k: int, i: int,
                                  words: Sequence[tuple]) -> list[float]:
     """Residuals of the transport equation W(q^k z) nu_i = Z^k W(z) S_k(z)
@@ -433,8 +434,8 @@ def check_shifted_minor_relation(s: TypeASample, k: int, i: int,
         [prod_j zeta_j^{k <coroot_j, w om_i>}] Delta_{w om_i, om_i}(W(q^k z))
         / Delta_{T, om_i}(S_k(z)),
 
-    with T the sorted rows of columns 1..i of S_k (``monomial_row``).  S_k
-    is monomial, so by Cauchy-Binet the minor of W(z) S_k(z) on rows
+    with T the sorted rows of columns 1..i of S_k (``_monomial_minor``).
+    S_k is monomial, so by Cauchy-Binet the minor of W(z) S_k(z) on rows
     w om_i and columns 1..i is the product of the two minors through T;
     and prod_{a in w om_i} Z_a = prod_j zeta_j^{-<coroot_j, w om_i>}.  The
     rows and the exponents are read off the weight w(omega_i)
@@ -443,8 +444,7 @@ def check_shifted_minor_relation(s: TypeASample, k: int, i: int,
     inst = s.bundle.inst
     if not s.points:
         return [float("inf")] * len(words)
-    tgt_cols = sorted(monomial_row(s.bundle.S[k], c) for c in range(i))
-    scalars = [_minor(M, tgt_cols, range(i)) for M in s.S[k]]
+    tgt_cols, scalars = _monomial_minor(s.bundle.S[k], s.S[k], i)
     weights, gaps = [], {}
     for w in words:  # words with one weight w(om_i) share its residual
         weight, rs = column_index_set(w, i, inst.cartan)
@@ -466,24 +466,25 @@ def _leading_minor_vanishes(M, k: int) -> bool:
 
 
 def miura_from_wronskian(s: TypeASample) -> CheckReport:
-    """Reconstruct the Miura connection from Wronskian data and verify it.
+    """Reconstruct the Miura connection and verify it.
 
     The nondegeneracy gate: W has a Gaussian decomposition iff every
     leading principal minor Delta_k is a nonzero function, and the gate
-    raises DegenerateInstance when some Delta_k of W(x) vanishes at every
-    sample point, |Delta_k(x)| <= 1e-8 times the Hadamard bound of the
-    k x k block.  A sample without points skips it.
-    The connection is A(z) = v(qz)^{-1} Z v(z) with v the lower-triangular
-    trivializer determined by the Wronskian's first column, solved at
-    each sample point; it is checked to (a) be lower triangular of Miura
-    shape, (b) carry the Cartan connection zeta_i Q+_i(qz)/Q+_i(z) on its
-    diagonal ratios, and (c) agree entrywise with the bundle's product
-    connection A on the sample.  Without a trivializer (rank one) the
-    trivializer's refusal is raised.
+    raises DegenerateInstance when some Delta_k, k < n, of W(x) vanishes
+    at every sample point, |Delta_k(x)| <= 1e-8 times the Hadamard bound
+    of the k x k block (Delta_n = det W is wronskian-det's to judge).  A
+    sample without points skips the gate.
+    The connection is A(z) = v(qz)^{-1} Z v(z), solved at each sample
+    point, with v the bundle's trivializer (itself solved from the
+    product connection A), whose first column is checked against W's; it
+    is checked to (a) be lower triangular of Miura shape, (b) carry the
+    Cartan connection zeta_i Q+_i(qz)/Q+_i(z) on its diagonal ratios,
+    and (c) agree entrywise with the product connection A on the sample.
+    Without a trivializer (rank one) the trivializer's refusal is raised.
     """
     b = s.bundle
     n = len(s.z)
-    for k in range(1, n + 1):
+    for k in range(1, n):
         if s.points and all(_leading_minor_vanishes(M, k) for M in s.W[0]):
             raise DegenerateInstance(
                 f"no Gaussian decomposition: principal minor {k} vanishes")

@@ -1,8 +1,10 @@
 """Constructions that only the tests use: Coxeter data, Weyl-word
 inverses, positive roots, lengths and longest elements, the full QQ
 table's entry at a word, twists along a word, the lift exponent table,
-matrix lifts of Weyl words, the Backlund gauge parameter, the symbolic
-Gaussian decomposition, the Wronskian's difference equations in their
+matrix lifts of Weyl words, the staggered lift and its transports as
+dense matrix products (interleaved and collected) and the dense form of
+a monomial one, the Backlund gauge parameter, the symbolic Gaussian
+decomposition, the Wronskian's difference equations in their
 compound-matrix form and as the report reads them, and a field-wise copy
 of the type-A bundle and sample.  The tests hold them to the paper's
 formulas; no command runs them.
@@ -15,9 +17,9 @@ from typing import NamedTuple
 
 from qoper.cartan import (CartanData, CartanError, TwistZ, canonical_form,
                           enumerate_weyl, reflect_twist)
-from qoper.polynomials import TAU, RatFun, RatMatrix
+from qoper.polynomials import TAU, Poly, RatFun, RatMatrix, q_shift
 from qoper.qq import DegenerateInstance, QQInstance, QQSolution
-from qoper.wronskian import (_minor, _product, _rel_gap,
+from qoper.wronskian import (_coroot_diag, _minor, _product, _rel_gap,
                              check_shifted_minor_relation)
 
 _COXETER_NUMBERS = {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}
@@ -133,15 +135,67 @@ def d_exponents(cartan: CartanData) -> LiftExponents:
     return LiftExponents(order, tuple(rows))
 
 
-def lift_matrix(n: int, i: int) -> RatMatrix:
-    """Defining-representation lift of s_i: e_i -> e_{i+1}, e_{i+1} -> -e_i."""
+def lift_matrix(n: int, i: int, sign: int = 1) -> RatMatrix:
+    """Defining-representation lift of s_i: e_i -> e_{i+1}, e_{i+1} -> -e_i;
+    with sign -1 the lift of s_i^{-1}: e_i -> -e_{i+1}, e_{i+1} -> e_i."""
     m = [[Fraction(1) if a == b else Fraction(0) for b in range(n)]
          for a in range(n)]
     m[i - 1][i - 1] = Fraction(0)
     m[i][i] = Fraction(0)
-    m[i][i - 1] = Fraction(1)
-    m[i - 1][i] = Fraction(-1)
-    return RatMatrix([[RatFun.from_scalar(c) for c in row] for row in m])
+    m[i][i - 1] = Fraction(sign)
+    m[i - 1][i] = Fraction(-sign)
+    return RatMatrix([[RatFun(Poly([c])) for c in row] for row in m])
+
+
+def dense_staggered_lift(inst: QQInstance) -> RatMatrix:
+    """R(z) as the dense product of its factors, s_{i_l}^{-1} and
+    Lambda_{i_l}(q^{l-1}z)^{coroot} in the instance ordering."""
+    n = inst.rank + 1
+    acc = RatMatrix.identity(n)
+    for l, node in enumerate(inst.cartan.ordering):
+        lam = q_shift(inst.lambdas[node - 1], inst.q**l)
+        acc = acc @ lift_matrix(n, node, -1) \
+            @ _coroot_diag(n, node, RatFun(lam))
+    return acc
+
+
+def dense_lift_products(R: RatMatrix, q) -> list:
+    """S_k(z) = R(z) R(qz) ... R(q^{k-1} z), k = 0..n-1, as dense
+    products of a dense R."""
+    S = [RatMatrix.identity(R.n)]
+    for k in range(1, R.n):
+        shifted = RatMatrix([[e.shift(q ** (k - 1)) for e in row]
+                             for row in R.entries])
+        S.append(S[-1] @ shifted)
+    return S
+
+
+def collected_lift(inst: QQInstance) -> RatMatrix:
+    """R collected: the bare permutation lift, then the torus factors
+    Lambda_{i_l}(q^{l-1} z)^{d_l} with d from d_exponents."""
+    n = inst.rank + 1
+    order = inst.cartan.ordering
+    acc = RatMatrix.identity(n)
+    for node in order:
+        acc = acc @ lift_matrix(n, node, -1)
+    for l, row in enumerate(d_exponents(inst.cartan).d):
+        lam = RatFun(q_shift(inst.lambdas[order[l] - 1], inst.q ** l))
+        for m, e in enumerate(row):
+            for _ in range(abs(e)):
+                acc = acc @ _coroot_diag(n, order[m],
+                                         lam if e > 0 else lam.inv())
+    return acc
+
+
+def densify(M: tuple, values=None):
+    """The dense form of a monomial matrix M, stored as its (row, entry)
+    pairs, one per column: a RatMatrix, or with ``values`` (the entries
+    at one point, one per column) the rows of values there."""
+    n = len(M)
+    out = [[RatFun.zero() if values is None else 0j] * n for _ in range(n)]
+    for c, (r, g) in enumerate(M):
+        out[r][c] = g if values is None else values[c]
+    return RatMatrix(out) if values is None else tuple(map(tuple, out))
 
 
 def lift_of_word(word: tuple, cartan: CartanData) -> RatMatrix:
@@ -251,7 +305,8 @@ def compound_equation_residuals(s) -> dict:
     h, out = len(s.W), {}
     for k in range(1, h):
         rhs = [_product([[c * e for e in row]
-                         for c, row in zip([z**k for z in s.z], W0)], Sk)
+                         for c, row in zip([z**k for z in s.z], W0)],
+                        densify(s.bundle.S[k], Sk))
                for W0, Sk in zip(s.W[0], s.S[k])]
         for i in range(1, h - k + 1):
             out[k, i] = _rel_gap(

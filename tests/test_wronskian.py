@@ -16,17 +16,19 @@ from qoper.qq import (DegenerateInstance, QQInstance, QQSolution,
 from qoper.backlund import full_qq_system
 from qoper.cli import parse_instance
 import qoper.wronskian as wr
-from qoper.wronskian import (RatMatrix, _coroot_diag,
-                             _lift_matrix, _minor, _twist_diagonal,
+from qoper.wronskian import (RatMatrix, _minor, _monomial_minor,
+                             _twist_diagonal,
                              build_miura_A, build_wronskian,
                              check_lewis_carroll,
                              check_shifted_minor_relation,
                              fundamental_relation_residual,
                              lift_products,
                              miura_from_wronskian, miura_plucker_blocks,
-                             miura_trivializer, monomial_row,
+                             miura_trivializer,
                              s_lambda_inverse, sample_bundle, type_a_bundle)
-from constructions import (compound_equation_residuals, d_exponents, entry,
+from constructions import (collected_lift, compound_equation_residuals,
+                           d_exponents, dense_lift_products,
+                           dense_staggered_lift, densify, entry,
                            equation_residuals, gauss_decompose,
                            longest_element, replace, weyl_twist, word_inverse,
                            word_length)
@@ -74,22 +76,6 @@ def unsolved(rank, ordering=None):
     lambdas = tuple(Poly([-(k + 1.0) - 0.3j * k, 1.0]) for k in range(rank))
     return QQInstance(cd, 0.2, TwistZ((2.0, 3.0, 5.0)[:rank]), lambdas,
                       (1,) * rank)
-
-
-def collected_lift(inst):
-    """R collected: the bare permutation lift, then the torus factors
-    Lambda_{i_l}(q^{l-1} z)^{d_l} with d from d_exponents."""
-    n = inst.rank + 1
-    order = inst.cartan.ordering
-    acc = RatMatrix.identity(n)
-    for node in order:
-        acc = acc @ _lift_matrix(n, node)
-    for l, row in enumerate(d_exponents(inst.cartan).d):
-        lam = RatFun(q_shift(inst.lambdas[order[l] - 1], inst.q ** l))
-        for m, e in enumerate(row):
-            for _ in range(abs(e)):
-                acc = acc @ _coroot_diag(n, order[m], lam if e > 0 else lam.inv())
-    return acc
 
 
 def random_unimodular(n, rng, exact=False):
@@ -140,7 +126,7 @@ class TestLiftExponents:
 class TestSLambdaInverse:
     def test_sl2_matrix(self):
         inst, _ = a1_solved()
-        R = s_lambda_inverse(inst)
+        R = densify(s_lambda_inverse(inst))
         lam = inst.lambdas[0]
         for x in PANEL:
             m = np.array(R.eval(x))
@@ -152,7 +138,7 @@ class TestSLambdaInverse:
         # Lambda == 1 is outside the instance contract, so emulate by
         # evaluating at a root-free point and checking the cyclic pattern
         inst, _ = a2_solved()
-        R = s_lambda_inverse(inst)
+        R = densify(s_lambda_inverse(inst))
         m = np.array(R.eval(0.77 + 0.31j))
         # single nonzero entry per column, cycling 1 -> 2 -> 3 -> 1
         for j, want_i in ((0, 1), (1, 2), (2, 0)):
@@ -167,7 +153,7 @@ class TestSLambdaInverse:
         flipped = QQInstance(inst.cartan.with_ordering((2, 1)), inst.q,
                              inst.twist, inst.lambdas, inst.degrees)
         for case in (inst, flipped):
-            R, C = s_lambda_inverse(case), collected_lift(case)
+            R, C = densify(s_lambda_inverse(case)), collected_lift(case)
             for x in PANEL:
                 want = np.array(C.eval(x))
                 assert np.abs(np.array(R.eval(x)) - want).max() <= \
@@ -179,7 +165,7 @@ class TestSLambdaInverse:
         for rank in (1, 2, 3):
             for ordering in itertools.permutations(range(1, rank + 1)):
                 inst = unsolved(rank, ordering)
-                R, C = s_lambda_inverse(inst), collected_lift(inst)
+                R, C = densify(s_lambda_inverse(inst)), collected_lift(inst)
                 for x in PANEL:
                     want = np.array(C.eval(x))
                     assert np.abs(np.array(R.eval(x)) - want).max() <= \
@@ -192,10 +178,7 @@ class TestSLambdaInverse:
             inst = unsolved(rank)
             S = lift_products(s_lambda_inverse(inst), inst.q)
             for k in range(1, rank + 1):
-                col = [e for e in (S[k][r, 0] for r in range(S[k].n))
-                       if not e.is_zero()]
-                assert len(col) == 1, (rank, k)
-                gamma = col[0]
+                gamma = S[k][0][1]
                 closed = Poly([(-1) ** k])
                 for j in range(1, k + 1):
                     closed = closed * q_shift(inst.lambdas[j - 1],
@@ -211,12 +194,13 @@ class TestSLambdaInverse:
                 inst = unsolved(rank, ordering)
                 R = s_lambda_inverse(inst)
                 S = lift_products(R, inst.q)
+                R = densify(R)
                 assert len(S) == rank + 1
                 qc = complex(inst.q)
                 for x in PANEL:
                     want = np.eye(rank + 1, dtype=complex)
                     for k, Sk in enumerate(S):
-                        got = np.array(Sk.eval(x))
+                        got = np.array(densify(Sk).eval(x))
                         assert np.abs(got - want).max() <= \
                             1e-10 * (1 + np.abs(want).max()), (ordering, k)
                         want = want @ np.array(R.eval(qc ** k * x))
@@ -857,33 +841,53 @@ class TestWeylTwist:
 
 class TestMonomialTransports:
     """R is a signed permutation times torus factors, so R and each
-    transport S_k have one nonzero entry per column, however small the
-    scale of Lambda."""
+    transport S_k, stored as one (row, entry) pair per column, are the
+    dense products of their factors, however small the scale of Lambda."""
 
     @staticmethod
-    def lifts(rank, ordering, scale):
-        lambdas = tuple(Poly([(-(k + 1.0) - 0.3j * k) * scale, scale])
-                        for k in range(rank))
-        inst = QQInstance(cartan_matrix("A", rank).with_ordering(ordering),
-                          0.2, TwistZ((2.0, 3.0, 5.0, 7.0)[:rank]), lambdas,
-                          (1,) * rank)
-        return lift_products(s_lambda_inverse(inst), inst.q)
+    def instances(scale):
+        for rank in (1, 2, 3, 4):
+            lambdas = tuple(Poly([(-(k + 1.0) - 0.3j * k) * scale, scale])
+                            for k in range(rank))
+            for ordering in itertools.permutations(range(1, rank + 1)):
+                yield QQInstance(
+                    cartan_matrix("A", rank).with_ordering(ordering), 0.2,
+                    TwistZ((2.0, 3.0, 5.0, 7.0)[:rank]), lambdas,
+                    (1,) * rank)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-11])
     def test_one_entry_per_column_every_ordering(self, scale):
-        for rank in (1, 2, 3, 4):
-            for ordering in itertools.permutations(range(1, rank + 1)):
-                S = self.lifts(rank, ordering, scale)
-                for k, Sk in enumerate(S):
-                    for c in range(Sk.n):
-                        nonzero = [r for r in range(Sk.n)
-                                   if not Sk[r, c].is_zero()]
-                        assert nonzero == [monomial_row(Sk, c)], \
-                            (ordering, k, c)
-                # the first columns of S_0, ..., S_r land in distinct rows,
-                # so the transports fill every column of W
-                rows = sorted(monomial_row(Sk, 0) for Sk in S)
-                assert rows == list(range(rank + 1)), ordering
+        for inst in self.instances(scale):
+            ordering = inst.cartan.ordering
+            S = lift_products(s_lambda_inverse(inst), inst.q)
+            dense = dense_lift_products(dense_staggered_lift(inst), inst.q)
+            assert len(S) == len(dense) == inst.rank + 1
+            for k, (Sk, Dk) in enumerate(zip(S, dense)):
+                for c, (r, g) in enumerate(Sk):
+                    nonzero = [a for a in range(Dk.n)
+                               if not Dk[a, c].is_zero()]
+                    assert nonzero == [r], (ordering, k, c)
+                    assert (g.num, g.den) == (Dk[r, c].num, Dk[r, c].den), \
+                        (ordering, k, c)
+            # the first columns of S_0, ..., S_r land in distinct rows,
+            # so the transports fill every column of W
+            rows = sorted(Sk[0][0] for Sk in S)
+            assert rows == list(range(inst.rank + 1)), ordering
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-11])
+    def test_signed_product_is_the_minor_every_ordering(self, scale):
+        # Delta_{T, [1..i]}(S_k(x)) as a signed product of column entries
+        # equals the eliminated minor of the densified S_k(x)
+        for inst in self.instances(scale):
+            S = lift_products(s_lambda_inverse(inst), inst.q)
+            for k, Sk in enumerate(S):
+                values = [tuple(g(x) for _, g in Sk) for x in PANEL]
+                for i in range(1, len(Sk) + 1):
+                    T, minors = _monomial_minor(Sk, values, i)
+                    assert T == sorted(r for r, _ in Sk[:i])
+                    want = [_minor(densify(Sk, es), T, range(i))
+                            for es in values]
+                    assert minors == want, (inst.cartan.ordering, k, i)
 
 
 class TestTypeABundle:
@@ -899,9 +903,11 @@ class TestTypeABundle:
             assert np.array_equal(b.W.eval(x), W.eval(x))
             assert np.array_equal(b.v.eval(x), v.eval(x))
             assert np.array_equal(b.A.eval(x), A.eval(x))
-            assert np.array_equal(b.S[1].eval(x), R.eval(x))
+            assert np.array_equal(densify(b.S[1]).eval(x),
+                                  densify(R).eval(x))
             for Sk, want in zip(b.S, S):
-                assert np.array_equal(Sk.eval(x), want.eval(x))
+                assert np.array_equal(densify(Sk).eval(x),
+                                      densify(want).eval(x))
 
     def test_rank_one_trivializer_refusal_deferred(self, monkeypatch):
         # W needs no trivializer at rank one: the refusal surfaces in the
@@ -946,7 +952,7 @@ def shifted_minor_per_point(b, w, i, points):
     sets = list(itertools.combinations(range(n), i))
     worst = 0.0
     for x in points:
-        Rm = b.S[1].eval(x)
+        Rm = densify(b.S[1]).eval(x)
         img = [minor_at(Rm, rs, list(range(i))) for rs in sets]
         k = max(range(len(sets)), key=lambda t: abs(img[t]))
         lhs = minor_at(b.W.eval(x), rows, sets[k])
@@ -1106,7 +1112,7 @@ class TestSampleBundle:
         for p, x in enumerate(s.points):
             for k in range(3):
                 assert s.W[k][p] == b.W.eval(qc ** k * x)
-                assert s.S[k][p] == b.S[k].eval(x)
+                assert s.S[k][p] == tuple(g(x) for _, g in b.S[k])
             assert s.A[p] == b.A.eval(x)
             assert s.v[p] == b.v.eval(x)
             assert s.vq[p] == b.v.eval(qc * x)
