@@ -23,12 +23,11 @@ import sys
 import time
 from fractions import Fraction
 
-from .cartan import CartanError, TwistZ, cartan_matrix, enumerate_weyl
 from .polynomials import NonFinite, Poly, RatMatrix, check_lewis_carroll
 
-# qq, backlund and wronskian load inside the functions that run them:
-# `identities` loads none, `solve` no backlund or wronskian.  No command
-# loads numpy.
+# cartan, qq, backlund and wronskian load inside the functions that run
+# them: `identities` loads only cli and polynomials, `solve` no backlund or
+# wronskian.  No command loads numpy.
 
 
 def __getattr__(name):
@@ -143,6 +142,7 @@ def _parse_poly(obj, where: str) -> Poly:
 
 def parse_instance(doc: dict):
     """Strict-schema parse of an instance file into (QQInstance, extras)."""
+    from .cartan import TwistZ, cartan_matrix
     from .qq import QQInstance, QQSolution, check_scale
     if not isinstance(doc, dict):
         raise InputError("instance file must hold a JSON object")
@@ -355,6 +355,7 @@ def run_wronskian_suite(inst, sol, rep: Report):
     """The type-A battery.  The transports of R, (A, v) and W are built
     once, in one bundle, and evaluated once on one sample panel; every
     float check is Python arithmetic on those values."""
+    from .cartan import enumerate_weyl
     from .qq import DegenerateInstance
     from .wronskian import (check_shifted_minor_relation, det_residual,
                             fundamental_relation_residual,
@@ -583,12 +584,15 @@ def main(argv=None) -> int:
                 if not inst.cartan.is_type_a:
                     raise InputError("wronskian requires a type A instance")
                 run_wronskian_suite(inst, sol, rep)
-    except (InputError, CartanError) as exc:  # CartanError: group too large
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except (NonFinite, OverflowError) as exc:
         print(f"input error: the instance overflows double precision: {exc}",
               file=sys.stderr)  # finite input, but the run left double range
+        return 2
+    except ValueError as exc:  # InputError, or CartanError: group too large
+        from .cartan import CartanError
+        if not isinstance(exc, (InputError, CartanError)):
+            raise
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -192,14 +192,10 @@ class Poly:
     def norm(self) -> float:
         return max((abs(complex(c)) for c in self.coeffs), default=0.0)
 
-    def to_float(self) -> "Poly":
-        """The float copy; a float polynomial is returned as it is."""
-        return Poly([complex(c) for c in self.coeffs]) if self.exact else self
-
     def roots(self) -> tuple:
         """poly_roots of this polynomial, found on the first call only."""
         if self._roots is None:
-            self._roots = tuple(poly_roots(self.to_float()))
+            self._roots = tuple(poly_roots(self))
         return self._roots
 
     @property
@@ -595,9 +591,9 @@ class RatMatrix:
     """Square matrix of rational functions, or of complex numbers (the
     values of such a matrix at a point), immutable after construction.
 
-    A matrix and every submatrix cut from it share one table of minors,
-    keyed by (rows, cols) given as indices of the matrix they were all cut
-    from, so det() expands each minor once.
+    A submatrix is a view over the entries and the table of minors of the
+    matrix it was cut from: it keeps only its row and column indices into
+    them, the table's key, so det() expands each minor once.
     """
 
     def __init__(self, entries):
@@ -609,7 +605,14 @@ class RatMatrix:
             raise ValueError("RatMatrix must be square")
         self.n = n
         self._minors = {}
+        self._table = self.entries
         self._rows = self._cols = tuple(range(n))
+
+    def __getattr__(self, name):  # only a view lacks entries: read them
+        if name != "entries":
+            raise AttributeError(name)
+        return tuple(tuple(self._table[i][j] for j in self._cols)
+                     for i in self._rows)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
@@ -627,42 +630,34 @@ class RatMatrix:
                      for row in self.entries)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = RatFun.zero()
-                for k in range(n):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return RatMatrix(out)
+        cols = tuple(zip(*other.entries))
+        return RatMatrix([[sum((a * b for a, b in zip(row, col)
+                                if not (a.is_zero() or b.is_zero())),
+                               RatFun.zero()) for col in cols]
+                          for row in self.entries])
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMatrix":
-        """The submatrix on rows x cols, sharing this matrix's minor table."""
-        sub = RatMatrix([[self.entries[i][j] for j in cols] for i in rows])
-        sub._minors = self._minors
-        sub._rows = tuple(self._rows[i] for i in rows)
-        sub._cols = tuple(self._cols[j] for j in cols)
+        """The view on rows x cols: no entry is copied or checked."""
+        sub = object.__new__(RatMatrix)
+        sub._table, sub._minors = self._table, self._minors
+        sub._rows = tuple(map(self._rows.__getitem__, rows))
+        sub._cols = tuple(map(self._cols.__getitem__, cols))
+        sub.n = len(sub._rows)
         return sub
 
     def det(self) -> RatFun:
         """Determinant by cofactor expansion along the first row (intended
         for small n); each minor is expanded once, into the shared table."""
-        n = self.n
+        n, rows, cols = self.n, self._rows, self._cols
+        top = self._table[rows[0]]
         if n == 1:
-            return self.entries[0][0]
-        key = (self._rows, self._cols)
+            return top[cols[0]]
+        key = (rows, cols)
         if key in self._minors:
             return self._minors[key]
-        acc = 0j if isinstance(self.entries[0][0], complex) else RatFun.zero()
+        acc = 0j if isinstance(top[cols[0]], complex) else RatFun.zero()
         for j in range(n):
-            a = self.entries[0][j]
+            a = top[cols[j]]
             if (a == 0) if isinstance(a, complex) else a.is_zero():
                 continue
             sub = self.submatrix(range(1, n), [c for c in range(n) if c != j])

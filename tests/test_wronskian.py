@@ -480,15 +480,16 @@ class TestLewisCarroll:
 
 
 def cofactor_det(rows):
-    """Plain first-row cofactor expansion of a list of RatFun rows, every
-    minor expanded anew."""
+    """Plain first-row cofactor expansion of a list of RatFun rows, or of
+    complex rows, every minor expanded anew."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    acc = RatFun.zero()
+    values = isinstance(rows[0][0], complex)
+    acc = 0j if values else RatFun.zero()
     for j in range(n):
         a = rows[0][j]
-        if a.is_zero():
+        if (a == 0) if values else a.is_zero():
             continue
         term = a * cofactor_det([[r[c] for c in range(n) if c != j]
                                  for r in rows[1:]])
@@ -498,7 +499,8 @@ def cofactor_det(rows):
 
 def bits(f):
     """Every coefficient with its type, -0.0 told from 0.0."""
-    return repr((f.num.coeffs, f.den.coeffs))
+    return repr(f) if isinstance(f, complex) else \
+        repr((f.num.coeffs, f.den.coeffs))
 
 
 def random_matrix(n, rng, exact):
@@ -525,6 +527,25 @@ class TestMinorTable:
         for _ in range(5):
             M = random_matrix(4, rng, exact=False)
             assert bits(M.det()) == bits(cofactor_det(M.entries))
+            # the float battery's input: plain complex values, some zero
+            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            m[rng.random((4, 4)) < 0.3] = 0
+            V = RatMatrix(m.tolist())
+            assert any(e == 0 for row in V.entries for e in row)
+            assert bits(V.det()) == bits(cofactor_det(V.entries))
+
+    def test_dense_3x3_det_calls_det_at_every_level(self, monkeypatch):
+        # perfbench's tracer counts wronskian.RatMatrix.det: the top call,
+        # its three 2x2 minors and their two 1x1 minors each
+        sizes, det = [], RatMatrix.det
+
+        def counted(self):
+            sizes.append(self.n)
+            return det(self)
+        monkeypatch.setattr(RatMatrix, "det", counted)
+        RatMatrix([[Poly([k + 3 * j + 1]) for k in range(3)]
+                   for j in range(3)]).det()
+        assert sorted(sizes) == [1] * 6 + [2] * 3 + [3]
 
     def test_submatrix_of_submatrix(self):
         M = random_matrix(5, np.random.default_rng(13), exact=True)
