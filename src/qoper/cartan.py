@@ -13,9 +13,9 @@ word, a tuple of node numbers: the word w spells the product
 s_{w[0]} s_{w[1]} ..., which acts as function composition, so its
 rightmost letter acts first.  The empty tuple is the identity and u + v
 spells the product uv.  Words act on weights in fundamental-weight
-coordinates (``word_action``); canonical forms, the element table and the
-index sets of type-A minors are all read off that action, so comparison
-works uniformly in every finite type without Matsumoto rewriting.
+coordinates (``word_action``); canonical forms and the element table are
+read off that action, so comparison works uniformly in every finite type
+without Matsumoto rewriting.
 """
 
 from __future__ import annotations
@@ -287,23 +287,3 @@ def _element_table(data: CartanData) -> dict:
         frontier = nxt
     _TABLE_CACHE[key] = table
     return table
-
-
-def column_index_set(w: tuple, i: int, data: CartanData) -> tuple:
-    """The weight w(omega_i), which indexes the minors Delta_{w omega_i, .},
-    and their rows in type A: the set S = w({1, ..., i}) in {1, ..., r+1},
-    sorted and 0-based.
-
-    S is read off the weight: coordinate j of w(omega_i) is
-    [j in S] - [j+1 in S], so the sum of coordinates j..r is
-    [j in S] - [r+1 in S], and |S| = i fixes [r+1 in S].
-    """
-    if not data.is_type_a:
-        raise CartanError("index sets via minors are defined only in type A")
-    if not 1 <= i <= data.rank:
-        raise ValueError(f"fundamental index {i} out of range")
-    n = data.rank + 1
-    weight = word_action(w, tuple(int(j == i) for j in range(1, n)), data)
-    tails = [sum(weight[j:]) for j in range(n)]
-    last = (i - sum(tails)) // n  # [r+1 in S]
-    return weight, tuple(j for j, t in enumerate(tails) if t + last)

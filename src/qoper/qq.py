@@ -650,16 +650,3 @@ def nondegenerate(inst: QQInstance, sol: QQSolution,
             distinct(f"Q-_{j} vs Lambda_{k}", sol.qminus[j - 1], inst.lambdas[k - 1])
     return rep
 
-
-def cartan_connection(inst: QQInstance, sol: QQSolution, z: complex) -> list[complex]:
-    """Diagonal connection entries g_i(z) = zeta_i Q+_i(qz) / Q+_i(z)."""
-    qc = complex(inst.q)
-    zetas = inst.twist.zetas
-    out = []
-    for i in range(inst.rank):
-        qp = sol.qplus[i]
-        den = complex(qp(z))
-        if abs(den) <= inst.tau * (1 + qp.norm()):
-            raise ZeroDivisionError(f"Q+_{i + 1} vanishes at the sample point {z}")
-        out.append(complex(zetas[i]) * complex(qp(qc * z)) / den)
-    return out

@@ -4,10 +4,11 @@ table's entry at a word, twists along a word, the lift exponent table,
 matrix lifts of Weyl words, the staggered lift and its transports as
 dense matrix products (interleaved and collected) and the dense form of
 a monomial one, the Backlund gauge parameter, the symbolic Gaussian
-decomposition, the Wronskian's difference equations in their
-compound-matrix form and as the report reads them, and a field-wise copy
-of the type-A bundle and sample.  The tests hold them to the paper's
-formulas; no command runs them.
+decomposition, the rows of type-A generalized minors, the identities
+of the type-A bundle that hold by construction (the Wronskian's difference equations as minor identities
+and in compound-matrix form, the minor exchange relation and the Miura
+Plucker blocks), and a field-wise copy of the type-A bundle and sample.
+The tests hold them to the paper's formulas; no command runs them.
 """
 
 import inspect
@@ -15,12 +16,13 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from qoper.cartan import (CartanData, CartanError, TwistZ, canonical_form,
-                          enumerate_weyl, reflect_twist)
+                          enumerate_weyl, reflect_twist, word_action)
 from qoper.polynomials import TAU, Poly, RatFun, RatMatrix, q_shift
 from qoper.qq import DegenerateInstance, QQInstance, QQSolution
-from qoper.wronskian import (_coroot_diag, _minor, _product, _rel_gap,
-                             check_shifted_minor_relation)
+from qoper.wronskian import _coroot_diag, _minor, _rel_gap
 
 _COXETER_NUMBERS = {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}
 
@@ -281,13 +283,50 @@ def gauss_decompose(M: RatMatrix):
             RatMatrix(upper))
 
 
-def equation_residuals(s) -> dict:
-    """{(k, i): the wronskian-equation residual of a report}, the largest
-    check_shifted_minor_relation residual over the Weyl group, for k >= 1
-    and i + k <= h = r + 1."""
-    words, h = enumerate_weyl(s.bundle.inst.cartan), len(s.W)
-    return {(k, i): max(check_shifted_minor_relation(s, k, i, words))
-            for k in range(1, h) for i in range(1, h - k + 1)}
+def column_index_set(w: tuple, i: int, data: CartanData) -> tuple:
+    """The weight w(omega_i), which indexes the minors Delta_{w omega_i, .},
+    and in type A its rows S = w({1, ..., i}) of 1..r+1, sorted and 0-based.
+
+    S is read off the weight: coordinate j of w(omega_i) is
+    [j in S] - [j+1 in S], so the sum of coordinates j..r is
+    [j in S] - [r+1 in S], and |S| = i fixes [r+1 in S].
+    """
+    if not data.is_type_a:
+        raise CartanError("index sets via minors are defined only in type A")
+    if not 1 <= i <= data.rank:
+        raise ValueError(f"fundamental index {i} out of range")
+    n = data.rank + 1
+    weight = word_action(w, tuple(int(j == i) for j in range(1, n)), data)
+    tails = [sum(weight[j:]) for j in range(n)]
+    last = (i - sum(tails)) // n  # [r+1 in S]
+    return weight, tuple(j for j, t in enumerate(tails) if t + last)
+
+
+def shifted_minor_per_point(b, w, i, points) -> float:
+    """The transport equation W(qz) nu_i = Z W(z) R(z) nu_i of a type-A
+    bundle on the minor with rows w(omega_i), one point and one minor at a
+    time: Delta_{w om_i, om_i}(W(qx)) = [prod of Z_a over a in w om_i]
+    Delta_{w om_i, T}(W(x)) Delta_{T, om_i}(R(x)), T the rows that R sends
+    columns 1..i to.  The largest relative gap over points."""
+    inst = b.inst
+    qc, n = complex(inst.q), inst.rank + 1
+    rows = column_index_set(w, i, inst.cartan)[1]
+    rowset = {r + 1 for r in rows}
+    weight = 1.0 + 0.0j
+    for j in range(1, inst.rank + 1):
+        e = (j in rowset) - (j + 1 in rowset)
+        if e:
+            weight *= complex(inst.twist.zetas[j - 1]) ** e
+    sets = list(itertools.combinations(range(n), i))
+    worst = 0.0
+    for x in points:
+        Rm = densify(b.S[1]).eval(x)
+        img = [_minor(Rm, rs, list(range(i))) for rs in sets]
+        k = max(range(len(sets)), key=lambda t: abs(img[t]))
+        lhs = _minor(b.W.eval(x), rows, sets[k])
+        rhs = weight * _minor(b.W.eval(qc * x), rows, tuple(range(i))) / img[k]
+        worst = max(worst, abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs))))
+    return worst
 
 
 def _compound_top_column(M, i: int) -> list:
@@ -297,22 +336,80 @@ def _compound_top_column(M, i: int) -> list:
             for rows in itertools.combinations(range(len(M)), i)]
 
 
-def compound_equation_residuals(s) -> dict:
-    """The same (k, i) as equation_residuals, each the relative residual
-    of W(q^k x) nu_i = Z^k W(x) S_k(x) nu_i with nu_i realized through
-    i-th compound matrices: the first compound columns of W(q^k x) and of
-    the product Z^k W(x) S_k(x), formed at each point."""
-    h, out = len(s.W), {}
+def compound_equation_residuals(b, points) -> dict:
+    """{(k, i): the relative residual of W(q^k x) nu_i = Z^k W(x) S_k(x)
+    nu_i} of a type-A bundle, for k >= 1 and i + k <= h = r + 1, with nu_i
+    realized through i-th compound matrices: the first compound columns of
+    W(q^k x) and of the product Z^k W(x) S_k(x), each evaluated from the
+    bundle at ``points``."""
+    h, qc = b.inst.rank + 1, complex(b.inst.q)
+    z = np.array([complex(e) for e in b.z])[:, None]
+    out = {}
     for k in range(1, h):
-        rhs = [_product([[c * e for e in row]
-                         for c, row in zip([z**k for z in s.z], W0)],
-                        densify(s.bundle.S[k], Sk))
-               for W0, Sk in zip(s.W[0], s.S[k])]
+        lhs = [b.W.eval(qc ** k * x) for x in points]
+        rhs = [(z ** k * np.array(b.W.eval(x))
+                @ np.array(densify(b.S[k]).eval(x))).tolist() for x in points]
         for i in range(1, h - k + 1):
-            out[k, i] = _rel_gap(
-                [_compound_top_column(M, i) for M in s.W[k]],
-                [_compound_top_column(M, i) for M in rhs])
+            out[k, i] = _rel_gap([_compound_top_column(M, i) for M in lhs],
+                                 [_compound_top_column(M, i) for M in rhs])
     return out
+
+
+def fundamental_per_point(M, i, data, points, u=(), v=()) -> float:
+    """The minor exchange relation of a matrix M at (u, v),
+
+        D(u, v, i) D(us_i, vs_i, i) - D(us_i, v, i) D(u, vs_i, i)
+            = prod_{j != i} D(u, v, j)^{-a_ji},
+
+    D(u, v, i) the minor with rows u(omega_i) and columns v(omega_i), one
+    point at a time; the largest relative residual.  It needs
+    l(u s_i) = l(u) + 1 and the same for v, and holds for det M = 1."""
+    def rows(w, j):
+        return column_index_set(w, j, data)[1]
+
+    si = (i,)
+    worst = 0.0
+    for x in points:
+        Mv = M.eval(x)
+        t1 = _minor(Mv, rows(u, i), rows(v, i)) \
+            * _minor(Mv, rows(u + si, i), rows(v + si, i))
+        t2 = _minor(Mv, rows(u + si, i), rows(v, i)) \
+            * _minor(Mv, rows(u, i), rows(v + si, i))
+        rhs = 1.0 + 0.0j
+        for j in range(1, data.rank + 1):
+            if j != i and data.a(j, i):
+                rhs *= _minor(Mv, rows(u, j), rows(v, j)) ** -data.a(j, i)
+        scale = 1.0 + max(abs(t1), abs(t2), abs(rhs))
+        worst = max(worst, abs(t1 - t2 - rhs) / scale)
+    return worst
+
+
+def plucker_per_point(b, i, points) -> float:
+    """The rank-two block twist identity of a type-A bundle in the i-th
+    fundamental realization, one point at a time.
+
+    The representation with lowest weight -omega_i is the (r+1-i)-th
+    exterior power of the defining one; the plane spanned by the lowest
+    wedge u1 = e_{i+1} ^ ... ^ e_{r+1} and u2 = e_i . u1 is invariant under
+    every lower-triangular factor.  The 2x2 blocks of the compound matrices
+    must satisfy A_i(x) = vt_i(qx) Z_i vt_i(x)^{-1} with vt = v^{-1}.  The
+    largest relative gap over points."""
+    inst, A, v = b.inst, b.A, b.v
+    n, qc = inst.rank + 1, complex(inst.q)
+    plane = (tuple(range(i, n)), tuple(sorted([i - 1] + list(range(i + 1, n)))))
+    Z = np.diag([complex(e) for e in b.z])
+
+    def blk(Mv):
+        return np.array([[_minor(Mv, rs, cs) for cs in plane] for rs in plane])
+
+    worst = 0.0
+    for x in points:
+        Ai = blk(A.eval(x))
+        rhs = blk(np.linalg.inv(v.eval(qc * x))) @ blk(Z) \
+            @ np.linalg.inv(blk(np.linalg.inv(v.eval(x))))
+        scale = 1.0 + max(np.abs(Ai).max(), np.abs(rhs).max())
+        worst = max(worst, np.abs(Ai - rhs).max() / scale)
+    return worst
 
 
 def replace(obj, **changes):

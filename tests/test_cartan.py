@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoper.cartan import (CartanError, TwistZ, cartan_matrix, canonical_form,
-                          column_index_set, enumerate_weyl, reflect_twist,
-                          twist_monomial, weyl_order)
+                          enumerate_weyl, reflect_twist, twist_monomial,
+                          weyl_order)
 from qoper.polynomials import Poly
 from qoper.qq import QQInstance, xi_factors
 from qoper.wronskian import _twist_diagonal
-from constructions import (coxeter_number, longest_element, positive_roots,
-                           twist_along_word, word_length)
+from constructions import (column_index_set, coxeter_number,
+                           longest_element, positive_roots, twist_along_word,
+                           word_length)
 
 
 class TestCartanMatrix:

@@ -19,6 +19,11 @@ A2 = ROOT / "instances" / "a2_generic.json"
 A2_SOLVED = ROOT / "instances" / "a2_solved.json"
 
 
+# the checks of a type-A verify report, in order; wronskian reports the last two
+KEPT_CHECKS = ["qq-residual", "bethe-residual", "nondegenerate",
+               "wronskian-det", "miura: matches the product construction"]
+
+
 def run_cli(args, tmp_path, name="out.json", fmt="json"):
     out = tmp_path / name
     code = main(args + ["--out", str(out), "--format", fmt])
@@ -558,8 +563,8 @@ class TestVerify:
     @pytest.mark.parametrize("command", ["wronskian", "verify"])
     def test_tiny_lambda_runs_the_wronskian_checks(self, tmp_path, command):
         # Lambda = 1e-11 (z - 1), solved exactly by Q+ = z - a and Q- = c:
-        # R's one entry in row 2 is Lambda itself, so W is built and its
-        # checks pass, and the Bethe root is no degenerate configuration;
+        # R's one entry in row 2 is Lambda itself, so W is built and det
+        # W = 1 holds, and the Bethe root is no degenerate configuration;
         # the Gaussian gate stops at Delta_1 (det W is wronskian-det's),
         # so every check passes
         q, zeta, eps = 0.3, 2.0, 1e-11
@@ -574,16 +579,15 @@ class TestVerify:
         code, text = run_cli([command, "--instance", str(f)], tmp_path)
         assert code == 0
         checks = json.loads(text)["checks"]
-        for name in ("wronskian-det", "wronskian-equation", "shifted-minor",
-                     "fundamental-relation"):
+        for name in ("wronskian-det", "miura: matches the product construction"):
             got = [ch for ch in checks if ch["check"] == name]
             assert got and all(ch["pass"] for ch in got), name
         bad = [ch["check"] for ch in checks if not ch["pass"]]
         assert bad == []
 
     def test_solved_a3_passes(self, tmp_path):
-        # the fundamental relation and the Miura inverse are checked on
-        # evaluated matrices, so their residuals stay at rounding level
+        # det W and the Miura inverse are checked on evaluated matrices, so
+        # their residuals stay at rounding level
         from qoper.cartan import TwistZ, cartan_matrix
         from qoper.qq import QQInstance, solve_bethe
         from qoper.polynomials import Poly
@@ -597,19 +601,16 @@ class TestVerify:
         code, text = run_cli(["verify", "--instance", str(f)], tmp_path)
         assert code == 0
         checks = json.loads(text)["checks"]
-        fund = [c["sup_residual"] for c in checks
-                if c["check"] == "fundamental-relation"]
-        assert len(fund) == 3 and max(fund) <= 1e-12
-        miura, = [c["sup_residual"] for c in checks
-                  if c["check"] == "miura: matches the product construction"]
-        assert miura <= 1e-10
+        assert [c["check"] for c in checks] == KEPT_CHECKS
+        det, miura = (c["sup_residual"] for c in checks[3:])
+        assert det <= 1e-12 and miura <= 1e-10
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_solved_a4_passes(self, tmp_path, k):
         # every check at its fixed bound, on each of the three solutions of
         # Lambda_i = z - i, zeta = (2, 3, 5, 7), q = 0.2, m = (1, 1, 1, 1):
         # the float polynomials that build W keep every coefficient, so the
-        # minor and determinant residuals stay at rounding level
+        # determinant residual stays at rounding level
         from test_qq import a4_solved
         inst, sols = a4_solved()
         assert len(sols) == 3
@@ -619,9 +620,9 @@ class TestVerify:
         code, text = run_cli(["verify", "--instance", str(f)], tmp_path)
         checks = json.loads(text)["checks"]
         assert code == 0 and all(c["pass"] for c in checks)
-        worst = max(c["sup_residual"] for c in checks
-                    if c["check"] in ("shifted-minor", "wronskian-det"))
-        assert worst <= 1e-11
+        det, = [c["sup_residual"] for c in checks
+                if c["check"] == "wronskian-det"]
+        assert det <= 1e-11
 
     def test_qq_residual_is_measured(self, tmp_path):
         # the residual polynomials keep their rounding, so the check reads
@@ -671,47 +672,26 @@ class TestVerify:
 
     def test_evaluates_each_object_once_per_point(self, tmp_path,
                                                   monkeypatch):
-        # W at x, qx and q^2 x (h = 3), every entry of every S_k, A,
-        # v(x), v(qx) and the Cartan connection once per panel point, and
-        # nothing else
+        # W(x), A(x), v(x) and v(qx) once per panel point, and nothing else
         import qoper.wronskian as wr
-        evals, bundles, connections, called = {}, [], [], []
+        evals, bundles = {}, []
         ratmatrix_eval, build = wr.RatMatrix.eval, wr.type_a_bundle
-        connection, ratfun_call = wr.cartan_connection, wr.RatFun.__call__
 
         def counted_eval(self, z):
             evals[id(self)] = evals.get(id(self), 0) + 1
             return ratmatrix_eval(self, z)
 
-        def counted_call(self, z):
-            called.append(self)  # kept alive, so no two share an id
-            return ratfun_call(self, z)
-
         def kept(*args):
             bundles.append(build(*args))
             return bundles[-1]
 
-        def counted_connection(*args):
-            connections.append(args[-1])
-            return connection(*args)
-
         monkeypatch.setattr(wr.RatMatrix, "eval", counted_eval)
-        monkeypatch.setattr(wr.RatFun, "__call__", counted_call)
         monkeypatch.setattr(wr, "type_a_bundle", kept)
-        monkeypatch.setattr(wr, "cartan_connection", counted_connection)
         code, _ = run_cli(["verify", "--instance", str(A2_SOLVED)], tmp_path)
         assert code == 0
         (b,) = bundles
         points = len(wr.PANEL)
-        want = {id(b.W): 3 * points, id(b.A): points, id(b.v): 2 * points}
-        assert evals == want
-        entries = {id(g) for Sk in b.S for _, g in Sk}
-        counts = {}
-        for f in called:
-            if id(f) in entries:
-                counts[id(f)] = counts.get(id(f), 0) + 1
-        assert counts == dict.fromkeys(entries, points)
-        assert len(connections) == points
+        assert evals == {id(b.W): points, id(b.A): points, id(b.v): 2 * points}
 
     def test_rank_one_trivializer_refusal_reported(self, tmp_path):
         from qoper.qq import solve_bethe
@@ -724,18 +704,56 @@ class TestVerify:
         code, text = run_cli(["verify", "--instance", str(f)], tmp_path)
         assert code == 1
         checks = json.loads(text)["checks"]
-        assert "shifted-minor" in {c["check"] for c in checks}
-        assert checks[-1]["check"] == "miura-reconstruction"
+        assert [c["check"] for c in checks] == KEPT_CHECKS[:4] + [
+            "miura-reconstruction"]
         assert "trivializer" in checks[-1]["witnesses"][0]
 
     def test_internal_inconsistency_exits_3(self, tmp_path, monkeypatch):
         import qoper.wronskian as wr
 
         def broken(*args, **kw):
-            raise AssertionError("lift compound image is not a single wedge")
+            raise AssertionError("determinant of a non-square sample")
 
-        monkeypatch.setattr(wr, "check_shifted_minor_relation", broken)
+        monkeypatch.setattr(wr, "det_residual", broken)
         assert main(["verify", "--instance", str(A2_SOLVED)]) == 3
+
+
+class TestDefects:
+    """A wrong input or a wrong lift fails a check the report keeps."""
+
+    @pytest.mark.parametrize("defect, failing", [
+        ("qminus", {"qq-residual"}),
+        ("qplus", {"qq-residual", "bethe-residual", "wronskian-build"}),
+        ("reversed", {"qq-residual", "bethe-residual", "wronskian-build"})])
+    def test_input_defect(self, tmp_path, defect, failing):
+        # one Q- or Q+ constant coefficient times 1 + 1e-6, or the ordering
+        # reversed with the solution kept: the trivializer refuses a wrong Q+
+        doc = json.loads(A2_SOLVED.read_text())
+        if defect == "reversed":
+            doc["ordering"] = [2, 1]
+        else:
+            doc["solution"][defect][0][0] = [
+                c * (1 + 1e-6) for c in doc["solution"][defect][0][0]]
+        f = tmp_path / "defect.json"
+        f.write_text(json.dumps(doc))
+        code, text = run_cli(["verify", "--instance", str(f)], tmp_path)
+        assert code == 1
+        assert {c["check"] for c in json.loads(text)["checks"]
+                if not c["pass"]} == failing
+
+    def test_lift_without_its_q_shift(self, tmp_path, monkeypatch):
+        # R with Lambda_2(z) in place of Lambda_2(qz), the one q^l shift of
+        # an A2 lift: the transports and W follow R, and det W = 1 fails
+        import types
+        import qoper.wronskian as wr
+        lift = wr.s_lambda_inverse
+        monkeypatch.setattr(wr, "s_lambda_inverse", lambda inst: lift(
+            types.SimpleNamespace(cartan=inst.cartan, rank=inst.rank,
+                                  lambdas=inst.lambdas, q=1)))
+        code, text = run_cli(["verify", "--instance", str(A2_SOLVED)], tmp_path)
+        assert code == 1
+        assert [c["check"] for c in json.loads(text)["checks"]
+                if not c["pass"]] == ["wronskian-det"]
 
 
 class TestBacklund:
@@ -937,9 +955,9 @@ class TestWronskianCommand:
         code, text = run_cli(
             ["wronskian", "--instance", str(A2_SOLVED)], tmp_path)
         assert code == 0
-        rep = json.loads(text)
-        names = {c["check"] for c in rep["checks"]}
-        assert "wronskian-det" in names and "shifted-minor" in names
+        checks = json.loads(text)["checks"]
+        assert [c["check"] for c in checks] == KEPT_CHECKS[3:]
+        assert all(c["pass"] for c in checks)
 
     def test_point_left_on_a_pole_is_a_failed_check(self, tmp_path,
                                                      monkeypatch):
@@ -947,14 +965,14 @@ class TestWronskianCommand:
         # point as witness, and every check passes on the other points
         import qoper.wronskian as wr
         stuck = [complex(wr.PANEL[3]), complex(wr.PANEL[11])]
-        connection = wr.cartan_connection
+        ratmatrix_eval = wr.RatMatrix.eval
 
-        def near_a_pole(inst, sol, z):
+        def near_a_pole(self, z):
             if any(abs(z - x) < 0.1 for x in stuck):
                 raise ZeroDivisionError("zero denominator")
-            return connection(inst, sol, z)
+            return ratmatrix_eval(self, z)
 
-        monkeypatch.setattr(wr, "cartan_connection", near_a_pole)
+        monkeypatch.setattr(wr.RatMatrix, "eval", near_a_pole)
         code, text = run_cli(
             ["wronskian", "--instance", str(A2_SOLVED)], tmp_path)
         assert code == 1
@@ -964,7 +982,8 @@ class TestWronskianCommand:
         assert [c["witnesses"] for c in bad] == \
             [[f"{x} after 4 nudges: zero denominator"] for x in stuck]
         assert all(c["sup_residual"] == 1e300 for c in bad)
-        assert len(checks) > 20 and checks[:2] == bad
+        assert checks[:2] == bad
+        assert [c["check"] for c in checks[2:]] == KEPT_CHECKS[3:]
 
     def test_non_type_a_rejected(self, tmp_path):
         import numpy as np

@@ -12,10 +12,11 @@ from qoper.cartan import TwistZ, cartan_matrix
 from qoper.polynomials import Poly
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution,
                       _bethe_kernel, _roots_to_qplus,
-                      bethe_residual, cartan_connection, nondegenerate,
+                      bethe_residual, nondegenerate,
                       qq_residual, qq_rhs, resonance_check, solve_bethe,
                       solve_q_minus, xi_factors)
 from qoper.backlund import apply_word
+from qoper.wronskian import build_miura_A
 from qoper.cli import parse_instance
 from sampled_solver import solve_poly_q_difference
 
@@ -411,22 +412,26 @@ class TestNondegenerate:
 
 
 class TestCartanConnection:
+    """g(z) = zeta Q+(qz) / Q+(z) sits on the diagonal of the A1 Miura
+    connection A = diag(1/g, g) (I + phi f)."""
+
     def test_constant_q(self):
         inst = a1_instance(m=0)
         sol = QQSolution((Poly.one(),), (Poly([1.0]),))
-        assert abs(cartan_connection(inst, sol, 0.7)[0] - 2.0) < 1e-14
+        assert abs(build_miura_A(inst, sol)[1, 1](0.7) - 2.0) < 1e-14
 
     def test_linear_q(self):
         inst = a1_instance()
         sol = QQSolution((Poly([0.0, 1.0]),), (Poly([1.0]),))
-        g = cartan_connection(inst, sol, 1.0)
-        assert abs(g[0] - 2.0 / 3.0) < 1e-14  # zeta * q
+        A = build_miura_A(inst, sol)
+        assert abs(A[1, 1](1.0) - 2.0 / 3.0) < 1e-14  # zeta * q
+        assert abs(A[0, 0](1.0) - 3.0 / 2.0) < 1e-14
 
     def test_pole(self):
         inst = a1_instance()
         sol = QQSolution((Poly([0.0, 1.0]),), (Poly([1.0]),))
         with pytest.raises(ZeroDivisionError):
-            cartan_connection(inst, sol, 0.0)
+            build_miura_A(inst, sol).eval(0.0)
 
 
 class TestOrderingCovariance:
