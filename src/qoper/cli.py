@@ -242,9 +242,9 @@ def echo_instance(inst: QQInstance, extras: dict, solution=None) -> dict:
 # -- report assembly ----------------------------------------------------
 
 class Report:
-    def __init__(self, command: str, instance_echo: dict):
+    def __init__(self, command: str):
         self.doc = {"version": SCHEMA_VERSION, "command": command,
-                    "instance": instance_echo, "checks": [],
+                    "instance": {}, "checks": [],
                     "solutions": [], "full_qq": None}
         self.telemetry = {}
         self.t0 = time.time()
@@ -310,29 +310,53 @@ def _solution_entry(inst, sol, K):
     }, qqres, bres, nd
 
 
-def run_solve(inst, extras, args, rep: Report):
+def _open_instance(args, rep: Report):
+    """Parse the --instance file, echo it in the report: (inst, sol, extras)."""
+    try:
+        with open(args.instance, encoding="utf-8") as fh:
+            doc = json.load(fh, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON: {exc}")
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise InputError(f"cannot read the instance file: {exc}")
+    try:
+        inst, sol, extras = parse_instance(doc)
+    except ValueError as exc:  # also the domain checks of the types
+        raise InputError(str(exc)) from exc
+    rep.doc["instance"] = echo_instance(inst, extras, sol)
+    return inst, sol, extras
+
+
+def run_solve(args, rep: Report):
+    """--tol and --seed default to the instance's bethe_tol and seed."""
     from .qq import resonance_check, solve_bethe
+    if args.tol is not None:
+        _positive(args.tol, "--tol")
+    _positive(args.seeds, "--seeds")
+    inst, _, extras = _open_instance(args, rep)
+    tol = extras["bethe_tol"] if args.tol is None else args.tol
+    seed = extras["seed"] if args.seed is None else args.seed
     res = resonance_check(inst, extras["K"])
     rep.check("resonance", 0.0, res.passed,
               witnesses=[it["label"] for it in res.items if not it["pass"]])
     stats = {}
-    sols = solve_bethe(inst, seeds=args.seeds, tol=args.tol, seed=args.seed,
-                       stats=stats)
+    sols = solve_bethe(inst, seeds=args.seeds, tol=tol, seed=seed, stats=stats)
     rep.telemetry["solver"] = stats
     scale = 1 + max(l.norm() for l in inst.lambdas)
     for sol in sols:
         entry, qqres, bres, _ = _solution_entry(inst, sol, extras["K"])
         rep.doc["solutions"].append(entry)
-        rep.check("qq-residual", qqres, qqres <= 10 * args.tol * scale)
-        rep.check("bethe-residual", bres, bres <= args.tol * 10)
+        rep.check("qq-residual", qqres, qqres <= 10 * tol * scale)
+        rep.check("bethe-residual", bres, bres <= tol * 10)
     if not sols:
         why = ("no seed gave a solution" if sum(inst.degrees) else
                "no seed ran (every degree is 0); Q+ = 1 was rejected")
         rep.check("solver", 0.0, True, witnesses=[f"{why}; empty solution set"])
 
 
-def run_verify(inst, sol, extras, args, rep: Report):
+def run_verify(args, rep: Report):
     from .backlund import full_qq_system
+    inst, sol, extras = _open_instance(args, rep)
     if sol is None:
         raise InputError("verify requires a solution block in the instance file")
     entry, qqres, bres, nd = _solution_entry(inst, sol, extras["K"])
@@ -348,6 +372,15 @@ def run_verify(inst, sol, extras, args, rep: Report):
     if not inst.cartan.is_type_a:
         rep.skip("wronskian-suite", "type A only")
         return
+    run_wronskian_suite(inst, sol, rep)
+
+
+def run_wronskian(args, rep: Report):
+    inst, sol, _ = _open_instance(args, rep)
+    if sol is None:
+        raise InputError("wronskian requires a solution block in the instance file")
+    if not inst.cartan.is_type_a:
+        raise InputError("wronskian requires a type A instance")
     run_wronskian_suite(inst, sol, rep)
 
 
@@ -381,9 +414,10 @@ def run_wronskian_suite(inst, sol, rep: Report):
     rep.check("miura: matches the product construction", gap, gap <= 1e-8)
 
 
-def run_backlund(inst, sol, extras, args, rep: Report):
+def run_backlund(args, rep: Report):
     from .backlund import apply_word, full_qq_system
     from .qq import DegenerateInstance, qq_residual, qq_rhs
+    inst, sol, extras = _open_instance(args, rep)
     if sol is None:
         raise InputError("backlund requires a solution block in the instance file")
     word = args.word
@@ -437,6 +471,7 @@ def run_identities(args, rep: Report):
     """Universal determinant identity battery on random matrices: the
     Dodgson residual for every column index, on polynomial entries in exact
     mode and on complex values at two points in float mode."""
+    _positive(args.trials, "--trials")
     n = 4
     rng = random.Random(args.seed)
     if args.exact:
@@ -486,28 +521,31 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qoper", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_instance=True):
-        if needs_instance:
+    def command(name, run, help, instance=True):
+        """A subparser with its run, --instance if asked, --out and --format."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if instance:
             p.add_argument("--instance", required=True)
-        p.add_argument("--tol", type=float, default=None,
-                       help="Bethe tolerance (default: the instance's "
-                            "tolerances.bethe_tol)")
-        p.add_argument("--seeds", type=int, default=40)
-        p.add_argument("--seed", type=_seed_arg, default=None)
-        p.add_argument("--exact", action="store_true",
-                       help="exact-rational mode (identity batteries)")
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
+        return p
 
-    common(sub.add_parser("solve", help="find Bethe/QQ solutions"))
-    common(sub.add_parser("verify", help="verify a provided solution"))
-    pb = sub.add_parser("backlund", help="apply Backlund steps along a word")
-    common(pb)
+    ps = command("solve", run_solve, "find Bethe/QQ solutions")
+    ps.add_argument("--tol", type=float, default=None,
+                    help="Bethe tolerance (default: the instance's "
+                         "tolerances.bethe_tol)")
+    ps.add_argument("--seeds", type=int, default=40)
+    ps.add_argument("--seed", type=_seed_arg, default=None)
+    command("verify", run_verify, "verify a provided solution")
+    pb = command("backlund", run_backlund, "apply Backlund steps along a word")
     pb.add_argument("--word", required=True, type=_word_arg)
     pb.add_argument("--full-table", action="store_true")
-    common(sub.add_parser("wronskian", help="build the Wronskian and run checks"))
-    pi = sub.add_parser("identities", help="determinant identity battery")
-    common(pi, needs_instance=False)
+    command("wronskian", run_wronskian, "build the Wronskian and run checks")
+    pi = command("identities", run_identities, "determinant identity battery",
+                 instance=False)
+    pi.add_argument("--seed", type=_seed_arg, default=0)
+    pi.add_argument("--exact", action="store_true", help="exact-rational mode")
     pi.add_argument("--trials", type=int, default=20)
     return ap
 
@@ -521,46 +559,8 @@ def main(argv=None) -> int:
             if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
                 raise InputError(f"cannot write --out: the directory of "
                                  f"{args.out} does not exist")
-        if args.command == "solve":  # the only reader of --tol and --seeds
-            if args.tol is not None:
-                _positive(args.tol, "--tol")
-            _positive(args.seeds, "--seeds")
-        if args.command == "identities":
-            _positive(args.trials, "--trials")
-            if args.seed is None:
-                args.seed = 0
-            rep = Report("identities", {})
-            run_identities(args, rep)
-        else:
-            try:
-                with open(args.instance, encoding="utf-8") as fh:
-                    doc = json.load(fh, parse_constant=_reject_constant)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"malformed JSON: {exc}")
-            except (OSError, UnicodeDecodeError, RecursionError) as exc:
-                raise InputError(f"cannot read the instance file: {exc}")
-            try:
-                inst, sol, extras = parse_instance(doc)
-            except ValueError as exc:  # also the domain checks of the types
-                raise InputError(str(exc)) from exc
-            if args.seed is None:
-                args.seed = extras["seed"]
-            if args.tol is None:
-                args.tol = extras["bethe_tol"]
-            rep = Report(args.command, echo_instance(inst, extras, sol))
-            if args.command == "solve":
-                run_solve(inst, extras, args, rep)
-            elif args.command == "verify":
-                run_verify(inst, sol, extras, args, rep)
-            elif args.command == "backlund":
-                run_backlund(inst, sol, extras, args, rep)
-            elif args.command == "wronskian":
-                if sol is None:
-                    raise InputError("wronskian requires a solution block "
-                                     "in the instance file")
-                if not inst.cartan.is_type_a:
-                    raise InputError("wronskian requires a type A instance")
-                run_wronskian_suite(inst, sol, rep)
+        rep = Report(args.command)
+        args.run(args, rep)
     except (NonFinite, OverflowError) as exc:
         print(f"input error: the instance overflows double precision: {exc}",
               file=sys.stderr)  # finite input, but the run left double range

@@ -5,9 +5,12 @@
 Run from the repository root.  The set covers every command on the
 shipped instances, the benchmark generator's solve and verify inputs at
 each seed (``verify``, ``wronskian`` and ``backlund --full-table`` on the
-verify inputs), and ``identities`` in both modes at each seed.  Each line
-reads ``command input exit digest``, with ``-`` for the digest of a run
-that wrote no report and the exception's name for the exit of a run that
+verify inputs), and ``identities`` in both modes at each seed.  Two more
+runs cover the flag defaults: ``solve`` on ``a2_generic`` with
+``--seed 7 --tol 1e-9`` in place of the instance's seed and tolerance,
+and ``identities`` on its default ``--seed``.  Each line reads
+``command input exit digest``, with ``-`` for the digest of a run that
+wrote no report and the exception's name for the exit of a run that
 raised one.
 
 The inputs are written to a temporary directory by ``perfbench/gen.py``,
@@ -78,6 +81,10 @@ def jobs(seeds, workdir: str) -> list:
         path = os.path.join(ROOT, "instances", f"{name}.json")
         out += _instance_jobs(path, f"instances/{name}",
                               ("solve", "verify", "wronskian", "backlund"))
+    out += [("solve-flags instances/a2_generic",
+             ["solve", "--instance", os.path.join(ROOT, "instances", "a2_generic.json"),
+              "--seed", "7", "--tol", "1e-9"]),
+            ("identities no-seed", ["identities"])]
     for seed in seeds:
         for kind, families, commands in (
                 ("solve", gen.SOLVE_FAMILIES, ("solve",)),

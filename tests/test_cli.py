@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,7 +12,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qoper import qq
-from qoper.cli import InputError, echo_instance, main, parse_instance
+from qoper.cli import (InputError, build_parser, echo_instance, main,
+                       parse_instance)
 
 ROOT = Path(__file__).resolve().parent.parent
 A1 = ROOT / "instances" / "a1_closed_form.json"
@@ -120,6 +122,13 @@ class TestNonListFields:
         assert "input error" in capsys.readouterr().err
 
 
+# the (command, flag) pairs that no run reads, so the parser refuses them
+UNREAD_FLAGS = ([(c, f) for c in ("verify", "wronskian", "backlund")
+                 for f in ("--tol", "--seeds", "--seed", "--exact")]
+                + [("solve", "--exact"), ("identities", "--tol"),
+                   ("identities", "--seeds")])
+
+
 class TestFuzzFindings:
     """Inputs a fuzz of the CLI crashed on; each now exits 2 with a message."""
 
@@ -160,7 +169,8 @@ class TestFuzzFindings:
         doc[key] = value
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(doc))
-        assert main([command, "--instance", str(f), "--seeds", "3"]) == 2
+        seeds = ["--seeds", "3"] if command == "solve" else []
+        assert main([command, "--instance", str(f)] + seeds) == 2
         assert f"input error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, node, value", [
@@ -239,13 +249,29 @@ class TestFuzzFindings:
         assert main(argv) == 2
         assert f"input error: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["verify", "wronskian", "backlund"])
-    def test_solver_flags_are_not_read_elsewhere(self, tmp_path, command):
-        # only `solve` reads --tol and --seeds, so no other command refuses
-        # the values that `solve` does
-        argv = [command, "--instance", str(A2_SOLVED), "--tol", "0",
-                "--seeds", "0"] + (["--word", "1"] if command == "backlund" else [])
-        assert run_cli(argv, tmp_path)[0] == 0
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_flag_the_command_does_not_read(self, command, flag):
+        # each of these ran to exit 0 with the flag ignored
+        argv = [command] + ([] if command == "identities" else
+                            ["--instance", str(A2_SOLVED)]) + \
+            (["--word", "1"] if command == "backlund" else [])
+        value = [] if flag == "--exact" else ["1"]
+        proc = run_subprocess(argv + [flag] + value)
+        assert proc.returncode == 2
+        assert f"unrecognized arguments: {flag}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        sub, = [a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: {f for a in p._actions for f in a.option_strings}
+                 - {"-h", "--help"} for name, p in sub.choices.items()}
+        common = {"--instance", "--out", "--format"}
+        assert flags == {
+            "solve": common | {"--tol", "--seeds", "--seed"},
+            "verify": common, "wronskian": common,
+            "backlund": common | {"--word", "--full-table"},
+            "identities": {"--seed", "--exact", "--trials", "--out", "--format"}}
 
     @pytest.mark.parametrize("command", ["wronskian", "verify"])
     @pytest.mark.parametrize("q", [1e10, 1e12, 1e15, 1e20])
@@ -304,12 +330,12 @@ class TestFuzz:
         doc = {**json.loads(A2_SOLVED.read_text()), **mutation}
         f = tmp_path / "fuzz.json"
         f.write_text(json.dumps(doc))
-        for command in (["solve"], ["verify"], ["wronskian"],
+        for command in (["solve", "--seeds", "3"], ["verify"], ["wronskian"],
                         ["backlund", "--word", "1"]):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
-                code = main(command + ["--instance", str(f), "--seeds", "3"])
+                code = main(command + ["--instance", str(f)])
             assert code in (0, 1, 2), (command, mutation)
             assert "Traceback" not in err.getvalue(), (command, mutation)
 

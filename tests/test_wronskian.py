@@ -1069,7 +1069,7 @@ class TestRandomInstances:
         sols = solve_bethe(inst, seeds=20, seed=1)
         assume(sols)
         for sol in sols:
-            rep = Report("wronskian", {})
+            rep = Report("wronskian")
             run_wronskian_suite(inst, sol, rep)
             checks = rep.doc["checks"]
             assert [c for c in checks if not c["pass"]] == [], inst
