@@ -13,9 +13,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .cartan import canonical_form, enumerate_weyl, reflect_twist
-from .polynomials import q_distinct
-from .qq import (CheckReport, DegenerateInstance, QQInstance, QQSolution,
-                 check_scale, resonance_check, solve_q_minus)
+from .qq import (DegenerateInstance, QQInstance, QQSolution, check_scale,
+                 q_collisions, resonance_check, solve_q_minus)
 
 
 class BacklundStepRecord:
@@ -36,22 +35,22 @@ class FullQQSystem:
     ``table[key][i]`` is the monic i-th Q+ of the system twisted by the
     element with canonical form ``key``; ``words`` maps the key back to a
     reduced word.  Refusals along the exploration are recorded rather than
-    raised, and ``generic`` reports whether the whole group was covered.
-    Every field but ``base`` starts empty, and ``generic`` True.
+    raised; the whole group was covered when ``refusals`` is empty.  Every
+    field but ``base`` starts empty.
     """
 
-    __slots__ = ("base", "table", "twists", "words", "refusals", "generic")
+    __slots__ = ("base", "table", "twists", "words", "refusals")
 
     def __init__(self, base: QQSolution):
         self.base = base
         self.table, self.twists, self.words = {}, {}, {}
         self.refusals = []
-        self.generic = True
 
 
 def _step_nondegeneracy(inst: QQInstance, sol: QQSolution, i: int,
-                        K: Optional[int] = None) -> CheckReport:
-    """Preconditions for swapping at node i.
+                        K: Optional[int] = None) -> list:
+    """Preconditions for swapping at node i: the labels of those that
+    fail, empty when the step may go ahead.
 
     The roots of Q-_i must be q-distinct from those of Lambda_k whenever
     a_ik != 0 and from those of Q+_j for adjacent j != i, and the reflected
@@ -59,31 +58,16 @@ def _step_nondegeneracy(inst: QQInstance, sol: QQSolution, i: int,
     """
     if K is None:
         K = inst.default_window()
-    rep = CheckReport()
-    qm = sol.qminus[i - 1]
-    if qm.is_zero():
-        rep.add("Q- nonzero", False)
-        return rep
-    a = inst.cartan.a
-    for k in range(1, inst.rank + 1):
-        if a(i, k) == 0:
-            continue
-        lam = inst.lambdas[k - 1]
-        if qm.degree >= 1 and lam.degree >= 1:
-            ok, w = q_distinct(qm, lam, inst.q, K, inst.tau)
-            rep.add(f"Q-_{i} vs Lambda_{k}", ok, witness=w)
-    for j in range(1, inst.rank + 1):
-        if j == i or a(j, i) == 0:
-            continue
-        qp = sol.qplus[j - 1]
-        if qm.degree >= 1 and qp.degree >= 1:
-            ok, w = q_distinct(qm, qp, inst.q, K, inst.tau)
-            rep.add(f"Q-_{i} vs Q+_{j}", ok, witness=w)
+    qm, a = sol.qminus[i - 1], inst.cartan.a
+    pairs = ([(f"Q-_{i} vs Lambda_{k}", qm, inst.lambdas[k - 1])
+              for k in range(1, inst.rank + 1) if a(i, k)]
+             + [(f"Q-_{i} vs Q+_{j}", qm, sol.qplus[j - 1])
+                for j in range(1, inst.rank + 1) if j != i and a(j, i)])
+    failed = q_collisions(inst, pairs, K)
     reflected = inst.with_twist(reflect_twist(inst.twist, i, inst.cartan))
-    res = resonance_check(reflected, K)
-    rep.add("reflected twist non-resonant", res.passed,
-            witness=[it for it in res.items if not it["pass"]])
-    return rep
+    if resonance_check(reflected, K):
+        failed.append("reflected twist non-resonant")
+    return failed
 
 
 def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
@@ -98,7 +82,7 @@ def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
     step also refuses when the degrees and twist it moves to fail
     ``check_scale``.
     """
-    if not _step_nondegeneracy(inst, sol, i, K).passed:
+    if _step_nondegeneracy(inst, sol, i, K):
         raise DegenerateInstance(f"backlund step at node {i} refused")
     qplus = list(sol.qplus)
     qplus[i - 1] = sol.qminus[i - 1].monic()
@@ -173,7 +157,7 @@ def full_qq_system(inst: QQInstance, sol: QQSolution,
 
     Every element gets its (monic) Q+ family and twist; a refusal on an
     edge is recorded and the affected element is skipped, leaving a partial
-    table with ``generic = False`` instead of raising.  ``stats``, when
+    table and a nonempty ``refusals`` instead of raising.  ``stats``, when
     given, receives the counts of the walk: steps taken, refusals, Q-
     solved anew and kept (qminus_solved, qminus_reused), and
     roots_computed, the polynomials whose roots the walk had to find.
@@ -195,7 +179,6 @@ def full_qq_system(inst: QQInstance, sol: QQSolution,
         pkey = canonical_form(word[1:], cartan)
         if pkey not in state:
             out.refusals.append({"word": word, "reason": "parent missing"})
-            out.generic = False
             continue
         pinst, psol = state[pkey]
         letter = word[0]
@@ -204,7 +187,6 @@ def full_qq_system(inst: QQInstance, sol: QQSolution,
         except DegenerateInstance as exc:
             out.refusals.append({"word": word, "node": letter,
                                  "reason": str(exc)})
-            out.generic = False
             continue
         records.append(rec)
         state[key] = (ninst, nsol)

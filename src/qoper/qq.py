@@ -27,8 +27,9 @@ import sys
 from typing import Optional, Sequence
 
 from .cartan import CartanData, TwistZ, ValueObject, twist_monomial
-from .polynomials import (TAU, Poly, close, ensure_finite, q_shift,
-                          solve_linear, solve_q_difference, value_scale)
+from .polynomials import (TAU, Poly, close, ensure_finite, q_distinct,
+                          q_shift, solve_linear, solve_q_difference,
+                          value_scale)
 
 
 # |log x| below which x and 1/x are both normal floats
@@ -168,24 +169,9 @@ def qq_residual(inst: QQInstance, sol: QQSolution) -> list[Poly]:
     return out
 
 
-class CheckReport:
-    """A verdict and its items, which start empty and passing; ``add``
-    records one item and clears ``passed`` when the item fails."""
-
-    __slots__ = ("passed", "items")
-
-    def __init__(self):
-        self.passed, self.items = True, []
-
-    def add(self, label, ok, witness=None, value=None):
-        self.items.append({"label": label, "pass": bool(ok),
-                           "witness": witness, "value": value})
-        if not ok:
-            self.passed = False
-
-
-def resonance_check(inst: QQInstance, K: Optional[int] = None) -> CheckReport:
-    """Verify prod_i zeta_i^{a_ij} avoids integer powers q^k, |k| <= K.
+def resonance_check(inst: QQInstance, K: Optional[int] = None) -> list:
+    """The labels "node j" of the nodes j whose prod_i zeta_i^{a_ij} is
+    an integer power q^k, |k| <= K; empty when the twist passes.
 
     Failure at k = 0 means the twist is not regular semisimple; failure at
     other k signals a resonance that breaks uniqueness of the Q- solves.
@@ -194,12 +180,8 @@ def resonance_check(inst: QQInstance, K: Optional[int] = None) -> CheckReport:
         K = inst.default_window()
     if K < 1:
         raise ValueError("window K must be >= 1")
-    rep = CheckReport()
-    for j in range(1, inst.rank + 1):
-        val = twist_ratio(inst, j)
-        bad = _resonant_power(inst, val, K)
-        rep.add(f"node {j}", bad is None, witness=bad, value=val)
-    return rep
+    return [f"node {j}" for j in range(1, inst.rank + 1)
+            if _resonant_power(inst, twist_ratio(inst, j), K) is not None]
 
 
 def _resonant_power(inst: QQInstance, val: complex, K: int) -> Optional[int]:
@@ -612,41 +594,38 @@ def _same_blocks(a, b) -> bool:
     return True
 
 
-def nondegenerate(inst: QQInstance, sol: QQSolution,
-                  K: Optional[int] = None) -> CheckReport:
-    """Nondegeneracy battery for a candidate solution.
+def q_collisions(inst: QQInstance, pairs, K: int) -> list:
+    """The labels of the (label, p1, p2) pairs whose zeros are not
+    q-distinct in the window K: a zero polynomial fails, a constant one
+    has no zeros, and the rest go to ``q_distinct``."""
+    return [label for label, p1, p2 in pairs
+            if p1.is_zero() or p2.is_zero()
+            or (p1.degree >= 1 and p2.degree >= 1
+                and not q_distinct(p1, p2, inst.q, K, inst.tau)[0])]
 
-    For every node j, the zeros of Q+_j and Q-_j must be q-distinct from
-    each other, and both must be q-distinct from the zeros of Lambda_k for
-    every k linked to j in the Cartan matrix (including k = j, so the
-    rank-one case is not vacuous).  On top of that the twist must pass the
-    resonance check; monicity of Q+ is enforced on construction.
+
+def nondegenerate(inst: QQInstance, sol: QQSolution,
+                  K: Optional[int] = None) -> list:
+    """Nondegeneracy battery for a candidate solution: the labels of the
+    conditions that fail, empty when it passes.
+
+    The twist must pass the resonance check ("resonance").  For every
+    node j, the zeros of Q+_j and Q-_j must be q-distinct from each other,
+    and both must be q-distinct from the zeros of Lambda_k for every k
+    linked to j in the Cartan matrix (including k = j, so the rank-one
+    case is not vacuous).  Monicity of Q+ is enforced on construction.
     """
-    from .polynomials import q_distinct
     if K is None:
         K = inst.default_window()
-    rep = CheckReport()
-    res = resonance_check(inst, K)
-    rep.add("resonance", res.passed, witness=[it for it in res.items if not it["pass"]])
+    failed = ["resonance"] if resonance_check(inst, K) else []
     a = inst.cartan.a
-    r = inst.rank
-
-    def distinct(tag, p1, p2):
-        if p1.is_zero() or p2.is_zero():
-            rep.add(tag, False, witness="zero polynomial")
-            return
-        if p1.degree < 1 or p2.degree < 1:
-            rep.add(tag, True)
-            return
-        ok, witness = q_distinct(p1, p2, inst.q, K, inst.tau)
-        rep.add(tag, ok, witness=witness)
-
-    for j in range(1, r + 1):
-        distinct(f"Q+_{j} vs Q-_{j}", sol.qplus[j - 1], sol.qminus[j - 1])
-        for k in range(1, r + 1):
-            if a(j, k) == 0:
-                continue
-            distinct(f"Q+_{j} vs Lambda_{k}", sol.qplus[j - 1], inst.lambdas[k - 1])
-            distinct(f"Q-_{j} vs Lambda_{k}", sol.qminus[j - 1], inst.lambdas[k - 1])
-    return rep
-
+    pairs = []
+    for j in range(1, inst.rank + 1):
+        qp, qm = sol.qplus[j - 1], sol.qminus[j - 1]
+        pairs.append((f"Q+_{j} vs Q-_{j}", qp, qm))
+        for k in range(1, inst.rank + 1):
+            if a(j, k):
+                lam = inst.lambdas[k - 1]
+                pairs += [(f"Q+_{j} vs Lambda_{k}", qp, lam),
+                          (f"Q-_{j} vs Lambda_{k}", qm, lam)]
+    return failed + q_collisions(inst, pairs, K)

@@ -8,13 +8,17 @@ each seed (``verify``, ``wronskian`` and ``backlund --full-table`` on the
 verify inputs), and ``identities`` in both modes at each seed.  Two more
 runs cover the flag defaults: ``solve`` on ``a2_generic`` with
 ``--seed 7 --tol 1e-9`` in place of the instance's seed and tolerance,
-and ``identities`` on its default ``--seed``.  Each line reads
-``command input exit digest``, with ``-`` for the digest of a run that
-wrote no report and the exception's name for the exit of a run that
+and ``identities`` on its default ``--seed``.  Three cover failing
+verdicts: ``solve``, ``verify`` and ``backlund`` on ``a2_solved`` with
+the twist zeta = (1, 1), resonant at every node, so the resonance and
+nondegeneracy checks fail and every Backlund step is refused.  Each line
+reads ``command input exit digest``, with ``-`` for the digest of a run
+that wrote no report and the exception's name for the exit of a run that
 raised one.
 
-The inputs are written to a temporary directory by ``perfbench/gen.py``,
-the only benchmark module imported.  ``--against PATH`` runs the same
+The inputs are written to a temporary directory: the generated ones by
+``perfbench/gen.py``, the only benchmark module imported, and the
+unit-twist copy of ``a2_solved`` by this script.  ``--against PATH`` runs the same
 inputs through the qoper of the checkout at PATH as well, and lists the
 lines that differ between the two; the exit code is 0 either way, so a
 change that moves digests on purpose can list them.
@@ -85,6 +89,14 @@ def jobs(seeds, workdir: str) -> list:
              ["solve", "--instance", os.path.join(ROOT, "instances", "a2_generic.json"),
               "--seed", "7", "--tol", "1e-9"]),
             ("identities no-seed", ["identities"])]
+    with open(os.path.join(ROOT, "instances", "a2_solved.json")) as fh:
+        doc = json.load(fh)
+    doc["zetas"] = [[1.0, 0.0], [1.0, 0.0]]
+    path = os.path.join(workdir, "a2_unit_twist.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    out += _instance_jobs(path, "unit-twist/a2_solved",
+                          ("solve", "verify", "backlund"))
     for seed in seeds:
         for kind, families, commands in (
                 ("solve", gen.SOLVE_FAMILIES, ("solve",)),

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,11 @@ from qoper import polynomials
 from qoper.cartan import TwistZ, canonical_form, cartan_matrix
 from qoper.polynomials import Poly
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution, check_scale,
-                      qq_residual, resonance_check, solve_bethe, solve_q_minus)
-from qoper.backlund import apply_word, backlund_step, full_qq_system
+                      nondegenerate, qq_residual, resonance_check, solve_bethe,
+                      solve_q_minus)
+from qoper.backlund import (_step_nondegeneracy, apply_word, backlund_step,
+                            full_qq_system)
+from qoper.cli import parse_instance
 from constructions import mu_gauge, twist_along_word
 
 
@@ -42,7 +48,7 @@ def random_solved(rank, rng):
     q = complex(0.2 + 0.2 * rng.random(), 0.05 * rng.standard_normal())
     lams = tuple(Poly([complex(*rng.standard_normal(2)), 1.0]) for _ in range(rank))
     inst = QQInstance(cd, q, zetas, lams, (1,) * rank)
-    assert resonance_check(inst).passed
+    assert resonance_check(inst) == []
     return inst, solve_bethe(inst, seeds=20, tol=1e-11)
 
 
@@ -132,8 +138,23 @@ class TestBacklundStep:
         cd = cartan_matrix("A", 1)
         inst = QQInstance(cd, 0.2, TwistZ((2.0,)), (Poly([-1.0, 1.0]),), (1,))
         sol = QQSolution((Poly([-3.0, 1.0]),), (Poly([-1.0, 1.0]),))
+        assert _step_nondegeneracy(inst, sol, 1) == ["Q-_1 vs Lambda_1"]
         with pytest.raises(DegenerateInstance, match="refused"):
             backlund_step(inst, sol, 1)
+
+    def test_unit_twist_failure_lists(self):
+        # the shipped a2_solved with zeta = (1, 1): every twist ratio is
+        # q^0, so only the resonance conditions fail, and both steps refuse
+        doc = json.loads((Path(__file__).resolve().parent.parent / "instances"
+                          / "a2_solved.json").read_text())
+        doc["zetas"] = [[1.0, 0.0], [1.0, 0.0]]
+        inst, sol, _ = parse_instance(doc)
+        assert nondegenerate(inst, sol) == ["resonance"]
+        for i in (1, 2):
+            assert _step_nondegeneracy(inst, sol, i) == [
+                "reflected twist non-resonant"]
+            with pytest.raises(DegenerateInstance, match="refused"):
+                backlund_step(inst, sol, i)
 
 
 def g2_far_window():
@@ -167,7 +188,7 @@ class TestWindowBeyondDoubleRange:
     def test_walk_records_the_refusal(self):
         inst, sol = g2_far_window()
         fq = full_qq_system(inst, sol)
-        assert not fq.generic
+        assert fq.refusals
         refused, = [r for r in fq.refusals if r["word"] == (2,)]
         assert refused["node"] == 2 and "float range" in refused["reason"]
 
@@ -182,14 +203,14 @@ class TestFullQQSystem:
     def test_a1_two_entries(self):
         inst, sol = a1_solved()
         fq = full_qq_system(inst, sol)
-        assert len(fq.table) == 2 and fq.generic
+        assert len(fq.table) == 2 and not fq.refusals
         key = canonical_form((1,), inst.cartan)
         assert poly_close(fq.table[key][0], sol.qminus[0].monic())
 
     def test_a2_path_independence(self):
         inst, sol = a2_solved()
         fq = full_qq_system(inst, sol)
-        assert len(fq.table) == 6 and fq.generic
+        assert len(fq.table) == 6 and not fq.refusals
         ia, sa, _ = apply_word(inst, sol, (1, 2, 1))
         ib, sb, _ = apply_word(inst, sol, (2, 1, 2))
         for i in range(2):

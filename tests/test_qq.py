@@ -9,12 +9,12 @@ import pytest
 
 from qoper import qq
 from qoper.cartan import TwistZ, cartan_matrix
-from qoper.polynomials import Poly
+from qoper.polynomials import Poly, q_distinct
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution,
-                      _bethe_kernel, _roots_to_qplus,
-                      bethe_residual, nondegenerate,
+                      _bethe_kernel, _resonant_power, _roots_to_qplus,
+                      bethe_residual, nondegenerate, q_collisions,
                       qq_residual, qq_rhs, resonance_check, solve_bethe,
-                      solve_q_minus, xi_factors)
+                      solve_q_minus, twist_ratio, xi_factors)
 from qoper.backlund import apply_word
 from qoper.wronskian import build_miura_A
 from qoper.cli import parse_instance
@@ -105,19 +105,19 @@ class TestQQResidual:
 
 class TestResonance:
     def test_pass(self):
-        rep = resonance_check(a1_instance(zeta=2.0, q=3.0), K=3)
-        assert rep.passed
+        assert resonance_check(a1_instance(zeta=2.0, q=3.0), K=3) == []
 
     def test_constructed_resonance(self):
         # zeta^2 = q exactly: fails at k = 1
-        rep = resonance_check(a1_instance(zeta=2.0, q=4.0), K=3)
-        assert not rep.passed
-        assert rep.items[0]["witness"] == 1
+        inst = a1_instance(zeta=2.0, q=4.0)
+        assert resonance_check(inst, K=3) == ["node 1"]
+        assert _resonant_power(inst, twist_ratio(inst, 1), 3) == 1
 
     def test_unit_twist_fails(self):
-        rep = resonance_check(a2_instance(zetas=(1.0, 1.0)), K=2)
-        assert not rep.passed
-        assert all(it["witness"] == 0 for it in rep.items)
+        inst = a2_instance(zetas=(1.0, 1.0))
+        assert resonance_check(inst, K=2) == ["node 1", "node 2"]
+        assert [_resonant_power(inst, twist_ratio(inst, j), 2)
+                for j in (1, 2)] == [0, 0]
 
 
 class TestSolveQMinus:
@@ -188,7 +188,7 @@ def random_instance(lie_type, rank, degrees, rng):
                                   for _ in range(2)])
                  for _ in range(rank))
     inst = QQInstance(cd, q, zetas, lams, degrees)
-    assert resonance_check(inst).passed
+    assert resonance_check(inst) == []
     return inst
 
 
@@ -393,22 +393,31 @@ class TestNondegenerate:
         # root = q^2 exactly and is deliberately not generic)
         inst = a1_instance(q=0.2)
         sol = solve_bethe(inst, seeds=10, seed=1)[0]
-        assert nondegenerate(inst, sol).passed
+        assert nondegenerate(inst, sol) == []
 
     def test_shared_root_fails(self):
+        # Q+ and Lambda share the root 1: q_distinct names it at k = 0
         inst = a1_instance(lam=Poly([-1.0, 1.0]))
         sol = QQSolution((Poly([-1.0, 1.0]),), (Poly([2.0, 2.0]),))
-        rep = nondegenerate(inst, sol)
-        assert not rep.passed
-        bad = [it for it in rep.items if not it["pass"]]
-        assert any(it["witness"] for it in bad if it["witness"])
+        assert nondegenerate(inst, sol) == ["Q+_1 vs Lambda_1"]
+        assert q_distinct(sol.qplus[0], inst.lambdas[0], inst.q,
+                          inst.default_window(), inst.tau) == (False, (1, 1, 0))
 
     def test_unit_twist_fails_resonance(self):
         inst = a2_instance(zetas=(1.0, 1.0))
         sol = QQSolution((Poly([-0.3, 1.0]), Poly([0.4, 1.0])),
                          (Poly([1.0]), Poly([1.0])))
-        rep = nondegenerate(inst, sol)
-        assert not rep.passed
+        assert nondegenerate(inst, sol) == ["resonance"]
+
+    def test_q_collisions(self):
+        # a zero polynomial fails, a constant one has no zeros, and
+        # 0.2 = q * 1 collides in the window
+        inst = a1_instance(q=0.2)
+        one, zero = Poly([1.0]), Poly([0.0])
+        lin, near = Poly([-1.0, 1.0]), Poly([-0.2, 1.0])
+        pairs = [("zero", zero, lin), ("constant", one, lin),
+                 ("collide", near, lin), ("apart", Poly([-7.0, 1.0]), lin)]
+        assert q_collisions(inst, pairs, 3) == ["zero", "collide"]
 
 
 class TestCartanConnection:
