@@ -20,7 +20,6 @@ without Matsumoto rewriting.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
@@ -96,7 +95,7 @@ class CartanData(ValueObject):
 
 
 class TwistZ(ValueObject):
-    """Twist parameters zeta_i, all nonzero; exact values allowed."""
+    """Twist parameters zeta_i, all nonzero."""
 
     __slots__ = ("zetas",)
 
@@ -117,14 +116,11 @@ def twist_monomial(zetas: Sequence, exps: Sequence[int]):
 
     Every product of twist parameters is formed here: xi~_i, xi_i and
     their ratio prod_j zeta_j^{a_ji}, the reflected zeta_i, and the
-    shifted-minor weights of type A.  Exact zetas stay exact: an int zeta
-    becomes a Fraction before a negative power.
+    shifted-minor weights of type A.
     """
     out = 1
     for z, e in zip(zetas, exps):
         if e:
-            if e < 0 and isinstance(z, int):
-                z = Fraction(z)
             out = out * z ** e
     return out
 
@@ -210,7 +206,7 @@ def reflect_twist(Z: TwistZ, i: int, data: CartanData) -> TwistZ:
     """Simple reflection s_i acting on the twist.
 
     zeta_i maps to zeta_i^{-1} prod_{j != i} zeta_j^{-a_{ji}}; the other
-    parameters are untouched.  Exact inputs stay exact.
+    parameters are untouched.
     """
     if not 1 <= i <= data.rank:
         raise ValueError(f"node index {i} out of range")

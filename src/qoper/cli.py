@@ -20,13 +20,13 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
 
 from .polynomials import NonFinite, Poly, RatMatrix, check_lewis_carroll
 
 # cartan, qq, backlund and wronskian load inside the functions that run
 # them: `identities` loads only cli and polynomials, `solve` no backlund or
-# wronskian.  No command loads numpy.
+# wronskian.  No command loads numpy, and only a string scalar loads
+# fractions.
 
 
 def __getattr__(name):
@@ -62,6 +62,7 @@ def _parse_scalar(v, where: str) -> complex:
         raise InputError(f"{where}: expected number, [re, im], or decimal string")
     try:
         if isinstance(v, str):
+            from fractions import Fraction  # for "p/q" strings only
             c = complex(float(Fraction(v)))
         else:
             c = complex(*v) if pair else complex(v)
@@ -282,19 +283,23 @@ def _emit(report_doc: dict, fmt: str, out):
                       f"{c['sup_residual']:.3e},{int(c['pass'])}\n")
 
 
-def _solution_entry(inst, sol, K):
+def _solution_entry(inst, sol, K, residuals=None):
     """(report entry, failed nondegeneracy conditions) of one solution;
-    nondegeneracy is judged in the resonance window K."""
+    nondegeneracy is judged in the resonance window K.  ``residuals`` is
+    the pair (``bethe_residual``'s triples, largest ``qq_residual`` norm)
+    when the solver has computed it, and is computed here otherwise."""
     from .qq import DegenerateInstance, bethe_residual, nondegenerate, qq_residual
-    resid = qq_residual(inst, sol)
-    qqres = max(r.norm() for r in resid)
-    try:
-        br = bethe_residual(inst, sol.qplus)
+    if residuals is None:
+        qqres = max(r.norm() for r in qq_residual(inst, sol))
+        try:
+            br = bethe_residual(inst, sol.qplus)
+        except DegenerateInstance as exc:
+            br, bres, roots = None, float("inf"), [str(exc)]
+    else:
+        br, qqres = residuals
+    if br is not None:
         bres = max((abs(b[2]) for b in br), default=0.0)
         roots = [_emit_scalar(b[1]) for b in br]
-    except DegenerateInstance as exc:
-        bres = float("inf")
-        roots = [str(exc)]
     nd = nondegenerate(inst, sol, K)
     return {
         "qplus": _emit_polys(sol.qplus),
@@ -334,11 +339,13 @@ def run_solve(args, rep: Report):
     seed = extras["seed"] if args.seed is None else args.seed
     res = resonance_check(inst, extras["K"])
     rep.check("resonance", 0.0, not res, witnesses=res)
-    stats = {}
-    sols = solve_bethe(inst, seeds=args.seeds, tol=tol, seed=seed, stats=stats)
+    stats, residuals = {}, []
+    sols = solve_bethe(inst, seeds=args.seeds, tol=tol, seed=seed, stats=stats,
+                       residuals=residuals)
     rep.telemetry["solver"] = stats
-    for sol in sols:
-        rep.doc["solutions"].append(_solution_entry(inst, sol, extras["K"])[0])
+    for sol, pair in zip(sols, residuals):
+        rep.doc["solutions"].append(
+            _solution_entry(inst, sol, extras["K"], pair)[0])
     if not sols:
         why = ("no seed gave a solution" if sum(inst.degrees) else
                "no seed ran (every degree is 0); Q+ = 1 was rejected")
@@ -460,8 +467,8 @@ def run_backlund(args, rep: Report):
 
 def run_identities(args, rep: Report):
     """Universal determinant identity battery on random matrices: the
-    Dodgson residual for every column index, on polynomial entries in exact
-    mode and on complex values at two points in float mode."""
+    Dodgson residual for every column index, on int polynomial entries in
+    exact mode and on complex values at two points in float mode."""
     _positive(args.trials, "--trials")
     n = 4
     rng = random.Random(args.seed)
@@ -536,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi = command("identities", run_identities, "determinant identity battery",
                  instance=False)
     pi.add_argument("--seed", type=_seed_arg, default=0)
-    pi.add_argument("--exact", action="store_true", help="exact-rational mode")
+    pi.add_argument("--exact", action="store_true", help="exact integer mode")
     pi.add_argument("--trials", type=int, default=20)
     return ap
 

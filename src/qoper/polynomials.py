@@ -1,11 +1,12 @@
 """Univariate polynomials and rational functions over complex scalars.
 
-Coefficients may be Python complex/float numbers (the default, double
-precision) or exact rationals (the shadow mode used by identity tests):
-Python ``int`` values, kept as ints, and ``fractions.Fraction`` values,
-which appear only when given or when a division makes one.  All ring
-operations are generic over the scalar type; only root extraction and
-least-squares solving require floating point.
+Coefficients are Python complex/float numbers (the default, double
+precision) or Python ``int`` values, kept as ints: the exact mode of the
+identity battery, closed under the ring operations.  A division
+(``monic``, a ``RatFun`` denominator's normalisation) turns int
+coefficients into floats.  All ring operations are generic over the
+scalar type; only root extraction and least-squares solving require
+floating point.
 
 Polynomials are stored lowest degree first.  The zero polynomial has an
 empty coefficient tuple and degree -1 by convention.
@@ -30,23 +31,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 #: Default comparison tolerance.  Comparisons are relative with scale
 #: ``(1 + magnitude)`` throughout the package.
 TAU = 1e-10
-
-
-def is_exact(x) -> bool:
-    """True if x lives in the exact-rational domain."""
-    return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
-
-
-def _divisor(c):
-    """c ready to divide by: an int becomes a Fraction, so that exact
-    coefficients never turn into floats."""
-    return Fraction(c) if type(c) is int else c
 
 
 def close(a, b, tol: float = TAU) -> bool:
@@ -79,14 +68,7 @@ class Poly:
 
     def __init__(self, coeffs: Iterable):
         cs = list(coeffs)
-        exact = True
-        for k, c in enumerate(cs):
-            if type(c) is int or type(c) is Fraction:
-                continue
-            if not is_exact(c):
-                exact = False
-                break
-            cs[k] = Fraction(c) if isinstance(c, Fraction) else int(c)
+        exact = all(type(c) is int for c in cs)
         if not exact:
             cs = [ensure_finite(c) for c in cs]
         while cs and cs[-1] == 0:
@@ -125,7 +107,7 @@ class Poly:
         return self.coeffs[-1]
 
     def __call__(self, z):
-        acc = Fraction(0) if (self.exact and is_exact(z)) else 0j
+        acc = 0 if (self.exact and type(z) is int) else 0j
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
@@ -186,7 +168,7 @@ class Poly:
 
     def monic(self) -> "Poly":
         """Rescale so the leading coefficient is 1."""
-        lc = _divisor(self.leading())
+        lc = self.leading()
         return Poly([c / lc for c in self.coeffs])
 
     def norm(self) -> float:
@@ -225,7 +207,7 @@ def q_shift(p: Poly, q) -> Poly:
     if complex(q) == 0:
         raise ValueError("q must be nonzero")
     out = []
-    f = 1 if (p.exact and is_exact(q)) else ensure_finite(q) / ensure_finite(q)
+    f = 1 if (p.exact and type(q) is int) else ensure_finite(q) / ensure_finite(q)
     qk = f  # q**0, in the matching domain
     for c in p.coeffs:
         out.append(c * qk)
@@ -527,7 +509,6 @@ class RatFun:
             # a leading 1 needs no division, unless the denominator is
             # float and the division has to make an exact numerator float
             if lc != 1 or (num.exact and not den.exact):
-                lc = _divisor(lc)
                 num = Poly([c / lc for c in num.coeffs])
                 den = Poly([c / lc for c in den.coeffs])
         self.num = num
@@ -672,8 +653,9 @@ def check_lewis_carroll(M: RatMatrix, i: int):
 
     M^a_b removes row a and column b; M^12_1i removes rows {1,2} and
     columns {1,i}.  It vanishes for every square matrix with n >= 3 and
-    2 <= i <= n, exactly in rational mode.  For complex entries the result
-    is |ab - cd - e det M| / (1 + max of the three terms' moduli).
+    2 <= i <= n, exactly for int polynomial entries.  For complex entries
+    the result is |ab - cd - e det M| / (1 + max of the three terms'
+    moduli).
     """
     n = M.n
     if n < 3:

@@ -474,7 +474,8 @@ def _newton(sides, x: list, tally: dict, pairs: list, floor: float):
 
 
 def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
-                seed: int = 0, stats: Optional[dict] = None) -> list[QQSolution]:
+                seed: int = 0, stats: Optional[dict] = None,
+                residuals: Optional[list] = None) -> list[QQSolution]:
     """Multi-start Newton solver for the Bethe system.
 
     Unknowns are the roots of the Q+ polynomials, n = sum m_i of them.
@@ -497,21 +498,25 @@ def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
     at the common zero), rejected_residual, duplicates, rejected_qq (Q-
     solve or QQ residual) and accepted; the total and maximum Newton
     iterations of a seed; and the worst Bethe residual of an accepted
-    solution.
+    solution.  When ``residuals`` is given it receives, for each returned
+    solution in order, the pair (``bethe_residual``'s triples, largest
+    ``qq_residual`` norm) that accepted it.
     """
     tally = dict.fromkeys(
         ("seeds", "converged", "nonfinite", "singular", "out_of_iterations",
          "degenerate", "rejected_residual", "duplicates", "rejected_qq",
          "accepted", "newton_iterations", "max_newton_iterations"), 0)
     tally["worst_bethe_residual"] = 0.0
-    solutions = _multistart(inst, seeds, tol, seed, tally)
-    tally["accepted"] = len(solutions)
+    accepted = _multistart(inst, seeds, tol, seed, tally)
+    tally["accepted"] = len(accepted)
     if stats is not None:
         stats.update(tally)
-    return solutions
+    if residuals is not None:
+        residuals.extend(pair for _, pair in accepted)
+    return [sol for sol, _ in accepted]
 
 
-def _multistart(inst, seeds, tol, seed, tally) -> list[QQSolution]:
+def _multistart(inst, seeds, tol, seed, tally) -> list:
     """The body of ``solve_bethe``.
 
     Every Newton result is scored by one kernel call, by the largest
@@ -520,7 +525,8 @@ def _multistart(inst, seeds, tol, seed, tally) -> list[QQSolution]:
     polynomials from its sorted root blocks and checked by
     ``bethe_residual``; the QQSolution keeps those polynomials and their
     roots.  With sum m_i = 0 no seed runs, and the one family Q+_i = 1
-    goes to the same Q- completion.
+    goes to the same Q- completion.  Returns (solution, (Bethe triples,
+    largest QQ residual norm)) pairs.
     """
     total = sum(inst.degrees)
     rng = random.Random(seed)
@@ -535,7 +541,8 @@ def _multistart(inst, seeds, tol, seed, tally) -> list[QQSolution]:
         except (OverflowError, ZeroDivisionError):
             return False
 
-    found = [] if total else [([()] * inst.rank, _roots_to_qplus(inst, []), 0.0)]
+    found = [] if total else [([()] * inst.rank, _roots_to_qplus(inst, []),
+                               0.0, [])]
     for _ in range(seeds):
         re = [rng.gauss(0.0, 1.0) for _ in range(total)]
         im = [rng.gauss(0.0, 1.0) for _ in range(total)]
@@ -551,36 +558,36 @@ def _multistart(inst, seeds, tol, seed, tally) -> list[QQSolution]:
             blockkey.append(tuple(sorted(x[k:k + m],
                                          key=lambda w: (w.real, w.imag))))
             k += m
-        if any(_same_blocks(blockkey, other) for other, _, _ in found):
+        if any(_same_blocks(blockkey, f[0]) for f in found):
             tally["duplicates"] += 1
             continue
         qplus = _roots_to_qplus(inst, [w for block in blockkey for w in block])
-        worst = math.inf
+        worst, br = math.inf, None
         try:
-            worst = max(abs(r[2]) for r in bethe_residual(inst, qplus))
+            br = bethe_residual(inst, qplus)
+            worst = max(abs(r[2]) for r in br)
         except (DegenerateInstance, ValueError, ArithmeticError):
             pass
         if not worst <= tol:  # NaN included
             tally["rejected_residual"] += 1
             continue
-        found.append((blockkey, qplus, worst))
+        found.append((blockkey, qplus, worst, br))
 
-    solutions = []
-    for _, qplus, worst in found:
+    accepted = []
+    for _, qplus, worst, br in found:
         try:
             qminus = [solve_q_minus(inst, qplus, i) for i in range(1, inst.rank + 1)]
         except DegenerateInstance:
             tally["rejected_qq"] += 1
             continue
         sol = QQSolution(tuple(qplus), tuple(qminus))
-        residuals = qq_residual(inst, sol)
-        if max(r.norm() for r in residuals) <= 10 * tol * (1 + max(
-                l.norm() for l in inst.lambdas)):
-            solutions.append(sol)
+        qqres = max(r.norm() for r in qq_residual(inst, sol))
+        if qqres <= 10 * tol * (1 + max(l.norm() for l in inst.lambdas)):
+            accepted.append((sol, (br, qqres)))
             tally["worst_bethe_residual"] = max(tally["worst_bethe_residual"], worst)
         else:
             tally["rejected_qq"] += 1
-    return solutions
+    return accepted
 
 
 def _same_blocks(a, b) -> bool:

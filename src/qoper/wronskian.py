@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from typing import Optional
 
 # perfbench's tracer finds RatMatrix and check_lewis_carroll in this module
 from .polynomials import (Poly, RatFun, RatMatrix, check_lewis_carroll,
-                          is_exact, off_pole, q_shift, solve_linear,
-                          solve_q_difference, triangularize)
+                          off_pole, q_shift, solve_linear, solve_q_difference,
+                          triangularize)
 from .qq import DegenerateInstance, QQInstance, QQSolution
 
 
@@ -56,14 +55,13 @@ def _coroot_diag(n: int, i: int, f: RatFun) -> RatMatrix:
 
 
 def _twist_diagonal(inst: QQInstance) -> list:
-    """Z's diagonal (1/z1, z1/z2, ..., zr), exact when the zetas are.
+    """Z's diagonal (1/z1, z1/z2, ..., zr), complex.
 
     Each entry is the quotient z_{a-1} / z_a, which rounds differently
     from twist_monomial's product z_{a-1} z_a^{-1}.
     """
     zs = [1, *inst.twist.zetas, 1]
-    return [Fraction(num) / Fraction(den) if is_exact(num) and is_exact(den)
-            else complex(num) / complex(den) for num, den in zip(zs, zs[1:])]
+    return [complex(num) / complex(den) for num, den in zip(zs, zs[1:])]
 
 
 def _compose(M: tuple, N: tuple) -> tuple:

@@ -13,7 +13,6 @@ The tests hold them to the paper's formulas; no command runs them.
 
 import inspect
 import itertools
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -140,12 +139,10 @@ def d_exponents(cartan: CartanData) -> LiftExponents:
 def lift_matrix(n: int, i: int, sign: int = 1) -> RatMatrix:
     """Defining-representation lift of s_i: e_i -> e_{i+1}, e_{i+1} -> -e_i;
     with sign -1 the lift of s_i^{-1}: e_i -> -e_{i+1}, e_{i+1} -> e_i."""
-    m = [[Fraction(1) if a == b else Fraction(0) for b in range(n)]
-         for a in range(n)]
-    m[i - 1][i - 1] = Fraction(0)
-    m[i][i] = Fraction(0)
-    m[i][i - 1] = Fraction(sign)
-    m[i - 1][i] = Fraction(-sign)
+    m = [[int(a == b) for b in range(n)] for a in range(n)]
+    m[i - 1][i - 1] = m[i][i] = 0
+    m[i][i - 1] = sign
+    m[i - 1][i] = -sign
     return RatMatrix([[RatFun(Poly([c])) for c in row] for row in m])
 
 
@@ -253,8 +250,9 @@ def gauss_decompose(M: RatMatrix):
 
     Exists iff every leading principal minor is a nonzero rational
     function; on failure reports the first index whose minor vanishes
-    (``_pivot_vanishes``).  Meant for exact matrices: on a float one, each
-    quotient carries the rounding of its pivot, and on an A4 Wronskian the
+    (``_pivot_vanishes``).  A quotient by a pivot whose numerator is not
+    monic divides, so even an int matrix may give float factors, each
+    carrying the rounding of its pivot; on an A4 Wronskian the
     coefficients overflow.
     """
     n = M.n

