@@ -75,15 +75,18 @@ def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
     """One Backlund transformation at node i.
 
     Returns (new_instance, new_solution, record).  Refuses (raises
-    DegenerateInstance) when the step's nondegeneracy conditions fail.
+    DegenerateInstance) when the step's nondegeneracy conditions fail,
+    naming the failed conditions in the reason.
     Only Q-_i and the Q-_j of the neighbours j of i are solved again: the
     step changes zeta_i and Q+_i alone, and the j-th equation involves
     them only when a_ij != 0, so every other Q-_j is kept as it is.  The
     step also refuses when the degrees and twist it moves to fail
     ``check_scale``.
     """
-    if _step_nondegeneracy(inst, sol, i, K):
-        raise DegenerateInstance(f"backlund step at node {i} refused")
+    failed = _step_nondegeneracy(inst, sol, i, K)
+    if failed:
+        raise DegenerateInstance(f"backlund step at node {i} refused: "
+                                 + ", ".join(failed))
     qplus = list(sol.qplus)
     qplus[i - 1] = sol.qminus[i - 1].monic()
     new_twist = reflect_twist(inst.twist, i, inst.cartan)

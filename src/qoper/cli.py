@@ -21,7 +21,8 @@ import random
 import sys
 import time
 
-from .polynomials import NonFinite, Poly, RatMatrix, check_lewis_carroll
+from .polynomials import (NonFinite, Poly, RatMatrix, check_lewis_carroll,
+                          lewis_carroll_bits)
 
 # cartan, qq, backlund and wronskian load inside the functions that run
 # them: `identities` loads only cli and polynomials, `solve` no backlund or
@@ -467,19 +468,34 @@ def run_backlund(args, rep: Report):
 
 def run_identities(args, rep: Report):
     """Universal determinant identity battery on random matrices: the
-    Dodgson residual for every column index, on int polynomial entries in
-    exact mode and on complex values at two points in float mode."""
+    Dodgson residual for every column index, of int polynomial entries in
+    exact mode and of complex values at two points in float mode.
+
+    Exact mode decides each polynomial identity with one int residual: it
+    evaluates the matrix at z = 2**k, k from ``lewis_carroll_bits``, so
+    that the residual's value there is 0 exactly when the residual is.  A
+    failing battery reports the largest |residual| and names the first
+    failing (trial, i) pairs."""
     _positive(args.trials, "--trials")
     n = 4
     rng = random.Random(args.seed)
+    telemetry = {"seed": args.seed, "trials": args.trials, "exact": args.exact,
+                 "residuals": args.trials * (n - 1)}
     if args.exact:
-        exact_ok = True
+        terms, bound = 3, 5  # coefficients per entry, each in [-bound, bound]
+        k = telemetry["kronecker_bits"] = lewis_carroll_bits(n, terms * bound)
+        worst, failed = 0, []
         for trial in range(args.trials):
-            M = RatMatrix([[Poly([rng.randint(-5, 5) for _ in range(3)])
-                            for _ in range(n)] for _ in range(n)])
+            polys = [[Poly([rng.randint(-bound, bound) for _ in range(terms)])
+                      for _ in range(n)] for _ in range(n)]
+            M = RatMatrix([[p(1 << k) for p in row] for row in polys])
             for i in range(2, n + 1):
-                exact_ok = check_lewis_carroll(M, i).num.is_zero() and exact_ok
-        rep.check("lewis-carroll (exact)", 0.0, exact_ok)
+                resid = abs(check_lewis_carroll(M, i))
+                if resid:
+                    worst = max(worst, resid)
+                    failed.append(f"trial {trial}, i {i}")
+        rep.check("lewis-carroll (exact)", float(worst), not failed,
+                  witnesses=failed[:5])
     else:
         worst_lc = 0.0
         for trial in range(args.trials):
@@ -493,9 +509,7 @@ def run_identities(args, rep: Report):
                                            for Mz in values))
         rep.check("lewis-carroll", worst_lc, worst_lc <= 1e-10)
     # every column index of every matrix; float takes the worse of two points
-    rep.telemetry["identities"] = {"seed": args.seed, "trials": args.trials,
-                                   "exact": args.exact,
-                                   "residuals": args.trials * (n - 1)}
+    rep.telemetry["identities"] = telemetry
 
 
 def _seed_arg(text: str) -> int:

@@ -12,8 +12,11 @@ Polynomials are stored lowest degree first.  The zero polynomial has an
 empty coefficient tuple and degree -1 by convention.
 
 ``RatMatrix`` and the Dodgson check live here too, for rational entries
-and for complex values alike, so both batteries of ``qoper identities``,
-whose entries ``random.Random(seed)`` draws, run on Python numbers.  No
+and for int and complex values alike, so both batteries of ``qoper
+identities``, whose entries ``random.Random(seed)`` draws, run on Python
+numbers: the exact one on the ints an int polynomial matrix takes at
+z = 2**k, with k from ``lewis_carroll_bits`` large enough that a
+residual is 0 there exactly when it is 0 as a polynomial.  No
 part of this module uses numpy: ``poly_roots`` is the Aberth-Ehrlich
 iteration, ``solve_q_difference`` solves by Householder QR,
 ``triangularize`` and ``solve_linear`` are Gaussian elimination, and
@@ -569,8 +572,9 @@ class RatFun:
 
 
 class RatMatrix:
-    """Square matrix of rational functions, or of complex numbers (the
-    values of such a matrix at a point), immutable after construction.
+    """Square matrix of rational functions, or of values: complex numbers
+    (those of such a matrix at a point) or ints (those of an int
+    polynomial matrix at an int point).  Immutable after construction.
 
     A submatrix is a view over the entries and the table of minors of the
     matrix it was cut from: it keeps only its row and column indices into
@@ -578,7 +582,7 @@ class RatMatrix:
     """
 
     def __init__(self, entries):
-        self.entries = tuple(tuple(e if isinstance(e, (RatFun, complex))
+        self.entries = tuple(tuple(e if isinstance(e, (RatFun, complex, int))
                                    else RatFun(e) for e in row)
                              for row in entries)
         n = len(self.entries)
@@ -626,25 +630,33 @@ class RatMatrix:
         sub.n = len(sub._rows)
         return sub
 
-    def det(self) -> RatFun:
+    def det(self):
         """Determinant by cofactor expansion along the first row (intended
-        for small n); each minor is expanded once, into the shared table."""
+        for small n); each minor is expanded once, into the shared table,
+        and a cofactor already there is read without cutting its view.
+        A RatFun for rational entries, a value of the entries' type for
+        values: ints and complex numbers take the same path."""
         n, rows, cols = self.n, self._rows, self._cols
         top = self._table[rows[0]]
         if n == 1:
             return top[cols[0]]
+        table = self._minors
         key = (rows, cols)
-        if key in self._minors:
-            return self._minors[key]
-        acc = 0j if isinstance(top[cols[0]], complex) else RatFun.zero()
+        if key in table:
+            return table[key]
+        values = not isinstance(top[cols[0]], RatFun)
+        acc = type(top[cols[0]])() if values else RatFun.zero()  # 0 or 0j
         for j in range(n):
             a = top[cols[j]]
-            if (a == 0) if isinstance(a, complex) else a.is_zero():
+            if (a == 0) if values else a.is_zero():
                 continue
-            sub = self.submatrix(range(1, n), [c for c in range(n) if c != j])
-            term = a * sub.det()
+            minor = table.get((rows[1:], cols[:j] + cols[j + 1:]))
+            if minor is None:
+                minor = self.submatrix(range(1, n),
+                                       [c for c in range(n) if c != j]).det()
+            term = a * minor
             acc = acc + (term if j % 2 == 0 else -term)
-        self._minors[key] = acc
+        table[key] = acc
         return acc
 
 
@@ -653,9 +665,10 @@ def check_lewis_carroll(M: RatMatrix, i: int):
 
     M^a_b removes row a and column b; M^12_1i removes rows {1,2} and
     columns {1,i}.  It vanishes for every square matrix with n >= 3 and
-    2 <= i <= n, exactly for int polynomial entries.  For complex entries
-    the result is |ab - cd - e det M| / (1 + max of the three terms'
-    moduli).
+    2 <= i <= n, exactly for int polynomial entries (a RatFun residual)
+    and for int entries (an int residual, returned as it is).  For
+    complex entries the result is |ab - cd - e det M| / (1 + max of the
+    three terms' moduli).
     """
     n = M.n
     if n < 3:
@@ -672,5 +685,22 @@ def check_lewis_carroll(M: RatMatrix, i: int):
              minor({0}, {i - 1}) * minor({1}, {0}),
              minor({0, 1}, {0, i - 1}) * M.det())
     resid = terms[0] - terms[1] - terms[2]
-    return resid if isinstance(resid, RatFun) else \
-        abs(resid) / (1.0 + max(map(abs, terms)))
+    if isinstance(resid, complex):
+        return abs(resid) / (1.0 + max(map(abs, terms)))
+    return resid
+
+
+def lewis_carroll_bits(n: int, h: int) -> int:
+    """The k for which 2**k exceeds every coefficient of the Dodgson
+    residual of an n x n matrix of int polynomials, each of L1 norm at
+    most h: then that residual vanishes exactly when its value at
+    z = 2**k does (Kronecker substitution).
+
+    A minor of size m is a sum of m! products of m entries, of L1 norm at
+    most m! h^m, so the residual's L1 norm, and with it each coefficient,
+    is at most (2 ((n-1)!)^2 + (n-2)! n!) h^(2n-2).  Below 2**k, a
+    nonzero P with lowest coefficient c_j has P(2**k) / 2**(jk) = c_j
+    mod 2**k, and 0 < |c_j| < 2**k, so P(2**k) != 0.
+    """
+    f = math.factorial
+    return ((2 * f(n - 1) ** 2 + f(n - 2) * f(n)) * h ** (2 * n - 2)).bit_length()

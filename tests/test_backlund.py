@@ -139,7 +139,10 @@ class TestBacklundStep:
         inst = QQInstance(cd, 0.2, TwistZ((2.0,)), (Poly([-1.0, 1.0]),), (1,))
         sol = QQSolution((Poly([-3.0, 1.0]),), (Poly([-1.0, 1.0]),))
         assert _step_nondegeneracy(inst, sol, 1) == ["Q-_1 vs Lambda_1"]
-        with pytest.raises(DegenerateInstance, match="refused"):
+        # the reason names the condition that failed
+        with pytest.raises(DegenerateInstance,
+                           match="^backlund step at node 1 refused: "
+                                 "Q-_1 vs Lambda_1$"):
             backlund_step(inst, sol, 1)
 
     def test_unit_twist_failure_lists(self):
@@ -153,7 +156,8 @@ class TestBacklundStep:
         for i in (1, 2):
             assert _step_nondegeneracy(inst, sol, i) == [
                 "reflected twist non-resonant"]
-            with pytest.raises(DegenerateInstance, match="refused"):
+            with pytest.raises(DegenerateInstance,
+                               match="refused: reflected twist non-resonant$"):
                 backlund_step(inst, sol, i)
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qoper import qq
 from qoper.cli import (InputError, build_parser, echo_instance, main,
                        parse_instance)
+from qoper.polynomials import Poly, RatFun, RatMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
 A1 = ROOT / "instances" / "a1_closed_form.json"
@@ -616,7 +617,6 @@ class TestVerify:
         # their residuals stay at rounding level
         from qoper.cartan import TwistZ, cartan_matrix
         from qoper.qq import QQInstance, solve_bethe
-        from qoper.polynomials import Poly
         inst = QQInstance(cartan_matrix("A", 3), 0.2, TwistZ((2.0, 3.0, 5.0)),
                           tuple(Poly([-k, 1.0]) for k in (1.0, 2.0, 3.0)),
                           (1, 1, 1))
@@ -817,7 +817,8 @@ class TestBacklund:
         rep = json.loads(text)
         assert [(c["check"], c["k_or_word"], c["pass"]) for c in rep["checks"]] \
             == [("backlund-step", "1", False)]
-        assert "refused" in rep["checks"][0]["witnesses"][0]
+        assert rep["checks"][0]["witnesses"] == [
+            "backlund step at node 1 refused: Q-_1 vs Lambda_1"]
         assert rep["telemetry"]["backlund"]["steps"] == 0
         assert rep["telemetry"]["backlund"]["refusals"] == 1
 
@@ -1006,7 +1007,6 @@ class TestWronskianCommand:
         import numpy as np
         from qoper.cartan import TwistZ, cartan_matrix
         from qoper.qq import QQInstance, solve_bethe
-        from qoper.polynomials import Poly
         cd = cartan_matrix("B", 2)
         inst = QQInstance(cd, 0.2, TwistZ((2.0, 3.0)),
                           (Poly([-1.0, 1.0]), Poly([-2.0, 1.0])), (1, 1))
@@ -1020,7 +1020,6 @@ class TestWronskianCommand:
     def test_verify_skips_wronskian_for_b2(self, tmp_path):
         from qoper.cartan import TwistZ, cartan_matrix
         from qoper.qq import QQInstance, solve_bethe
-        from qoper.polynomials import Poly
         cd = cartan_matrix("B", 2)
         inst = QQInstance(cd, 0.2, TwistZ((2.0, 3.0)),
                           (Poly([-1.0, 1.0]), Poly([-2.0, 1.0])), (1, 1))
@@ -1065,9 +1064,42 @@ class TestIdentities:
                                     "--seed", seed], tmp_path, f"{seed}.json")[1])
                 for trials, seed in (("2", "1"), ("3", "2"))]
         assert [r["telemetry"]["identities"] for r in reps] == [
-            {"seed": 1, "trials": 2, "exact": True, "residuals": 6},
-            {"seed": 2, "trials": 3, "exact": True, "residuals": 9}]
+            {"seed": 1, "trials": 2, "exact": True, "residuals": 6,
+             "kronecker_bits": 31},
+            {"seed": 2, "trials": 3, "exact": True, "residuals": 9,
+             "kronecker_bits": 31}]
         assert reps[0]["digest"] == reps[1]["digest"]
+
+    def test_exact_battery_can_fail(self, tmp_path, monkeypatch):
+        # a determinant with its second cofactor's sign flipped breaks
+        # the identity: the battery fails and names where
+        def flipped(self):
+            n, e = self.n, self.entries
+            if n == 1:
+                return e[0][0]
+            return sum((-1) ** (j + (j == 1)) * e[0][j]
+                       * self.submatrix(range(1, n),
+                                        [c for c in range(n) if c != j]).det()
+                       for j in range(n))
+        monkeypatch.setattr(RatMatrix, "det", flipped)
+        code, text = run_cli(["identities", "--exact", "--trials", "3"],
+                             tmp_path)
+        assert code == 1
+        check, = json.loads(text)["checks"]
+        assert check["check"] == "lewis-carroll (exact)" and not check["pass"]
+        assert check["sup_residual"] > 0
+        assert check["witnesses"] == [f"trial {t}, i {i}" for t in range(3)
+                                      for i in (2, 3, 4)][:5]
+
+    def test_exact_battery_multiplies_no_polynomials(self, monkeypatch):
+        # each residual is int arithmetic on the matrix's values at 2**k:
+        # no Poly product and no RatFun is made
+        def refuse(*args):
+            raise AssertionError("polynomial arithmetic in the exact battery")
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        monkeypatch.setattr(RatFun, "__init__", refuse)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["identities", "--exact", "--trials", "5"]) == 0
 
 
 class TestEntryPoint:
@@ -1161,7 +1193,6 @@ class TestModulesLoaded:
     def test_verify_b2(self, tmp_path):
         from qoper.cartan import TwistZ, cartan_matrix
         from qoper.qq import QQInstance, solve_bethe
-        from qoper.polynomials import Poly
         inst = QQInstance(cartan_matrix("B", 2), 0.2, TwistZ((2.0, 3.0)),
                           (Poly([-1.0, 1.0]), Poly([-2.0, 1.0])), (1, 1))
         sol = solve_bethe(inst, seeds=40, seed=7)[0]

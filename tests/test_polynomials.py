@@ -3,8 +3,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qoper.polynomials import (Poly, RatFun, RatMatrix, off_pole, poly_roots,
-                               q_distinct, q_shift, solve_q_difference)
+from qoper.polynomials import (Poly, RatFun, RatMatrix, lewis_carroll_bits,
+                               off_pole, poly_roots, q_distinct, q_shift,
+                               solve_q_difference)
 
 
 class TestQShift:
@@ -397,3 +398,31 @@ class TestFloatDetBitIdentical:
                                  for p in row] for row in polys])
         assert bits(got.num) == bits(num)
         assert bits(got.den) == bits(den)
+
+
+class TestKronecker:
+    """An int polynomial whose coefficients are all below B = 2**k in
+    absolute value is zero exactly when its value at B is."""
+
+    @given(st.integers(1, 40), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_nonzero_below_the_bound_stays_nonzero(self, k, data):
+        big = 2**k - 1
+        cs = data.draw(st.lists(st.integers(-big, big), min_size=1,
+                                max_size=14).filter(any))
+        assert Poly(cs)(2**k) != 0
+
+    def test_the_bound_must_be_exceeded(self):
+        # z - B has a coefficient of size B, and vanishes at B
+        for k in (1, 31):
+            assert not Poly([-2**k, 1]).is_zero()
+            assert Poly([-2**k, 1])(2**k) == 0
+
+    def test_dodgson_bits(self):
+        # 4 x 4 matrices with 3 coefficients in [-5, 5] per entry, h = 15:
+        # (2 (3!)^2 + 2! 4!) 15^6 = 1.37e9, below 2**31
+        bound = (2 * 6**2 + 2 * 24) * 15**6
+        assert bound == 1_366_875_000
+        assert lewis_carroll_bits(4, 15) == 31
+        assert 2**30 <= bound < 2**31
+        assert lewis_carroll_bits(3, 1) == (2 * 4 + 6).bit_length()

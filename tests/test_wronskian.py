@@ -575,6 +575,39 @@ class TestMinorTable:
         sub = M.submatrix([1, 2, 3], [0, 1, 3])
         assert sub.det() is M.submatrix([1, 2, 3], [0, 1, 3]).det()
 
+    def test_stored_cofactor_is_read_without_a_view(self, monkeypatch):
+        # once every cofactor of the first row is in the table, det M
+        # expands the top level alone
+        M = random_matrix(4, np.random.default_rng(17), exact=True)
+        for j in range(4):
+            M.submatrix([1, 2, 3], [c for c in range(4) if c != j]).det()
+        sizes, det = [], RatMatrix.det
+
+        def counted(self):
+            sizes.append(self.n)
+            return det(self)
+        monkeypatch.setattr(RatMatrix, "det", counted)
+        assert bits(M.det()) == bits(cofactor_det(M.entries))
+        assert sizes == [4]
+
+    def test_int_det_is_the_polynomial_det_at_a_point(self):
+        # the exact battery's step: the int matrix of values at B = 2**31
+        # has the polynomial determinant's value at B, and so has each
+        # Dodgson residual, 0
+        rng = np.random.default_rng(18)
+        B = 2**31
+        for _ in range(5):
+            M = random_matrix(4, rng, exact=True)
+            assert any(e.is_zero() for row in M.entries for e in row)
+            V = RatMatrix([[e.num(B) for e in row] for row in M.entries])
+            assert all(type(e) is int for row in V.entries for e in row)
+            d = M.det()
+            assert d.den.coeffs == (1,)
+            assert V.det() == d.num(B) and type(V.det()) is int
+            for i in (2, 3, 4):
+                resid = check_lewis_carroll(V, i)
+                assert type(resid) is int and resid == 0
+
     @pytest.mark.parametrize("exact", [True, False])
     def test_lewis_carroll_on_shared_matrix(self, exact):
         rng = np.random.default_rng(15)
