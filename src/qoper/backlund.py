@@ -66,7 +66,7 @@ def _step_nondegeneracy(inst: QQInstance, sol: QQSolution, i: int,
     failed = q_collisions(inst, pairs, K)
     reflected = inst.with_twist(reflect_twist(inst.twist, i, inst.cartan))
     if resonance_check(reflected, K):
-        failed.append("reflected twist non-resonant")
+        failed.append("reflected twist resonant")
     return failed
 
 

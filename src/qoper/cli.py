@@ -25,9 +25,9 @@ from .polynomials import (NonFinite, Poly, RatMatrix, check_lewis_carroll,
                           lewis_carroll_bits)
 
 # cartan, qq, backlund and wronskian load inside the functions that run
-# them: `identities` loads only cli and polynomials, `solve` no backlund or
-# wronskian.  No command loads numpy, and only a string scalar loads
-# fractions.
+# them: `identities` loads only cli and polynomials, `solve` backlund only
+# to walk back from the short side.  No command loads numpy, and only a
+# string scalar loads fractions.
 
 
 def __getattr__(name):

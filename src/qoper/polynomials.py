@@ -470,11 +470,10 @@ def triangularize(m: list, n: int) -> complex:
     return det
 
 
-def solve_linear(a, b):
-    """X with a X = b, a square and both matrices of values given as
-    sequences of rows, or None when elimination meets a zero pivot."""
-    n = len(a)
-    m = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+def solve_linear(m: list):
+    """The columns of X with a X = b from the rows m of [a | b], a square,
+    eliminated in place; None when elimination meets a zero pivot."""
+    n = len(m)
     triangularize(m, n)
     if not all(m[k][k] for k in range(n)):
         return None
@@ -488,7 +487,7 @@ def solve_linear(a, b):
                 e = e - row[r] * col[r]
             col[k] = e / row[k]
         cols.append(col)
-    return [list(xs) for xs in zip(*cols)]
+    return cols
 
 
 class RatFun:

@@ -26,7 +26,8 @@ import random
 import sys
 from typing import Optional, Sequence
 
-from .cartan import CartanData, TwistZ, ValueObject, twist_monomial
+from .cartan import (CartanData, TwistZ, ValueObject, reflect_twist,
+                     twist_monomial)
 from .polynomials import (TAU, Poly, close, ensure_finite, q_distinct,
                           q_shift, solve_linear, solve_q_difference,
                           value_scale)
@@ -85,10 +86,6 @@ class QQSolution(ValueObject):
                 raise ValueError("Q+ components must be nonzero")
             if not close(p.leading(), 1.0):
                 raise ValueError("Q+ components must be monic")
-
-    @property
-    def rank(self) -> int:
-        return len(self.qplus)
 
 
 def _neighbours(inst: QQInstance, i: int):
@@ -219,14 +216,41 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int) -> Poly:
     return sol
 
 
-def _roots_to_qplus(inst: QQInstance, roots: Sequence) -> list[Poly]:
-    out = []
-    k = 0
-    for i in range(inst.rank):
-        m = inst.degrees[i]
-        out.append(Poly.from_roots(list(roots[k:k + m])))
-        k += m
+def dual_degree(inst: QQInstance, degrees: Sequence[int], i: int) -> int:
+    """m'_i = deg Lambda_i + sum_{j != i} (-a_ji) m_j - m_i at the degrees
+    m: deg qq_rhs - deg Q+_i, the degree of the Q-_i that solve_q_minus
+    finds and of the Q+_i that a Backlund step at i moves to."""
+    a = inst.cartan.a
+    return (inst.lambdas[i - 1].degree + degrees[i - 1]
+            - sum(a(j, i) * m for j, m in enumerate(degrees, start=1)))
+
+
+def short_side(inst: QQInstance):
+    """(word, m'): the unique least sum of degrees that Backlund steps
+    m_i -> ``dual_degree`` reach, by the first of the shortest words
+    (first step first, stepping at the lowest node that lowers the sum);
+    ((), m) when a step on the way reaches a negative degree."""
+    word, m = (), tuple(inst.degrees)
+    while (i := next((i for i in range(1, inst.rank + 1)
+                      if dual_degree(inst, m, i) < m[i - 1]), 0)):
+        d = dual_degree(inst, m, i)
+        if d < 0:
+            return (), tuple(inst.degrees)
+        word, m = word + (i,), m[:i - 1] + (d,) + m[i:]
+    return word, m
+
+
+def _blocks(inst: QQInstance, x: Sequence) -> list:
+    """x cut into the blocks of Q+_1, ..., Q+_r, m_i entries each."""
+    out, end = [], 0
+    for m in inst.degrees:
+        out.append(x[end:end + m])
+        end += m
     return out
+
+
+def _roots_to_qplus(inst: QQInstance, roots: Sequence) -> list[Poly]:
+    return [Poly.from_roots(block) for block in _blocks(inst, roots)]
 
 
 def _root_links(inst: QQInstance) -> list:
@@ -234,11 +258,7 @@ def _root_links(inst: QQInstance) -> list:
     Q+_1, ..., Q+_r end to end: per root, its index k, its node i, the
     other roots of its block, and the blocks of the nodes j linked to i
     as (block, e = -a_ji, whether j follows i in the ordering)."""
-    blocks, end = [], 0
-    for m in inst.degrees:
-        blocks.append(range(end, end + m))
-        end += m
-    out = []
+    blocks, out = _blocks(inst, range(sum(inst.degrees))), []
     for i in range(1, inst.rank + 1):
         after, before = _neighbours(inst, i)
         links = ([(blocks[j - 1], e, True) for j, e in after]
@@ -427,13 +447,14 @@ def _newton(sides, x: list, tally: dict, pairs: list, floor: float):
     complex numbers.
 
     Each iteration makes one ``sides`` call at x, which also returns the
-    exact Jacobian J of L + R, and takes the step from one Gaussian
-    elimination (``solve_linear``).  Returns the iterate at which the
-    step fell below small = 1e-14 (1 + max|x|), or the last one after
-    _NEWTON_STEPS steps.  A singular J allows no step; x is returned as
-    converged when it needs none, every |L + R|_k being at most
-    small max_t |J_kt|, as where seeds land on a family of degenerate
-    roots (A2 with m = (2, 1)).  Returns None when a value or a Jacobian
+    exact Jacobian J of L + R, appends -F = -(L + R) to the rows of J and
+    takes the step from one elimination of [J | -F] in place
+    (``solve_linear``).  Returns the iterate at which the step fell below
+    small = 1e-14 (1 + max|x|), or the last one after _NEWTON_STEPS
+    steps.  A singular J allows no step; x is returned as converged when
+    it needs none, every |L + R|_k being at most small max_t |J_kt| (J
+    taken again), as where seeds land on a family of degenerate roots
+    (A2 with m = (2, 1)).  Returns None when a value or a Jacobian
     entry stops being finite, J is singular otherwise, or a step ends
     with both roots of one of the ``pairs`` within ``floor`` of 0, the
     common zero of the sides (``_shared_factor_pairs``).  Each outcome,
@@ -443,15 +464,19 @@ def _newton(sides, x: list, tally: dict, pairs: list, floor: float):
         try:  # a power of a factor that overflows raises
             L, R, J = sides(x, True)
             F = [l + r for l, r in zip(L, R)]
-            finite = (all(map(cmath.isfinite, F))
-                      and all(all(map(cmath.isfinite, row)) for row in J))
+            for row, f in zip(J, F):  # the rows of [J | -F]
+                row.append(-f)
+            # a finite sum has finite entries; each is tested only otherwise
+            finite = (cmath.isfinite(sum(map(sum, J)))
+                      or all(all(map(cmath.isfinite, row)) for row in J))
         except OverflowError:
             finite = False
         if not finite:
             tally["nonfinite"] += 1
             return None
-        step = solve_linear(J, [[-f] for f in F])
-        if step is None:
+        cols = solve_linear(J)
+        if cols is None:
+            J = sides(x, True)[2]  # the elimination overwrote J
             small = 1e-14 * (1.0 + max(map(abs, x)))
             if all(abs(f) <= small * max(map(abs, row))
                    for f, row in zip(F, J)):
@@ -459,14 +484,14 @@ def _newton(sides, x: list, tally: dict, pairs: list, floor: float):
                 return x
             tally["singular"] += 1
             return None
-        x = [a + d for a, (d,) in zip(x, step)]
+        x = [a + d for a, d in zip(x, cols[0])]
         tally["newton_iterations"] += 1
         tally["max_newton_iterations"] = max(tally["max_newton_iterations"], it)
         if any(abs(x[k]) <= floor and abs(x[t]) <= floor for k, t in pairs):
             tally["degenerate"] += 1
             return None
         small = 1e-14 * (1.0 + max(map(abs, x)))
-        if all(abs(d) < small for d, in step):  # False on a NaN step
+        if all(abs(d) < small for d in cols[0]):  # False on a NaN step
             tally["converged"] += 1
             return x
     tally["out_of_iterations"] += 1
@@ -476,39 +501,35 @@ def _newton(sides, x: list, tally: dict, pairs: list, floor: float):
 def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
                 seed: int = 0, stats: Optional[dict] = None,
                 residuals: Optional[list] = None) -> list[QQSolution]:
-    """Multi-start Newton solver for the Bethe system.
-
-    Unknowns are the roots of the Q+ polynomials, n = sum m_i of them.
-    Seed s starts from spread (g + i g'), where g and g' are vectors of n
-    standard normal draws each, g first, from ``random.Random(seed)``,
-    and spread is 1 + max |root of Lambda|.  Each seed runs Newton on its
-    own on the kernel's divided sides and their exact Jacobian (see
-    ``_bethe_kernel`` and ``_newton``), and stops early at the sides'
-    common zero: both roots of a ``_shared_factor_pairs`` pair within
-    1e-6 spread of 0.  The root vectors that converged or ran out of
-    iterations are kept when every Bethe residual is below ``tol``;
-    duplicates are removed by comparing sorted root multisets, keeping
-    seed order.  With sum m_i = 0
-    the one family is Q+_i = 1.  Each surviving Q+ family is completed to
-    a QQSolution by the linear Q- solves, and solutions whose Q- solve
-    refuses or whose QQ residual exceeds 10 tol are dropped.
+    """Multi-start Newton solver for the Bethe system, on the short side
+    of the Weyl orbit (``short_side``, ``_walked``; at m' = 0 no Newton
+    runs), or on the instance as it is (``_multistart``) when it is there
+    already or a family fails on the walk back.
 
     When ``stats`` is given it receives the solver's counts: seeds tried,
     converged, nonfinite, singular, out_of_iterations, degenerate (stopped
     at the common zero), rejected_residual, duplicates, rejected_qq (Q-
     solve or QQ residual) and accepted; the total and maximum Newton
-    iterations of a seed; and the worst Bethe residual of an accepted
-    solution.  When ``residuals`` is given it receives, for each returned
-    solution in order, the pair (``bethe_residual``'s triples, largest
-    ``qq_residual`` norm) that accepted it.
+    iterations of a seed; the worst Bethe residual of an accepted
+    solution; the word walked back and the degrees solved at
+    (solved_degrees).  When ``residuals`` is given it receives, for each
+    returned solution in order, the pair (``bethe_residual``'s triples,
+    largest ``qq_residual`` norm) that accepted it.
     """
     tally = dict.fromkeys(
         ("seeds", "converged", "nonfinite", "singular", "out_of_iterations",
          "degenerate", "rejected_residual", "duplicates", "rejected_qq",
          "accepted", "newton_iterations", "max_newton_iterations"), 0)
-    tally["worst_bethe_residual"] = 0.0
-    accepted = _multistart(inst, seeds, tol, seed, tally)
-    tally["accepted"] = len(accepted)
+    word, degrees = short_side(inst)
+    accepted = None
+    if word:
+        accepted = _walked(inst, word, degrees, seeds, tol, seed, tally)
+    if accepted is None:
+        word, degrees = (), inst.degrees
+        accepted = _multistart(inst, seeds, tol, seed, tally)
+    tally.update(accepted=len(accepted), worst_bethe_residual=max(
+        (abs(r[2]) for _, (br, _) in accepted for r in br), default=0.0),
+        word=list(word), solved_degrees=list(degrees))
     if stats is not None:
         stats.update(tally)
     if residuals is not None:
@@ -516,17 +537,46 @@ def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
     return [sol for sol, _ in accepted]
 
 
-def _multistart(inst, seeds, tol, seed, tally) -> list:
-    """The body of ``solve_bethe``.
+def _walked(inst, word, degrees, seeds, tol, seed, tally) -> Optional[list]:
+    """The direct solve at the degrees m' and the twist reflected along
+    word, each solution walked back by ``backlund.apply_word`` and held to
+    the gates of the direct solve on inst.  None, tally untouched, when a
+    family fails on the way, since a solution of inst may lie behind it."""
+    from .backlund import apply_word
+    twist = inst.twist
+    for letter in word:
+        twist = reflect_twist(twist, letter, inst.cartan)
+    short = QQInstance(inst.cartan, inst.q, twist, inst.lambdas, degrees,
+                       inst.tau)
+    count = dict(tally)
+    sols = _multistart(short, seeds, tol, seed, count)
+    try:
+        found = [_bethe_gate(inst, apply_word(short, sol, word)[1].qplus, tol,
+                             count) for sol, _ in sols]
+    except DegenerateInstance:  # a refused step
+        return None
+    accepted = [] if None in found else _complete(inst, found, tol, count)
+    if count["rejected_qq"] or len(accepted) < len(sols):
+        return None
+    tally.update(count)
+    return accepted
 
-    Every Newton result is scored by one kernel call, by the largest
-    |L/R + 1| over its roots.  One within ``tol`` is compared with the
-    families found so far, and only a new one is built into Q+
-    polynomials from its sorted root blocks and checked by
-    ``bethe_residual``; the QQSolution keeps those polynomials and their
-    roots.  With sum m_i = 0 no seed runs, and the one family Q+_i = 1
-    goes to the same Q- completion.  Returns (solution, (Bethe triples,
-    largest QQ residual norm)) pairs.
+
+def _multistart(inst, seeds, tol, seed, tally) -> list:
+    """The direct solve.  Unknowns are the roots of the Q+ polynomials,
+    n = sum m_i of them.  Seed s starts from spread (g + i g'), where g
+    and g' are vectors of n standard normal draws each, g first, from
+    ``random.Random(seed)``, and spread is 1 + max |root of Lambda|.  Each
+    seed runs Newton on its own on the kernel's divided sides and their
+    exact Jacobian (see ``_bethe_kernel`` and ``_newton``), and stops
+    early at the sides' common zero: both roots of a
+    ``_shared_factor_pairs`` pair within 1e-6 spread of 0.  A root vector
+    that converged or ran out of iterations is kept when one kernel call
+    scores every |L/R + 1| within ``tol`` and no family found before has
+    the same sorted root blocks; its Q+ polynomials, built from those
+    blocks, go through ``_bethe_gate``.  With sum m_i = 0 no seed runs,
+    and the one family is Q+_i = 1.  ``_complete`` completes the
+    families by the Q- solves.
     """
     total = sum(inst.degrees)
     rng = random.Random(seed)
@@ -541,8 +591,7 @@ def _multistart(inst, seeds, tol, seed, tally) -> list:
         except (OverflowError, ZeroDivisionError):
             return False
 
-    found = [] if total else [([()] * inst.rank, _roots_to_qplus(inst, []),
-                               0.0, [])]
+    keys, found = [], [] if total else [(_roots_to_qplus(inst, []), [])]
     for _ in range(seeds):
         re = [rng.gauss(0.0, 1.0) for _ in range(total)]
         im = [rng.gauss(0.0, 1.0) for _ in range(total)]
@@ -553,28 +602,41 @@ def _multistart(inst, seeds, tol, seed, tally) -> list:
         if not scored(x):
             tally["rejected_residual"] += 1
             continue
-        blockkey, k = [], 0
-        for m in inst.degrees:
-            blockkey.append(tuple(sorted(x[k:k + m],
-                                         key=lambda w: (w.real, w.imag))))
-            k += m
-        if any(_same_blocks(blockkey, f[0]) for f in found):
+        key = [tuple(sorted(block, key=lambda w: (w.real, w.imag)))
+               for block in _blocks(inst, x)]
+        if any(_same_blocks(key, k) for k in keys):
             tally["duplicates"] += 1
             continue
-        qplus = _roots_to_qplus(inst, [w for block in blockkey for w in block])
-        worst, br = math.inf, None
-        try:
-            br = bethe_residual(inst, qplus)
-            worst = max(abs(r[2]) for r in br)
-        except (DegenerateInstance, ValueError, ArithmeticError):
-            pass
-        if not worst <= tol:  # NaN included
-            tally["rejected_residual"] += 1
-            continue
-        found.append((blockkey, qplus, worst, br))
+        family = _bethe_gate(inst, [Poly.from_roots(b) for b in key], tol,
+                             tally)
+        if family:
+            keys.append(key)
+            found.append(family)
+    return _complete(inst, found, tol, tally)
 
+
+def _bethe_gate(inst, qplus, tol, tally):
+    """(qplus, Bethe triples) when the worst ``bethe_residual`` of the
+    family is within tol, else None (rejected_residual)."""
+    worst, br = math.inf, None
+    try:
+        br = bethe_residual(inst, qplus)
+        worst = max(abs(r[2]) for r in br)
+    except (DegenerateInstance, ValueError, ArithmeticError):
+        pass
+    if not worst <= tol:  # NaN included
+        tally["rejected_residual"] += 1
+        return None
+    return qplus, br
+
+
+def _complete(inst, found, tol, tally) -> list:
+    """The families (qplus, Bethe triples) found, completed by their Q-
+    solves; one that refuses, or whose QQ residual exceeds
+    10 tol (1 + max |Lambda|), is dropped (rejected_qq).  Returns
+    (solution, (Bethe triples, largest QQ residual norm)) pairs."""
     accepted = []
-    for _, qplus, worst, br in found:
+    for qplus, br in found:
         try:
             qminus = [solve_q_minus(inst, qplus, i) for i in range(1, inst.rank + 1)]
         except DegenerateInstance:
@@ -584,7 +646,6 @@ def _multistart(inst, seeds, tol, seed, tally) -> list:
         qqres = max(r.norm() for r in qq_residual(inst, sol))
         if qqres <= 10 * tol * (1 + max(l.norm() for l in inst.lambdas)):
             accepted.append((sol, (br, qqres)))
-            tally["worst_bethe_residual"] = max(tally["worst_bethe_residual"], worst)
         else:
             tally["rejected_qq"] += 1
     return accepted

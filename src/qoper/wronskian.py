@@ -326,10 +326,10 @@ def _minor(M, rows, cols) -> complex:
 def _solve(a, b) -> list:
     """X with a X = b, a square and both matrices of values given as
     sequences of rows; a singular a raises DegenerateInstance."""
-    x = solve_linear(a, b)
+    x = solve_linear([list(ra) + list(rb) for ra, rb in zip(a, b)])
     if x is None:
         raise DegenerateInstance("singular matrix at a sample point")
-    return x
+    return [list(xs) for xs in zip(*x)]
 
 
 def _rel_gap(lhs, rhs) -> float:

@@ -155,9 +155,9 @@ class TestBacklundStep:
         assert nondegenerate(inst, sol) == ["resonance"]
         for i in (1, 2):
             assert _step_nondegeneracy(inst, sol, i) == [
-                "reflected twist non-resonant"]
+                "reflected twist resonant"]
             with pytest.raises(DegenerateInstance,
-                               match="refused: reflected twist non-resonant$"):
+                               match="refused: reflected twist resonant$"):
                 backlund_step(inst, sol, i)
 
 

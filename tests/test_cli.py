@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -535,17 +536,21 @@ class TestSolve:
              "empty solution set"]]
 
     def test_empty_set_witness_claims_no_count(self, tmp_path):
-        # the seed-1 a1_far_root solve input: seeds converge, but the
-        # residual filter rejects every one, so the witness says only
-        # that no seed gave a solution
-        gen = perfbench_gen()
-        paths = gen.generate(1, str(tmp_path), gen.SOLVE_FAMILIES, solved=False)
-        path = paths[gen.SOLVE_FAMILIES.index("a1_far_root")]
-        code, text = run_cli(["solve", "--instance", path], tmp_path)
+        # Lambda a q-string of 6 roots and m = 3, already the least degree
+        # of its orbit: seeds converge, but the residual filter rejects
+        # every one, so the witness says only that no seed gave a solution
+        q = 0.2
+        f = tmp_path / "q_string.json"
+        f.write_text(json.dumps({
+            "version": 1, "lie_type": "A", "rank": 1, "q": q, "zetas": [2.0],
+            "lambdas": [{"roots": [q**k for k in range(6)], "leading": 1.0}],
+            "degrees": [3]}))
+        code, text = run_cli(["solve", "--instance", str(f)], tmp_path)
         assert code == 0
         rep = json.loads(text)
         assert rep["solutions"] == []
-        assert rep["telemetry"]["solver"]["converged"] > 0
+        solver = rep["telemetry"]["solver"]
+        assert solver["word"] == [] and solver["converged"] > 0
         assert [c["witnesses"] for c in rep["checks"] if c["check"] == "solver"] == [
             ["no seed gave a solution; empty solution set"]]
 
@@ -561,7 +566,9 @@ class TestSolve:
         code, text = run_cli(["solve", "--instance", str(A1)], tmp_path)
         body = json.loads(text)
         solver = body["telemetry"]["solver"]
-        assert solver["seeds"] == 40
+        # m = 1 steps at node 1 to m' = deg Lambda - m = 0: no seed runs
+        assert solver["seeds"] == 0
+        assert solver["word"] == [1] and solver["solved_degrees"] == [0]
         assert solver["accepted"] == len(body["solutions"]) == 1
         digest = body.pop("digest")
         del body["timings"], body["telemetry"]
@@ -869,6 +876,49 @@ def perfbench_gen():
     return gen
 
 
+class TestShortSide:
+    """The benchmark's a1_far_root and a2_m21 inputs step to m' = 0 and
+    are solved there with no Newton."""
+
+    @staticmethod
+    def inputs(seed, tmp_path) -> dict:
+        """The benchmark's solve inputs at seed, by family name."""
+        gen = perfbench_gen()
+        return dict(zip(gen.SOLVE_FAMILIES,
+                        gen.generate(seed, str(tmp_path), gen.SOLVE_FAMILIES,
+                                     solved=False)))
+
+    # gen.py seeds 2001-2020, and 4271, which was not run before this test
+    @pytest.mark.parametrize("seed", list(range(2001, 2021)) + [4271])
+    def test_each_input_gives_its_solution(self, seed, tmp_path):
+        paths = self.inputs(seed, tmp_path)
+        for family, word in (("a1_far_root", [1]), ("a2_m21", [1, 2])):
+            path = paths[family]
+            code, text = run_cli(["solve", "--instance", path], tmp_path)
+            rep = json.loads(text)
+            assert code == 0 and len(rep["solutions"]) == 1, path
+            assert rep["solutions"][0]["max_qq_residual"] <= 1e-8
+            solver = rep["telemetry"]["solver"]
+            assert solver["word"] == word and solver["seeds"] == 0
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_the_direct_solution_is_found(self, seed, tmp_path):
+        # the direct solve finds one a2_m21 solution at these seeds; the
+        # walk from m' = 0 finds it to 1e-8
+        path = self.inputs(seed, tmp_path)["a2_m21"]
+        inst, _, extras = parse_instance(json.loads(Path(path).read_text()))
+        direct = [s for s, _ in qq._multistart(inst, 40, extras["bethe_tol"],
+                                               extras["seed"], Counter())]
+        walked = qq.solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
+                                seed=extras["seed"])
+        assert len(direct) == len(walked) == 1
+        for p, r in zip(direct[0].qplus + direct[0].qminus,
+                        walked[0].qplus + walked[0].qminus):
+            assert p.degree == r.degree
+            assert all(abs(a - b) <= 1e-8 * (1 + abs(a))
+                       for a, b in zip(p.coeffs, r.coeffs))
+
+
 def gen_g2(tmp_path):
     """The seed-901 G2 m = (1, 1) verify input of perfbench/gen.py."""
     path, = perfbench_gen().generate(901, str(tmp_path), ("g2_m11",),
@@ -1143,9 +1193,15 @@ class TestModulesLoaded:
                                                        "polynomials"}
 
     def test_solve(self):
-        # Newton runs on Python complex numbers, one seed at a time
-        loaded = self.loaded_after(["solve", "--instance", str(A1)])
+        # Newton runs on Python complex numbers, one seed at a time;
+        # a2_generic is at the least degrees of its orbit: no walk
+        loaded = self.loaded_after(["solve", "--instance", str(A2)])
         assert loaded == {"cli", "cartan", "polynomials", "qq"}
+
+    def test_solve_walking_back_loads_backlund(self):
+        # a1_closed_form is solved at m' = 0 and walked back one step
+        loaded = self.loaded_after(["solve", "--instance", str(A1)])
+        assert loaded == {"cli", "cartan", "polynomials", "qq", "backlund"}
 
     @pytest.mark.parametrize("argv, modules", [
         (["verify"], {"backlund", "wronskian"}),

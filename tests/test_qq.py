@@ -1,5 +1,7 @@
 import cmath
+import collections
 import functools
+import itertools
 import json
 from pathlib import Path
 
@@ -7,14 +9,15 @@ import numpy as np
 import pytest
 
 from qoper import qq
-from qoper.cartan import TwistZ, cartan_matrix
+from qoper.cartan import TwistZ, cartan_matrix, reflect_twist
 from qoper.polynomials import Poly, q_distinct
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution,
                       _bethe_kernel, _resonant_power, _roots_to_qplus,
-                      bethe_residual, nondegenerate, q_collisions,
-                      qq_residual, qq_rhs, resonance_check, solve_bethe,
-                      solve_q_minus, twist_ratio, xi_factors)
-from qoper.backlund import apply_word
+                      bethe_residual, dual_degree, nondegenerate,
+                      q_collisions, qq_residual, qq_rhs, resonance_check,
+                      short_side, solve_bethe, solve_q_minus, twist_ratio,
+                      xi_factors)
+from qoper.backlund import apply_word, backlund_step
 from qoper.wronskian import build_miura_A
 from qoper.cli import parse_instance
 from sampled_solver import solve_poly_q_difference
@@ -744,9 +747,10 @@ class TestDividedKernel:
 
     @staticmethod
     def solve(doc, monkeypatch):
-        """solve_bethe as the CLI runs it, and every Newton result."""
+        """The direct solve (no walk from the short side of the orbit)
+        with the CLI's seeds and tolerance, and every Newton result."""
         inst, _, extras = parse_instance(doc)
-        candidates, stats = [], {}
+        candidates, stats = [], collections.Counter()
         newton = qq._newton
 
         def recording(*args):
@@ -756,9 +760,9 @@ class TestDividedKernel:
             return x
 
         monkeypatch.setattr(qq, "_newton", recording)
-        sols = solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
-                           seed=extras["seed"], stats=stats)
-        return inst, sols, stats, candidates
+        sols = qq._multistart(inst, 40, extras["bethe_tol"], extras["seed"],
+                              stats)
+        return inst, [s for s, _ in sols], stats, candidates
 
     def test_no_candidate_at_zero(self, monkeypatch):
         # at the undivided sides, 24 of these 40 seeds ended at w = 0
@@ -823,16 +827,17 @@ class TestDividedKernel:
         inst, _, extras = parse_instance(A2_M21)
         singular, solve_linear = [], qq.solve_linear
 
-        def spy(a, b):
-            step = solve_linear(a, b)
+        def spy(rows):  # the rows of [J | -F], eliminated in place
+            minus_f = [row[-1] for row in rows]
+            step = solve_linear(rows)
             if step is None:
-                singular.append(max(abs(f) for f, in b))
+                singular.append(max(map(abs, minus_f)))
             return step
 
         monkeypatch.setattr(qq, "solve_linear", spy)
-        stats = {}
-        sols = solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
-                           seed=extras["seed"], stats=stats)
+        stats = collections.Counter()
+        sols = qq._multistart(inst, 40, extras["bethe_tol"], extras["seed"],
+                              stats)
         assert len(singular) == 1 and singular[0] < 1e-15
         assert stats["singular"] == stats["nonfinite"] == 0
         assert len(sols) == 1
@@ -844,3 +849,138 @@ class TestDividedKernel:
                  for s in solve_bethe(inst, seeds=40, seed=extras["seed"])]
                 for _ in range(2)]
         assert runs[0] and runs[0] == runs[1]
+
+
+def least_by_rule(inst):
+    """The short side by its definition: over the degrees that steps
+    reach, breadth first, the least by (sum, word length, word), each
+    degree vector with the first word that reaches it; words list the
+    steps first step first.  ((), m) when some step reaches a negative
+    degree."""
+    first, frontier = {inst.degrees: ()}, [inst.degrees]
+    while frontier:
+        nxt = []
+        for m in frontier:  # in lexicographic order of their words
+            for i in range(1, inst.rank + 1):
+                d = dual_degree(inst, m, i)
+                if d < 0:
+                    return (), inst.degrees
+                v = m[:i - 1] + (d,) + m[i:]
+                if v not in first:
+                    first[v] = first[m] + (i,)
+                    nxt.append(v)
+        frontier = nxt
+    m = min(first, key=lambda v: (sum(v), len(first[v]), first[v]))
+    return first[m], m
+
+
+class TestShortSide:
+    """solve_bethe solves at the least sum of degrees in the orbit of the
+    Backlund steps m_i -> m'_i = deg Lambda_i + sum_{j != i} (-a_ji) m_j
+    - m_i, and walks each solution back."""
+
+    @pytest.mark.parametrize("lie_type, rank", [("A", 2), ("A", 3),
+                                                ("B", 2), ("G", 2)])
+    def test_matches_the_rule(self, lie_type, rank):
+        for lam in itertools.product((1, 2, 3), repeat=rank):
+            for m in itertools.product(range(6 if rank == 2 else 4),
+                                       repeat=rank):
+                inst = instance(lie_type, rank, m, lam)
+                assert short_side(inst) == least_by_rule(inst), (lam, m)
+
+    @pytest.mark.parametrize("lie_type, m, word, least", [
+        # both nodes lower the sum at the start: the lower node steps first
+        ("B", (3, 4), (1, 2, 1, 2), (0, 0)),
+        # m'_i reads column i of the Cartan matrix (a_ji): row i (a_ij)
+        # picks (2, 1) and (2,) here
+        ("B", (2, 2), (1, 2), (1, 1)),
+        ("G", (2, 2), (1,), (1, 2)),
+        ("G", (3, 3), (1, 2), (1, 1)),
+        ("G", (1, 2), (), (1, 2))])
+    def test_b2_g2_words(self, lie_type, m, word, least):
+        assert short_side(instance(lie_type, 2, m, (1, 1))) == (word, least)
+
+    def test_a_negative_degree_solves_directly(self):
+        # m = 40 > deg Lambda: the step at node 1 reaches m' = -39
+        assert short_side(a1_instance(lam=Poly([-1e9, 1.0]), m=40)) == (
+            (), (40,))
+
+    @pytest.mark.parametrize("doc", [A2_M21, G2_M11,
+                                     dict(G2_M11, lie_type="B")])
+    def test_degree_formula_is_the_q_minus_and_step_degree(self, doc):
+        inst, _, extras = parse_instance(doc)
+        sols = solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
+                           seed=extras["seed"])
+        assert sols
+        for sol in sols:
+            for i in range(1, inst.rank + 1):
+                d = dual_degree(inst, inst.degrees, i)
+                assert d == sol.qminus[i - 1].degree
+                assert d == backlund_step(inst, sol, i)[0].degrees[i - 1]
+
+    @pytest.mark.parametrize("lie_type, degrees, word, count", [
+        ("G", (2, 1), [1, 2], 1), ("B", (2, 2), [1, 2], 4),
+        ("G", (3, 3), [1, 2], 5)])
+    def test_walked_solutions_solve_the_instance(self, lie_type, degrees,
+                                                 word, count):
+        # the direct solve finds none of these at 40 seeds
+        inst, _, extras = parse_instance(dict(G2_M11, lie_type=lie_type,
+                                              degrees=list(degrees)))
+        stats = {}
+        sols = solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
+                           seed=extras["seed"], stats=stats)
+        assert stats["word"] == word and len(sols) == count
+        scale = 1 + max(l.norm() for l in inst.lambdas)
+        for sol in sols:
+            assert tuple(p.degree for p in sol.qplus) == degrees
+            assert max(r.norm() for r in qq_residual(inst, sol)) <= 1e-8 * scale
+            assert nondegenerate(inst, sol) == []
+
+    def test_worst_residual_is_that_of_the_returned_solutions(self):
+        # B2 m = (2, 2) runs Newton at m' = (1, 1); the families found there
+        # are not what the telemetry reports on
+        inst, _, extras = parse_instance(dict(G2_M11, lie_type="B",
+                                              degrees=[2, 2]))
+        stats, residuals = {}, []
+        sols = solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
+                           seed=extras["seed"], stats=stats,
+                           residuals=residuals)
+        assert stats["word"] == [1, 2] and len(sols) == 4
+        assert stats["worst_bethe_residual"] == max(
+            abs(r[2]) for br, _ in residuals for r in br)
+        assert stats["rejected_qq"] == 0
+
+    def test_a_resonance_on_the_way_solves_directly(self):
+        # zeta_1 zeta_2 = q: the twist passes the resonance check, but the
+        # twist reflected along (1, 2) has ratio q^-1 at node 2, where the
+        # Q- solve of the one family at m' = (0, 0) refuses.  The direct
+        # solve finds the instance's solution, and solve_bethe returns it
+        inst, _, extras = parse_instance(dict(A2_M21, zetas=[[2.0, 0.0],
+                                                             [0.1, 0.0]]))
+        assert short_side(inst) == ((1, 2), (0, 0))
+        assert resonance_check(inst) == []
+        twist = inst.twist
+        for letter in (1, 2):
+            twist = reflect_twist(twist, letter, inst.cartan)
+        assert resonance_check(inst.with_twist(twist), 1) == ["node 2"]
+        stats = {}
+        sols = solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
+                           seed=extras["seed"], stats=stats)
+        direct = qq._multistart(inst, 40, extras["bethe_tol"], extras["seed"],
+                                collections.Counter())
+        assert stats["word"] == [] and stats["solved_degrees"] == [2, 1]
+        assert len(sols) == len(direct) == 1
+        assert [p.coeffs for p in sols[0].qplus + sols[0].qminus] == [
+            p.coeffs for p in direct[0][0].qplus + direct[0][0].qminus]
+
+    def test_a_refused_step_on_the_way_solves_directly(self):
+        # Lambda = (z - 1)(z + 5/7), zeta = 2, q = 0.2: the one family at
+        # m' = 0 has Q-_1 = 0 at z = 1, a zero of Lambda_1, so the step
+        # back to m = 2 is refused and the instance is solved as it is
+        inst = a1_instance(zeta=2.0, q=0.2, lam=Poly.from_roots([1.0, -5 / 7]),
+                           m=2)
+        assert short_side(inst) == ((1,), (0,))
+        stats = {}
+        solve_bethe(inst, seeds=40, tol=1e-10, seed=0, stats=stats)
+        assert stats["word"] == [] and stats["solved_degrees"] == [2]
+        assert stats["seeds"] == 40
