@@ -1,25 +1,28 @@
 """Backlund transformations and the full QQ-system over the Weyl group.
 
 A single step at node i swaps Q+_i with (the monic rescaling of) Q-_i,
-reflects the twist by s_i, recomputes Q-_i and the Q-_j of the neighbours
-of i for the new system, and leaves every other Q+_j and Q-_j untouched.  Iterating steps along reduced words populates
-the table {Q+^{w,i}} indexed by Weyl group elements; two reduced words of
-the same element must produce the same table entry, which is the
-computable face of the consistency of the full system.
+reflects the twist by s_i, takes the old Q+_i times a constant as the new
+Q-_i, solves the Q-_j of the neighbours of i for the new system, and
+leaves every other Q+_j and Q-_j untouched.  Iterating steps along reduced
+words populates the table {Q+^{w,i}} indexed by Weyl group elements; two
+reduced words of the same element must produce the same table entry,
+which is the computable face of the consistency of the full system.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .cartan import canonical_form, enumerate_weyl, reflect_twist
-from .qq import (DegenerateInstance, QQInstance, QQSolution, check_scale,
-                 q_collisions, resonance_check, solve_q_minus)
+from .cartan import TwistZ, canonical_form, enumerate_weyl, reflect_twist
+from .qq import (DegenerateInstance, QQInstance, QQSolution,
+                 check_q_minus_unique, check_scale, q_collisions,
+                 resonance_check, solve_q_minus, xi_factors)
 
 
 class BacklundStepRecord:
     """One step at ``node``: the system and solution it produced, and the
-    nodes whose Q- it solved anew (the others were kept)."""
+    neighbours of the node whose Q- it solved anew (Q-_node is the old
+    Q+_node rescaled, and the others were kept)."""
 
     __slots__ = ("node", "instance", "solution", "solved")
 
@@ -48,13 +51,14 @@ class FullQQSystem:
 
 
 def _step_nondegeneracy(inst: QQInstance, sol: QQSolution, i: int,
-                        K: Optional[int] = None) -> list:
+                        twist: TwistZ, K: Optional[int] = None) -> list:
     """Preconditions for swapping at node i: the labels of those that
     fail, empty when the step may go ahead.
 
     The roots of Q-_i must be q-distinct from those of Lambda_k whenever
-    a_ik != 0 and from those of Q+_j for adjacent j != i, and the reflected
-    twist must remain non-resonant so the new Q- solve stays unique.
+    a_ik != 0 and from those of Q+_j for adjacent j != i, and ``twist``,
+    the twist reflected by s_i, must remain non-resonant so the new Q-
+    solves stay unique.
     """
     if K is None:
         K = inst.default_window()
@@ -64,10 +68,27 @@ def _step_nondegeneracy(inst: QQInstance, sol: QQSolution, i: int,
              + [(f"Q-_{i} vs Q+_{j}", qm, sol.qplus[j - 1])
                 for j in range(1, inst.rank + 1) if j != i and a(j, i)])
     failed = q_collisions(inst, pairs, K)
-    reflected = inst.with_twist(reflect_twist(inst.twist, i, inst.cartan))
-    if resonance_check(reflected, K):
+    if resonance_check(inst.with_twist(twist), K):
         failed.append("reflected twist resonant")
     return failed
+
+
+def _swapped_q_minus(inst: QQInstance, sol: QQSolution,
+                     work_inst: QQInstance, i: int):
+    """The new Q-_i of the step at node i from (inst, sol) to work_inst.
+
+    The i-th equation is antisymmetric in (Q+_i, Q-_i) up to its twist
+    factors, so the new Q-_i is the old Q+_i times -l xi_i / xi~'_i: l is
+    the leading coefficient of the old Q-_i, xi_i is taken before the
+    step and xi~'_i after it (``xi_factors``).  Refuses as
+    ``solve_q_minus`` does for a resonance in the window m_i + 2 of its
+    degree m_i.
+    """
+    old = sol.qplus[i - 1]
+    check_q_minus_unique(work_inst, i, old.degree)
+    return old.scale(-(complex(sol.qminus[i - 1].leading())
+                       * complex(xi_factors(inst, i)[1])
+                       / complex(xi_factors(work_inst, i)[0])))
 
 
 def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
@@ -77,20 +98,21 @@ def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
     Returns (new_instance, new_solution, record).  Refuses (raises
     DegenerateInstance) when the step's nondegeneracy conditions fail,
     naming the failed conditions in the reason.
-    Only Q-_i and the Q-_j of the neighbours j of i are solved again: the
-    step changes zeta_i and Q+_i alone, and the j-th equation involves
-    them only when a_ij != 0, so every other Q-_j is kept as it is.  The
-    step also refuses when the degrees and twist it moves to fail
+    The new Q-_i is the old Q+_i rescaled (``_swapped_q_minus``), and
+    only the Q-_j of the neighbours j of i are solved again: the step
+    changes zeta_i and Q+_i alone, and the j-th equation involves them
+    only when a_ij != 0, so every other Q-_j is kept as it is.  The step
+    also refuses when the degrees and twist it moves to fail
     ``check_scale``.
     """
-    failed = _step_nondegeneracy(inst, sol, i, K)
+    twist = reflect_twist(inst.twist, i, inst.cartan)
+    failed = _step_nondegeneracy(inst, sol, i, twist, K)
     if failed:
         raise DegenerateInstance(f"backlund step at node {i} refused: "
                                  + ", ".join(failed))
     qplus = list(sol.qplus)
     qplus[i - 1] = sol.qminus[i - 1].monic()
-    new_twist = reflect_twist(inst.twist, i, inst.cartan)
-    work_inst = QQInstance(inst.cartan, inst.q, new_twist, inst.lambdas,
+    work_inst = QQInstance(inst.cartan, inst.q, twist, inst.lambdas,
                            tuple(p.degree for p in qplus), inst.tau)
     try:
         check_scale(work_inst, K)
@@ -98,9 +120,12 @@ def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
         raise DegenerateInstance(f"backlund step at node {i}: {exc}") from exc
     qminus = list(sol.qminus)
     solved = tuple(j for j in range(1, inst.rank + 1)
-                   if j == i or inst.cartan.a(i, j))
-    for j in solved:
-        qminus[j - 1] = solve_q_minus(work_inst, qplus, j)
+                   if j != i and inst.cartan.a(i, j))
+    for j in range(1, inst.rank + 1):  # a refusal names the lowest node
+        if j == i:
+            qminus[i - 1] = _swapped_q_minus(inst, sol, work_inst, i)
+        elif j in solved:
+            qminus[j - 1] = solve_q_minus(work_inst, qplus, j)
     new_sol = QQSolution(tuple(qplus), tuple(qminus))
     return work_inst, new_sol, BacklundStepRecord(i, work_inst, new_sol,
                                                   solved)
@@ -111,17 +136,21 @@ def _polys(inst: QQInstance, sol: QQSolution):
 
 
 def _with_roots(polys) -> set:
-    """ids of the distinct polynomials whose roots have been found."""
-    return {id(p) for p in polys if p.roots_known}
+    """ids of the distinct root tuples found for polys: a rescaled
+    polynomial shares its original's (``Poly.monic``, ``Poly.scale``)."""
+    return {id(p.roots()) for p in polys if p.roots_known}
 
 
 def _walk_stats(inst, sol, records, refusals: int, rooted_before: set) -> dict:
-    """Counts of a walk from (inst, sol): steps taken, Q- solved and kept,
-    polynomials whose roots the walk found, and refused steps."""
+    """Counts of a walk from (inst, sol): steps taken, Q- solved, swapped
+    (one per step) and kept, root sets the walk found, and refused
+    steps."""
     polys = [p for r in records for p in _polys(r.instance, r.solution)]
     return {"steps": len(records), "refusals": refusals,
             "qminus_solved": sum(len(r.solved) for r in records),
-            "qminus_reused": sum(inst.rank - len(r.solved) for r in records),
+            "qminus_swapped": len(records),
+            "qminus_reused": sum(inst.rank - 1 - len(r.solved)
+                                 for r in records),
             "roots_computed": len(_with_roots([*_polys(inst, sol), *polys])
                                   - rooted_before)}
 
@@ -162,8 +191,9 @@ def full_qq_system(inst: QQInstance, sol: QQSolution,
     edge is recorded and the affected element is skipped, leaving a partial
     table and a nonempty ``refusals`` instead of raising.  ``stats``, when
     given, receives the counts of the walk: steps taken, refusals, Q-
-    solved anew and kept (qminus_solved, qminus_reused), and
-    roots_computed, the polynomials whose roots the walk had to find.
+    solved anew, swapped and kept (qminus_solved, qminus_swapped,
+    qminus_reused), and roots_computed, the root sets the walk had to
+    find.
     """
     cartan = inst.cartan
     words = enumerate_weyl(cartan)

@@ -167,12 +167,19 @@ class Poly:
         return out
 
     def scale(self, c) -> "Poly":
-        return Poly([c * ck for ck in self.coeffs])
+        """c times this polynomial; for c != 0 it keeps the roots found."""
+        out = Poly([c * ck for ck in self.coeffs])
+        if c and out.degree == self.degree:
+            out._roots = self._roots
+        return out
 
     def monic(self) -> "Poly":
-        """Rescale so the leading coefficient is 1."""
+        """Rescale so the leading coefficient is 1, keeping the roots
+        found."""
         lc = self.leading()
-        return Poly([c / lc for c in self.coeffs])
+        out = Poly([c / lc for c in self.coeffs])
+        out._roots = self._roots
+        return out
 
     def norm(self) -> float:
         return max((abs(complex(c)) for c in self.coeffs), default=0.0)

@@ -20,17 +20,13 @@ yields the Bethe equations, a square polynomial system in the roots.
 
 from __future__ import annotations
 
-import cmath
 import math
-import random
 import sys
 from typing import Optional, Sequence
 
-from .cartan import (CartanData, TwistZ, ValueObject, reflect_twist,
-                     twist_monomial)
+from .cartan import CartanData, TwistZ, ValueObject, twist_monomial
 from .polynomials import (TAU, Poly, close, ensure_finite, q_distinct,
-                          q_shift, solve_linear, solve_q_difference,
-                          value_scale)
+                          q_shift, solve_q_difference, value_scale)
 
 
 # |log x| below which x and 1/x are both normal floats
@@ -188,6 +184,15 @@ def _resonant_power(inst: QQInstance, val: complex, K: int) -> Optional[int]:
                 None)
 
 
+def check_q_minus_unique(inst: QQInstance, i: int, d: int):
+    """Refuse (DegenerateInstance) a resonance q^k at node i with
+    |k| <= d + 2: a Q-_i of degree d is then not unique."""
+    k = _resonant_power(inst, twist_ratio(inst, i), d + 2)
+    if k is not None:
+        raise DegenerateInstance(f"resonant twist at node {i}: prod zeta^a = "
+                                 f"q^{k}, the Q- solve is not unique")
+
+
 def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int) -> Poly:
     """The unique polynomial Q-_i solving the i-th equation.
 
@@ -202,10 +207,8 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int) -> Poly:
     """
     p, rhs = qplus[i - 1], qq_rhs(inst, qplus, i)
     d = rhs.degree - p.degree
-    k = _resonant_power(inst, twist_ratio(inst, i), d + 2) if d >= 0 else None
-    if k is not None:
-        raise DegenerateInstance(f"resonant twist at node {i}: prod zeta^a = "
-                                 f"q^{k}, the Q- solve is not unique")
+    if d >= 0:
+        check_q_minus_unique(inst, i, d)
     qc = complex(inst.q)
     xit, xi = (complex(x) for x in xi_factors(inst, i))
     sol = solve_q_difference(q_shift(p, qc).scale(xit).coeffs,
@@ -216,30 +219,6 @@ def solve_q_minus(inst: QQInstance, qplus: Sequence[Poly], i: int) -> Poly:
     return sol
 
 
-def dual_degree(inst: QQInstance, degrees: Sequence[int], i: int) -> int:
-    """m'_i = deg Lambda_i + sum_{j != i} (-a_ji) m_j - m_i at the degrees
-    m: deg qq_rhs - deg Q+_i, the degree of the Q-_i that solve_q_minus
-    finds and of the Q+_i that a Backlund step at i moves to."""
-    a = inst.cartan.a
-    return (inst.lambdas[i - 1].degree + degrees[i - 1]
-            - sum(a(j, i) * m for j, m in enumerate(degrees, start=1)))
-
-
-def short_side(inst: QQInstance):
-    """(word, m'): the unique least sum of degrees that Backlund steps
-    m_i -> ``dual_degree`` reach, by the first of the shortest words
-    (first step first, stepping at the lowest node that lowers the sum);
-    ((), m) when a step on the way reaches a negative degree."""
-    word, m = (), tuple(inst.degrees)
-    while (i := next((i for i in range(1, inst.rank + 1)
-                      if dual_degree(inst, m, i) < m[i - 1]), 0)):
-        d = dual_degree(inst, m, i)
-        if d < 0:
-            return (), tuple(inst.degrees)
-        word, m = word + (i,), m[:i - 1] + (d,) + m[i:]
-    return word, m
-
-
 def _blocks(inst: QQInstance, x: Sequence) -> list:
     """x cut into the blocks of Q+_1, ..., Q+_r, m_i entries each."""
     out, end = [], 0
@@ -247,10 +226,6 @@ def _blocks(inst: QQInstance, x: Sequence) -> list:
         out.append(x[end:end + m])
         end += m
     return out
-
-
-def _roots_to_qplus(inst: QQInstance, roots: Sequence) -> list[Poly]:
-    return [Poly.from_roots(block) for block in _blocks(inst, roots)]
 
 
 def _root_links(inst: QQInstance) -> list:
@@ -266,16 +241,6 @@ def _root_links(inst: QQInstance) -> list:
         for k in blocks[i - 1]:
             out.append((k, i, [t for t in blocks[i - 1] if t != k], links))
     return out
-
-
-def _shared_factor_pairs(inst: QQInstance) -> list:
-    """The pairs (k, t), k < t, of roots whose difference is a factor of
-    the kernel's sides at both: two roots of one block, or one root each
-    of two linked blocks.  Where both roots of a pair are 0, both sides
-    vanish (see ``_bethe_kernel``)."""
-    return [(k, t) for k, _, own, links in _root_links(inst)
-            for t in own + [t for block, _, _ in links for t in block]
-            if k < t]
 
 
 def _bethe_kernel(inst: QQInstance):
@@ -295,8 +260,8 @@ def _bethe_kernel(inst: QQInstance):
     factors (qw - w) of Q+_i(qw) and (w/q - w) of Q+_i(w/q) are replaced
     by their constants q - 1 and 1/q - 1.  So L and R are the cleared
     sides divided by w, and a lone root at w = 0 is no spurious zero of
-    both.  Two roots of a ``_shared_factor_pairs`` pair that meet at 0
-    still are: the factor of the other root vanishes in both sides.  The
+    both.  Two roots of a ``newton._shared_factor_pairs`` pair that meet
+    at 0 still are: the factor of the other root vanishes in both sides.  The
     i-th Bethe equation is L/R = -1: Newton solves L + R = 0, and
     ``bethe_residual`` reports L/R + 1.  Each Q+_j(y) is the product of
     the factors (y - x_t) over the roots of its block; no polynomial is
@@ -436,75 +401,14 @@ def bethe_residual(inst: QQInstance, qplus: Sequence[Poly]) -> list:
     return out
 
 
-# A seed stops once both roots of a shared-factor pair lie within this
-# multiple of the seed scale of 0: the common zero there is no solution
-_COMMON_ZERO = 1e-6
-_NEWTON_STEPS = 80  # the most Newton steps a seed takes
-
-
-def _newton(sides, x: list, tally: dict, pairs: list, floor: float):
-    """Newton's method on L + R = 0 from the root vector x, a list of
-    complex numbers.
-
-    Each iteration makes one ``sides`` call at x, which also returns the
-    exact Jacobian J of L + R, appends -F = -(L + R) to the rows of J and
-    takes the step from one elimination of [J | -F] in place
-    (``solve_linear``).  Returns the iterate at which the step fell below
-    small = 1e-14 (1 + max|x|), or the last one after _NEWTON_STEPS
-    steps.  A singular J allows no step; x is returned as converged when
-    it needs none, every |L + R|_k being at most small max_t |J_kt| (J
-    taken again), as where seeds land on a family of degenerate roots
-    (A2 with m = (2, 1)).  Returns None when a value or a Jacobian
-    entry stops being finite, J is singular otherwise, or a step ends
-    with both roots of one of the ``pairs`` within ``floor`` of 0, the
-    common zero of the sides (``_shared_factor_pairs``).  Each outcome,
-    and each step, is counted in ``tally``.
-    """
-    for it in range(1, _NEWTON_STEPS + 1):
-        try:  # a power of a factor that overflows raises
-            L, R, J = sides(x, True)
-            F = [l + r for l, r in zip(L, R)]
-            for row, f in zip(J, F):  # the rows of [J | -F]
-                row.append(-f)
-            # a finite sum has finite entries; each is tested only otherwise
-            finite = (cmath.isfinite(sum(map(sum, J)))
-                      or all(all(map(cmath.isfinite, row)) for row in J))
-        except OverflowError:
-            finite = False
-        if not finite:
-            tally["nonfinite"] += 1
-            return None
-        cols = solve_linear(J)
-        if cols is None:
-            J = sides(x, True)[2]  # the elimination overwrote J
-            small = 1e-14 * (1.0 + max(map(abs, x)))
-            if all(abs(f) <= small * max(map(abs, row))
-                   for f, row in zip(F, J)):
-                tally["converged"] += 1
-                return x
-            tally["singular"] += 1
-            return None
-        x = [a + d for a, d in zip(x, cols[0])]
-        tally["newton_iterations"] += 1
-        tally["max_newton_iterations"] = max(tally["max_newton_iterations"], it)
-        if any(abs(x[k]) <= floor and abs(x[t]) <= floor for k, t in pairs):
-            tally["degenerate"] += 1
-            return None
-        small = 1e-14 * (1.0 + max(map(abs, x)))
-        if all(abs(d) < small for d in cols[0]):  # False on a NaN step
-            tally["converged"] += 1
-            return x
-    tally["out_of_iterations"] += 1
-    return x
-
-
 def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
                 seed: int = 0, stats: Optional[dict] = None,
                 residuals: Optional[list] = None) -> list[QQSolution]:
     """Multi-start Newton solver for the Bethe system, on the short side
-    of the Weyl orbit (``short_side``, ``_walked``; at m' = 0 no Newton
-    runs), or on the instance as it is (``_multistart``) when it is there
-    already or a family fails on the walk back.
+    of the Weyl orbit (``newton.short_side``, ``newton._walked``; at
+    m' = 0 no Newton runs), or on the instance as it is
+    (``newton._multistart``) when it is there already or a family fails
+    on the walk back.  Only this function loads the ``newton`` module.
 
     When ``stats`` is given it receives the solver's counts: seeds tried,
     converged, nonfinite, singular, out_of_iterations, degenerate (stopped
@@ -516,150 +420,8 @@ def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
     returned solution in order, the pair (``bethe_residual``'s triples,
     largest ``qq_residual`` norm) that accepted it.
     """
-    tally = dict.fromkeys(
-        ("seeds", "converged", "nonfinite", "singular", "out_of_iterations",
-         "degenerate", "rejected_residual", "duplicates", "rejected_qq",
-         "accepted", "newton_iterations", "max_newton_iterations"), 0)
-    word, degrees = short_side(inst)
-    accepted = None
-    if word:
-        accepted = _walked(inst, word, degrees, seeds, tol, seed, tally)
-    if accepted is None:
-        word, degrees = (), inst.degrees
-        accepted = _multistart(inst, seeds, tol, seed, tally)
-    tally.update(accepted=len(accepted), worst_bethe_residual=max(
-        (abs(r[2]) for _, (br, _) in accepted for r in br), default=0.0),
-        word=list(word), solved_degrees=list(degrees))
-    if stats is not None:
-        stats.update(tally)
-    if residuals is not None:
-        residuals.extend(pair for _, pair in accepted)
-    return [sol for sol, _ in accepted]
-
-
-def _walked(inst, word, degrees, seeds, tol, seed, tally) -> Optional[list]:
-    """The direct solve at the degrees m' and the twist reflected along
-    word, each solution walked back by ``backlund.apply_word`` and held to
-    the gates of the direct solve on inst.  None, tally untouched, when a
-    family fails on the way, since a solution of inst may lie behind it."""
-    from .backlund import apply_word
-    twist = inst.twist
-    for letter in word:
-        twist = reflect_twist(twist, letter, inst.cartan)
-    short = QQInstance(inst.cartan, inst.q, twist, inst.lambdas, degrees,
-                       inst.tau)
-    count = dict(tally)
-    sols = _multistart(short, seeds, tol, seed, count)
-    try:
-        found = [_bethe_gate(inst, apply_word(short, sol, word)[1].qplus, tol,
-                             count) for sol, _ in sols]
-    except DegenerateInstance:  # a refused step
-        return None
-    accepted = [] if None in found else _complete(inst, found, tol, count)
-    if count["rejected_qq"] or len(accepted) < len(sols):
-        return None
-    tally.update(count)
-    return accepted
-
-
-def _multistart(inst, seeds, tol, seed, tally) -> list:
-    """The direct solve.  Unknowns are the roots of the Q+ polynomials,
-    n = sum m_i of them.  Seed s starts from spread (g + i g'), where g
-    and g' are vectors of n standard normal draws each, g first, from
-    ``random.Random(seed)``, and spread is 1 + max |root of Lambda|.  Each
-    seed runs Newton on its own on the kernel's divided sides and their
-    exact Jacobian (see ``_bethe_kernel`` and ``_newton``), and stops
-    early at the sides' common zero: both roots of a
-    ``_shared_factor_pairs`` pair within 1e-6 spread of 0.  A root vector
-    that converged or ran out of iterations is kept when one kernel call
-    scores every |L/R + 1| within ``tol`` and no family found before has
-    the same sorted root blocks; its Q+ polynomials, built from those
-    blocks, go through ``_bethe_gate``.  With sum m_i = 0 no seed runs,
-    and the one family is Q+_i = 1.  ``_complete`` completes the
-    families by the Q- solves.
-    """
-    total = sum(inst.degrees)
-    rng = random.Random(seed)
-    spread = 1.0 + max(abs(r) for lam in inst.lambdas for r in lam.roots())
-    tally["seeds"] = seeds = max(seeds, 0) if total else 0
-    kernel = _bethe_kernel(inst)
-    pairs, floor = _shared_factor_pairs(inst), _COMMON_ZERO * spread
-
-    def scored(x) -> bool:
-        try:
-            return all(abs(l / r + 1.0) <= tol for l, r in zip(*kernel(x)))
-        except (OverflowError, ZeroDivisionError):
-            return False
-
-    keys, found = [], [] if total else [(_roots_to_qplus(inst, []), [])]
-    for _ in range(seeds):
-        re = [rng.gauss(0.0, 1.0) for _ in range(total)]
-        im = [rng.gauss(0.0, 1.0) for _ in range(total)]
-        x = _newton(kernel, [spread * complex(a, b) for a, b in zip(re, im)],
-                    tally, pairs, floor)
-        if x is None:
-            continue
-        if not scored(x):
-            tally["rejected_residual"] += 1
-            continue
-        key = [tuple(sorted(block, key=lambda w: (w.real, w.imag)))
-               for block in _blocks(inst, x)]
-        if any(_same_blocks(key, k) for k in keys):
-            tally["duplicates"] += 1
-            continue
-        family = _bethe_gate(inst, [Poly.from_roots(b) for b in key], tol,
-                             tally)
-        if family:
-            keys.append(key)
-            found.append(family)
-    return _complete(inst, found, tol, tally)
-
-
-def _bethe_gate(inst, qplus, tol, tally):
-    """(qplus, Bethe triples) when the worst ``bethe_residual`` of the
-    family is within tol, else None (rejected_residual)."""
-    worst, br = math.inf, None
-    try:
-        br = bethe_residual(inst, qplus)
-        worst = max(abs(r[2]) for r in br)
-    except (DegenerateInstance, ValueError, ArithmeticError):
-        pass
-    if not worst <= tol:  # NaN included
-        tally["rejected_residual"] += 1
-        return None
-    return qplus, br
-
-
-def _complete(inst, found, tol, tally) -> list:
-    """The families (qplus, Bethe triples) found, completed by their Q-
-    solves; one that refuses, or whose QQ residual exceeds
-    10 tol (1 + max |Lambda|), is dropped (rejected_qq).  Returns
-    (solution, (Bethe triples, largest QQ residual norm)) pairs."""
-    accepted = []
-    for qplus, br in found:
-        try:
-            qminus = [solve_q_minus(inst, qplus, i) for i in range(1, inst.rank + 1)]
-        except DegenerateInstance:
-            tally["rejected_qq"] += 1
-            continue
-        sol = QQSolution(tuple(qplus), tuple(qminus))
-        qqres = max(r.norm() for r in qq_residual(inst, sol))
-        if qqres <= 10 * tol * (1 + max(l.norm() for l in inst.lambdas)):
-            accepted.append((sol, (br, qqres)))
-        else:
-            tally["rejected_qq"] += 1
-    return accepted
-
-
-def _same_blocks(a, b) -> bool:
-    """Root blocks a and b agree root by root within 1e-7 (1 + |root|)."""
-    for ba, bb in zip(a, b):
-        if len(ba) != len(bb):
-            return False
-        for x, y in zip(ba, bb):
-            if abs(x - y) > 1e-7 * (1 + abs(x)):
-                return False
-    return True
+    from .newton import solve
+    return solve(inst, seeds, tol, seed, stats, residuals)
 
 
 def q_collisions(inst: QQInstance, pairs, K: int) -> list:

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qoper import polynomials
-from qoper.cartan import TwistZ, canonical_form, cartan_matrix
+from qoper import backlund, polynomials
+from qoper.cartan import TwistZ, canonical_form, cartan_matrix, reflect_twist
 from qoper.polynomials import Poly
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution, check_scale,
                       nondegenerate, qq_residual, resonance_check, solve_bethe,
@@ -50,6 +50,19 @@ def random_solved(rank, rng):
     inst = QQInstance(cd, q, zetas, lams, (1,) * rank)
     assert resonance_check(inst) == []
     return inst, solve_bethe(inst, seeds=20, tol=1e-11)
+
+
+def reflected(inst, i):
+    """The twist a step at node i moves to."""
+    return reflect_twist(inst.twist, i, inst.cartan)
+
+
+def rel_gap(p1, p2):
+    """The largest coefficient gap of p1 and p2, relative to the largest
+    coefficient of p2."""
+    assert p1.degree == p2.degree
+    gap = max(abs(complex(a) - complex(b)) for a, b in zip(p1.coeffs, p2.coeffs))
+    return gap / p2.norm()
 
 
 def poly_close(p1, p2, tol=1e-9):
@@ -116,12 +129,15 @@ class TestBacklundStep:
     def test_keeps_the_q_minus_of_nodes_off_the_step(self):
         inst, sol = a3_solved()
         ninst, nsol, rec = backlund_step(inst, sol, 1)
-        assert rec.solved == (1, 2)
+        # Q-_1 is the old Q+_1 rescaled; only the neighbour's is solved
+        assert rec.solved == (2,)
         assert rec.instance is ninst and rec.solution is nsol
         assert nsol.qminus[2] is sol.qminus[2]
         # bit-equal to solving it again: the third equation did not change
         assert nsol.qminus[2].coeffs == solve_q_minus(ninst, nsol.qplus, 3).coeffs
         assert nsol.qminus[1].coeffs == solve_q_minus(ninst, nsol.qplus, 2).coeffs
+        assert rel_gap(nsol.qminus[0], solve_q_minus(ninst, nsol.qplus, 1)) \
+            <= 1e-12
 
     def test_refusal_carries_the_steps_before_it(self):
         cd = cartan_matrix("A", 1)
@@ -138,7 +154,8 @@ class TestBacklundStep:
         cd = cartan_matrix("A", 1)
         inst = QQInstance(cd, 0.2, TwistZ((2.0,)), (Poly([-1.0, 1.0]),), (1,))
         sol = QQSolution((Poly([-3.0, 1.0]),), (Poly([-1.0, 1.0]),))
-        assert _step_nondegeneracy(inst, sol, 1) == ["Q-_1 vs Lambda_1"]
+        assert _step_nondegeneracy(inst, sol, 1, reflected(inst, 1)) == [
+            "Q-_1 vs Lambda_1"]
         # the reason names the condition that failed
         with pytest.raises(DegenerateInstance,
                            match="^backlund step at node 1 refused: "
@@ -154,7 +171,7 @@ class TestBacklundStep:
         inst, sol, _ = parse_instance(doc)
         assert nondegenerate(inst, sol) == ["resonance"]
         for i in (1, 2):
-            assert _step_nondegeneracy(inst, sol, i) == [
+            assert _step_nondegeneracy(inst, sol, i, reflected(inst, i)) == [
                 "reflected twist resonant"]
             with pytest.raises(DegenerateInstance,
                                match="refused: reflected twist resonant$"):
@@ -195,6 +212,55 @@ class TestWindowBeyondDoubleRange:
         assert fq.refusals
         refused, = [r for r in fq.refusals if r["word"] == (2,)]
         assert refused["node"] == 2 and "float range" in refused["reason"]
+
+
+def rank2_solved(lie_type):
+    """A solution of a B2 or G2 system of m = (1, 1)."""
+    inst = QQInstance(cartan_matrix(lie_type, 2), 0.2, TwistZ((2.0, 3.0)),
+                      (Poly([-1.0, 1.0]), Poly([-2.0, 1.0])), (1, 1))
+    return inst, solve_bethe(inst, seeds=20, seed=1)[0]
+
+
+class TestSwap:
+    """A step at node i takes the old Q+_i times -l xi_i / xi~'_i as the
+    new Q-_i instead of solving for it."""
+
+    @pytest.mark.parametrize("fixture, size", [
+        (a2_solved, 6), (a3_solved, 24), (lambda: rank2_solved("B"), 8),
+        (lambda: rank2_solved("G"), 12)])
+    def test_is_the_solved_q_minus(self, monkeypatch, fixture, size):
+        # at every step of the full table; G2 reaches Q- of degree 7
+        inst, sol = fixture()
+        real, gaps = backlund.backlund_step, []
+
+        def recording(*args, **kw):
+            ninst, nsol, rec = real(*args, **kw)
+            solved = solve_q_minus(ninst, nsol.qplus, rec.node)
+            gaps.append(rel_gap(nsol.qminus[rec.node - 1], solved))
+            return ninst, nsol, rec
+
+        monkeypatch.setattr(backlund, "backlund_step", recording)
+        fq = full_qq_system(inst, sol)
+        assert len(fq.table) == size and not fq.refusals
+        assert len(gaps) == size - 1 and max(gaps) <= 1e-12
+
+    def test_resonance_beyond_the_window_is_refused(self):
+        # A1, Lambda = z - 1, m = 1, zeta = q^(-3/2): the step at node 1
+        # reflects the twist ratio to zeta^-2 = q^3, outside the window
+        # K = 1 of the step's conditions but inside the window m + 2 = 3 of
+        # the new Q-_1, which is then not unique
+        q = 0.2
+        inst = QQInstance(cartan_matrix("A", 1), q, TwistZ((q ** -1.5,)),
+                          (Poly([-1.0, 1.0]),), (1,))
+        sol, = solve_bethe(inst, seeds=10, seed=1)
+        assert _step_nondegeneracy(inst, sol, 1, reflected(inst, 1), 1) == []
+        reason = ("resonant twist at node 1: prod zeta^a = q^3, the Q- solve "
+                  "is not unique")
+        with pytest.raises(DegenerateInstance) as info:
+            backlund_step(inst, sol, 1, K=1)
+        assert str(info.value) == reason
+        fq = full_qq_system(inst, sol, K=1)
+        assert fq.refusals == [{"word": (1,), "node": 1, "reason": reason}]
 
 
 class TestFullQQSystem:
@@ -259,8 +325,9 @@ class TestFullQQSystem:
         fq = full_qq_system(inst, sol, stats=stats)
         assert stats["steps"] == len(fq.table) - 1
         assert stats["refusals"] == len(fq.refusals)
+        assert stats["qminus_swapped"] == stats["steps"]
         assert stats["qminus_solved"] + stats["qminus_reused"] \
-            == 3 * stats["steps"]
+            + stats["qminus_swapped"] == 3 * stats["steps"]
         # a step at node 1 or 3 keeps the Q- of the node at the far end
         assert stats["qminus_reused"] > 0
         # each polynomial's roots are found once, and all are counted

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qoper import qq
+from qoper import newton, qq
 from qoper.cli import (InputError, build_parser, echo_instance, main,
                        parse_instance)
 from qoper.polynomials import Poly, RatFun, RatMatrix
@@ -181,16 +181,32 @@ class TestFuzzFindings:
         ("wronskian", 1, [1, 1e308])])
     def test_huge_lambda_coefficient(self, tmp_path, capsys, command, node,
                                      value):
-        # finite in the file, these overflow double precision in the run
+        # finite in the file, these overflow double precision in the run;
+        # of the word 2,1 the step at node 2 solves Q-_1 again, whose right
+        # side holds Lambda_1 (the step at node 1 solves no such equation)
         doc = json.loads(A2_SOLVED.read_text())
         doc["lambdas"][node]["coeffs"][1] = value
         f = tmp_path / "huge.json"
         f.write_text(json.dumps(doc))
         argv = [command, "--instance", str(f)] + \
-            (["--word", "1"] if command == "backlund" else [])
+            (["--word", "2,1"] if command == "backlund" else [])
         assert main(argv) == 2
         assert "input error: the instance overflows double precision" \
             in capsys.readouterr().err
+
+    def test_huge_lambda_at_the_step_node_is_no_solve(self, tmp_path):
+        # a step at node 1 swaps Q-_1 in closed form and solves no equation
+        # that holds Lambda_1: nothing overflows, and the step's residual
+        # shows that the file's solution does not solve its system
+        doc = json.loads(A2_SOLVED.read_text())
+        doc["lambdas"][0]["coeffs"][1] = [1e308, 0]
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps(doc))
+        code, text = run_cli(["backlund", "--instance", str(f), "--word", "1"],
+                             tmp_path)
+        assert code == 1
+        step, = json.loads(text)["checks"]
+        assert step["check"] == "backlund-step" and not step["pass"]
 
     @pytest.mark.parametrize("command, node", [("backlund", 1),
                                                ("wronskian", 0)])
@@ -835,7 +851,9 @@ class TestBacklund:
         assert code == 0
         counts = json.loads(text)["telemetry"]["backlund"]
         assert counts["steps"] == 2 + 5 and counts["refusals"] == 0
-        assert counts["qminus_solved"] + counts["qminus_reused"] == 2 * 7
+        assert counts["qminus_swapped"] == 7
+        assert counts["qminus_solved"] + counts["qminus_reused"] \
+            + counts["qminus_swapped"] == 2 * 7
 
 
 class TestBacklundTelemetry:
@@ -843,8 +861,10 @@ class TestBacklundTelemetry:
         code, text = run_cli(["verify", "--instance", str(A2_SOLVED)], tmp_path)
         counts = json.loads(text)["telemetry"]["backlund"]
         assert counts["steps"] == 5 and counts["refusals"] == 0
-        # every node of A2 neighbours the other: each step solves both Q-
-        assert counts["qminus_solved"] == 10 and counts["qminus_reused"] == 0
+        # every node of A2 neighbours the other: each step swaps the Q- of
+        # its node and solves the other
+        assert counts["qminus_solved"] == counts["qminus_swapped"] == 5
+        assert counts["qminus_reused"] == 0
         assert counts["roots_computed"] > 0
 
     def test_does_not_move_the_digest(self, tmp_path, monkeypatch):
@@ -907,8 +927,8 @@ class TestShortSide:
         # walk from m' = 0 finds it to 1e-8
         path = self.inputs(seed, tmp_path)["a2_m21"]
         inst, _, extras = parse_instance(json.loads(Path(path).read_text()))
-        direct = [s for s, _ in qq._multistart(inst, 40, extras["bethe_tol"],
-                                               extras["seed"], Counter())]
+        direct = [s for s, _ in newton._multistart(
+            inst, 40, extras["bethe_tol"], extras["seed"], Counter())]
         walked = qq.solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
                                 seed=extras["seed"])
         assert len(direct) == len(walked) == 1
@@ -1196,12 +1216,13 @@ class TestModulesLoaded:
         # Newton runs on Python complex numbers, one seed at a time;
         # a2_generic is at the least degrees of its orbit: no walk
         loaded = self.loaded_after(["solve", "--instance", str(A2)])
-        assert loaded == {"cli", "cartan", "polynomials", "qq"}
+        assert loaded == {"cli", "cartan", "polynomials", "qq", "newton"}
 
     def test_solve_walking_back_loads_backlund(self):
         # a1_closed_form is solved at m' = 0 and walked back one step
         loaded = self.loaded_after(["solve", "--instance", str(A1)])
-        assert loaded == {"cli", "cartan", "polynomials", "qq", "backlund"}
+        assert loaded == {"cli", "cartan", "polynomials", "qq", "newton",
+                          "backlund"}
 
     @pytest.mark.parametrize("argv, modules", [
         (["verify"], {"backlund", "wronskian"}),

@@ -8,15 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qoper import qq
+from qoper import newton, qq
 from qoper.cartan import TwistZ, cartan_matrix, reflect_twist
 from qoper.polynomials import Poly, q_distinct
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution,
-                      _bethe_kernel, _resonant_power, _roots_to_qplus,
-                      bethe_residual, dual_degree, nondegenerate,
-                      q_collisions, qq_residual, qq_rhs, resonance_check,
-                      short_side, solve_bethe, solve_q_minus, twist_ratio,
-                      xi_factors)
+                      _bethe_kernel, _resonant_power, bethe_residual,
+                      nondegenerate, q_collisions, qq_residual, qq_rhs,
+                      resonance_check, solve_bethe, solve_q_minus,
+                      twist_ratio, xi_factors)
+from qoper.newton import _roots_to_qplus, dual_degree, short_side
 from qoper.backlund import apply_word, backlund_step
 from qoper.wronskian import build_miura_A
 from qoper.cli import parse_instance
@@ -751,17 +751,17 @@ class TestDividedKernel:
         with the CLI's seeds and tolerance, and every Newton result."""
         inst, _, extras = parse_instance(doc)
         candidates, stats = [], collections.Counter()
-        newton = qq._newton
+        real = newton._newton
 
         def recording(*args):
-            x = newton(*args)
+            x = real(*args)
             if x is not None:
                 candidates.append(x)
             return x
 
-        monkeypatch.setattr(qq, "_newton", recording)
-        sols = qq._multistart(inst, 40, extras["bethe_tol"], extras["seed"],
-                              stats)
+        monkeypatch.setattr(newton, "_newton", recording)
+        sols = newton._multistart(inst, 40, extras["bethe_tol"],
+                                  extras["seed"], stats)
         return inst, [s for s, _ in sols], stats, candidates
 
     def test_no_candidate_at_zero(self, monkeypatch):
@@ -825,7 +825,7 @@ class TestDividedKernel:
         # Jacobian is singular.  No step is needed, so the seed counts as
         # converged, and the scored filter refuses it, as the others there
         inst, _, extras = parse_instance(A2_M21)
-        singular, solve_linear = [], qq.solve_linear
+        singular, solve_linear = [], newton.solve_linear
 
         def spy(rows):  # the rows of [J | -F], eliminated in place
             minus_f = [row[-1] for row in rows]
@@ -834,10 +834,10 @@ class TestDividedKernel:
                 singular.append(max(map(abs, minus_f)))
             return step
 
-        monkeypatch.setattr(qq, "solve_linear", spy)
+        monkeypatch.setattr(newton, "solve_linear", spy)
         stats = collections.Counter()
-        sols = qq._multistart(inst, 40, extras["bethe_tol"], extras["seed"],
-                              stats)
+        sols = newton._multistart(inst, 40, extras["bethe_tol"],
+                                  extras["seed"], stats)
         assert len(singular) == 1 and singular[0] < 1e-15
         assert stats["singular"] == stats["nonfinite"] == 0
         assert len(sols) == 1
@@ -966,8 +966,8 @@ class TestShortSide:
         stats = {}
         sols = solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
                            seed=extras["seed"], stats=stats)
-        direct = qq._multistart(inst, 40, extras["bethe_tol"], extras["seed"],
-                                collections.Counter())
+        direct = newton._multistart(inst, 40, extras["bethe_tol"],
+                                    extras["seed"], collections.Counter())
         assert stats["word"] == [] and stats["solved_degrees"] == [2, 1]
         assert len(sols) == len(direct) == 1
         assert [p.coeffs for p in sols[0].qplus + sols[0].qminus] == [
