@@ -21,13 +21,12 @@ import random
 import sys
 import time
 
-from .polynomials import (NonFinite, Poly, RatMatrix, check_lewis_carroll,
-                          lewis_carroll_bits)
+from .minors import RatMatrix, check_lewis_carroll, horner, lewis_carroll_bits
 
-# cartan, qq, backlund and wronskian load inside the functions that run
-# them: `identities` loads only cli and polynomials, `solve` backlund only
-# to walk back from the short side.  No command loads numpy, and only a
-# string scalar loads fractions.
+# polynomials, cartan, qq, backlund and wronskian load inside the functions
+# that run them: `identities` loads only cli and minors, `solve` backlund
+# only to walk back from the short side.  No command loads numpy, and only
+# a string scalar loads fractions.
 
 
 def __getattr__(name):
@@ -127,6 +126,7 @@ def _full_qq_summary(fq) -> dict:
 
 
 def _parse_poly(obj, where: str) -> Poly:
+    from .polynomials import Poly
     if not isinstance(obj, dict):
         raise InputError(f"{where}: polynomial must be an object")
     keys = set(obj)
@@ -144,6 +144,7 @@ def _parse_poly(obj, where: str) -> Poly:
 def parse_instance(doc: dict):
     """Strict-schema parse of an instance file into (QQInstance, extras)."""
     from .cartan import TwistZ, cartan_matrix
+    from .polynomials import Poly
     from .qq import QQInstance, QQSolution, check_scale
     if not isinstance(doc, dict):
         raise InputError("instance file must hold a JSON object")
@@ -486,9 +487,9 @@ def run_identities(args, rep: Report):
         k = telemetry["kronecker_bits"] = lewis_carroll_bits(n, terms * bound)
         worst, failed = 0, []
         for trial in range(args.trials):
-            polys = [[Poly([rng.randint(-bound, bound) for _ in range(terms)])
-                      for _ in range(n)] for _ in range(n)]
-            M = RatMatrix([[p(1 << k) for p in row] for row in polys])
+            M = RatMatrix([[horner([rng.randint(-bound, bound)
+                                    for _ in range(terms)], 1 << k)
+                            for _ in range(n)] for _ in range(n)])
             for i in range(2, n + 1):
                 resid = abs(check_lewis_carroll(M, i))
                 if resid:
@@ -499,10 +500,10 @@ def run_identities(args, rep: Report):
     else:
         worst_lc = 0.0
         for trial in range(args.trials):
-            polys = [[Poly([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-                            for _ in range(3)]) for _ in range(n)]
-                     for _ in range(n)]
-            values = [RatMatrix([[p(z) for p in row] for row in polys])
+            coeffs = [[[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                        for _ in range(3)] for _ in range(n)]
+                      for _ in range(n)]
+            values = [RatMatrix([[horner(cs, z) for cs in row] for row in coeffs])
                       for z in (0.37 + 0.21j, -1.3 + 0.7j)]
             for i in range(2, n + 1):
                 worst_lc = max(worst_lc, *(check_lewis_carroll(Mz, i)
@@ -573,15 +574,18 @@ def main(argv=None) -> int:
                                  f"{args.out} does not exist")
         rep = Report(args.command)
         args.run(args, rep)
-    except (NonFinite, OverflowError) as exc:
-        print(f"input error: the instance overflows double precision: {exc}",
-              file=sys.stderr)  # finite input, but the run left double range
-        return 2
-    except ValueError as exc:  # InputError, or CartanError: group too large
+    except (ValueError, OverflowError) as exc:
+        # InputError, CartanError (group too large), or a NonFinite or
+        # OverflowError: finite input, but the run left double range
         from .cartan import CartanError
-        if not isinstance(exc, (InputError, CartanError)):
+        from .polynomials import NonFinite
+        if isinstance(exc, (NonFinite, OverflowError)):
+            print(f"input error: the instance overflows double precision: "
+                  f"{exc}", file=sys.stderr)
+        elif isinstance(exc, (InputError, CartanError)):
+            print(f"input error: {exc}", file=sys.stderr)
+        else:
             raise
-        print(f"input error: {exc}", file=sys.stderr)
         return 2
 
     body = rep.finish()

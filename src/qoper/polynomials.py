@@ -11,16 +11,12 @@ floating point.
 Polynomials are stored lowest degree first.  The zero polynomial has an
 empty coefficient tuple and degree -1 by convention.
 
-``RatMatrix`` and the Dodgson check live here too, for rational entries
-and for int and complex values alike, so both batteries of ``qoper
-identities``, whose entries ``random.Random(seed)`` draws, run on Python
-numbers: the exact one on the ints an int polynomial matrix takes at
-z = 2**k, with k from ``lewis_carroll_bits`` large enough that a
-residual is 0 there exactly when it is 0 as a polynomial.  No
-part of this module uses numpy: ``poly_roots`` is the Aberth-Ehrlich
-iteration, ``solve_q_difference`` solves by Householder QR,
-``triangularize`` and ``solve_linear`` are Gaussian elimination, and
-``RatMatrix.eval`` gives rows of Python complex numbers.
+Matrices of these functions, their minors and the Dodgson check are in
+``minors``, which loads this module only for a rational entry, so
+``qoper identities`` never compiles it.  No part of this module uses
+numpy: ``poly_roots`` is the Aberth-Ehrlich iteration,
+``solve_q_difference`` solves by Householder QR, and ``triangularize``
+and ``solve_linear`` are Gaussian elimination.
 
 A polynomial drops exact zero top coefficients only, so a float
 polynomial keeps every nonzero coefficient, however small: its degree is
@@ -35,6 +31,8 @@ import cmath
 import math
 import sys
 from typing import Iterable, Sequence
+
+from .minors import horner
 
 #: Default comparison tolerance.  Comparisons are relative with scale
 #: ``(1 + magnitude)`` throughout the package.
@@ -241,15 +239,15 @@ def poly_roots(p: Poly) -> list[complex]:
     polished = []
     for r in roots:
         for _ in range(2):
-            d = _horner(dcs, r)
+            d = horner(dcs, r)
             if abs(d) > 1e-14:
-                r = r - _horner(cs, r) / d
+                r = r - horner(cs, r) / d
         polished.append(ensure_finite(r))
     # a far root is accurate when its backward error |p(r)| / sum |c_k||r|^k
     # is small, even if |p(r)| itself exceeds the coefficient scale
     base = 1.0 + max(map(abs, cs))
     for r in polished:
-        res = abs(_horner(cs, r))
+        res = abs(horner(cs, r))
         if not res <= 1e-8 * max(base, value_scale(cs, r)):
             raise ArithmeticError(
                 f"root polishing failed: residual {res:.3e} at {r}")
@@ -260,14 +258,7 @@ def value_scale(coeffs, z) -> float:
     """sum_k |c_k| |z|^k over coefficients lowest degree first: the size of
     p(z) that rounding in its evaluation is relative to, so |p(z)| over it
     is the backward error of z as a root."""
-    return _horner([abs(c) for c in coeffs], abs(z))
-
-
-def _horner(coeffs, z):
-    acc = 0 * z
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+    return horner([abs(c) for c in coeffs], abs(z))
 
 
 def _aberth(cs: list) -> list[complex]:
@@ -311,10 +302,10 @@ def _aberth(cs: list) -> list[complex]:
         still = []
         for k in live:
             zk = z[k]
-            pv = _horner(cs, zk)
-            if abs(pv) <= 4 * eps * _horner(acs, abs(zk)):
+            pv = horner(cs, zk)
+            if abs(pv) <= 4 * eps * horner(acs, abs(zk)):
                 continue
-            den = _horner(dcs, zk) - pv * sum(
+            den = horner(dcs, zk) - pv * sum(
                 1 / (zk - zj) for zj in z if zj != zk)
             step = pv / den if den else (1 + abs(zk)) * 1e-8
             z[k] = zk - step
@@ -575,138 +566,3 @@ class RatFun:
 
     def __repr__(self):
         return f"RatFun({self.num!r}, {self.den!r})"
-
-
-class RatMatrix:
-    """Square matrix of rational functions, or of values: complex numbers
-    (those of such a matrix at a point) or ints (those of an int
-    polynomial matrix at an int point).  Immutable after construction.
-
-    A submatrix is a view over the entries and the table of minors of the
-    matrix it was cut from: it keeps only its row and column indices into
-    them, the table's key, so det() expands each minor once.
-    """
-
-    def __init__(self, entries):
-        self.entries = tuple(tuple(e if isinstance(e, (RatFun, complex, int))
-                                   else RatFun(e) for e in row)
-                             for row in entries)
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
-            raise ValueError("RatMatrix must be square")
-        self.n = n
-        self._minors = {}
-        self._table = self.entries
-        self._rows = self._cols = tuple(range(n))
-
-    def __getattr__(self, name):  # only a view lacks entries: read them
-        if name != "entries":
-            raise AttributeError(name)
-        return tuple(tuple(self._table[i][j] for j in self._cols)
-                     for i in self._rows)
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[RatFun.one() if i == j else RatFun.zero()
-                           for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def eval(self, z) -> tuple:
-        """The values at z, rows of complex numbers; a value that is not
-        finite raises NonFinite."""
-        return tuple(tuple(ensure_finite(e(z)) for e in row)
-                     for row in self.entries)
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        cols = tuple(zip(*other.entries))
-        return RatMatrix([[sum((a * b for a, b in zip(row, col)
-                                if not (a.is_zero() or b.is_zero())),
-                               RatFun.zero()) for col in cols]
-                          for row in self.entries])
-
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMatrix":
-        """The view on rows x cols: no entry is copied or checked."""
-        sub = object.__new__(RatMatrix)
-        sub._table, sub._minors = self._table, self._minors
-        sub._rows = tuple(map(self._rows.__getitem__, rows))
-        sub._cols = tuple(map(self._cols.__getitem__, cols))
-        sub.n = len(sub._rows)
-        return sub
-
-    def det(self):
-        """Determinant by cofactor expansion along the first row (intended
-        for small n); each minor is expanded once, into the shared table,
-        and a cofactor already there is read without cutting its view.
-        A RatFun for rational entries, a value of the entries' type for
-        values: ints and complex numbers take the same path."""
-        n, rows, cols = self.n, self._rows, self._cols
-        top = self._table[rows[0]]
-        if n == 1:
-            return top[cols[0]]
-        table = self._minors
-        key = (rows, cols)
-        if key in table:
-            return table[key]
-        values = not isinstance(top[cols[0]], RatFun)
-        acc = type(top[cols[0]])() if values else RatFun.zero()  # 0 or 0j
-        for j in range(n):
-            a = top[cols[j]]
-            if (a == 0) if values else a.is_zero():
-                continue
-            minor = table.get((rows[1:], cols[:j] + cols[j + 1:]))
-            if minor is None:
-                minor = self.submatrix(range(1, n),
-                                       [c for c in range(n) if c != j]).det()
-            term = a * minor
-            acc = acc + (term if j % 2 == 0 else -term)
-        table[key] = acc
-        return acc
-
-
-def check_lewis_carroll(M: RatMatrix, i: int):
-    """Dodgson condensation residual M^1_1 M^2_i - M^1_i M^2_1 - M^12_1i det M.
-
-    M^a_b removes row a and column b; M^12_1i removes rows {1,2} and
-    columns {1,i}.  It vanishes for every square matrix with n >= 3 and
-    2 <= i <= n, exactly for int polynomial entries (a RatFun residual)
-    and for int entries (an int residual, returned as it is).  For
-    complex entries the result is |ab - cd - e det M| / (1 + max of the
-    three terms' moduli).
-    """
-    n = M.n
-    if n < 3:
-        raise ValueError("needs a matrix of size at least 3")
-    if not 2 <= i <= n:
-        raise ValueError("column index out of range")
-
-    def minor(drop_rows, drop_cols):
-        rows = [r for r in range(n) if r not in drop_rows]
-        cols = [c for c in range(n) if c not in drop_cols]
-        return M.submatrix(rows, cols).det()
-
-    terms = (minor({0}, {0}) * minor({1}, {i - 1}),
-             minor({0}, {i - 1}) * minor({1}, {0}),
-             minor({0, 1}, {0, i - 1}) * M.det())
-    resid = terms[0] - terms[1] - terms[2]
-    if isinstance(resid, complex):
-        return abs(resid) / (1.0 + max(map(abs, terms)))
-    return resid
-
-
-def lewis_carroll_bits(n: int, h: int) -> int:
-    """The k for which 2**k exceeds every coefficient of the Dodgson
-    residual of an n x n matrix of int polynomials, each of L1 norm at
-    most h: then that residual vanishes exactly when its value at
-    z = 2**k does (Kronecker substitution).
-
-    A minor of size m is a sum of m! products of m entries, of L1 norm at
-    most m! h^m, so the residual's L1 norm, and with it each coefficient,
-    is at most (2 ((n-1)!)^2 + (n-2)! n!) h^(2n-2).  Below 2**k, a
-    nonzero P with lowest coefficient c_j has P(2**k) / 2**(jk) = c_j
-    mod 2**k, and 0 < |c_j| < 2**k, so P(2**k) != 0.
-    """
-    f = math.factorial
-    return ((2 * f(n - 1) ** 2 + f(n - 2) * f(n)) * h ** (2 * n - 2)).bit_length()

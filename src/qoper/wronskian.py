@@ -32,10 +32,11 @@ import cmath
 import math
 from typing import Optional
 
-# perfbench's tracer finds RatMatrix and check_lewis_carroll in this module
-from .polynomials import (Poly, RatFun, RatMatrix, check_lewis_carroll,
-                          off_pole, q_shift, solve_linear, solve_q_difference,
-                          triangularize)
+# perfbench's tracer finds RatMatrix and check_lewis_carroll in this module,
+# then wraps each module's binding of the same function: cli's battery too
+from .minors import RatMatrix, check_lewis_carroll
+from .polynomials import (Poly, RatFun, off_pole, q_shift, solve_linear,
+                          solve_q_difference, triangularize)
 from .qq import DegenerateInstance, QQInstance, QQSolution
 
 

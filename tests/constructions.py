@@ -19,7 +19,8 @@ import numpy as np
 
 from qoper.cartan import (CartanData, CartanError, TwistZ, canonical_form,
                           enumerate_weyl, reflect_twist, word_action)
-from qoper.polynomials import TAU, Poly, RatFun, RatMatrix, q_shift
+from qoper.minors import RatMatrix
+from qoper.polynomials import TAU, Poly, RatFun, q_shift
 from qoper.qq import DegenerateInstance, QQInstance, QQSolution
 from qoper.wronskian import _coroot_diag, _minor, _rel_gap
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from qoper import newton, qq
 from qoper.cli import (InputError, build_parser, echo_instance, main,
                        parse_instance)
-from qoper.polynomials import Poly, RatFun, RatMatrix
+from qoper.minors import RatMatrix
+from qoper.polynomials import Poly, RatFun
 
 ROOT = Path(__file__).resolve().parent.parent
 A1 = ROOT / "instances" / "a1_closed_form.json"
@@ -1127,6 +1128,19 @@ class TestIdentities:
         rep = json.loads(text)
         assert rep["checks"][0]["check"] == "lewis-carroll (exact)"
 
+    @pytest.mark.parametrize("seed, digest", [
+        ("1", "f4032c9609fedb0fff136a684312288d"
+              "64a702b5d3812584c65e6f88afee857b"),
+        ("4271", "fa165529dcc06218879ad31b89c5021d"
+                 "e3c9da519a29cdbf667fa6d1ffae11d4")])
+    def test_float_battery_digest(self, tmp_path, seed, digest):
+        # the worst float residual hangs on every entry's last bit, so the
+        # digest pins the values the battery evaluates
+        code, text = run_cli(["identities", "--trials", "20", "--seed", seed],
+                             tmp_path)
+        assert code == 0
+        assert json.loads(text)["digest"] == digest
+
     def test_telemetry_does_not_move_the_digest(self, tmp_path):
         # every exact run passes with residual 0, so runs of other seeds and
         # sizes make the same checks and differ in their telemetry only
@@ -1162,14 +1176,24 @@ class TestIdentities:
                                       for i in (2, 3, 4)][:5]
 
     def test_exact_battery_multiplies_no_polynomials(self, monkeypatch):
-        # each residual is int arithmetic on the matrix's values at 2**k:
-        # no Poly product and no RatFun is made
+        # each residual is int arithmetic on the matrix's values at 2**k,
+        # each value Horner's rule on a drawn list: no Poly and no RatFun
+        # is made
         def refuse(*args):
             raise AssertionError("polynomial arithmetic in the exact battery")
+        monkeypatch.setattr(Poly, "__init__", refuse)
         monkeypatch.setattr(Poly, "__mul__", refuse)
         monkeypatch.setattr(RatFun, "__init__", refuse)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["identities", "--exact", "--trials", "5"]) == 0
+
+    def test_float_battery_builds_no_polynomial(self, monkeypatch):
+        # the float battery evaluates each drawn list by Horner's rule too
+        def refuse(*args):
+            raise AssertionError("a Poly in the float battery")
+        monkeypatch.setattr(Poly, "__init__", refuse)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["identities", "--trials", "5"]) == 0
 
 
 class TestEntryPoint:
@@ -1205,24 +1229,31 @@ class TestModulesLoaded:
     def test_import_qoper_loads_no_submodule(self):
         assert self.loaded_after(None) == set()
 
+    def test_minors_loads_no_other_module(self):
+        # a rational entry loads polynomials where it is handled
+        assert self.loaded_after(None, "qoper.minors") == {"minors"}
+
     def test_polynomials_loads_no_numpy(self):
-        assert self.loaded_after(None, "qoper.polynomials") == {"polynomials"}
+        # polynomials evaluates by minors' Horner loop
+        assert self.loaded_after(None, "qoper.polynomials") == {"polynomials",
+                                                              "minors"}
 
     def test_qq_loads_no_numpy(self):
         assert self.loaded_after(None, "qoper.qq") == {"qq", "cartan",
-                                                       "polynomials"}
+                                                       "polynomials", "minors"}
 
     def test_solve(self):
         # Newton runs on Python complex numbers, one seed at a time;
         # a2_generic is at the least degrees of its orbit: no walk
         loaded = self.loaded_after(["solve", "--instance", str(A2)])
-        assert loaded == {"cli", "cartan", "polynomials", "qq", "newton"}
+        assert loaded == {"cli", "cartan", "polynomials", "minors", "qq",
+                          "newton"}
 
     def test_solve_walking_back_loads_backlund(self):
         # a1_closed_form is solved at m' = 0 and walked back one step
         loaded = self.loaded_after(["solve", "--instance", str(A1)])
-        assert loaded == {"cli", "cartan", "polynomials", "qq", "newton",
-                          "backlund"}
+        assert loaded == {"cli", "cartan", "polynomials", "minors", "qq",
+                          "newton", "backlund"}
 
     @pytest.mark.parametrize("argv, modules", [
         (["verify"], {"backlund", "wronskian"}),
@@ -1230,17 +1261,18 @@ class TestModulesLoaded:
         (["backlund", "--word", "1"], {"backlund"})])
     def test_instance_commands_load_no_numpy(self, argv, modules):
         loaded = self.loaded_after(argv + ["--instance", str(A2_SOLVED)])
-        assert loaded == {"cli", "cartan", "polynomials", "qq"} | modules
+        assert loaded == {"cli", "cartan", "polynomials", "minors",
+                          "qq"} | modules
 
     def test_identities(self):
         # the float battery runs the exact battery's code on complex values
         loaded = self.loaded_after(["identities", "--trials", "2"])
-        assert loaded == {"cli", "polynomials"}
+        assert loaded == {"cli", "minors"}
 
     def test_exact_identities_load_no_numpy(self):
         # the exact battery is int arithmetic on RatMatrix alone
         loaded = self.loaded_after(["identities", "--exact", "--trials", "2"])
-        assert loaded == {"cli", "polynomials"}
+        assert loaded == {"cli", "minors"}
 
     def test_only_a_string_scalar_loads_fractions(self):
         # the exact domain is int: fractions loads to parse a "p/q" string,
@@ -1261,11 +1293,14 @@ class TestModulesLoaded:
 
     def test_wronskian_still_binds_the_exact_names(self):
         # perfbench's tracer resolves its spans wronskian.RatMatrix.det and
-        # wronskian.check_lewis_carroll in qoper.wronskian
-        import qoper.polynomials as poly
+        # wronskian.check_lewis_carroll in qoper.wronskian, and wraps cli's
+        # binding of the same function, which the battery calls
+        import qoper.cli as cli
+        import qoper.minors as minors
         import qoper.wronskian as wr
-        assert wr.RatMatrix is poly.RatMatrix
-        assert wr.check_lewis_carroll is poly.check_lewis_carroll
+        assert wr.RatMatrix is minors.RatMatrix
+        assert wr.check_lewis_carroll is minors.check_lewis_carroll
+        assert cli.check_lewis_carroll is minors.check_lewis_carroll
 
     def test_verify_b2(self, tmp_path):
         from qoper.cartan import TwistZ, cartan_matrix

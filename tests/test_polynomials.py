@@ -1,11 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qoper.polynomials import (Poly, RatFun, RatMatrix, lewis_carroll_bits,
-                               off_pole, poly_roots, q_distinct, q_shift,
-                               solve_q_difference)
+from qoper.minors import RatMatrix, horner, lewis_carroll_bits
+from qoper.polynomials import (Poly, RatFun, off_pole, poly_roots, q_distinct,
+                               q_shift, solve_q_difference)
 
 
 class TestQShift:
@@ -426,3 +428,30 @@ class TestKronecker:
         assert lewis_carroll_bits(4, 15) == 31
         assert 2**30 <= bound < 2**31
         assert lewis_carroll_bits(3, 1) == (2 * 4 + 6).bit_length()
+
+
+class TestBatteryEntries:
+    """``qoper identities`` evaluates each drawn coefficient list by
+    ``horner``, and gets the number ``Poly(cs)(z)`` would give."""
+
+    @given(st.lists(st.integers(-5, 5), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_int_lists_at_the_kronecker_point(self, cs):
+        # the exact battery's entries: Horner's rule on the drawn list
+        got, want = horner(cs, 2**31), Poly(cs)(2**31)
+        assert type(got) is type(want) is int and repr(got) == repr(want)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_gaussian_lists_at_both_points(self, seed, size):
+        # the float battery's entries, bit for bit: every exact residual is
+        # 0 whatever the entries are, so no digest would see a changed one.
+        # From the nonzero top coefficient on, both run the same loop; an
+        # empty list gives 0 * z, which is -0.0 + 0j at -1.3 + 0.7j
+        rng = random.Random(seed)
+        cs = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+              for _ in range(size)]
+        for z in (0.37 + 0.21j, -1.3 + 0.7j):
+            got, want = horner(cs, z), Poly(cs)(z)
+            assert type(got) is type(want) is complex
+            assert repr(got) == repr(want)
