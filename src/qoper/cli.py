@@ -8,18 +8,25 @@ reproducible: the digest hashes the canonical JSON without timings and
 telemetry.
 
 Exit codes: 0 all checks pass; 1 checks ran with failures; 2 input error.
+No command loads argparse, or OpenSSL for the digest's sha256.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import math
 import os
-import random
 import sys
 import time
+from types import SimpleNamespace
+
+try:  # hashlib's builtin fallback: the same sha256 without loading OpenSSL
+    from _sha256 import sha256  # Python 3.10, 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 from .minors import RatMatrix, check_lewis_carroll, horner, lewis_carroll_bits
 
@@ -267,9 +274,8 @@ class Report:
 
     def finish(self) -> dict:
         body = dict(self.doc)
-        digest = hashlib.sha256(
+        body["digest"] = sha256(
             json.dumps(body, sort_keys=True).encode()).hexdigest()
-        body["digest"] = digest
         body["timings"] = {"seconds": round(time.time() - self.t0, 6)}
         body["telemetry"] = self.telemetry
         return body
@@ -477,6 +483,7 @@ def run_identities(args, rep: Report):
     that the residual's value there is 0 exactly when the residual is.  A
     failing battery reports the largest |residual| and names the first
     failing (trial, i) pairs."""
+    import random
     _positive(args.trials, "--trials")
     n = 4
     rng = random.Random(args.seed)
@@ -514,9 +521,8 @@ def run_identities(args, rep: Report):
 
 
 def _seed_arg(text: str) -> int:
-    if not text.lstrip("+").isdigit():
-        raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer, got {text!r}")
+    if not text.removeprefix("+").isdecimal():
+        raise ValueError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 
 
@@ -525,47 +531,76 @@ def _word_arg(text: str) -> tuple:
     an empty or blank word is the identity."""
     letters = text.split(",") if text.strip() else []
     if not all(l.strip().isdecimal() for l in letters):
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated node numbers, got {text!r}")
+        raise ValueError(f"expected comma-separated node numbers, got {text!r}")
     return tuple(int(l) for l in letters)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qoper", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+# Each command's runner, summary and flags, a flag as (kind, default): default
+# ... marks a required flag, kind bool a switch, and other kinds parse its text.
+_OUTPUT = {"--out": (str, None), "--format": (str, "json")}
+_INSTANCE = {"--instance": (str, ...), **_OUTPUT}
+COMMANDS = {
+    "solve": (run_solve, "find Bethe/QQ solutions", {
+        **_INSTANCE, "--tol": (float, None), "--seeds": (int, 40),
+        "--seed": (_seed_arg, None)}),
+    "verify": (run_verify, "verify a provided solution", _INSTANCE),
+    "backlund": (run_backlund, "apply Backlund steps along a word", {**_INSTANCE,
+        "--word": (_word_arg, ...), "--full-table": (bool, False)}),
+    "wronskian": (run_wronskian, "build the Wronskian and run checks", _INSTANCE),
+    "identities": (run_identities, "determinant identity battery", {
+        "--seed": (_seed_arg, 0), "--exact": (bool, False), "--trials": (int, 20),
+        **_OUTPUT})}
 
-    def command(name, run, help, instance=True):
-        """A subparser with its run, --instance if asked, --out and --format."""
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
-        if instance:
-            p.add_argument("--instance", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        return p
 
-    ps = command("solve", run_solve, "find Bethe/QQ solutions")
-    ps.add_argument("--tol", type=float, default=None,
-                    help="Bethe tolerance (default: the instance's "
-                         "tolerances.bethe_tol)")
-    ps.add_argument("--seeds", type=int, default=40)
-    ps.add_argument("--seed", type=_seed_arg, default=None)
-    command("verify", run_verify, "verify a provided solution")
-    pb = command("backlund", run_backlund, "apply Backlund steps along a word")
-    pb.add_argument("--word", required=True, type=_word_arg)
-    pb.add_argument("--full-table", action="store_true")
-    command("wronskian", run_wronskian, "build the Wronskian and run checks")
-    pi = command("identities", run_identities, "determinant identity battery",
-                 instance=False)
-    pi.add_argument("--seed", type=_seed_arg, default=0)
-    pi.add_argument("--exact", action="store_true", help="exact integer mode")
-    pi.add_argument("--trials", type=int, default=20)
-    return ap
+def _usage(name: str) -> str:
+    """The command, its flags (the optional ones in brackets) and summary."""
+    words = [f"qoper {name}"]
+    for flag, (kind, default) in COMMANDS[name][2].items():
+        word = flag if kind is bool else f"{flag} {flag[2:].upper()}"
+        words.append(word if default is ... else f"[{word}]")
+    return " ".join(words) + f"\n    {COMMANDS[name][1]}"
+
+
+def _fail(message: str):
+    print(f"qoper: error: {message}", file=sys.stderr)  # argparse's wording
+    raise SystemExit(2)
+
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """The command, its runner and its flags' values, defaults filled in.  No
+    flag may be abbreviated; -h or --help prints the help and exits 0."""
+    name = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        print(_usage(name) if name in COMMANDS else
+              __doc__ + "\n" + "\n".join(map(_usage, COMMANDS)))
+        raise SystemExit(0)
+    if name not in COMMANDS:
+        _fail(f"argument command: expected one of {', '.join(COMMANDS)}")
+    run, _, flags = COMMANDS[name]
+    given, words = {}, iter(argv[1:])
+    for word in words:
+        flag, eq, text = word.partition("=")
+        kind = flags.get(flag, (None,))[0]
+        if kind is None or (eq and kind is bool):
+            _fail(f"unrecognized arguments: {word}")
+        if not (eq or kind is bool) and (text := next(words, "--")).startswith("--"):
+            _fail(f"argument {flag}: expected one argument")
+        try:
+            given[flag] = True if kind is bool else kind(text)
+        except ValueError as exc:
+            _fail(f"argument {flag}: {exc}")
+    missing = [f for f, (_, d) in flags.items() if d is ... and f not in given]
+    if missing:
+        _fail(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=name, run=run, **{
+        f[2:].replace("-", "_"): given.get(f, d) for f, (_, d) in flags.items()})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        if args.format not in ("json", "csv"):
+            raise InputError(f"--format: expected json or csv, got {args.format!r}")
         if args.out:  # refused before the run, not after it
             if os.path.isdir(args.out):
                 raise InputError(f"cannot write --out: {args.out} is a directory")

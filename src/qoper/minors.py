@@ -31,9 +31,9 @@ def horner(coeffs, z):
 
 
 class RatMatrix:
-    """Square matrix of rational functions, or of values: complex numbers
-    (those of such a matrix at a point) or ints (those of an int
-    polynomial matrix at an int point).  Immutable after construction.
+    """Square matrix of rational functions (a Poly entry is made one) or of
+    values: complex numbers (such a matrix at a point) or ints (an int
+    polynomial matrix at an int point), never mixed.  Immutable.
 
     A submatrix is a view over the entries and the table of minors of the
     matrix it was cut from: it keeps only its row and column indices into
@@ -43,9 +43,13 @@ class RatMatrix:
     def __init__(self, entries):
         rows = tuple(map(tuple, entries))
         if not all(isinstance(e, (complex, int)) for row in rows for e in row):
-            from .polynomials import RatFun
-            rows = tuple(tuple(e if isinstance(e, (RatFun, complex, int))
-                               else RatFun(e) for e in row) for row in rows)
+            from .polynomials import Poly, RatFun
+            bad = [e for r in rows for e in r if not isinstance(e, (Poly, RatFun))]
+            if bad:
+                raise TypeError(f"RatMatrix entry of type {type(bad[0]).__name__}"
+                                ": expected all int/complex or all Poly/RatFun")
+            rows = tuple(tuple(RatFun(e) if isinstance(e, Poly) else e
+                               for e in row) for row in rows)
         self.entries = rows
         n = len(self.entries)
         if any(len(row) != n for row in self.entries):

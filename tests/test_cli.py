@@ -1,8 +1,9 @@
-import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -13,8 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qoper import newton, qq
-from qoper.cli import (InputError, build_parser, echo_instance, main,
-                       parse_instance)
+from qoper.cli import COMMANDS, InputError, echo_instance, main, parse_instance
 from qoper.minors import RatMatrix
 from qoper.polynomials import Poly, RatFun
 
@@ -281,10 +281,7 @@ class TestFuzzFindings:
         assert "Traceback" not in proc.stderr
 
     def test_each_command_takes_only_the_flags_it_reads(self):
-        sub, = [a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction)]
-        flags = {name: {f for a in p._actions for f in a.option_strings}
-                 - {"-h", "--help"} for name, p in sub.choices.items()}
+        flags = {name: set(spec[2]) for name, spec in COMMANDS.items()}
         common = {"--instance", "--out", "--format"}
         assert flags == {
             "solve": common | {"--tol", "--seeds", "--seed"},
@@ -317,6 +314,46 @@ class TestFuzzFindings:
         assert proc.returncode == 2
         assert "--seed: expected a nonnegative integer" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "argument command"),
+        (["frobnicate"], "argument command"),
+        (["verify"], "the following arguments are required: --instance"),
+        (["solve", "--instance", str(A2), "--seeds"], "argument --seeds"),
+        (["solve", "--instance", str(A2), "--seeds", "x"], "argument --seeds"),
+        (["solve", "--instance", str(A2), "--seeds=x"], "argument --seeds"),
+        (["solve", "--instance", str(A2), "--tol", "x"], "argument --tol"),
+        (["verify", "--instance", str(A2_SOLVED), "--format", "xml"], "--format"),
+        (["backlund", "--instance", str(A2_SOLVED)],
+         "the following arguments are required: --word"),
+        # no prefix abbreviations, and a switch takes no value
+        (["verify", "--inst", str(A2_SOLVED)], "unrecognized arguments: --inst"),
+        (["identities", "--exact=1"], "unrecognized arguments: --exact=1")])
+    def test_malformed_command_line(self, argv, message):
+        proc = run_subprocess(argv)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, commands", [
+        (["-h"], list(COMMANDS)), (["--help"], list(COMMANDS)),
+        (["solve", "--help"], ["solve"])])
+    def test_help_lists_each_flag(self, argv, commands):
+        proc = run_subprocess(argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        for name in commands:
+            line, = [l for l in proc.stdout.splitlines()
+                     if l.startswith(f"qoper {name} ")]
+            assert set(re.findall(r"--[\w-]+", line)) == set(COMMANDS[name][2])
+        assert ("qoper verify" in proc.stdout) == (commands != ["solve"])
+
+    def test_flag_equals_value(self, tmp_path):
+        spaced = run_cli(["backlund", "--instance", str(A2_SOLVED),
+                          "--word", "1,1"], tmp_path, "spaced.json")
+        joined = run_cli(["backlund", f"--instance={A2_SOLVED}", "--word=1,1"],
+                         tmp_path, "joined.json")
+        assert spaced[0] == joined[0] == 0
+        assert json.loads(spaced[1])["digest"] == json.loads(joined[1])["digest"]
 
 
 # values a fuzz of the instance file draws: the inputs above, wrong types
@@ -587,6 +624,20 @@ class TestSolve:
         assert solver["seeds"] == 0
         assert solver["word"] == [1] and solver["solved_degrees"] == [0]
         assert solver["accepted"] == len(body["solutions"]) == 1
+        digest = body.pop("digest")
+        del body["timings"], body["telemetry"]
+        assert digest == hashlib.sha256(
+            json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--instance", str(A2_SOLVED)],
+        ["backlund", "--instance", str(A2_SOLVED), "--word", "1,2"],
+        ["wronskian", "--instance", str(A2_SOLVED)],
+        ["identities", "--trials", "2"], ["identities", "--exact", "--trials", "2"]])
+    def test_digest_is_hashlib_sha256(self, tmp_path, argv):
+        # cli hashes with the builtin sha256 that hashlib falls back to;
+        # the test above checks a solve report
+        body = json.loads(run_cli(argv, tmp_path)[1])
         digest = body.pop("digest")
         del body["timings"], body["telemetry"]
         assert digest == hashlib.sha256(
@@ -1204,27 +1255,51 @@ class TestEntryPoint:
         assert proc.returncode == 0
 
 
+# stdlib modules no command needs: numpy's and dataclasses' import cost, and
+# argparse (with gettext and locale) and hashlib (with OpenSSL's _hashlib)
+UNNEEDED = ("numpy", "dataclasses", "argparse", "gettext", "locale", "hashlib",
+            "_hashlib")
+
+
 class TestModulesLoaded:
-    """Each command imports only the qoper modules it runs, and neither
-    numpy nor dataclasses (with inspect, ast and dis behind it)."""
+    """Each command imports only the qoper modules it runs, and none of
+    UNNEEDED (dataclasses would bring inspect, ast and dis behind it)."""
+
+    @staticmethod
+    @functools.cache
+    def bare_modules():
+        """The modules `python -c "import sys"` holds: site differs from
+        one machine to the next, and what it loads is not counted."""
+        proc = subprocess.run([sys.executable, "-c",
+                               "import sys; print(*sys.modules)"],
+                              capture_output=True, text=True, check=True)
+        return set(proc.stdout.split())
 
     @staticmethod
     def loaded_after(argv, module="qoper"):
         """The qoper submodules a fresh interpreter holds after main(argv),
-        or after `import module` alone when argv is None, and "numpy" and
-        "dataclasses" when it holds those too: each set asserted below
-        leaves both out."""
+        or after `import module` alone when argv is None, and each module of
+        UNNEEDED it holds that a bare interpreter does not: each set
+        asserted below leaves those out."""
         code = (f"import sys, {module}\n" if argv is None else
                 "import io, contextlib, sys, qoper.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    assert qoper.cli.main({argv!r}) == 0\n")
         code += ("print(*(m for m in sys.modules\n"
-                 "        if m.startswith('qoper.')\n"
-                 "        or m in ('numpy', 'dataclasses')))")
+                 f"        if m.startswith('qoper.') or m in {UNNEEDED!r}))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        return {m.split(".", 1)[-1] for m in proc.stdout.split()}
+        return {m.split(".", 1)[-1] for m in proc.stdout.split()
+                if m not in TestModulesLoaded.bare_modules()}
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--instance", str(A1)], ["verify", "--instance", str(A2_SOLVED)],
+        ["backlund", "--instance", str(A2_SOLVED), "--word", "1"],
+        ["wronskian", "--instance", str(A2_SOLVED)],
+        ["identities", "--trials", "2"], ["identities", "--exact", "--trials", "2"]])
+    def test_no_command_loads_argparse_or_hashlib(self, argv):
+        assert not self.loaded_after(argv) & set(UNNEEDED)
 
     def test_import_qoper_loads_no_submodule(self):
         assert self.loaded_after(None) == set()

@@ -524,6 +524,22 @@ def random_matrix(n, rng, exact):
 
 
 class TestMinorTable:
+    @pytest.mark.parametrize("entries, kind", [
+        ([[1.5, 0], [0, 2]], "float"),
+        ([[RatFun.one(), 0], [0, RatFun.one()]], "int"),
+        ([[Poly([1]), "1"], [Poly([0]), Poly([1])]], "str")])
+    def test_other_or_mixed_entries_refused(self, entries, kind):
+        # a float entry was wrapped as RatFun(1.5): det() then raised
+        # AttributeError and eval() TypeError, far from the construction
+        with pytest.raises(TypeError, match=f"RatMatrix entry of type {kind}:"):
+            RatMatrix(entries)
+
+    def test_poly_entry_is_made_a_ratfun(self):
+        M = RatMatrix([[Poly([2]), Poly([0, 1])], [Poly([1]), Poly([3])]])
+        assert all(type(e) is RatFun for row in M.entries for e in row)
+        det = M.det()
+        assert det.num.coeffs == (6, -1) and det.den.coeffs == (1,)
+
     def test_exact_det_equals_plain_expansion(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
