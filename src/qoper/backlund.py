@@ -4,14 +4,13 @@ A single step at node i swaps Q+_i with (the monic rescaling of) Q-_i,
 reflects the twist by s_i, takes the old Q+_i times a constant as the new
 Q-_i, solves the Q-_j of the neighbours of i for the new system, and
 leaves every other Q+_j and Q-_j untouched.  Iterating steps along reduced
-words populates the table {Q+^{w,i}} indexed by Weyl group elements; two
-reduced words of the same element must produce the same table entry,
-which is the computable face of the consistency of the full system.
+words gives each Weyl group element w its solved system: the twist w(Z)
+and the families Q+^{w,i} and Q-^{w,i}.  Two reduced words of the same
+element must reach the same system, which is the computable face of the
+consistency of the full system.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .cartan import TwistZ, canonical_form, enumerate_weyl, reflect_twist
 from .qq import (DegenerateInstance, QQInstance, QQSolution,
@@ -33,25 +32,23 @@ class BacklundStepRecord:
 
 
 class FullQQSystem:
-    """Q+ polynomials indexed by Weyl group elements, plus their twists.
+    """The solved system of each Weyl group element the walk reached.
 
-    ``table[key][i]`` is the monic i-th Q+ of the system twisted by the
-    element with canonical form ``key``; ``words`` maps the key back to a
-    reduced word.  Refusals along the exploration are recorded rather than
-    raised; the whole group was covered when ``refusals`` is empty.  Every
-    field but ``base`` starts empty.
+    ``table[key]`` is the (QQInstance, QQSolution) of the element with
+    canonical form ``key``: its twist w(Z), degrees, monic Q+ and Q-.  The
+    identity maps to the input pair.  Refusals along the walk are recorded
+    rather than raised; the whole group was covered when ``refusals`` is
+    empty.
     """
 
-    __slots__ = ("base", "table", "twists", "words", "refusals")
+    __slots__ = ("table", "refusals")
 
-    def __init__(self, base: QQSolution):
-        self.base = base
-        self.table, self.twists, self.words = {}, {}, {}
-        self.refusals = []
+    def __init__(self):
+        self.table, self.refusals = {}, []
 
 
 def _step_nondegeneracy(inst: QQInstance, sol: QQSolution, i: int,
-                        twist: TwistZ, K: Optional[int] = None) -> list:
+                        twist: TwistZ, K: int | None = None) -> list:
     """Preconditions for swapping at node i: the labels of those that
     fail, empty when the step may go ahead.
 
@@ -92,7 +89,7 @@ def _swapped_q_minus(inst: QQInstance, sol: QQSolution,
 
 
 def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
-                  K: Optional[int] = None):
+                  K: int | None = None):
     """One Backlund transformation at node i.
 
     Returns (new_instance, new_solution, record).  Refuses (raises
@@ -156,7 +153,7 @@ def _walk_stats(inst, sol, records, refusals: int, rooted_before: set) -> dict:
 
 
 def apply_word(inst: QQInstance, sol: QQSolution, word: tuple,
-               K: Optional[int] = None, stats: Optional[dict] = None):
+               K: int | None = None, stats: dict | None = None):
     """Iterate backlund_step along a word, rightmost letter first.
 
     The result corresponds to the element the word spells; records of the
@@ -183,49 +180,38 @@ def apply_word(inst: QQInstance, sol: QQSolution, word: tuple,
 
 
 def full_qq_system(inst: QQInstance, sol: QQSolution,
-                   K: Optional[int] = None,
-                   stats: Optional[dict] = None) -> FullQQSystem:
+                   K: int | None = None,
+                   stats: dict | None = None) -> FullQQSystem:
     """Breadth-first exploration of the Weyl group by Backlund steps.
 
-    Every element gets its (monic) Q+ family and twist; a refusal on an
-    edge is recorded and the affected element is skipped, leaving a partial
-    table and a nonempty ``refusals`` instead of raising.  ``stats``, when
-    given, receives the counts of the walk: steps taken, refusals, Q-
-    solved anew, swapped and kept (qminus_solved, qminus_swapped,
-    qminus_reused), and roots_computed, the root sets the walk had to
-    find.
+    Each element's system is one step from that of its parent, the
+    element its word without the leftmost letter spells, read from the
+    table.  A refusal on an edge is recorded and the affected element is
+    skipped, leaving a partial table and a nonempty ``refusals`` instead
+    of raising.  ``stats``, when given, receives the counts of the walk:
+    steps taken, refusals, Q- solved anew, swapped and kept
+    (qminus_solved, qminus_swapped, qminus_reused), and roots_computed,
+    the root sets the walk had to find.
     """
     cartan = inst.cartan
-    words = enumerate_weyl(cartan)
-    out = FullQQSystem(base=sol)
-    id_key = canonical_form((), cartan)
-    out.table[id_key] = tuple(sol.qplus)
-    out.twists[id_key] = inst.twist
-    out.words[id_key] = ()
-    state = {id_key: (inst, sol)}
+    out = FullQQSystem()
+    out.table[canonical_form((), cartan)] = (inst, sol)
     rooted = _with_roots(_polys(inst, sol))
     records = []
-
-    for word in words[1:]:  # by length, after the identity
-        key = canonical_form(word, cartan)
+    for word in enumerate_weyl(cartan)[1:]:  # by length, after the identity
         # walk up from the element obtained by dropping the leftmost letter
-        pkey = canonical_form(word[1:], cartan)
-        if pkey not in state:
+        parent = out.table.get(canonical_form(word[1:], cartan))
+        if parent is None:
             out.refusals.append({"word": word, "reason": "parent missing"})
             continue
-        pinst, psol = state[pkey]
-        letter = word[0]
         try:
-            ninst, nsol, rec = backlund_step(pinst, psol, letter, K)
+            ninst, nsol, rec = backlund_step(*parent, word[0], K)
         except DegenerateInstance as exc:
-            out.refusals.append({"word": word, "node": letter,
+            out.refusals.append({"word": word, "node": word[0],
                                  "reason": str(exc)})
             continue
         records.append(rec)
-        state[key] = (ninst, nsol)
-        out.table[key] = tuple(nsol.qplus)
-        out.twists[key] = ninst.twist
-        out.words[key] = word
+        out.table[canonical_form(word, cartan)] = (ninst, nsol)
     if stats is not None:
         stats.update(_walk_stats(inst, sol, records, len(out.refusals), rooted))
     return out

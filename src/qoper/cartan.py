@@ -13,15 +13,15 @@ word, a tuple of node numbers: the word w spells the product
 s_{w[0]} s_{w[1]} ..., which acts as function composition, so its
 rightmost letter acts first.  The empty tuple is the identity and u + v
 spells the product uv.  Words act on weights in fundamental-weight
-coordinates (``word_action``); canonical forms and the element table are
-read off that action, so comparison works uniformly in every finite type
-without Matsumoto rewriting.
+coordinates (``word_action``); canonical forms and the enumeration of
+the group are read off that action, so comparison works uniformly in
+every finite type without Matsumoto rewriting.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import factorial
-from typing import Sequence
 
 DEFAULT_WEYL_GUARD = 10_080
 
@@ -257,29 +257,16 @@ def enumerate_weyl(data: CartanData) -> list[tuple]:
     if order > DEFAULT_WEYL_GUARD:
         raise CartanError(f"group too large: |W| = {order} exceeds the "
                           f"bound {DEFAULT_WEYL_GUARD}")
-    return sorted(_element_table(data).values(), key=lambda w: (len(w), w))
-
-
-_TABLE_CACHE: dict = {}
-
-
-def _element_table(data: CartanData) -> dict:
-    """Map canonical form -> one reduced word per element (BFS by length)."""
-    key = (data.lie_type, data.rank, data.cartan)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
+    # left multiplication: s_i w acts by reflecting the image of rho
     rho = tuple([1] * data.rank)
-    table = {rho: ()}
-    frontier = [(rho, ())]
+    reached, frontier = {rho: ()}, [rho]
     while frontier:
         nxt = []
-        for vec, word in frontier:
+        for vec in frontier:
             for i in range(1, data.rank + 1):
-                # left multiplication: s_i * w acts by reflecting the image
-                v2 = _reflect_vector(vec, i, data)
-                if v2 not in table:
-                    table[v2] = (i,) + word
-                    nxt.append((v2, (i,) + word))
+                image = _reflect_vector(vec, i, data)
+                if image not in reached:
+                    reached[image] = (i,) + reached[vec]
+                    nxt.append(image)
         frontier = nxt
-    _TABLE_CACHE[key] = table
-    return table
+    return sorted(reached.values(), key=lambda w: (len(w), w))

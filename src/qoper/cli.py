@@ -80,17 +80,24 @@ def _parse_scalar(v, where: str) -> complex:
     return c
 
 
-def _parse_number(v, where: str, kind=float):
-    """kind(v) for kind int or float; booleans and non-finite values fail."""
+def _parse_number(v, where: str) -> float:
+    """float(v); booleans and non-finite values fail."""
     try:
         if not isinstance(v, bool):
-            x = kind(v)
+            x = float(v)
             if math.isfinite(x):
                 return x
     except (TypeError, ValueError, OverflowError):
         pass
-    what = "an integer" if kind is int else "a finite number"
-    raise InputError(f"{where}: expected {what}, got {v!r}")
+    raise InputError(f"{where}: expected a finite number, got {v!r}")
+
+
+def _parse_int(v, where: str) -> int:
+    """v itself when it is a JSON integer; a boolean, a float or a string
+    is refused, not truncated."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise InputError(f"{where}: expected an integer, got {v!r}")
 
 
 def _positive(x, where: str):
@@ -166,7 +173,7 @@ def parse_instance(doc: dict):
             raise InputError(f"missing required key {key!r}")
 
     # the lengths bound the rank before cartan_matrix builds a rank x rank table
-    rank = _parse_number(doc["rank"], "rank", int)
+    rank = _parse_int(doc["rank"], "rank")
     for key in ("zetas", "lambdas", "degrees"):
         if len(_expect(doc[key], list, key)) != rank:
             raise InputError(f"{key}: rank {doc['rank']!r} needs one entry "
@@ -174,14 +181,14 @@ def parse_instance(doc: dict):
     cartan = cartan_matrix(doc["lie_type"], rank)
     if "ordering" in doc:
         cartan = cartan.with_ordering(
-            [_parse_number(x, "ordering", int)
+            [_parse_int(x, "ordering")
              for x in _expect(doc["ordering"], list, "ordering")])
     q = _parse_scalar(doc["q"], "q")
     zetas = TwistZ(tuple(_parse_scalar(z, "zetas")
                          for z in _expect(doc["zetas"], list, "zetas")))
     lambdas = tuple(_parse_poly(l, f"lambdas[{k}]")
                     for k, l in enumerate(_expect(doc["lambdas"], list, "lambdas")))
-    degrees = tuple(_parse_number(m, "degrees", int)
+    degrees = tuple(_parse_int(m, "degrees")
                     for m in _expect(doc["degrees"], list, "degrees"))
 
     tols = _expect(doc.get("tolerances", {}), dict, "tolerances")
@@ -194,7 +201,7 @@ def parse_instance(doc: dict):
     bethe_tol = _positive(_parse_number(tols.get("bethe_tol", 1e-10),
                                         "tolerances.bethe_tol"),
                           "tolerances.bethe_tol")
-    K = (_positive(_parse_number(tols["K"], "tolerances.K", int), "tolerances.K")
+    K = (_positive(_parse_int(tols["K"], "tolerances.K"), "tolerances.K")
          if "K" in tols else None)
 
     inst = QQInstance(cartan, q, zetas, lambdas, degrees, tau)
@@ -221,7 +228,7 @@ def parse_instance(doc: dict):
                                  f"{p.degree}, but degrees gives {m}")
         solution = QQSolution(qplus, qminus)
 
-    seed = _parse_number(doc.get("seed", 0), "seed", int)
+    seed = _parse_int(doc.get("seed", 0), "seed")
     if seed < 0:
         raise InputError(f"seed: expected a nonnegative integer, got {seed}")
     extras = {"bethe_tol": bethe_tol, "K": K, "seed": seed}

@@ -15,15 +15,14 @@ handles a rational entry (a ``RatFun``, or a ``Poly`` made one) imports
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 
 def horner(coeffs, z):
     """The polynomial with coefficients lowest degree first, at z.
 
     The sum starts at 0 * z, so int coefficients give an int at an int
-    point; once a nonzero top coefficient is in, this is the loop
-    ``Poly.__call__`` runs, and it gives the same number."""
+    point.  ``Poly.__call__`` evaluates by it."""
     acc = 0 * z
     for c in reversed(coeffs):
         acc = acc * z + c

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import qq
 from .cartan import reflect_twist
@@ -119,7 +119,7 @@ def _newton(sides, x: list, tally: dict, pairs: list, floor: float):
 
 
 def solve(inst: qq.QQInstance, seeds: int, tol: float, seed: int,
-          stats: Optional[dict], residuals: Optional[list]) -> list:
+          stats: dict | None, residuals: list | None) -> list:
     """``qq.solve_bethe``, whose docstring describes it."""
     tally = dict.fromkeys(
         ("seeds", "converged", "nonfinite", "singular", "out_of_iterations",
@@ -142,7 +142,7 @@ def solve(inst: qq.QQInstance, seeds: int, tol: float, seed: int,
     return [sol for sol, _ in accepted]
 
 
-def _walked(inst, word, degrees, seeds, tol, seed, tally) -> Optional[list]:
+def _walked(inst, word, degrees, seeds, tol, seed, tally) -> list | None:
     """The direct solve at the degrees m' and the twist reflected along
     word, each solution walked back by ``backlund.apply_word`` and held to
     the gates of the direct solve on inst.  None, tally untouched, when a

@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .minors import horner
 
@@ -108,10 +108,7 @@ class Poly:
         return self.coeffs[-1]
 
     def __call__(self, z):
-        acc = 0 if (self.exact and type(z) is int) else 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return horner(self.coeffs, z)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .cartan import CartanData, TwistZ, ValueObject, twist_monomial
 from .polynomials import (TAU, Poly, close, ensure_finite, q_distinct,
@@ -94,7 +94,7 @@ def _neighbours(inst: QQInstance, i: int):
             [(j, -a(j, i)) for j in order[:pos] if a(j, i)])
 
 
-def check_scale(inst: QQInstance, K: Optional[int] = None):
+def check_scale(inst: QQInstance, K: int | None = None):
     """Raise ValueError when a power of q or zeta formed at the instance's
     degrees leaves double range: top = max(K, max deg Lambda + 3 sum m_i
     + 4) bounds the window K, each right side's degree d (a_ji >= -3) and
@@ -162,7 +162,7 @@ def qq_residual(inst: QQInstance, sol: QQSolution) -> list[Poly]:
     return out
 
 
-def resonance_check(inst: QQInstance, K: Optional[int] = None) -> list:
+def resonance_check(inst: QQInstance, K: int | None = None) -> list:
     """The labels "node j" of the nodes j whose prod_i zeta_i^{a_ij} is
     an integer power q^k, |k| <= K; empty when the twist passes.
 
@@ -177,7 +177,7 @@ def resonance_check(inst: QQInstance, K: Optional[int] = None) -> list:
             if _resonant_power(inst, twist_ratio(inst, j), K) is not None]
 
 
-def _resonant_power(inst: QQInstance, val: complex, K: int) -> Optional[int]:
+def _resonant_power(inst: QQInstance, val: complex, K: int) -> int | None:
     """The first k in -K..K with val = q^k to tau, or None."""
     qc = complex(inst.q)
     return next((k for k in range(-K, K + 1) if close(val, qc**k, inst.tau)),
@@ -402,8 +402,8 @@ def bethe_residual(inst: QQInstance, qplus: Sequence[Poly]) -> list:
 
 
 def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
-                seed: int = 0, stats: Optional[dict] = None,
-                residuals: Optional[list] = None) -> list[QQSolution]:
+                seed: int = 0, stats: dict | None = None,
+                residuals: list | None = None) -> list[QQSolution]:
     """Multi-start Newton solver for the Bethe system, on the short side
     of the Weyl orbit (``newton.short_side``, ``newton._walked``; at
     m' = 0 no Newton runs), or on the instance as it is
@@ -435,7 +435,7 @@ def q_collisions(inst: QQInstance, pairs, K: int) -> list:
 
 
 def nondegenerate(inst: QQInstance, sol: QQSolution,
-                  K: Optional[int] = None) -> list:
+                  K: int | None = None) -> list:
     """Nondegeneracy battery for a candidate solution: the labels of the
     conditions that fail, empty when it passes.
 

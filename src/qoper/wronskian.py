@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional
 
 # perfbench's tracer finds RatMatrix and check_lewis_carroll in this module,
 # then wraps each module's binding of the same function: cli's battery too
@@ -191,7 +190,7 @@ def miura_trivializer(inst: QQInstance, sol: QQSolution, A: RatMatrix,
 
 
 def build_wronskian(inst: QQInstance, sol: QQSolution, S: tuple,
-                    v: Optional[RatMatrix], z: list) -> RatMatrix:
+                    v: RatMatrix | None, z: list) -> RatMatrix:
     """Generalized q-Wronskian of a solved instance (type A).
 
     The first column holds the omega_1 orbit polynomials: Q+_1 and Q-_1 at
@@ -236,8 +235,8 @@ class TypeABundle:
     __slots__ = ("inst", "sol", "S", "z", "A", "v", "W", "refusal")
 
     def __init__(self, inst: QQInstance, sol: QQSolution, S: tuple, z: list,
-                 A: RatMatrix, v: Optional[RatMatrix], W: RatMatrix,
-                 refusal: Optional[str]):
+                 A: RatMatrix, v: RatMatrix | None, W: RatMatrix,
+                 refusal: str | None):
         self.inst, self.sol, self.S, self.z = inst, sol, S, z
         self.A, self.v, self.W, self.refusal = A, v, W, refusal
 
@@ -278,7 +277,7 @@ class TypeASample:
     """
 
     def __init__(self, bundle: TypeABundle, points: list, stuck: tuple,
-                 W: list, A: list, v: Optional[list], vq: Optional[list],
+                 W: list, A: list, v: list | None, vq: list | None,
                  z: list):
         self.bundle, self.points, self.stuck = bundle, points, stuck
         self.W, self.A, self.v, self.vq, self.z = W, A, v, vq, z

@@ -85,9 +85,9 @@ def word_inverse(word: tuple) -> tuple:
 
 
 def entry(fq, word: tuple, cartan: CartanData):
-    """The Q+ family of a full QQ table at the element the word spells,
-    or None when the table has no entry there."""
-    return fq.table.get(canonical_form(word, cartan))
+    """The (instance, solution) of a full QQ table at the element the
+    word spells."""
+    return fq.table[canonical_form(word, cartan)]
 
 
 def twist_along_word(Z: TwistZ, word: tuple, data: CartanData) -> TwistZ:

@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 
 from qoper import backlund, polynomials
-from qoper.cartan import TwistZ, canonical_form, cartan_matrix, reflect_twist
+from qoper.cartan import (TwistZ, canonical_form, cartan_matrix,
+                          enumerate_weyl, reflect_twist)
 from qoper.polynomials import Poly
 from qoper.qq import (DegenerateInstance, QQInstance, QQSolution, check_scale,
-                      nondegenerate, qq_residual, resonance_check, solve_bethe,
-                      solve_q_minus)
+                      nondegenerate, qq_residual, qq_rhs, resonance_check,
+                      solve_bethe, solve_q_minus)
 from qoper.backlund import (_step_nondegeneracy, apply_word, backlund_step,
                             full_qq_system)
 from qoper.cli import parse_instance
-from constructions import mu_gauge, twist_along_word
+from constructions import entry, mu_gauge, twist_along_word
+
+A2_SOLVED = Path(__file__).resolve().parent.parent / "instances" \
+    / "a2_solved.json"
 
 
 def a1_solved(q=0.2, zeta=2.0):
@@ -165,8 +169,7 @@ class TestBacklundStep:
     def test_unit_twist_failure_lists(self):
         # the shipped a2_solved with zeta = (1, 1): every twist ratio is
         # q^0, so only the resonance conditions fail, and both steps refuse
-        doc = json.loads((Path(__file__).resolve().parent.parent / "instances"
-                          / "a2_solved.json").read_text())
+        doc = json.loads(A2_SOLVED.read_text())
         doc["zetas"] = [[1.0, 0.0], [1.0, 0.0]]
         inst, sol, _ = parse_instance(doc)
         assert nondegenerate(inst, sol) == ["resonance"]
@@ -263,19 +266,37 @@ class TestSwap:
         assert fq.refusals == [{"word": (1,), "node": 1, "reason": reason}]
 
 
+def exact_form(inst, sol):
+    """The twist, degrees and Q+ and Q- coefficients of a solved system as
+    one string: equal strings are equal bit for bit, signed zeros too."""
+    return repr((inst.twist.zetas, inst.degrees,
+                 [p.coeffs for p in sol.qplus], [p.coeffs for p in sol.qminus]))
+
+
+@pytest.fixture(scope="module")
+def walked(seed1_verify_inputs):
+    """(instance, solution, full table) of the shipped a2_solved and of the
+    seed-1 a3_m111, a3_ord321, b2_m11 and g2_m11 inputs, by name."""
+    inputs = {"a2_solved": parse_instance(json.loads(A2_SOLVED.read_text()))[:2]}
+    for name in ("a3_m111", "a3_ord321", "b2_m11", "g2_m11"):
+        inputs[name] = seed1_verify_inputs[name]
+    return {name: (inst, sol, full_qq_system(inst, sol))
+            for name, (inst, sol) in inputs.items()}
+
+
 class TestFullQQSystem:
     def test_identity_entry(self):
         inst, sol = a1_solved()
         fq = full_qq_system(inst, sol)
-        key = canonical_form((), inst.cartan)
-        assert fq.table[key] == tuple(sol.qplus)
+        ident_inst, ident_sol = entry(fq, (), inst.cartan)
+        assert ident_inst is inst and ident_sol is sol
 
     def test_a1_two_entries(self):
         inst, sol = a1_solved()
         fq = full_qq_system(inst, sol)
         assert len(fq.table) == 2 and not fq.refusals
-        key = canonical_form((1,), inst.cartan)
-        assert poly_close(fq.table[key][0], sol.qminus[0].monic())
+        _, sol1 = entry(fq, (1,), inst.cartan)
+        assert poly_close(sol1.qplus[0], sol.qminus[0].monic())
 
     def test_a2_path_independence(self):
         inst, sol = a2_solved()
@@ -288,9 +309,19 @@ class TestFullQQSystem:
         assert all(abs(complex(a) - complex(b)) < 1e-10
                    for a, b in zip(ia.twist.zetas, ib.twist.zetas))
         # and the table's w0 entry matches both
-        key = canonical_form((1, 2, 1), inst.cartan)
+        _, s_w0 = entry(fq, (1, 2, 1), inst.cartan)
         for i in range(2):
-            assert poly_close(fq.table[key][i], sa.qplus[i], tol=1e-8)
+            assert poly_close(s_w0.qplus[i], sa.qplus[i], tol=1e-8)
+
+    def test_entries_are_the_walks_along_their_words(self, walked):
+        # each entry is apply_word along its reduced word, bit for bit
+        for name, (inst, sol, fq) in walked.items():
+            words = enumerate_weyl(inst.cartan)
+            assert len(fq.table) == len(words) and not fq.refusals, name
+            for word in words:
+                winst, wsol, _ = apply_word(inst, sol, word)
+                assert exact_form(*entry(fq, word, inst.cartan)) \
+                    == exact_form(winst, wsol), (name, word)
 
     @pytest.mark.parametrize("rank, words", [
         (2, [((1, 2, 1), (2, 1, 2))]),
@@ -337,21 +368,18 @@ class TestFullQQSystem:
     def test_twist_tracking(self):
         inst, sol = a2_solved()
         fq = full_qq_system(inst, sol)
-        for key, word in fq.words.items():
+        for word in enumerate_weyl(inst.cartan):
             want = twist_along_word(inst.twist, word, inst.cartan)
-            got = fq.twists[key]
+            got = entry(fq, word, inst.cartan)[0].twist
             assert all(abs(complex(a) - complex(b)) < 1e-10
                        for a, b in zip(got.zetas, want.zetas))
 
-    def test_every_entry_solves_its_system(self):
-        inst, sol = a2_solved()
-        fq = full_qq_system(inst, sol)
-        for key, qplus in fq.table.items():
-            twist = fq.twists[key]
-            work = QQInstance(inst.cartan, inst.q, twist, inst.lambdas,
-                              tuple(p.degree for p in qplus), inst.tau)
-            from qoper.qq import solve_q_minus
-            qminus = tuple(solve_q_minus(work, list(qplus), i)
-                           for i in range(1, 3))
-            sol_w = QQSolution(qplus, qminus)
-            assert max(r.norm() for r in qq_residual(work, sol_w)) <= 1e-8
+    def test_every_entry_solves_its_system(self, walked):
+        # the stored Q+ and Q- as they are, held to the bound of
+        # backlund-step: rounding relative to the right sides
+        for name, (_, _, fq) in walked.items():
+            for winst, wsol in fq.table.values():
+                resid = max(r.norm() for r in qq_residual(winst, wsol))
+                scale = 1 + max(qq_rhs(winst, wsol.qplus, i).norm()
+                                for i in range(1, winst.rank + 1))
+                assert resid <= 1e-8 * scale, name

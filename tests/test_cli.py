@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -144,7 +145,7 @@ class TestFuzzFindings:
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
         doc = json.loads(A2_SOLVED.read_text())
-        doc["rank"] = 1e308
+        doc["rank"] = 10 ** 308
         f = tmp_path / "rank.json"
         f.write_text(json.dumps(doc))
         proc = subprocess.run(
@@ -159,7 +160,7 @@ class TestFuzzFindings:
         ("q", -1e-300, "q:"), ("q", 1e308, "q:"),
         ("zetas", [1e308, 1.0], "zetas:"), ("seed", -1, "seed:"),
         ("degrees", [0, 0], "solution.qplus[0]"),
-        ("degrees", [1e308, 1], "degrees and tolerances.K"),
+        ("degrees", [10 ** 308, 1], "degrees and tolerances.K"),
         ("tolerances", {"K": 0}, "tolerances.K"),
         ("tolerances", {"tau": -1}, "tolerances.tau"),
         ("tolerances", {"tau": 0}, "tolerances.tau"),
@@ -175,6 +176,21 @@ class TestFuzzFindings:
         seeds = ["--seeds", "3"] if command == "solve" else []
         assert main([command, "--instance", str(f)] + seeds) == 2
         assert f"input error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, where", [
+        ("rank", 2.7, "rank"), ("rank", "2", "rank"), ("rank", 2.0, "rank"),
+        ("degrees", [1.9, 1], "degrees"), ("ordering", [1.2, 2], "ordering"),
+        ("seed", 3.9, "seed"), ("tolerances", {"K": 2.5}, "tolerances.K")])
+    def test_integer_field_is_not_truncated(self, tmp_path, capsys, key,
+                                            value, where):
+        # int(2.7) would run a rank-2 instance with exit 0
+        doc = json.loads(A2_SOLVED.read_text())
+        doc[key] = value
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert main(["verify", "--instance", str(f)]) == 2
+        assert (f"input error: {where}: expected an integer, got"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, node, value", [
         ("verify", 0, [1e308, 0]), ("backlund", 0, [1e308, 0]),
@@ -1259,6 +1275,12 @@ class TestEntryPoint:
 # argparse (with gettext and locale) and hashlib (with OpenSSL's _hashlib)
 UNNEEDED = ("numpy", "dataclasses", "argparse", "gettext", "locale", "hashlib",
             "_hashlib")
+# one passing run of each command; backlund walks the whole table too
+EVERY_COMMAND = [
+    ["solve", "--instance", str(A1)], ["verify", "--instance", str(A2_SOLVED)],
+    ["backlund", "--instance", str(A2_SOLVED), "--word", "1", "--full-table"],
+    ["wronskian", "--instance", str(A2_SOLVED)],
+    ["identities", "--trials", "2"], ["identities", "--exact", "--trials", "2"]]
 
 
 class TestModulesLoaded:
@@ -1293,13 +1315,22 @@ class TestModulesLoaded:
         return {m.split(".", 1)[-1] for m in proc.stdout.split()
                 if m not in TestModulesLoaded.bare_modules()}
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--instance", str(A1)], ["verify", "--instance", str(A2_SOLVED)],
-        ["backlund", "--instance", str(A2_SOLVED), "--word", "1"],
-        ["wronskian", "--instance", str(A2_SOLVED)],
-        ["identities", "--trials", "2"], ["identities", "--exact", "--trials", "2"]])
+    @pytest.mark.parametrize("argv", EVERY_COMMAND)
     def test_no_command_loads_argparse_or_hashlib(self, argv):
         assert not self.loaded_after(argv) & set(UNNEEDED)
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND)
+    def test_no_command_loads_typing(self, argv):
+        # without site, which may load typing itself, every typing import
+        # left would show
+        code = ("import io, contextlib, sys, qoper.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert qoper.cli.main({argv!r}) == 0\n"
+                "assert 'typing' not in sys.modules, 'typing loaded'\n")
+        proc = subprocess.run([sys.executable, "-S", "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_import_qoper_loads_no_submodule(self):
         assert self.loaded_after(None) == set()

@@ -1,6 +1,5 @@
 import itertools
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -243,7 +242,7 @@ class TestBuildWronskian:
     def test_accepts_full_qq_table(self):
         inst, sol = a2_solved()
         fq = full_qq_system(inst, sol)
-        W = type_a_bundle(inst, fq.base).W
+        W = type_a_bundle(*entry(fq, (), inst.cartan)).W
         assert abs(np.linalg.det(np.array(W.eval(0.3 + 0.2j))) - 1.0) <= 1e-9
 
 
@@ -278,9 +277,8 @@ class TestGeneralizedMinor:
         e = ()
         for w in enumerate_weyl(inst.cartan):
             for i in (1, 2):
-                family = entry(fq, w, inst.cartan)
-                assert family is not None
-                table_poly = family[i - 1]
+                _, sol_w = entry(fq, w, inst.cartan)
+                table_poly = sol_w.qplus[i - 1]
                 rows = column_index_set(word_inverse(w), i, inst.cartan)[1]
                 cols = column_index_set(e, i, inst.cartan)[1]
                 vals = []
@@ -332,27 +330,6 @@ class TestWronskianEquations:
         assert len(s.points) == len(wr.PANEL) - 2
         assert len(s.W) == len(s.A) == 18
         assert det_residual(s) <= 1e-8
-
-
-@pytest.fixture(scope="module")
-def seed1_verify_paths(tmp_path_factory):
-    """The seed-1 verify input files of perfbench/gen.py, by family."""
-    root = Path(__file__).resolve().parent.parent
-    sys.path.insert(0, str(root / "perfbench"))
-    try:
-        import gen
-    finally:
-        sys.path.remove(str(root / "perfbench"))
-    paths = gen.generate(1, str(tmp_path_factory.mktemp("gen")),
-                         gen.VERIFY_FAMILIES, solved=True)
-    return {Path(p).stem: p for p in paths}
-
-
-@pytest.fixture(scope="module")
-def seed1_verify_inputs(seed1_verify_paths):
-    """The same inputs parsed, (instance, solution) by family."""
-    return {name: parse_instance(json.loads(Path(p).read_text()))[:2]
-            for name, p in seed1_verify_paths.items()}
 
 
 def failing_minor_nodes(b) -> set:
