@@ -99,8 +99,11 @@ def check_scale(inst: QQInstance, K: int | None = None):
     degrees leaves double range: top = max(K, max deg Lambda + 3 sum m_i
     + 4) bounds the window K, each right side's degree d (a_ji >= -3) and
     Q- window d + 2.  top is capped, since Newton's work grows with the
-    cube of the degrees.  ``backlund_step`` checks the degrees each step
-    moves to (a G2 walk reaches windows of 21 against 12)."""
+    cube of the degrees.  Raise it too when q is a root of unity in that
+    window, |q^k - 1| <= tau for some 1 <= k <= top: the theory takes q
+    not a root of unity, and at q = 1 every Bethe side vanishes.
+    ``backlund_step`` checks the degrees each step moves to (a G2 walk
+    reaches windows of 21 against 12)."""
     top = max(K or 0, max(l.degree for l in inst.lambdas) + 3 * sum(inst.degrees) + 4)
     if top > _MAX_POWER:
         raise ValueError(f"degrees and tolerances.K call for powers up to "
@@ -109,6 +112,11 @@ def check_scale(inst: QQInstance, K: int | None = None):
         if top * abs(math.log(abs(complex(x)))) > _LOG_NORMAL:
             raise ValueError(f"{where}: {complex(x)} to the power {top} "
                              "leaves the float range")
+    q = complex(inst.q)
+    for k in range(1, top + 1):
+        if abs(q ** k - 1) <= inst.tau:
+            raise ValueError(f"q: {q} is a root of unity: q^{k} is within "
+                             f"tau = {inst.tau} of 1")
 
 
 def twist_ratio(inst: QQInstance, i: int):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import functools
 import hashlib
@@ -15,7 +16,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qoper import newton, qq
-from qoper.cli import COMMANDS, InputError, echo_instance, main, parse_instance
+from qoper import InputError
+from qoper.cli import COMMANDS, main, parse_instance
+from qoper.instance import echo_instance
 from qoper.minors import RatMatrix
 from qoper.polynomials import Poly, RatFun
 
@@ -167,7 +170,12 @@ class TestFuzzFindings:
         ("tolerances", {"bethe_tol": 0}, "tolerances.bethe_tol"),
         ("tolerances", {"bethe_tol": -1e-3}, "tolerances.bethe_tol"),
         ("tolerances", {"tau": 1}, "tolerances.tau"),
-        ("tolerances", {"tau": 1e308}, "tolerances.tau")])
+        ("tolerances", {"tau": 1e308}, "tolerances.tau"),
+        ("q", 1, "q: (1+0j) is a root of unity"),
+        ("q", -1, "q: (-1+0j) is a root of unity"),
+        ("q", [0, 1], "q: 1j is a root of unity"),
+        ("q", [-0.5, 3 ** 0.5 / 2],
+         "q: (-0.5+0.8660254037844386j) is a root of unity")])
     def test_exit_2(self, tmp_path, capsys, command, key, value, message):
         doc = json.loads(A2_SOLVED.read_text())
         doc[key] = value
@@ -176,6 +184,19 @@ class TestFuzzFindings:
         seeds = ["--seeds", "3"] if command == "solve" else []
         assert main([command, "--instance", str(f)] + seeds) == 2
         assert f"input error: {message}" in capsys.readouterr().err
+
+    def test_root_of_unity_past_the_window_is_accepted(self):
+        # a2_solved's window is top = 1 + 3 * 2 + 4 = 11 powers of q
+        import cmath
+        doc = json.loads(A2_SOLVED.read_text())
+        for order, refused in ((11, True), (12, False)):
+            q = cmath.exp(2j * cmath.pi / order)
+            doc["q"] = [q.real, q.imag]
+            if refused:
+                with pytest.raises(ValueError, match=r"q\^11 is within tau"):
+                    parse_instance(doc)
+            else:
+                assert parse_instance(doc)[0].q == q
 
     @pytest.mark.parametrize("key, value, where", [
         ("rank", 2.7, "rank"), ("rank", "2", "rank"), ("rank", 2.0, "rank"),
@@ -1270,6 +1291,37 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
 
+    def test_no_module_imports_cli(self):
+        # under `python -m qoper.cli`, cli is __main__: an import of cli would
+        # compile it again, with a second InputError that main does not catch
+        found = []
+        for path in sorted((ROOT / "src" / "qoper").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = ("." * node.level) + (node.module or "")
+                    names = [base] + [f"{base.rstrip('.')}.{a.name}"
+                                      for a in node.names]
+                else:
+                    continue
+                if any(n.lstrip(".") in ("cli", "qoper.cli") for n in names):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    def test_module_invocation_runs_cli_once(self):
+        # -X importtime names each module imported; cli runs as __main__ and
+        # must never be imported as qoper.cli, while verify imports instance
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "qoper.cli", "verify",
+             "--instance", str(A2_SOLVED)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "qoper.instance" in imported
+        assert "qoper.cli" not in imported
+
 
 # stdlib modules no command needs: numpy's and dataclasses' import cost, and
 # argparse (with gettext and locale) and hashlib (with OpenSSL's _hashlib)
@@ -1352,14 +1404,14 @@ class TestModulesLoaded:
         # Newton runs on Python complex numbers, one seed at a time;
         # a2_generic is at the least degrees of its orbit: no walk
         loaded = self.loaded_after(["solve", "--instance", str(A2)])
-        assert loaded == {"cli", "cartan", "polynomials", "minors", "qq",
-                          "newton"}
+        assert loaded == {"cli", "instance", "cartan", "polynomials", "minors",
+                          "qq", "newton"}
 
     def test_solve_walking_back_loads_backlund(self):
         # a1_closed_form is solved at m' = 0 and walked back one step
         loaded = self.loaded_after(["solve", "--instance", str(A1)])
-        assert loaded == {"cli", "cartan", "polynomials", "minors", "qq",
-                          "newton", "backlund"}
+        assert loaded == {"cli", "instance", "cartan", "polynomials", "minors",
+                          "qq", "newton", "backlund"}
 
     @pytest.mark.parametrize("argv, modules", [
         (["verify"], {"backlund", "wronskian"}),
@@ -1367,11 +1419,12 @@ class TestModulesLoaded:
         (["backlund", "--word", "1"], {"backlund"})])
     def test_instance_commands_load_no_numpy(self, argv, modules):
         loaded = self.loaded_after(argv + ["--instance", str(A2_SOLVED)])
-        assert loaded == {"cli", "cartan", "polynomials", "minors",
+        assert loaded == {"cli", "instance", "cartan", "polynomials", "minors",
                           "qq"} | modules
 
     def test_identities(self):
-        # the float battery runs the exact battery's code on complex values
+        # the float battery runs the exact battery's code on complex values;
+        # neither battery reads an instance, so neither compiles `instance`
         loaded = self.loaded_after(["identities", "--trials", "2"])
         assert loaded == {"cli", "minors"}
 
@@ -1407,6 +1460,22 @@ class TestModulesLoaded:
         assert wr.RatMatrix is minors.RatMatrix
         assert wr.check_lewis_carroll is minors.check_lewis_carroll
         assert cli.check_lewis_carroll is minors.check_lewis_carroll
+
+    def test_instance_commands_parse_through_cli(self, monkeypatch):
+        # perfbench's tracer counts cli.parse_instance by replacing cli's
+        # binding, so every instance command must call through it
+        import qoper.cli as cli
+        calls, original = [], cli.parse_instance
+
+        def counted(doc):
+            calls.append(doc)
+            return original(doc)
+
+        monkeypatch.setattr(cli, "parse_instance", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in EVERY_COMMAND:
+                main(argv)
+        assert len(calls) == 4
 
     def test_verify_b2(self, tmp_path):
         from qoper.cartan import TwistZ, cartan_matrix

@@ -1090,7 +1090,8 @@ class TestRandomInstances:
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(non_resonant_a())
     def test_sampled_battery_passes(self, inst):
-        from qoper.cli import Report, run_wronskian_suite
+        from qoper.cli import Report
+        from qoper.instance import run_wronskian_suite
         assume(not resonance_check(inst))
         sols = solve_bethe(inst, seeds=20, seed=1)
         assume(sols)
