@@ -48,24 +48,22 @@ class FullQQSystem:
 
 
 def _step_nondegeneracy(inst: QQInstance, sol: QQSolution, i: int,
-                        twist: TwistZ, K: int | None = None) -> list:
+                        twist: TwistZ) -> list:
     """Preconditions for swapping at node i: the labels of those that
     fail, empty when the step may go ahead.
 
     The roots of Q-_i must be q-distinct from those of Lambda_k whenever
     a_ik != 0 and from those of Q+_j for adjacent j != i, and ``twist``,
     the twist reflected by s_i, must remain non-resonant so the new Q-
-    solves stay unique.
+    solves stay unique.  Both judgements use the instance's ``window``.
     """
-    if K is None:
-        K = inst.default_window()
     qm, a = sol.qminus[i - 1], inst.cartan.a
     pairs = ([(f"Q-_{i} vs Lambda_{k}", qm, inst.lambdas[k - 1])
               for k in range(1, inst.rank + 1) if a(i, k)]
              + [(f"Q-_{i} vs Q+_{j}", qm, sol.qplus[j - 1])
                 for j in range(1, inst.rank + 1) if j != i and a(j, i)])
-    failed = q_collisions(inst, pairs, K)
-    if resonance_check(inst.with_twist(twist), K):
+    failed = q_collisions(inst, pairs)
+    if resonance_check(inst.with_twist(twist)):
         failed.append("reflected twist resonant")
     return failed
 
@@ -88,13 +86,12 @@ def _swapped_q_minus(inst: QQInstance, sol: QQSolution,
                        / complex(xi_factors(work_inst, i)[0])))
 
 
-def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
-                  K: int | None = None):
+def backlund_step(inst: QQInstance, sol: QQSolution, i: int):
     """One Backlund transformation at node i.
 
-    Returns (new_instance, new_solution, record).  Refuses (raises
-    DegenerateInstance) when the step's nondegeneracy conditions fail,
-    naming the failed conditions in the reason.
+    Returns (new_instance, new_solution, record); the new instance keeps
+    K.  Refuses (raises DegenerateInstance) when the step's nondegeneracy
+    conditions fail in the instance's ``window``, naming them.
     The new Q-_i is the old Q+_i rescaled (``_swapped_q_minus``), and
     only the Q-_j of the neighbours j of i are solved again: the step
     changes zeta_i and Q+_i alone, and the j-th equation involves them
@@ -103,16 +100,15 @@ def backlund_step(inst: QQInstance, sol: QQSolution, i: int,
     ``check_scale``.
     """
     twist = reflect_twist(inst.twist, i, inst.cartan)
-    failed = _step_nondegeneracy(inst, sol, i, twist, K)
+    failed = _step_nondegeneracy(inst, sol, i, twist)
     if failed:
         raise DegenerateInstance(f"backlund step at node {i} refused: "
                                  + ", ".join(failed))
     qplus = list(sol.qplus)
     qplus[i - 1] = sol.qminus[i - 1].monic()
-    work_inst = QQInstance(inst.cartan, inst.q, twist, inst.lambdas,
-                           tuple(p.degree for p in qplus), inst.tau)
+    work_inst = inst.with_twist(twist, tuple(p.degree for p in qplus))
     try:
-        check_scale(work_inst, K)
+        check_scale(work_inst)
     except ValueError as exc:
         raise DegenerateInstance(f"backlund step at node {i}: {exc}") from exc
     qminus = list(sol.qminus)
@@ -153,7 +149,7 @@ def _walk_stats(inst, sol, records, refusals: int, rooted_before: set) -> dict:
 
 
 def apply_word(inst: QQInstance, sol: QQSolution, word: tuple,
-               K: int | None = None, stats: dict | None = None):
+               stats: dict | None = None):
     """Iterate backlund_step along a word, rightmost letter first.
 
     The result corresponds to the element the word spells; records of the
@@ -167,7 +163,7 @@ def apply_word(inst: QQInstance, sol: QQSolution, word: tuple,
     cur_inst, cur_sol = inst, sol
     try:
         for letter in reversed(word):
-            cur_inst, cur_sol, rec = backlund_step(cur_inst, cur_sol, letter, K)
+            cur_inst, cur_sol, rec = backlund_step(cur_inst, cur_sol, letter)
             records.append(rec)
     except DegenerateInstance as exc:
         exc.records = records
@@ -180,7 +176,6 @@ def apply_word(inst: QQInstance, sol: QQSolution, word: tuple,
 
 
 def full_qq_system(inst: QQInstance, sol: QQSolution,
-                   K: int | None = None,
                    stats: dict | None = None) -> FullQQSystem:
     """Breadth-first exploration of the Weyl group by Backlund steps.
 
@@ -205,7 +200,7 @@ def full_qq_system(inst: QQInstance, sol: QQSolution,
             out.refusals.append({"word": word, "reason": "parent missing"})
             continue
         try:
-            ninst, nsol, rec = backlund_step(*parent, word[0], K)
+            ninst, nsol, rec = backlund_step(*parent, word[0])
         except DegenerateInstance as exc:
             out.refusals.append({"word": word, "node": word[0],
                                  "reason": str(exc)})

@@ -169,8 +169,8 @@ def parse_instance(doc: dict):
     K = (_positive(_parse_int(tols["K"], "tolerances.K"), "tolerances.K")
          if "K" in tols else None)
 
-    inst = QQInstance(cartan, q, zetas, lambdas, degrees, tau)
-    check_scale(inst, K)
+    inst = QQInstance(cartan, q, zetas, lambdas, degrees, tau, K)
+    check_scale(inst)
 
     solution = None
     if "solution" in doc:
@@ -196,7 +196,7 @@ def parse_instance(doc: dict):
     seed = _parse_int(doc.get("seed", 0), "seed")
     if seed < 0:
         raise InputError(f"seed: expected a nonnegative integer, got {seed}")
-    extras = {"bethe_tol": bethe_tol, "K": K, "seed": seed}
+    extras = {"bethe_tol": bethe_tol, "seed": seed}
     return inst, solution, extras
 
 
@@ -211,7 +211,7 @@ def echo_instance(inst: QQInstance, extras: dict, solution=None) -> dict:
         "lambdas": [{"coeffs": cs} for cs in _emit_polys(inst.lambdas)],
         "degrees": list(inst.degrees),
         "tolerances": {"tau": inst.tau, "bethe_tol": extras["bethe_tol"],
-                       **({"K": extras["K"]} if extras["K"] else {})},
+                       **({"K": inst.K} if inst.K else {})},
         "seed": extras["seed"],
     }
     if solution is not None:
@@ -224,9 +224,9 @@ def echo_instance(inst: QQInstance, extras: dict, solution=None) -> dict:
 # Each runs as run(args, rep, parse): rep is cli's Report and parse is
 # cli.parse_instance, passed in since this module cannot import cli.
 
-def _solution_entry(inst, sol, K, residuals=None):
+def _solution_entry(inst, sol, residuals=None):
     """(report entry, failed nondegeneracy conditions) of one solution;
-    nondegeneracy is judged in the resonance window K.  ``residuals`` is
+    nondegeneracy is judged in the instance's ``window``.  ``residuals`` is
     the pair (``bethe_residual``'s triples, largest ``qq_residual`` norm)
     when the solver has computed it, and is computed here otherwise."""
     from .qq import DegenerateInstance, bethe_residual, nondegenerate, qq_residual
@@ -241,7 +241,7 @@ def _solution_entry(inst, sol, K, residuals=None):
     if br is not None:
         bres = max((abs(b[2]) for b in br), default=0.0)
         roots = [_emit_scalar(b[1]) for b in br]
-    nd = nondegenerate(inst, sol, K)
+    nd = nondegenerate(inst, sol)
     return {
         "qplus": _emit_polys(sol.qplus),
         "qminus": _emit_polys(sol.qminus),
@@ -278,7 +278,7 @@ def run_solve(args, rep, parse):
     inst, _, extras = _open_instance(args, rep, parse)
     tol = extras["bethe_tol"] if args.tol is None else args.tol
     seed = extras["seed"] if args.seed is None else args.seed
-    res = resonance_check(inst, extras["K"])
+    res = resonance_check(inst)
     rep.check("resonance", 0.0, not res, witnesses=res)
     stats, residuals = {}, []
     sols = solve_bethe(inst, seeds=args.seeds, tol=tol, seed=seed, stats=stats,
@@ -286,7 +286,7 @@ def run_solve(args, rep, parse):
     rep.telemetry["solver"] = stats
     for sol, pair in zip(sols, residuals):
         rep.doc["solutions"].append(
-            _solution_entry(inst, sol, extras["K"], pair)[0])
+            _solution_entry(inst, sol, pair)[0])
     if not sols:
         why = ("no seed gave a solution" if sum(inst.degrees) else
                "no seed ran (every degree is 0); Q+ = 1 was rejected")
@@ -298,7 +298,7 @@ def run_verify(args, rep, parse):
     inst, sol, extras = _open_instance(args, rep, parse)
     if sol is None:
         raise InputError("verify requires a solution block in the instance file")
-    entry, nd = _solution_entry(inst, sol, extras["K"])
+    entry, nd = _solution_entry(inst, sol)
     rep.doc["solutions"].append(entry)
     qqres, bres = entry["max_qq_residual"], entry["max_bethe_residual"]
     scale = 1 + max(l.norm() for l in inst.lambdas)
@@ -307,7 +307,7 @@ def run_verify(args, rep, parse):
     rep.check("nondegenerate", 0.0, not nd, witnesses=nd)
     stats = rep.telemetry["backlund"] = {}
     rep.doc["full_qq"] = _full_qq_summary(
-        full_qq_system(inst, sol, K=extras["K"], stats=stats))
+        full_qq_system(inst, sol, stats=stats))
     if not inst.cartan.is_type_a:
         rep.skip("wronskian-suite", "type A only")
         return
@@ -355,8 +355,9 @@ def run_wronskian_suite(inst, sol, rep):
 
 def run_backlund(args, rep, parse):
     from .backlund import apply_word, full_qq_system
+    from .cartan import canonical_form
     from .qq import DegenerateInstance, qq_residual, qq_rhs
-    inst, sol, extras = _open_instance(args, rep, parse)
+    inst, sol, _ = _open_instance(args, rep, parse)
     if sol is None:
         raise InputError("backlund requires a solution block in the instance file")
     word = args.word
@@ -365,7 +366,7 @@ def run_backlund(args, rep, parse):
             raise InputError(f"word letter {l} out of range 1..{inst.rank}")
     stats = rep.telemetry["backlund"] = {}
     try:
-        cur_inst, cur_sol, records = apply_word(inst, sol, word, extras["K"], stats)
+        cur_inst, cur_sol, records = apply_word(inst, sol, word, stats)
         refusal = None
     except DegenerateInstance as exc:
         records, refusal = exc.records, exc
@@ -387,8 +388,8 @@ def run_backlund(args, rep, parse):
         rep.check("backlund-step", float("inf"), False,
                   k_or_word=str(letter), witnesses=[str(refusal)])
         return
-    # involution verdict when the word is its own inverse
-    if word and word == word[::-1] and len(word) % 2 == 0:
+    # a word that spells the identity must walk back to the start
+    if word and canonical_form(word, inst.cartan) == canonical_form((), inst.cartan):
         dz = max(abs(complex(a) - complex(b))
                  for a, b in zip(cur_inst.twist.zetas, inst.twist.zetas))
         dq = 0.0
@@ -399,7 +400,7 @@ def run_backlund(args, rep, parse):
                   k_or_word=".".join(map(str, word)))
     if args.full_table:
         table_stats = {}
-        fq = full_qq_system(inst, sol, K=extras["K"], stats=table_stats)
+        fq = full_qq_system(inst, sol, stats=table_stats)
         for key, val in table_stats.items():
             stats[key] += val
         rep.doc["full_qq"] = _full_qq_summary(fq)

@@ -144,15 +144,14 @@ def solve(inst: qq.QQInstance, seeds: int, tol: float, seed: int,
 
 def _walked(inst, word, degrees, seeds, tol, seed, tally) -> list | None:
     """The direct solve at the degrees m' and the twist reflected along
-    word, each solution walked back by ``backlund.apply_word`` and held to
-    the gates of the direct solve on inst.  None, tally untouched, when a
-    family fails on the way, since a solution of inst may lie behind it."""
+    word, K kept, each solution walked back by ``backlund.apply_word`` and
+    held to the gates of the direct solve on inst.  None, tally untouched,
+    when a family fails on the way: a solution of inst may lie behind it."""
     from .backlund import apply_word
     twist = inst.twist
     for letter in word:
         twist = reflect_twist(twist, letter, inst.cartan)
-    short = qq.QQInstance(inst.cartan, inst.q, twist, inst.lambdas, degrees,
-                          inst.tau)
+    short = inst.with_twist(twist, degrees)
     count = dict(tally)
     sols = _multistart(short, seeds, tol, seed, count)
     try:

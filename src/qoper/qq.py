@@ -40,12 +40,18 @@ class DegenerateInstance(ValueError):
 
 
 class QQInstance(ValueObject):
-    __slots__ = ("cartan", "q", "twist", "lambdas", "degrees", "tau")
+    """A QQ-system with its tolerance tau and resonance window K (see
+    ``window``), both kept by the instances ``with_twist`` derives."""
+
+    __slots__ = ("cartan", "q", "twist", "lambdas", "degrees", "tau", "K")
 
     def __init__(self, cartan: CartanData, q: complex, twist: TwistZ,
-                 lambdas: tuple, degrees: tuple, tau: float = TAU):
+                 lambdas: tuple, degrees: tuple, tau: float = TAU,
+                 K: int | None = None):
         self.cartan, self.q, self.twist = cartan, q, twist
-        self.lambdas, self.degrees, self.tau = lambdas, degrees, tau
+        self.lambdas, self.degrees, self.tau, self.K = lambdas, degrees, tau, K
+        if K is not None and K < 1:
+            raise ValueError("window K must be >= 1")
         r = self.cartan.rank
         if len(self.lambdas) != r or len(self.degrees) != r:
             raise ValueError("need one Lambda and one degree per node")
@@ -63,13 +69,17 @@ class QQInstance(ValueObject):
     def rank(self) -> int:
         return self.cartan.rank
 
-    def default_window(self) -> int:
-        """Resonance window: 2 max(m_i) + max deg Lambda."""
-        return 2 * max(self.degrees, default=0) + max(l.degree for l in self.lambdas)
+    @property
+    def window(self) -> int:
+        """K when set, else 2 max(m_i) + max deg Lambda_i."""
+        return self.K or (2 * max(self.degrees, default=0)
+                          + max(l.degree for l in self.lambdas))
 
-    def with_twist(self, twist: TwistZ) -> "QQInstance":
+    def with_twist(self, twist: TwistZ, degrees: tuple | None = None) -> "QQInstance":
+        """Another twist and, when given, degrees; tau and K are kept."""
         return QQInstance(self.cartan, self.q, twist, self.lambdas,
-                          self.degrees, self.tau)
+                          self.degrees if degrees is None else degrees,
+                          self.tau, self.K)
 
 
 class QQSolution(ValueObject):
@@ -94,17 +104,17 @@ def _neighbours(inst: QQInstance, i: int):
             [(j, -a(j, i)) for j in order[:pos] if a(j, i)])
 
 
-def check_scale(inst: QQInstance, K: int | None = None):
+def check_scale(inst: QQInstance):
     """Raise ValueError when a power of q or zeta formed at the instance's
     degrees leaves double range: top = max(K, max deg Lambda + 3 sum m_i
-    + 4) bounds the window K, each right side's degree d (a_ji >= -3) and
+    + 4) bounds the window, each right side's degree d (a_ji >= -3) and
     Q- window d + 2.  top is capped, since Newton's work grows with the
     cube of the degrees.  Raise it too when q is a root of unity in that
     window, |q^k - 1| <= tau for some 1 <= k <= top: the theory takes q
     not a root of unity, and at q = 1 every Bethe side vanishes.
     ``backlund_step`` checks the degrees each step moves to (a G2 walk
     reaches windows of 21 against 12)."""
-    top = max(K or 0, max(l.degree for l in inst.lambdas) + 3 * sum(inst.degrees) + 4)
+    top = max(inst.K or 0, max(l.degree for l in inst.lambdas) + 3 * sum(inst.degrees) + 4)
     if top > _MAX_POWER:
         raise ValueError(f"degrees and tolerances.K call for powers up to "
                          f"q^{top}; at most q^{_MAX_POWER} is supported")
@@ -170,25 +180,21 @@ def qq_residual(inst: QQInstance, sol: QQSolution) -> list[Poly]:
     return out
 
 
-def resonance_check(inst: QQInstance, K: int | None = None) -> list:
+def resonance_check(inst: QQInstance) -> list:
     """The labels "node j" of the nodes j whose prod_i zeta_i^{a_ij} is
-    an integer power q^k, |k| <= K; empty when the twist passes.
+    q^k for an integer |k| <= ``inst.window``; empty when the twist passes.
 
     Failure at k = 0 means the twist is not regular semisimple; failure at
     other k signals a resonance that breaks uniqueness of the Q- solves.
     """
-    if K is None:
-        K = inst.default_window()
-    if K < 1:
-        raise ValueError("window K must be >= 1")
     return [f"node {j}" for j in range(1, inst.rank + 1)
-            if _resonant_power(inst, twist_ratio(inst, j), K) is not None]
+            if _resonant_power(inst, twist_ratio(inst, j), inst.window) is not None]
 
 
-def _resonant_power(inst: QQInstance, val: complex, K: int) -> int | None:
-    """The first k in -K..K with val = q^k to tau, or None."""
+def _resonant_power(inst: QQInstance, val: complex, n: int) -> int | None:
+    """The first k in -n..n with val = q^k to tau, or None."""
     qc = complex(inst.q)
-    return next((k for k in range(-K, K + 1) if close(val, qc**k, inst.tau)),
+    return next((k for k in range(-n, n + 1) if close(val, qc**k, inst.tau)),
                 None)
 
 
@@ -432,18 +438,17 @@ def solve_bethe(inst: QQInstance, seeds: int = 40, tol: float = 1e-10,
     return solve(inst, seeds, tol, seed, stats, residuals)
 
 
-def q_collisions(inst: QQInstance, pairs, K: int) -> list:
+def q_collisions(inst: QQInstance, pairs) -> list:
     """The labels of the (label, p1, p2) pairs whose zeros are not
-    q-distinct in the window K: a zero polynomial fails, a constant one
-    has no zeros, and the rest go to ``q_distinct``."""
+    q-distinct in the instance's ``window``: a zero polynomial fails, a
+    constant one has no zeros, and the rest go to ``q_distinct``."""
     return [label for label, p1, p2 in pairs
             if p1.is_zero() or p2.is_zero()
             or (p1.degree >= 1 and p2.degree >= 1
-                and not q_distinct(p1, p2, inst.q, K, inst.tau)[0])]
+                and not q_distinct(p1, p2, inst.q, inst.window, inst.tau)[0])]
 
 
-def nondegenerate(inst: QQInstance, sol: QQSolution,
-                  K: int | None = None) -> list:
+def nondegenerate(inst: QQInstance, sol: QQSolution) -> list:
     """Nondegeneracy battery for a candidate solution: the labels of the
     conditions that fail, empty when it passes.
 
@@ -451,11 +456,10 @@ def nondegenerate(inst: QQInstance, sol: QQSolution,
     node j, the zeros of Q+_j and Q-_j must be q-distinct from each other,
     and both must be q-distinct from the zeros of Lambda_k for every k
     linked to j in the Cartan matrix (including k = j, so the rank-one
-    case is not vacuous).  Monicity of Q+ is enforced on construction.
+    case is not vacuous).  Both use the instance's ``window``; Q+ is monic
+    by construction.
     """
-    if K is None:
-        K = inst.default_window()
-    failed = ["resonance"] if resonance_check(inst, K) else []
+    failed = ["resonance"] if resonance_check(inst) else []
     a = inst.cartan.a
     pairs = []
     for j in range(1, inst.rank + 1):
@@ -466,4 +470,4 @@ def nondegenerate(inst: QQInstance, sol: QQSolution,
                 lam = inst.lambdas[k - 1]
                 pairs += [(f"Q+_{j} vs Lambda_{k}", qp, lam),
                           (f"Q-_{j} vs Lambda_{k}", qm, lam)]
-    return failed + q_collisions(inst, pairs, K)
+    return failed + q_collisions(inst, pairs)

@@ -254,15 +254,15 @@ class TestSwap:
         # the new Q-_1, which is then not unique
         q = 0.2
         inst = QQInstance(cartan_matrix("A", 1), q, TwistZ((q ** -1.5,)),
-                          (Poly([-1.0, 1.0]),), (1,))
+                          (Poly([-1.0, 1.0]),), (1,), K=1)
         sol, = solve_bethe(inst, seeds=10, seed=1)
-        assert _step_nondegeneracy(inst, sol, 1, reflected(inst, 1), 1) == []
+        assert _step_nondegeneracy(inst, sol, 1, reflected(inst, 1)) == []
         reason = ("resonant twist at node 1: prod zeta^a = q^3, the Q- solve "
                   "is not unique")
         with pytest.raises(DegenerateInstance) as info:
-            backlund_step(inst, sol, 1, K=1)
+            backlund_step(inst, sol, 1)
         assert str(info.value) == reason
-        fq = full_qq_system(inst, sol, K=1)
+        fq = full_qq_system(inst, sol)
         assert fq.refusals == [{"word": (1,), "node": 1, "reason": reason}]
 
 

@@ -501,23 +501,26 @@ class TestInstanceTolerances:
         assert seen == [1e-7, 1e-9]
 
     def test_k_reaches_full_qq_system(self, tmp_path, monkeypatch):
+        # every step of the walk, not only its first, starts from an
+        # instance that carries the file's K
         import qoper.backlund as bl
         seen = []
-        real = bl.full_qq_system
+        real = bl.backlund_step
 
-        def spy(inst, sol, **kw):
-            seen.append(kw.get("K"))
-            return real(inst, sol, **kw)
+        def spy(inst, sol, i):
+            seen.append(inst.K)
+            return real(inst, sol, i)
 
-        monkeypatch.setattr(bl, "full_qq_system", spy)
+        monkeypatch.setattr(bl, "backlund_step", spy)
         doc = json.loads(A2_SOLVED.read_text())
         doc["tolerances"]["K"] = 5
         f = tmp_path / "k.json"
         f.write_text(json.dumps(doc))
         run_cli(["verify", "--instance", str(f)], tmp_path)
+        assert seen == [5] * 5  # the A2 table: |W| - 1 steps
         run_cli(["backlund", "--instance", str(f), "--word", "1",
                  "--full-table"], tmp_path)
-        assert seen == [5, 5]
+        assert seen == [5] * (5 + 1 + 5)
 
     def test_k_judges_every_nondegenerate_verdict(self, tmp_path, monkeypatch):
         # zeta^2 = q^7 (q = 1/3) resonates outside the default window 3 but
@@ -534,7 +537,9 @@ class TestInstanceTolerances:
         assert len(sols) == 1 and sols[0]["nondegenerate"] is False
         doc["solution"] = {"qplus": sols[0]["qplus"], "qminus": sols[0]["qminus"]}
         inst, sol, _ = parse_instance(doc)
-        assert nondegenerate(inst, sol) == []  # the default window misses it
+        assert inst.K == 7 and "resonance" in nondegenerate(inst, sol)
+        no_k = dict(doc, tolerances={"tau": inst.tau})
+        assert nondegenerate(*parse_instance(no_k)[:2]) == []  # window 3
         f.write_text(json.dumps(doc))
         calls = []
         monkeypatch.setattr(qq, "nondegenerate",
@@ -544,7 +549,27 @@ class TestInstanceTolerances:
         assert rep["solutions"][0]["nondegenerate"] is False
         assert [c["pass"] for c in rep["checks"]
                 if c["check"] == "nondegenerate"] == [False]
-        assert len(calls) == 1 and calls[0][2] == 7
+        assert len(calls) == 1 and calls[0][0].K == 7
+
+    @pytest.mark.parametrize("K, word", [(None, [1]), (1, [1]), (3, [])],
+                             ids=["no-K", "K1", "K3"])
+    def test_k_judges_the_walk_back(self, tmp_path, K, word):
+        # the walk from m' = 0 steps to w = 1/9 = q^2 * 1, a q-shift of
+        # Lambda's root: window 3 refuses that step (Q-_1 vs Lambda_1), so
+        # solve runs Newton on the instance as it is
+        doc = json.loads(A1.read_text())
+        if K is not None:
+            doc["tolerances"]["K"] = K
+        f = tmp_path / "k.json"
+        f.write_text(json.dumps(doc))
+        code, text = run_cli(["solve", "--instance", str(f)], tmp_path)
+        rep = json.loads(text)
+        solver = rep["telemetry"]["solver"]
+        assert code == 0 and solver["word"] == word
+        assert solver["seeds"] == (40 if K == 3 else 0)
+        assert len(rep["solutions"]) == 1
+        if K == 3:
+            assert rep["solutions"][0]["nondegenerate"] is False
 
 
 class TestSolve:
@@ -735,7 +760,7 @@ class TestVerify:
         sol = solve_bethe(inst, seeds=8, tol=1e-11, seed=1)[0]
         f = tmp_path / "a3.json"
         f.write_text(json.dumps(echo_instance(
-            inst, {"bethe_tol": 1e-10, "K": None, "seed": 0}, sol)))
+            inst, {"bethe_tol": 1e-10, "seed": 0}, sol)))
         code, text = run_cli(["verify", "--instance", str(f)], tmp_path)
         assert code == 0
         checks = json.loads(text)["checks"]
@@ -754,7 +779,7 @@ class TestVerify:
         assert len(sols) == 3
         f = tmp_path / "a4.json"
         f.write_text(json.dumps(echo_instance(
-            inst, {"bethe_tol": 1e-10, "K": None, "seed": 0}, sols[k])))
+            inst, {"bethe_tol": 1e-10, "seed": 0}, sols[k])))
         code, text = run_cli(["verify", "--instance", str(f)], tmp_path)
         checks = json.loads(text)["checks"]
         assert code == 0 and all(c["pass"] for c in checks)
@@ -900,6 +925,19 @@ class TestBacklund:
         rep = json.loads(text)
         inv = [c for c in rep["checks"] if c["check"] == "involution"]
         assert inv and inv[0]["pass"]
+
+    @pytest.mark.parametrize("word, identity", [("1,2,1,2,1,2", True),
+                                                ("1,2,1", False)])
+    def test_involution_check_follows_the_group(self, tmp_path, word,
+                                                identity):
+        # (s_1 s_2)^3 = 1 in A2, though the word is no even palindrome
+        code, text = run_cli(["backlund", "--instance", str(A2_SOLVED),
+                              "--word", word], tmp_path)
+        assert code == 0
+        inv = [c for c in json.loads(text)["checks"]
+               if c["check"] == "involution"]
+        assert [(c["k_or_word"], c["pass"]) for c in inv] == (
+            [(word.replace(",", "."), True)] if identity else [])
 
     def test_word_out_of_range(self, tmp_path):
         code = main(["backlund", "--instance", str(A2_SOLVED), "--word", "5"])
@@ -1099,7 +1137,7 @@ class TestG2Table:
         inst, sols = a4_solved()
         f = tmp_path / "a4.json"
         f.write_text(json.dumps(echo_instance(
-            inst, {"bethe_tol": 1e-10, "K": None, "seed": 0}, sols[1])))
+            inst, {"bethe_tol": 1e-10, "seed": 0}, sols[1])))
         code, text = run_cli(["backlund", "--instance", str(f),
                               "--word", "1,2,3,2"], tmp_path)
         assert code == 0
@@ -1170,7 +1208,7 @@ class TestWronskianCommand:
         inst = QQInstance(cd, 0.2, TwistZ((2.0, 3.0)),
                           (Poly([-1.0, 1.0]), Poly([-2.0, 1.0])), (1, 1))
         sol = solve_bethe(inst, seeds=40, seed=7)[0]
-        doc = echo_instance(inst, {"bethe_tol": 1e-10, "K": None, "seed": 7}, sol)
+        doc = echo_instance(inst, {"bethe_tol": 1e-10, "seed": 7}, sol)
         doc["lie_type"] = "B"
         f = tmp_path / "b2.json"
         f.write_text(json.dumps(doc))
@@ -1183,7 +1221,7 @@ class TestWronskianCommand:
         inst = QQInstance(cd, 0.2, TwistZ((2.0, 3.0)),
                           (Poly([-1.0, 1.0]), Poly([-2.0, 1.0])), (1, 1))
         sol = solve_bethe(inst, seeds=40, seed=7)[0]
-        doc = echo_instance(inst, {"bethe_tol": 1e-10, "K": None, "seed": 7}, sol)
+        doc = echo_instance(inst, {"bethe_tol": 1e-10, "seed": 7}, sol)
         f = tmp_path / "b2v.json"
         f.write_text(json.dumps(doc))
         code, text = run_cli(["verify", "--instance", str(f)], tmp_path)
@@ -1485,6 +1523,6 @@ class TestModulesLoaded:
         sol = solve_bethe(inst, seeds=40, seed=7)[0]
         f = tmp_path / "b2.json"
         f.write_text(json.dumps(echo_instance(
-            inst, {"bethe_tol": 1e-10, "K": None, "seed": 7}, sol)))
+            inst, {"bethe_tol": 1e-10, "seed": 7}, sol)))
         loaded = self.loaded_after(["verify", "--instance", str(f)])
         assert "wronskian" not in loaded and "numpy" not in loaded

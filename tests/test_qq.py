@@ -25,16 +25,17 @@ from sampled_solver import solve_poly_q_difference
 A2_GENERIC = Path(__file__).resolve().parent.parent / "instances" / "a2_generic.json"
 
 
-def a1_instance(zeta=2.0, q=1.0 / 3.0, lam=None, m=1):
+def a1_instance(zeta=2.0, q=1.0 / 3.0, lam=None, m=1, K=None):
     cd = cartan_matrix("A", 1)
     lam = lam if lam is not None else Poly([-1.0, 1.0])
-    return QQInstance(cd, q, TwistZ((zeta,)), (lam,), (m,))
+    return QQInstance(cd, q, TwistZ((zeta,)), (lam,), (m,), K=K)
 
 
 def a2_instance(q=0.2, zetas=(2.0, 3.0),
-                lams=(Poly([-1.0, 1.0]), Poly([-2.0, 1.0])), m=(1, 1)):
+                lams=(Poly([-1.0, 1.0]), Poly([-2.0, 1.0])), m=(1, 1), K=None):
     cd = cartan_matrix("A", 2)
-    return QQInstance(cd, q, TwistZ(tuple(zetas)), tuple(lams), tuple(m))
+    return QQInstance(cd, q, TwistZ(tuple(zetas)), tuple(lams), tuple(m),
+                      K=K)
 
 
 class TestXiFactors:
@@ -107,19 +108,29 @@ class TestQQResidual:
 
 class TestResonance:
     def test_pass(self):
-        assert resonance_check(a1_instance(zeta=2.0, q=3.0), K=3) == []
+        assert resonance_check(a1_instance(zeta=2.0, q=3.0, K=3)) == []
 
     def test_constructed_resonance(self):
         # zeta^2 = q exactly: fails at k = 1
-        inst = a1_instance(zeta=2.0, q=4.0)
-        assert resonance_check(inst, K=3) == ["node 1"]
+        inst = a1_instance(zeta=2.0, q=4.0, K=3)
+        assert resonance_check(inst) == ["node 1"]
         assert _resonant_power(inst, twist_ratio(inst, 1), 3) == 1
 
     def test_unit_twist_fails(self):
-        inst = a2_instance(zetas=(1.0, 1.0))
-        assert resonance_check(inst, K=2) == ["node 1", "node 2"]
+        inst = a2_instance(zetas=(1.0, 1.0), K=2)
+        assert resonance_check(inst) == ["node 1", "node 2"]
         assert [_resonant_power(inst, twist_ratio(inst, j), 2)
                 for j in (1, 2)] == [0, 0]
+
+    def test_window_is_k_and_derived_instances_keep_it(self):
+        inst = a2_instance(K=5)
+        derived = inst.with_twist(TwistZ((3.0, 5.0)), (0, 2))
+        assert (derived.K, derived.tau, derived.window) == (5, inst.tau, 5)
+        # unset, the window follows the degrees: 2 max m + max deg Lambda
+        assert a2_instance().with_twist(inst.twist, (0, 2)).window == 5
+        assert a2_instance(m=(0, 0)).window == 1
+        with pytest.raises(ValueError, match="window K must be >= 1"):
+            a2_instance(K=0)
 
 
 class TestSolveQMinus:
@@ -403,7 +414,7 @@ class TestNondegenerate:
         sol = QQSolution((Poly([-1.0, 1.0]),), (Poly([2.0, 2.0]),))
         assert nondegenerate(inst, sol) == ["Q+_1 vs Lambda_1"]
         assert q_distinct(sol.qplus[0], inst.lambdas[0], inst.q,
-                          inst.default_window(), inst.tau) == (False, (1, 1, 0))
+                          inst.window, inst.tau) == (False, (1, 1, 0))
 
     def test_unit_twist_fails_resonance(self):
         inst = a2_instance(zetas=(1.0, 1.0))
@@ -414,12 +425,12 @@ class TestNondegenerate:
     def test_q_collisions(self):
         # a zero polynomial fails, a constant one has no zeros, and
         # 0.2 = q * 1 collides in the window
-        inst = a1_instance(q=0.2)
+        inst = a1_instance(q=0.2, K=3)
         one, zero = Poly([1.0]), Poly([0.0])
         lin, near = Poly([-1.0, 1.0]), Poly([-0.2, 1.0])
         pairs = [("zero", zero, lin), ("constant", one, lin),
                  ("collide", near, lin), ("apart", Poly([-7.0, 1.0]), lin)]
-        assert q_collisions(inst, pairs, 3) == ["zero", "collide"]
+        assert q_collisions(inst, pairs) == ["zero", "collide"]
 
 
 class TestCartanConnection:
@@ -962,7 +973,8 @@ class TestShortSide:
         twist = inst.twist
         for letter in (1, 2):
             twist = reflect_twist(twist, letter, inst.cartan)
-        assert resonance_check(inst.with_twist(twist), 1) == ["node 2"]
+        # in the window 1 of the degrees m' = (0, 0)
+        assert resonance_check(inst.with_twist(twist, (0, 0))) == ["node 2"]
         stats = {}
         sols = solve_bethe(inst, seeds=40, tol=extras["bethe_tol"],
                            seed=extras["seed"], stats=stats)
