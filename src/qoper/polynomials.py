@@ -1,8 +1,9 @@
 """Univariate polynomials and rational functions over complex scalars.
 
 Coefficients are Python complex/float numbers (the default, double
-precision) or Python ``int`` values, kept as ints: the exact mode of the
-identity battery, closed under the ring operations.  A division
+precision) or Python ``int`` values, kept as ints and closed under the
+ring operations: the constant polynomials 0 and 1, and the exact
+polynomials of the test suite.  A division
 (``monic``, a ``RatFun`` denominator's normalisation) turns int
 coefficients into floats.  All ring operations are generic over the
 scalar type; only root extraction and least-squares solving require

@@ -12,11 +12,16 @@ difference equations, which the test suite checks:
   (1/zeta_1, zeta_1/zeta_2, ..., zeta_r).
 * The Coxeter-lift with regular singularities is the "staggered" matrix
 
-      R(z) = prod_{l=1..r} s_{i_l}^{-1} Lambda_{i_l}(q^{l-1} z)^{alpha^vee_{i_l}}
+      R(z) = prod_{l=1..r} s_{i_l}^{-1} Lambda_{i_l}(q^{h(i_l)} z)^{alpha^vee_{i_l}}
 
-  (positions l in the instance ordering, left to right).  The q-shifted
-  arguments inside R resolve the column-argument ambiguity of the closed
-  Wronskian form: they are forced by unimodularity of the Wronskian.
+  (positions l in the instance ordering, left to right).  h is the height
+  function of the orientation that the ordering, a Coxeter element, gives
+  the Dynkin diagram (``heights``); the standard ordering gives h(i) =
+  i - 1, the node's position.  The q-shifted arguments inside R resolve
+  the column-argument ambiguity of the closed Wronskian form.  det W = 1
+  pins the rule: on A2 and A3 data solved under each ordering, h is the
+  one shift vector in {-3..3}^r that gives a unimodular W, and the test
+  suite checks det W = 1 for every ordering of A2 and A3.
 * The Wronskian columns obey W(q^k z) nu_i = Z^k W(z) S_k(z) nu_i on the
   i-th fundamental vector, with the transport
   S_k(z) = R(z) R(qz) ... R(q^{k-1}z), while the transported wedge window
@@ -70,22 +75,36 @@ def _compose(M: tuple, N: tuple) -> tuple:
     return tuple((M[r][0], M[r][1] * g) for r, g in N)
 
 
+def heights(ordering) -> list:
+    """The height function h of the orientation that the ordering (a
+    Coxeter element) gives the type-A Dynkin diagram, as h[i - 1] for node
+    i: h(1) = 0, and h(i+1) = h(i) + 1 when node i comes before node i+1
+    in the ordering, h(i) - 1 otherwise."""
+    pos = {node: l for l, node in enumerate(ordering)}
+    h = [0]
+    for i in range(1, len(ordering)):
+        h.append(h[-1] + (1 if pos[i] < pos[i + 1] else -1))
+    return h
+
+
 def s_lambda_inverse(inst: QQInstance) -> tuple:
     """The staggered Coxeter lift R(z), a monomial matrix stored as its n
     (row, entry) pairs: 0-based column c sends e_c to entry e_row.  It is
     the interleaved product of the lifts of s_{i_l}^{-1} with the torus
-    factors Lambda_{i_l}(q^{l-1}z)^{coroot}; each such pair is the
+    factors Lambda_{i_l}(q^{h(i_l)}z)^{coroot}, h from ``heights`` (the
+    position l - 1 for the standard ordering); each such pair is the
     identity but at the columns i-1, i: (i, -Lambda), (i-1, 1/Lambda).
     R equals the bare permutation lift times prod_l
-    Lambda_{i_l}(q^{l-1}z)^{d_l}, d_l = s_{i_r} ... s_{i_{l+1}}
+    Lambda_{i_l}(q^{h(i_l)}z)^{d_l}, d_l = s_{i_r} ... s_{i_{l+1}}
     (alpha^vee_{i_l}) (``d_exponents`` in the tests); the test suite
     checks that agreement, which pins the sign convention.
     """
     if not inst.cartan.is_type_a:
         raise DegenerateInstance("the Wronskian realization requires type A")
+    h = heights(inst.cartan.ordering)
     acc = identity = tuple((c, RatFun.one()) for c in range(inst.rank + 1))
-    for l, node in enumerate(inst.cartan.ordering):
-        lam = RatFun(q_shift(inst.lambdas[node - 1], inst.q**l))
+    for node in inst.cartan.ordering:
+        lam = RatFun(q_shift(inst.lambdas[node - 1], inst.q ** h[node - 1]))
         factor = list(identity)
         factor[node - 1], factor[node] = (node, -lam), (node - 1, lam.inv())
         acc = _compose(acc, factor)

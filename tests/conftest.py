@@ -1,5 +1,5 @@
-"""Fixtures shared by the test modules: the benchmark generator's seed-1
-verify inputs, as files and parsed."""
+"""Fixtures shared by the test modules: the benchmark generator and its
+seed-1 verify inputs, as files and parsed."""
 
 import json
 import sys
@@ -11,14 +11,20 @@ from qoper.cli import parse_instance
 
 
 @pytest.fixture(scope="session")
-def seed1_verify_paths(tmp_path_factory):
-    """The seed-1 verify input files of perfbench/gen.py, by family."""
+def gen():
+    """The benchmark's instance generator, perfbench/gen.py."""
     root = Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "perfbench"))
     try:
         import gen
     finally:
         sys.path.remove(str(root / "perfbench"))
+    return gen
+
+
+@pytest.fixture(scope="session")
+def seed1_verify_paths(gen, tmp_path_factory):
+    """The seed-1 verify input files of perfbench/gen.py, by family."""
     paths = gen.generate(1, str(tmp_path_factory.mktemp("gen")),
                          gen.VERIFY_FAMILIES, solved=True)
     return {Path(p).stem: p for p in paths}

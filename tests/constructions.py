@@ -22,23 +22,7 @@ from qoper.cartan import (CartanData, CartanError, TwistZ, canonical_form,
 from qoper.minors import RatMatrix
 from qoper.polynomials import TAU, Poly, RatFun, q_shift
 from qoper.qq import DegenerateInstance, QQInstance, QQSolution
-from qoper.wronskian import _coroot_diag, _minor, _rel_gap
-
-_COXETER_NUMBERS = {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}
-
-
-def coxeter_number(data: CartanData) -> int:
-    t, r = data.lie_type, data.rank
-    if t == "A":
-        return r + 1
-    if t in ("B", "C"):
-        return 2 * r
-    if t == "D":
-        return 2 * r - 2
-    key = f"{t}{r}"
-    if key in _COXETER_NUMBERS:
-        return _COXETER_NUMBERS[key]
-    raise CartanError(f"no Coxeter number for ({t}, {r})")
+from qoper.wronskian import _coroot_diag, _minor, _rel_gap, heights
 
 
 def longest_element(data: CartanData) -> tuple:
@@ -67,6 +51,11 @@ def positive_roots(data: CartanData) -> list:
                 roots.add(image)
                 frontier.append(image)
     return sorted(beta for beta in roots if min(beta) >= 0)
+
+
+def coxeter_number(data: CartanData) -> int:
+    """h = 2 |Phi+| / r, from positive_roots."""
+    return 2 * len(positive_roots(data)) // data.rank
 
 
 def word_length(word: tuple, data: CartanData) -> int:
@@ -149,11 +138,13 @@ def lift_matrix(n: int, i: int, sign: int = 1) -> RatMatrix:
 
 def dense_staggered_lift(inst: QQInstance) -> RatMatrix:
     """R(z) as the dense product of its factors, s_{i_l}^{-1} and
-    Lambda_{i_l}(q^{l-1}z)^{coroot} in the instance ordering."""
+    Lambda_{i_l}(q^{h(i_l)}z)^{coroot} in the instance ordering, h from
+    ``heights``."""
     n = inst.rank + 1
+    h = heights(inst.cartan.ordering)
     acc = RatMatrix.identity(n)
-    for l, node in enumerate(inst.cartan.ordering):
-        lam = q_shift(inst.lambdas[node - 1], inst.q**l)
+    for node in inst.cartan.ordering:
+        lam = q_shift(inst.lambdas[node - 1], inst.q ** h[node - 1])
         acc = acc @ lift_matrix(n, node, -1) \
             @ _coroot_diag(n, node, RatFun(lam))
     return acc
@@ -172,14 +163,17 @@ def dense_lift_products(R: RatMatrix, q) -> list:
 
 def collected_lift(inst: QQInstance) -> RatMatrix:
     """R collected: the bare permutation lift, then the torus factors
-    Lambda_{i_l}(q^{l-1} z)^{d_l} with d from d_exponents."""
+    Lambda_{i_l}(q^{h(i_l)} z)^{d_l} with d from d_exponents and h from
+    ``heights``."""
     n = inst.rank + 1
     order = inst.cartan.ordering
+    h = heights(order)
     acc = RatMatrix.identity(n)
     for node in order:
         acc = acc @ lift_matrix(n, node, -1)
     for l, row in enumerate(d_exponents(inst.cartan).d):
-        lam = RatFun(q_shift(inst.lambdas[order[l] - 1], inst.q ** l))
+        lam = RatFun(q_shift(inst.lambdas[order[l] - 1],
+                             inst.q ** h[order[l] - 1]))
         for m, e in enumerate(row):
             for _ in range(abs(e)):
                 acc = acc @ _coroot_diag(n, order[m],

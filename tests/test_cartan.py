@@ -1,13 +1,14 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoper.cartan import (CartanError, TwistZ, cartan_matrix, canonical_form,
-                          enumerate_weyl, reflect_twist, twist_monomial,
-                          weyl_order)
+from qoper.cartan import (DEFAULT_WEYL_GUARD, CartanError, TwistZ,
+                          cartan_matrix, canonical_form, enumerate_weyl,
+                          reflect_twist, twist_monomial, weyl_order)
 from qoper.polynomials import Poly
 from qoper.qq import QQInstance, xi_factors
 from qoper.wronskian import _twist_diagonal
@@ -26,6 +27,13 @@ class TestCartanMatrix:
         cd = cartan_matrix("G", 2)
         assert cd.cartan == ((2, -3), (-1, 2))
 
+    def test_b_c_convention(self):
+        # B_r has its short root at node r, C_r its long root: the two
+        # share a determinant and |W|, so only the entry tells them apart
+        assert cartan_matrix("B", 3).cartan[1] == (-1, 2, -2)
+        assert cartan_matrix("C", 3).cartan[1] == (-1, 2, -1)
+        assert cartan_matrix("C", 3).cartan[2] == (0, -2, 2)
+
     def test_rank_zero_rejected(self):
         with pytest.raises(CartanError, match="invalid finite type"):
             cartan_matrix("A", 0)
@@ -35,17 +43,42 @@ class TestCartanMatrix:
             with pytest.raises(CartanError):
                 cartan_matrix(t, r)
 
-    def test_determinants(self):
-        import numpy as np
-        dets = {("A", 3): 4, ("B", 3): 2, ("C", 4): 2, ("D", 4): 4,
-                ("E", 6): 3, ("F", 4): 1, ("G", 2): 1}
-        for (t, r), want in dets.items():
-            cd = cartan_matrix(t, r)
-            got = round(np.linalg.det(np.array(cd.cartan, dtype=float)))
-            assert got == want, (t, r)
+
+# every valid (type, rank <= 8) with the determinant of its Cartan matrix
+FINITE_TYPES = (
+    [("A", r, r + 1) for r in range(1, 9)]
+    + [(t, r, 2) for t in "BC" for r in range(2, 9)]
+    + [("D", r, 4) for r in range(4, 9)]
+    + [("E", 6, 3), ("E", 7, 2), ("E", 8, 1), ("F", 4, 1), ("G", 2, 1)])
+
+
+class TestFiniteTypeTable:
+    """cartan_matrix and weyl_order on every valid (type, rank <= 8): the
+    table's edges give a Cartan matrix, CartanData checking only the
+    ordering, with the right determinant, and |W| counts the elements
+    enumerate_weyl finds wherever the guard lets it enumerate them."""
+
+    @pytest.mark.parametrize("t,r,det", FINITE_TYPES)
+    def test_cartan_matrix_and_weyl_order(self, t, r, det):
+        cd = cartan_matrix(t, r)
+        a = cd.cartan
+        assert len(a) == r and all(len(row) == r for row in a)
+        for i, j in itertools.product(range(r), repeat=2):
+            if i == j:
+                assert a[i][i] == 2
+            else:
+                assert a[i][j] <= 0 and (a[i][j] == 0) == (a[j][i] == 0)
+        assert round(np.linalg.det(np.array(a, dtype=float))) == det
+        if weyl_order(cd) <= DEFAULT_WEYL_GUARD:
+            assert len(enumerate_weyl(cd)) == weyl_order(cd)
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(CartanError, match=r"invalid finite type \(H, 3\)"):
+            cartan_matrix("H", 3)
 
 
 class TestCoxeterNumber:
+    # h = 2 |Phi+| / r, so each value checks the positive roots of its type
     @pytest.mark.parametrize("t,r,h", [
         ("A", 1, 2), ("A", 3, 4), ("B", 3, 6), ("C", 2, 4), ("D", 4, 6),
         ("E", 6, 12), ("E", 7, 18), ("E", 8, 30), ("F", 4, 12), ("G", 2, 6)])
@@ -154,12 +187,6 @@ class TestEnumerateWeyl:
         words = enumerate_weyl(cd)
         assert len(words) == 6
         assert len(longest_element(cd)) == 3
-
-    def test_orders_closed_form(self):
-        for t, r in (("A", 3), ("A", 4), ("B", 3), ("C", 4), ("D", 4),
-                     ("F", 4), ("G", 2)):
-            cd = cartan_matrix(t, r)
-            assert len(enumerate_weyl(cd)) == weyl_order(cd)
 
     def test_e8_guard(self):
         with pytest.raises(CartanError, match="group too large"):
